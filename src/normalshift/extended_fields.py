@@ -16,8 +16,9 @@ implements directly, and what the test suite checks against the long route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -51,6 +52,11 @@ class IsotropicScalar:
 
     Taking the speed as a plain scalar argument makes "depends only on the
     modulus" a fact of the signature instead of a runtime property.
+
+    ``eval`` may also return a vector of k components, a pack of isotropic
+    fields that share one evaluation; the isotropic derivative helpers
+    then difference the whole vector with the steps a single component
+    would use.
     """
 
     eval: Callable[[Array, float], float]
@@ -61,7 +67,7 @@ class IsotropicScalar:
 
 def _check_finite(value, what: str):
     arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise EvaluationFailure(f"{what} evaluated to a non-finite value")
     return arr
 
@@ -108,13 +114,24 @@ def spatial_gradient(phi: ExtendedScalar, m: MetricField, x: Array, v: Array) ->
     return raw - transport
 
 
+def _finite_derivative(value, what: str) -> Union[float, Array]:
+    """A derivative as a float, or per component as an array, once checked finite."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        return _check_finite(value, what)
+    value = float(value)
+    if not math.isfinite(value):
+        raise EvaluationFailure(f"{what} evaluated to a non-finite value")
+    return value
+
+
 def spatial_gradient_isotropic(
     w: IsotropicScalar, m: MetricField, x: Array, speed: float
 ) -> Array:
     """Spatial gradient of a modulus-only field: d W / d x^m at fixed speed.
 
     For this class of fields the connection terms of the full rule cancel,
-    so no Christoffel evaluation is needed.
+    so no Christoffel evaluation is needed.  For a vector-valued field of
+    k components the result is (n, k), ``out[r, c] = d W_c / d x^r``.
     """
     x = np.asarray(x, dtype=float)
     if speed <= 0.0:
@@ -122,41 +139,42 @@ def spatial_gradient_isotropic(
     if w.dx is not None:
         return _check_finite(w.dx(x, speed), "isotropic x-partials")
     h = w.fd_step * max(1.0, float(np.max(np.abs(x))))
-    out = np.empty(m.dim)
+    rows = []
     for k in range(m.dim):
         e = np.zeros(m.dim)
         e[k] = h
-        out[k] = (w.eval(x + e, speed) - w.eval(x - e, speed)) / (2.0 * h)
-    return _check_finite(out, "isotropic x-partials")
+        rows.append((w.eval(x + e, speed) - w.eval(x - e, speed)) / (2.0 * h))
+    return _check_finite(rows, "isotropic x-partials")
 
 
-def isotropic_speed_derivative(w: IsotropicScalar, x: Array, speed: float) -> float:
-    """d W / d speed, analytic when supplied."""
+def isotropic_speed_derivative(
+    w: IsotropicScalar, x: Array, speed: float
+) -> Union[float, Array]:
+    """d W / d speed, analytic when supplied; per component for a vector field."""
     if w.dspeed is not None:
-        value = float(w.dspeed(np.asarray(x, dtype=float), speed))
+        value = w.dspeed(np.asarray(x, dtype=float), speed)
     else:
         h = w.fd_step * max(1.0, abs(speed))
         value = (w.eval(x, speed + h) - w.eval(x, speed - h)) / (2.0 * h)
-    if not np.isfinite(value):
-        raise EvaluationFailure("speed derivative evaluated to a non-finite value")
-    return value
+    return _finite_derivative(value, "speed derivative")
 
 
-def isotropic_second_speed_derivative(w: IsotropicScalar, x: Array, speed: float) -> float:
+def isotropic_second_speed_derivative(
+    w: IsotropicScalar, x: Array, speed: float
+) -> Union[float, Array]:
     """d^2 W / d speed^2 by differencing the first derivative.
 
     The outer step is fd_step^(1/2) scaled by the speed, which balances
-    truncation against the noise of the inner derivative.
+    truncation against the noise of the inner derivative.  A vector field
+    is differenced component-wise with the same steps.
     """
     if w.dspeed is not None:
         h = w.fd_step * max(1.0, abs(speed))
-        value = (float(w.dspeed(x, speed + h)) - float(w.dspeed(x, speed - h))) / (2.0 * h)
+        value = (w.dspeed(x, speed + h) - w.dspeed(x, speed - h)) / (2.0 * h)
     else:
         h = np.sqrt(w.fd_step) * max(1.0, abs(speed))
         value = (w.eval(x, speed + h) - 2.0 * w.eval(x, speed) + w.eval(x, speed - h)) / h**2
-    if not np.isfinite(value):
-        raise EvaluationFailure("second speed derivative is non-finite")
-    return value
+    return _finite_derivative(value, "second speed derivative")
 
 
 def velocity_hessian(

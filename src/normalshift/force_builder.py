@@ -36,7 +36,7 @@ from .extended_fields import (
     spatial_gradient_isotropic,
     velocity_gradient,
 )
-from .tensor_core import MetricField, christoffel_at, metric_at, unit_direction
+from .tensor_core import MetricField, Projector, christoffel_at, metric_at, unit_direction
 
 Array = np.ndarray
 
@@ -56,10 +56,18 @@ class GeneratingScalar:
 
 @dataclass(frozen=True)
 class AnsatzField:
-    """Isotropic coefficient fields (a, b_1 .. b_n) of the scalar ansatz."""
+    """Isotropic coefficient fields (a, b_1 .. b_n) of the scalar ansatz.
+
+    ``pack``, when present, is one vector-valued isotropic field whose value
+    is the whole coefficient pack (a, b_1, ..., b_n).  Consumers then
+    evaluate and difference that one vector instead of each component on
+    its own.  Without it the component fields are evaluated one by one,
+    with their analytic partials where they carry them.
+    """
 
     a: IsotropicScalar
     b: Tuple[IsotropicScalar, ...]
+    pack: Optional[IsotropicScalar] = None
 
 
 @dataclass(frozen=True)
@@ -102,26 +110,65 @@ def _wv_checked(gs: GeneratingScalar, x: Array, speed: float) -> float:
     return wv
 
 
+def coefficient_pack(gs: GeneratingScalar, m: MetricField, x: Array, v_speed: float) -> Array:
+    """The coefficient pack (a, b_1, ..., b_n) at fixed speed, as one vector.
+
+    a = h(W) / W_v and b_k = -(dW/dx^k) / W_v share one W_v (checked
+    against ``wv_floor``), one h(W) and one spatial gradient.
+    """
+    x = np.asarray(x, dtype=float)
+    wv = _wv_checked(gs, x, v_speed)
+    a = float(gs.h(gs.W.eval(x, v_speed))) / wv
+    b = -spatial_gradient_isotropic(gs.W, m, x, v_speed) / wv
+    return np.concatenate(([a], b))
+
+
 def compute_b(gs: GeneratingScalar, m: MetricField, x: Array, v_speed: float) -> Array:
     """Covector b_k = -(dW/dx^k) / (dW/dspeed) at fixed speed."""
-    wv = _wv_checked(gs, x, v_speed)
-    return -spatial_gradient_isotropic(gs.W, m, x, v_speed) / wv
+    return coefficient_pack(gs, m, x, v_speed)[1:]
 
 
 def compute_a(gs: GeneratingScalar, m: MetricField, x: Array, v_speed: float) -> float:
     """Scalar a = h(W) / (dW/dspeed)."""
-    wv = _wv_checked(gs, x, v_speed)
-    return float(gs.h(gs.W.eval(np.asarray(x, dtype=float), v_speed))) / wv
+    return float(coefficient_pack(gs, m, x, v_speed)[0])
+
+
+def coefficients(af: AnsatzField, x: Array, speed: float) -> Array:
+    """(a, b_1, ..., b_n) at one (x, speed)."""
+    if af.pack is not None:
+        return np.asarray(af.pack.eval(x, speed), dtype=float)
+    return np.array([float(c.eval(x, speed)) for c in (af.a,) + af.b])
+
+
+def coefficient_speed_derivative(
+    af: AnsatzField, x: Array, speed: float, order: int = 1
+) -> Array:
+    """First (``order=1``) or second speed derivative of every coefficient."""
+    derivative = (
+        isotropic_speed_derivative if order == 1 else isotropic_second_speed_derivative
+    )
+    if af.pack is not None:
+        return derivative(af.pack, x, speed)
+    return np.array([derivative(c, x, speed) for c in (af.a,) + af.b])
+
+
+def coefficient_gradient(af: AnsatzField, m: MetricField, x: Array, speed: float) -> Array:
+    """Fixed-speed x-derivatives, ``out[r, c] = d coefficient_c / d x^r``."""
+    if af.pack is not None:
+        return spatial_gradient_isotropic(af.pack, m, x, speed)
+    return np.stack(
+        [spatial_gradient_isotropic(c, m, x, speed) for c in (af.a,) + af.b], axis=1
+    )
 
 
 def ansatz_A(af: AnsatzField, m: MetricField, x: Array, v: Array) -> float:
     """A = a(x, |v|) + sum_i b_i(x, |v|) v^i."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    speed = unit_direction(m, x, v).speed
-    total = float(af.a.eval(x, speed))
-    for b_i, v_i in zip(af.b, v):
-        total += float(b_i.eval(x, speed)) * float(v_i)
+    c = coefficients(af, x, unit_direction(m, x, v).speed)
+    total = float(c[0])
+    for b_i, v_i in zip(c[1:], v):
+        total += float(b_i) * float(v_i)
     return total
 
 
@@ -168,19 +215,84 @@ def force_from_W(gs: GeneratingScalar, m: MetricField, x: Array, v: Array) -> Ar
 
 
 def ansatz_from_generator(gs: GeneratingScalar, m: MetricField) -> AnsatzField:
-    """Wrap a = h(W)/W_v and b_k = -W_k/W_v as isotropic field descriptors."""
+    """Wrap a = h(W)/W_v and b_k = -W_k/W_v as isotropic field descriptors.
 
-    a = IsotropicScalar(
-        eval=lambda x, s: compute_a(gs, m, x, s), fd_step=gs.W.fd_step
-    )
-    b = tuple(
-        IsotropicScalar(
-            eval=(lambda k: lambda x, s: float(compute_b(gs, m, x, s)[k]))(i),
-            fd_step=gs.W.fd_step,
+    The coefficients come as one pack (see :func:`coefficient_pack`); the
+    component fields read their entry of it.
+    """
+
+    def component(k):
+        return IsotropicScalar(
+            eval=lambda x, s: float(coefficient_pack(gs, m, x, s)[k]), fd_step=gs.W.fd_step
         )
-        for i in range(m.dim)
+
+    return AnsatzField(
+        a=component(0),
+        b=tuple(component(k) for k in range(1, m.dim + 1)),
+        pack=IsotropicScalar(
+            eval=lambda x, s: coefficient_pack(gs, m, x, s), fd_step=gs.W.fd_step
+        ),
     )
-    return AnsatzField(a=a, b=b)
+
+
+# Assembly of the ansatz derivatives from the coefficient pack.  ``c``,
+# ``c_p`` and ``c_pp`` hold (a, b_1..b_n) and their first and second speed
+# derivatives, ``grad[r, c]`` their fixed-speed x-derivatives, ``pr`` the
+# unit direction of (x, v).  The public closures below and ``verify`` both
+# go through these, so one evaluation of the pack per state serves them all.
+
+
+def ansatz_fiber_hessian(
+    pr: Projector, gmat: Array, v: Array, c_p: Array, c_pp: Array
+) -> Array:
+    """d2A/dv^r dv^s = (a'' + sum b''_i v^i) N_r N_s + b'_s N_r + b'_r N_s
+    + (a'/|v| + sum b'_i N^i) P_rs."""
+    a_p, b_p = c_p[0], c_p[1:]
+    a_pp, b_pp = c_pp[0], c_pp[1:]
+    nn = np.outer(pr.N_down, pr.N_down)
+    p_down = gmat - nn
+    return (
+        (a_pp + b_pp @ v) * nn
+        + np.outer(pr.N_down, b_p)
+        + np.outer(b_p, pr.N_down)
+        + (a_p / pr.speed + b_p @ pr.N_up) * p_down
+    )
+
+
+def ansatz_force_dv(pr: Projector, gmat: Array, v: Array, c: Array, c_p: Array) -> Array:
+    """Fiber derivative ``out[r, k] = d F_k / d v^r`` of the ansatz force."""
+    a, b = c[0], c[1:]
+    a_p, b_p = c_p[0], c_p[1:]
+    s = pr.speed
+    big_b = float(b @ v)
+    big_b_p = float(b_p @ v)
+    p_down = gmat - np.outer(pr.N_down, pr.N_down)
+    n = pr.N_down.shape[0]
+    out = np.empty((n, n))
+    for r in range(n):
+        out[r] = (
+            (a_p + 2.0 * big_b_p) * pr.N_down[r] * pr.N_down
+            + 2.0 * b[r] * pr.N_down
+            + (a + 2.0 * big_b) * p_down[:, r] / s
+            - pr.N_down[r] * b
+            - s * b_p * pr.N_down[r]
+        )
+    return out
+
+
+def ansatz_force_nabla(
+    pr: Projector, gamma: Array, v: Array, c: Array, grad: Array
+) -> Array:
+    """Covariant spatial derivative ``out[r, k]`` of the ansatz force along x^r."""
+    s = pr.speed
+    da = grad[:, 0]
+    # db[r, k] = covariant x^r-derivative of the covector b_k at fixed speed
+    db = grad[:, 1:] - np.einsum("crk,c->rk", gamma, c[1:])
+    n = pr.N_down.shape[0]
+    out = np.empty((n, n))
+    for r in range(n):
+        out[r] = da[r] * pr.N_down + 2.0 * float(db[r] @ v) * pr.N_down - s * db[r]
+    return out
 
 
 def ansatz_scalar(af: AnsatzField, m: MetricField) -> ExtendedScalar:
@@ -200,37 +312,20 @@ def ansatz_scalar(af: AnsatzField, m: MetricField) -> ExtendedScalar:
 
     def dv(x, v):
         pr = unit_direction(m, x, v)
-        s = pr.speed
-        a_p = isotropic_speed_derivative(af.a, x, s)
-        b = np.array([c.eval(x, s) for c in af.b])
-        b_p = np.array([isotropic_speed_derivative(c, x, s) for c in af.b])
-        return (a_p + b_p @ v) * pr.N_down + b
+        c_p = coefficient_speed_derivative(af, x, pr.speed)
+        return (c_p[0] + c_p[1:] @ v) * pr.N_down + coefficients(af, x, pr.speed)[1:]
 
     def dv2(x, v):
         pr = unit_direction(m, x, v)
-        s = pr.speed
-        a_p = isotropic_speed_derivative(af.a, x, s)
-        a_pp = isotropic_second_speed_derivative(af.a, x, s)
-        b_p = np.array([isotropic_speed_derivative(c, x, s) for c in af.b])
-        b_pp = np.array([isotropic_second_speed_derivative(c, x, s) for c in af.b])
-        nn = np.outer(pr.N_down, pr.N_down)
-        p_down = metric_at(m, x) - nn
-        return (
-            (a_pp + b_pp @ v) * nn
-            + np.outer(pr.N_down, b_p)
-            + np.outer(b_p, pr.N_down)
-            + (a_p / s + b_p @ pr.N_up) * p_down
+        return ansatz_fiber_hessian(
+            pr,
+            metric_at(m, x),
+            v,
+            coefficient_speed_derivative(af, x, pr.speed),
+            coefficient_speed_derivative(af, x, pr.speed, order=2),
         )
 
     return ExtendedScalar(eval=eval_, dv=dv, dv2=dv2, fd_step=af.a.fd_step)
-
-
-def _ansatz_force_pieces(af: AnsatzField, m: MetricField, x: Array, v: Array):
-    pr = unit_direction(m, x, v)
-    s = pr.speed
-    a = float(af.a.eval(x, s))
-    b = np.array([c.eval(x, s) for c in af.b])
-    return pr, s, a, b
 
 
 def ansatz_force_field(af: AnsatzField, label: str = "ansatz") -> ForceField:
@@ -243,44 +338,30 @@ def ansatz_force_field(af: AnsatzField, label: str = "ansatz") -> ForceField:
     """
 
     def eval_(m, x, v):
-        pr, s, a, b = _ansatz_force_pieces(af, m, x, v)
+        pr = unit_direction(m, x, v)
+        c = coefficients(af, x, pr.speed)
         reflect = 2.0 * np.outer(pr.N_up, pr.N_down) - np.eye(m.dim)
-        return a * pr.N_down + s * b @ reflect
+        return c[0] * pr.N_down + pr.speed * c[1:] @ reflect
 
     def dv(m, x, v):
-        pr, s, a, b = _ansatz_force_pieces(af, m, x, v)
-        a_p = isotropic_speed_derivative(af.a, x, s)
-        b_p = np.array([isotropic_speed_derivative(c, x, s) for c in af.b])
-        big_b = float(b @ v)
-        big_b_p = float(b_p @ v)
-        p_down = metric_at(m, x) - np.outer(pr.N_down, pr.N_down)
-        out = np.empty((m.dim, m.dim))
-        for r in range(m.dim):
-            out[r] = (
-                (a_p + 2.0 * big_b_p) * pr.N_down[r] * pr.N_down
-                + 2.0 * b[r] * pr.N_down
-                + (a + 2.0 * big_b) * p_down[:, r] / s
-                - pr.N_down[r] * b
-                - s * b_p * pr.N_down[r]
-            )
-        return out
+        pr = unit_direction(m, x, v)
+        return ansatz_force_dv(
+            pr,
+            metric_at(m, x),
+            v,
+            coefficients(af, x, pr.speed),
+            coefficient_speed_derivative(af, x, pr.speed),
+        )
 
     def nabla(m, x, v):
-        pr, s, a, b = _ansatz_force_pieces(af, m, x, v)
-        gamma = christoffel_at(m, x).gamma
-        da = spatial_gradient_isotropic(af.a, m, x, s)
-        db_raw = np.stack(
-            [spatial_gradient_isotropic(c, m, x, s) for c in af.b], axis=1
-        )  # db_raw[r, k] = d b_k / d x^r at fixed speed
-        db = db_raw - np.einsum("crk,c->rk", gamma, b)
-        out = np.empty((m.dim, m.dim))
-        for r in range(m.dim):
-            out[r] = (
-                da[r] * pr.N_down
-                + 2.0 * float(db[r] @ v) * pr.N_down
-                - s * db[r]
-            )
-        return out
+        pr = unit_direction(m, x, v)
+        return ansatz_force_nabla(
+            pr,
+            christoffel_at(m, x).gamma,
+            v,
+            coefficients(af, x, pr.speed),
+            coefficient_gradient(af, m, x, pr.speed),
+        )
 
     return ForceField(eval=eval_, label=label, dv=dv, nabla=nabla)
 
@@ -289,17 +370,24 @@ def as_force_field(gs: GeneratingScalar) -> ForceField:
     """Evaluatable force field for a generating pair, with derivatives.
 
     Its ``eval`` is :func:`force_from_W`, so it also takes stacks of states;
-    ``dv`` and ``nabla`` take one state.
+    ``dv`` and ``nabla`` take one state and come from the ansatz route,
+    built once per metric.
     """
+    ansatz = {}
+
+    def ansatz_for(m):
+        if m not in ansatz:
+            ansatz[m] = ansatz_force_field(ansatz_from_generator(gs, m))
+        return ansatz[m]
 
     def eval_(m, x, v):
         return force_from_W(gs, m, x, v)
 
     def dv(m, x, v):
-        return ansatz_force_field(ansatz_from_generator(gs, m)).dv(m, x, v)
+        return ansatz_for(m).dv(m, x, v)
 
     def nabla(m, x, v):
-        return ansatz_force_field(ansatz_from_generator(gs, m)).nabla(m, x, v)
+        return ansatz_for(m).nabla(m, x, v)
 
     return ForceField(eval=eval_, label="generated-from-W", dv=dv, nabla=nabla)
 

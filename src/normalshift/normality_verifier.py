@@ -27,26 +27,28 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from .errors import EvaluationFailure
-from .extended_fields import (
-    ExtendedScalar,
-    isotropic_speed_derivative,
-    spatial_gradient_isotropic,
-    velocity_hessian,
-)
+from .errors import EvaluationFailure, NormalShiftError
+from .extended_fields import ExtendedScalar, velocity_hessian
 from .force_builder import (
     AnsatzField,
     ForceField,
     GeneratingScalar,
     ansatz_A,
+    ansatz_fiber_hessian,
+    ansatz_force_dv,
+    ansatz_force_nabla,
     ansatz_from_generator,
-    ansatz_scalar,
     as_force_field,
+    coefficient_gradient,
+    coefficient_speed_derivative,
+    coefficients,
+    force_from_W,
 )
 from .tensor_core import (
     MetricField,
     christoffel_at,
     inverse_metric_at,
+    metric_at,
     unit_direction,
 )
 
@@ -134,7 +136,7 @@ class NormalityReport:
 
 def _finite(arr: Array, what: str) -> Array:
     arr = np.asarray(arr, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise EvaluationFailure(f"{what} produced a non-finite value")
     return arr
 
@@ -252,6 +254,12 @@ def residual_additional2(
     return _additional2(Dv, unit_direction(m, x, v), inverse_metric_at(m, x), m.dim)
 
 
+def _eq124(H: Array, pr, ginv: Array, dim: int) -> Tuple[Array, float]:
+    p_up = ginv - np.outer(pr.N_up, pr.N_up)
+    lam = float(np.einsum("rs,rs->", p_up, H)) / (dim - 1)
+    return pr.P.T @ H @ p_up - lam * pr.P.T, lam
+
+
 def residual_eq124(
     A: ExtendedScalar, m: MetricField, x: Array, v: Array, *, mode: str = "analytic"
 ) -> Tuple[Array, float]:
@@ -270,11 +278,19 @@ def residual_eq124(
             ExtendedScalar(eval=A.eval, fd_step=A.fd_step), m, x, v
         )
     H = _finite(H, "ansatz scalar fiber Hessian")
-    pr = unit_direction(m, x, v)
-    ginv = inverse_metric_at(m, x)
-    p_up = ginv - np.outer(pr.N_up, pr.N_up)
-    lam = float(np.einsum("rs,rs->", p_up, H)) / (m.dim - 1)
-    return pr.P.T @ H @ p_up - lam * pr.P.T, lam
+    return _eq124(H, unit_direction(m, x, v), inverse_metric_at(m, x), m.dim)
+
+
+def _reduced(c: Array, c_p: Array, grad: Array) -> Tuple[Array, Array]:
+    a_val, b_val = c[0], c[1:]
+    a_p, b_p = c_p[0], c_p[1:]
+    da, db = grad[:, 0], grad[:, 1:]  # db[s, r] = d b_r / d x^s at fixed speed
+    L_b = db + np.outer(b_val, b_p)
+    b_residual = L_b.T - L_b
+    a_residual = da + b_val * a_p - a_val * b_p
+    _finite(b_residual, "reduced b residual")
+    _finite(a_residual, "reduced a residual")
+    return b_residual, a_residual
 
 
 def residual_reduced(
@@ -287,20 +303,11 @@ def residual_reduced(
     a_residual[s] = L_s a - a db_s/dspeed.
     """
     x = np.asarray(x, dtype=float)
-    a_val = float(af.a.eval(x, v_speed))
-    b_val = np.array([c.eval(x, v_speed) for c in af.b])
-    a_p = isotropic_speed_derivative(af.a, x, v_speed)
-    b_p = np.array([isotropic_speed_derivative(c, x, v_speed) for c in af.b])
-    da = spatial_gradient_isotropic(af.a, m, x, v_speed)
-    db = np.stack(
-        [spatial_gradient_isotropic(c, m, x, v_speed) for c in af.b], axis=1
-    )  # db[s, r] = d b_r / d x^s at fixed speed
-    L_b = db + np.outer(b_val, b_p)
-    b_residual = L_b.T - L_b
-    a_residual = da + b_val * a_p - a_val * b_p
-    _finite(b_residual, "reduced b residual")
-    _finite(a_residual, "reduced a residual")
-    return b_residual, a_residual
+    return _reduced(
+        coefficients(af, x, v_speed),
+        coefficient_speed_derivative(af, x, v_speed),
+        coefficient_gradient(af, m, x, v_speed),
+    )
 
 
 def sample_states(spec: SampleSpec, m: MetricField) -> list:
@@ -313,15 +320,35 @@ def sample_states(spec: SampleSpec, m: MetricField) -> list:
     u = engine.random(spec.count)
     xs = box[:, 0] + u[:, :dim] * (box[:, 1] - box[:, 0])
     z = ndtri(np.clip(u[:, dim : 2 * dim], 1e-12, 1.0 - 1e-12))
+    # a direction too short to normalize is replaced by (1, ..., 1)
+    z = np.where(np.max(np.abs(z), axis=1, keepdims=True) < 1e-12, 1.0, z)
     lo, hi = spec.speed_range
     speeds = lo + (hi - lo) * u[:, -1]
-    states = []
-    for x, raw, s in zip(xs, z, speeds):
-        if float(np.max(np.abs(raw))) < 1e-12:
-            raw = np.ones(dim)
-        current = unit_direction(m, x, raw).speed
-        states.append((x, raw * (s / current)))
-    return states
+    current = unit_direction(m, xs, z).speed
+    return list(zip(xs, z * (speeds / current)[:, None]))
+
+
+def _pack_derivatives(
+    gs: GeneratingScalar, af: AnsatzField, m: MetricField, x: Array, v: Array, pr,
+    c: Array, c_p: Array, grad: Array,
+) -> Tuple[Array, Array, Array, Array]:
+    """F, Dv, Dx and the fiber Hessian of A at one state, analytically.
+
+    The derivatives are those of ``as_force_field(gs)`` and
+    ``ansatz_scalar``, assembled from one coefficient pack (``c``, ``c_p``,
+    ``grad`` and the second speed derivative); F comes from the
+    independent (W, h) route.
+    """
+    gmat = metric_at(m, x)
+    F = _finite(force_from_W(gs, m, x, v), "force field")
+    Dv = _finite(ansatz_force_dv(pr, gmat, v, c, c_p), "force fiber derivative")
+    Dx = _finite(
+        ansatz_force_nabla(pr, christoffel_at(m, x).gamma, v, c, grad),
+        "force spatial derivative",
+    )
+    c_pp = coefficient_speed_derivative(af, x, pr.speed, order=2)
+    H = _finite(ansatz_fiber_hessian(pr, gmat, v, c_p, c_pp), "ansatz scalar fiber Hessian")
+    return F, Dv, Dx, 0.5 * (H + H.T)
 
 
 def verify(
@@ -335,17 +362,17 @@ def verify(
     reduced systems are evaluated from the structured coefficients, or a
     bare force field, for which the ansatz scalar is recovered as
     A = sum_i N^i F_i and the reduced systems are skipped (reported as 0).
+    For a generating pair each sample evaluates the coefficient pack once,
+    and the analytic derivatives and reduced residuals all read it.
     Raw residuals at each sample are divided by 1 + max|F| + max of the
-    derivative magnitudes, making the tolerances scale-free.
+    derivative magnitudes, making the tolerances scale-free.  A package
+    error at a sample keeps its type and names the sample's index and state.
     """
     mode = sampler.mode
     if isinstance(subject, GeneratingScalar):
         ff = as_force_field(subject)
         af = ansatz_from_generator(subject, m)
-        if mode == "analytic":
-            A = ansatz_scalar(af, m)
-        else:
-            A = ExtendedScalar(eval=lambda x, v: ansatz_A(af, m, x, v))
+        A = ExtendedScalar(eval=lambda x, v: ansatz_A(af, m, x, v))
     else:
         ff = subject
         af = None
@@ -366,31 +393,44 @@ def verify(
         "red_a": 0.0,
     }
     lambdas = []
-    for x, v in sample_states(sampler, m):
-        pr = unit_direction(m, x, v)
-        ginv = inverse_metric_at(m, x)
-        F, Dv, Dx = _derivative_pack(ff, m, x, v, mode)
-        scale = 1.0 + float(np.max(np.abs(F))) + max(
-            float(np.max(np.abs(Dv))), float(np.max(np.abs(Dx)))
-        )
-        worst["weak1"] = max(worst["weak1"], float(np.max(np.abs(_weak1(F, Dv, pr)))) / scale)
-        worst["weak2"] = max(
-            worst["weak2"], float(np.max(np.abs(_weak2(F, Dv, Dx, pr, ginv)))) / scale
-        )
-        worst["add1"] = max(
-            worst["add1"], float(np.max(np.abs(_additional1(F, Dv, Dx, pr)))) / scale
-        )
-        worst["add2"] = max(
-            worst["add2"],
-            float(np.max(np.abs(_additional2(Dv, pr, ginv, m.dim)))) / scale,
-        )
-        eq_res, lam = residual_eq124(A, m, x, v, mode=mode)
-        lambdas.append(lam)
-        worst["eq124"] = max(worst["eq124"], float(np.max(np.abs(eq_res))) / scale)
-        if af is not None:
-            b_res, a_res = residual_reduced(af, m, x, pr.speed)
-            worst["red_b"] = max(worst["red_b"], float(np.max(np.abs(b_res))) / scale)
-            worst["red_a"] = max(worst["red_a"], float(np.max(np.abs(a_res))) / scale)
+    for i, (x, v) in enumerate(sample_states(sampler, m)):
+        try:
+            pr = unit_direction(m, x, v)
+            ginv = inverse_metric_at(m, x)
+            if af is not None:
+                c = coefficients(af, x, pr.speed)
+                c_p = coefficient_speed_derivative(af, x, pr.speed)
+                grad = coefficient_gradient(af, m, x, pr.speed)
+            if af is not None and mode == "analytic":
+                F, Dv, Dx, H = _pack_derivatives(subject, af, m, x, v, pr, c, c_p, grad)
+            else:
+                F, Dv, Dx = _derivative_pack(ff, m, x, v, mode)
+                H = _finite(velocity_hessian(A, m, x, v), "ansatz scalar fiber Hessian")
+            scale = 1.0 + float(np.max(np.abs(F))) + max(
+                float(np.max(np.abs(Dv))), float(np.max(np.abs(Dx)))
+            )
+            worst["weak1"] = max(
+                worst["weak1"], float(np.max(np.abs(_weak1(F, Dv, pr)))) / scale
+            )
+            worst["weak2"] = max(
+                worst["weak2"], float(np.max(np.abs(_weak2(F, Dv, Dx, pr, ginv)))) / scale
+            )
+            worst["add1"] = max(
+                worst["add1"], float(np.max(np.abs(_additional1(F, Dv, Dx, pr)))) / scale
+            )
+            worst["add2"] = max(
+                worst["add2"],
+                float(np.max(np.abs(_additional2(Dv, pr, ginv, m.dim)))) / scale,
+            )
+            eq_res, lam = _eq124(H, pr, ginv, m.dim)
+            lambdas.append(lam)
+            worst["eq124"] = max(worst["eq124"], float(np.max(np.abs(eq_res))) / scale)
+            if af is not None:
+                b_res, a_res = _reduced(c, c_p, grad)
+                worst["red_b"] = max(worst["red_b"], float(np.max(np.abs(b_res))) / scale)
+                worst["red_a"] = max(worst["red_a"], float(np.max(np.abs(a_res))) / scale)
+        except NormalShiftError as exc:
+            raise type(exc)(f"sample {i} at x = {x.tolist()}, v = {v.tolist()}: {exc}") from exc
 
     tol = sampler.resolved_tolerance()
     passed = all(value <= tol for value in worst.values())

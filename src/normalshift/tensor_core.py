@@ -284,7 +284,7 @@ def unit_direction(
             raise ZeroVelocity(f"velocity modulus {speed:.3e} at or below floor at x={x}")
         n_up = v / speed
         n_down = gmat @ n_up
-        proj = np.eye(m.dim) - np.outer(n_up, n_down)
+        proj = np.eye(m.dim) - n_up[:, None] * n_down[None, :]
     else:
         speed = np.sqrt(np.einsum("...i,...ij,...j->...", v, gmat, v))
         slow = np.ravel(speed <= speed_floor)

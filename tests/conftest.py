@@ -1,8 +1,10 @@
 """Terminal summary for the acceptance battery.
 
 The tests in test_acceptance.py are numbered criteria; after a run this
-hook prints one PASS/FAIL line per criterion so the battery's outcome can
-be read at a glance regardless of verbosity settings.
+hook prints one PASS/FAIL line per criterion, with the duration of the
+phase that decided it (the test call unless set-up or teardown failed),
+so the battery's outcome and its wall-clock margins can be read at a
+glance regardless of verbosity settings.
 """
 
 import re
@@ -24,10 +26,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             # a failed setup or teardown overrides a passed call
             if outcomes.get(number, ("", "PASS"))[1] == "FAIL":
                 continue
-            outcomes[number] = (slug.replace("_", " "), verdict)
+            outcomes[number] = (slug.replace("_", " "), verdict, report.duration)
     if not outcomes:
         return
     terminalreporter.write_sep("-", "acceptance criteria")
     for number in sorted(outcomes):
-        slug, verdict = outcomes[number]
-        terminalreporter.write_line(f"criterion {int(number):2d} ({slug}): {verdict}")
+        slug, verdict, seconds = outcomes[number]
+        terminalreporter.write_line(
+            f"criterion {int(number):2d} ({slug}): {verdict} {seconds:.2f} s"
+        )

@@ -226,6 +226,14 @@ class TestVerifyCommand:
         b = json.loads((tmp_path / "b" / "det.verify.report.json").read_text())
         assert a["normality"] == b["normality"]
 
+    def test_degenerate_wv_exits_3_and_names_the_sample(self, tmp_path, capsys):
+        # W_v = |x1 - 0.75| + (x1 - 0.75) vanishes on the half x1 <= 0.75 of the box
+        gen = {"kind": "custom", "W": "v * (sqrt((x1 - 0.75)^2) + x1 - 0.75)", "h": "0"}
+        data = base_scenario(name="degenerate", generator=gen)
+        assert cmd_verify(write_config(tmp_path, data), out=tmp_path) == 3
+        err = capsys.readouterr().err
+        assert "numerical error: sample " in err and "below floor" in err
+
     def test_config_error_exit(self, tmp_path, capsys):
         assert cmd_verify(tmp_path / "missing.json") == 2
         data = base_scenario()

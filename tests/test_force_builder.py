@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from normalshift.errors import (
     DegenerateWv,
@@ -29,6 +31,10 @@ from normalshift.force_builder import (
     builtin_geodesic,
     builtin_metrizable,
     builtin_nonmetrizable,
+    coefficient_gradient,
+    coefficient_pack,
+    coefficient_speed_derivative,
+    coefficients,
     compute_a,
     compute_b,
     coordinate_scalar,
@@ -36,9 +42,16 @@ from normalshift.force_builder import (
     force_from_W,
     gauge_transform,
 )
-from normalshift.tensor_core import christoffel_at, lower_index, unit_direction
+from normalshift.normality_verifier import residual_reduced
+from normalshift.tensor_core import christoffel_at, lower_index, speed_at, unit_direction
 
-from helpers import euclidean_metric, random_point, random_velocity, wavy_conformal_metric
+from helpers import (
+    conformal_metric,
+    euclidean_metric,
+    random_point,
+    random_velocity,
+    wavy_conformal_metric,
+)
 
 BOX = [[0.25, 1.25], [0.25, 1.25], [0.25, 1.25]]
 
@@ -574,3 +587,118 @@ class TestForceFieldObjects:
             x = random_point(rng, BOX)
             v = random_velocity(rng, m, x)
             assert np.allclose(ff.nabla(m, x, v), self.fd_nabla(ff, m, x, v), atol=1e-6)
+
+
+def component_ansatz(gs, m):
+    """The ansatz as one isotropic scalar per coefficient, each wrapping
+    compute_a or compute_b: the form the coefficient pack replaces."""
+    a = IsotropicScalar(eval=lambda x, s: compute_a(gs, m, x, s), fd_step=gs.W.fd_step)
+    b = tuple(
+        IsotropicScalar(
+            eval=(lambda k: lambda x, s: float(compute_b(gs, m, x, s)[k]))(i),
+            fd_step=gs.W.fd_step,
+        )
+        for i in range(m.dim)
+    )
+    return AnsatzField(a=a, b=b)
+
+
+PACK_GENERATORS = {
+    "metrizable": builtin_metrizable(coordinate_scalar(0), H=lambda w: w),
+    "nonmetrizable": builtin_nonmetrizable(coordinate_scalar(0), lambda s: s**3),
+}
+
+BOX_COORD = st.floats(0.25, 1.25)
+
+
+class TestCoefficientPack:
+    def test_pack_entries_are_a_and_b(self):
+        m = wavy_conformal_metric()
+        gs = generic_generator()
+        x = np.array([0.6, 0.9, 0.4])
+        pack = coefficient_pack(gs, m, x, 1.3)
+        assert pack.shape == (4,)
+        assert pack[0] == compute_a(gs, m, x, 1.3)
+        assert np.array_equal(pack[1:], compute_b(gs, m, x, 1.3))
+
+    @seed(29)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        which=st.sampled_from(sorted(PACK_GENERATORS)),
+        point=st.tuples(BOX_COORD, BOX_COORD, BOX_COORD),
+        direction=st.tuples(*(st.floats(-1.0, 1.0),) * 3).filter(
+            lambda d: max(abs(c) for c in d) > 0.1
+        ),
+        speed=st.floats(0.5, 2.0),
+    )
+    def test_pack_matches_component_fields(self, which, point, direction, speed):
+        m = conformal_metric()
+        gs = PACK_GENERATORS[which]
+        x = np.array(point)
+        raw = np.array(direction)
+        v = raw * (speed / speed_at(m, x, raw))
+        s = speed_at(m, x, v)
+        packed = ansatz_from_generator(gs, m)
+        parts = component_ansatz(gs, m)
+        assert packed.pack is not None and parts.pack is None
+
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+        # a, b and their speed and fixed-speed spatial derivatives
+        close(coefficients(packed, x, s), coefficients(parts, x, s))
+        for order in (1, 2):
+            close(
+                coefficient_speed_derivative(packed, x, s, order),
+                coefficient_speed_derivative(parts, x, s, order),
+            )
+        close(coefficient_gradient(packed, m, x, s), coefficient_gradient(parts, m, x, s))
+        # every consumer of the coefficients
+        A_packed, A_parts = ansatz_scalar(packed, m), ansatz_scalar(parts, m)
+        close(A_packed.eval(x, v), A_parts.eval(x, v))
+        close(A_packed.dv(x, v), A_parts.dv(x, v))
+        close(A_packed.dv2(x, v), A_parts.dv2(x, v))
+        F_packed, F_parts = ansatz_force_field(packed), ansatz_force_field(parts)
+        close(F_packed.eval(m, x, v), F_parts.eval(m, x, v))
+        close(F_packed.dv(m, x, v), F_parts.dv(m, x, v))
+        close(F_packed.nabla(m, x, v), F_parts.nabla(m, x, v))
+        for got, want in zip(residual_reduced(packed, m, x, s), residual_reduced(parts, m, x, s)):
+            close(got, want)
+
+    def test_component_partials_still_used(self):
+        # a component-built field keeps its analytic partials: a marker dx
+        # and dspeed come through unchanged
+        def marked(k):
+            return IsotropicScalar(
+                eval=lambda x, s: 0.0,
+                dx=lambda x, s: np.full(3, float(k)),
+                dspeed=lambda x, s: 10.0 + k,
+            )
+
+        af = AnsatzField(a=marked(0), b=tuple(marked(k) for k in (1, 2, 3)))
+        m = euclidean_metric()
+        grad = coefficient_gradient(af, m, np.ones(3), 1.0)
+        assert np.array_equal(grad, np.tile([0.0, 1.0, 2.0, 3.0], (3, 1)))
+        assert np.array_equal(
+            coefficient_speed_derivative(af, np.ones(3), 1.0), [10.0, 11.0, 12.0, 13.0]
+        )
+
+    def test_generated_derivatives_build_one_ansatz_per_metric(self, monkeypatch):
+        import normalshift.force_builder as fb
+
+        built = []
+        real = fb.ansatz_from_generator
+        monkeypatch.setattr(
+            fb, "ansatz_from_generator", lambda gs, m: built.append(m) or real(gs, m)
+        )
+        gs = generic_generator()
+        ff = as_force_field(gs)
+        x = np.array([0.6, 0.9, 0.4])
+        v = np.array([0.3, -0.8, 0.5])
+        flat, curved = euclidean_metric(), wavy_conformal_metric()
+        for _ in range(2):
+            for m in (flat, curved):
+                reference = ansatz_force_field(real(gs, m))
+                assert np.array_equal(ff.dv(m, x, v), reference.dv(m, x, v))
+                assert np.array_equal(ff.nabla(m, x, v), reference.nabla(m, x, v))
+        assert built == [flat, curved]

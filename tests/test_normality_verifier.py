@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
+from scipy.stats import qmc
 
+from normalshift import normality_verifier
+from normalshift.errors import DegenerateWv, EvaluationFailure
 from normalshift.extended_fields import ExtendedScalar, IsotropicScalar
 from normalshift.force_builder import (
     AnsatzField,
     ForceField,
+    GeneratingScalar,
     ansatz_A,
     ansatz_from_generator,
+    ansatz_scalar,
     as_force_field,
     builtin_geodesic,
     builtin_metrizable,
@@ -30,7 +36,13 @@ from normalshift.normality_verifier import (
 )
 from normalshift.tensor_core import lower_index, speed_at, unit_direction
 
-from helpers import diagonal_metric, euclidean_metric, random_point, random_velocity
+from helpers import (
+    diagonal_metric,
+    euclidean_metric,
+    random_point,
+    random_velocity,
+    wavy_conformal_metric,
+)
 
 BOX = [[0.25, 1.25], [0.25, 1.25], [0.25, 1.25]]
 
@@ -292,6 +304,42 @@ class TestSampling:
         for (x1, v1), (x2, v2) in zip(first, second):
             assert np.array_equal(x1, x2) and np.array_equal(v1, v2)
 
+    @pytest.mark.parametrize("metric_fn", [diagonal_metric, wavy_conformal_metric])
+    def test_stacked_states_match_pointwise_construction(self, metric_fn):
+        # the point-wise construction: one unit_direction call per state
+        m = metric_fn()
+        box = np.array([[0.5, 1.5], [0.1, 0.9], [-1.0, 1.0]])
+        spec = SampleSpec(box=box, count=64, seed=5, speed_range=(0.3, 3.0))
+        u = qmc.Halton(d=7, scramble=True, seed=5).random(64)
+        expected = []
+        for row in u:
+            x = box[:, 0] + row[:3] * (box[:, 1] - box[:, 0])
+            raw = ndtri(np.clip(row[3:6], 1e-12, 1.0 - 1e-12))
+            target = 0.3 + 2.7 * row[6]
+            expected.append((x, raw * (target / unit_direction(m, x, raw).speed)))
+        states = sample_states(spec, m)
+        assert len(states) == len(expected)
+        for (x, v), (x_ref, v_ref) in zip(states, expected):
+            assert np.array_equal(x, x_ref)
+            assert np.max(np.abs(v - v_ref)) <= 1e-15 * np.max(np.abs(v_ref))
+        again = sample_states(spec, m)
+        for (x, v), (x2, v2) in zip(states, again):
+            assert np.array_equal(x, x2) and np.array_equal(v, v2)
+
+    def test_vanishing_direction_replaced(self, monkeypatch):
+        # a Gaussian direction too short to normalize becomes (1, ..., 1)
+        def ndtri_first_zero(p):
+            z = ndtri(p)
+            z[0] = 0.0
+            return z
+
+        monkeypatch.setattr(normality_verifier, "ndtri", ndtri_first_zero)
+        m = euclidean_metric()
+        states = sample_states(SampleSpec(box=BOX, count=4, seed=2), m)
+        v = states[0][1]
+        assert np.allclose(v, v[0]) and v[0] > 0.0
+        assert 0.5 <= speed_at(m, states[0][0], v) <= 2.0
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             SampleSpec(box=BOX, mode="symbolic")
@@ -367,3 +415,93 @@ class TestVerify:
                 tolerance_used=1e-8,
                 passed=True,
             )
+
+
+def half_degenerate_generator():
+    """W = |v| max(x^1 - 0.75, 0) + x^2: W_v vanishes where x^1 <= 0.75."""
+    return GeneratingScalar(
+        W=IsotropicScalar(
+            eval=lambda x, s: s * max(float(x[0]) - 0.75, 0.0) + float(x[1]),
+            dx=lambda x, s: np.array([s if x[0] > 0.75 else 0.0, 1.0, 0.0]),
+            dspeed=lambda x, s: max(float(x[0]) - 0.75, 0.0),
+        ),
+        h=lambda w: 0.0,
+    )
+
+
+class TestVerifyFailures:
+    @pytest.mark.parametrize("mode", ["analytic", "finite-diff"])
+    def test_degenerate_wv_names_the_sample(self, mode):
+        m = euclidean_metric()
+        spec = SampleSpec(box=BOX, count=40, seed=3, mode=mode)
+        states = sample_states(spec, m)
+        first = next(i for i, (x, _) in enumerate(states) if x[0] <= 0.75)
+        # earlier samples sit clear of the degenerate half, difference steps included
+        assert first > 0 and all(x[0] > 0.76 for x, _ in states[:first])
+        x, v = states[first]
+        with pytest.raises(DegenerateWv) as info:
+            verify(half_degenerate_generator(), m, spec)
+        message = str(info.value)
+        assert message.startswith(f"sample {first} at x = {x.tolist()}, v = {v.tolist()}: ")
+        assert "below floor" in message
+
+    def test_force_field_failure_names_the_sample(self):
+        m = euclidean_metric()
+
+        def blows_up(m_, x, v):
+            if x[1] > 1.0:
+                return np.full(3, np.nan)
+            return np.zeros(3)
+
+        spec = SampleSpec(box=BOX, count=30, seed=4, mode="finite-diff")
+        states = sample_states(spec, m)
+        first = next(i for i, (x, _) in enumerate(states) if x[1] > 1.0)
+        assert all(x[1] < 0.999 for x, _ in states[:first])
+        with pytest.raises(EvaluationFailure, match=rf"^sample {first} at x = "):
+            verify(ForceField(eval=blows_up, label="user"), m, spec)
+
+
+class TestSharedPackPath:
+    """verify reads one coefficient pack per sample; its sup-norms must be
+    those of the public point-wise residual functions."""
+
+    @pytest.mark.parametrize("mode", ["analytic", "finite-diff"])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: builtin_metrizable(coordinate_scalar(0), H=lambda w: w),
+         lambda: builtin_nonmetrizable(coordinate_scalar(0), lambda s: s**3)],
+        ids=["metrizable", "nonmetrizable"],
+    )
+    def test_report_is_max_of_pointwise_residuals(self, make, mode):
+        m = wavy_conformal_metric()
+        gs = make()
+        spec = SampleSpec(box=BOX, count=8, seed=6, mode=mode)
+        report = verify(gs, m, spec)
+        ff = as_force_field(gs)
+        af = ansatz_from_generator(gs, m)
+        A = ansatz_scalar(af, m)
+        worst = dict.fromkeys(report.residuals(), 0.0)
+        lambdas = []
+        for x, v in sample_states(spec, m):
+            if mode == "analytic":
+                F, Dv, Dx = ff.eval(m, x, v), ff.dv(m, x, v), ff.nabla(m, x, v)
+            else:
+                F, Dv, Dx = normality_verifier._derivative_pack(ff, m, x, v, mode)
+            scale = 1.0 + np.max(np.abs(F)) + max(np.max(np.abs(Dv)), np.max(np.abs(Dx)))
+            eq_res, lam = residual_eq124(A, m, x, v, mode=mode)
+            lambdas.append(lam)
+            b_res, a_res = residual_reduced(af, m, x, speed_at(m, x, v))
+            raw = {
+                "r_weak1": residual_weak1(ff, m, x, v, mode=mode),
+                "r_weak2": residual_weak2(ff, m, x, v, mode=mode),
+                "r_add1": residual_additional1(ff, m, x, v, mode=mode),
+                "r_add2": residual_additional2(ff, m, x, v, mode=mode),
+                "r_eq124": eq_res,
+                "r_reduced_b": b_res,
+                "r_reduced_a": a_res,
+            }
+            for key, value in raw.items():
+                worst[key] = max(worst[key], float(np.max(np.abs(value))) / scale)
+        for key, value in report.residuals().items():
+            assert value == pytest.approx(worst[key], rel=1e-12, abs=1e-300), key
+        np.testing.assert_allclose(report.lambda_samples, lambdas, rtol=1e-12, atol=0.0)
