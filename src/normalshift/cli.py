@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, GridTooCoarse, NormalShiftError, TrajectoryEscaped
 from .expressions import Expression, parse_expression
-from .extended_fields import IsotropicScalar
+from .extended_fields import IsotropicScalar, is_stack
 from .force_builder import (
     ForceField,
     GeneratingScalar,
@@ -108,7 +108,10 @@ def _expression(section: dict, key: str, where: str, allowed: frozenset) -> Expr
     return expr
 
 
-def _position_env(x: np.ndarray) -> Dict[str, float]:
+def _position_env(x: np.ndarray) -> Dict[str, Union[float, np.ndarray]]:
+    """Coordinates x1..xn of one point as floats, or of a stack as arrays."""
+    if is_stack(x):
+        return {f"x{i + 1}": x[..., i] for i in range(x.shape[-1])}
     return {f"x{i + 1}": float(x[i]) for i in range(len(x))}
 
 
@@ -328,28 +331,44 @@ def _validate_box(box, dim: int, where: str):
 
 
 def build_metric(sc: Scenario) -> MetricField:
+    """The scenario's metric; its closures take one point or a stack of points."""
     kind = sc.metric["kind"]
     dim = sc.dim
+    eye = np.eye(dim)
     if kind == "euclidean":
-        eye = np.eye(dim)
-        zero = np.zeros((dim, dim, dim))
-        return MetricField(dim=dim, g=lambda x: eye.copy(), dg=lambda x: zero.copy())
+
+        def g_flat(x):
+            if is_stack(x):
+                return np.broadcast_to(eye, x.shape[:-1] + (dim, dim)).copy()
+            return eye.copy()
+
+        return MetricField(
+            dim=dim, g=g_flat, dg=lambda x: np.zeros(np.shape(x)[:-1] + (dim, dim, dim)), stacked=True
+        )
     if kind == "conformal":
         f_expr = parse_expression(sc.metric["f"])
         f_grad = [f_expr.derivative(f"x{k + 1}") for k in range(dim)]
 
         def g(x):
+            if is_stack(x):
+                return np.exp(-2.0 * f_expr.eval(_position_env(x)))[..., None, None] * eye
             return math.exp(-2.0 * f_expr.eval(_position_env(x))) * np.eye(dim)
 
         def dg(x):
             env = _position_env(x)
+            if is_stack(x):
+                factor = -2.0 * np.exp(-2.0 * f_expr.eval(env))
+                cube = np.zeros(x.shape[:-1] + (dim, dim, dim))
+                for m, part in enumerate(f_grad):
+                    cube[..., m, :, :] = (factor * part.eval(env))[..., None, None] * eye
+                return cube
             factor = -2.0 * math.exp(-2.0 * f_expr.eval(env))
             cube = np.zeros((dim, dim, dim))
             for m, part in enumerate(f_grad):
                 cube[m] = factor * part.eval(env) * np.eye(dim)
             return cube
 
-        return MetricField(dim=dim, g=g, dg=dg)
+        return MetricField(dim=dim, g=g, dg=dg, stacked=True)
     entries = [parse_expression(text) for text in sc.metric["entries"]]
     entry_grads = [
         [e.derivative(f"x{k + 1}") for k in range(dim)] for e in entries
@@ -357,17 +376,27 @@ def build_metric(sc: Scenario) -> MetricField:
 
     def g_diag(x):
         env = _position_env(x)
+        if is_stack(x):
+            out = np.zeros(x.shape[:-1] + (dim, dim))
+            for i, e in enumerate(entries):
+                out[..., i, i] = e.eval(env)
+            return out
         return np.diag([e.eval(env) for e in entries])
 
     def dg_diag(x):
         env = _position_env(x)
-        cube = np.zeros((dim, dim, dim))
+        cube = np.zeros(np.shape(x)[:-1] + (dim, dim, dim))
         for i, grads in enumerate(entry_grads):
             for m, part in enumerate(grads):
-                cube[m, i, i] = part.eval(env)
+                cube[..., m, i, i] = part.eval(env)
         return cube
 
-    return MetricField(dim=dim, g=g_diag, dg=dg_diag)
+    return MetricField(dim=dim, g=g_diag, dg=dg_diag, stacked=True)
+
+
+def _stacked_partials(parts: Sequence[Expression], env: dict) -> np.ndarray:
+    """Partial derivatives as (n,) at one point or (..., n) on a stack."""
+    return np.stack([np.asarray(part.eval(env), dtype=float) for part in parts], axis=-1)
 
 
 def _isotropic_from_position_expression(expr: Expression, dim: int) -> IsotropicScalar:
@@ -378,13 +407,19 @@ def _isotropic_from_position_expression(expr: Expression, dim: int) -> Isotropic
 
     def dx(x, s):
         env = _position_env(x)
+        if is_stack(x):
+            return _stacked_partials(grad, env)
         return np.array([part.eval(env) for part in grad])
 
-    return IsotropicScalar(eval=ev, dx=dx, dspeed=lambda x, s: 0.0)
+    def dspeed(x, s):
+        return np.zeros(x.shape[:-1]) if is_stack(x) else 0.0
+
+    return IsotropicScalar(eval=ev, dx=dx, dspeed=dspeed, stacked=True)
 
 
 def _single_variable_fn(expr: Expression):
-    return lambda w: expr.eval({"v": float(w)})
+    """The expression as a function of ``v``, for a float or an array of them."""
+    return lambda w: expr.eval({"v": w if isinstance(w, np.ndarray) and w.ndim else float(w)})
 
 
 def build_generator(sc: Scenario) -> GeneratingScalar:
@@ -409,7 +444,7 @@ def build_generator(sc: Scenario) -> GeneratingScalar:
 
     def _env(x, s):
         env = _position_env(x)
-        env["v"] = float(s)
+        env["v"] = np.asarray(s, dtype=float) if is_stack(x) else float(s)
         return env
 
     def w_eval(x, s):
@@ -417,13 +452,15 @@ def build_generator(sc: Scenario) -> GeneratingScalar:
 
     def w_dx(x, s):
         env = _env(x, s)
+        if is_stack(x):
+            return _stacked_partials(w_grad, env)
         return np.array([part.eval(env) for part in w_grad])
 
     def w_dspeed(x, s):
         return w_speed.eval(_env(x, s))
 
     return GeneratingScalar(
-        W=IsotropicScalar(eval=w_eval, dx=w_dx, dspeed=w_dspeed),
+        W=IsotropicScalar(eval=w_eval, dx=w_dx, dspeed=w_dspeed, stacked=True),
         h=_single_variable_fn(parse_expression(gen["h"])),
     )
 

@@ -4,8 +4,9 @@ Scalar fields in configs (conformal factors, speed profiles, generating
 scalars) are written as plain arithmetic text over position variables
 ``x1 .. xn`` and the speed variable ``v``, with operators ``+ - * / ^``
 and the functions exp, log, sin, cos, sqrt.  ``parse_expression`` turns
-such text into a small syntax tree compiled to a closure; evaluation
-takes a variable environment mapping names to floats.
+such text into a small syntax tree compiled to two closures: one with
+``math`` functions for an environment mapping names to floats, and one
+with numpy ufuncs for an environment where some names map to arrays.
 
 Expressions differentiate symbolically (:meth:`Expression.derivative`),
 so configured scalars carry exact partial derivatives and scenario runs
@@ -13,8 +14,11 @@ reach the same accuracy as hand-written closures.
 
 The grammar is the usual one: ``^`` binds tightest and associates to the
 right, unary minus sits between ``^`` and the multiplicative level, and
-parentheses group.  Malformed input raises :class:`ConfigError` so the
-command layer can map it to its configuration exit code.
+parentheses group.  Malformed input, unknown names and missing variables
+raise :class:`ConfigError`, which the command layer maps to its
+configuration exit code; an evaluation that fails at run time (a domain
+error on floats, a non-finite result on arrays) raises
+:class:`EvaluationFailure`, a numerical failure.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Tuple
 
-from .errors import ConfigError
+import numpy as np
+
+from .errors import ConfigError, EvaluationFailure
 
 _FUNCTIONS: Dict[str, Callable[[float], float]] = {
     "exp": math.exp,
@@ -32,6 +38,14 @@ _FUNCTIONS: Dict[str, Callable[[float], float]] = {
     "sin": math.sin,
     "cos": math.cos,
     "sqrt": math.sqrt,
+}
+
+_UFUNCS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "exp": np.exp,
+    "log": np.log,
+    "sin": np.sin,
+    "cos": np.cos,
+    "sqrt": np.sqrt,
 }
 
 _TOKEN_RE = re.compile(
@@ -150,7 +164,8 @@ def _variables(node) -> FrozenSet[str]:
     return _variables(node[1]) | _variables(node[2])
 
 
-def _compile(node) -> Callable[[Dict[str, float]], float]:
+def _compile(node, functions=_FUNCTIONS) -> Callable[[Dict[str, float]], float]:
+    """Closure evaluating ``node``, calling ``functions`` for its function names."""
     head = node[0]
     if head == "num":
         const = node[1]
@@ -159,13 +174,13 @@ def _compile(node) -> Callable[[Dict[str, float]], float]:
         name = node[1]
         return lambda env: env[name]
     if head == "neg":
-        inner = _compile(node[1])
+        inner = _compile(node[1], functions)
         return lambda env: -inner(env)
     if head == "call":
-        fn = _FUNCTIONS[node[1]]
-        arg = _compile(node[2])
+        fn = functions[node[1]]
+        arg = _compile(node[2], functions)
         return lambda env: fn(arg(env))
-    lhs, rhs = _compile(node[1]), _compile(node[2])
+    lhs, rhs = _compile(node[1], functions), _compile(node[2], functions)
     if head == "+":
         return lambda env: lhs(env) + rhs(env)
     if head == "-":
@@ -272,43 +287,64 @@ def _differentiate(node, var: str):
 
 @dataclass(frozen=True)
 class Expression:
-    """Parsed expression: source text, referenced variables, evaluator."""
+    """Parsed expression: source text, referenced variables, evaluators."""
 
     text: str
     variables: FrozenSet[str]
     _node: tuple
     _fn: Callable[[Dict[str, float]], float]
+    _array_fn: Callable[[Dict[str, np.ndarray]], np.ndarray]
 
-    def eval(self, env: Dict[str, float]) -> float:
+    def eval(self, env: Dict[str, float]):
+        """Value in ``env``: a float, or an array when some variable is one.
+
+        An array result has the broadcast shape of all the environment's
+        values, constant expressions included.
+        """
         missing = self.variables - env.keys()
         if missing:
             raise ConfigError(
                 f"expression {self.text!r} needs undefined variable(s) {sorted(missing)}"
             )
+        for value in env.values():
+            if isinstance(value, np.ndarray):
+                return self._eval_arrays(env)
         try:
-            value = self._fn(env)
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise ConfigError(f"expression {self.text!r} failed to evaluate: {exc}") from exc
-        return float(value)
+            return float(self._fn(env))
+        except (ValueError, OverflowError, ZeroDivisionError, TypeError) as exc:
+            raise EvaluationFailure(f"expression {self.text!r} failed to evaluate: {exc}") from exc
+
+    def _eval_arrays(self, env: Dict[str, np.ndarray]) -> np.ndarray:
+        shape = np.broadcast_shapes(*(np.shape(value) for value in env.values()))
+        with np.errstate(all="ignore"):
+            value = np.asarray(self._array_fn(env), dtype=float)
+        if not np.isfinite(value).all():
+            raise EvaluationFailure(
+                f"expression {self.text!r} failed to evaluate: non-finite result"
+            )
+        if value.shape != shape:
+            value = np.broadcast_to(value, shape).copy()
+        return value
 
     def derivative(self, var: str) -> "Expression":
         """Exact partial derivative with respect to one variable name."""
         if not _VARIABLE_RE.match(var):
             raise ConfigError(f"cannot differentiate with respect to {var!r}")
-        node = _differentiate(self._node, var)
-        return Expression(
-            text=f"d({self.text})/d{var}",
-            variables=_variables(node),
-            _node=node,
-            _fn=_compile(node),
-        )
+        return _expression(f"d({self.text})/d{var}", _differentiate(self._node, var))
+
+
+def _expression(text: str, node: tuple) -> Expression:
+    return Expression(
+        text=text,
+        variables=_variables(node),
+        _node=node,
+        _fn=_compile(node),
+        _array_fn=_compile(node, _UFUNCS),
+    )
 
 
 def parse_expression(text: str) -> Expression:
     """Parse arithmetic text into an :class:`Expression`."""
     if not isinstance(text, str) or not text.strip():
         raise ConfigError("expression must be nonempty text")
-    node = _Parser(text).parse()
-    return Expression(
-        text=text, variables=_variables(node), _node=node, _fn=_compile(node)
-    )
+    return _expression(text, _Parser(text).parse())

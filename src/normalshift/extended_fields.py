@@ -57,12 +57,27 @@ class IsotropicScalar:
     fields that share one evaluation; the isotropic derivative helpers
     then difference the whole vector with the steps a single component
     would use.
+
+    ``stacked`` declares that the closures also take a stack of positions
+    (..., n) with speeds (...) and return values with those leading axes:
+    ``eval`` and ``dspeed`` of shape (...), ``dx`` of shape (..., n).
+    Stack consumers call unmarked closures once per point.
     """
 
     eval: Callable[[Array, float], float]
     dx: Optional[Callable[[Array, float], Array]] = None
     dspeed: Optional[Callable[[Array, float], float]] = None
     fd_step: float = 1e-5
+    stacked: bool = False
+
+
+def is_stack(x) -> bool:
+    """Whether ``x`` is a stack of positions (..., n) rather than one point (n,).
+
+    Stacks are arrays.  Point paths run this test on every call, so it
+    reads one attribute instead of converting ``x``.
+    """
+    return getattr(x, "ndim", 1) > 1
 
 
 def _check_finite(value, what: str):

@@ -27,10 +27,17 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import DegenerateWv, NonMonotoneGauge, QuadratureFailure
+from .errors import (
+    DegenerateWv,
+    EvaluationFailure,
+    NonMonotoneGauge,
+    NormalShiftError,
+    QuadratureFailure,
+)
 from .extended_fields import (
     ExtendedScalar,
     IsotropicScalar,
+    is_stack,
     isotropic_second_speed_derivative,
     isotropic_speed_derivative,
     spatial_gradient_isotropic,
@@ -188,17 +195,63 @@ def _generator_terms(gs: GeneratingScalar, m: MetricField, x: Array, speed: floa
     return wv, hw, spatial_gradient_isotropic(gs.W, m, x, speed)
 
 
+def _first_state(mask: Array, x: Array, speed: Array) -> Tuple[int, str]:
+    """Flat index of the first state of a stack where ``mask`` holds, and its location."""
+    i = int(np.argmax(np.ravel(mask)))
+    return i, f"at speed {float(np.ravel(speed)[i]):.4g}, x={np.reshape(x, (-1, x.shape[-1]))[i]}"
+
+
+def _stacked_generator_terms(gs: GeneratingScalar, x: Array, speed: Array):
+    """W_v, h(W) and dW/dx on a stack, from one call of each W closure.
+
+    The checks of the point path run in its order as masks over the
+    stack, and each names the first state that fails it.  h is called once
+    per state, since it is a function of one float.
+    """
+    wv = np.asarray(gs.W.dspeed(x, speed), dtype=float)
+    bad = ~np.isfinite(wv)
+    if bad.any():
+        _, where = _first_state(bad, x, speed)
+        raise EvaluationFailure(f"speed derivative evaluated to a non-finite value {where}")
+    low = np.abs(wv) < gs.wv_floor
+    if low.any():
+        i, where = _first_state(low, x, speed)
+        raise DegenerateWv(
+            f"dW/dspeed = {np.ravel(wv)[i]:.3e} below floor {gs.wv_floor:.1e} {where}"
+        )
+    w = np.asarray(gs.W.eval(x, speed), dtype=float)
+    hw = np.array([float(gs.h(value)) for value in w.ravel()]).reshape(w.shape)
+    slow = ~(speed > 0.0)
+    if slow.any():
+        _, where = _first_state(slow, x, speed)
+        raise EvaluationFailure(f"isotropic gradient needs a positive speed, not {where}")
+    grad = np.asarray(gs.W.dx(x, speed), dtype=float)
+    bad = ~np.isfinite(grad).all(axis=-1)
+    if bad.any():
+        _, where = _first_state(bad, x, speed)
+        raise EvaluationFailure(f"isotropic x-partials evaluated to a non-finite value {where}")
+    return wv, hw, grad
+
+
 def force_from_W(gs: GeneratingScalar, m: MetricField, x: Array, v: Array) -> Array:
     """Force covector built directly from the generating pair.
 
-    Takes one state (x, v) of shape (n,) or stacks of shape (..., n); the
-    W and h closures are called once per state.
+    Takes one state (x, v) of shape (n,) or stacks of shape (..., n).  A
+    ``stacked`` W is called once per stack, any other W once per state;
+    h is called once per state.
     """
     x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    pr = unit_direction(m, x, v)
+    return force_from_direction(gs, m, x, unit_direction(m, x, v))
+
+
+def force_from_direction(gs: GeneratingScalar, m: MetricField, x: Array, pr: Projector) -> Array:
+    """:func:`force_from_W` at positions ``x`` from the unit direction ``pr`` of (x, v)."""
+    x = np.asarray(x, dtype=float)
+    w = gs.W
     if x.ndim == 1:
         wv, hw, grad = _generator_terms(gs, m, x, pr.speed)
+    elif w.stacked and w.dx is not None and w.dspeed is not None:
+        wv, hw, grad = _stacked_generator_terms(gs, x, pr.speed)
     else:
         terms = [
             _generator_terms(gs, m, xi, float(si))
@@ -449,8 +502,9 @@ def builtin_geodesic() -> GeneratingScalar:
     """W = |v|, h = 0: the geodesic flow, force identically zero."""
     w = IsotropicScalar(
         eval=lambda x, s: s,
-        dx=lambda x, s: np.zeros(np.asarray(x).shape[0]),
-        dspeed=lambda x, s: 1.0,
+        dx=lambda x, s: np.zeros(np.asarray(x).shape),
+        dspeed=lambda x, s: np.ones(x.shape[:-1]) if is_stack(x) else 1.0,
+        stacked=True,
     )
     return GeneratingScalar(W=w, h=lambda w_: 0.0)
 
@@ -459,24 +513,28 @@ def builtin_metrizable(f: IsotropicScalar, H: Callable[[float], float]) -> Gener
     """W = |v| exp(-f(x)), h = H.
 
     ``f`` must depend on position only (its speed slot is ignored by
-    convention).  The resulting force is the one whose trajectories are
-    geodesics of the conformally scaled metric exp(-2f) g, reparametrized
-    through H.
+    convention).  W is ``stacked`` when ``f`` is.  The resulting force is
+    the one whose trajectories are geodesics of the conformally scaled
+    metric exp(-2f) g, reparametrized through H.
     """
 
+    # f.eval gives a float at a point and an array on a stack, and one
+    # formula serves both
     def eval_(x, s):
-        return s * np.exp(-float(f.eval(x, s)))
+        return s * np.exp(-f.eval(x, s))
 
     def dspeed(x, s):
-        return float(np.exp(-float(f.eval(x, s))))
+        return np.exp(-f.eval(x, s))
 
     dx = None
     if f.dx is not None:
 
         def dx(x, s):
+            if is_stack(x):
+                return -eval_(x, s)[..., None] * np.asarray(f.dx(x, s), dtype=float)
             return -s * np.exp(-float(f.eval(x, s))) * np.asarray(f.dx(x, s), dtype=float)
 
-    w = IsotropicScalar(eval=eval_, dx=dx, dspeed=dspeed, fd_step=f.fd_step)
+    w = IsotropicScalar(eval=eval_, dx=dx, dspeed=dspeed, fd_step=f.fd_step, stacked=f.stacked)
     return GeneratingScalar(W=w, h=H)
 
 
@@ -497,7 +555,10 @@ def builtin_nonmetrizable(
     quadrature are precomputed once on a uniform grid over ``speed_range``
     by adaptive integration, and evaluations add a short fixed-order
     Gauss-Legendre tail from the nearest anchor, so lookups after
-    construction are read-only.
+    construction are read-only.  W is ``stacked`` when ``f`` is; on a
+    stack the anchor lookup and the tail act on all speeds and nodes at
+    once, calling ``A_of_speed`` on arrays only when that reproduces its
+    point-wise values on the probe grid.
 
     The generated force is A(|v|) sum_i (df/dx^i)(2 N^i N_k - delta^i_k).
     """
@@ -547,21 +608,60 @@ def builtin_nonmetrizable(
             raise QuadratureFailure(f"speed quadrature non-finite at speed {s:.4g}")
         return value
 
+    try:
+        with np.errstate(all="ignore"):
+            on_array = np.asarray(A_of_speed(fine), dtype=float)
+        profile_broadcasts = on_array.shape == fine.shape and np.allclose(
+            on_array, probe, rtol=1e-12, atol=0.0
+        )
+    except (TypeError, ValueError, ArithmeticError, NormalShiftError):
+        profile_broadcasts = False
+
+    def profile(s: Array) -> Array:
+        """A at an array of speeds."""
+        if profile_broadcasts:
+            return np.asarray(A_of_speed(s), dtype=float)
+        return np.array([float(A_of_speed(si)) for si in s.ravel()]).reshape(s.shape)
+
+    def antiderivatives(s: Array) -> Array:
+        """:func:`antiderivative` at an array of speeds, anchors and tails at once."""
+        j = np.clip((s - lo) / (hi - lo) * (anchor_count - 1), 0.0, anchor_count - 1)
+        bad = ~np.isfinite(j)
+        if not bad.any():
+            j = j.astype(np.intp)
+            base = anchors[j]
+            half = 0.5 * (s - base)
+            nodes = (0.5 * (s + base))[..., None] + half[..., None] * _GL_NODES
+            value = cumulative[j] + half * (_GL_WEIGHTS * (nodes / profile(nodes))).sum(axis=-1)
+            bad = ~np.isfinite(value)
+        if bad.any():
+            worst = float(np.ravel(s)[np.argmax(np.ravel(bad))])
+            raise QuadratureFailure(f"speed quadrature non-finite at speed {worst:.4g}")
+        return value
+
     offset = antiderivative(1.0)
 
     def eval_(x, s):
+        if is_stack(x):
+            s = np.asarray(s, dtype=float)
+            return np.exp(antiderivatives(s) - offset - np.asarray(f.eval(x, s), dtype=float))
         return float(np.exp(antiderivative(s) - offset - float(f.eval(x, s))))
 
     def dspeed(x, s):
+        if is_stack(x):
+            s = np.asarray(s, dtype=float)
+            return eval_(x, s) * s / profile(s)
         return eval_(x, s) * s / float(A_of_speed(s))
 
     dx = None
     if f.dx is not None:
 
         def dx(x, s):
+            if is_stack(x):
+                return -eval_(x, s)[..., None] * np.asarray(f.dx(x, s), dtype=float)
             return -eval_(x, s) * np.asarray(f.dx(x, s), dtype=float)
 
-    w = IsotropicScalar(eval=eval_, dx=dx, dspeed=dspeed, fd_step=f.fd_step)
+    w = IsotropicScalar(eval=eval_, dx=dx, dspeed=dspeed, fd_step=f.fd_step, stacked=f.stacked)
     return GeneratingScalar(W=w, h=lambda w_: 0.0)
 
 
@@ -588,11 +688,21 @@ def perturbed_field(
 def coordinate_scalar(index: int, dim: int = 3, coefficient: float = 1.0) -> IsotropicScalar:
     """The position field coefficient * x^index (0-based), with derivatives."""
 
+    def eval_(x, s):
+        if is_stack(x):
+            return coefficient * x[..., index]
+        return coefficient * float(x[index])
+
     def dx(x, s):
+        if is_stack(x):
+            out = np.zeros(x.shape[:-1] + (dim,))
+            out[..., index] = coefficient
+            return out
         out = np.zeros(dim)
         out[index] = coefficient
         return out
 
-    return IsotropicScalar(
-        eval=lambda x, s: coefficient * float(x[index]), dx=dx, dspeed=lambda x, s: 0.0
-    )
+    def dspeed(x, s):
+        return np.zeros(x.shape[:-1]) if is_stack(x) else 0.0
+
+    return IsotropicScalar(eval=eval_, dx=dx, dspeed=dspeed, stacked=True)

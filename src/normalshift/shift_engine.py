@@ -32,16 +32,17 @@ from .errors import (
     ZeroVelocity,
 )
 from .extended_fields import isotropic_speed_derivative
-from .force_builder import ForceField, GeneratingScalar, as_force_field
+from .force_builder import ForceField, GeneratingScalar, force_from_direction
 from .tensor_core import (
     SPEED_FLOOR,
     MetricField,
     christoffel_from,
     inverse_metric_at,
+    inverse_metric_from,
     metric_derivatives_at,
     metric_at,
-    speed_at,
     unit_direction,
+    unit_direction_from,
 )
 
 Array = np.ndarray
@@ -258,33 +259,62 @@ def solve_nu(
     raise RootNotBracketed("speed iteration failed to converge")
 
 
-def _flow_rhs(F: ForceField, m: MetricField, x: Array, v: Array) -> Tuple[Array, Array]:
-    """(dx/dt, dv/dt) of the flow at one state (n,) or a stack of states (k, n)."""
-    ginv = inverse_metric_at(m, x)
+# A force of the flow: the covector at states (x, v), given the metric
+# values already taken at x.
+Force = Callable[[Array, Array, Array], Array]
+
+
+def _flow_rhs(force: Force, m: MetricField, x: Array, v: Array, gmat: Array) -> Tuple[Array, Array]:
+    """(dx/dt, dv/dt) of the flow at one state (n,) or a stack of states (k, n).
+
+    ``gmat`` is the metric at ``x``; the inverse and the force reuse it.
+    """
+    ginv = inverse_metric_from(gmat, x)
     gamma = christoffel_from(ginv, metric_derivatives_at(m, x))
-    f_up = np.einsum("...ij,...j->...i", ginv, np.asarray(F.eval(m, x, v), dtype=float))
+    f_up = np.einsum("...ij,...j->...i", ginv, np.asarray(force(x, v, gmat), dtype=float))
     return v, f_up - np.einsum("...kij,...i,...j->...k", gamma, v, v)
 
 
-def _rk4_step(F: ForceField, m: MetricField, x: Array, v: Array, dt: float) -> Tuple[Array, Array]:
+def _rk4_step(
+    force: Force, m: MetricField, x: Array, v: Array, dt: float, gmat: Optional[Array] = None
+) -> Tuple[Array, Array, Array]:
     """One classical Runge-Kutta step of one state or of a stack stepped together.
 
-    Raises :class:`NonFinite` or :class:`ZeroVelocity` when any stepped
-    state leaves the domain of the flow.
+    Evaluates the metric once per stage: ``gmat``, the metric at ``x``
+    when the caller has it, serves the first stage, and the metric at the
+    new positions, which the speed-floor check takes, is returned with
+    them for the next step's first stage.  Raises :class:`NonFinite` or
+    :class:`ZeroVelocity` when any stepped state leaves the domain of the
+    flow.
     """
+    if gmat is None:
+        gmat = metric_at(m, x)
     # overflow is diagnosed below rather than warned about element-wise
     with np.errstate(over="ignore", invalid="ignore"):
-        k1x, k1v = _flow_rhs(F, m, x, v)
-        k2x, k2v = _flow_rhs(F, m, x + 0.5 * dt * k1x, v + 0.5 * dt * k1v)
-        k3x, k3v = _flow_rhs(F, m, x + 0.5 * dt * k2x, v + 0.5 * dt * k2v)
-        k4x, k4v = _flow_rhs(F, m, x + dt * k3x, v + dt * k3v)
+        k1x, k1v = _flow_rhs(force, m, x, v, gmat)
+        x2, v2 = x + 0.5 * dt * k1x, v + 0.5 * dt * k1v
+        k2x, k2v = _flow_rhs(force, m, x2, v2, metric_at(m, x2))
+        x3, v3 = x + 0.5 * dt * k2x, v + 0.5 * dt * k2v
+        k3x, k3v = _flow_rhs(force, m, x3, v3, metric_at(m, x3))
+        x4, v4 = x + dt * k3x, v + dt * k3v
+        k4x, k4v = _flow_rhs(force, m, x4, v4, metric_at(m, x4))
         x_new = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):
         raise NonFinite("integration overflowed")
-    if np.any(speed_at(m, x_new, v_new) <= SPEED_FLOOR):
+    g_new = metric_at(m, x_new)
+    if np.any(np.sqrt(np.einsum("...i,...ij,...j->...", v_new, g_new, v_new)) <= SPEED_FLOOR):
         raise ZeroVelocity("speed collapsed below floor")
-    return x_new, v_new
+    return x_new, v_new, g_new
+
+
+def _generated_force(gs: GeneratingScalar, m: MetricField) -> Force:
+    """The force of the generating pair, from the metric values of its stage."""
+
+    def force(x, v, gmat):
+        return force_from_direction(gs, m, x, unit_direction_from(gmat, x, v))
+
+    return force
 
 
 def step_trajectory(F: ForceField, m: MetricField, st: PhaseState, dt: float) -> PhaseState:
@@ -297,7 +327,7 @@ def step_trajectory(F: ForceField, m: MetricField, st: PhaseState, dt: float) ->
         raise ValueError("dt must be positive")
     x, v = np.asarray(st.x, dtype=float), np.asarray(st.v, dtype=float)
     try:
-        x_new, v_new = _rk4_step(F, m, x, v, dt)
+        x_new, v_new, _ = _rk4_step(lambda x_, v_, g_: F.eval(m, x_, v_), m, x, v, dt)
     except NormalShiftError as exc:
         raise type(exc)(f"{exc} near t = {st.t:.6g}") from exc
     return PhaseState(x=x_new, v=v_new, t=st.t + dt)
@@ -315,7 +345,7 @@ def _escape_error(u: Array, t: float) -> TrajectoryEscaped:
 
 
 def _raise_first_failure(
-    F: ForceField, m: MetricField, x: Array, v: Array, dt: float, t: float,
+    force: Force, m: MetricField, x: Array, v: Array, dt: float, t: float,
     u_grid: Array, box: Optional[Array],
 ) -> None:
     """Re-step the family's rows one by one and raise the first row's failure.
@@ -328,7 +358,7 @@ def _raise_first_failure(
     """
     for i, u in enumerate(u_grid):
         try:
-            x_i, _ = _rk4_step(F, m, x[i : i + 1], v[i : i + 1], dt)
+            x_i, _, _ = _rk4_step(force, m, x[i : i + 1], v[i : i + 1], dt)
         except NormalShiftError as exc:
             raise type(exc)(f"trajectory from u = {u.tolist()} near t = {t:.6g}: {exc}") from exc
         if _escaped(box, x_i)[0]:
@@ -383,7 +413,7 @@ def run_shift(
 
     box = None if chart_box is None else np.asarray(chart_box, dtype=float)
 
-    ff = as_force_field(gs)
+    force = _generated_force(gs, m)
     x = np.empty((n_u, dim))
     v = np.empty((n_u, dim))
     nu_vals = np.empty(n_u)
@@ -397,26 +427,30 @@ def run_shift(
     vs = np.empty((n_u, n_t, dim))
     xs[:, 0], vs[:, 0] = x, v
     slot = 1
+    gmat = None
     for step in range(1, n_steps + 1):
         t = (step - 1) * dt
         try:
-            x_new, v_new = _rk4_step(ff, m, x, v, dt)
+            x_new, v_new, g_new = _rk4_step(force, m, x, v, dt, gmat)
         except NormalShiftError:
-            _raise_first_failure(ff, m, x, v, dt, t, u_grid, box)
+            _raise_first_failure(force, m, x, v, dt, t, u_grid, box)
             raise
         escaped = np.flatnonzero(_escaped(box, x_new))
         if escaped.size:
             raise _escape_error(u_grid[escaped[0]], step * dt)
-        x, v = x_new, v_new
+        x, v, gmat = x_new, v_new, g_new
         if step == record_steps[slot]:
             xs[:, slot], vs[:, slot] = x, v
             slot += 1
 
     v_cov = np.einsum("...ij,...j->...i", metric_at(m, xs), vs)
     speed_vals = np.sqrt(np.sum(vs * v_cov, axis=-1))
-    W_vals = np.array(
-        [[float(gs.W.eval(xij, sij)) for xij, sij in zip(xi, si)] for xi, si in zip(xs, speed_vals)]
-    )
+    if gs.W.stacked:
+        W_vals = np.array(gs.W.eval(xs, speed_vals), dtype=float)
+    else:
+        W_vals = np.array(
+            [[float(gs.W.eval(xij, sij)) for xij, sij in zip(xi, si)] for xi, si in zip(xs, speed_vals)]
+        )
 
     # tau_k = dx/du^k by the fourth-order central stencil along grid axis k,
     # where that axis leaves two cells on each side; NaN elsewhere
@@ -493,21 +527,19 @@ def speed_law_residual(rec: ShiftRecord, F: ForceField, m: MetricField) -> float
 
 
 def max_normalized_deviation(rec: ShiftRecord, m: MetricField) -> float:
-    """Largest |phi_k| / (|v| * g-norm of tau_k) over the interior record."""
-    worst = 0.0
-    n_u, n_t, dim_u = rec.phi.shape
-    for i in range(n_u):
-        for j in range(n_t):
-            if not np.isfinite(rec.phi[i, j, 0]):
-                continue
-            g = metric_at(m, rec.x[i, j])
-            for k in range(dim_u):
-                t_vec = rec.tau[i, j, k]
-                norm = math.sqrt(float(t_vec @ g @ t_vec))
-                worst = max(
-                    worst, abs(float(rec.phi[i, j, k])) / (rec.speed_vals[i, j] * norm)
-                )
-    return worst
+    """Largest |phi_k| / (|v| * g-norm of tau_k) over the interior record.
+
+    The metric is evaluated once on the stack of interior states; states on
+    the grid margin, whose first deviation is NaN, are skipped.
+    """
+    interior = np.isfinite(rec.phi[..., 0])
+    if not interior.any():
+        return 0.0
+    tau = rec.tau[interior]
+    g = metric_at(m, rec.x[interior])
+    norm = np.sqrt(np.einsum("...ki,...ij,...kj->...k", tau, g, tau))
+    ratio = np.abs(rec.phi[interior]) / (rec.speed_vals[interior][:, None] * norm)
+    return float(np.nanmax(ratio, initial=0.0))
 
 
 def plane_surface(

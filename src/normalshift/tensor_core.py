@@ -6,8 +6,9 @@ metric, Christoffel symbols, the unit velocity direction N and the orthogonal
 projector P onto the hyperplane perpendicular to the velocity) are evaluated
 from it.  Every evaluator takes one point of shape (n,) or a stack of
 points of shape (..., n) and returns its tensors with the stack's leading
-axes in front; the metric closures themselves are called once per point.
-Index conventions, on the trailing axes:
+axes in front.  A metric marked ``stacked`` has its closures called once
+per stack; any other metric's closures are called once per point.  Index
+conventions, on the trailing axes:
 
 * ``gamma[k, i, j]`` holds the connection component with upper index k and
   lower indices (i, j).
@@ -55,12 +56,17 @@ class MetricField:
         extrapolation level.
     fd_step : float
         Step for the finite-difference fallback.
+    stacked : bool
+        Whether ``g`` and ``dg`` also take a stack of points (..., n) and
+        return (..., n, n) and (..., n, n, n), so a stack costs one call.
+        Unmarked closures are called once per point of a stack.
     """
 
     dim: int
     g: Callable[[np.ndarray], np.ndarray]
     dg: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fd_step: float = 1e-5
+    stacked: bool = False
 
     def __post_init__(self):
         if self.dim < 3:
@@ -101,14 +107,19 @@ def _closure_value(fn: Callable, x: np.ndarray, shape: tuple, what: str) -> np.n
     return value
 
 
-def _closure_values(fn: Callable, x: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+def _closure_values(
+    fn: Callable, x: np.ndarray, shape: tuple, what: str, stacked: bool
+) -> np.ndarray:
     """A metric closure's values at one point (n,) or a stack (..., n).
 
-    The closure is called once per point, and each value must have
-    ``shape``; a wrong one raises :class:`AsymmetricMetric` naming its point.
+    A ``stacked`` closure is called once with the whole stack; any other
+    once per point.  Each point's value must have ``shape``; a wrong one
+    raises :class:`AsymmetricMetric` naming its point.
     """
     if x.ndim == 1:
         return _closure_value(fn, x, shape, what)
+    if stacked:
+        return _closure_value(fn, x, x.shape[:-1] + shape, what)
     flat = x.reshape(-1, x.shape[-1])
     out = np.empty((flat.shape[0],) + shape)
     for i, xi in enumerate(flat):
@@ -149,8 +160,8 @@ def _checked_metric(gmat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return gmat
 
 
-def _checked_inverse(gmat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Inverse of checked metric values, verified by multiplying back."""
+def inverse_metric_from(gmat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Inverse of metric values already checked at ``x``, verified by multiplying back."""
     ginv = np.linalg.inv(gmat)
     ginv = 0.5 * (ginv + ginv.swapaxes(-1, -2))
     residual = np.abs(gmat @ ginv - np.eye(gmat.shape[-1]))
@@ -163,7 +174,7 @@ def _checked_inverse(gmat: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _metric_values(m: MetricField, x: np.ndarray) -> np.ndarray:
-    return _checked_metric(_closure_values(m.g, x, (m.dim, m.dim), "metric"), x)
+    return _checked_metric(_closure_values(m.g, x, (m.dim, m.dim), "metric", m.stacked), x)
 
 
 # Metric closures are pure, so single-point evaluations are memoized on the
@@ -179,7 +190,7 @@ def _metric_cached(m: MetricField, xb: bytes) -> np.ndarray:
 
 @lru_cache(maxsize=4096)
 def _inverse_cached(m: MetricField, xb: bytes) -> np.ndarray:
-    ginv = _checked_inverse(_metric_cached(m, xb), np.frombuffer(xb, dtype=float))
+    ginv = inverse_metric_from(_metric_cached(m, xb), np.frombuffer(xb, dtype=float))
     ginv.setflags(write=False)
     return ginv
 
@@ -203,7 +214,7 @@ def inverse_metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=float)
     if x.ndim == 1:
         return _inverse_cached(m, x.tobytes())
-    return _checked_inverse(_metric_values(m, x), x)
+    return inverse_metric_from(_metric_values(m, x), x)
 
 
 def metric_derivatives_at(m: MetricField, x: np.ndarray) -> np.ndarray:
@@ -216,7 +227,7 @@ def metric_derivatives_at(m: MetricField, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     n = m.dim
     if m.dg is not None:
-        d = _closure_values(m.dg, x, (n, n, n), "dg")
+        d = _closure_values(m.dg, x, (n, n, n), "dg", m.stacked)
     else:
         h = m.fd_step
         d = np.empty(x.shape[:-1] + (n, n, n))
@@ -276,15 +287,22 @@ def unit_direction(
     the theory.
     """
     x = np.asarray(x, dtype=float)
+    return unit_direction_from(metric_at(m, x), x, v, speed_floor)
+
+
+def unit_direction_from(
+    gmat: np.ndarray, x: np.ndarray, v: np.ndarray, speed_floor: float = SPEED_FLOOR
+) -> Projector:
+    """:func:`unit_direction` from metric values ``gmat`` already taken at ``x``."""
     v = np.asarray(v, dtype=float)
-    gmat = metric_at(m, x)
+    n = gmat.shape[-1]
     if v.ndim == 1:
         speed = float(np.sqrt(v @ gmat @ v))
         if speed <= speed_floor:
             raise ZeroVelocity(f"velocity modulus {speed:.3e} at or below floor at x={x}")
         n_up = v / speed
         n_down = gmat @ n_up
-        proj = np.eye(m.dim) - n_up[:, None] * n_down[None, :]
+        proj = np.eye(n) - n_up[:, None] * n_down[None, :]
     else:
         speed = np.sqrt(np.einsum("...i,...ij,...j->...", v, gmat, v))
         slow = np.ravel(speed <= speed_floor)
@@ -292,11 +310,11 @@ def unit_direction(
             i = int(np.argmax(slow))
             raise ZeroVelocity(
                 f"velocity modulus {np.ravel(speed)[i]:.3e} at or below floor "
-                f"at x={x.reshape(-1, m.dim)[i]}"
+                f"at x={np.reshape(x, (-1, n))[i]}"
             )
         n_up = v / speed[..., None]
         n_down = np.einsum("...ij,...j->...i", gmat, n_up)
-        proj = np.eye(m.dim) - n_up[..., :, None] * n_down[..., None, :]
+        proj = np.eye(n) - n_up[..., :, None] * n_down[..., None, :]
     return Projector(P=proj, N_up=n_up, N_down=n_down, speed=speed)
 
 

@@ -284,6 +284,18 @@ class TestShiftCommand:
         data = base_scenario(name="esc", run=run)
         assert cmd_shift(write_config(tmp_path, data), out=tmp_path) == 4
 
+    def test_evaluation_failure_exits_3_and_names_trajectory(self, tmp_path, capsys):
+        # the plane at x1 = 0.05 moves toward -x1, where sqrt(x1) has no value
+        data = base_scenario(
+            name="domain",
+            generator={"kind": "metrizable", "f": "sqrt(x1)", "H": "v"},
+            surface={"kind": "plane", "axis": 0, "offset": 0.05, "nu0": -1},
+        )
+        assert cmd_shift(write_config(tmp_path, data), out=tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: trajectory from u = [-0.1, -0.1] near t = ")
+        assert "expression 'sqrt(x1)' failed to evaluate" in err
+
     def test_config_error_exits(self, tmp_path, capsys):
         coarse = base_scenario(
             name="coarse",

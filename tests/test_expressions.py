@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from normalshift.errors import ConfigError
+from normalshift.errors import ConfigError, EvaluationFailure
 from normalshift.expressions import parse_expression
 
 
@@ -134,9 +134,9 @@ class TestErrors:
             expr.eval({"x1": 1.0})
 
     def test_domain_error_reported(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(EvaluationFailure):
             value("log(0 - 1)")
-        with pytest.raises(ConfigError):
+        with pytest.raises(EvaluationFailure):
             value("1 / 0")
 
     def test_non_string_rejected(self):

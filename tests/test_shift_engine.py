@@ -463,6 +463,25 @@ class TestFamilyStep:
                     assert np.allclose(rec.tau[i, j, k], tau, rtol=1e-12, atol=0)
                     assert rec.phi[i, j, k] == pytest.approx(phi, rel=1e-9, abs=1e-15)
 
+    def test_max_normalized_deviation_matches_the_point_loop(self):
+        m = wavy_conformal_metric()
+        rec = run_shift(
+            metrizable_hw(), m, sphere_surface(), GridSpec(ranges=((1.3, 1.7, 6), (-0.2, 0.2, 5))),
+            t_end=0.04, dt=1e-3, sample_stride=10, force_constant_nu=True,
+        )
+        worst = 0.0
+        n_u, n_t, dim_u = rec.phi.shape
+        for i in range(n_u):
+            for j in range(n_t):
+                if not np.isfinite(rec.phi[i, j, 0]):
+                    continue
+                g = metric_at(m, rec.x[i, j])
+                for k in range(dim_u):
+                    norm = math.sqrt(float(rec.tau[i, j, k] @ g @ rec.tau[i, j, k]))
+                    worst = max(worst, abs(float(rec.phi[i, j, k])) / (rec.speed_vals[i, j] * norm))
+        assert worst > 1e-3  # the constant-nu family deviates
+        assert max_normalized_deviation(rec, m) == pytest.approx(worst, rel=1e-12, abs=0)
+
     def test_numerical_failure_names_first_trajectory_and_time(self):
         # the metric turns indefinite once x^3 passes 0.02025 above the
         # line x^1 = 0.1, where the last five grid rows start; straight

@@ -1,0 +1,286 @@
+"""Stacked closures against their point-wise values, and the closure calls of a shift.
+
+A ``stacked`` metric or isotropic scalar takes a whole stack of points in
+one call; the library calls unmarked closures once per point.  These tests
+hold every closure the library marks ``stacked`` to its point-wise values,
+check that a shift gives the same record either way, and count the closure
+calls one shift makes.
+"""
+
+import dataclasses
+import math
+from collections import Counter
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from normalshift.cli import (
+    Scenario,
+    _isotropic_from_position_expression,
+    build_generator,
+    build_metric,
+)
+from normalshift.errors import DegenerateWv, EvaluationFailure
+from normalshift.expressions import parse_expression
+from normalshift.extended_fields import IsotropicScalar
+from normalshift.force_builder import (
+    GeneratingScalar,
+    builtin_geodesic,
+    builtin_metrizable,
+    builtin_nonmetrizable,
+    coordinate_scalar,
+    force_from_W,
+)
+from normalshift.shift_engine import GridSpec, run_shift, sphere_surface
+
+from helpers import euclidean_metric
+
+WAVY = "0.3*sin(x1 + 2*x2) + 0.1*x3"
+
+CLI_METRICS = {
+    "euclidean": {"kind": "euclidean"},
+    "conformal": {"kind": "conformal", "f": WAVY},
+    "diagonal": {"kind": "diagonal", "entries": ["1 + x1^2", "exp(x2)", "2 + sin(x3)"]},
+}
+
+
+def scenario(metric=None, generator=None):
+    return Scenario(
+        name="stacked",
+        metric=metric or CLI_METRICS["euclidean"],
+        generator=generator or {"kind": "geodesic"},
+        surface=None,
+        run=None,
+        verify=None,
+        seed=0,
+        dim=3,
+    )
+
+
+def misleading_profile(v):
+    # right on one float, wrong on arrays: must not be used on arrays
+    return v**3 if np.ndim(v) == 0 else v**2
+
+
+SCALAR_BUILDERS = {
+    "coordinate": lambda: coordinate_scalar(2, coefficient=-1.5),
+    "cli-position-expression": lambda: _isotropic_from_position_expression(
+        parse_expression(WAVY), 3
+    ),
+    "geodesic": lambda: builtin_geodesic().W,
+    "metrizable": lambda: builtin_metrizable(coordinate_scalar(0), H=lambda w: w).W,
+    "nonmetrizable": lambda: builtin_nonmetrizable(coordinate_scalar(1), lambda v: v**3).W,
+    "nonmetrizable-float-profile": lambda: builtin_nonmetrizable(
+        coordinate_scalar(1), lambda v: math.pow(v, 3) + 0.5
+    ).W,
+    "nonmetrizable-misleading-profile": lambda: builtin_nonmetrizable(
+        coordinate_scalar(1), misleading_profile
+    ).W,
+    "cli-metrizable": lambda: build_generator(
+        scenario(generator={"kind": "metrizable", "f": WAVY, "H": "v"})
+    ).W,
+    "cli-nonmetrizable": lambda: build_generator(
+        scenario(generator={"kind": "nonmetrizable", "f": "x1*x2", "A": "v^3 + v"})
+    ).W,
+    "cli-custom": lambda: build_generator(
+        scenario(generator={"kind": "custom", "W": "v*exp(-x1) + v^3*x2^2", "h": "0"})
+    ).W,
+}
+
+
+@lru_cache(maxsize=None)
+def stacked_scalar(name: str) -> IsotropicScalar:
+    return SCALAR_BUILDERS[name]()
+
+
+POSITIONS = arrays(np.float64, (2, 3, 3), elements=st.floats(0.3, 1.2))
+SPEEDS = arrays(np.float64, (2, 3), elements=st.floats(0.5, 2.0))
+
+
+def point_values(fn, *stacks):
+    """``fn`` at each point of the stacks, assembled with the stacks' leading axes."""
+    lead = stacks[0].shape[:-1]
+    values = [
+        np.asarray(fn(*(s[idx] if s.ndim > len(lead) else float(s[idx]) for s in stacks)))
+        for idx in np.ndindex(lead)
+    ]
+    return np.array(values).reshape(lead + values[0].shape)
+
+
+def assert_matches(stack, points):
+    stack = np.asarray(stack, dtype=float)
+    assert stack.shape == points.shape
+    np.testing.assert_allclose(stack, points, rtol=1e-12, atol=0.0)
+
+
+class TestStackedClosuresMatchPoints:
+    @seed(41)
+    @settings(max_examples=40, deadline=None)
+    @given(which=st.sampled_from(sorted(SCALAR_BUILDERS)), x=POSITIONS, speed=SPEEDS)
+    def test_isotropic_scalars(self, which, x, speed):
+        w = stacked_scalar(which)
+        assert w.stacked
+        for fn in (w.eval, w.dspeed, w.dx):
+            assert_matches(fn(x, speed), point_values(fn, x, speed))
+
+    @seed(43)
+    @settings(max_examples=20, deadline=None)
+    @given(which=st.sampled_from(sorted(CLI_METRICS)), x=POSITIONS)
+    def test_cli_metrics(self, which, x):
+        m = build_metric(scenario(metric=CLI_METRICS[which]))
+        assert m.stacked
+        assert_matches(m.g(x), point_values(m.g, x))
+        assert_matches(m.dg(x), point_values(m.dg, x))
+
+    @seed(47)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        text=st.sampled_from(
+            [WAVY, "x1^2 - x2/x3", "sqrt(v) * log(1 + x1)", "exp(-x2) * cos(v^-2)", "2.5", "-x3"]
+        ),
+        x=POSITIONS,
+        speed=SPEEDS,
+    )
+    def test_expressions_on_arrays(self, text, x, speed):
+        expr = parse_expression(text)
+
+        def on_point(xi, si):
+            return expr.eval({"x1": xi[0], "x2": xi[1], "x3": xi[2], "v": si})
+
+        stack = expr.eval({"x1": x[..., 0], "x2": x[..., 1], "x3": x[..., 2], "v": speed})
+        assert_matches(stack, point_values(on_point, x, speed))
+
+    def test_array_failure_is_an_evaluation_failure(self):
+        expr = parse_expression("sqrt(x1)")
+        with pytest.raises(EvaluationFailure, match=r"'sqrt\(x1\)' failed to evaluate"):
+            expr.eval({"x1": np.array([0.5, -0.5])})
+
+
+class TestStackedForce:
+    def test_stacked_generator_gives_point_forces(self):
+        m = build_metric(scenario(metric=CLI_METRICS["conformal"]))
+        gs = builtin_metrizable(coordinate_scalar(0), H=lambda w: w)
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.3, 1.2, size=(2, 4, 3))
+        v = rng.uniform(-1.0, 1.0, size=(2, 4, 3))
+        stacked = force_from_W(gs, m, x, v)
+        for idx in np.ndindex(2, 4):
+            np.testing.assert_allclose(
+                stacked[idx], force_from_W(gs, m, x[idx], v[idx]), rtol=1e-12, atol=1e-15
+            )
+
+    def test_checks_name_the_first_offending_state(self):
+        def stacked_w(dspeed):
+            return IsotropicScalar(
+                eval=lambda x, s: s * x[..., 0],
+                dx=lambda x, s: np.zeros(np.shape(x)),
+                dspeed=dspeed,
+                stacked=True,
+            )
+
+        x = np.array([[0.5, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 3.0, 0.0]])
+        v = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        m = euclidean_metric()
+        degenerate = GeneratingScalar(W=stacked_w(lambda x, s: x[..., 0]), h=lambda w: 0.0)
+        with pytest.raises(DegenerateWv, match=r"below floor .* x=\[0\.\s+2\."):
+            force_from_W(degenerate, m, x, v)
+        with np.errstate(divide="ignore"):
+            infinite = GeneratingScalar(W=stacked_w(lambda x, s: 1.0 / x[..., 0]), h=lambda w: 0.0)
+            with pytest.raises(EvaluationFailure, match=r"non-finite .* x=\[0\.\s+2\."):
+                force_from_W(infinite, m, x, v)
+
+
+def cli_case():
+    """Conformal expression metric and nonmetrizable generator, as the CLI builds them."""
+    sc = scenario(
+        metric=CLI_METRICS["conformal"],
+        generator={"kind": "nonmetrizable", "f": "x1", "A": "v^3"},
+    )
+    return build_metric(sc), build_generator(sc)
+
+
+def shift(gs, m, steps=6):
+    return run_shift(
+        gs,
+        m,
+        sphere_surface(orientation=-1.0, base_u=(1.6, 0.02)),
+        GridSpec(ranges=((1.5, 1.7, 5), (-0.08, 0.12, 5))),
+        t_end=steps * 1e-3,
+        dt=1e-3,
+        sample_stride=2,
+    )
+
+
+def pointwise(obj):
+    return dataclasses.replace(obj, stacked=False)
+
+
+class TestShiftWithStackedClosures:
+    @pytest.mark.parametrize("unstack", ["W", "metric", "both"])
+    def test_record_matches_pointwise_closures(self, unstack):
+        m, gs = cli_case()
+        reference = shift(gs, m, steps=20)
+        if unstack in ("W", "both"):
+            gs = dataclasses.replace(gs, W=pointwise(gs.W))
+        if unstack in ("metric", "both"):
+            m = pointwise(m)
+        rec = shift(gs, m, steps=20)
+        for name in ("x", "v", "W_vals", "speed_vals"):
+            np.testing.assert_allclose(
+                getattr(rec, name), getattr(reference, name), rtol=1e-12, atol=0.0
+            )
+        # phi is a cancellation of O(1) terms; compare it on their scale
+        np.testing.assert_allclose(rec.phi, reference.phi, rtol=0.0, atol=1e-12)
+
+    @staticmethod
+    def counted(m, gs):
+        """Copies of (m, gs) whose closures count their stack and point calls."""
+        calls = Counter()
+
+        def count(name, fn):
+            def counting(x, *rest):
+                calls[name, "stack" if np.ndim(x) > 1 else "point"] += 1
+                return fn(x, *rest)
+
+            return counting
+
+        w = gs.W
+        counted_w = dataclasses.replace(
+            w,
+            eval=count("W.eval", w.eval),
+            dspeed=count("W.dspeed", w.dspeed),
+            dx=count("W.dx", w.dx),
+        )
+        counted_m = dataclasses.replace(m, g=count("g", m.g), dg=count("dg", m.dg))
+        return counted_m, dataclasses.replace(gs, W=counted_w), calls
+
+    def test_each_stage_calls_each_stacked_closure_once(self):
+        m, gs, calls = self.counted(*cli_case())
+        steps = 6
+        stages = 4 * steps
+        shift(gs, m, steps=steps)
+        # beyond one call per stage: g at the first step's start and on the
+        # record, W.eval on the record
+        assert calls["g", "stack"] == stages + 2
+        assert calls["dg", "stack"] == stages
+        assert calls["W.eval", "stack"] == stages + 1
+        assert calls["W.dspeed", "stack"] == stages
+        assert calls["W.dx", "stack"] == stages
+        # the point calls are the surface normals' metric and solve_nu's W
+        assert calls["g", "point"] == 25
+        assert calls["dg", "point"] == calls["W.dx", "point"] == 0
+
+    def test_pointwise_metric_is_called_once_per_point_per_stage(self):
+        m, gs = cli_case()
+        m, gs, calls = self.counted(pointwise(m), gs)
+        steps = 6
+        shift(gs, m, steps=steps)
+        n_u, n_t = 25, steps // 2 + 1
+        # every stage, the first step's start, the n_t recorded states and
+        # the surface normal
+        assert calls["g", "point"] == n_u * (4 * steps + 1 + n_t + 1)
+        assert calls["dg", "point"] == n_u * 4 * steps
+        assert calls["g", "stack"] == calls["dg", "stack"] == 0
