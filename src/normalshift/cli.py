@@ -85,8 +85,10 @@ def _check_keys(section: dict, where: str, required: Sequence[str], optional: Se
 
 
 def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number")
+    # json.loads accepts Infinity, NaN and integers past the float range
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{where} must be a finite number")
     return float(value)
 
 
@@ -138,8 +140,9 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         optional=("surface", "run", "verify", "seed"),
     )
     name = data["name"]
-    if not isinstance(name, str) or not name:
-        raise ConfigError("scenario.name must be a nonempty string")
+    # the name becomes a file name under --out, so it may not leave that directory
+    if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigError("scenario.name must be a plain file name: no path separator, not . or ..")
 
     metric = data["metric"]
     _check_keys(metric, "metric", required=("kind",), optional=("dim", "f", "entries"))
@@ -306,6 +309,8 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
             raise ConfigError(f"verify.mode must be one of {MODES}")
 
     seed = _as_int(data.get("seed", 0), "scenario.seed")
+    if seed < 0:
+        raise ConfigError("scenario.seed must be nonnegative")
     return Scenario(
         name=name,
         metric=metric,
@@ -328,6 +333,14 @@ def _validate_box(box, dim: int, where: str):
         hi = _as_number(pair[1], f"{where} hi")
         if lo >= hi:
             raise ConfigError(f"{where} must have lo < hi")
+
+
+def _check_options(tolerance: Optional[float], seed: Optional[int]) -> None:
+    """Reject a command-line tolerance that is not positive and finite, or a negative seed."""
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ConfigError(f"--tolerance must be positive and finite, not {tolerance}")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, not {seed}")
 
 
 def build_metric(sc: Scenario) -> MetricField:
@@ -572,6 +585,7 @@ def cmd_verify(
 ) -> int:
     """Sample normality residuals for the configured subject."""
     try:
+        _check_options(tolerance, seed)
         sc = load_scenario(config_path)
         if sc.verify is None:
             raise ConfigError("scenario has no verify section")
@@ -620,8 +634,8 @@ def cmd_shift(
     seed: Optional[int] = None,
 ) -> int:
     """Run the configured shift and write trajectories plus a summary."""
-    del seed  # shift runs are deterministic; accepted for interface symmetry
     try:
+        _check_options(tolerance, seed)  # seed is unused: shift runs are deterministic
         sc = load_scenario(config_path)
         if sc.surface is None or sc.run is None:
             raise ConfigError("scenario needs surface and run sections for a shift")

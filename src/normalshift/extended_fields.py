@@ -23,7 +23,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import EvaluationFailure
-from .tensor_core import MetricField, christoffel_at, metric_at, speed_at
+from .tensor_core import FD_STEP, MetricField, christoffel_at, metric_at, speed_at
 
 Array = np.ndarray
 
@@ -36,14 +36,13 @@ class ExtendedScalar:
     the same (x, v) signature, returning arrays of length n.  ``dx`` means
     the literal partial derivative holding the velocity components fixed.
     ``dv2`` optionally supplies the full fiber Hessian (n x n).  Whatever is
-    absent falls back to central differences with step ``fd_step``.
+    absent falls back to central differences with step ``FD_STEP``.
     """
 
     eval: Callable[[Array, Array], float]
     dx: Optional[Callable[[Array, Array], Array]] = None
     dv: Optional[Callable[[Array, Array], Array]] = None
     dv2: Optional[Callable[[Array, Array], Array]] = None
-    fd_step: float = 1e-5
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,6 @@ class IsotropicScalar:
     eval: Callable[[Array, float], float]
     dx: Optional[Callable[[Array, float], Array]] = None
     dspeed: Optional[Callable[[Array, float], float]] = None
-    fd_step: float = 1e-5
     stacked: bool = False
 
 
@@ -93,7 +91,7 @@ def velocity_gradient(phi: ExtendedScalar, m: MetricField, x: Array, v: Array) -
     v = np.asarray(v, dtype=float)
     if phi.dv is not None:
         return _check_finite(phi.dv(x, v), "velocity gradient")
-    h = phi.fd_step * max(1.0, float(np.max(np.abs(v))))
+    h = FD_STEP * max(1.0, float(np.max(np.abs(v))))
     out = np.empty(m.dim)
     for k in range(m.dim):
         e = np.zeros(m.dim)
@@ -105,7 +103,7 @@ def velocity_gradient(phi: ExtendedScalar, m: MetricField, x: Array, v: Array) -
 def _x_partials(phi: ExtendedScalar, m: MetricField, x: Array, v: Array) -> Array:
     if phi.dx is not None:
         return _check_finite(phi.dx(x, v), "x-partials")
-    h = phi.fd_step * max(1.0, float(np.max(np.abs(x))))
+    h = FD_STEP * max(1.0, float(np.max(np.abs(x))))
     out = np.empty(m.dim)
     for k in range(m.dim):
         e = np.zeros(m.dim)
@@ -153,7 +151,7 @@ def spatial_gradient_isotropic(
         raise EvaluationFailure("isotropic gradient needs a positive speed")
     if w.dx is not None:
         return _check_finite(w.dx(x, speed), "isotropic x-partials")
-    h = w.fd_step * max(1.0, float(np.max(np.abs(x))))
+    h = FD_STEP * max(1.0, float(np.max(np.abs(x))))
     rows = []
     for k in range(m.dim):
         e = np.zeros(m.dim)
@@ -169,7 +167,7 @@ def isotropic_speed_derivative(
     if w.dspeed is not None:
         value = w.dspeed(np.asarray(x, dtype=float), speed)
     else:
-        h = w.fd_step * max(1.0, abs(speed))
+        h = FD_STEP * max(1.0, abs(speed))
         value = (w.eval(x, speed + h) - w.eval(x, speed - h)) / (2.0 * h)
     return _finite_derivative(value, "speed derivative")
 
@@ -179,15 +177,15 @@ def isotropic_second_speed_derivative(
 ) -> Union[float, Array]:
     """d^2 W / d speed^2 by differencing the first derivative.
 
-    The outer step is fd_step^(1/2) scaled by the speed, which balances
+    The outer step is FD_STEP^(1/2) scaled by the speed, which balances
     truncation against the noise of the inner derivative.  A vector field
     is differenced component-wise with the same steps.
     """
     if w.dspeed is not None:
-        h = w.fd_step * max(1.0, abs(speed))
+        h = FD_STEP * max(1.0, abs(speed))
         value = (w.dspeed(x, speed + h) - w.dspeed(x, speed - h)) / (2.0 * h)
     else:
-        h = np.sqrt(w.fd_step) * max(1.0, abs(speed))
+        h = np.sqrt(FD_STEP) * max(1.0, abs(speed))
         value = (w.eval(x, speed + h) - 2.0 * w.eval(x, speed) + w.eval(x, speed - h)) / h**2
     return _finite_derivative(value, "second speed derivative")
 
@@ -198,7 +196,7 @@ def velocity_hessian(
     """Fiber Hessian d^2 phi / d v^r d v^s.
 
     Uses the analytic ``dv2`` closure when present.  Otherwise differences
-    the velocity gradient with an outer step of fd_step^(1/2) times the
+    the velocity gradient with an outer step of FD_STEP^(1/2) times the
     velocity scale, independent of the inner step, plus one Richardson
     level so the outer truncation does not dominate.
     """
@@ -207,7 +205,7 @@ def velocity_hessian(
     if phi.dv2 is not None:
         hess = _check_finite(phi.dv2(x, v), "fiber Hessian")
     else:
-        h = np.sqrt(phi.fd_step) * max(1.0, float(np.max(np.abs(v))))
+        h = np.sqrt(FD_STEP) * max(1.0, float(np.max(np.abs(v))))
         hess = np.empty((m.dim, m.dim))
         for r in range(m.dim):
             e = np.zeros(m.dim)
@@ -257,4 +255,4 @@ def lift_isotropic(w: IsotropicScalar, m: MetricField) -> ExtendedScalar:
             n_down = metric_at(m, x) @ v / s
             return float(w.dspeed(x, s)) * n_down
 
-    return ExtendedScalar(eval=lifted, dx=dx, dv=dv, fd_step=w.fd_step)
+    return ExtendedScalar(eval=lifted, dx=dx, dv=dv)

@@ -47,18 +47,23 @@ from .tensor_core import MetricField, Projector, christoffel_at, metric_at, unit
 
 Array = np.ndarray
 
+# The hypothesis W_v != 0, made operational: the least |dW/dspeed| accepted.
+WV_FLOOR = 1e-8
+# Anchors of the speed quadrature behind builtin_nonmetrizable.
+QUADRATURE_ANCHORS = 257
+# W values on which gauge_transform probes a gauge map.
+GAUGE_PROBES = np.linspace(0.25, 4.0, 13)
+
 
 @dataclass(frozen=True)
 class GeneratingScalar:
     """The pair (W, h) generating a force field.
 
-    ``wv_floor`` operationalizes the hypothesis W_v != 0: any evaluation
-    where |dW/dspeed| falls below it raises :class:`DegenerateWv`.
+    Every evaluation needs |dW/dspeed| of at least ``WV_FLOOR``.
     """
 
     W: IsotropicScalar
     h: Callable[[float], float]
-    wv_floor: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -110,9 +115,9 @@ class GaugeMap:
 
 def _wv_checked(gs: GeneratingScalar, x: Array, speed: float) -> float:
     wv = isotropic_speed_derivative(gs.W, x, speed)
-    if abs(wv) < gs.wv_floor:
+    if abs(wv) < WV_FLOOR:
         raise DegenerateWv(
-            f"dW/dspeed = {wv:.3e} below floor {gs.wv_floor:.1e} at speed {speed:.4g}"
+            f"dW/dspeed = {wv:.3e} below floor {WV_FLOOR:.1e} at speed {speed:.4g}"
         )
     return wv
 
@@ -121,7 +126,7 @@ def coefficient_pack(gs: GeneratingScalar, m: MetricField, x: Array, v_speed: fl
     """The coefficient pack (a, b_1, ..., b_n) at fixed speed, as one vector.
 
     a = h(W) / W_v and b_k = -(dW/dx^k) / W_v share one W_v (checked
-    against ``wv_floor``), one h(W) and one spatial gradient.
+    against ``WV_FLOOR``), one h(W) and one spatial gradient.
     """
     x = np.asarray(x, dtype=float)
     wv = _wv_checked(gs, x, v_speed)
@@ -213,11 +218,11 @@ def _stacked_generator_terms(gs: GeneratingScalar, x: Array, speed: Array):
     if bad.any():
         _, where = _first_state(bad, x, speed)
         raise EvaluationFailure(f"speed derivative evaluated to a non-finite value {where}")
-    low = np.abs(wv) < gs.wv_floor
+    low = np.abs(wv) < WV_FLOOR
     if low.any():
         i, where = _first_state(low, x, speed)
         raise DegenerateWv(
-            f"dW/dspeed = {np.ravel(wv)[i]:.3e} below floor {gs.wv_floor:.1e} {where}"
+            f"dW/dspeed = {np.ravel(wv)[i]:.3e} below floor {WV_FLOOR:.1e} {where}"
         )
     w = np.asarray(gs.W.eval(x, speed), dtype=float)
     hw = np.array([float(gs.h(value)) for value in w.ravel()]).reshape(w.shape)
@@ -275,16 +280,12 @@ def ansatz_from_generator(gs: GeneratingScalar, m: MetricField) -> AnsatzField:
     """
 
     def component(k):
-        return IsotropicScalar(
-            eval=lambda x, s: float(coefficient_pack(gs, m, x, s)[k]), fd_step=gs.W.fd_step
-        )
+        return IsotropicScalar(eval=lambda x, s: float(coefficient_pack(gs, m, x, s)[k]))
 
     return AnsatzField(
         a=component(0),
         b=tuple(component(k) for k in range(1, m.dim + 1)),
-        pack=IsotropicScalar(
-            eval=lambda x, s: coefficient_pack(gs, m, x, s), fd_step=gs.W.fd_step
-        ),
+        pack=IsotropicScalar(eval=lambda x, s: coefficient_pack(gs, m, x, s)),
     )
 
 
@@ -378,7 +379,7 @@ def ansatz_scalar(af: AnsatzField, m: MetricField) -> ExtendedScalar:
             coefficient_speed_derivative(af, x, pr.speed, order=2),
         )
 
-    return ExtendedScalar(eval=eval_, dv=dv, dv2=dv2, fd_step=af.a.fd_step)
+    return ExtendedScalar(eval=eval_, dv=dv, dv2=dv2)
 
 
 def ansatz_force_field(af: AnsatzField, label: str = "ansatz") -> ForceField:
@@ -445,25 +446,19 @@ def as_force_field(gs: GeneratingScalar) -> ForceField:
     return ForceField(eval=eval_, label="generated-from-W", dv=dv, nabla=nabla)
 
 
-def gauge_transform(
-    gs: GeneratingScalar,
-    rho: GaugeMap,
-    w_range: Tuple[float, float] = (0.25, 4.0),
-    probe_count: int = 13,
-) -> GeneratingScalar:
+def gauge_transform(gs: GeneratingScalar, rho: GaugeMap) -> GeneratingScalar:
     """Reparametrize (W, h) by a strictly monotone rho, preserving the force.
 
     The new pair is W~ = rho(W) and h~(w) = h(rho^-1(w)) rho'(rho^-1(w)).
-    Monotonicity and invertibility of rho are probed on ``w_range``, which
-    should cover the values W takes in the intended working region.
+    Monotonicity and invertibility of rho are probed on ``GAUGE_PROBES``,
+    which should cover the values W takes in the intended working region.
     """
-    lo, hi = w_range
-    probes = np.linspace(lo, hi, probe_count)
+    probes = GAUGE_PROBES
     try:
         derivs = np.array([float(rho.derivative(t)) for t in probes])
         round_trip = np.array([float(rho.inverse(rho.fn(t))) for t in probes])
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise NonMonotoneGauge(f"gauge map failed to evaluate on {w_range}") from exc
+        raise NonMonotoneGauge("gauge map failed to evaluate on the probed range") from exc
     if not np.all(np.isfinite(derivs)) or np.min(np.abs(derivs)) < 1e-12:
         raise NonMonotoneGauge("gauge derivative vanishes on the probed range")
     if np.max(derivs) * np.min(derivs) < 0.0:
@@ -494,8 +489,8 @@ def gauge_transform(
         t = float(rho.inverse(w))
         return float(gs.h(t)) * float(rho.derivative(t))
 
-    new_w = IsotropicScalar(eval=eval_, dx=dx, dspeed=dspeed, fd_step=w_old.fd_step)
-    return GeneratingScalar(W=new_w, h=h_new, wv_floor=gs.wv_floor)
+    new_w = IsotropicScalar(eval=eval_, dx=dx, dspeed=dspeed)
+    return GeneratingScalar(W=new_w, h=h_new)
 
 
 def builtin_geodesic() -> GeneratingScalar:
@@ -534,7 +529,7 @@ def builtin_metrizable(f: IsotropicScalar, H: Callable[[float], float]) -> Gener
                 return -eval_(x, s)[..., None] * np.asarray(f.dx(x, s), dtype=float)
             return -s * np.exp(-float(f.eval(x, s))) * np.asarray(f.dx(x, s), dtype=float)
 
-    w = IsotropicScalar(eval=eval_, dx=dx, dspeed=dspeed, fd_step=f.fd_step, stacked=f.stacked)
+    w = IsotropicScalar(eval=eval_, dx=dx, dspeed=dspeed, stacked=f.stacked)
     return GeneratingScalar(W=w, h=H)
 
 
@@ -545,18 +540,17 @@ def builtin_nonmetrizable(
     f: IsotropicScalar,
     A_of_speed: Callable[[float], float],
     speed_range: Tuple[float, float] = (0.05, 5.0),
-    anchor_count: int = 257,
 ) -> GeneratingScalar:
     """W = exp(quadrature(|v|) - f(x)), h = 0, for a speed profile A.
 
     The speed dependence comes from the quadrature of s / A(s) taken from
     the fixed reference speed 1.0; shifting the reference multiplies W by a
     constant, which the gauge freedom absorbs.  Anchor values of the
-    quadrature are precomputed once on a uniform grid over ``speed_range``
-    by adaptive integration, and evaluations add a short fixed-order
-    Gauss-Legendre tail from the nearest anchor, so lookups after
-    construction are read-only.  W is ``stacked`` when ``f`` is; on a
-    stack the anchor lookup and the tail act on all speeds and nodes at
+    quadrature are precomputed once on ``QUADRATURE_ANCHORS`` uniform
+    points over ``speed_range`` by adaptive integration, and evaluations
+    add a short fixed-order Gauss-Legendre tail from the nearest anchor,
+    so lookups after construction are read-only.  W is ``stacked`` when
+    ``f`` is; on a stack the anchor lookup and the tail act on all speeds and nodes at
     once, calling ``A_of_speed`` on arrays only when that reproduces its
     point-wise values on the probe grid.
 
@@ -571,8 +565,9 @@ def builtin_nonmetrizable(
     def integrand(s):
         return s / A_of_speed(s)
 
-    anchors = np.linspace(lo, hi, anchor_count)
-    fine = np.linspace(lo, hi, 8 * anchor_count)
+    last = QUADRATURE_ANCHORS - 1
+    anchors = np.linspace(lo, hi, QUADRATURE_ANCHORS)
+    fine = np.linspace(lo, hi, 8 * QUADRATURE_ANCHORS)
     probe = np.array([A_of_speed(s) for s in fine])
     if (
         not np.all(np.isfinite(probe))
@@ -581,11 +576,11 @@ def builtin_nonmetrizable(
     ):
         worst = fine[int(np.argmin(np.abs(probe)))]
         raise QuadratureFailure(f"speed profile vanishes near speed {worst:.4g}")
-    segments = np.empty(anchor_count - 1)
+    segments = np.empty(last)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
-            for j in range(anchor_count - 1):
+            for j in range(last):
                 segments[j], _ = quad(integrand, anchors[j], anchors[j + 1])
     except Exception as exc:
         raise QuadratureFailure("adaptive quadrature of the speed profile failed") from exc
@@ -596,7 +591,7 @@ def builtin_nonmetrizable(
     def antiderivative(s: float) -> float:
         # nearest anchor at or below s, clamped to the grid (plain float
         # arithmetic: numpy's scalar clip and sum cost more than the tail)
-        j = int(min(max((s - lo) / (hi - lo) * (anchor_count - 1), 0.0), anchor_count - 1))
+        j = int(min(max((s - lo) / (hi - lo) * last, 0.0), last))
         base = anchors[j]
         half = 0.5 * (s - base)
         mid = 0.5 * (s + base)
@@ -625,7 +620,7 @@ def builtin_nonmetrizable(
 
     def antiderivatives(s: Array) -> Array:
         """:func:`antiderivative` at an array of speeds, anchors and tails at once."""
-        j = np.clip((s - lo) / (hi - lo) * (anchor_count - 1), 0.0, anchor_count - 1)
+        j = np.clip((s - lo) / (hi - lo) * last, 0.0, last)
         bad = ~np.isfinite(j)
         if not bad.any():
             j = j.astype(np.intp)
@@ -661,7 +656,7 @@ def builtin_nonmetrizable(
                 return -eval_(x, s)[..., None] * np.asarray(f.dx(x, s), dtype=float)
             return -eval_(x, s) * np.asarray(f.dx(x, s), dtype=float)
 
-    w = IsotropicScalar(eval=eval_, dx=dx, dspeed=dspeed, fd_step=f.fd_step, stacked=f.stacked)
+    w = IsotropicScalar(eval=eval_, dx=dx, dspeed=dspeed, stacked=f.stacked)
     return GeneratingScalar(W=w, h=lambda w_: 0.0)
 
 

@@ -45,10 +45,12 @@ from .force_builder import (
     force_from_W,
 )
 from .tensor_core import (
+    FD_STEP,
     MetricField,
-    christoffel_at,
+    christoffel_from,
     inverse_metric_at,
     metric_at,
+    metric_derivatives_at,
     unit_direction,
 )
 
@@ -141,8 +143,8 @@ def _finite(arr: Array, what: str) -> Array:
     return arr
 
 
-def _force_dv(ff: ForceField, m: MetricField, x: Array, v: Array, fd_step: float) -> Array:
-    h = fd_step * max(1.0, float(np.max(np.abs(v))))
+def _force_dv(ff: ForceField, m: MetricField, x: Array, v: Array) -> Array:
+    h = FD_STEP * max(1.0, float(np.max(np.abs(v))))
     out = np.empty((m.dim, m.dim))
     for r in range(m.dim):
         e = np.zeros(m.dim)
@@ -154,8 +156,8 @@ def _force_dv(ff: ForceField, m: MetricField, x: Array, v: Array, fd_step: float
     return out
 
 
-def _force_dx_raw(ff: ForceField, m: MetricField, x: Array, v: Array, fd_step: float) -> Array:
-    h = fd_step * max(1.0, float(np.max(np.abs(x))))
+def _force_dx_raw(ff: ForceField, m: MetricField, x: Array, v: Array) -> Array:
+    h = FD_STEP * max(1.0, float(np.max(np.abs(x))))
     out = np.empty((m.dim, m.dim))
     for r in range(m.dim):
         e = np.zeros(m.dim)
@@ -168,20 +170,20 @@ def _force_dx_raw(ff: ForceField, m: MetricField, x: Array, v: Array, fd_step: f
 
 
 def _derivative_pack(
-    ff: ForceField, m: MetricField, x: Array, v: Array, mode: str, fd_step: float = 1e-5
+    ff: ForceField, m: MetricField, x: Array, v: Array, mode: str, ginv: Array
 ) -> Tuple[Array, Array, Array]:
-    """Evaluate F together with its fiber and covariant spatial derivatives."""
+    """F with its fiber and covariant spatial derivatives; ``ginv`` is g^-1 at ``x``."""
     F = _finite(ff.eval(m, x, v), "force field")
     analytic = mode == "analytic"
     if analytic and ff.dv is not None:
         Dv = _finite(ff.dv(m, x, v), "force fiber derivative")
     else:
-        Dv = _finite(_force_dv(ff, m, x, v, fd_step), "force fiber difference")
+        Dv = _finite(_force_dv(ff, m, x, v), "force fiber difference")
     if analytic and ff.nabla is not None:
         Dx = _finite(ff.nabla(m, x, v), "force spatial derivative")
     else:
-        raw = _force_dx_raw(ff, m, x, v, fd_step)
-        gamma = christoffel_at(m, x).gamma
+        raw = _force_dx_raw(ff, m, x, v)
+        gamma = christoffel_from(ginv, metric_derivatives_at(m, x))
         transport = np.einsum("jri,i,jk->rk", gamma, v, Dv)
         twist = np.einsum("crk,c->rk", gamma, F)
         Dx = _finite(raw - transport - twist, "force spatial difference")
@@ -219,7 +221,7 @@ def residual_weak1(
     """First weak equation: sum_i (F_i/|v| + d(N^j F_j)/dv^i) P^i_k."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    Fv, Dv, _ = _derivative_pack(F, m, x, v, mode)
+    Fv, Dv, _ = _derivative_pack(F, m, x, v, mode, inverse_metric_at(m, x))
     return _weak1(Fv, Dv, unit_direction(m, x, v))
 
 
@@ -229,8 +231,9 @@ def residual_weak2(
     """Second weak equation, mixing covariant spatial and fiber gradients."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    Fv, Dv, Dx = _derivative_pack(F, m, x, v, mode)
-    return _weak2(Fv, Dv, Dx, unit_direction(m, x, v), inverse_metric_at(m, x))
+    ginv = inverse_metric_at(m, x)
+    Fv, Dv, Dx = _derivative_pack(F, m, x, v, mode, ginv)
+    return _weak2(Fv, Dv, Dx, unit_direction(m, x, v), ginv)
 
 
 def residual_additional1(
@@ -239,7 +242,7 @@ def residual_additional1(
     """First additional condition, antisymmetrized over the two projections."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    Fv, Dv, Dx = _derivative_pack(F, m, x, v, mode)
+    Fv, Dv, Dx = _derivative_pack(F, m, x, v, mode, inverse_metric_at(m, x))
     return _additional1(Fv, Dv, Dx, unit_direction(m, x, v))
 
 
@@ -250,8 +253,9 @@ def residual_additional2(
     be a multiple of the projector; returns the trace-free part."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    _, Dv, _ = _derivative_pack(F, m, x, v, mode)
-    return _additional2(Dv, unit_direction(m, x, v), inverse_metric_at(m, x), m.dim)
+    ginv = inverse_metric_at(m, x)
+    _, Dv, _ = _derivative_pack(F, m, x, v, mode, ginv)
+    return _additional2(Dv, unit_direction(m, x, v), ginv, m.dim)
 
 
 def _eq124(H: Array, pr, ginv: Array, dim: int) -> Tuple[Array, float]:
@@ -274,9 +278,7 @@ def residual_eq124(
     if mode == "analytic":
         H = velocity_hessian(A, m, x, v)
     else:
-        H = velocity_hessian(
-            ExtendedScalar(eval=A.eval, fd_step=A.fd_step), m, x, v
-        )
+        H = velocity_hessian(ExtendedScalar(eval=A.eval), m, x, v)
     H = _finite(H, "ansatz scalar fiber Hessian")
     return _eq124(H, unit_direction(m, x, v), inverse_metric_at(m, x), m.dim)
 
@@ -330,20 +332,20 @@ def sample_states(spec: SampleSpec, m: MetricField) -> list:
 
 def _pack_derivatives(
     gs: GeneratingScalar, af: AnsatzField, m: MetricField, x: Array, v: Array, pr,
-    c: Array, c_p: Array, grad: Array,
+    ginv: Array, c: Array, c_p: Array, grad: Array,
 ) -> Tuple[Array, Array, Array, Array]:
     """F, Dv, Dx and the fiber Hessian of A at one state, analytically.
 
     The derivatives are those of ``as_force_field(gs)`` and
     ``ansatz_scalar``, assembled from one coefficient pack (``c``, ``c_p``,
     ``grad`` and the second speed derivative); F comes from the
-    independent (W, h) route.
+    independent (W, h) route.  ``ginv`` is the inverse metric at ``x``.
     """
     gmat = metric_at(m, x)
     F = _finite(force_from_W(gs, m, x, v), "force field")
     Dv = _finite(ansatz_force_dv(pr, gmat, v, c, c_p), "force fiber derivative")
     Dx = _finite(
-        ansatz_force_nabla(pr, christoffel_at(m, x).gamma, v, c, grad),
+        ansatz_force_nabla(pr, christoffel_from(ginv, metric_derivatives_at(m, x)), v, c, grad),
         "force spatial derivative",
     )
     c_pp = coefficient_speed_derivative(af, x, pr.speed, order=2)
@@ -402,9 +404,9 @@ def verify(
                 c_p = coefficient_speed_derivative(af, x, pr.speed)
                 grad = coefficient_gradient(af, m, x, pr.speed)
             if af is not None and mode == "analytic":
-                F, Dv, Dx, H = _pack_derivatives(subject, af, m, x, v, pr, c, c_p, grad)
+                F, Dv, Dx, H = _pack_derivatives(subject, af, m, x, v, pr, ginv, c, c_p, grad)
             else:
-                F, Dv, Dx = _derivative_pack(ff, m, x, v, mode)
+                F, Dv, Dx = _derivative_pack(ff, m, x, v, mode, ginv)
                 H = _finite(velocity_hessian(A, m, x, v), "ansatz scalar fiber Hessian")
             scale = 1.0 + float(np.max(np.abs(F))) + max(
                 float(np.max(np.abs(Dv))), float(np.max(np.abs(Dx)))

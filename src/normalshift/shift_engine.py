@@ -32,8 +32,9 @@ from .errors import (
     ZeroVelocity,
 )
 from .extended_fields import isotropic_speed_derivative
-from .force_builder import ForceField, GeneratingScalar, force_from_direction
+from .force_builder import WV_FLOOR, ForceField, GeneratingScalar, force_from_direction
 from .tensor_core import (
+    FD_STEP,
     SPEED_FLOOR,
     MetricField,
     christoffel_from,
@@ -46,6 +47,9 @@ from .tensor_core import (
 )
 
 Array = np.ndarray
+
+# Iteration cap of the initial-speed solve.
+SOLVE_NU_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,6 @@ class Hypersurface:
     base_u: Tuple[float, ...] = ()
     nu0: float = 1.0
     orientation: float = 1.0
-    fd_step: float = 1e-5
 
     def __post_init__(self):
         if self.dim_u < 1:
@@ -103,9 +106,8 @@ class ShiftRecord:
 
     ``u_grid`` flattens the parameter grid in row-major order matching
     ``grid_shape``; per-trajectory arrays are indexed [grid point, time].
-    Deviations ``phi`` and the difference tangents ``tau`` are NaN at grid
-    points within two cells of the boundary, where the interior stencil
-    does not fit.
+    Deviations ``phi`` are NaN at grid points within two cells of the
+    boundary, where the interior stencil does not fit.
     """
 
     u_grid: Array
@@ -115,7 +117,6 @@ class ShiftRecord:
     x: Array
     v: Array
     phi: Array
-    tau: Array
     W_vals: Array
     speed_vals: Array
     nu_vals: Array
@@ -130,7 +131,6 @@ class ShiftRecord:
             "x": (n_u, n_t, dim),
             "v": (n_u, n_t, dim),
             "phi": (n_u, n_t, dim_u),
-            "tau": (n_u, n_t, dim_u, dim),
             "W_vals": (n_u, n_t),
             "speed_vals": (n_u, n_t),
             "nu_vals": (n_u,),
@@ -156,7 +156,7 @@ def surface_tangents(s: Hypersurface, u: Array) -> Array:
     u = np.asarray(u, dtype=float)
     if s.du is not None:
         return np.asarray(s.du(u), dtype=float).T
-    h = s.fd_step * max(1.0, float(np.max(np.abs(u))) if u.size else 1.0)
+    h = FD_STEP * max(1.0, float(np.max(np.abs(u))) if u.size else 1.0)
     dim = np.asarray(s.chart_map(u), dtype=float).shape[0]
     out = np.empty((s.dim_u, dim))
     for k in range(s.dim_u):
@@ -205,7 +205,6 @@ def solve_nu(
     m: MetricField,
     s: Hypersurface,
     u: Array,
-    max_iter: int = 100,
 ) -> float:
     """Initial speed at u making W match its value at the marked point.
 
@@ -241,7 +240,7 @@ def solve_nu(
         )
     g_lo = gap(lo)
     sigma = min(max(sigma0, lo), hi)
-    for _ in range(max_iter):
+    for _ in range(SOLVE_NU_ITERATIONS):
         g_sig = gap(sigma)
         if abs(g_sig) < tol:
             return math.copysign(sigma, s.nu0)
@@ -250,7 +249,7 @@ def solve_nu(
         else:
             lo, g_lo = sigma, g_sig
         wv = isotropic_speed_derivative(gs.W, x, sigma)
-        step = g_sig / wv if abs(wv) >= gs.wv_floor else None
+        step = g_sig / wv if abs(wv) >= WV_FLOOR else None
         candidate = sigma - step if step is not None else None
         if candidate is not None and lo < candidate < hi:
             sigma = candidate
@@ -365,6 +364,24 @@ def _raise_first_failure(
             raise _escape_error(u, t + dt)
 
 
+def _grid_tangents(x: Array, shape: Tuple[int, ...], axes: Tuple[Array, ...]) -> Array:
+    """Tangents tau_k = dx/du^k (n_u, n_t, dim_u, n) of positions x (n_u, n_t, n) on a grid.
+
+    tau_k is the fourth-order central stencil along grid axis k, where that
+    axis leaves two cells on each side, and NaN elsewhere.
+    """
+    n_u, n_t, dim = x.shape
+    tau = np.full((n_u, n_t, len(axes), dim), np.nan)
+    x_grid = x.reshape(shape + (n_t, dim))
+    tau_grid = tau.reshape(shape + (n_t, len(axes), dim))
+    for k, ax in enumerate(axes):
+        xk = np.moveaxis(x_grid, k, 0)
+        np.moveaxis(tau_grid[..., k, :], k, 0)[2:-2] = (
+            -xk[4:] + 8.0 * xk[3:-1] - 8.0 * xk[1:-3] + xk[:-4]
+        ) / (12.0 * float(ax[1] - ax[0]))
+    return tau
+
+
 def run_shift(
     gs: GeneratingScalar,
     m: MetricField,
@@ -452,17 +469,7 @@ def run_shift(
             [[float(gs.W.eval(xij, sij)) for xij, sij in zip(xi, si)] for xi, si in zip(xs, speed_vals)]
         )
 
-    # tau_k = dx/du^k by the fourth-order central stencil along grid axis k,
-    # where that axis leaves two cells on each side; NaN elsewhere
-    tau = np.full((n_u, n_t, s.dim_u, dim), np.nan)
-    x_grid = xs.reshape(shape + (n_t, dim))
-    tau_grid = tau.reshape(shape + (n_t, s.dim_u, dim))
-    for k, ax in enumerate(axes):
-        xk = np.moveaxis(x_grid, k, 0)
-        np.moveaxis(tau_grid[..., k, :], k, 0)[2:-2] = (
-            -xk[4:] + 8.0 * xk[3:-1] - 8.0 * xk[1:-3] + xk[:-4]
-        ) / (12.0 * float(ax[1] - ax[0]))
-    phi = np.einsum("...kj,...j->...k", tau, v_cov)
+    phi = np.einsum("...kj,...j->...k", _grid_tangents(xs, shape, axes), v_cov)
 
     return ShiftRecord(
         u_grid=u_grid,
@@ -472,7 +479,6 @@ def run_shift(
         x=xs,
         v=vs,
         phi=phi,
-        tau=tau,
         W_vals=W_vals,
         speed_vals=speed_vals,
         nu_vals=nu_vals,
@@ -535,7 +541,7 @@ def max_normalized_deviation(rec: ShiftRecord, m: MetricField) -> float:
     interior = np.isfinite(rec.phi[..., 0])
     if not interior.any():
         return 0.0
-    tau = rec.tau[interior]
+    tau = _grid_tangents(rec.x, rec.grid_shape, rec.u_axes)[interior]
     g = metric_at(m, rec.x[interior])
     norm = np.sqrt(np.einsum("...ki,...ij,...kj->...k", tau, g, tau))
     ratio = np.abs(rec.phi[interior]) / (rec.speed_vals[interior][:, None] * norm)

@@ -35,6 +35,8 @@ from .errors import (
 
 ASYMMETRY_TOL = 1e-12
 SPEED_FLOOR = 1e-12
+# Base step of every central difference, scaled by the argument's size where used.
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -53,9 +55,7 @@ class MetricField:
         Analytic coordinate derivatives, shape (n, n, n) with layout
         ``dg(x)[m, i, j] = d g_ij / d x^m``.  When absent, derivatives fall
         back to central differences of ``g`` with one Richardson
-        extrapolation level.
-    fd_step : float
-        Step for the finite-difference fallback.
+        extrapolation level, with step ``FD_STEP``.
     stacked : bool
         Whether ``g`` and ``dg`` also take a stack of points (..., n) and
         return (..., n, n) and (..., n, n, n), so a stack costs one call.
@@ -65,7 +65,6 @@ class MetricField:
     dim: int
     g: Callable[[np.ndarray], np.ndarray]
     dg: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fd_step: float = 1e-5
     stacked: bool = False
 
     def __post_init__(self):
@@ -73,8 +72,6 @@ class MetricField:
             raise DimensionTooSmall(
                 f"chart dimension must be at least 3, got {self.dim}"
             )
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
 
 
 class Christoffel(NamedTuple):
@@ -188,13 +185,6 @@ def _metric_cached(m: MetricField, xb: bytes) -> np.ndarray:
     return gmat
 
 
-@lru_cache(maxsize=4096)
-def _inverse_cached(m: MetricField, xb: bytes) -> np.ndarray:
-    ginv = inverse_metric_from(_metric_cached(m, xb), np.frombuffer(xb, dtype=float))
-    ginv.setflags(write=False)
-    return ginv
-
-
 def metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
     """Evaluate the metric matrix at ``x``, one point (n,) or a stack (..., n).
 
@@ -211,10 +201,8 @@ def metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
 
 def inverse_metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
     """Inverse metric g^ij at ``x`` (or a stack), verified by multiplying back."""
-    x = np.ascontiguousarray(x, dtype=float)
-    if x.ndim == 1:
-        return _inverse_cached(m, x.tobytes())
-    return inverse_metric_from(_metric_values(m, x), x)
+    x = np.asarray(x, dtype=float)
+    return inverse_metric_from(metric_at(m, x), x)
 
 
 def metric_derivatives_at(m: MetricField, x: np.ndarray) -> np.ndarray:
@@ -229,7 +217,7 @@ def metric_derivatives_at(m: MetricField, x: np.ndarray) -> np.ndarray:
     if m.dg is not None:
         d = _closure_values(m.dg, x, (n, n, n), "dg", m.stacked)
     else:
-        h = m.fd_step
+        h = FD_STEP
         d = np.empty(x.shape[:-1] + (n, n, n))
         for k in range(n):
             step = np.zeros(n)
@@ -275,37 +263,33 @@ def speed_at(m: MetricField, x: np.ndarray, v: np.ndarray):
     return np.sqrt(np.einsum("...i,...ij,...j->...", v, gmat, v))
 
 
-def unit_direction(
-    m: MetricField, x: np.ndarray, v: np.ndarray, speed_floor: float = SPEED_FLOOR
-) -> Projector:
+def unit_direction(m: MetricField, x: np.ndarray, v: np.ndarray) -> Projector:
     """Unit direction N along ``v`` and the projector P = I - N (x) N.
 
     Takes one state or stacks of states (..., n); for a stack every field
     of the result carries the same leading axes.  Raises
     :class:`ZeroVelocity` when a velocity modulus is at or below
-    ``speed_floor``; the zero section of the tangent bundle is excluded from
+    ``SPEED_FLOOR``; the zero section of the tangent bundle is excluded from
     the theory.
     """
     x = np.asarray(x, dtype=float)
-    return unit_direction_from(metric_at(m, x), x, v, speed_floor)
+    return unit_direction_from(metric_at(m, x), x, v)
 
 
-def unit_direction_from(
-    gmat: np.ndarray, x: np.ndarray, v: np.ndarray, speed_floor: float = SPEED_FLOOR
-) -> Projector:
+def unit_direction_from(gmat: np.ndarray, x: np.ndarray, v: np.ndarray) -> Projector:
     """:func:`unit_direction` from metric values ``gmat`` already taken at ``x``."""
     v = np.asarray(v, dtype=float)
     n = gmat.shape[-1]
     if v.ndim == 1:
         speed = float(np.sqrt(v @ gmat @ v))
-        if speed <= speed_floor:
+        if speed <= SPEED_FLOOR:
             raise ZeroVelocity(f"velocity modulus {speed:.3e} at or below floor at x={x}")
         n_up = v / speed
         n_down = gmat @ n_up
         proj = np.eye(n) - n_up[:, None] * n_down[None, :]
     else:
         speed = np.sqrt(np.einsum("...i,...ij,...j->...", v, gmat, v))
-        slow = np.ravel(speed <= speed_floor)
+        slow = np.ravel(speed <= SPEED_FLOOR)
         if slow.any():
             i = int(np.argmax(slow))
             raise ZeroVelocity(

@@ -392,3 +392,57 @@ class TestCsvWriter:
         cmd_shift(write_config(tmp_path, data), out=tmp_path)
         text = (tmp_path / "nan.trajectories.csv").read_text()
         assert ",nan" in text
+
+
+NAN, INF = float("nan"), float("inf")
+NAN_BOX = [[NAN, 1.25], [0.25, 1.25], [0.25, 1.25]]
+
+
+class TestRejectedInput:
+    """Outside input the CLI cannot use exits 2, names its key and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "command,overrides,options,key",
+        [
+            ("shift", {"run.t_end": INF}, [], "run.t_end"),
+            ("shift", {"run.t_end": 10**400}, [], "run.t_end"),
+            ("shift", {"run.dt": NAN}, [], "run.dt"),
+            ("shift", {"run.tolerance": NAN}, [], "run.tolerance"),
+            ("shift", {"surface.offset": INF}, [], "surface.offset"),
+            ("verify", {"verify.box": NAN_BOX}, [], "verify.box"),
+            ("verify", {"name": "../evil"}, [], "scenario.name"),
+            ("verify", {"name": "{tmp}/evil"}, [], "scenario.name"),
+            ("verify", {"name": "sub/dir"}, [], "scenario.name"),
+            ("verify", {"name": "."}, [], "scenario.name"),
+            ("verify", {"name": ".."}, [], "scenario.name"),
+            ("verify", {}, ["--tolerance", "nan"], "--tolerance"),
+            ("verify", {}, ["--tolerance", "-1"], "--tolerance"),
+            ("shift", {}, ["--tolerance", "nan"], "--tolerance"),
+            ("shift", {}, ["--tolerance", "-1"], "--tolerance"),
+            ("verify", {"seed": -1}, [], "scenario.seed"),
+            ("verify", {}, ["--seed", "-1"], "--seed"),
+        ],
+        ids=[
+            "t_end-infinite", "t_end-past-float-range", "dt-nan", "run-tolerance-nan", "offset-infinite", "verify-box-nan",
+            "name-parent", "name-absolute", "name-subdirectory", "name-dot", "name-dotdot",
+            "verify-tolerance-nan", "verify-tolerance-negative", "shift-tolerance-nan",
+            "shift-tolerance-negative", "seed-negative", "seed-option-negative",
+        ],
+    )
+    def test_exits_2_and_names_the_key(
+        self, tmp_path, monkeypatch, capsys, command, overrides, options, key
+    ):
+        monkeypatch.chdir(tmp_path)
+        data = base_scenario(generator={"kind": "geodesic"})
+        for dotted, value in overrides.items():
+            *sections, field = dotted.split(".")
+            target = data
+            for section in sections:
+                target = target[section]
+            target[field] = value.format(tmp=tmp_path) if isinstance(value, str) else value
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out", str(out), *options]) == 2
+        assert key in capsys.readouterr().err
+        outside = {p for p in tmp_path.rglob("*") if out not in p.parents and p != out}
+        assert outside == {path}

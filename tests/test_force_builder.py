@@ -104,9 +104,8 @@ def generic_generator():
 def strip_closures(gs):
     """Keep only the raw evaluator so every derivative falls back to differencing."""
     return GeneratingScalar(
-        W=IsotropicScalar(eval=gs.W.eval, fd_step=gs.W.fd_step),
+        W=IsotropicScalar(eval=gs.W.eval),
         h=gs.h,
-        wv_floor=gs.wv_floor,
     )
 
 
@@ -592,11 +591,10 @@ class TestForceFieldObjects:
 def component_ansatz(gs, m):
     """The ansatz as one isotropic scalar per coefficient, each wrapping
     compute_a or compute_b: the form the coefficient pack replaces."""
-    a = IsotropicScalar(eval=lambda x, s: compute_a(gs, m, x, s), fd_step=gs.W.fd_step)
+    a = IsotropicScalar(eval=lambda x, s: compute_a(gs, m, x, s))
     b = tuple(
         IsotropicScalar(
             eval=(lambda k: lambda x, s: float(compute_b(gs, m, x, s)[k]))(i),
-            fd_step=gs.W.fd_step,
         )
         for i in range(m.dim)
     )

@@ -34,7 +34,7 @@ from normalshift.normality_verifier import (
     sample_states,
     verify,
 )
-from normalshift.tensor_core import lower_index, speed_at, unit_direction
+from normalshift.tensor_core import inverse_metric_at, lower_index, speed_at, unit_direction
 
 from helpers import (
     diagonal_metric,
@@ -486,7 +486,9 @@ class TestSharedPackPath:
             if mode == "analytic":
                 F, Dv, Dx = ff.eval(m, x, v), ff.dv(m, x, v), ff.nabla(m, x, v)
             else:
-                F, Dv, Dx = normality_verifier._derivative_pack(ff, m, x, v, mode)
+                F, Dv, Dx = normality_verifier._derivative_pack(
+                    ff, m, x, v, mode, inverse_metric_at(m, x)
+                )
             scale = 1.0 + np.max(np.abs(F)) + max(np.max(np.abs(Dv)), np.max(np.abs(Dx)))
             eq_res, lam = residual_eq124(A, m, x, v, mode=mode)
             lambdas.append(lam)

@@ -21,6 +21,7 @@ from normalshift.force_builder import (
     builtin_metrizable,
     coordinate_scalar,
 )
+from normalshift import shift_engine
 from normalshift.shift_engine import (
     GridSpec,
     Hypersurface,
@@ -55,6 +56,13 @@ def metrizable_h0():
 
 def metrizable_hw():
     return builtin_metrizable(coordinate_scalar(0), H=lambda w: w)
+
+
+def pointwise_tangent(rec, i, j, k):
+    """tau_k at grid point i and recorded time j by the fourth-order stencil."""
+    xs, d = rec.x[:, j], int(np.prod(rec.grid_shape[k + 1 :]))
+    spacing = rec.u_axes[k][1] - rec.u_axes[k][0]
+    return (-xs[i + 2 * d] + 8.0 * xs[i + d] - 8.0 * xs[i - d] + xs[i - 2 * d]) / (12.0 * spacing)
 
 
 def small_grid(lo=-0.1, hi=0.1, count=5):
@@ -130,7 +138,6 @@ class TestSurfaceTypes:
                 x=rec.x[:, :-1],
                 v=rec.v,
                 phi=rec.phi,
-                tau=rec.tau,
                 W_vals=rec.W_vals,
                 speed_vals=rec.speed_vals,
                 nu_vals=rec.nu_vals,
@@ -447,20 +454,16 @@ class TestFamilyStep:
             metrizable_hw(), m, sphere_surface(), GridSpec(ranges=((1.3, 1.7, 6), (-0.2, 0.2, 5))),
             t_end=0.02, dt=1e-3, sample_stride=10,
         )
-        strides = (5, 1)
-        spacings = [ax[1] - ax[0] for ax in rec.u_axes]
+        tangents = shift_engine._grid_tangents(rec.x, rec.grid_shape, rec.u_axes)
         for i, idx in enumerate(np.ndindex(*rec.grid_shape)):
             for j in range(rec.times.shape[0]):
                 for k in range(2):
                     if not 2 <= idx[k] <= rec.grid_shape[k] - 3:
-                        assert np.all(np.isnan(rec.tau[i, j, k])) and np.isnan(rec.phi[i, j, k])
+                        assert np.all(np.isnan(tangents[i, j, k])) and np.isnan(rec.phi[i, j, k])
                         continue
-                    xs, d = rec.x[:, j], strides[k]
-                    tau = (-xs[i + 2 * d] + 8.0 * xs[i + d] - 8.0 * xs[i - d] + xs[i - 2 * d]) / (
-                        12.0 * spacings[k]
-                    )
+                    tau = pointwise_tangent(rec, i, j, k)
                     phi = tau @ metric_at(m, rec.x[i, j]) @ rec.v[i, j]
-                    assert np.allclose(rec.tau[i, j, k], tau, rtol=1e-12, atol=0)
+                    assert np.allclose(tangents[i, j, k], tau, rtol=1e-12, atol=0)
                     assert rec.phi[i, j, k] == pytest.approx(phi, rel=1e-9, abs=1e-15)
 
     def test_max_normalized_deviation_matches_the_point_loop(self):
@@ -477,7 +480,8 @@ class TestFamilyStep:
                     continue
                 g = metric_at(m, rec.x[i, j])
                 for k in range(dim_u):
-                    norm = math.sqrt(float(rec.tau[i, j, k] @ g @ rec.tau[i, j, k]))
+                    tau = pointwise_tangent(rec, i, j, k)
+                    norm = math.sqrt(float(tau @ g @ tau))
                     worst = max(worst, abs(float(rec.phi[i, j, k])) / (rec.speed_vals[i, j] * norm))
         assert worst > 1e-3  # the constant-nu family deviates
         assert max_normalized_deviation(rec, m) == pytest.approx(worst, rel=1e-12, abs=0)
