@@ -542,8 +542,17 @@ def _normality_section(report: NormalityReport) -> dict:
     return section
 
 
+def _output_dir(out: Union[str, Path]) -> Path:
+    """The ``--out`` directory, created if absent; a :class:`ConfigError` if it cannot be."""
+    out_dir = Path(out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {str(out_dir)!r} is not a usable directory: {exc}") from exc
+    return out_dir
+
+
 def _write_bundle(out_dir: Path, name: str, bundle: dict) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.report.json"
     path.write_text(json.dumps(bundle, indent=2, sort_keys=True) + "\n")
     return path
@@ -589,6 +598,7 @@ def cmd_verify(
         sc = load_scenario(config_path)
         if sc.verify is None:
             raise ConfigError("scenario has no verify section")
+        out_dir = _output_dir(out)
         m = build_metric(sc)
         subject = build_subject(sc)
         spec = SampleSpec(
@@ -613,7 +623,7 @@ def cmd_verify(
         "shift_summary": None,
         "provenance": _provenance(config_path),
     }
-    path = _write_bundle(Path(out), f"{sc.name}.verify", bundle)
+    path = _write_bundle(out_dir, f"{sc.name}.verify", bundle)
     for family, value in report.residuals().items():
         flag = "ok" if value <= report.tolerance_used else "FAIL"
         print(f"{family:12s} {value:12.5e}  {flag}")
@@ -641,6 +651,7 @@ def cmd_shift(
             raise ConfigError("scenario needs surface and run sections for a shift")
         if "perturb" in sc.generator:
             raise ConfigError("generator.perturb applies to verification only")
+        out_dir = _output_dir(out)
         m = build_metric(sc)
         gs = build_generator(sc)
         surface = build_surface(sc)
@@ -685,8 +696,6 @@ def cmd_shift(
             print(f"numerical error: {key} is not finite", file=sys.stderr)
             return 3
 
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{sc.name}.trajectories.csv"
     write_trajectory_csv(csv_path, rec)
     bundle = {

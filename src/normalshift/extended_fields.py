@@ -23,7 +23,14 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import EvaluationFailure
-from .tensor_core import FD_STEP, MetricField, christoffel_at, metric_at, speed_at
+from .tensor_core import (
+    FD_STEP,
+    MetricField,
+    central_partials,
+    christoffel_at,
+    metric_at,
+    speed_at,
+)
 
 Array = np.ndarray
 
@@ -78,11 +85,21 @@ def is_stack(x) -> bool:
     return getattr(x, "ndim", 1) > 1
 
 
-def _check_finite(value, what: str):
-    arr = np.asarray(value, dtype=float)
-    if not np.isfinite(arr).all():
-        raise EvaluationFailure(f"{what} evaluated to a non-finite value")
-    return arr
+def check_finite(value, what: str) -> Union[float, Array]:
+    """``value`` as a float when 0-d, else as a float array, once checked finite.
+
+    A non-finite entry raises :class:`EvaluationFailure` naming ``what``.
+    Floats, numpy's included, skip the array conversion: the speed
+    derivatives check one per call on the verify and shift hot paths.
+    """
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float(value)
+    else:
+        arr = np.asarray(value, dtype=float)
+        if np.isfinite(arr).all():
+            return float(arr) if arr.ndim == 0 else arr
+    raise EvaluationFailure(f"{what} evaluated to a non-finite value")
 
 
 def velocity_gradient(phi: ExtendedScalar, m: MetricField, x: Array, v: Array) -> Array:
@@ -90,26 +107,16 @@ def velocity_gradient(phi: ExtendedScalar, m: MetricField, x: Array, v: Array) -
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if phi.dv is not None:
-        return _check_finite(phi.dv(x, v), "velocity gradient")
+        return check_finite(phi.dv(x, v), "velocity gradient")
     h = FD_STEP * max(1.0, float(np.max(np.abs(v))))
-    out = np.empty(m.dim)
-    for k in range(m.dim):
-        e = np.zeros(m.dim)
-        e[k] = h
-        out[k] = (phi.eval(x, v + e) - phi.eval(x, v - e)) / (2.0 * h)
-    return _check_finite(out, "velocity gradient")
+    return check_finite(central_partials(lambda u: phi.eval(x, u), v, h), "velocity gradient")
 
 
-def _x_partials(phi: ExtendedScalar, m: MetricField, x: Array, v: Array) -> Array:
+def _x_partials(phi: ExtendedScalar, x: Array, v: Array) -> Array:
     if phi.dx is not None:
-        return _check_finite(phi.dx(x, v), "x-partials")
+        return check_finite(phi.dx(x, v), "x-partials")
     h = FD_STEP * max(1.0, float(np.max(np.abs(x))))
-    out = np.empty(m.dim)
-    for k in range(m.dim):
-        e = np.zeros(m.dim)
-        e[k] = h
-        out[k] = (phi.eval(x + e, v) - phi.eval(x - e, v)) / (2.0 * h)
-    return _check_finite(out, "x-partials")
+    return check_finite(central_partials(lambda y: phi.eval(y, v), x, h), "x-partials")
 
 
 def spatial_gradient(phi: ExtendedScalar, m: MetricField, x: Array, v: Array) -> Array:
@@ -120,21 +127,11 @@ def spatial_gradient(phi: ExtendedScalar, m: MetricField, x: Array, v: Array) ->
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    raw = _x_partials(phi, m, x, v)
+    raw = _x_partials(phi, x, v)
     gamma = christoffel_at(m, x).gamma
     vgrad = velocity_gradient(phi, m, x, v)
     transport = np.einsum("kmj,j,k->m", gamma, v, vgrad)
     return raw - transport
-
-
-def _finite_derivative(value, what: str) -> Union[float, Array]:
-    """A derivative as a float, or per component as an array, once checked finite."""
-    if isinstance(value, np.ndarray) and value.ndim:
-        return _check_finite(value, what)
-    value = float(value)
-    if not math.isfinite(value):
-        raise EvaluationFailure(f"{what} evaluated to a non-finite value")
-    return value
 
 
 def spatial_gradient_isotropic(
@@ -150,14 +147,9 @@ def spatial_gradient_isotropic(
     if speed <= 0.0:
         raise EvaluationFailure("isotropic gradient needs a positive speed")
     if w.dx is not None:
-        return _check_finite(w.dx(x, speed), "isotropic x-partials")
+        return check_finite(w.dx(x, speed), "isotropic x-partials")
     h = FD_STEP * max(1.0, float(np.max(np.abs(x))))
-    rows = []
-    for k in range(m.dim):
-        e = np.zeros(m.dim)
-        e[k] = h
-        rows.append((w.eval(x + e, speed) - w.eval(x - e, speed)) / (2.0 * h))
-    return _check_finite(rows, "isotropic x-partials")
+    return check_finite(central_partials(lambda y: w.eval(y, speed), x, h), "isotropic x-partials")
 
 
 def isotropic_speed_derivative(
@@ -169,7 +161,7 @@ def isotropic_speed_derivative(
     else:
         h = FD_STEP * max(1.0, abs(speed))
         value = (w.eval(x, speed + h) - w.eval(x, speed - h)) / (2.0 * h)
-    return _finite_derivative(value, "speed derivative")
+    return check_finite(value, "speed derivative")
 
 
 def isotropic_second_speed_derivative(
@@ -187,7 +179,7 @@ def isotropic_second_speed_derivative(
     else:
         h = np.sqrt(FD_STEP) * max(1.0, abs(speed))
         value = (w.eval(x, speed + h) - 2.0 * w.eval(x, speed) + w.eval(x, speed - h)) / h**2
-    return _finite_derivative(value, "second speed derivative")
+    return check_finite(value, "second speed derivative")
 
 
 def velocity_hessian(
@@ -203,21 +195,10 @@ def velocity_hessian(
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if phi.dv2 is not None:
-        hess = _check_finite(phi.dv2(x, v), "fiber Hessian")
+        hess = check_finite(phi.dv2(x, v), "fiber Hessian")
     else:
         h = np.sqrt(FD_STEP) * max(1.0, float(np.max(np.abs(v))))
-        hess = np.empty((m.dim, m.dim))
-        for r in range(m.dim):
-            e = np.zeros(m.dim)
-            e[r] = h
-            coarse = (
-                velocity_gradient(phi, m, x, v + e) - velocity_gradient(phi, m, x, v - e)
-            ) / (2.0 * h)
-            e[r] = 0.5 * h
-            fine = (
-                velocity_gradient(phi, m, x, v + e) - velocity_gradient(phi, m, x, v - e)
-            ) / h
-            hess[r] = (4.0 * fine - coarse) / 3.0
+        hess = central_partials(lambda u: velocity_gradient(phi, m, x, u), v, h, richardson=True)
     if symmetrize:
         hess = 0.5 * (hess + hess.T)
     return hess

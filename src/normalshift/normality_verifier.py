@@ -27,8 +27,8 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from .errors import EvaluationFailure, NormalShiftError
-from .extended_fields import ExtendedScalar, velocity_hessian
+from .errors import NormalShiftError
+from .extended_fields import ExtendedScalar, check_finite, velocity_hessian
 from .force_builder import (
     AnsatzField,
     ForceField,
@@ -47,6 +47,7 @@ from .force_builder import (
 from .tensor_core import (
     FD_STEP,
     MetricField,
+    central_partials,
     christoffel_from,
     inverse_metric_at,
     metric_at,
@@ -136,57 +137,28 @@ class NormalityReport:
         }
 
 
-def _finite(arr: Array, what: str) -> Array:
-    arr = np.asarray(arr, dtype=float)
-    if not np.isfinite(arr).all():
-        raise EvaluationFailure(f"{what} produced a non-finite value")
-    return arr
-
-
-def _force_dv(ff: ForceField, m: MetricField, x: Array, v: Array) -> Array:
-    h = FD_STEP * max(1.0, float(np.max(np.abs(v))))
-    out = np.empty((m.dim, m.dim))
-    for r in range(m.dim):
-        e = np.zeros(m.dim)
-        e[r] = h
-        out[r] = (
-            np.asarray(ff.eval(m, x, v + e), dtype=float)
-            - np.asarray(ff.eval(m, x, v - e), dtype=float)
-        ) / (2.0 * h)
-    return out
-
-
-def _force_dx_raw(ff: ForceField, m: MetricField, x: Array, v: Array) -> Array:
-    h = FD_STEP * max(1.0, float(np.max(np.abs(x))))
-    out = np.empty((m.dim, m.dim))
-    for r in range(m.dim):
-        e = np.zeros(m.dim)
-        e[r] = h
-        out[r] = (
-            np.asarray(ff.eval(m, x + e, v), dtype=float)
-            - np.asarray(ff.eval(m, x - e, v), dtype=float)
-        ) / (2.0 * h)
-    return out
-
-
 def _derivative_pack(
     ff: ForceField, m: MetricField, x: Array, v: Array, mode: str, ginv: Array
 ) -> Tuple[Array, Array, Array]:
     """F with its fiber and covariant spatial derivatives; ``ginv`` is g^-1 at ``x``."""
-    F = _finite(ff.eval(m, x, v), "force field")
+    F = check_finite(ff.eval(m, x, v), "force field")
     analytic = mode == "analytic"
     if analytic and ff.dv is not None:
-        Dv = _finite(ff.dv(m, x, v), "force fiber derivative")
+        Dv = check_finite(ff.dv(m, x, v), "force fiber derivative")
     else:
-        Dv = _finite(_force_dv(ff, m, x, v), "force fiber difference")
+        h = FD_STEP * max(1.0, float(np.max(np.abs(v))))
+        Dv = check_finite(
+            central_partials(lambda u: ff.eval(m, x, u), v, h), "force fiber difference"
+        )
     if analytic and ff.nabla is not None:
-        Dx = _finite(ff.nabla(m, x, v), "force spatial derivative")
+        Dx = check_finite(ff.nabla(m, x, v), "force spatial derivative")
     else:
-        raw = _force_dx_raw(ff, m, x, v)
+        h = FD_STEP * max(1.0, float(np.max(np.abs(x))))
+        raw = central_partials(lambda y: ff.eval(m, y, v), x, h)
         gamma = christoffel_from(ginv, metric_derivatives_at(m, x))
         transport = np.einsum("jri,i,jk->rk", gamma, v, Dv)
         twist = np.einsum("crk,c->rk", gamma, F)
-        Dx = _finite(raw - transport - twist, "force spatial difference")
+        Dx = check_finite(raw - transport - twist, "force spatial difference")
     return F, Dv, Dx
 
 
@@ -279,7 +251,7 @@ def residual_eq124(
         H = velocity_hessian(A, m, x, v)
     else:
         H = velocity_hessian(ExtendedScalar(eval=A.eval), m, x, v)
-    H = _finite(H, "ansatz scalar fiber Hessian")
+    H = check_finite(H, "ansatz scalar fiber Hessian")
     return _eq124(H, unit_direction(m, x, v), inverse_metric_at(m, x), m.dim)
 
 
@@ -290,8 +262,8 @@ def _reduced(c: Array, c_p: Array, grad: Array) -> Tuple[Array, Array]:
     L_b = db + np.outer(b_val, b_p)
     b_residual = L_b.T - L_b
     a_residual = da + b_val * a_p - a_val * b_p
-    _finite(b_residual, "reduced b residual")
-    _finite(a_residual, "reduced a residual")
+    check_finite(b_residual, "reduced b residual")
+    check_finite(a_residual, "reduced a residual")
     return b_residual, a_residual
 
 
@@ -342,14 +314,14 @@ def _pack_derivatives(
     independent (W, h) route.  ``ginv`` is the inverse metric at ``x``.
     """
     gmat = metric_at(m, x)
-    F = _finite(force_from_W(gs, m, x, v), "force field")
-    Dv = _finite(ansatz_force_dv(pr, gmat, v, c, c_p), "force fiber derivative")
-    Dx = _finite(
+    F = check_finite(force_from_W(gs, m, x, v), "force field")
+    Dv = check_finite(ansatz_force_dv(pr, gmat, v, c, c_p), "force fiber derivative")
+    Dx = check_finite(
         ansatz_force_nabla(pr, christoffel_from(ginv, metric_derivatives_at(m, x)), v, c, grad),
         "force spatial derivative",
     )
     c_pp = coefficient_speed_derivative(af, x, pr.speed, order=2)
-    H = _finite(ansatz_fiber_hessian(pr, gmat, v, c_p, c_pp), "ansatz scalar fiber Hessian")
+    H = check_finite(ansatz_fiber_hessian(pr, gmat, v, c_p, c_pp), "ansatz scalar fiber Hessian")
     return F, Dv, Dx, 0.5 * (H + H.T)
 
 
@@ -407,7 +379,7 @@ def verify(
                 F, Dv, Dx, H = _pack_derivatives(subject, af, m, x, v, pr, ginv, c, c_p, grad)
             else:
                 F, Dv, Dx = _derivative_pack(ff, m, x, v, mode, ginv)
-                H = _finite(velocity_hessian(A, m, x, v), "ansatz scalar fiber Hessian")
+                H = check_finite(velocity_hessian(A, m, x, v), "ansatz scalar fiber Hessian")
             scale = 1.0 + float(np.max(np.abs(F))) + max(
                 float(np.max(np.abs(Dv))), float(np.max(np.abs(Dx)))
             )

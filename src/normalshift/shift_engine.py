@@ -37,6 +37,7 @@ from .tensor_core import (
     FD_STEP,
     SPEED_FLOOR,
     MetricField,
+    central_partials,
     christoffel_from,
     inverse_metric_at,
     inverse_metric_from,
@@ -156,23 +157,8 @@ def surface_tangents(s: Hypersurface, u: Array) -> Array:
     u = np.asarray(u, dtype=float)
     if s.du is not None:
         return np.asarray(s.du(u), dtype=float).T
-    h = FD_STEP * max(1.0, float(np.max(np.abs(u))) if u.size else 1.0)
-    dim = np.asarray(s.chart_map(u), dtype=float).shape[0]
-    out = np.empty((s.dim_u, dim))
-    for k in range(s.dim_u):
-        e = np.zeros(s.dim_u)
-        e[k] = h
-        coarse = (
-            np.asarray(s.chart_map(u + e), dtype=float)
-            - np.asarray(s.chart_map(u - e), dtype=float)
-        ) / (2.0 * h)
-        e[k] = 0.5 * h
-        fine = (
-            np.asarray(s.chart_map(u + e), dtype=float)
-            - np.asarray(s.chart_map(u - e), dtype=float)
-        ) / h
-        out[k] = (4.0 * fine - coarse) / 3.0
-    return out
+    h = FD_STEP * max(1.0, float(np.max(np.abs(u))))
+    return central_partials(s.chart_map, u, h, richardson=True)
 
 
 def surface_normal(m: MetricField, s: Hypersurface, u: Array) -> Array:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from normalshift import cli
 from normalshift.cli import (
     Scenario,
     build_metric,
@@ -398,8 +399,59 @@ NAN, INF = float("nan"), float("inf")
 NAN_BOX = [[NAN, 1.25], [0.25, 1.25], [0.25, 1.25]]
 
 
+def with_overrides(data, overrides, tmp_path):
+    """``data`` with each dotted key of ``overrides`` set; ``{tmp}`` in a string is ``tmp_path``."""
+    for dotted, value in overrides.items():
+        *sections, field = dotted.split(".")
+        target = data
+        for section in sections:
+            target = target[section]
+        target[field] = value.format(tmp=tmp_path) if isinstance(value, str) else value
+    return data
+
+
 class TestRejectedInput:
-    """Outside input the CLI cannot use exits 2, names its key and writes nothing."""
+    """Each outcome of the CLI has its exit code and ends without a traceback.
+
+    Outside input the CLI cannot use exits 2, names its key and writes
+    nothing; an uncaught exception would fail the call itself.
+    """
+
+    @pytest.mark.parametrize(
+        "command,overrides,options,code",
+        [
+            ("verify", {"generator": {"kind": "geodesic"}}, [], 0),
+            ("shift", {"run.t_end": 0.05}, ["--force-constant-nu"], 1),
+            # the plane at x1 = 0.05 moves toward -x1, where sqrt(x1) has no value
+            ("shift", {"generator.f": "sqrt(x1)", "surface.offset": 0.05, "surface.axis": 0,
+                       "surface.nu0": -1}, [], 3),
+            ("shift", {"run.box": [[-1.0, 1.0], [-1.0, 1.0], [-0.05, 0.05]]}, [], 4),
+        ],
+        ids=["verify-passes", "shift-constant-nu-fails", "shift-domain-error", "shift-escapes"],
+    )
+    def test_exit_codes(self, tmp_path, capsys, command, overrides, options, code):
+        path = write_config(tmp_path, with_overrides(base_scenario(), overrides, tmp_path))
+        assert main([command, str(path), "--out", str(tmp_path / "out"), *options]) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,compute,out",
+        [("verify", "verify", "afile"), ("shift", "run_shift", "afile/sub")],
+        ids=["verify-out-is-a-file", "shift-out-under-a-file"],
+    )
+    def test_unusable_out_exits_2_before_computing(
+        self, tmp_path, monkeypatch, capsys, command, compute, out
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{compute} ran although --out is unusable")
+
+        monkeypatch.setattr(cli, compute, refuse)
+        path = write_config(tmp_path, base_scenario())
+        (tmp_path / "afile").write_text("kept\n")
+        assert main([command, str(path), "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --out") and "Traceback" not in err
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
     @pytest.mark.parametrize(
         "command,overrides,options,key",
@@ -433,16 +485,11 @@ class TestRejectedInput:
         self, tmp_path, monkeypatch, capsys, command, overrides, options, key
     ):
         monkeypatch.chdir(tmp_path)
-        data = base_scenario(generator={"kind": "geodesic"})
-        for dotted, value in overrides.items():
-            *sections, field = dotted.split(".")
-            target = data
-            for section in sections:
-                target = target[section]
-            target[field] = value.format(tmp=tmp_path) if isinstance(value, str) else value
+        data = with_overrides(base_scenario(generator={"kind": "geodesic"}), overrides, tmp_path)
         path = write_config(tmp_path, data)
         out = tmp_path / "out"
         assert main([command, str(path), "--out", str(out), *options]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
         outside = {p for p in tmp_path.rglob("*") if out not in p.parents and p != out}
         assert outside == {path}

@@ -76,7 +76,7 @@ class TestVelocityGradient:
     def test_non_finite_rejected(self):
         m = euclidean_metric()
         phi = ExtendedScalar(eval=lambda x, v: float("nan"))
-        with pytest.raises(EvaluationFailure):
+        with pytest.raises(EvaluationFailure, match="velocity gradient evaluated to a non-finite"):
             velocity_gradient(phi, m, np.zeros(3), np.ones(3))
 
 

@@ -15,11 +15,14 @@ from normalshift.errors import (
     ZeroVelocity,
 )
 from normalshift.tensor_core import (
+    FD_STEP,
     MetricField,
+    central_partials,
     christoffel_at,
     inverse_metric_at,
     lower_index,
     metric_at,
+    metric_derivatives_at,
     raise_index,
     speed_at,
     unit_direction,
@@ -161,6 +164,60 @@ class TestChristoffel:
         m = wavy_conformal_metric()
         gamma = christoffel_at(m, x).gamma
         assert np.array_equal(gamma, gamma.transpose(0, 2, 1))
+
+
+class TestCentralPartials:
+    """The one central-difference stencil behind every vector derivative."""
+
+    def test_quadratic_is_exact_without_richardson(self):
+        q = np.array([[2.0, 0.5, -1.0], [0.5, 1.0, 0.3], [-1.0, 0.3, 3.0]])
+        b = np.array([0.7, -1.2, 0.4])
+        x = np.array([0.3, -0.8, 1.1])
+        got = central_partials(lambda y: y @ q @ y + b @ y + 5.0, x, 1e-3)
+        assert got.shape == (3,)
+        assert np.allclose(got, 2.0 * q @ x + b, rtol=0, atol=1e-11)
+
+    def test_quartic_is_exact_with_richardson(self):
+        def quartic(y):
+            return y[0] ** 4 + 2.0 * y[1] ** 3 * y[2] - y[0] * y[2] ** 2
+
+        x = np.array([0.9, -0.4, 1.3])
+        want = np.array(
+            [4.0 * x[0] ** 3 - x[2] ** 2, 6.0 * x[1] ** 2 * x[2], 2.0 * x[1] ** 3 - 2.0 * x[0] * x[2]]
+        )
+        h = 1e-2
+        plain = central_partials(quartic, x, h)
+        # the plain stencil keeps the third-derivative term h^2 f^(3) / 6 = 4 h^2 x^1 along x^1
+        assert plain[0] - want[0] == pytest.approx(4.0 * h**2 * x[0], rel=1e-6)
+        assert np.allclose(central_partials(quartic, x, h, richardson=True), want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("richardson", [False, True])
+    def test_stack_gives_the_per_point_rows(self, richardson):
+        def fn(y):
+            return np.sin(y[..., 0] * y[..., 1]) + np.exp(0.3 * y[..., 2])
+
+        xs = np.random.default_rng(41).uniform(-1.0, 1.0, size=(5, 3))
+        got = central_partials(fn, xs, 1e-4, richardson=richardson)
+        assert got.shape == (3, 5)
+        for i, x in enumerate(xs):
+            assert np.array_equal(got[:, i], central_partials(fn, x, 1e-4, richardson=richardson))
+
+    def test_matrix_values_lead_with_the_partial_axis(self):
+        # fn(y) = y y^T + I, so d fn_ij / d y^k = delta_ki y_j + y_i delta_kj
+        def outer(y):
+            return y[..., :, None] * y[..., None, :] + np.eye(3)
+
+        xs = np.random.default_rng(43).uniform(0.5, 1.5, size=(4, 3))
+        got = central_partials(outer, xs, FD_STEP, richardson=True)
+        assert got.shape == (3, 4, 3, 3)
+        eye = np.eye(3)
+        want = (
+            eye[:, None, :, None] * xs[None, :, None, :] + xs[None, :, :, None] * eye[:, None, None, :]
+        )
+        assert np.allclose(got, want, rtol=0, atol=1e-9)
+        # metric derivatives D[..., m, i, j] are this stack with m moved to axis -3
+        m = MetricField(dim=3, g=outer, stacked=True)
+        assert np.allclose(metric_derivatives_at(m, xs), np.moveaxis(want, 0, -3), rtol=0, atol=1e-9)
 
 
 class TestUnitDirection:
