@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -552,10 +552,30 @@ def _output_dir(out: Union[str, Path]) -> Path:
     return out_dir
 
 
-def _write_bundle(out_dir: Path, name: str, bundle: dict) -> Path:
-    path = out_dir / f"{name}.report.json"
-    path.write_text(json.dumps(bundle, indent=2, sort_keys=True) + "\n")
+def _write(path: Path, write: Callable, *args) -> Path:
+    """``write(path, *args)``; an ``OSError`` becomes a :class:`ConfigError` naming ``path``."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
     return path
+
+
+def _write_bundle(out_dir: Path, name: str, bundle: dict) -> Path:
+    text = json.dumps(bundle, indent=2, sort_keys=True) + "\n"
+    return _write(out_dir / f"{name}.report.json", Path.write_text, text)
+
+
+def _exit_code(exc: Exception) -> int:
+    """Print a failure of ``verify`` or ``shift`` to stderr and return its exit code."""
+    if isinstance(exc, TrajectoryEscaped):
+        label, code = "trajectory escaped", 4
+    elif isinstance(exc, (ConfigError, GridTooCoarse, ValueError)):
+        label, code = "configuration error", 2
+    else:
+        label, code = "numerical error", 3
+    print(f"{label}: {exc}", file=sys.stderr)
+    return code
 
 
 def _format_float(value: float) -> str:
@@ -610,20 +630,16 @@ def cmd_verify(
             tolerance=tolerance if tolerance is not None else sc.verify.get("tolerance"),
         )
         report = verify(subject, m, spec)
-    except (ConfigError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except NormalShiftError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
+        bundle = {
+            "name": sc.name,
+            "normality": _normality_section(report),
+            "shift_summary": None,
+            "provenance": _provenance(config_path),
+        }
+        path = _write_bundle(out_dir, f"{sc.name}.verify", bundle)
+    except (NormalShiftError, ValueError) as exc:
+        return _exit_code(exc)
 
-    bundle = {
-        "name": sc.name,
-        "normality": _normality_section(report),
-        "shift_summary": None,
-        "provenance": _provenance(config_path),
-    }
-    path = _write_bundle(out_dir, f"{sc.name}.verify", bundle)
     for family, value in report.residuals().items():
         flag = "ok" if value <= report.tolerance_used else "FAIL"
         print(f"{family:12s} {value:12.5e}  {flag}")
@@ -671,40 +687,31 @@ def cmd_shift(
         w_dyn = w_dynamics_residual(rec, gs)
         spread = float(np.max(surface_constancy_residual(rec)))
         speed_law = speed_law_residual(rec, as_force_field(gs), m)
-    except TrajectoryEscaped as exc:
-        print(f"trajectory escaped: {exc}", file=sys.stderr)
-        return 4
-    except (ConfigError, GridTooCoarse, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except NormalShiftError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
+        default_tol = float(sc.run.get("tolerance", DEFAULT_SHIFT_TOLERANCE))
+        tol = tolerance if tolerance is not None else default_tol
+        summary = {
+            "max_norm_phi": max_phi,
+            "w_dyn_residual": w_dyn,
+            "per_time_spread": spread,
+            "speed_law_residual": speed_law,
+            "forced_constant_nu": force_constant_nu,
+            "tolerance": tol,
+            "passed": bool(max_phi < tol and w_dyn < tol),
+        }
+        for key in ("max_norm_phi", "w_dyn_residual", "per_time_spread", "speed_law_residual"):
+            if not math.isfinite(summary[key]):
+                raise NormalShiftError(f"{key} is not finite")
+        csv_path = _write(out_dir / f"{sc.name}.trajectories.csv", write_trajectory_csv, rec)
+        bundle = {
+            "name": sc.name,
+            "normality": None,
+            "shift_summary": summary,
+            "provenance": _provenance(config_path),
+        }
+        bundle_path = _write_bundle(out_dir, f"{sc.name}.shift", bundle)
+    except (NormalShiftError, ValueError) as exc:
+        return _exit_code(exc)
 
-    tol = tolerance if tolerance is not None else float(sc.run.get("tolerance", DEFAULT_SHIFT_TOLERANCE))
-    summary = {
-        "max_norm_phi": max_phi,
-        "w_dyn_residual": w_dyn,
-        "per_time_spread": spread,
-        "speed_law_residual": speed_law,
-        "forced_constant_nu": force_constant_nu,
-        "tolerance": tol,
-        "passed": bool(max_phi < tol and w_dyn < tol),
-    }
-    for key in ("max_norm_phi", "w_dyn_residual", "per_time_spread", "speed_law_residual"):
-        if not math.isfinite(summary[key]):
-            print(f"numerical error: {key} is not finite", file=sys.stderr)
-            return 3
-
-    csv_path = out_dir / f"{sc.name}.trajectories.csv"
-    write_trajectory_csv(csv_path, rec)
-    bundle = {
-        "name": sc.name,
-        "normality": None,
-        "shift_summary": summary,
-        "provenance": _provenance(config_path),
-    }
-    bundle_path = _write_bundle(out_dir, f"{sc.name}.shift", bundle)
     for key in ("max_norm_phi", "w_dyn_residual", "per_time_spread", "speed_law_residual"):
         print(f"{key:20s} {summary[key]:12.5e}")
     print("PASS" if summary["passed"] else "FAIL", f"(tolerance {tol:g})")

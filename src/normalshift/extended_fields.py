@@ -102,7 +102,7 @@ def check_finite(value, what: str) -> Union[float, Array]:
     raise EvaluationFailure(f"{what} evaluated to a non-finite value")
 
 
-def velocity_gradient(phi: ExtendedScalar, m: MetricField, x: Array, v: Array) -> Array:
+def velocity_gradient(phi: ExtendedScalar, x: Array, v: Array) -> Array:
     """Fiber gradient: the covector of partial derivatives d phi / d v^m."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -129,14 +129,12 @@ def spatial_gradient(phi: ExtendedScalar, m: MetricField, x: Array, v: Array) ->
     v = np.asarray(v, dtype=float)
     raw = _x_partials(phi, x, v)
     gamma = christoffel_at(m, x).gamma
-    vgrad = velocity_gradient(phi, m, x, v)
+    vgrad = velocity_gradient(phi, x, v)
     transport = np.einsum("kmj,j,k->m", gamma, v, vgrad)
     return raw - transport
 
 
-def spatial_gradient_isotropic(
-    w: IsotropicScalar, m: MetricField, x: Array, speed: float
-) -> Array:
+def spatial_gradient_isotropic(w: IsotropicScalar, x: Array, speed: float) -> Array:
     """Spatial gradient of a modulus-only field: d W / d x^m at fixed speed.
 
     For this class of fields the connection terms of the full rule cancel,
@@ -182,9 +180,7 @@ def isotropic_second_speed_derivative(
     return check_finite(value, "second speed derivative")
 
 
-def velocity_hessian(
-    phi: ExtendedScalar, m: MetricField, x: Array, v: Array, symmetrize: bool = True
-) -> Array:
+def velocity_hessian(phi: ExtendedScalar, x: Array, v: Array, symmetrize: bool = True) -> Array:
     """Fiber Hessian d^2 phi / d v^r d v^s.
 
     Uses the analytic ``dv2`` closure when present.  Otherwise differences
@@ -198,7 +194,7 @@ def velocity_hessian(
         hess = check_finite(phi.dv2(x, v), "fiber Hessian")
     else:
         h = np.sqrt(FD_STEP) * max(1.0, float(np.max(np.abs(v))))
-        hess = central_partials(lambda u: velocity_gradient(phi, m, x, u), v, h, richardson=True)
+        hess = central_partials(lambda u: velocity_gradient(phi, x, u), v, h, richardson=True)
     if symmetrize:
         hess = 0.5 * (hess + hess.T)
     return hess

@@ -122,17 +122,21 @@ def _wv_checked(gs: GeneratingScalar, x: Array, speed: float) -> float:
     return wv
 
 
+def _generator_terms(gs: GeneratingScalar, x: Array, speed: float):
+    """W_v, h(W) and the fixed-speed gradient dW/dx at one state."""
+    wv = _wv_checked(gs, x, speed)
+    hw = float(gs.h(gs.W.eval(x, speed)))
+    return wv, hw, spatial_gradient_isotropic(gs.W, x, speed)
+
+
 def coefficient_pack(gs: GeneratingScalar, m: MetricField, x: Array, v_speed: float) -> Array:
     """The coefficient pack (a, b_1, ..., b_n) at fixed speed, as one vector.
 
     a = h(W) / W_v and b_k = -(dW/dx^k) / W_v share one W_v (checked
     against ``WV_FLOOR``), one h(W) and one spatial gradient.
     """
-    x = np.asarray(x, dtype=float)
-    wv = _wv_checked(gs, x, v_speed)
-    a = float(gs.h(gs.W.eval(x, v_speed))) / wv
-    b = -spatial_gradient_isotropic(gs.W, m, x, v_speed) / wv
-    return np.concatenate(([a], b))
+    wv, hw, grad = _generator_terms(gs, np.asarray(x, dtype=float), v_speed)
+    return np.concatenate(([hw / wv], -grad / wv))
 
 
 def compute_b(gs: GeneratingScalar, m: MetricField, x: Array, v_speed: float) -> Array:
@@ -167,9 +171,9 @@ def coefficient_speed_derivative(
 def coefficient_gradient(af: AnsatzField, m: MetricField, x: Array, speed: float) -> Array:
     """Fixed-speed x-derivatives, ``out[r, c] = d coefficient_c / d x^r``."""
     if af.pack is not None:
-        return spatial_gradient_isotropic(af.pack, m, x, speed)
+        return spatial_gradient_isotropic(af.pack, x, speed)
     return np.stack(
-        [spatial_gradient_isotropic(c, m, x, speed) for c in (af.a,) + af.b], axis=1
+        [spatial_gradient_isotropic(c, x, speed) for c in (af.a,) + af.b], axis=1
     )
 
 
@@ -189,15 +193,8 @@ def force_from_A(A: ExtendedScalar, m: MetricField, x: Array, v: Array) -> Array
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     pr = unit_direction(m, x, v)
-    grad = velocity_gradient(A, m, x, v)
+    grad = velocity_gradient(A, x, v)
     return float(A.eval(x, v)) * pr.N_down - pr.speed * (grad @ pr.P)
-
-
-def _generator_terms(gs: GeneratingScalar, m: MetricField, x: Array, speed: float):
-    """W_v, h(W) and the fixed-speed gradient dW/dx at one state."""
-    wv = _wv_checked(gs, x, speed)
-    hw = float(gs.h(gs.W.eval(x, speed)))
-    return wv, hw, spatial_gradient_isotropic(gs.W, m, x, speed)
 
 
 def _first_state(mask: Array, x: Array, speed: Array) -> Tuple[int, str]:
@@ -254,12 +251,12 @@ def force_from_direction(gs: GeneratingScalar, m: MetricField, x: Array, pr: Pro
     x = np.asarray(x, dtype=float)
     w = gs.W
     if x.ndim == 1:
-        wv, hw, grad = _generator_terms(gs, m, x, pr.speed)
+        wv, hw, grad = _generator_terms(gs, x, pr.speed)
     elif w.stacked and w.dx is not None and w.dspeed is not None:
         wv, hw, grad = _stacked_generator_terms(gs, x, pr.speed)
     else:
         terms = [
-            _generator_terms(gs, m, xi, float(si))
+            _generator_terms(gs, xi, float(si))
             for xi, si in zip(x.reshape(-1, m.dim), np.ravel(pr.speed))
         ]
         wv, hw, grad = (np.array(part) for part in zip(*terms))
@@ -320,18 +317,15 @@ def ansatz_force_dv(pr: Projector, gmat: Array, v: Array, c: Array, c_p: Array) 
     s = pr.speed
     big_b = float(b @ v)
     big_b_p = float(b_p @ v)
+    n_col = pr.N_down[:, None]
     p_down = gmat - np.outer(pr.N_down, pr.N_down)
-    n = pr.N_down.shape[0]
-    out = np.empty((n, n))
-    for r in range(n):
-        out[r] = (
-            (a_p + 2.0 * big_b_p) * pr.N_down[r] * pr.N_down
-            + 2.0 * b[r] * pr.N_down
-            + (a + 2.0 * big_b) * p_down[:, r] / s
-            - pr.N_down[r] * b
-            - s * b_p * pr.N_down[r]
-        )
-    return out
+    return (
+        (a_p + 2.0 * big_b_p) * n_col * pr.N_down
+        + 2.0 * b[:, None] * pr.N_down
+        + (a + 2.0 * big_b) * p_down.T / s
+        - n_col * b
+        - s * b_p * n_col
+    )
 
 
 def ansatz_force_nabla(
@@ -342,11 +336,7 @@ def ansatz_force_nabla(
     da = grad[:, 0]
     # db[r, k] = covariant x^r-derivative of the covector b_k at fixed speed
     db = grad[:, 1:] - np.einsum("crk,c->rk", gamma, c[1:])
-    n = pr.N_down.shape[0]
-    out = np.empty((n, n))
-    for r in range(n):
-        out[r] = da[r] * pr.N_down + 2.0 * float(db[r] @ v) * pr.N_down - s * db[r]
-    return out
+    return da[:, None] * pr.N_down + 2.0 * (db @ v)[:, None] * pr.N_down - s * db
 
 
 def ansatz_scalar(af: AnsatzField, m: MetricField) -> ExtendedScalar:

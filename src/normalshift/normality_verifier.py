@@ -20,7 +20,7 @@ correction Gamma^c_{rk} F_c from the raw partial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -111,30 +111,14 @@ class NormalityReport:
     passed: bool
 
     def __post_init__(self):
-        values = (
-            self.r_weak1,
-            self.r_weak2,
-            self.r_add1,
-            self.r_add2,
-            self.r_eq124,
-            self.r_reduced_b,
-            self.r_reduced_a,
-        )
-        if not all(np.isfinite(r) and r >= 0.0 for r in values):
+        if not all(np.isfinite(r) and r >= 0.0 for r in self.residuals().values()):
             raise ValueError("residual sup-norms must be finite and nonnegative")
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
 
     def residuals(self) -> dict:
-        return {
-            "r_weak1": self.r_weak1,
-            "r_weak2": self.r_weak2,
-            "r_add1": self.r_add1,
-            "r_add2": self.r_add2,
-            "r_eq124": self.r_eq124,
-            "r_reduced_b": self.r_reduced_b,
-            "r_reduced_a": self.r_reduced_a,
-        }
+        """The seven sup-norms, the ``r_`` fields, by name in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name.startswith("r_")}
 
 
 def _derivative_pack(
@@ -162,7 +146,12 @@ def _derivative_pack(
     return F, Dv, Dx
 
 
-def _weak1(F: Array, Dv: Array, pr) -> Array:
+# The four equation kernels share one signature, the state's F, Dv, Dx,
+# unit direction and inverse metric, so the point residuals and ``verify``
+# can apply them alike.
+
+
+def _weak1(F: Array, Dv: Array, Dx: Array, pr, ginv: Array) -> Array:
     grad_a = (pr.P.T @ F) / pr.speed + Dv @ pr.N_up
     return (F / pr.speed + grad_a) @ pr.P
 
@@ -174,48 +163,50 @@ def _weak2(F: Array, Dv: Array, Dx: Array, pr, ginv: Array) -> Array:
     return (sym + drift) @ pr.P
 
 
-def _additional1(F: Array, Dv: Array, Dx: Array, pr) -> Array:
+def _additional1(F: Array, Dv: Array, Dx: Array, pr, ginv: Array) -> Array:
     along = pr.N_up @ Dv
     K = np.outer(F, along) / pr.speed - Dx
     G = pr.P.T @ K @ pr.P
     return G - G.T
 
 
-def _additional2(Dv: Array, pr, ginv: Array, dim: int) -> Array:
+def _additional2(F: Array, Dv: Array, Dx: Array, pr, ginv: Array) -> Array:
     dv_up = Dv @ ginv
     M = pr.P.T @ dv_up @ pr.P.T
-    return M.T - (np.trace(M) / (dim - 1)) * pr.P
+    return M.T - (np.trace(M) / (ginv.shape[0] - 1)) * pr.P
+
+
+_EQUATIONS = (_weak1, _weak2, _additional1, _additional2)
+
+
+def _point_pack(ff: ForceField, m: MetricField, x: Array, v: Array, mode: str) -> tuple:
+    """The arguments of an equation kernel at one state: F, Dv, Dx, the unit
+    direction and g^-1."""
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    ginv = inverse_metric_at(m, x)
+    return (*_derivative_pack(ff, m, x, v, mode, ginv), unit_direction(m, x, v), ginv)
 
 
 def residual_weak1(
     F: ForceField, m: MetricField, x: Array, v: Array, *, mode: str = "analytic"
 ) -> Array:
     """First weak equation: sum_i (F_i/|v| + d(N^j F_j)/dv^i) P^i_k."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    Fv, Dv, _ = _derivative_pack(F, m, x, v, mode, inverse_metric_at(m, x))
-    return _weak1(Fv, Dv, unit_direction(m, x, v))
+    return _weak1(*_point_pack(F, m, x, v, mode))
 
 
 def residual_weak2(
     F: ForceField, m: MetricField, x: Array, v: Array, *, mode: str = "analytic"
 ) -> Array:
     """Second weak equation, mixing covariant spatial and fiber gradients."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    ginv = inverse_metric_at(m, x)
-    Fv, Dv, Dx = _derivative_pack(F, m, x, v, mode, ginv)
-    return _weak2(Fv, Dv, Dx, unit_direction(m, x, v), ginv)
+    return _weak2(*_point_pack(F, m, x, v, mode))
 
 
 def residual_additional1(
     F: ForceField, m: MetricField, x: Array, v: Array, *, mode: str = "analytic"
 ) -> Array:
     """First additional condition, antisymmetrized over the two projections."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    Fv, Dv, Dx = _derivative_pack(F, m, x, v, mode, inverse_metric_at(m, x))
-    return _additional1(Fv, Dv, Dx, unit_direction(m, x, v))
+    return _additional1(*_point_pack(F, m, x, v, mode))
 
 
 def residual_additional2(
@@ -223,16 +214,12 @@ def residual_additional2(
 ) -> Array:
     """Second additional condition: the projected fiber gradient of F^i must
     be a multiple of the projector; returns the trace-free part."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    ginv = inverse_metric_at(m, x)
-    _, Dv, _ = _derivative_pack(F, m, x, v, mode, ginv)
-    return _additional2(Dv, unit_direction(m, x, v), ginv, m.dim)
+    return _additional2(*_point_pack(F, m, x, v, mode))
 
 
-def _eq124(H: Array, pr, ginv: Array, dim: int) -> Tuple[Array, float]:
+def _eq124(H: Array, pr, ginv: Array) -> Tuple[Array, float]:
     p_up = ginv - np.outer(pr.N_up, pr.N_up)
-    lam = float(np.einsum("rs,rs->", p_up, H)) / (dim - 1)
+    lam = float(np.einsum("rs,rs->", p_up, H)) / (ginv.shape[0] - 1)
     return pr.P.T @ H @ p_up - lam * pr.P.T, lam
 
 
@@ -248,11 +235,11 @@ def residual_eq124(
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if mode == "analytic":
-        H = velocity_hessian(A, m, x, v)
+        H = velocity_hessian(A, x, v)
     else:
-        H = velocity_hessian(ExtendedScalar(eval=A.eval), m, x, v)
+        H = velocity_hessian(ExtendedScalar(eval=A.eval), x, v)
     H = check_finite(H, "ansatz scalar fiber Hessian")
-    return _eq124(H, unit_direction(m, x, v), inverse_metric_at(m, x), m.dim)
+    return _eq124(H, unit_direction(m, x, v), inverse_metric_at(m, x))
 
 
 def _reduced(c: Array, c_p: Array, grad: Array) -> Tuple[Array, Array]:
@@ -338,9 +325,12 @@ def verify(
     A = sum_i N^i F_i and the reduced systems are skipped (reported as 0).
     For a generating pair each sample evaluates the coefficient pack once,
     and the analytic derivatives and reduced residuals all read it.
-    Raw residuals at each sample are divided by 1 + max|F| + max of the
-    derivative magnitudes, making the tolerances scale-free.  A package
-    error at a sample keeps its type and names the sample's index and state.
+    Each sample adds one row to a table of the seven residual families,
+    in the field order of :class:`NormalityReport`: the sup-norm of each
+    raw residual divided by 1 + max|F| + max of the derivative magnitudes,
+    making the tolerances scale-free.  The report's sup-norms are the
+    column maxima of that table.  A package error at a sample keeps its
+    type and names the sample's index and state.
     """
     mode = sampler.mode
     if isinstance(subject, GeneratingScalar):
@@ -357,15 +347,7 @@ def verify(
 
         A = ExtendedScalar(eval=a_eval)
 
-    worst = {
-        "weak1": 0.0,
-        "weak2": 0.0,
-        "add1": 0.0,
-        "add2": 0.0,
-        "eq124": 0.0,
-        "red_b": 0.0,
-        "red_a": 0.0,
-    }
+    rows = []
     lambdas = []
     for i, (x, v) in enumerate(sample_states(sampler, m)):
         try:
@@ -379,45 +361,24 @@ def verify(
                 F, Dv, Dx, H = _pack_derivatives(subject, af, m, x, v, pr, ginv, c, c_p, grad)
             else:
                 F, Dv, Dx = _derivative_pack(ff, m, x, v, mode, ginv)
-                H = check_finite(velocity_hessian(A, m, x, v), "ansatz scalar fiber Hessian")
+                H = check_finite(velocity_hessian(A, x, v), "ansatz scalar fiber Hessian")
             scale = 1.0 + float(np.max(np.abs(F))) + max(
                 float(np.max(np.abs(Dv))), float(np.max(np.abs(Dx)))
             )
-            worst["weak1"] = max(
-                worst["weak1"], float(np.max(np.abs(_weak1(F, Dv, pr)))) / scale
-            )
-            worst["weak2"] = max(
-                worst["weak2"], float(np.max(np.abs(_weak2(F, Dv, Dx, pr, ginv)))) / scale
-            )
-            worst["add1"] = max(
-                worst["add1"], float(np.max(np.abs(_additional1(F, Dv, Dx, pr)))) / scale
-            )
-            worst["add2"] = max(
-                worst["add2"],
-                float(np.max(np.abs(_additional2(Dv, pr, ginv, m.dim)))) / scale,
-            )
-            eq_res, lam = _eq124(H, pr, ginv, m.dim)
+            eq_res, lam = _eq124(H, pr, ginv)
+            reduced = _reduced(c, c_p, grad) if af is not None else (0.0, 0.0)
+            raw = [kernel(F, Dv, Dx, pr, ginv) for kernel in _EQUATIONS] + [eq_res, *reduced]
+            rows.append([float(np.max(np.abs(r))) / scale for r in raw])
             lambdas.append(lam)
-            worst["eq124"] = max(worst["eq124"], float(np.max(np.abs(eq_res))) / scale)
-            if af is not None:
-                b_res, a_res = _reduced(c, c_p, grad)
-                worst["red_b"] = max(worst["red_b"], float(np.max(np.abs(b_res))) / scale)
-                worst["red_a"] = max(worst["red_a"], float(np.max(np.abs(a_res))) / scale)
         except NormalShiftError as exc:
             raise type(exc)(f"sample {i} at x = {x.tolist()}, v = {v.tolist()}: {exc}") from exc
 
+    worst = np.max(rows, axis=0)
     tol = sampler.resolved_tolerance()
-    passed = all(value <= tol for value in worst.values())
     return NormalityReport(
-        r_weak1=worst["weak1"],
-        r_weak2=worst["weak2"],
-        r_add1=worst["add1"],
-        r_add2=worst["add2"],
-        r_eq124=worst["eq124"],
-        r_reduced_b=worst["red_b"],
-        r_reduced_a=worst["red_a"],
+        *worst.tolist(),
         lambda_samples=np.array(lambdas),
         sample_count=sampler.count,
         tolerance_used=tol,
-        passed=passed,
+        passed=bool(np.all(worst <= tol)),
     )

@@ -454,6 +454,19 @@ class TestRejectedInput:
         assert (tmp_path / "afile").read_text() == "kept\n"
 
     @pytest.mark.parametrize(
+        "command,blocked",
+        [("verify", "case.verify.report.json"), ("shift", "case.trajectories.csv")],
+        ids=["verify-report-is-a-directory", "shift-csv-is-a-directory"],
+    )
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command, blocked):
+        path = write_config(tmp_path, with_overrides(base_scenario(), {"run.t_end": 0.05}, tmp_path))
+        (tmp_path / "out" / blocked).mkdir(parents=True)
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot write")
+        assert str(tmp_path / "out" / blocked) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "command,overrides,options,key",
         [
             ("shift", {"run.t_end": INF}, [], "run.t_end"),

@@ -44,16 +44,14 @@ def lifted_speed_field():
 
 class TestVelocityGradient:
     def test_quadratic_speed(self):
-        m = euclidean_metric()
         phi = ExtendedScalar(eval=lambda x, v: float(v @ v))
-        got = velocity_gradient(phi, m, np.zeros(3), np.array([1.0, 2.0, 0.0]))
+        got = velocity_gradient(phi, np.zeros(3), np.array([1.0, 2.0, 0.0]))
         assert np.allclose(got, [2.0, 4.0, 0.0], atol=1e-9)
 
     def test_linear_field_returns_coefficients(self):
-        m = euclidean_metric()
         b = np.array([0.3, -1.2, 0.7])
         phi = ExtendedScalar(eval=lambda x, v: float(b @ v))
-        got = velocity_gradient(phi, m, np.ones(3), np.array([2.0, 1.0, -1.0]))
+        got = velocity_gradient(phi, np.ones(3), np.array([2.0, 1.0, -1.0]))
         assert np.allclose(got, b, atol=1e-10)
 
     @pytest.mark.parametrize("analytic", [True, False])
@@ -68,16 +66,15 @@ class TestVelocityGradient:
         for _ in range(10):
             x = random_point(rng, BOX)
             v = random_velocity(rng, m, x)
-            got = velocity_gradient(phi, m, x, v)
+            got = velocity_gradient(phi, x, v)
             want = unit_direction(m, x, v).N_down
             tol = 1e-12 if analytic else 1e-7
             assert np.max(np.abs(got - want)) < tol
 
     def test_non_finite_rejected(self):
-        m = euclidean_metric()
         phi = ExtendedScalar(eval=lambda x, v: float("nan"))
         with pytest.raises(EvaluationFailure, match="velocity gradient evaluated to a non-finite"):
-            velocity_gradient(phi, m, np.zeros(3), np.ones(3))
+            velocity_gradient(phi, np.zeros(3), np.ones(3))
 
 
 class TestSpatialGradient:
@@ -108,31 +105,27 @@ class TestSpatialGradient:
 
 class TestIsotropicGradient:
     def test_no_x_dependence(self):
-        m = euclidean_metric()
         w = IsotropicScalar(eval=lambda x, s: s)
-        got = spatial_gradient_isotropic(w, m, np.ones(3), 1.3)
+        got = spatial_gradient_isotropic(w, np.ones(3), 1.3)
         assert np.max(np.abs(got)) < 1e-10
 
     def test_exponential_generator(self):
         # W = v exp(-x^1): dW/dx = (-v exp(-x^1), 0, 0)
-        m = euclidean_metric()
         w = IsotropicScalar(eval=lambda x, s: s * np.exp(-x[0]))
         x = np.array([0.4, 2.0, -1.0])
-        got = spatial_gradient_isotropic(w, m, x, 1.7)
+        got = spatial_gradient_isotropic(w, x, 1.7)
         want = np.array([-1.7 * np.exp(-0.4), 0.0, 0.0])
         assert np.allclose(got, want, atol=1e-8)
 
     def test_additive_coordinate(self):
-        m = euclidean_metric()
         w = IsotropicScalar(eval=lambda x, s: x[0] + s)
-        got = spatial_gradient_isotropic(w, m, np.zeros(3), 0.9)
+        got = spatial_gradient_isotropic(w, np.zeros(3), 0.9)
         assert np.allclose(got, [1.0, 0.0, 0.0], atol=1e-9)
 
     def test_positive_speed_required(self):
-        m = euclidean_metric()
         w = IsotropicScalar(eval=lambda x, s: s)
         with pytest.raises(EvaluationFailure):
-            spatial_gradient_isotropic(w, m, np.zeros(3), 0.0)
+            spatial_gradient_isotropic(w, np.zeros(3), 0.0)
 
 
 def wavy_isotropic():
@@ -167,7 +160,7 @@ class TestCancellation:
             v = random_velocity(rng, m, x)
             speed = unit_direction(m, x, v).speed
             long_route = spatial_gradient(phi, m, x, v)
-            short_route = spatial_gradient_isotropic(wavy_isotropic(), m, x, speed)
+            short_route = spatial_gradient_isotropic(wavy_isotropic(), x, speed)
             assert np.max(np.abs(long_route - short_route)) < 1e-6
 
 
@@ -182,9 +175,9 @@ class TestAnalyticVsFiniteDifference:
         w = wavy_isotropic()
         analytic = lift_isotropic(w, m)
         fd = ExtendedScalar(eval=analytic.eval)
-        for op in (velocity_gradient, spatial_gradient):
-            ga = op(analytic, m, x, v)
-            gf = op(fd, m, x, v)
+        for op in (velocity_gradient, lambda phi, x, v: spatial_gradient(phi, m, x, v)):
+            ga = op(analytic, x, v)
+            gf = op(fd, x, v)
             assert np.max(np.abs(ga - gf)) < 1e-6
 
     def test_speed_derivatives_agree(self):
@@ -202,10 +195,9 @@ class TestAnalyticVsFiniteDifference:
 
 class TestVelocityHessian:
     def test_quadratic_exact(self):
-        m = euclidean_metric()
         q = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.3], [0.0, -0.3, 4.0]])
         phi = ExtendedScalar(eval=lambda x, v: float(v @ q @ v))
-        got = velocity_hessian(phi, m, np.zeros(3), np.array([0.3, 0.8, -0.4]))
+        got = velocity_hessian(phi, np.zeros(3), np.array([0.3, 0.8, -0.4]))
         assert np.allclose(got, 2.0 * q, atol=1e-6)
 
     def test_mixed_partials_commute(self):
@@ -215,14 +207,13 @@ class TestVelocityHessian:
         for _ in range(5):
             x = random_point(rng, BOX)
             v = random_velocity(rng, m, x)
-            raw = velocity_hessian(phi, m, x, v, symmetrize=False)
+            raw = velocity_hessian(phi, x, v, symmetrize=False)
             assert np.max(np.abs(raw - raw.T)) < 1e-6
 
     def test_analytic_closure_used(self):
-        m = euclidean_metric()
         marker = np.full((3, 3), 7.0)
         phi = ExtendedScalar(
             eval=lambda x, v: 0.0, dv2=lambda x, v: marker.copy()
         )
-        got = velocity_hessian(phi, m, np.zeros(3), np.ones(3))
+        got = velocity_hessian(phi, np.zeros(3), np.ones(3))
         assert np.array_equal(got, marker)

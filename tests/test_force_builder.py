@@ -54,6 +54,7 @@ from helpers import (
 )
 
 BOX = [[0.25, 1.25], [0.25, 1.25], [0.25, 1.25]]
+BOX_COORD = st.floats(0.25, 1.25)
 
 
 def speed_scalar():
@@ -364,8 +365,8 @@ class TestAnsatzScalar:
             x = random_point(rng, BOX)
             v = random_velocity(rng, m, x)
             assert np.allclose(
-                velocity_gradient(A, m, x, v),
-                velocity_gradient(bare, m, x, v),
+                velocity_gradient(A, x, v),
+                velocity_gradient(bare, x, v),
                 atol=1e-6,
             )
 
@@ -379,8 +380,8 @@ class TestAnsatzScalar:
             x = random_point(rng, BOX)
             v = random_velocity(rng, m, x)
             assert np.allclose(
-                velocity_hessian(A, m, x, v),
-                velocity_hessian(bare, m, x, v),
+                velocity_hessian(A, x, v),
+                velocity_hessian(bare, x, v),
                 atol=1e-5,
             )
 
@@ -437,6 +438,41 @@ class TestGauge:
             assert np.allclose(
                 force_from_W(gs, m, x, v), force_from_W(out, m, x, v), atol=1e-8
             )
+
+    @seed(47)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gauge=st.one_of(
+            st.builds(
+                lambda size, sign, beta: GaugeMap(
+                    fn=lambda w: sign * size * w + beta,
+                    inverse=lambda w: (w - beta) / (sign * size),
+                    derivative=lambda w: sign * size,
+                ),
+                st.floats(0.2, 3.0),
+                st.sampled_from([1.0, -1.0]),
+                st.floats(-2.0, 2.0),
+            ),
+            st.just(GaugeMap(fn=math.exp, inverse=math.log, derivative=math.exp)),
+        ),
+        point=st.tuples(BOX_COORD, BOX_COORD, BOX_COORD),
+        direction=st.tuples(*(st.floats(-1.0, 1.0),) * 3).filter(
+            lambda d: max(abs(c) for c in d) > 0.1
+        ),
+        speed=st.floats(0.5, 2.0),
+    )
+    def test_monotone_gauges_leave_force_unchanged(self, gauge, point, direction, speed):
+        m = wavy_conformal_metric()
+        gs = generic_generator()
+        x = np.array(point)
+        raw = np.array(direction)
+        v = raw * (speed / speed_at(m, x, raw))
+        np.testing.assert_allclose(
+            force_from_W(gauge_transform(gs, gauge), m, x, v),
+            force_from_W(gs, m, x, v),
+            rtol=0.0,
+            atol=1e-9,
+        )
 
     def test_sign_changing_derivative_rejected(self):
         gs = generic_generator()
@@ -605,8 +641,6 @@ PACK_GENERATORS = {
     "metrizable": builtin_metrizable(coordinate_scalar(0), H=lambda w: w),
     "nonmetrizable": builtin_nonmetrizable(coordinate_scalar(0), lambda s: s**3),
 }
-
-BOX_COORD = st.floats(0.25, 1.25)
 
 
 class TestCoefficientPack:

@@ -469,21 +469,33 @@ class TestSharedPackPath:
     @pytest.mark.parametrize(
         "make",
         [lambda: builtin_metrizable(coordinate_scalar(0), H=lambda w: w),
-         lambda: builtin_nonmetrizable(coordinate_scalar(0), lambda s: s**3)],
-        ids=["metrizable", "nonmetrizable"],
+         lambda: builtin_nonmetrizable(coordinate_scalar(0), lambda s: s**3),
+         # the benchmark's negative control: a bare ForceField, with no reduced systems
+         lambda: perturbed_field(
+             as_force_field(builtin_metrizable(coordinate_scalar(0), H=lambda w: w)),
+             0,
+             lambda m_, x, v: speed_at(m_, x, v) * x[1],
+         )],
+        ids=["metrizable", "nonmetrizable", "perturbed-control"],
     )
     def test_report_is_max_of_pointwise_residuals(self, make, mode):
         m = wavy_conformal_metric()
-        gs = make()
+        subject = make()
         spec = SampleSpec(box=BOX, count=8, seed=6, mode=mode)
-        report = verify(gs, m, spec)
-        ff = as_force_field(gs)
-        af = ansatz_from_generator(gs, m)
-        A = ansatz_scalar(af, m)
+        report = verify(subject, m, spec)
+        if isinstance(subject, ForceField):
+            ff, af = subject, None
+            A = ExtendedScalar(
+                eval=lambda x, v: float(unit_direction(m, x, v).N_up @ ff.eval(m, x, v))
+            )
+        else:
+            ff = as_force_field(subject)
+            af = ansatz_from_generator(subject, m)
+            A = ansatz_scalar(af, m)
         worst = dict.fromkeys(report.residuals(), 0.0)
         lambdas = []
         for x, v in sample_states(spec, m):
-            if mode == "analytic":
+            if mode == "analytic" and af is not None:
                 F, Dv, Dx = ff.eval(m, x, v), ff.dv(m, x, v), ff.nabla(m, x, v)
             else:
                 F, Dv, Dx = normality_verifier._derivative_pack(
@@ -492,18 +504,20 @@ class TestSharedPackPath:
             scale = 1.0 + np.max(np.abs(F)) + max(np.max(np.abs(Dv)), np.max(np.abs(Dx)))
             eq_res, lam = residual_eq124(A, m, x, v, mode=mode)
             lambdas.append(lam)
-            b_res, a_res = residual_reduced(af, m, x, speed_at(m, x, v))
             raw = {
                 "r_weak1": residual_weak1(ff, m, x, v, mode=mode),
                 "r_weak2": residual_weak2(ff, m, x, v, mode=mode),
                 "r_add1": residual_additional1(ff, m, x, v, mode=mode),
                 "r_add2": residual_additional2(ff, m, x, v, mode=mode),
                 "r_eq124": eq_res,
-                "r_reduced_b": b_res,
-                "r_reduced_a": a_res,
             }
+            if af is not None:
+                b_res, a_res = residual_reduced(af, m, x, speed_at(m, x, v))
+                raw.update(r_reduced_b=b_res, r_reduced_a=a_res)
             for key, value in raw.items():
                 worst[key] = max(worst[key], float(np.max(np.abs(value))) / scale)
         for key, value in report.residuals().items():
             assert value == pytest.approx(worst[key], rel=1e-12, abs=1e-300), key
         np.testing.assert_allclose(report.lambda_samples, lambdas, rtol=1e-12, atol=0.0)
+        if af is None:
+            assert report.r_reduced_b == 0.0 and report.r_reduced_a == 0.0
