@@ -26,9 +26,11 @@ from .errors import EvaluationFailure
 from .tensor_core import (
     FD_STEP,
     MetricField,
+    by_rows,
     central_partials,
     christoffel_at,
     metric_at,
+    per_state,
     speed_at,
 )
 
@@ -102,14 +104,36 @@ def check_finite(value, what: str) -> Union[float, Array]:
     raise EvaluationFailure(f"{what} evaluated to a non-finite value")
 
 
+def fiber_gradient(fn: Callable[[Array], Array], v: Array) -> Array:
+    """Central-difference gradient ``out[..., k] = d fn / d v^k`` of a scalar of velocity.
+
+    The step is FD_STEP times each velocity's size.  ``fn`` is called once
+    on the stack of offsets when ``v`` is a stack (..., n), and once per
+    offset at a single velocity.
+    """
+    h = FD_STEP * np.maximum(1.0, np.max(np.abs(v), axis=-1))
+    grad = np.moveaxis(central_partials(fn, v, h), 0, -1)
+    return check_finite(grad, "velocity gradient")
+
+
+def fiber_hessian(gradient: Callable[[Array], Array], v: Array) -> Array:
+    """``out[..., r, s] = d gradient_s / d v^r`` by central differences.
+
+    The outer step is FD_STEP^(1/2) times each velocity's size, independent
+    of the inner step of ``gradient``, plus one Richardson level so the
+    outer truncation does not dominate.
+    """
+    h = np.sqrt(FD_STEP) * np.maximum(1.0, np.max(np.abs(v), axis=-1))
+    return np.moveaxis(central_partials(gradient, v, h, richardson=True), 0, v.ndim - 1)
+
+
 def velocity_gradient(phi: ExtendedScalar, x: Array, v: Array) -> Array:
     """Fiber gradient: the covector of partial derivatives d phi / d v^m."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if phi.dv is not None:
         return check_finite(phi.dv(x, v), "velocity gradient")
-    h = FD_STEP * max(1.0, float(np.max(np.abs(v))))
-    return check_finite(central_partials(lambda u: phi.eval(x, u), v, h), "velocity gradient")
+    return fiber_gradient(lambda u: phi.eval(x, u), v)
 
 
 def _x_partials(phi: ExtendedScalar, x: Array, v: Array) -> Array:
@@ -134,49 +158,84 @@ def spatial_gradient(phi: ExtendedScalar, m: MetricField, x: Array, v: Array) ->
     return raw - transport
 
 
-def spatial_gradient_isotropic(w: IsotropicScalar, x: Array, speed: float) -> Array:
+def isotropic_call(w: IsotropicScalar, fn: Callable, x: Array, speed) -> Array:
+    """One of ``w``'s closures at one state or a stack of states.
+
+    A ``stacked`` field's closure is called once per stack; any other once
+    per state, through :func:`~normalshift.tensor_core.by_rows`.
+    """
+    if w.stacked or x.ndim == 1:
+        return fn(x, speed)
+    return by_rows(fn, x, speed)
+
+
+def _speed_offsets(w: IsotropicScalar, fn: Callable, x: Array, speed, shifts: tuple) -> Array:
+    """``fn`` at (x, speed + shift) for each shift, in one call: values with
+    the shift axis first."""
+    speeds = np.stack([speed + shift for shift in shifts], axis=-1)
+    at = np.broadcast_to(x[..., None, :], speeds.shape + x.shape[-1:])
+    values = np.asarray(isotropic_call(w, fn, at, speeds), dtype=float)
+    return np.moveaxis(values, x.ndim - 1, 0)
+
+
+def spatial_gradient_isotropic(w: IsotropicScalar, x: Array, speed) -> Array:
     """Spatial gradient of a modulus-only field: d W / d x^m at fixed speed.
 
     For this class of fields the connection terms of the full rule cancel,
     so no Christoffel evaluation is needed.  For a vector-valued field of
     k components the result is (n, k), ``out[r, c] = d W_c / d x^r``.
+    Takes one state or a stack, with the partial axis after the stack's.
     """
     x = np.asarray(x, dtype=float)
-    if speed <= 0.0:
+    if np.any(np.asarray(speed) <= 0.0):
         raise EvaluationFailure("isotropic gradient needs a positive speed")
     if w.dx is not None:
-        return check_finite(w.dx(x, speed), "isotropic x-partials")
-    h = FD_STEP * max(1.0, float(np.max(np.abs(x))))
-    return check_finite(central_partials(lambda y: w.eval(y, speed), x, h), "isotropic x-partials")
+        return check_finite(isotropic_call(w, w.dx, x, speed), "isotropic x-partials")
+    h = FD_STEP * np.maximum(1.0, np.max(np.abs(x), axis=-1))
+
+    def at_offsets(y):
+        if y.ndim == 1:  # one offset of a single state
+            return w.eval(y, speed)
+        speeds = np.broadcast_to(np.asarray(speed)[..., None], y.shape[:-1])
+        return isotropic_call(w, w.eval, y, speeds)
+
+    grad = np.moveaxis(central_partials(at_offsets, x, h), 0, x.ndim - 1)
+    return check_finite(grad, "isotropic x-partials")
 
 
-def isotropic_speed_derivative(
-    w: IsotropicScalar, x: Array, speed: float
-) -> Union[float, Array]:
-    """d W / d speed, analytic when supplied; per component for a vector field."""
+def isotropic_speed_derivative(w: IsotropicScalar, x: Array, speed) -> Union[float, Array]:
+    """d W / d speed, analytic when supplied; per component for a vector field.
+
+    Takes one state or a stack; the difference of a stack is one call of
+    ``w.eval`` on both speed offsets of every state.
+    """
+    x = np.asarray(x, dtype=float)
     if w.dspeed is not None:
-        value = w.dspeed(np.asarray(x, dtype=float), speed)
+        value = isotropic_call(w, w.dspeed, x, speed)
     else:
-        h = FD_STEP * max(1.0, abs(speed))
-        value = (w.eval(x, speed + h) - w.eval(x, speed - h)) / (2.0 * h)
+        h = FD_STEP * np.maximum(1.0, np.abs(speed))
+        plus, minus = _speed_offsets(w, w.eval, x, speed, (h, -h))
+        value = (plus - minus) / (2.0 * per_state(h, plus.ndim - h.ndim))
     return check_finite(value, "speed derivative")
 
 
-def isotropic_second_speed_derivative(
-    w: IsotropicScalar, x: Array, speed: float
-) -> Union[float, Array]:
+def isotropic_second_speed_derivative(w: IsotropicScalar, x: Array, speed) -> Union[float, Array]:
     """d^2 W / d speed^2 by differencing the first derivative.
 
     The outer step is FD_STEP^(1/2) scaled by the speed, which balances
     truncation against the noise of the inner derivative.  A vector field
-    is differenced component-wise with the same steps.
+    is differenced component-wise with the same steps, and a stack with
+    one call of the differenced closure.
     """
+    x = np.asarray(x, dtype=float)
     if w.dspeed is not None:
-        h = FD_STEP * max(1.0, abs(speed))
-        value = (w.dspeed(x, speed + h) - w.dspeed(x, speed - h)) / (2.0 * h)
+        h = FD_STEP * np.maximum(1.0, np.abs(speed))
+        plus, minus = _speed_offsets(w, w.dspeed, x, speed, (h, -h))
+        value = (plus - minus) / (2.0 * per_state(h, plus.ndim - h.ndim))
     else:
-        h = np.sqrt(FD_STEP) * max(1.0, abs(speed))
-        value = (w.eval(x, speed + h) - 2.0 * w.eval(x, speed) + w.eval(x, speed - h)) / h**2
+        h = np.sqrt(FD_STEP) * np.maximum(1.0, np.abs(speed))
+        plus, mid, minus = _speed_offsets(w, w.eval, x, speed, (h, 0.0, -h))
+        value = (plus - 2.0 * mid + minus) / per_state(h, plus.ndim - h.ndim) ** 2
     return check_finite(value, "second speed derivative")
 
 
@@ -184,19 +243,16 @@ def velocity_hessian(phi: ExtendedScalar, x: Array, v: Array, symmetrize: bool =
     """Fiber Hessian d^2 phi / d v^r d v^s.
 
     Uses the analytic ``dv2`` closure when present.  Otherwise differences
-    the velocity gradient with an outer step of FD_STEP^(1/2) times the
-    velocity scale, independent of the inner step, plus one Richardson
-    level so the outer truncation does not dominate.
+    the velocity gradient (:func:`fiber_hessian`).
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if phi.dv2 is not None:
         hess = check_finite(phi.dv2(x, v), "fiber Hessian")
     else:
-        h = np.sqrt(FD_STEP) * max(1.0, float(np.max(np.abs(v))))
-        hess = central_partials(lambda u: velocity_gradient(phi, x, u), v, h, richardson=True)
+        hess = fiber_hessian(lambda u: velocity_gradient(phi, x, u), v)
     if symmetrize:
-        hess = 0.5 * (hess + hess.T)
+        hess = 0.5 * (hess + hess.swapaxes(-1, -2))
     return hess
 
 

@@ -38,12 +38,25 @@ from .extended_fields import (
     ExtendedScalar,
     IsotropicScalar,
     is_stack,
+    isotropic_call,
     isotropic_second_speed_derivative,
     isotropic_speed_derivative,
     spatial_gradient_isotropic,
     velocity_gradient,
 )
-from .tensor_core import MetricField, Projector, christoffel_at, metric_at, unit_direction
+from .tensor_core import (
+    MetricField,
+    Projector,
+    by_rows,
+    christoffel_at,
+    dot,
+    mat_vec,
+    metric_at,
+    outer,
+    per_state,
+    unit_direction,
+    vec_mat,
+)
 
 Array = np.ndarray
 
@@ -96,12 +109,18 @@ class ForceField:
 
     which the residual evaluator uses instead of finite differences when
     present.
+
+    ``stacked`` declares that the closures also take stacks of states
+    (..., n) and return values with those leading axes: (..., n) from
+    ``eval``, (..., n, n) from ``dv`` and ``nabla``.  Stack consumers call
+    unmarked closures once per state.
     """
 
     eval: Callable[[MetricField, Array, Array], Array]
     label: str
     dv: Optional[Callable[[MetricField, Array, Array], Array]] = None
     nabla: Optional[Callable[[MetricField, Array, Array], Array]] = None
+    stacked: bool = False
 
 
 @dataclass(frozen=True)
@@ -129,63 +148,98 @@ def _generator_terms(gs: GeneratingScalar, x: Array, speed: float):
     return wv, hw, spatial_gradient_isotropic(gs.W, x, speed)
 
 
-def coefficient_pack(gs: GeneratingScalar, m: MetricField, x: Array, v_speed: float) -> Array:
+def _terms(gs: GeneratingScalar, x: Array, speed):
+    """W_v, h(W) and dW/dx at one state or a stack of states.
+
+    A ``stacked`` W with ``dx`` and ``dspeed`` goes through its stack path
+    even for one state, as a one-row stack, so a state's terms round alike
+    alone and in a stack; any other W is called once per state.
+    """
+    w = gs.W
+    if w.stacked and w.dx is not None and w.dspeed is not None:
+        if x.ndim > 1:
+            return _stacked_generator_terms(gs, x, np.asarray(speed, dtype=float))
+        wv, hw, grad = _stacked_generator_terms(gs, x[None], np.array([speed], dtype=float))
+        return wv[0], hw[0], grad[0]
+    if x.ndim == 1:
+        return _generator_terms(gs, x, speed)
+
+    def row(xi, si):
+        wv, hw, grad = _generator_terms(gs, xi, si)
+        return np.concatenate(([wv, hw], grad))
+
+    terms = by_rows(row, x, speed)
+    return terms[..., 0], terms[..., 1], terms[..., 2:]
+
+
+def coefficient_pack(gs: GeneratingScalar, x: Array, v_speed) -> Array:
     """The coefficient pack (a, b_1, ..., b_n) at fixed speed, as one vector.
 
     a = h(W) / W_v and b_k = -(dW/dx^k) / W_v share one W_v (checked
-    against ``WV_FLOOR``), one h(W) and one spatial gradient.
+    against ``WV_FLOOR``), one h(W) and one spatial gradient.  Takes one
+    state or a stack of positions with their speeds; the pack is the last
+    axis.
     """
-    wv, hw, grad = _generator_terms(gs, np.asarray(x, dtype=float), v_speed)
-    return np.concatenate(([hw / wv], -grad / wv))
+    wv, hw, grad = _terms(gs, np.asarray(x, dtype=float), v_speed)
+    wv = np.asarray(wv)[..., None]
+    return np.concatenate((np.asarray(hw)[..., None] / wv, -grad / wv), axis=-1)
 
 
-def compute_b(gs: GeneratingScalar, m: MetricField, x: Array, v_speed: float) -> Array:
+def compute_b(gs: GeneratingScalar, x: Array, v_speed: float) -> Array:
     """Covector b_k = -(dW/dx^k) / (dW/dspeed) at fixed speed."""
-    return coefficient_pack(gs, m, x, v_speed)[1:]
+    return coefficient_pack(gs, x, v_speed)[1:]
 
 
-def compute_a(gs: GeneratingScalar, m: MetricField, x: Array, v_speed: float) -> float:
+def compute_a(gs: GeneratingScalar, x: Array, v_speed: float) -> float:
     """Scalar a = h(W) / (dW/dspeed)."""
-    return float(coefficient_pack(gs, m, x, v_speed)[0])
+    return float(coefficient_pack(gs, x, v_speed)[0])
 
 
-def coefficients(af: AnsatzField, x: Array, speed: float) -> Array:
-    """(a, b_1, ..., b_n) at one (x, speed)."""
+# The coefficient helpers take one state or a stack of positions with their
+# speeds; the coefficient index is the last axis of what they return.
+
+
+def coefficients(af: AnsatzField, x: Array, speed) -> Array:
+    """(a, b_1, ..., b_n) at (x, speed)."""
+    x = np.asarray(x, dtype=float)
     if af.pack is not None:
-        return np.asarray(af.pack.eval(x, speed), dtype=float)
-    return np.array([float(c.eval(x, speed)) for c in (af.a,) + af.b])
+        return np.asarray(isotropic_call(af.pack, af.pack.eval, x, speed), dtype=float)
+    return np.stack(
+        [np.asarray(isotropic_call(c, c.eval, x, speed), dtype=float) for c in (af.a,) + af.b],
+        axis=-1,
+    )
 
 
-def coefficient_speed_derivative(
-    af: AnsatzField, x: Array, speed: float, order: int = 1
-) -> Array:
+def coefficient_speed_derivative(af: AnsatzField, x: Array, speed, order: int = 1) -> Array:
     """First (``order=1``) or second speed derivative of every coefficient."""
     derivative = (
         isotropic_speed_derivative if order == 1 else isotropic_second_speed_derivative
     )
     if af.pack is not None:
         return derivative(af.pack, x, speed)
-    return np.array([derivative(c, x, speed) for c in (af.a,) + af.b])
+    return np.stack([derivative(c, x, speed) for c in (af.a,) + af.b], axis=-1)
 
 
-def coefficient_gradient(af: AnsatzField, m: MetricField, x: Array, speed: float) -> Array:
-    """Fixed-speed x-derivatives, ``out[r, c] = d coefficient_c / d x^r``."""
+def coefficient_gradient(af: AnsatzField, x: Array, speed) -> Array:
+    """Fixed-speed x-derivatives, ``out[..., r, c] = d coefficient_c / d x^r``."""
     if af.pack is not None:
         return spatial_gradient_isotropic(af.pack, x, speed)
-    return np.stack(
-        [spatial_gradient_isotropic(c, x, speed) for c in (af.a,) + af.b], axis=1
-    )
+    return np.stack([spatial_gradient_isotropic(c, x, speed) for c in (af.a,) + af.b], axis=-1)
 
 
-def ansatz_A(af: AnsatzField, m: MetricField, x: Array, v: Array) -> float:
-    """A = a(x, |v|) + sum_i b_i(x, |v|) v^i."""
+def ansatz_value(c: Array, v: Array):
+    """A = a + sum_i b_i v^i from the coefficient pack ``c``, summed in index order."""
+    total = c[..., 0]
+    for i in range(v.shape[-1]):
+        total = total + c[..., i + 1] * v[..., i]
+    return float(total) if v.ndim == 1 else total
+
+
+def ansatz_A(af: AnsatzField, m: MetricField, x: Array, v: Array):
+    """A = a(x, |v|) + sum_i b_i(x, |v|) v^i, at one state or a stack."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    c = coefficients(af, x, unit_direction(m, x, v).speed)
-    total = float(c[0])
-    for b_i, v_i in zip(c[1:], v):
-        total += float(b_i) * float(v_i)
-    return total
+    return ansatz_value(coefficients(af, x, unit_direction(m, x, v).speed), v)
 
 
 def force_from_A(A: ExtendedScalar, m: MetricField, x: Array, v: Array) -> Array:
@@ -211,26 +265,24 @@ def _stacked_generator_terms(gs: GeneratingScalar, x: Array, speed: Array):
     per state, since it is a function of one float.
     """
     wv = np.asarray(gs.W.dspeed(x, speed), dtype=float)
-    bad = ~np.isfinite(wv)
-    if bad.any():
-        _, where = _first_state(bad, x, speed)
-        raise EvaluationFailure(f"speed derivative evaluated to a non-finite value {where}")
-    low = np.abs(wv) < WV_FLOOR
-    if low.any():
-        i, where = _first_state(low, x, speed)
+    size = np.abs(wv)
+    if not ((size >= WV_FLOOR) & (size < np.inf)).all():
+        bad = ~np.isfinite(wv)
+        if bad.any():
+            _, where = _first_state(bad, x, speed)
+            raise EvaluationFailure(f"speed derivative evaluated to a non-finite value {where}")
+        i, where = _first_state(size < WV_FLOOR, x, speed)
         raise DegenerateWv(
             f"dW/dspeed = {np.ravel(wv)[i]:.3e} below floor {WV_FLOOR:.1e} {where}"
         )
     w = np.asarray(gs.W.eval(x, speed), dtype=float)
     hw = np.array([float(gs.h(value)) for value in w.ravel()]).reshape(w.shape)
-    slow = ~(speed > 0.0)
-    if slow.any():
-        _, where = _first_state(slow, x, speed)
+    if not (speed > 0.0).all():
+        _, where = _first_state(~(speed > 0.0), x, speed)
         raise EvaluationFailure(f"isotropic gradient needs a positive speed, not {where}")
     grad = np.asarray(gs.W.dx(x, speed), dtype=float)
-    bad = ~np.isfinite(grad).all(axis=-1)
-    if bad.any():
-        _, where = _first_state(bad, x, speed)
+    if not np.isfinite(grad).all():
+        _, where = _first_state(~np.isfinite(grad).all(axis=-1), x, speed)
         raise EvaluationFailure(f"isotropic x-partials evaluated to a non-finite value {where}")
     return wv, hw, grad
 
@@ -239,8 +291,8 @@ def force_from_W(gs: GeneratingScalar, m: MetricField, x: Array, v: Array) -> Ar
     """Force covector built directly from the generating pair.
 
     Takes one state (x, v) of shape (n,) or stacks of shape (..., n).  A
-    ``stacked`` W is called once per stack, any other W once per state;
-    h is called once per state.
+    ``stacked`` W is called once per stack (a single state is a one-row
+    stack), any other W once per state; h is called once per state.
     """
     x = np.asarray(x, dtype=float)
     return force_from_direction(gs, m, x, unit_direction(m, x, v))
@@ -249,18 +301,7 @@ def force_from_W(gs: GeneratingScalar, m: MetricField, x: Array, v: Array) -> Ar
 def force_from_direction(gs: GeneratingScalar, m: MetricField, x: Array, pr: Projector) -> Array:
     """:func:`force_from_W` at positions ``x`` from the unit direction ``pr`` of (x, v)."""
     x = np.asarray(x, dtype=float)
-    w = gs.W
-    if x.ndim == 1:
-        wv, hw, grad = _generator_terms(gs, x, pr.speed)
-    elif w.stacked and w.dx is not None and w.dspeed is not None:
-        wv, hw, grad = _stacked_generator_terms(gs, x, pr.speed)
-    else:
-        terms = [
-            _generator_terms(gs, xi, float(si))
-            for xi, si in zip(x.reshape(-1, m.dim), np.ravel(pr.speed))
-        ]
-        wv, hw, grad = (np.array(part) for part in zip(*terms))
-        wv, hw, grad = wv.reshape(x.shape[:-1]), hw.reshape(x.shape[:-1]), grad.reshape(x.shape)
+    wv, hw, grad = _terms(gs, x, pr.speed)
     # with b = grad / W_v, the term b_i (2 N^i N_k - delta^i_k) is expanded
     # so that stacks need no reflection matrices
     speed = np.asarray(pr.speed)[..., None]
@@ -277,20 +318,22 @@ def ansatz_from_generator(gs: GeneratingScalar, m: MetricField) -> AnsatzField:
     """
 
     def component(k):
-        return IsotropicScalar(eval=lambda x, s: float(coefficient_pack(gs, m, x, s)[k]))
+        return IsotropicScalar(eval=lambda x, s: float(coefficient_pack(gs, x, s)[k]))
 
     return AnsatzField(
         a=component(0),
         b=tuple(component(k) for k in range(1, m.dim + 1)),
-        pack=IsotropicScalar(eval=lambda x, s: coefficient_pack(gs, m, x, s)),
+        pack=IsotropicScalar(eval=lambda x, s: coefficient_pack(gs, x, s), stacked=True),
     )
 
 
 # Assembly of the ansatz derivatives from the coefficient pack.  ``c``,
 # ``c_p`` and ``c_pp`` hold (a, b_1..b_n) and their first and second speed
-# derivatives, ``grad[r, c]`` their fixed-speed x-derivatives, ``pr`` the
-# unit direction of (x, v).  The public closures below and ``verify`` both
-# go through these, so one evaluation of the pack per state serves them all.
+# derivatives, ``grad[..., r, c]`` their fixed-speed x-derivatives, ``pr``
+# the unit direction of (x, v).  Each takes one state or a stack, with the
+# products of one state written as stack matmuls.  The public closures
+# below and ``verify`` both go through these, so one evaluation of the
+# pack per state serves them all.
 
 
 def ansatz_fiber_hessian(
@@ -298,45 +341,48 @@ def ansatz_fiber_hessian(
 ) -> Array:
     """d2A/dv^r dv^s = (a'' + sum b''_i v^i) N_r N_s + b'_s N_r + b'_r N_s
     + (a'/|v| + sum b'_i N^i) P_rs."""
-    a_p, b_p = c_p[0], c_p[1:]
-    a_pp, b_pp = c_pp[0], c_pp[1:]
-    nn = np.outer(pr.N_down, pr.N_down)
+    a_p, b_p = c_p[..., 0], c_p[..., 1:]
+    a_pp, b_pp = c_pp[..., 0], c_pp[..., 1:]
+    nn = outer(pr.N_down, pr.N_down)
     p_down = gmat - nn
     return (
-        (a_pp + b_pp @ v) * nn
-        + np.outer(pr.N_down, b_p)
-        + np.outer(b_p, pr.N_down)
-        + (a_p / pr.speed + b_p @ pr.N_up) * p_down
+        per_state(a_pp + dot(b_pp, v), 2) * nn
+        + outer(pr.N_down, b_p)
+        + outer(b_p, pr.N_down)
+        + per_state(a_p / pr.speed + dot(b_p, pr.N_up), 2) * p_down
     )
 
 
 def ansatz_force_dv(pr: Projector, gmat: Array, v: Array, c: Array, c_p: Array) -> Array:
-    """Fiber derivative ``out[r, k] = d F_k / d v^r`` of the ansatz force."""
-    a, b = c[0], c[1:]
-    a_p, b_p = c_p[0], c_p[1:]
+    """Fiber derivative ``out[..., r, k] = d F_k / d v^r`` of the ansatz force."""
+    a, b = c[..., 0], c[..., 1:]
+    a_p, b_p = c_p[..., 0], c_p[..., 1:]
     s = pr.speed
-    big_b = float(b @ v)
-    big_b_p = float(b_p @ v)
-    n_col = pr.N_down[:, None]
-    p_down = gmat - np.outer(pr.N_down, pr.N_down)
+    n_col = pr.N_down[..., :, None]
+    n_row = pr.N_down[..., None, :]
+    p_down = gmat - outer(pr.N_down, pr.N_down)
     return (
-        (a_p + 2.0 * big_b_p) * n_col * pr.N_down
-        + 2.0 * b[:, None] * pr.N_down
-        + (a + 2.0 * big_b) * p_down.T / s
-        - n_col * b
-        - s * b_p * n_col
+        per_state(a_p + 2.0 * dot(b_p, v), 2) * n_col * n_row
+        + 2.0 * b[..., :, None] * n_row
+        + per_state(a + 2.0 * dot(b, v), 2) * p_down.swapaxes(-1, -2) / per_state(s, 2)
+        - n_col * b[..., None, :]
+        - (per_state(s, 1) * b_p)[..., None, :] * n_col
     )
 
 
 def ansatz_force_nabla(
     pr: Projector, gamma: Array, v: Array, c: Array, grad: Array
 ) -> Array:
-    """Covariant spatial derivative ``out[r, k]`` of the ansatz force along x^r."""
-    s = pr.speed
-    da = grad[:, 0]
+    """Covariant spatial derivative ``out[..., r, k]`` of the ansatz force along x^r."""
+    da = grad[..., :, 0]
     # db[r, k] = covariant x^r-derivative of the covector b_k at fixed speed
-    db = grad[:, 1:] - np.einsum("crk,c->rk", gamma, c[1:])
-    return da[:, None] * pr.N_down + 2.0 * (db @ v)[:, None] * pr.N_down - s * db
+    db = grad[..., :, 1:] - np.einsum("...crk,...c->...rk", gamma, c[..., 1:])
+    n_row = pr.N_down[..., None, :]
+    return (
+        da[..., :, None] * n_row
+        + 2.0 * mat_vec(db, v)[..., :, None] * n_row
+        - per_state(pr.speed, 2) * db
+    )
 
 
 def ansatz_scalar(af: AnsatzField, m: MetricField) -> ExtendedScalar:
@@ -379,13 +425,14 @@ def ansatz_force_field(af: AnsatzField, label: str = "ansatz") -> ForceField:
     calculus: the fiber derivative of the unit direction is P/|v|, the
     spatial covariant derivatives of N and |v| vanish, and the isotropic
     coefficients differentiate through their (x, speed) arguments alone.
+    The field is ``stacked``: its closures take one state or a stack.
     """
 
     def eval_(m, x, v):
         pr = unit_direction(m, x, v)
         c = coefficients(af, x, pr.speed)
-        reflect = 2.0 * np.outer(pr.N_up, pr.N_down) - np.eye(m.dim)
-        return c[0] * pr.N_down + pr.speed * c[1:] @ reflect
+        reflect = 2.0 * outer(pr.N_up, pr.N_down) - np.eye(m.dim)
+        return c[..., :1] * pr.N_down + vec_mat(per_state(pr.speed, 1) * c[..., 1:], reflect)
 
     def dv(m, x, v):
         pr = unit_direction(m, x, v)
@@ -404,18 +451,18 @@ def ansatz_force_field(af: AnsatzField, label: str = "ansatz") -> ForceField:
             christoffel_at(m, x).gamma,
             v,
             coefficients(af, x, pr.speed),
-            coefficient_gradient(af, m, x, pr.speed),
+            coefficient_gradient(af, x, pr.speed),
         )
 
-    return ForceField(eval=eval_, label=label, dv=dv, nabla=nabla)
+    return ForceField(eval=eval_, label=label, dv=dv, nabla=nabla, stacked=True)
 
 
 def as_force_field(gs: GeneratingScalar) -> ForceField:
     """Evaluatable force field for a generating pair, with derivatives.
 
-    Its ``eval`` is :func:`force_from_W`, so it also takes stacks of states;
-    ``dv`` and ``nabla`` take one state and come from the ansatz route,
-    built once per metric.
+    Its ``eval`` is :func:`force_from_W`; ``dv`` and ``nabla`` come from the
+    ansatz route, built once per metric.  All three take stacks of states,
+    so the field is ``stacked``.
     """
     ansatz = {}
 
@@ -433,7 +480,7 @@ def as_force_field(gs: GeneratingScalar) -> ForceField:
     def nabla(m, x, v):
         return ansatz_for(m).nabla(m, x, v)
 
-    return ForceField(eval=eval_, label="generated-from-W", dv=dv, nabla=nabla)
+    return ForceField(eval=eval_, label="generated-from-W", dv=dv, nabla=nabla, stacked=True)
 
 
 def gauge_transform(gs: GeneratingScalar, rho: GaugeMap) -> GeneratingScalar:
@@ -659,15 +706,16 @@ def perturbed_field(
 
     The result is a plain user field with no derivative closures; it serves
     as a negative control, since generic perturbations leave the family of
-    fields admitting the normal shift.
+    fields admitting the normal shift.  It is ``stacked`` when ``base`` is;
+    ``bump`` takes one state and is called once per state of a stack.
     """
 
     def eval_(m, x, v):
         out = np.array(base.eval(m, x, v), dtype=float)
-        out[component] += float(bump(m, x, v))
+        out[..., component] += by_rows(lambda xi, vi: float(bump(m, xi, vi)), x, v)
         return out
 
-    return ForceField(eval=eval_, label="user")
+    return ForceField(eval=eval_, label="user", stacked=base.stacked)
 
 
 def coordinate_scalar(index: int, dim: int = 3, coefficient: float = 1.0) -> IsotropicScalar:

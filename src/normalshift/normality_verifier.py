@@ -28,31 +28,44 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from .errors import NormalShiftError
-from .extended_fields import ExtendedScalar, check_finite, velocity_hessian
+from .extended_fields import (
+    ExtendedScalar,
+    check_finite,
+    fiber_gradient,
+    fiber_hessian,
+    velocity_hessian,
+)
 from .force_builder import (
     AnsatzField,
     ForceField,
     GeneratingScalar,
-    ansatz_A,
     ansatz_fiber_hessian,
     ansatz_force_dv,
     ansatz_force_nabla,
     ansatz_from_generator,
-    as_force_field,
+    ansatz_value,
     coefficient_gradient,
     coefficient_speed_derivative,
     coefficients,
-    force_from_W,
+    force_from_direction,
 )
 from .tensor_core import (
     FD_STEP,
     MetricField,
+    by_rows,
     central_partials,
     christoffel_from,
+    dot,
     inverse_metric_at,
+    inverse_metric_from,
+    mat_vec,
     metric_at,
     metric_derivatives_at,
+    outer,
+    per_state,
     unit_direction,
+    unit_direction_from,
+    vec_mat,
 )
 
 Array = np.ndarray
@@ -121,59 +134,130 @@ class NormalityReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name.startswith("r_")}
 
 
-def _derivative_pack(
-    ff: ForceField, m: MetricField, x: Array, v: Array, mode: str, ginv: Array
+def _over(a: Array, u: Array, core: int = 1) -> Array:
+    """``a``, of shape (states..., core axes), broadcast over the offset axes
+    of ``u``, of shape (states..., offsets..., n)."""
+    lead = a.shape[: a.ndim - core]
+    extra = (1,) * (u.ndim - 1 - len(lead))
+    return np.broadcast_to(
+        a.reshape(lead + extra + a.shape[len(lead):]), u.shape[:-1] + a.shape[len(lead):]
+    )
+
+
+def _partials(fn, at: Array, h) -> Array:
+    """:func:`central_partials` with the partial axis after the states' axes."""
+    return np.moveaxis(central_partials(fn, at, h), 0, at.ndim - 1)
+
+
+def _field_call(ff: ForceField, fn, m: MetricField):
+    """One of ``ff``'s closures as a function of states: once per stack when the
+    field is ``stacked``, else once per state."""
+
+    def call(x, v, gmat=None):
+        if ff.stacked or x.ndim == 1:
+            return fn(m, x, v)
+        return by_rows(lambda xi, vi: fn(m, xi, vi), x, v)
+
+    return call
+
+
+def _generated_force(gs: GeneratingScalar, m: MetricField):
+    """The force of a generating pair, from the metric values at ``x`` when given."""
+
+    def force(x, v, gmat=None):
+        if gmat is None:
+            gmat = metric_at(m, x)
+        return force_from_direction(gs, m, x, unit_direction_from(gmat, x, v))
+
+    return force
+
+
+def _force_derivatives(
+    force, m: MetricField, x: Array, v: Array, gmat: Array, ginv: Array, dv=None, nabla=None
 ) -> Tuple[Array, Array, Array]:
-    """F with its fiber and covariant spatial derivatives; ``ginv`` is g^-1 at ``x``."""
-    F = check_finite(ff.eval(m, x, v), "force field")
-    analytic = mode == "analytic"
-    if analytic and ff.dv is not None:
-        Dv = check_finite(ff.dv(m, x, v), "force fiber derivative")
+    """F with its fiber and covariant spatial derivatives at states (x, v).
+
+    ``force(y, u, g)`` evaluates F at stacks of states, ``g`` being the
+    metric at ``y`` when known and None otherwise: velocity offsets keep
+    the position, so they reuse ``gmat``, the metric at ``x``.  ``dv`` and
+    ``nabla``, with the same signature, are used when given; otherwise
+    each derivative is one call of ``force`` on the stack of all its
+    offsets.  ``ginv`` is g^-1 at ``x``.
+    """
+    F = check_finite(force(x, v, gmat), "force field")
+    if dv is not None:
+        Dv = check_finite(dv(x, v, gmat), "force fiber derivative")
     else:
-        h = FD_STEP * max(1.0, float(np.max(np.abs(v))))
-        Dv = check_finite(
-            central_partials(lambda u: ff.eval(m, x, u), v, h), "force fiber difference"
-        )
-    if analytic and ff.nabla is not None:
-        Dx = check_finite(ff.nabla(m, x, v), "force spatial derivative")
+        h = FD_STEP * np.maximum(1.0, np.max(np.abs(v), axis=-1))
+        Dv = _partials(lambda u: force(_over(x, u), u, _over(gmat, u, 2)), v, h)
+        Dv = check_finite(Dv, "force fiber difference")
+    if nabla is not None:
+        Dx = check_finite(nabla(x, v, gmat), "force spatial derivative")
     else:
-        h = FD_STEP * max(1.0, float(np.max(np.abs(x))))
-        raw = central_partials(lambda y: ff.eval(m, y, v), x, h)
+        h = FD_STEP * np.maximum(1.0, np.max(np.abs(x), axis=-1))
+        raw = _partials(lambda y: force(y, _over(v, y), None), x, h)
         gamma = christoffel_from(ginv, metric_derivatives_at(m, x))
-        transport = np.einsum("jri,i,jk->rk", gamma, v, Dv)
-        twist = np.einsum("crk,c->rk", gamma, F)
+        transport = np.einsum("...jri,...i,...jk->...rk", gamma, v, Dv)
+        twist = np.einsum("...crk,...c->...rk", gamma, F)
         Dx = check_finite(raw - transport - twist, "force spatial difference")
     return F, Dv, Dx
 
 
-# The four equation kernels share one signature, the state's F, Dv, Dx,
+def _derivative_pack(
+    ff: ForceField, m: MetricField, x: Array, v: Array, mode: str, ginv: Array
+) -> Tuple[Array, Array, Array]:
+    """F with its fiber and covariant spatial derivatives; ``ginv`` is g^-1 at ``x``.
+
+    The analytic closures of ``ff`` serve in analytic mode when it has them.
+    """
+    x = np.asarray(x, dtype=float)
+    analytic = mode == "analytic"
+    return _force_derivatives(
+        _field_call(ff, ff.eval, m), m, x, np.asarray(v, dtype=float), metric_at(m, x), ginv,
+        dv=_field_call(ff, ff.dv, m) if analytic and ff.dv is not None else None,
+        nabla=_field_call(ff, ff.nabla, m) if analytic and ff.nabla is not None else None,
+    )
+
+
+# The four equation kernels share one signature, the states' F, Dv, Dx,
 # unit direction and inverse metric, so the point residuals and ``verify``
-# can apply them alike.
+# can apply them alike.  They take one state or a stack; the products of
+# one state are written as stack matmuls, which round alike.
+
+
+def _T(a: Array) -> Array:
+    return a.swapaxes(-1, -2)
 
 
 def _weak1(F: Array, Dv: Array, Dx: Array, pr, ginv: Array) -> Array:
-    grad_a = (pr.P.T @ F) / pr.speed + Dv @ pr.N_up
-    return (F / pr.speed + grad_a) @ pr.P
+    speed = per_state(pr.speed)
+    grad_a = mat_vec(_T(pr.P), F) / speed + mat_vec(Dv, pr.N_up)
+    return vec_mat(F / speed + grad_a, pr.P)
 
 
 def _weak2(F: Array, Dv: Array, Dx: Array, pr, ginv: Array) -> Array:
-    f_up = ginv @ F
-    sym = Dx @ pr.N_up + Dx.T @ pr.N_up - 2.0 * F * float(F @ pr.N_up) / pr.speed**2
-    drift = (f_up @ Dv - float(pr.N_up @ Dv @ pr.N_up) * F) / pr.speed
-    return (sym + drift) @ pr.P
+    speed = per_state(pr.speed)
+    f_up = mat_vec(ginv, F)
+    sym = (
+        mat_vec(Dx, pr.N_up) + mat_vec(_T(Dx), pr.N_up)
+        - 2.0 * F * per_state(dot(F, pr.N_up)) / speed**2
+    )
+    drift = (vec_mat(f_up, Dv) - per_state(dot(vec_mat(pr.N_up, Dv), pr.N_up)) * F) / speed
+    return vec_mat(sym + drift, pr.P)
 
 
 def _additional1(F: Array, Dv: Array, Dx: Array, pr, ginv: Array) -> Array:
-    along = pr.N_up @ Dv
-    K = np.outer(F, along) / pr.speed - Dx
-    G = pr.P.T @ K @ pr.P
-    return G - G.T
+    along = vec_mat(pr.N_up, Dv)
+    K = outer(F, along) / per_state(pr.speed, 2) - Dx
+    G = _T(pr.P) @ K @ pr.P
+    return G - _T(G)
 
 
 def _additional2(F: Array, Dv: Array, Dx: Array, pr, ginv: Array) -> Array:
     dv_up = Dv @ ginv
-    M = pr.P.T @ dv_up @ pr.P.T
-    return M.T - (np.trace(M) / (ginv.shape[0] - 1)) * pr.P
+    M = _T(pr.P) @ dv_up @ _T(pr.P)
+    trace = np.trace(M, axis1=-2, axis2=-1) / (ginv.shape[-1] - 1)
+    return _T(M) - per_state(trace, 2) * pr.P
 
 
 _EQUATIONS = (_weak1, _weak2, _additional1, _additional2)
@@ -184,8 +268,9 @@ def _point_pack(ff: ForceField, m: MetricField, x: Array, v: Array, mode: str) -
     direction and g^-1."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    ginv = inverse_metric_at(m, x)
-    return (*_derivative_pack(ff, m, x, v, mode, ginv), unit_direction(m, x, v), ginv)
+    gmat = metric_at(m, x)
+    ginv = inverse_metric_from(gmat, x)
+    return (*_derivative_pack(ff, m, x, v, mode, ginv), unit_direction_from(gmat, x, v), ginv)
 
 
 def residual_weak1(
@@ -217,10 +302,10 @@ def residual_additional2(
     return _additional2(*_point_pack(F, m, x, v, mode))
 
 
-def _eq124(H: Array, pr, ginv: Array) -> Tuple[Array, float]:
-    p_up = ginv - np.outer(pr.N_up, pr.N_up)
-    lam = float(np.einsum("rs,rs->", p_up, H)) / (ginv.shape[0] - 1)
-    return pr.P.T @ H @ p_up - lam * pr.P.T, lam
+def _eq124(H: Array, pr, ginv: Array) -> Tuple[Array, Array]:
+    p_up = ginv - outer(pr.N_up, pr.N_up)
+    lam = np.einsum("...rs,...rs->...", p_up, H) / (ginv.shape[-1] - 1)
+    return _T(pr.P) @ H @ p_up - per_state(lam, 2) * _T(pr.P), lam
 
 
 def residual_eq124(
@@ -239,16 +324,17 @@ def residual_eq124(
     else:
         H = velocity_hessian(ExtendedScalar(eval=A.eval), x, v)
     H = check_finite(H, "ansatz scalar fiber Hessian")
-    return _eq124(H, unit_direction(m, x, v), inverse_metric_at(m, x))
+    res, lam = _eq124(H, unit_direction(m, x, v), inverse_metric_at(m, x))
+    return res, float(lam)
 
 
 def _reduced(c: Array, c_p: Array, grad: Array) -> Tuple[Array, Array]:
-    a_val, b_val = c[0], c[1:]
-    a_p, b_p = c_p[0], c_p[1:]
-    da, db = grad[:, 0], grad[:, 1:]  # db[s, r] = d b_r / d x^s at fixed speed
-    L_b = db + np.outer(b_val, b_p)
-    b_residual = L_b.T - L_b
-    a_residual = da + b_val * a_p - a_val * b_p
+    a_val, b_val = c[..., 0], c[..., 1:]
+    a_p, b_p = c_p[..., 0], c_p[..., 1:]
+    da, db = grad[..., :, 0], grad[..., :, 1:]  # db[s, r] = d b_r / d x^s at fixed speed
+    L_b = db + outer(b_val, b_p)
+    b_residual = _T(L_b) - L_b
+    a_residual = da + b_val * per_state(a_p) - per_state(a_val) * b_p
     check_finite(b_residual, "reduced b residual")
     check_finite(a_residual, "reduced a residual")
     return b_residual, a_residual
@@ -267,12 +353,12 @@ def residual_reduced(
     return _reduced(
         coefficients(af, x, v_speed),
         coefficient_speed_derivative(af, x, v_speed),
-        coefficient_gradient(af, m, x, v_speed),
+        coefficient_gradient(af, x, v_speed),
     )
 
 
-def sample_states(spec: SampleSpec, m: MetricField) -> list:
-    """Deterministic quasi-random (x, v) pairs inside the sampling region."""
+def _sampled(spec: SampleSpec, m: MetricField) -> Tuple[Array, Array]:
+    """The sample states (count, 2, n) and the metric at their positions."""
     dim = m.dim
     box = np.asarray(spec.box, dtype=float)
     if box.shape != (dim, 2):
@@ -285,31 +371,85 @@ def sample_states(spec: SampleSpec, m: MetricField) -> list:
     z = np.where(np.max(np.abs(z), axis=1, keepdims=True) < 1e-12, 1.0, z)
     lo, hi = spec.speed_range
     speeds = lo + (hi - lo) * u[:, -1]
-    current = unit_direction(m, xs, z).speed
-    return list(zip(xs, z * (speeds / current)[:, None]))
+    gmat = metric_at(m, xs)
+    current = np.sqrt(np.einsum("...i,...ij,...j->...", z, gmat, z))
+    return np.stack([xs, z * (speeds / current)[:, None]], axis=1), gmat
 
 
-def _pack_derivatives(
-    gs: GeneratingScalar, af: AnsatzField, m: MetricField, x: Array, v: Array, pr,
-    ginv: Array, c: Array, c_p: Array, grad: Array,
-) -> Tuple[Array, Array, Array, Array]:
-    """F, Dv, Dx and the fiber Hessian of A at one state, analytically.
+def sample_states(spec: SampleSpec, m: MetricField) -> Array:
+    """Deterministic quasi-random states inside the sampling region.
 
-    The derivatives are those of ``as_force_field(gs)`` and
-    ``ansatz_scalar``, assembled from one coefficient pack (``c``, ``c_p``,
-    ``grad`` and the second speed derivative); F comes from the
-    independent (W, h) route.  ``ginv`` is the inverse metric at ``x``.
+    Returns one array of shape (count, 2, n): ``states[i]`` is the pair
+    (x, v) of sample i, so ``for x, v in states`` walks the samples.
     """
-    gmat = metric_at(m, x)
-    F = check_finite(force_from_W(gs, m, x, v), "force field")
-    Dv = check_finite(ansatz_force_dv(pr, gmat, v, c, c_p), "force fiber derivative")
-    Dx = check_finite(
-        ansatz_force_nabla(pr, christoffel_from(ginv, metric_derivatives_at(m, x)), v, c, grad),
-        "force spatial derivative",
-    )
-    c_pp = coefficient_speed_derivative(af, x, pr.speed, order=2)
-    H = check_finite(ansatz_fiber_hessian(pr, gmat, v, c_p, c_pp), "ansatz scalar fiber Hessian")
-    return F, Dv, Dx, 0.5 * (H + H.T)
+    return _sampled(spec, m)[0]
+
+
+def _residual_rows(
+    subject: Union[GeneratingScalar, ForceField], m: MetricField, mode: str, states: Array,
+    gmat: Array,
+) -> Tuple[Array, Array]:
+    """The residual table (count, 7) and the lambda samples of a stack of states.
+
+    Columns follow the field order of :class:`NormalityReport`: the
+    sup-norm of each raw residual over its state, divided by 1 + max|F| +
+    max of the derivative magnitudes.  For a generating pair F comes from
+    the (W, h) route and everything else from one coefficient pack per
+    state; its analytic mode takes Dv, Dx and the fiber Hessian of A from
+    the pack, its finite-difference mode differences F and A.  A bare
+    field's ansatz scalar is A = N^i F_i, and its reduced columns are 0.
+    Every finite difference is one closure call on the stack of all its
+    offsets, and offsets in velocity reuse ``gmat``, the metric at ``x``.
+    """
+    x, v = states[:, 0], states[:, 1]
+    pr = unit_direction_from(gmat, x, v)
+    ginv = inverse_metric_from(gmat, x)
+    analytic = mode == "analytic"
+    if isinstance(subject, GeneratingScalar):
+        af = ansatz_from_generator(subject, m)
+        force = _generated_force(subject, m)
+        c = coefficients(af, x, pr.speed)
+        c_p = coefficient_speed_derivative(af, x, pr.speed)
+        grad = coefficient_gradient(af, x, pr.speed)
+
+        def A(u):
+            at, g = _over(x, u), _over(gmat, u, 2)
+            return ansatz_value(coefficients(af, at, unit_direction_from(g, at, u).speed), u)
+    else:
+        af = None
+        force = _field_call(subject, subject.eval, m)
+
+        def A(u):
+            at, g = _over(x, u), _over(gmat, u, 2)
+            return dot(unit_direction_from(g, at, u).N_up, force(at, u, g))
+
+    if af is not None and analytic:
+        F = check_finite(force(x, v, gmat), "force field")
+        Dv = check_finite(ansatz_force_dv(pr, gmat, v, c, c_p), "force fiber derivative")
+        gamma = christoffel_from(ginv, metric_derivatives_at(m, x))
+        Dx = check_finite(ansatz_force_nabla(pr, gamma, v, c, grad), "force spatial derivative")
+        c_pp = coefficient_speed_derivative(af, x, pr.speed, order=2)
+        H = ansatz_fiber_hessian(pr, gmat, v, c_p, c_pp)
+    else:
+        closures = {}
+        if analytic and af is None:  # a bare field's own derivatives, where it has them
+            closures = {
+                name: _field_call(subject, getattr(subject, name), m)
+                for name in ("dv", "nabla")
+                if getattr(subject, name) is not None
+            }
+        F, Dv, Dx = _force_derivatives(force, m, x, v, gmat, ginv, **closures)
+        H = fiber_hessian(lambda u: fiber_gradient(A, u), v)
+    H = check_finite(0.5 * (H + _T(H)), "ansatz scalar fiber Hessian")
+
+    def sup(r):
+        return np.max(np.abs(r), axis=tuple(range(1, r.ndim)))
+
+    scale = 1.0 + sup(F) + np.maximum(sup(Dv), sup(Dx))
+    eq_res, lam = _eq124(H, pr, ginv)
+    reduced = _reduced(c, c_p, grad) if af is not None else (np.zeros(len(x)),) * 2
+    raw = [kernel(F, Dv, Dx, pr, ginv) for kernel in _EQUATIONS] + [eq_res, *reduced]
+    return np.stack([sup(r) / scale for r in raw], axis=1), lam
 
 
 def verify(
@@ -323,61 +463,28 @@ def verify(
     reduced systems are evaluated from the structured coefficients, or a
     bare force field, for which the ansatz scalar is recovered as
     A = sum_i N^i F_i and the reduced systems are skipped (reported as 0).
-    For a generating pair each sample evaluates the coefficient pack once,
-    and the analytic derivatives and reduced residuals all read it.
-    Each sample adds one row to a table of the seven residual families,
-    in the field order of :class:`NormalityReport`: the sup-norm of each
-    raw residual divided by 1 + max|F| + max of the derivative magnitudes,
-    making the tolerances scale-free.  The report's sup-norms are the
-    column maxima of that table.  A package error at a sample keeps its
-    type and names the sample's index and state.
+    All samples are evaluated as one stack, and the report's sup-norms are
+    the column maxima of its residual table (:func:`_residual_rows`),
+    making the tolerances scale-free.  When the stack fails, the samples
+    are evaluated again one by one; the first that fails alone raises, its
+    error keeping its type and naming the sample's index and state.
     """
-    mode = sampler.mode
-    if isinstance(subject, GeneratingScalar):
-        ff = as_force_field(subject)
-        af = ansatz_from_generator(subject, m)
-        A = ExtendedScalar(eval=lambda x, v: ansatz_A(af, m, x, v))
-    else:
-        ff = subject
-        af = None
-
-        def a_eval(x, v):
-            pr = unit_direction(m, x, v)
-            return float(pr.N_up @ np.asarray(ff.eval(m, x, v), dtype=float))
-
-        A = ExtendedScalar(eval=a_eval)
-
-    rows = []
-    lambdas = []
-    for i, (x, v) in enumerate(sample_states(sampler, m)):
-        try:
-            pr = unit_direction(m, x, v)
-            ginv = inverse_metric_at(m, x)
-            if af is not None:
-                c = coefficients(af, x, pr.speed)
-                c_p = coefficient_speed_derivative(af, x, pr.speed)
-                grad = coefficient_gradient(af, m, x, pr.speed)
-            if af is not None and mode == "analytic":
-                F, Dv, Dx, H = _pack_derivatives(subject, af, m, x, v, pr, ginv, c, c_p, grad)
-            else:
-                F, Dv, Dx = _derivative_pack(ff, m, x, v, mode, ginv)
-                H = check_finite(velocity_hessian(A, x, v), "ansatz scalar fiber Hessian")
-            scale = 1.0 + float(np.max(np.abs(F))) + max(
-                float(np.max(np.abs(Dv))), float(np.max(np.abs(Dx)))
-            )
-            eq_res, lam = _eq124(H, pr, ginv)
-            reduced = _reduced(c, c_p, grad) if af is not None else (0.0, 0.0)
-            raw = [kernel(F, Dv, Dx, pr, ginv) for kernel in _EQUATIONS] + [eq_res, *reduced]
-            rows.append([float(np.max(np.abs(r))) / scale for r in raw])
-            lambdas.append(lam)
-        except NormalShiftError as exc:
-            raise type(exc)(f"sample {i} at x = {x.tolist()}, v = {v.tolist()}: {exc}") from exc
+    states, gmat = _sampled(sampler, m)
+    try:
+        rows, lambdas = _residual_rows(subject, m, sampler.mode, states, gmat)
+    except NormalShiftError:
+        for i, (x, v) in enumerate(states):
+            try:
+                _residual_rows(subject, m, sampler.mode, states[i : i + 1], gmat[i : i + 1])
+            except NormalShiftError as exc:
+                raise type(exc)(f"sample {i} at x = {x.tolist()}, v = {v.tolist()}: {exc}") from exc
+        raise
 
     worst = np.max(rows, axis=0)
     tol = sampler.resolved_tolerance()
     return NormalityReport(
         *worst.tolist(),
-        lambda_samples=np.array(lambdas),
+        lambda_samples=lambdas,
         sample_count=sampler.count,
         tolerance_used=tol,
         passed=bool(np.all(worst <= tol)),

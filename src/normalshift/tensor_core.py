@@ -7,8 +7,9 @@ projector P onto the hyperplane perpendicular to the velocity) are evaluated
 from it.  Every evaluator takes one point of shape (n,) or a stack of
 points of shape (..., n) and returns its tensors with the stack's leading
 axes in front.  A metric marked ``stacked`` has its closures called once
-per stack; any other metric's closures are called once per point.  Index
-conventions, on the trailing axes:
+per stack; any other metric's closures are called once per point, and
+once per run of a position that a stack repeats.  Index conventions, on
+the trailing axes:
 
 * ``gamma[k, i, j]`` holds the connection component with upper index k and
   lower indices (i, j).
@@ -95,6 +96,25 @@ class Projector(NamedTuple):
     speed: Union[float, np.ndarray]
 
 
+def by_rows(fn: Callable, x: np.ndarray, *more) -> np.ndarray:
+    """A point closure ``fn(x_i, *more_i)`` applied to each state of a stack.
+
+    ``x`` is one point (n,) or a stack (..., n); each of ``more`` has the
+    same leading axes, with trailing axes of its own or none (a speed per
+    state, which ``fn`` receives as a float).  The values come back as one
+    float array with the leading axes in front.  This is the one adapter
+    through which a closure that takes only one point meets a stack.
+    """
+    lead = x.shape[:-1]
+    rows = [x.reshape(-1, x.shape[-1])]
+    for arr in more:
+        arr = np.asarray(arr, dtype=float)
+        flat = arr.reshape((-1,) + arr.shape[len(lead):])
+        rows.append(flat.tolist() if flat.ndim == 1 else flat)
+    values = np.array([fn(*args) for args in zip(*rows)], dtype=float)
+    return values.reshape(lead + values.shape[1:])
+
+
 def _closure_value(fn: Callable, x: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     value = np.asarray(fn(x), dtype=float)
     if value.shape != shape:
@@ -110,18 +130,26 @@ def _closure_values(
     """A metric closure's values at one point (n,) or a stack (..., n).
 
     A ``stacked`` closure is called once with the whole stack; any other
-    once per point.  Each point's value must have ``shape``; a wrong one
-    raises :class:`AsymmetricMetric` naming its point.
+    once per run of equal consecutive points, so an offset stack that holds
+    the position fixed costs one call per position.  Each point's value
+    must have ``shape``; a wrong one raises :class:`AsymmetricMetric`
+    naming its point.
     """
     if x.ndim == 1:
         return _closure_value(fn, x, shape, what)
     if stacked:
         return _closure_value(fn, x, x.shape[:-1] + shape, what)
     flat = x.reshape(-1, x.shape[-1])
-    out = np.empty((flat.shape[0],) + shape)
+    repeats = (flat[1:] == flat[:-1]).all(axis=1)
+    if repeats.any():
+        new = np.concatenate(([True], ~repeats))
+        flat, runs = flat[new], np.cumsum(new) - 1
+    values = np.empty((flat.shape[0],) + shape)
     for i, xi in enumerate(flat):
-        out[i] = _closure_value(fn, xi, shape, what)
-    return out.reshape(x.shape[:-1] + shape)
+        values[i] = _closure_value(fn, xi, shape, what)
+    if repeats.any():
+        values = values[runs]
+    return values.reshape(x.shape[:-1] + shape)
 
 
 def _first_offender(err: np.ndarray, x: np.ndarray, tol: float):
@@ -171,16 +199,47 @@ def inverse_metric_from(gmat: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _metric_values(m: MetricField, x: np.ndarray) -> np.ndarray:
-    return _checked_metric(_closure_values(m.g, x, (m.dim, m.dim), "metric", m.stacked), x)
+    if x.ndim == 1 or m.stacked:
+        return _checked_metric(_closure_values(m.g, x, (m.dim, m.dim), "metric", m.stacked), x)
+    last, positions, values, _ = _last_stack
+    flat = x.reshape(-1, m.dim)
+    if last is m and positions.shape == flat.shape and np.array_equal(positions, flat):
+        return values.reshape(x.shape[:-1] + (m.dim, m.dim)).copy()
+    gmat = _checked_metric(_closure_values(m.g, x, (m.dim, m.dim), "metric", False), x)
+    _last_stack[:] = [m, flat, gmat.reshape(-1, m.dim, m.dim), None]
+    return gmat
+
+
+# The last stack a point-wise metric closure was evaluated on: the metric,
+# its positions, its checked values and, once a point has looked there, a
+# map from position bytes to row.  The same stack again reuses the values,
+# and a single point that misses the position cache below takes its row
+# from here when the stack holds it.  So a stacked field evaluated at
+# states whose metric its caller just took, and a point-wise callback
+# inside a stacked field (the bump of ``perturbed_field``, say), do not
+# evaluate the metric again.
+_last_stack: list = [None, None, None, None]
+
+
+def _last_stack_row(m: MetricField, xb: bytes) -> Optional[np.ndarray]:
+    last, positions, values, rows = _last_stack
+    if last is not m:
+        return None
+    if rows is None:
+        rows = _last_stack[3] = {p.tobytes(): i for i, p in enumerate(positions)}
+    i = rows.get(xb)
+    return None if i is None else values[i].copy()
 
 
 # Metric closures are pure, so single-point evaluations are memoized on the
 # position bytes; the point-wise callers evaluate several tensors at one
 # point and hit the cache for all but the first.  Cached arrays are
-# read-only.  Stacks of points are evaluated afresh.
+# read-only.  Stacks bypass this cache.
 @lru_cache(maxsize=4096)
 def _metric_cached(m: MetricField, xb: bytes) -> np.ndarray:
-    gmat = _metric_values(m, np.frombuffer(xb, dtype=float).copy())
+    gmat = _last_stack_row(m, xb)
+    if gmat is None:
+        gmat = _metric_values(m, np.frombuffer(xb, dtype=float).copy())
     gmat.setflags(write=False)
     return gmat
 
@@ -226,33 +285,70 @@ def metric_derivatives_at(m: MetricField, x: np.ndarray) -> np.ndarray:
 
 
 def central_partials(
-    fn: Callable[[np.ndarray], np.ndarray], at: np.ndarray, h: float, richardson: bool = False
+    fn: Callable[[np.ndarray], np.ndarray], at: np.ndarray, h, richardson: bool = False
 ) -> np.ndarray:
     """Central differences ``out[k] = d fn / d at^k`` over the last axis of ``at``.
 
-    ``fn`` may return a scalar, a vector or a matrix, and ``at`` may carry
-    leading stack axes, which ``fn`` must keep; ``out`` has shape (n,) +
-    the shape of ``fn(at)``.  Each partial costs two calls of ``fn`` on
-    ``at`` offset by +-h along one axis.  With ``richardson`` the steps h
-    and h/2 combine as (4 fine - coarse) / 3, which upgrades the truncation
-    error from O(h^2) to O(h^4) for two more calls per axis.
+    ``fn`` may return a scalar, a vector or a matrix, and ``out`` has shape
+    (n,) + the shape of ``fn(at)``.  Each partial takes ``at`` offset by
+    +-h along one axis; with ``richardson`` the steps h and h/2 combine as
+    (4 fine - coarse) / 3, which upgrades the truncation error from O(h^2)
+    to O(h^4).  When ``at`` carries leading stack axes, ``fn`` must keep
+    them: it is called once, on the stack (..., 2n, n) of all offsets
+    ((..., 4n, n) with ``richardson``), and ``h`` may hold one step per
+    state of the stack.  At a single point ``fn`` need take only one
+    point, and is called once per offset.
     """
     at = np.asarray(at, dtype=float)
-    n = at.shape[-1]
+    lead, n = at.shape[:-1], at.shape[-1]
+    h = np.asarray(h, dtype=float)
+    steps = (h, 0.5 * h) if richardson else (h,)
+    offsets = []
+    for step in steps:
+        shift = np.eye(n) * step[..., None, None]  # row k: the step along axis k
+        offsets += [at[..., None, :] + shift, at[..., None, :] - shift]
+    # the offset axis runs over (+h, -h[, +h/2, -h/2]) for each axis in turn
+    offsets = np.stack(offsets, axis=-2).reshape(lead + (-1, n))
+    values = np.asarray(fn(offsets), dtype=float) if lead else by_rows(fn, offsets)
+    values = np.moveaxis(values, len(lead), 0)
+    values = values.reshape((n, len(steps), 2) + values.shape[1:])
+    def difference(j: int) -> np.ndarray:
+        step = per_state(steps[j], values.ndim - 3 - h.ndim)
+        return (values[:, j, 0] - values[:, j, 1]) / (2.0 * step)
 
-    def difference(k: int, step: float) -> np.ndarray:
-        e = np.zeros(n)
-        e[k] = step
-        plus, minus = fn(at + e), fn(at - e)
-        if not isinstance(plus, float):  # floats skip the array conversion on the hot paths
-            plus, minus = np.asarray(plus, dtype=float), np.asarray(minus, dtype=float)
-        return (plus - minus) / (2.0 * step)
+    coarse = difference(0)
+    return (4.0 * difference(1) - coarse) / 3.0 if richardson else coarse
 
-    rows = []
-    for k in range(n):
-        coarse = difference(k, h)
-        rows.append((4.0 * difference(k, 0.5 * h) - coarse) / 3.0 if richardson else coarse)
-    return np.array(rows)
+
+# The products ``a @ b`` of single states, written for stacks: matmuls with
+# unit axes, which round every state of a stack exactly as ``@`` rounds one.
+
+
+def mat_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for matrices (..., n, n) and vectors (..., n)."""
+    return (a @ b[..., :, None])[..., 0]
+
+
+def vec_mat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for vectors (..., n) and matrices (..., n, n)."""
+    return (a[..., None, :] @ b)[..., 0, :]
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for two vectors (..., n)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.outer(a, b)`` for two vectors (..., n)."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def per_state(value, ndim: int = 1) -> np.ndarray:
+    """A scalar per state, for one state or a stack (...), with ``ndim`` unit
+    axes appended so that it broadcasts against the states' vectors or
+    matrices."""
+    return np.asarray(value).reshape(np.shape(value) + (1,) * ndim)
 
 
 def christoffel_from(ginv: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -301,29 +397,27 @@ def unit_direction(m: MetricField, x: np.ndarray, v: np.ndarray) -> Projector:
 
 
 def unit_direction_from(gmat: np.ndarray, x: np.ndarray, v: np.ndarray) -> Projector:
-    """:func:`unit_direction` from metric values ``gmat`` already taken at ``x``."""
+    """:func:`unit_direction` from metric values ``gmat`` already taken at ``x``.
+
+    One body serves a state and a stack: its products are the matmuls of
+    :func:`dot`, :func:`vec_mat` and :func:`mat_vec`, which round every
+    state of a stack as they round a single state.  ``gmat`` may be
+    broadcast over extra axes of ``v``, such as velocity offsets.
+    """
     v = np.asarray(v, dtype=float)
     n = gmat.shape[-1]
-    if v.ndim == 1:
-        speed = float(np.sqrt(v @ gmat @ v))
-        if speed <= SPEED_FLOOR:
-            raise ZeroVelocity(f"velocity modulus {speed:.3e} at or below floor at x={x}")
-        n_up = v / speed
-        n_down = gmat @ n_up
-        proj = np.eye(n) - n_up[:, None] * n_down[None, :]
-    else:
-        speed = np.sqrt(np.einsum("...i,...ij,...j->...", v, gmat, v))
-        slow = np.ravel(speed <= SPEED_FLOOR)
-        if slow.any():
-            i = int(np.argmax(slow))
-            raise ZeroVelocity(
-                f"velocity modulus {np.ravel(speed)[i]:.3e} at or below floor "
-                f"at x={np.reshape(x, (-1, n))[i]}"
-            )
-        n_up = v / speed[..., None]
-        n_down = np.einsum("...ij,...j->...i", gmat, n_up)
-        proj = np.eye(n) - n_up[..., :, None] * n_down[..., None, :]
-    return Projector(P=proj, N_up=n_up, N_down=n_down, speed=speed)
+    speed = np.sqrt(dot(vec_mat(v, gmat), v))
+    slow = np.ravel(speed <= SPEED_FLOOR)
+    if slow.any():
+        i = int(np.argmax(slow))
+        where = np.broadcast_to(x, v.shape).reshape(-1, n)[i]
+        raise ZeroVelocity(
+            f"velocity modulus {np.ravel(speed)[i]:.3e} at or below floor at x={where}"
+        )
+    n_up = v / speed[..., None]
+    n_down = mat_vec(gmat, n_up)
+    proj = np.eye(n) - outer(n_up, n_down)
+    return Projector(P=proj, N_up=n_up, N_down=n_down, speed=float(speed) if v.ndim == 1 else speed)
 
 
 def lower_index(m: MetricField, x: np.ndarray, vec: np.ndarray) -> np.ndarray:

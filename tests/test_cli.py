@@ -14,7 +14,6 @@ from normalshift.cli import (
     cmd_verify,
     load_scenario,
     main,
-    write_trajectory_csv,
 )
 from normalshift.errors import ConfigError
 from normalshift.force_builder import GeneratingScalar

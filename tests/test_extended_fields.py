@@ -17,7 +17,7 @@ from normalshift.extended_fields import (
     velocity_gradient,
     velocity_hessian,
 )
-from normalshift.tensor_core import metric_at, unit_direction
+from normalshift.tensor_core import unit_direction
 
 from helpers import (
     conformal_metric,

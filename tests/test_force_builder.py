@@ -20,7 +20,6 @@ from normalshift.extended_fields import (
 )
 from normalshift.force_builder import (
     AnsatzField,
-    ForceField,
     GaugeMap,
     GeneratingScalar,
     ansatz_A,
@@ -112,38 +111,33 @@ def strip_closures(gs):
 
 class TestComputeB:
     def test_speed_only_generator_has_zero_b(self):
-        m = euclidean_metric()
         gs = builtin_geodesic()
-        b = compute_b(gs, m, np.array([0.7, -0.2, 1.1]), 1.3)
+        b = compute_b(gs, np.array([0.7, -0.2, 1.1]), 1.3)
         assert np.array_equal(b, np.zeros(3))
 
     def test_conformal_speed_generator(self):
-        m = euclidean_metric()
         gs = builtin_metrizable(coordinate_scalar(0), H=lambda w: 0.0)
         for s in (0.5, 1.0, 1.7):
-            b = compute_b(gs, m, np.array([0.4, 0.9, -0.3]), s)
+            b = compute_b(gs, np.array([0.4, 0.9, -0.3]), s)
             assert np.allclose(b, [s, 0.0, 0.0], atol=1e-12)
 
     def test_conformal_speed_generator_by_differencing(self):
-        m = euclidean_metric()
         full = builtin_metrizable(coordinate_scalar(0), H=lambda w: 0.0)
         bare = strip_closures(full)
-        b = compute_b(bare, m, np.array([0.4, 0.9, -0.3]), 1.7)
+        b = compute_b(bare, np.array([0.4, 0.9, -0.3]), 1.7)
         assert np.allclose(b, [1.7, 0.0, 0.0], atol=1e-7)
 
     def test_linear_generator(self):
-        m = euclidean_metric()
         w = IsotropicScalar(
             eval=lambda x, s: x[0] + s,
             dx=lambda x, s: np.array([1.0, 0.0, 0.0]),
             dspeed=lambda x, s: 1.0,
         )
         gs = GeneratingScalar(W=w, h=lambda w_: 0.0)
-        b = compute_b(gs, m, np.array([0.3, 0.1, 0.2]), 0.9)
+        b = compute_b(gs, np.array([0.3, 0.1, 0.2]), 0.9)
         assert np.allclose(b, [-1.0, 0.0, 0.0], atol=1e-14)
 
     def test_degenerate_speed_derivative_rejected(self):
-        m = euclidean_metric()
         w = IsotropicScalar(
             eval=lambda x, s: x[0],
             dx=lambda x, s: np.array([1.0, 0.0, 0.0]),
@@ -151,31 +145,28 @@ class TestComputeB:
         )
         gs = GeneratingScalar(W=w, h=lambda w_: 0.0)
         with pytest.raises(DegenerateWv):
-            compute_b(gs, m, np.array([0.3, 0.1, 0.2]), 0.9)
+            compute_b(gs, np.array([0.3, 0.1, 0.2]), 0.9)
 
 
 class TestComputeA:
     def test_zero_h_gives_zero_a(self):
-        m = euclidean_metric()
         gs = builtin_metrizable(bumpy_position_scalar(), H=lambda w: 0.0)
-        assert compute_a(gs, m, np.array([0.5, 0.8, 0.2]), 1.4) == 0.0
+        assert compute_a(gs, np.array([0.5, 0.8, 0.2]), 1.4) == 0.0
 
     def test_identity_h_on_speed_generator(self):
-        m = euclidean_metric()
         w = speed_scalar()
         gs = GeneratingScalar(W=w, h=lambda w_: w_)
-        assert compute_a(gs, m, np.array([0.1, 0.2, 0.3]), 1.25) == pytest.approx(
+        assert compute_a(gs, np.array([0.1, 0.2, 0.3]), 1.25) == pytest.approx(
             1.25, abs=1e-14
         )
 
     def test_conformal_speed_generator_scales_h(self):
-        m = euclidean_metric()
         H = lambda w: w * w
         gs = builtin_metrizable(coordinate_scalar(0), H=H)
         x = np.array([0.4, -0.2, 0.7])
         for s in (0.6, 1.3):
             expected = H(s * math.exp(-x[0])) * math.exp(x[0])
-            assert compute_a(gs, m, x, s) == pytest.approx(expected, abs=1e-12)
+            assert compute_a(gs, x, s) == pytest.approx(expected, abs=1e-12)
 
 
 class TestAnsatzA:
@@ -576,8 +567,8 @@ class TestForceFieldObjects:
             x = random_point(rng, BOX)
             v = random_velocity(rng, m, x)
             pr = unit_direction(m, x, v)
-            a = compute_a(gs, m, x, pr.speed)
-            b = compute_b(gs, m, x, pr.speed)
+            a = compute_a(gs, x, pr.speed)
+            b = compute_b(gs, x, pr.speed)
             reflect = 2.0 * np.outer(pr.N_up, pr.N_down) - np.eye(3)
             expected = a * pr.N_down + pr.speed * b @ reflect
             assert np.allclose(ff.eval(m, x, v), expected, atol=1e-12)
@@ -627,10 +618,10 @@ class TestForceFieldObjects:
 def component_ansatz(gs, m):
     """The ansatz as one isotropic scalar per coefficient, each wrapping
     compute_a or compute_b: the form the coefficient pack replaces."""
-    a = IsotropicScalar(eval=lambda x, s: compute_a(gs, m, x, s))
+    a = IsotropicScalar(eval=lambda x, s: compute_a(gs, x, s))
     b = tuple(
         IsotropicScalar(
-            eval=(lambda k: lambda x, s: float(compute_b(gs, m, x, s)[k]))(i),
+            eval=(lambda k: lambda x, s: float(compute_b(gs, x, s)[k]))(i),
         )
         for i in range(m.dim)
     )
@@ -645,13 +636,12 @@ PACK_GENERATORS = {
 
 class TestCoefficientPack:
     def test_pack_entries_are_a_and_b(self):
-        m = wavy_conformal_metric()
         gs = generic_generator()
         x = np.array([0.6, 0.9, 0.4])
-        pack = coefficient_pack(gs, m, x, 1.3)
+        pack = coefficient_pack(gs, x, 1.3)
         assert pack.shape == (4,)
-        assert pack[0] == compute_a(gs, m, x, 1.3)
-        assert np.array_equal(pack[1:], compute_b(gs, m, x, 1.3))
+        assert pack[0] == compute_a(gs, x, 1.3)
+        assert np.array_equal(pack[1:], compute_b(gs, x, 1.3))
 
     @seed(29)
     @settings(max_examples=30, deadline=None)
@@ -684,7 +674,7 @@ class TestCoefficientPack:
                 coefficient_speed_derivative(packed, x, s, order),
                 coefficient_speed_derivative(parts, x, s, order),
             )
-        close(coefficient_gradient(packed, m, x, s), coefficient_gradient(parts, m, x, s))
+        close(coefficient_gradient(packed, x, s), coefficient_gradient(parts, x, s))
         # every consumer of the coefficients
         A_packed, A_parts = ansatz_scalar(packed, m), ansatz_scalar(parts, m)
         close(A_packed.eval(x, v), A_parts.eval(x, v))
@@ -708,8 +698,7 @@ class TestCoefficientPack:
             )
 
         af = AnsatzField(a=marked(0), b=tuple(marked(k) for k in (1, 2, 3)))
-        m = euclidean_metric()
-        grad = coefficient_gradient(af, m, np.ones(3), 1.0)
+        grad = coefficient_gradient(af, np.ones(3), 1.0)
         assert np.array_equal(grad, np.tile([0.0, 1.0, 2.0, 3.0], (3, 1)))
         assert np.array_equal(
             coefficient_speed_derivative(af, np.ones(3), 1.0), [10.0, 11.0, 12.0, 13.0]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import qmc
 
@@ -12,7 +14,6 @@ from normalshift.force_builder import (
     AnsatzField,
     ForceField,
     GeneratingScalar,
-    ansatz_A,
     ansatz_from_generator,
     ansatz_scalar,
     as_force_field,
@@ -23,6 +24,7 @@ from normalshift.force_builder import (
     perturbed_field,
 )
 from normalshift.normality_verifier import (
+    MODES,
     NormalityReport,
     SampleSpec,
     residual_additional1,
@@ -34,7 +36,14 @@ from normalshift.normality_verifier import (
     sample_states,
     verify,
 )
-from normalshift.tensor_core import inverse_metric_at, lower_index, speed_at, unit_direction
+from normalshift.tensor_core import (
+    FD_STEP,
+    MetricField,
+    inverse_metric_at,
+    lower_index,
+    speed_at,
+    unit_direction,
+)
 
 from helpers import (
     diagonal_metric,
@@ -415,6 +424,120 @@ class TestVerify:
                 tolerance_used=1e-8,
                 passed=True,
             )
+
+
+def random_conformal_metric(c, stacked, analytic):
+    """g = exp(-2 f) I with f = c0 x^1 + c1 x^2 + c2 x^3 + c3 sin(x^1 x^2)."""
+
+    def f(x):
+        return c[0] * x[..., 0] + c[1] * x[..., 1] + c[2] * x[..., 2] + c[3] * np.sin(x[..., 0] * x[..., 1])
+
+    def g(x):
+        return np.exp(-2.0 * f(x))[..., None, None] * np.eye(3)
+
+    def dg(x):
+        grad_f = np.stack(
+            [
+                c[0] + c[3] * x[..., 1] * np.cos(x[..., 0] * x[..., 1]),
+                c[1] + c[3] * x[..., 0] * np.cos(x[..., 0] * x[..., 1]),
+                c[2] + 0.0 * x[..., 2],
+            ],
+            axis=-1,
+        )
+        return -2.0 * grad_f[..., :, None, None] * g(x)[..., None, :, :]
+
+    return MetricField(dim=3, g=g, dg=dg if analytic else None, stacked=stacked)
+
+
+class TestStackedVerify:
+    """verify evaluates every sample, and every finite-difference offset, as one stack."""
+
+    @seed(53)
+    @settings(max_examples=12, deadline=None)
+    @given(
+        c=st.lists(st.floats(-0.6, 0.6), min_size=4, max_size=4),
+        stacked=st.booleans(),
+        analytic=st.booleans(),
+        halton=st.integers(0, 2**16),
+    )
+    def test_geodesic_is_exactly_zero_on_random_conformal_metrics(self, c, stacked, analytic, halton):
+        m = random_conformal_metric(c, stacked, analytic)
+        for mode in MODES:
+            report = verify(builtin_geodesic(), m, SampleSpec(box=BOX, count=12, seed=halton, mode=mode))
+            assert all(value == 0.0 for value in report.residuals().values()), report.residuals()
+            assert np.array_equal(report.lambda_samples, np.zeros(12))
+            assert report.passed
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_point_only_field_gives_the_stacked_report(self, mode):
+        # an unmarked field is adapted by rows and never receives a stack
+        stacked = perturbed_control()
+        assert stacked.stacked
+
+        def one_state(m_, x, v):
+            if np.ndim(x) != 1 or np.ndim(v) != 1:
+                raise TypeError("this field takes one state")
+            return stacked.eval(m_, x, v)
+
+        m = wavy_conformal_metric()
+        spec = SampleSpec(box=BOX, count=10, seed=12, mode=mode)
+        rows = verify(ForceField(eval=one_state, label="user"), m, spec)
+        stack = verify(stacked, m, spec)
+        assert rows.residuals() == stack.residuals()
+        assert np.array_equal(rows.lambda_samples, stack.lambda_samples)
+        assert rows.passed == stack.passed
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_failure_at_a_later_samples_offset_names_it(self, mode):
+        # W = |v| with h = 0, whose speed derivative is NaN at exactly one
+        # position: sample 5 moved by its difference step along x^1
+        m = euclidean_metric()
+        spec = SampleSpec(box=BOX, count=12, seed=9, mode=mode)
+        states = sample_states(spec, m)
+        x5, v5 = states[5]
+        target = x5[0] + FD_STEP * max(1.0, float(np.max(np.abs(x5))))
+        steps = FD_STEP * np.maximum(1.0, np.max(np.abs(states[:, 0]), axis=1))
+        others = np.delete(states[:, 0, 0][:, None] + np.array([-1.0, 0.0, 1.0]) * steps[:, None], 5, 0)
+        assert np.min(np.abs(others - target)) > 1e-9
+
+        def dspeed(x, s):
+            return np.where(np.abs(x[..., 0] - target) < 1e-12, np.nan, np.ones(np.shape(s)))
+
+        gs = GeneratingScalar(
+            W=IsotropicScalar(
+                eval=lambda x, s: np.asarray(s, dtype=float),
+                dx=lambda x, s: np.zeros(np.shape(x)),
+                dspeed=dspeed,
+                stacked=True,
+            ),
+            h=lambda w: 0.0,
+        )
+        with pytest.raises(EvaluationFailure) as info:
+            verify(gs, m, spec)
+        message = str(info.value)
+        assert message.startswith(f"sample 5 at x = {x5.tolist()}, v = {v5.tolist()}: ")
+        assert "non-finite" in message
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_pointwise_metric_is_evaluated_once_per_position(self, mode):
+        # the samples' positions once, and in finite-diff mode their 2n
+        # position offsets once; velocity offsets reuse the metric at x, and
+        # the control's point-wise bump reads the stack its field evaluated
+        calls = []
+        base = euclidean_metric()
+
+        def counted():
+            return MetricField(dim=3, g=lambda x: calls.append(1) or base.g(x), dg=base.dg)
+
+        count = 8
+        spec = SampleSpec(box=BOX, count=count, seed=4, mode=mode)
+        verify(builtin_metrizable(coordinate_scalar(0), H=lambda w: w), counted(), spec)
+        assert len(calls) == (count if mode == "analytic" else 7 * count)
+        calls.clear()
+        verify(perturbed_control(), counted(), spec)
+        # the samples (which F at x reuses), Dv and the Hessian at x, then
+        # Dx at the 2n position offsets
+        assert len(calls) == 9 * count
 
 
 def half_degenerate_generator():

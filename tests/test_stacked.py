@@ -28,6 +28,7 @@ from normalshift.expressions import parse_expression
 from normalshift.extended_fields import IsotropicScalar
 from normalshift.force_builder import (
     GeneratingScalar,
+    as_force_field,
     builtin_geodesic,
     builtin_metrizable,
     builtin_nonmetrizable,
@@ -171,6 +172,24 @@ class TestStackedForce:
             np.testing.assert_allclose(
                 stacked[idx], force_from_W(gs, m, x[idx], v[idx]), rtol=1e-12, atol=1e-15
             )
+
+    @pytest.mark.parametrize("metric", ["euclidean", "conformal"])
+    def test_generated_field_closures_take_stacks(self, metric):
+        # as_force_field is stacked: eval, dv and nabla on a stack give each
+        # state's point-wise value; for a stacked W bit for bit, since a
+        # single state is evaluated as a one-row stack
+        m = build_metric(scenario(metric=CLI_METRICS[metric]))
+        ff = as_force_field(builtin_nonmetrizable(coordinate_scalar(0), lambda s: s**3))
+        assert ff.stacked
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.3, 1.2, size=(3, 2, 3))
+        v = rng.uniform(-1.0, 1.0, size=(3, 2, 3))
+        for closure in (ff.eval, ff.dv, ff.nabla):
+            stacked = closure(m, x, v)
+            for idx in np.ndindex(3, 2):
+                np.testing.assert_allclose(
+                    stacked[idx], closure(m, x[idx], v[idx]), rtol=1e-12, atol=1e-15
+                )
 
     def test_checks_name_the_first_offending_state(self):
         def stacked_w(dspeed):

@@ -202,6 +202,25 @@ class TestCentralPartials:
         for i, x in enumerate(xs):
             assert np.array_equal(got[:, i], central_partials(fn, x, 1e-4, richardson=richardson))
 
+    @pytest.mark.parametrize("richardson", [False, True])
+    def test_per_state_steps_give_the_per_point_rows(self, richardson):
+        # a stack is one call of fn on all its offsets, each state with its own step
+        calls = []
+
+        def fn(y):
+            calls.append(y.shape)
+            return np.sin(y[..., 0] * y[..., 1]) + np.exp(0.3 * y[..., 2])
+
+        xs = np.random.default_rng(47).uniform(-1.0, 1.0, size=(4, 2, 3))
+        steps = 1e-4 * (1.0 + np.arange(8.0)).reshape(4, 2)
+        got = central_partials(fn, xs, steps, richardson=richardson)
+        assert calls == [(4, 2, 12 if richardson else 6, 3)]
+        assert got.shape == (3, 4, 2)
+        for i in range(4):
+            for j in range(2):
+                want = central_partials(fn, xs[i, j], steps[i, j], richardson=richardson)
+                assert np.array_equal(got[:, i, j], want)
+
     def test_matrix_values_lead_with_the_partial_axis(self):
         # fn(y) = y y^T + I, so d fn_ij / d y^k = delta_ki y_j + y_i delta_kj
         def outer(y):
