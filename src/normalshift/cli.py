@@ -16,6 +16,7 @@ configuration and seed produce byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -57,6 +58,7 @@ from .tensor_core import MetricField, speed_at
 from . import __version__ as TOOL_VERSION
 
 DEFAULT_SHIFT_TOLERANCE = 1e-6
+DEFAULT_SAMPLE_STRIDE = 10
 
 
 @dataclass(frozen=True)
@@ -277,8 +279,18 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
             _as_number(rng[0], "run.u_grid lo")
             _as_number(rng[1], "run.u_grid hi")
             _as_int(rng[2], "run.u_grid count")
-        if "sample_stride" in run and _as_int(run["sample_stride"], "run.sample_stride") < 1:
+        stride = _as_int(run.get("sample_stride", DEFAULT_SAMPLE_STRIDE), "run.sample_stride")
+        if stride < 1:
             raise ConfigError("run.sample_stride must be positive")
+        steps = round(t_end / dt)
+        if abs(steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+            raise ConfigError(f"run.t_end {t_end:g} is not a multiple of run.dt {dt:g}")
+        if steps % stride != 0:
+            raise ConfigError(f"run.sample_stride {stride} does not divide the {steps} steps")
+        if steps // stride < 4:
+            raise ConfigError(
+                f"run records {steps // stride + 1} times; the speed-law stencil needs 5"
+            )
         if "box" in run:
             _validate_box(run["box"], dim, "run.box")
         if "tolerance" in run and _as_number(run["tolerance"], "run.tolerance") <= 0.0:
@@ -566,11 +578,21 @@ def _write_bundle(out_dir: Path, name: str, bundle: dict) -> Path:
     return _write(out_dir / f"{name}.report.json", Path.write_text, text)
 
 
+@contextlib.contextmanager
+def _configuring():
+    """Report a ``ValueError`` raised while building from the scenario as a
+    :class:`ConfigError`; one raised later, at run time, is numerical."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _exit_code(exc: Exception) -> int:
     """Print a failure of ``verify`` or ``shift`` to stderr and return its exit code."""
     if isinstance(exc, TrajectoryEscaped):
         label, code = "trajectory escaped", 4
-    elif isinstance(exc, (ConfigError, GridTooCoarse, ValueError)):
+    elif isinstance(exc, (ConfigError, GridTooCoarse)):
         label, code = "configuration error", 2
     else:
         label, code = "numerical error", 3
@@ -619,16 +641,17 @@ def cmd_verify(
         if sc.verify is None:
             raise ConfigError("scenario has no verify section")
         out_dir = _output_dir(out)
-        m = build_metric(sc)
-        subject = build_subject(sc)
-        spec = SampleSpec(
-            box=sc.verify["box"],
-            count=int(sc.verify.get("sample_count", 200)),
-            speed_range=tuple(sc.verify.get("speed_range", (0.5, 2.0))),
-            seed=seed if seed is not None else sc.seed,
-            mode=sc.verify.get("mode", "analytic"),
-            tolerance=tolerance if tolerance is not None else sc.verify.get("tolerance"),
-        )
+        with _configuring():
+            m = build_metric(sc)
+            subject = build_subject(sc)
+            spec = SampleSpec(
+                box=sc.verify["box"],
+                count=int(sc.verify.get("sample_count", 200)),
+                speed_range=tuple(sc.verify.get("speed_range", (0.5, 2.0))),
+                seed=seed if seed is not None else sc.seed,
+                mode=sc.verify.get("mode", "analytic"),
+                tolerance=tolerance if tolerance is not None else sc.verify.get("tolerance"),
+            )
         report = verify(subject, m, spec)
         bundle = {
             "name": sc.name,
@@ -668,10 +691,11 @@ def cmd_shift(
         if "perturb" in sc.generator:
             raise ConfigError("generator.perturb applies to verification only")
         out_dir = _output_dir(out)
-        m = build_metric(sc)
-        gs = build_generator(sc)
-        surface = build_surface(sc)
-        grid = GridSpec(ranges=tuple(tuple(rng) for rng in sc.run["u_grid"]))
+        with _configuring():
+            m = build_metric(sc)
+            gs = build_generator(sc)
+            surface = build_surface(sc)
+            grid = GridSpec(ranges=tuple(tuple(rng) for rng in sc.run["u_grid"]))
         rec = run_shift(
             gs,
             m,
@@ -679,7 +703,7 @@ def cmd_shift(
             grid,
             t_end=float(sc.run["t_end"]),
             dt=float(sc.run["dt"]),
-            sample_stride=int(sc.run.get("sample_stride", 10)),
+            sample_stride=int(sc.run.get("sample_stride", DEFAULT_SAMPLE_STRIDE)),
             force_constant_nu=force_constant_nu,
             chart_box=sc.run.get("box"),
         )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -64,8 +65,36 @@ Array = np.ndarray
 WV_FLOOR = 1e-8
 # Anchors of the speed quadrature behind builtin_nonmetrizable.
 QUADRATURE_ANCHORS = 257
-# W values on which gauge_transform probes a gauge map.
+# W values on which gauge_transform probes a gauge map, and on which h is
+# probed for arrays.
 GAUGE_PROBES = np.linspace(0.25, 4.0, 13)
+
+
+def takes_arrays(fn: Callable[[float], float], points: Array, values: Array) -> bool:
+    """Whether the scalar callback ``fn`` takes an array of arguments.
+
+    It does when ``fn(points)`` reproduces its point values ``values`` to a
+    relative 1e-12, as an array of the points' shape or as one value for
+    all (a constant).  An array call that raises one of the errors scalar
+    code raises on an array means it does not.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            value = np.asarray(fn(points), dtype=float)
+        return value.shape in ((), points.shape) and bool(
+            np.allclose(value, values, rtol=1e-12, atol=0.0)
+        )
+    except (TypeError, ValueError, ArithmeticError, NormalShiftError):
+        return False
+
+
+def _on_array(fn: Callable[[float], float], arrays: bool, s: Array) -> Array:
+    """``fn`` at every entry of ``s``: one call when it takes ``arrays``
+    (see :func:`takes_arrays`), else one call per entry."""
+    if arrays:
+        value = np.asarray(fn(s), dtype=float)
+        return value if value.shape == s.shape else np.broadcast_to(value, s.shape)
+    return np.array([float(fn(si)) for si in s.ravel()]).reshape(s.shape)
 
 
 @dataclass(frozen=True)
@@ -77,6 +106,24 @@ class GeneratingScalar:
 
     W: IsotropicScalar
     h: Callable[[float], float]
+
+    @cached_property
+    def _h_arrays(self) -> bool:
+        try:
+            values = np.array([float(self.h(w)) for w in GAUGE_PROBES])
+        except (TypeError, ValueError, ArithmeticError, NormalShiftError):
+            return False
+        return takes_arrays(self.h, GAUGE_PROBES, values)
+
+
+def h_values(gs: GeneratingScalar, w: Array) -> Array:
+    """h at an array of W values.
+
+    Whether h takes arrays is probed on ``GAUGE_PROBES`` at the first such
+    call; one that does is then called once per array, any other once per
+    value.
+    """
+    return _on_array(gs.h, gs._h_arrays, w)
 
 
 @dataclass(frozen=True)
@@ -261,8 +308,8 @@ def _stacked_generator_terms(gs: GeneratingScalar, x: Array, speed: Array):
     """W_v, h(W) and dW/dx on a stack, from one call of each W closure.
 
     The checks of the point path run in its order as masks over the
-    stack, and each names the first state that fails it.  h is called once
-    per state, since it is a function of one float.
+    stack, and each names the first state that fails it.  h is called
+    once on the stack when it takes arrays, else once per state.
     """
     wv = np.asarray(gs.W.dspeed(x, speed), dtype=float)
     size = np.abs(wv)
@@ -276,7 +323,7 @@ def _stacked_generator_terms(gs: GeneratingScalar, x: Array, speed: Array):
             f"dW/dspeed = {np.ravel(wv)[i]:.3e} below floor {WV_FLOOR:.1e} {where}"
         )
     w = np.asarray(gs.W.eval(x, speed), dtype=float)
-    hw = np.array([float(gs.h(value)) for value in w.ravel()]).reshape(w.shape)
+    hw = h_values(gs, w)
     if not (speed > 0.0).all():
         _, where = _first_state(~(speed > 0.0), x, speed)
         raise EvaluationFailure(f"isotropic gradient needs a positive speed, not {where}")
@@ -292,7 +339,8 @@ def force_from_W(gs: GeneratingScalar, m: MetricField, x: Array, v: Array) -> Ar
 
     Takes one state (x, v) of shape (n,) or stacks of shape (..., n).  A
     ``stacked`` W is called once per stack (a single state is a one-row
-    stack), any other W once per state; h is called once per state.
+    stack), any other W once per state; with a stacked W, h is called
+    once per stack when it takes arrays, else once per state.
     """
     x = np.asarray(x, dtype=float)
     return force_from_direction(gs, m, x, unit_direction(m, x, v))
@@ -640,20 +688,11 @@ def builtin_nonmetrizable(
             raise QuadratureFailure(f"speed quadrature non-finite at speed {s:.4g}")
         return value
 
-    try:
-        with np.errstate(all="ignore"):
-            on_array = np.asarray(A_of_speed(fine), dtype=float)
-        profile_broadcasts = on_array.shape == fine.shape and np.allclose(
-            on_array, probe, rtol=1e-12, atol=0.0
-        )
-    except (TypeError, ValueError, ArithmeticError, NormalShiftError):
-        profile_broadcasts = False
+    profile_arrays = takes_arrays(A_of_speed, fine, probe)
 
     def profile(s: Array) -> Array:
         """A at an array of speeds."""
-        if profile_broadcasts:
-            return np.asarray(A_of_speed(s), dtype=float)
-        return np.array([float(A_of_speed(si)) for si in s.ravel()]).reshape(s.shape)
+        return _on_array(A_of_speed, profile_arrays, s)
 
     def antiderivatives(s: Array) -> Array:
         """:func:`antiderivative` at an array of speeds, anchors and tails at once."""

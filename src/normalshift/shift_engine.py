@@ -31,8 +31,14 @@ from .errors import (
     TrajectoryEscaped,
     ZeroVelocity,
 )
-from .extended_fields import isotropic_speed_derivative
-from .force_builder import WV_FLOOR, ForceField, GeneratingScalar, force_from_direction
+from .extended_fields import isotropic_call, isotropic_speed_derivative
+from .force_builder import (
+    WV_FLOOR,
+    ForceField,
+    GeneratingScalar,
+    force_from_direction,
+    h_values,
+)
 from .tensor_core import (
     FD_STEP,
     SPEED_FLOOR,
@@ -47,6 +53,7 @@ from .tensor_core import (
     metric_derivatives_at,
     metric_at,
     unit_direction_from,
+    vec_mat,
 )
 
 Array = np.ndarray
@@ -155,37 +162,122 @@ class ShiftRecord:
 
 
 def surface_tangents(s: Hypersurface, u: Array) -> Array:
-    """Tangent matrix T[k, i] = dx^i/du^k, differenced when du is absent."""
+    """Tangent matrices T[..., k, i] = dx^i/du^k, differenced when du is absent.
+
+    Takes one chart point (dim_u,) or a stack (..., dim_u); the surface's
+    closures take one point and are called once per point.
+    """
     u = np.asarray(u, dtype=float)
     if s.du is not None:
-        return np.asarray(s.du(u), dtype=float).T
-    h = FD_STEP * max(1.0, float(np.max(np.abs(u))))
-    return central_partials(s.chart_map, u, h, richardson=True)
+        return by_rows(s.du, u).swapaxes(-1, -2)
+    h = FD_STEP * np.maximum(1.0, np.max(np.abs(u), axis=-1))
+    partials = central_partials(lambda y: by_rows(s.chart_map, y), u, h, richardson=True)
+    return np.moveaxis(partials, 0, -2)
+
+
+def _family_normals(m: MetricField, s: Hypersurface, u: Array, x: Array) -> Tuple[Array, Array]:
+    """g-unit normals (k, n) at chart points u (k, dim_u) with positions x (k, n),
+    and the metric (k, n, n) at x that they were built from.
+
+    The base sign is fixed deterministically by requiring positive
+    determinant of the frame (tau_1, ..., tau_{n-1}, n), then flipped by
+    ``orientation``; over a connected patch this yields a smooth field.
+    Raises :class:`DegenerateTangents` naming the first chart point whose
+    tangents are nearly dependent.
+    """
+    T = surface_tangents(s, u)
+    g = metric_at(m, x)
+    tg = T @ g
+    eigvals = np.linalg.eigvalsh(tg @ T.swapaxes(-1, -2))
+    degenerate = eigvals[:, 0] < 1e-12 * np.maximum(1.0, eigvals[:, -1])
+    if degenerate.any():
+        at = u[int(np.argmax(degenerate))]
+        raise DegenerateTangents(f"tangent vectors nearly dependent at u = {at.tolist()}")
+    # the normal spans the nullspace of the (n-1) x n system (T g) n = 0
+    n_vec = np.linalg.svd(tg)[2][:, -1]
+    n_vec = n_vec / np.sqrt(dot(vec_mat(n_vec, g), n_vec))[:, None]
+    frame = np.concatenate([T, n_vec[:, None, :]], axis=1)
+    n_vec = np.where((np.linalg.det(frame) < 0.0)[:, None], -n_vec, n_vec)
+    return float(s.orientation) * n_vec, g
 
 
 def surface_normal(m: MetricField, s: Hypersurface, u: Array) -> Array:
     """The g-unit normal at chart point u, oriented by the surface.
 
-    The base sign is fixed deterministically by requiring positive
-    determinant of the frame (tau_1, ..., tau_{n-1}, n), then flipped by
-    ``orientation``; over a connected patch this yields a smooth field.
+    The one-point case of the family normals :func:`run_shift` takes, so a
+    point's normal is the same alone and in a family.
     """
-    u = np.asarray(u, dtype=float)
-    x = np.asarray(s.chart_map(u), dtype=float)
-    T = surface_tangents(s, u)
-    g = metric_at(m, x)
-    gram = T @ g @ T.T
-    eigvals = np.linalg.eigvalsh(gram)
-    if eigvals[0] < 1e-12 * max(1.0, eigvals[-1]):
-        raise DegenerateTangents(f"tangent vectors nearly dependent at u = {u.tolist()}")
-    # the normal spans the nullspace of the (n-1) x n system (T g) n = 0
-    _, _, vt = np.linalg.svd(T @ g)
-    n_vec = vt[-1]
-    n_vec = n_vec / math.sqrt(float(n_vec @ g @ n_vec))
-    frame = np.vstack([T, n_vec])
-    if np.linalg.det(frame) < 0.0:
-        n_vec = -n_vec
-    return float(s.orientation) * n_vec
+    u = np.asarray(u, dtype=float)[None]
+    return _family_normals(m, s, u, by_rows(s.chart_map, u))[0][0]
+
+
+def _family_nu(gs: GeneratingScalar, s: Hypersurface, u: Array, x: Array) -> Array:
+    """Initial speeds (k,) at chart points u (k, dim_u) with positions x (k, n)
+    making W match its value at the marked point.
+
+    Each row scans 25 speeds geometrically around |nu0| (one W call for
+    the whole family); the first exact zero wins, otherwise the sign change
+    nearest |nu0| in log distance brackets the root, ties going to the
+    lower speed.  A Newton iteration with the analytic speed derivative of
+    W, safeguarded by bisection inside the bracket, then runs on the rows
+    not yet converged.  The sign of nu0 is preserved.  A row without a
+    bracket or without convergence raises :class:`RootNotBracketed`
+    naming the first such chart point.
+    """
+    w = gs.W
+    sigma0 = abs(float(s.nu0))
+    x_base = np.asarray(s.chart_map(np.asarray(s.base_u, dtype=float)), dtype=float)
+    w0 = float(isotropic_call(w, w.eval, x_base[None], np.array([sigma0]))[0])
+    tol = 1e-12 * (1.0 + abs(w0))
+    k = x.shape[0]
+    scan = sigma0 * np.power(8.0, np.linspace(-1.0, 1.0, 25))
+    distance = np.array([abs(math.log(sig / sigma0)) for sig in scan[:-1]])
+    values = np.asarray(
+        isotropic_call(w, w.eval, np.repeat(x[:, None], scan.size, axis=1), np.tile(scan, (k, 1))),
+        dtype=float,
+    ) - w0
+    zero = values[:, :-1] == 0.0
+    change = values[:, :-1] * values[:, 1:] <= 0.0
+    exact = zero.any(axis=1)
+    nu = np.where(exact, scan[np.argmax(zero, axis=1)], np.nan)
+    j = np.argmin(np.where(change, distance, np.inf), axis=1)
+    unbracketed = ~exact & ~change.any(axis=1)
+
+    rows = np.flatnonzero(~exact & ~unbracketed)
+    lo, hi = scan[j[rows]], scan[j[rows] + 1]
+    g_lo = values[rows, j[rows]]
+    sigma = np.minimum(np.maximum(sigma0, lo), hi)
+    for _ in range(SOLVE_NU_ITERATIONS):
+        if not rows.size:
+            break
+        g_sig = np.asarray(isotropic_call(w, w.eval, x[rows], sigma), dtype=float) - w0
+        done = np.abs(g_sig) < tol
+        nu[rows[done]] = sigma[done]
+        active = ~done
+        rows, sigma, g_sig, lo, hi, g_lo = (
+            a[active] for a in (rows, sigma, g_sig, lo, hi, g_lo)
+        )
+        if not rows.size:
+            break
+        left = g_lo * g_sig <= 0.0
+        hi = np.where(left, sigma, hi)
+        lo, g_lo = np.where(left, lo, sigma), np.where(left, g_lo, g_sig)
+        wv = np.asarray(isotropic_speed_derivative(w, x[rows], sigma), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            candidate = sigma - g_sig / wv
+        newton = (np.abs(wv) >= WV_FLOOR) & (lo < candidate) & (candidate < hi)
+        sigma = np.where(newton, candidate, 0.5 * (lo + hi))
+
+    failed = np.union1d(np.flatnonzero(unbracketed), rows)
+    if failed.size:
+        i = failed[0]
+        if unbracketed[i]:
+            raise RootNotBracketed(
+                f"no speed in [{scan[0]:.4g}, {scan[-1]:.4g}] matches the surface value "
+                f"of W at u = {u[i].tolist()}"
+            )
+        raise RootNotBracketed(f"speed iteration failed to converge at u = {u[i].tolist()}")
+    return np.copysign(nu, s.nu0)
 
 
 def solve_nu(
@@ -196,54 +288,11 @@ def solve_nu(
 ) -> float:
     """Initial speed at u making W match its value at the marked point.
 
-    Newton iteration with the analytic speed derivative of W, safeguarded
-    by bisection inside a geometrically grown bracket around |nu0|; the
-    sign of nu0 is preserved.
+    The one-point case of the family solve :func:`run_shift` takes, so a
+    point's speed is the same alone and in a family.
     """
-    u = np.asarray(u, dtype=float)
-    x_base = np.asarray(s.chart_map(np.asarray(s.base_u, dtype=float)), dtype=float)
-    x = np.asarray(s.chart_map(u), dtype=float)
-    sigma0 = abs(float(s.nu0))
-    w0 = float(gs.W.eval(x_base, sigma0))
-    tol = 1e-12 * (1.0 + abs(w0))
-
-    def gap(sigma: float) -> float:
-        return float(gs.W.eval(x, sigma)) - w0
-
-    scan = sigma0 * np.power(8.0, np.linspace(-1.0, 1.0, 25))
-    values = np.array([gap(sig) for sig in scan])
-    lo = hi = None
-    best = np.inf
-    for j in range(len(scan) - 1):
-        if values[j] == 0.0:
-            return math.copysign(float(scan[j]), s.nu0)
-        if values[j] * values[j + 1] <= 0.0:
-            distance = abs(math.log(scan[j] / sigma0))
-            if distance < best:
-                best = distance
-                lo, hi = float(scan[j]), float(scan[j + 1])
-    if lo is None:
-        raise RootNotBracketed(
-            f"no speed in [{scan[0]:.4g}, {scan[-1]:.4g}] matches the surface value of W"
-        )
-    g_lo = gap(lo)
-    sigma = min(max(sigma0, lo), hi)
-    for _ in range(SOLVE_NU_ITERATIONS):
-        g_sig = gap(sigma)
-        if abs(g_sig) < tol:
-            return math.copysign(sigma, s.nu0)
-        if g_lo * g_sig <= 0.0:
-            hi = sigma
-        else:
-            lo, g_lo = sigma, g_sig
-        wv = isotropic_speed_derivative(gs.W, x, sigma)
-        step = g_sig / wv if abs(wv) >= WV_FLOOR else None
-        candidate = sigma - step if step is not None else None
-        if candidate is not None and lo < candidate < hi:
-            sigma = candidate
-        else:
-            sigma = 0.5 * (lo + hi)
-    raise RootNotBracketed("speed iteration failed to converge")
+    u = np.asarray(u, dtype=float)[None]
+    return float(_family_nu(gs, s, u, by_rows(s.chart_map, u))[0])
 
 
 # A force of the flow: the covector at states (x, v), given the metric
@@ -407,9 +456,12 @@ def run_shift(
     """Integrate the trajectory family of a shift and assemble deviations.
 
     Initial conditions follow the orthogonal-start rule x = chart(u),
-    v = nu(u) n(u), with nu from ``solve_nu`` unless ``force_constant_nu``
-    pins nu = nu0 everywhere (the negative control).  The whole family is
-    stepped as one (n_u, n) stack of positions and one of velocities.
+    v = nu(u) n(u), with nu from the family solve of :func:`solve_nu`
+    unless ``force_constant_nu`` pins nu = nu0 everywhere (the negative
+    control), and the normals n(u) from one stacked computation whose
+    metric serves the first step.  A failed solve names the first failing
+    grid point's u.  The whole family is stepped as one (n_u, n) stack of
+    positions and one of velocities.
     States are recorded every ``sample_stride`` steps; ``chart_box``, when
     given, bounds the coordinates and integration aborts once a trajectory
     leaves it.  A failure is reported for the earliest failing step and,
@@ -441,20 +493,15 @@ def run_shift(
     box = None if chart_box is None else np.asarray(chart_box, dtype=float)
 
     force = _generated_force(gs, m)
-    x = np.empty((n_u, dim))
-    v = np.empty((n_u, dim))
-    nu_vals = np.empty(n_u)
-    for i, u in enumerate(u_grid):
-        nu = float(s.nu0) if force_constant_nu else solve_nu(gs, m, s, u)
-        nu_vals[i] = nu
-        x[i] = np.asarray(s.chart_map(u), dtype=float)
-        v[i] = nu * surface_normal(m, s, u)
+    x = by_rows(s.chart_map, u_grid)
+    nu_vals = np.full(n_u, float(s.nu0)) if force_constant_nu else _family_nu(gs, s, u_grid, x)
+    normals, gmat = _family_normals(m, s, u_grid, x)
+    v = nu_vals[:, None] * normals
 
     xs = np.empty((n_u, n_t, dim))
     vs = np.empty((n_u, n_t, dim))
     xs[:, 0], vs[:, 0] = x, v
     slot = 1
-    gmat = None
     for step in range(1, n_steps + 1):
         t = (step - 1) * dt
         try:
@@ -498,19 +545,21 @@ def run_shift(
 
 
 def w_dynamics_residual(rec: ShiftRecord, gs: GeneratingScalar) -> float:
-    """Sup-norm gap between recorded W and the integrated law dW/dt = h(W)."""
-    worst = 0.0
-    for i in range(rec.W_vals.shape[0]):
-        w = float(rec.W_vals[i, 0])
-        for j in range(1, rec.times.shape[0]):
-            step = float(rec.times[j] - rec.times[j - 1])
-            k1 = float(gs.h(w))
-            k2 = float(gs.h(w + 0.5 * step * k1))
-            k3 = float(gs.h(w + 0.5 * step * k2))
-            k4 = float(gs.h(w + step * k3))
-            w = w + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            worst = max(worst, abs(float(rec.W_vals[i, j]) - w))
-    return worst
+    """Sup-norm gap between recorded W and the integrated law dW/dt = h(W).
+
+    Every trajectory's RK4 of W steps at once; h is called once per stage
+    on all trajectories when it takes arrays.  NaN gaps are skipped.
+    """
+    w = np.empty_like(rec.W_vals)
+    w[:, 0] = rec.W_vals[:, 0]
+    for j in range(1, rec.times.shape[0]):
+        step = float(rec.times[j] - rec.times[j - 1])
+        k1 = h_values(gs, w[:, j - 1])
+        k2 = h_values(gs, w[:, j - 1] + 0.5 * step * k1)
+        k3 = h_values(gs, w[:, j - 1] + 0.5 * step * k2)
+        k4 = h_values(gs, w[:, j - 1] + step * k3)
+        w[:, j] = w[:, j - 1] + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return float(np.fmax.reduce(np.abs(rec.W_vals - w), axis=None, initial=0.0))
 
 
 def surface_constancy_residual(rec: ShiftRecord) -> Array:

@@ -116,7 +116,16 @@ def by_rows(fn: Callable, x: np.ndarray, *more) -> np.ndarray:
 
 
 def _closure_value(fn: Callable, x: np.ndarray, shape: tuple, what: str) -> np.ndarray:
-    value = np.asarray(fn(x), dtype=float)
+    return _checked_value(fn(x), x, shape, what)
+
+
+def _checked_value(value, x: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+    try:
+        value = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise AsymmetricMetric(
+            f"{what} closure returned a ragged or non-numeric value, expected shape {shape} at x={x}"
+        ) from exc
     if value.shape != shape:
         raise AsymmetricMetric(
             f"{what} closure returned shape {value.shape}, expected {shape} at x={x}"
@@ -131,9 +140,10 @@ def _closure_values(
 
     A ``stacked`` closure is called once with the whole stack; any other
     once per run of equal consecutive points, so an offset stack that holds
-    the position fixed costs one call per position.  Each point's value
-    must have ``shape``; a wrong one raises :class:`AsymmetricMetric`
-    naming its point.
+    the position fixed costs one call per position.  The point values are
+    assembled in one pass and their shape checked once; each point's value
+    must have ``shape``, and a wrong or ragged one raises
+    :class:`AsymmetricMetric` naming its point.
     """
     if x.ndim == 1:
         return _closure_value(fn, x, shape, what)
@@ -144,9 +154,14 @@ def _closure_values(
     if repeats.any():
         new = np.concatenate(([True], ~repeats))
         flat, runs = flat[new], np.cumsum(new) - 1
-    values = np.empty((flat.shape[0],) + shape)
-    for i, xi in enumerate(flat):
-        values[i] = _closure_value(fn, xi, shape, what)
+    points = [fn(xi) for xi in flat]
+    try:
+        values = np.array(points, dtype=float)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.shape[1:] != shape:
+        checked = [_checked_value(p, xi, shape, what) for p, xi in zip(points, flat)]
+        values = np.array(checked).reshape((-1,) + shape)
     if repeats.any():
         values = values[runs]
     return values.reshape(x.shape[:-1] + shape)

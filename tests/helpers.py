@@ -90,3 +90,89 @@ def random_velocity(rng, m, x, speed_lo=0.5, speed_hi=2.0):
             break
     target = speed_lo + (speed_hi - speed_lo) * rng.random()
     return raw * (target / norm)
+
+
+def pointwise_initial_state(gs, m, s, u_grid):
+    """Initial speeds and normals of a shift family, one grid point at a time.
+
+    The oracle of the family solve in ``shift_engine``: the per-point
+    ``solve_nu`` and ``surface_normal`` that the library once ran in a loop
+    over the grid, kept verbatim here.  Returns ``(nu, normals)``.
+    """
+    import math
+
+    from normalshift.errors import DegenerateTangents, RootNotBracketed
+    from normalshift.extended_fields import isotropic_speed_derivative
+    from normalshift.force_builder import WV_FLOOR
+    from normalshift.shift_engine import SOLVE_NU_ITERATIONS
+    from normalshift.tensor_core import FD_STEP, central_partials, metric_at
+
+    def surface_tangents(u):
+        if s.du is not None:
+            return np.asarray(s.du(u), dtype=float).T
+        h = FD_STEP * max(1.0, float(np.max(np.abs(u))))
+        return central_partials(s.chart_map, u, h, richardson=True)
+
+    def surface_normal(u):
+        x = np.asarray(s.chart_map(u), dtype=float)
+        T = surface_tangents(u)
+        g = metric_at(m, x)
+        gram = T @ g @ T.T
+        eigvals = np.linalg.eigvalsh(gram)
+        if eigvals[0] < 1e-12 * max(1.0, eigvals[-1]):
+            raise DegenerateTangents(f"tangent vectors nearly dependent at u = {u.tolist()}")
+        _, _, vt = np.linalg.svd(T @ g)
+        n_vec = vt[-1]
+        n_vec = n_vec / math.sqrt(float(n_vec @ g @ n_vec))
+        frame = np.vstack([T, n_vec])
+        if np.linalg.det(frame) < 0.0:
+            n_vec = -n_vec
+        return float(s.orientation) * n_vec
+
+    def solve_nu(u):
+        x_base = np.asarray(s.chart_map(np.asarray(s.base_u, dtype=float)), dtype=float)
+        x = np.asarray(s.chart_map(u), dtype=float)
+        sigma0 = abs(float(s.nu0))
+        w0 = float(gs.W.eval(x_base, sigma0))
+        tol = 1e-12 * (1.0 + abs(w0))
+
+        def gap(sigma):
+            return float(gs.W.eval(x, sigma)) - w0
+
+        scan = sigma0 * np.power(8.0, np.linspace(-1.0, 1.0, 25))
+        values = np.array([gap(sig) for sig in scan])
+        lo = hi = None
+        best = np.inf
+        for j in range(len(scan) - 1):
+            if values[j] == 0.0:
+                return math.copysign(float(scan[j]), s.nu0)
+            if values[j] * values[j + 1] <= 0.0:
+                distance = abs(math.log(scan[j] / sigma0))
+                if distance < best:
+                    best = distance
+                    lo, hi = float(scan[j]), float(scan[j + 1])
+        if lo is None:
+            raise RootNotBracketed("no speed in the scan matches the surface value of W")
+        g_lo = gap(lo)
+        sigma = min(max(sigma0, lo), hi)
+        for _ in range(SOLVE_NU_ITERATIONS):
+            g_sig = gap(sigma)
+            if abs(g_sig) < tol:
+                return math.copysign(sigma, s.nu0)
+            if g_lo * g_sig <= 0.0:
+                hi = sigma
+            else:
+                lo, g_lo = sigma, g_sig
+            wv = isotropic_speed_derivative(gs.W, x, sigma)
+            step = g_sig / wv if abs(wv) >= WV_FLOOR else None
+            candidate = sigma - step if step is not None else None
+            if candidate is not None and lo < candidate < hi:
+                sigma = candidate
+            else:
+                sigma = 0.5 * (lo + hi)
+        raise RootNotBracketed("speed iteration failed to converge")
+
+    u_grid = np.asarray(u_grid, dtype=float)
+    nu = np.array([solve_nu(u) for u in u_grid])
+    normals = np.array([surface_normal(u) for u in u_grid])
+    return nu, normals

@@ -111,6 +111,9 @@ class TestScenarioValidation:
             {"t_end": 0.1, "dt": 1e-3, "u_grid": [[0, 1, 5]]},
             {"t_end": 0.1, "dt": 1e-3, "u_grid": [[0, 1], [0, 1, 5]]},
             {"t_end": 0.1, "dt": 1e-3, "u_grid": [[0, 1, 5], [0, 1, 5]], "tolerance": 0},
+            {"t_end": 0.1005, "dt": 1e-3, "u_grid": [[0, 1, 5], [0, 1, 5]]},
+            {"t_end": 0.1, "dt": 1e-3, "u_grid": [[0, 1, 5], [0, 1, 5]], "sample_stride": 3},
+            {"t_end": 0.03, "dt": 1e-3, "u_grid": [[0, 1, 5], [0, 1, 5]]},
         ]
         for run in bad_runs:
             with pytest.raises(ConfigError):
@@ -417,21 +420,48 @@ class TestRejectedInput:
     """
 
     @pytest.mark.parametrize(
-        "command,overrides,options,code",
+        "command,overrides,options,raising,code",
         [
-            ("verify", {"generator": {"kind": "geodesic"}}, [], 0),
-            ("shift", {"run.t_end": 0.05}, ["--force-constant-nu"], 1),
+            ("verify", {"generator": {"kind": "geodesic"}}, [], None, 0),
+            ("shift", {"run.t_end": 0.05}, ["--force-constant-nu"], None, 1),
             # the plane at x1 = 0.05 moves toward -x1, where sqrt(x1) has no value
             ("shift", {"generator.f": "sqrt(x1)", "surface.offset": 0.05, "surface.axis": 0,
-                       "surface.nu0": -1}, [], 3),
-            ("shift", {"run.box": [[-1.0, 1.0], [-1.0, 1.0], [-0.05, 0.05]]}, [], 4),
+                       "surface.nu0": -1}, [], None, 3),
+            ("shift", {"run.box": [[-1.0, 1.0], [-1.0, 1.0], [-0.05, 0.05]]}, [], None, 4),
+            # 200 steps in strides of 30
+            ("shift", {"run.sample_stride": 30}, [], None, 2),
+            ("verify", {"run.sample_stride": 30}, [], None, 2),
+            ("shift", {"run.t_end": 0.0305}, [], None, 2),
+            # five steps record two times, too few for the speed-law stencil
+            ("shift", {"run.t_end": 0.01, "run.sample_stride": 5}, [], None, 2),
+            # a ValueError while building from the scenario is a configuration error
+            ("shift", {}, [], "build_surface", 2),
+            ("verify", {}, [], "build_subject", 2),
+            # one raised during the run is a numerical error
+            ("shift", {}, [], "run_shift", 3),
+            ("verify", {}, [], "verify", 3),
         ],
-        ids=["verify-passes", "shift-constant-nu-fails", "shift-domain-error", "shift-escapes"],
+        ids=[
+            "verify-passes", "shift-constant-nu-fails", "shift-domain-error", "shift-escapes",
+            "shift-stride-off-steps", "verify-stride-off-steps", "shift-t_end-off-dt",
+            "shift-record-too-short", "shift-build-value-error", "verify-build-value-error",
+            "shift-run-value-error", "verify-run-value-error",
+        ],
     )
-    def test_exit_codes(self, tmp_path, capsys, command, overrides, options, code):
+    def test_exit_codes(self, tmp_path, monkeypatch, capsys, command, overrides, options,
+                        raising, code):
+        if raising is not None:
+            def fail(*args, **kwargs):
+                raise ValueError(f"{raising} refused")
+
+            monkeypatch.setattr(cli, raising, fail)
         path = write_config(tmp_path, with_overrides(base_scenario(), overrides, tmp_path))
         assert main([command, str(path), "--out", str(tmp_path / "out"), *options]) == code
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if raising is not None:
+            label = "configuration" if code == 2 else "numerical"
+            assert err.startswith(f"{label} error: {raising} refused")
 
     @pytest.mark.parametrize(
         "command,compute,out",

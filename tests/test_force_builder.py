@@ -40,6 +40,8 @@ from normalshift.force_builder import (
     force_from_A,
     force_from_W,
     gauge_transform,
+    h_values,
+    takes_arrays,
 )
 from normalshift.normality_verifier import residual_reduced
 from normalshift.tensor_core import christoffel_at, lower_index, speed_at, unit_direction
@@ -306,6 +308,51 @@ class TestForceFromW:
         v = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(DegenerateWv):
             force_from_W(gs, euclidean_metric(), x, v)
+
+
+class TestArrayProbe:
+    POINTS = np.linspace(0.25, 4.0, 13)
+
+    @pytest.mark.parametrize(
+        "fn,arrays",
+        [
+            (lambda w: 0.5 * w, True),
+            (lambda w: 0.0, True),  # a constant: one value for all
+            (lambda w: w**3 + 1.0, True),
+            (lambda w: math.sin(w), False),  # takes one float only
+            (lambda w: w if np.ndim(w) == 0 else 2.0 * w, False),  # wrong on arrays
+            (lambda w: 1.0 if w > 1.0 else -1.0, False),  # ambiguous truth value
+        ],
+        ids=["linear", "constant", "cubic", "float-only", "misleading", "branching"],
+    )
+    def test_takes_arrays(self, fn, arrays):
+        values = np.array([float(fn(w)) for w in self.POINTS])
+        assert takes_arrays(fn, self.POINTS, values) is arrays
+        gs = GeneratingScalar(W=builtin_geodesic().W, h=fn)
+        w = np.array([[0.3, 1.7], [2.5, 0.9]])
+        expected = np.array([[float(fn(wi)) for wi in row] for row in w])
+        assert np.array_equal(h_values(gs, w), expected)
+
+    def test_array_capable_h_is_called_once_per_stack(self):
+        calls = []
+
+        def h(w):
+            calls.append(np.ndim(w))
+            return 0.5 * w
+
+        gs = builtin_metrizable(coordinate_scalar(0), H=h)
+        m = conformal_metric()
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0.3, 1.2, size=(4, 5, 3))
+        v = rng.uniform(-1.0, 1.0, size=(4, 5, 3))
+        first = force_from_W(gs, m, x, v)
+        # the probe: 13 point values and one array, then one call per stack
+        assert calls == [0] * 13 + [1, 2]
+        assert np.array_equal(force_from_W(gs, m, x, v), first)
+        assert calls[15:] == [2]
+        # a float-only h with the same values gives the same force
+        scalar = builtin_metrizable(coordinate_scalar(0), H=lambda w: float(w) / 2.0)
+        assert np.array_equal(force_from_W(scalar, m, x, v), first)
 
 
 class TestRoundtrip:

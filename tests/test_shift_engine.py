@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from normalshift.errors import (
     DegenerateTangents,
@@ -46,6 +48,7 @@ from helpers import (
     conformal_metric,
     diagonal_metric,
     euclidean_metric,
+    pointwise_initial_state,
     wavy_conformal_metric,
 )
 
@@ -274,6 +277,117 @@ class TestSolveNu:
         s = plane_surface()
         with pytest.raises(RootNotBracketed):
             solve_nu(metrizable_h0(), m, s, np.array([2.5, 0.0]))
+
+
+def stacked_conformal_metric():
+    """g = exp(-2 x^1) I with closures that take stacks."""
+
+    def g(x):
+        return np.exp(-2.0 * x[..., 0])[..., None, None] * np.eye(3)
+
+    def dg(x):
+        d = np.zeros(np.shape(x)[:-1] + (3, 3, 3))
+        d[..., 0, :, :] = -2.0 * g(x)
+        return d
+
+    return MetricField(dim=3, g=g, dg=dg, stacked=True)
+
+
+def cubic_generator():
+    """W = v exp(-x^1) + 0.3 v^3 (1 + (x^2)^2), h = 0, closures of one point."""
+    w = IsotropicScalar(
+        eval=lambda x, s: s * math.exp(-x[0]) + 0.3 * s**3 * (1.0 + x[1] ** 2),
+        dx=lambda x, s: np.array([-s * math.exp(-x[0]), 0.6 * s**3 * x[1], 0.0]),
+        dspeed=lambda x, s: math.exp(-x[0]) + 0.9 * s**2 * (1.0 + x[1] ** 2),
+    )
+    return GeneratingScalar(W=w, h=lambda v: 0.0)
+
+
+FAMILY_METRICS = {
+    "conformal": conformal_metric,
+    "wavy": wavy_conformal_metric,
+    "stacked-conformal": stacked_conformal_metric,
+}
+FAMILY_GENERATORS = {
+    "metrizable": metrizable_h0,
+    "metrizable-pointwise": lambda: dataclasses.replace(
+        metrizable_h0(), W=dataclasses.replace(metrizable_h0().W, stacked=False)
+    ),
+    "cubic-pointwise": cubic_generator,
+}
+
+
+def family_surface(kind, base, level, nu0, orientation):
+    if kind == "plane":
+        return plane_surface(offset=level, base_u=base, nu0=nu0, orientation=orientation)
+    if kind == "sphere":
+        base = (0.5 * math.pi + base[0], base[1])
+        return sphere_surface(base_u=base, nu0=nu0, orientation=-1.0)
+    return graph_surface(
+        height=lambda u: level + 0.2 * math.sin(u[0]) + 0.1 * u[0] * u[1],
+        base_u=base,
+        nu0=nu0,
+        orientation=orientation,
+    )
+
+
+class TestFamilyInitialState:
+    @seed(53)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        surface=st.sampled_from(["plane", "sphere", "graph"]),
+        metric=st.sampled_from(sorted(FAMILY_METRICS)),
+        generator=st.sampled_from(sorted(FAMILY_GENERATORS)),
+        base=st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+        level=st.floats(-0.2, 0.2),
+        nu0=st.sampled_from([-1.6, -0.7, 0.7, 1.0, 1.6]),
+        orientation=st.sampled_from([1.0, -1.0]),
+        k=st.integers(0, 24),
+    )
+    def test_family_matches_the_per_point_loop(
+        self, surface, metric, generator, base, level, nu0, orientation, k
+    ):
+        # the family's speeds and normals are those of the per-point loop
+        # they replace, bit for bit, and a point alone solves alike
+        m = FAMILY_METRICS[metric]()
+        gs = FAMILY_GENERATORS[generator]()
+        s = family_surface(surface, base, level, nu0, orientation)
+        grid = GridSpec(ranges=tuple((c - 0.1, c + 0.1, 5) for c in s.base_u))
+        rec = run_shift(gs, m, s, grid, t_end=1e-3, dt=1e-3, sample_stride=1)
+        nu, normals = pointwise_initial_state(gs, m, s, rec.u_grid)
+        assert np.array_equal(rec.nu_vals, nu)
+        assert np.array_equal(rec.v[:, 0], nu[:, None] * normals)
+        u = rec.u_grid[k]
+        assert solve_nu(gs, m, s, u) == nu[k]
+        assert np.array_equal(surface_normal(m, s, u), normals[k])
+
+    def test_unbracketed_far_corner_is_named(self):
+        # W = v exp(-x^1 - x^2) needs nu = exp(u^1 + u^2), beyond 8 nu0 only
+        # at the far corner u = (1.1, 1.1) of the grid
+        def weight(x):
+            return np.exp(-x[..., 0] - x[..., 1])
+
+        w = IsotropicScalar(
+            eval=lambda x, s: s * weight(x),
+            dx=lambda x, s: -(s * weight(x))[..., None] * np.array([1.0, 1.0, 0.0]),
+            dspeed=lambda x, s: weight(x),
+            stacked=True,
+        )
+        m = euclidean_metric(3)
+        grid = GridSpec(ranges=((0.0, 1.1, 5), (0.0, 1.1, 5)))
+        for W in (w, dataclasses.replace(w, stacked=False)):
+            gs = GeneratingScalar(W=W, h=lambda v: 0.0)
+            with pytest.raises(RootNotBracketed, match=r"at u = \[1\.1, 1\.1\]$"):
+                run_shift(gs, m, plane_surface(), grid, t_end=0.01, dt=1e-3, sample_stride=1)
+
+    def test_collapsed_chart_names_the_first_point(self):
+        collapsed = Hypersurface(
+            dim_u=2,
+            chart_map=lambda u: np.array([u[0] + u[1], u[0] + u[1], 0.0]),
+            base_u=(0.0, 0.0),
+        )
+        with pytest.raises(DegenerateTangents, match=r"at u = \[-0\.1, -0\.1\]$"):
+            quick_run(builtin_geodesic(), euclidean_metric(3), collapsed)
 
 
 class TestStepTrajectory:
@@ -531,6 +645,27 @@ class TestRecordedLaws:
         assert w_dynamics_residual(rec, metrizable_hw()) < 1e-8
         expected = rec.W_vals[:, :1] * np.exp(rec.times)[None, :]
         assert np.max(np.abs(rec.W_vals - expected)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "h", [lambda w: w, lambda w: math.sin(w)], ids=["array-capable", "float-only"]
+    )
+    def test_w_law_matches_the_per_trajectory_loop(self, plane_hw_record, h):
+        # all trajectories step together, and give the per-trajectory
+        # loop's residual bit for bit
+        rec = plane_hw_record
+        worst = 0.0
+        for i in range(rec.W_vals.shape[0]):
+            w = float(rec.W_vals[i, 0])
+            for j in range(1, rec.times.shape[0]):
+                step = float(rec.times[j] - rec.times[j - 1])
+                k1 = float(h(w))
+                k2 = float(h(w + 0.5 * step * k1))
+                k3 = float(h(w + 0.5 * step * k2))
+                k4 = float(h(w + step * k3))
+                w = w + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                worst = max(worst, abs(float(rec.W_vals[i, j]) - w))
+        gs = GeneratingScalar(W=metrizable_hw().W, h=h)
+        assert w_dynamics_residual(rec, gs) == worst
 
     def test_speed_law_along_family(self, plane_h0_record):
         m = euclidean_metric(3)

@@ -281,16 +281,18 @@ class TestShiftWithStackedClosures:
         steps = 6
         stages = 4 * steps
         shift(gs, m, steps=steps)
-        # beyond one call per stage: g at the first step's start and on the
-        # record, W.eval on the record
+        # beyond one call per stage: g on the surface normals, whose metric
+        # serves the first step's start, and on the record; W.eval on the
+        # record and, for the initial speeds, at the marked point, on the
+        # family's 25-speed scan and once per Newton iteration (four here),
+        # W.dspeed in each Newton iteration but the last
         assert calls["g", "stack"] == stages + 2
         assert calls["dg", "stack"] == stages
-        assert calls["W.eval", "stack"] == stages + 1
-        assert calls["W.dspeed", "stack"] == stages
+        assert calls["W.eval", "stack"] == stages + 1 + 2 + 4
+        assert calls["W.dspeed", "stack"] == stages + 3
         assert calls["W.dx", "stack"] == stages
-        # the point calls are the surface normals' metric and solve_nu's W
-        assert calls["g", "point"] == 25
-        assert calls["dg", "point"] == calls["W.dx", "point"] == 0
+        # the initial state is solved on stacks too
+        assert not [key for key in calls if key[1] == "point"]
 
     def test_pointwise_metric_is_called_once_per_point_per_stage(self):
         m, gs = cli_case()
@@ -298,8 +300,8 @@ class TestShiftWithStackedClosures:
         steps = 6
         shift(gs, m, steps=steps)
         n_u, n_t = 25, steps // 2 + 1
-        # every stage, the first step's start, the n_t recorded states and
-        # the surface normal
-        assert calls["g", "point"] == n_u * (4 * steps + 1 + n_t + 1)
+        # every stage, the surface normals (which serve the first step's
+        # start) and the n_t recorded states
+        assert calls["g", "point"] == n_u * (4 * steps + 1 + n_t)
         assert calls["dg", "point"] == n_u * 4 * steps
         assert calls["g", "stack"] == calls["dg", "stack"] == 0

@@ -374,6 +374,39 @@ class TestStacks:
         with pytest.raises(AsymmetricMetric, match="dg closure returned shape"):
             christoffel_at(bad_dg, np.zeros((2, 3)))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [np.eye(2), [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], None],
+        ids=["wrong-shape", "ragged-list", "not-numeric"],
+    )
+    def test_bad_value_at_one_row_names_that_row(self, bad):
+        # the values of a stack are assembled in one pass; only a bad one
+        # sends them through the per-point check, which names its point
+        x = np.arange(15.0).reshape(5, 3)
+        k = 3
+
+        def g(y):
+            return bad if np.array_equal(y, x[k]) else np.eye(3)
+
+        m = MetricField(dim=3, g=g)
+        with pytest.raises(AsymmetricMetric, match=r"x=\[ 9\.\s+10\.\s+11\.\]"):
+            metric_at(m, x)
+        # the same point alone is checked alike
+        with pytest.raises(AsymmetricMetric, match=r"x=\[ 9\.\s+10\.\s+11\.\]"):
+            metric_at(m, x[k])
+
+    def test_closure_errors_pass_through_unchanged(self):
+        class Boom(Exception):
+            pass
+
+        def g(y):
+            if y[0] > 5.0:
+                raise Boom("closure failed")
+            return np.eye(3)
+
+        with pytest.raises(Boom, match="closure failed"):
+            metric_at(MetricField(dim=3, g=g), np.arange(12.0).reshape(4, 3))
+
     def test_zero_velocity_in_stack_named(self):
         m = euclidean_metric()
         x = np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
