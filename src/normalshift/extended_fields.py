@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -70,12 +70,19 @@ class IsotropicScalar:
     (..., n) with speeds (...) and return values with those leading axes:
     ``eval`` and ``dspeed`` of shape (...), ``dx`` of shape (..., n).
     Stack consumers call unmarked closures once per point.
+
+    ``terms``, optional beside ``dx`` and ``dspeed`` and read only when the
+    field is ``stacked``, gives (``eval``, ``dspeed``, ``dx``) on a stack in
+    one call that does their shared work once.  It must agree with them bit
+    for bit, so a ``dataclasses.replace`` that swaps one of them must set
+    ``terms=None``.
     """
 
     eval: Callable[[Array, float], float]
     dx: Optional[Callable[[Array, float], Array]] = None
     dspeed: Optional[Callable[[Array, float], float]] = None
     stacked: bool = False
+    terms: Optional[Callable[[Array, Array], Tuple[Array, Array, Array]]] = None
 
 
 def is_stack(x) -> bool:

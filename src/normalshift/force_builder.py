@@ -305,13 +305,15 @@ def _first_state(mask: Array, x: Array, speed: Array) -> Tuple[int, str]:
 
 
 def _stacked_generator_terms(gs: GeneratingScalar, x: Array, speed: Array):
-    """W_v, h(W) and dW/dx on a stack, from one call of each W closure.
+    """W_v, h(W) and dW/dx on a stack, from one ``terms`` call or one call of each W closure.
 
     The checks of the point path run in its order as masks over the
     stack, and each names the first state that fails it.  h is called
     once on the stack when it takes arrays, else once per state.
     """
-    wv = np.asarray(gs.W.dspeed(x, speed), dtype=float)
+    W = gs.W
+    terms = None if W.terms is None else W.terms(x, speed)
+    wv = np.asarray(W.dspeed(x, speed) if terms is None else terms[1], dtype=float)
     size = np.abs(wv)
     if not ((size >= WV_FLOOR) & (size < np.inf)).all():
         bad = ~np.isfinite(wv)
@@ -322,12 +324,12 @@ def _stacked_generator_terms(gs: GeneratingScalar, x: Array, speed: Array):
         raise DegenerateWv(
             f"dW/dspeed = {np.ravel(wv)[i]:.3e} below floor {WV_FLOOR:.1e} {where}"
         )
-    w = np.asarray(gs.W.eval(x, speed), dtype=float)
+    w = np.asarray(W.eval(x, speed) if terms is None else terms[0], dtype=float)
     hw = h_values(gs, w)
     if not (speed > 0.0).all():
         _, where = _first_state(~(speed > 0.0), x, speed)
         raise EvaluationFailure(f"isotropic gradient needs a positive speed, not {where}")
-    grad = np.asarray(gs.W.dx(x, speed), dtype=float)
+    grad = np.asarray(W.dx(x, speed) if terms is None else terms[2], dtype=float)
     if not np.isfinite(grad).all():
         _, where = _first_state(~np.isfinite(grad).all(axis=-1), x, speed)
         raise EvaluationFailure(f"isotropic x-partials evaluated to a non-finite value {where}")
@@ -619,6 +621,49 @@ def builtin_metrizable(f: IsotropicScalar, H: Callable[[float], float]) -> Gener
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# QUADPACK's 21-point Gauss-Kronrod rule, the first pass of scipy's ``quad``
+# (float64 values of scipy.integrate._quad_vec._quadrature_gk21): the Gauss
+# nodes, then the Kronrod nodes -k, +k and 0; weight tuples run outermost first
+_K = (0.9956571630258081, 0.9301574913557082, 0.7808177265864169, 0.5627571346686047,
+      0.2943928627014602)
+_W_GAUSS = (0.032558162307964725, 0.07503967481091996, 0.10938715880229764,
+            0.13470921731147334, 0.14773910490133849)
+_W_K = (0.011694638867371874, 0.054755896574351995, 0.0931254545836976,
+        0.12349197626206584, 0.14277593857706009)
+_GK21_NODES = np.concatenate((_GL_NODES, np.negative(_K), _K, [0.0]))
+_GK21_WEIGHTS = np.array(_W_GAUSS + _W_GAUSS[::-1] + 2 * _W_K + (0.1494455540029169,))
+QUAD_TOLERANCE = 1.49e-8  # quad's default absolute and relative tolerance
+
+
+def _segment_integrals(A: Callable, profile: Callable, anchors: Array) -> Array:
+    """The integral of s / A(s) over each segment between consecutive ``anchors``.
+
+    Every segment's Gauss-Kronrod sum and error estimate come from one call
+    of ``profile``, A on an array.  A segment that fails ``quad``'s
+    first-pass test goes to ``quad`` on point calls of A, whose warnings raise.
+    """
+    a, b = anchors[:-1], anchors[1:]
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    with np.errstate(all="ignore"):
+        nodes = center[:, None] + half[:, None] * _GK21_NODES
+        values = nodes / profile(nodes)
+        kronrod = (values * _GK21_WEIGHTS).sum(axis=-1)
+        # dqk21's error estimate (its names), then dqagse's first-pass test
+        err = np.abs((kronrod - (values[:, :10] * _GL_WEIGHTS).sum(axis=-1)) * half)
+        resabs = half * (np.abs(values) * _GK21_WEIGHTS).sum(axis=-1)
+        resasc = half * (np.abs(values - 0.5 * kronrod[:, None]) * _GK21_WEIGHTS).sum(axis=-1)
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+        err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+        rounding = 50.0 * np.finfo(float).eps * resabs
+        err = np.where(rounding > np.finfo(float).tiny, np.maximum(rounding, err), err)
+        segments = kronrod * half
+        bound = np.maximum(QUAD_TOLERANCE, QUAD_TOLERANCE * np.abs(segments))
+        accepted = ((err <= bound) & (err != resasc)) | (err == 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        for j in np.flatnonzero(~accepted):
+            segments[j], _ = quad(lambda s: s / A(s), a[j], b[j])
+    return segments
 
 
 def builtin_nonmetrizable(
@@ -632,12 +677,14 @@ def builtin_nonmetrizable(
     the fixed reference speed 1.0; shifting the reference multiplies W by a
     constant, which the gauge freedom absorbs.  Anchor values of the
     quadrature are precomputed once on ``QUADRATURE_ANCHORS`` uniform
-    points over ``speed_range`` by adaptive integration, and evaluations
-    add a short fixed-order Gauss-Legendre tail from the nearest anchor,
-    so lookups after construction are read-only.  W is ``stacked`` when
-    ``f`` is; on a stack the anchor lookup and the tail act on all speeds and nodes at
-    once, calling ``A_of_speed`` on arrays only when that reproduces its
-    point-wise values on the probe grid.
+    points over ``speed_range``: ``quad``'s 21-point Gauss-Kronrod pass on
+    all segments in one call of A, with ``quad`` itself only on a segment
+    that fails its first-pass test.  Evaluations add a short fixed-order
+    Gauss-Legendre tail from the nearest anchor, on all speeds and nodes at
+    once (a single speed is a one-row array), so lookups after construction
+    are read-only.  W is ``stacked`` when ``f`` is.  ``A_of_speed`` is
+    called on arrays only when that reproduces its point-wise values on
+    the probe grid.
 
     The generated force is A(|v|) sum_i (df/dx^i)(2 N^i N_k - delta^i_k).
     """
@@ -646,9 +693,6 @@ def builtin_nonmetrizable(
         raise QuadratureFailure(
             f"speed_range {speed_range} must be positive and contain the reference speed 1.0"
         )
-
-    def integrand(s):
-        return s / A_of_speed(s)
 
     last = QUADRATURE_ANCHORS - 1
     anchors = np.linspace(lo, hi, QUADRATURE_ANCHORS)
@@ -661,41 +705,22 @@ def builtin_nonmetrizable(
     ):
         worst = fine[int(np.argmin(np.abs(probe)))]
         raise QuadratureFailure(f"speed profile vanishes near speed {worst:.4g}")
-    segments = np.empty(last)
+    profile_arrays = takes_arrays(A_of_speed, fine, probe)
+
+    def profile(s: Array) -> Array:
+        """A at an array of speeds; a point's 0-d speed reaches A as a one-row stack."""
+        return _on_array(A_of_speed, profile_arrays, np.atleast_1d(s)).reshape(np.shape(s))
+
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", IntegrationWarning)
-            for j in range(last):
-                segments[j], _ = quad(integrand, anchors[j], anchors[j + 1])
+        segments = _segment_integrals(A_of_speed, profile, anchors)
     except Exception as exc:
         raise QuadratureFailure("adaptive quadrature of the speed profile failed") from exc
     cumulative = np.concatenate([[0.0], np.cumsum(segments)])
     if not np.all(np.isfinite(cumulative)):
         raise QuadratureFailure("speed quadrature produced non-finite values")
 
-    def antiderivative(s: float) -> float:
-        # nearest anchor at or below s, clamped to the grid (plain float
-        # arithmetic: numpy's scalar clip and sum cost more than the tail)
-        j = int(min(max((s - lo) / (hi - lo) * last, 0.0), last))
-        base = anchors[j]
-        half = 0.5 * (s - base)
-        mid = 0.5 * (s + base)
-        tail = half * float(
-            (_GL_WEIGHTS * np.array([integrand(mid + half * t) for t in _GL_NODES])).sum()
-        )
-        value = cumulative[j] + tail
-        if not np.isfinite(value):
-            raise QuadratureFailure(f"speed quadrature non-finite at speed {s:.4g}")
-        return value
-
-    profile_arrays = takes_arrays(A_of_speed, fine, probe)
-
-    def profile(s: Array) -> Array:
-        """A at an array of speeds."""
-        return _on_array(A_of_speed, profile_arrays, s)
-
     def antiderivatives(s: Array) -> Array:
-        """:func:`antiderivative` at an array of speeds, anchors and tails at once."""
+        """The quadrature at an array of speeds, anchors and tails at once."""
         j = np.clip((s - lo) / (hi - lo) * last, 0.0, last)
         bad = ~np.isfinite(j)
         if not bad.any():
@@ -710,29 +735,29 @@ def builtin_nonmetrizable(
             raise QuadratureFailure(f"speed quadrature non-finite at speed {worst:.4g}")
         return value
 
-    offset = antiderivative(1.0)
+    offset = float(antiderivatives(np.asarray(1.0)))
 
+    # a point's speed is a 0-d array, so one formula serves points and stacks
     def eval_(x, s):
-        if is_stack(x):
-            s = np.asarray(s, dtype=float)
-            return np.exp(antiderivatives(s) - offset - np.asarray(f.eval(x, s), dtype=float))
-        return float(np.exp(antiderivative(s) - offset - float(f.eval(x, s))))
+        quadrature = antiderivatives(np.asarray(s, dtype=float))
+        return np.exp(quadrature - offset - np.asarray(f.eval(x, s), dtype=float))
 
     def dspeed(x, s):
-        if is_stack(x):
-            s = np.asarray(s, dtype=float)
-            return eval_(x, s) * s / profile(s)
-        return eval_(x, s) * s / float(A_of_speed(s))
+        s = np.asarray(s, dtype=float)
+        return eval_(x, s) * s / profile(s)
 
-    dx = None
+    dx = terms = None
     if f.dx is not None:
 
         def dx(x, s):
-            if is_stack(x):
-                return -eval_(x, s)[..., None] * np.asarray(f.dx(x, s), dtype=float)
-            return -eval_(x, s) * np.asarray(f.dx(x, s), dtype=float)
+            return -eval_(x, s)[..., None] * np.asarray(f.dx(x, s), dtype=float)
 
-    w = IsotropicScalar(eval=eval_, dx=dx, dspeed=dspeed, stacked=f.stacked)
+        def terms(x, s):
+            s = np.asarray(s, dtype=float)
+            w = eval_(x, s)
+            return w, w * s / profile(s), -w[..., None] * np.asarray(f.dx(x, s), dtype=float)
+
+    w = IsotropicScalar(eval=eval_, dx=dx, dspeed=dspeed, stacked=f.stacked, terms=terms)
     return GeneratingScalar(W=w, h=lambda w_: 0.0)
 
 

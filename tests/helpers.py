@@ -176,3 +176,36 @@ def pointwise_initial_state(gs, m, s, u_grid):
     nu = np.array([solve_nu(u) for u in u_grid])
     normals = np.array([surface_normal(u) for u in u_grid])
     return nu, normals
+
+
+def quad_anchor_table(A_of_speed, speed_range=(0.05, 5.0)):
+    """Anchor table of the nonmetrizable speed quadrature, one ``quad`` per segment.
+
+    The oracle of the Gauss-Kronrod pass in ``force_builder``: the
+    per-segment loop that ``builtin_nonmetrizable`` once ran, kept verbatim
+    here.  Returns the cumulative integral of s / A(s) at the
+    ``QUADRATURE_ANCHORS`` anchors, from the lowest one.
+    """
+    import warnings
+
+    from scipy.integrate import IntegrationWarning, quad
+
+    from normalshift.errors import QuadratureFailure
+    from normalshift.force_builder import QUADRATURE_ANCHORS
+
+    lo, hi = speed_range
+
+    def integrand(s):
+        return s / A_of_speed(s)
+
+    last = QUADRATURE_ANCHORS - 1
+    anchors = np.linspace(lo, hi, QUADRATURE_ANCHORS)
+    segments = np.empty(last)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            for j in range(last):
+                segments[j], _ = quad(integrand, anchors[j], anchors[j + 1])
+    except Exception as exc:
+        raise QuadratureFailure("adaptive quadrature of the speed profile failed") from exc
+    return np.concatenate([[0.0], np.cumsum(segments)])

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from normalshift import force_builder
+from normalshift.cli import _single_variable_fn
 from normalshift.errors import (
     DegenerateWv,
     NonMonotoneGauge,
@@ -18,7 +20,9 @@ from normalshift.extended_fields import (
     velocity_gradient,
     velocity_hessian,
 )
+from normalshift.expressions import parse_expression
 from normalshift.force_builder import (
+    QUADRATURE_ANCHORS,
     AnsatzField,
     GaugeMap,
     GeneratingScalar,
@@ -49,6 +53,7 @@ from normalshift.tensor_core import christoffel_at, lower_index, speed_at, unit_
 from helpers import (
     conformal_metric,
     euclidean_metric,
+    quad_anchor_table,
     random_point,
     random_velocity,
     wavy_conformal_metric,
@@ -584,6 +589,85 @@ class TestBuiltins:
             assert gs.W.dspeed(x, s) == pytest.approx(
                 isotropic_speed_derivative(bare, x, s), rel=1e-7
             )
+
+
+SPEED_PROFILES = {
+    "cube": lambda v: v**3,
+    "one-plus-square": lambda s: 1 + s * s,
+    "square": lambda s: s * s,
+    "cli": _single_variable_fn(parse_expression("v^3 + v")),
+    "float-only": lambda s: math.pow(s, 3) + 0.5,
+    "kinked": lambda s: 1 + abs(s - 1.3),
+}
+
+
+def built_table(monkeypatch, A, calls=()):
+    """``builtin_nonmetrizable``'s anchor table for the profile A, the
+    segments its Gauss-Kronrod pass sent to ``quad``, and the length of
+    ``calls`` before and after that pass."""
+    tables, sent, marks = [], [], []
+    integrals, quad = force_builder._segment_integrals, force_builder.quad
+
+    def spy_integrals(*args):
+        marks.append(len(calls))
+        segments = integrals(*args)
+        marks.append(len(calls))
+        tables.append(np.concatenate([[0.0], np.cumsum(segments)]))
+        return segments
+
+    def spy_quad(fn, a, b):
+        sent.append((a, b))
+        return quad(fn, a, b)
+
+    monkeypatch.setattr(force_builder, "_segment_integrals", spy_integrals)
+    monkeypatch.setattr(force_builder, "quad", spy_quad)
+    builtin_nonmetrizable(coordinate_scalar(1), A)
+    return tables[0], sent, marks
+
+
+class TestSpeedQuadrature:
+    @pytest.mark.parametrize("name", sorted(SPEED_PROFILES))
+    def test_table_matches_per_segment_quad(self, monkeypatch, name):
+        table, sent, _ = built_table(monkeypatch, SPEED_PROFILES[name])
+        np.testing.assert_allclose(
+            table, quad_anchor_table(SPEED_PROFILES[name]), rtol=1e-14, atol=0.0
+        )
+        # only the segment holding the kink fails the Gauss-Kronrod pass
+        assert (sent and all(a < 1.3 < b for a, b in sent)) if name == "kinked" else not sent
+
+    def test_float_only_profile_costs_the_probe_and_one_pass(self, monkeypatch):
+        calls = []
+
+        def profile(s):
+            value = math.pow(s, 3) + 0.5  # the array probe fails here, uncounted
+            calls.append(s)
+            return value
+
+        _, sent, (before, after) = built_table(monkeypatch, profile, calls)
+        segments = QUADRATURE_ANCHORS - 1
+        assert sent == []
+        assert after - before == 21 * segments
+        # the 2,056-point probe, the Gauss-Kronrod pass, and the ten-node
+        # tail of the reference speed's offset
+        assert len(calls) == 8 * QUADRATURE_ANCHORS + 21 * segments + 10
+
+    def test_profile_vanishing_between_probe_points_fails_in_quad(self):
+        fine = np.linspace(0.05, 5.0, 8 * QUADRATURE_ANCHORS)
+        kink = 0.5 * (fine[800] + fine[801])
+        with pytest.raises(QuadratureFailure, match="adaptive quadrature"):
+            builtin_nonmetrizable(coordinate_scalar(0), lambda s: abs(s - kink))
+
+    @pytest.mark.parametrize("name", ["cube", "cli", "float-only"])
+    def test_point_is_the_one_row_stack(self, name):
+        W = builtin_nonmetrizable(coordinate_scalar(1), SPEED_PROFILES[name]).W
+        rng = np.random.default_rng(29)
+        # a twentieth of the speeds or so round s**3 differently in float and
+        # array arithmetic, so 200 of them tell the paths apart
+        for x, s in zip(rng.uniform(0.3, 1.2, (200, 3)), rng.uniform(0.06, 4.9, 200)):
+            for fn in (W.eval, W.dspeed, W.dx):
+                point = np.asarray(fn(x, s), dtype=float)
+                row = np.asarray(fn(x[None], np.array([s])), dtype=float)[0]
+                assert point.tobytes() == row.tobytes()
 
 
 class TestForceFieldObjects:

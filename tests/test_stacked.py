@@ -92,6 +92,15 @@ SCALAR_BUILDERS = {
 }
 
 
+# the W's in the table that carry ``terms``: the nonmetrizable ones
+TERMS_WS = (
+    "nonmetrizable",
+    "nonmetrizable-float-profile",
+    "nonmetrizable-misleading-profile",
+    "cli-nonmetrizable",
+)
+
+
 @lru_cache(maxsize=None)
 def stacked_scalar(name: str) -> IsotropicScalar:
     return SCALAR_BUILDERS[name]()
@@ -126,6 +135,20 @@ class TestStackedClosuresMatchPoints:
         assert w.stacked
         for fn in (w.eval, w.dspeed, w.dx):
             assert_matches(fn(x, speed), point_values(fn, x, speed))
+
+    def test_nonmetrizable_ws_carry_terms(self):
+        assert all(stacked_scalar(name).terms is not None for name in TERMS_WS)
+
+    @seed(53)
+    @settings(max_examples=40, deadline=None)
+    @given(which=st.sampled_from(TERMS_WS), x=POSITIONS, speed=SPEEDS)
+    def test_terms_equal_the_three_closures(self, which, x, speed):
+        w = stacked_scalar(which)
+        closures = (w.eval(x, speed), w.dspeed(x, speed), w.dx(x, speed))
+        for got, want in zip(w.terms(x, speed), closures):
+            got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     @seed(43)
     @settings(max_examples=20, deadline=None)
@@ -190,6 +213,19 @@ class TestStackedForce:
                 np.testing.assert_allclose(
                     stacked[idx], closure(m, x[idx], v[idx]), rtol=1e-12, atol=1e-15
                 )
+
+    @pytest.mark.parametrize("which", TERMS_WS)
+    def test_terms_give_the_forces_of_the_three_closures(self, which):
+        m = build_metric(scenario(metric=CLI_METRICS["conformal"]))
+        gs = GeneratingScalar(W=stacked_scalar(which), h=lambda w: 0.5 * w)
+        without = GeneratingScalar(W=dataclasses.replace(gs.W, terms=None), h=gs.h)
+        rng = np.random.default_rng(17)
+        x = rng.uniform(0.3, 1.2, size=(4, 5, 3))
+        v = rng.uniform(-1.0, 1.0, size=(4, 5, 3))
+        with_ff, without_ff = as_force_field(gs), as_force_field(without)
+        for name in ("eval", "dv", "nabla"):
+            got = getattr(with_ff, name)(m, x, v)
+            assert got.tobytes() == getattr(without_ff, name)(m, x, v).tobytes()
 
     def test_checks_name_the_first_offending_state(self):
         def stacked_w(dspeed):
@@ -272,6 +308,7 @@ class TestShiftWithStackedClosures:
             eval=count("W.eval", w.eval),
             dspeed=count("W.dspeed", w.dspeed),
             dx=count("W.dx", w.dx),
+            terms=w.terms and count("W.terms", w.terms),
         )
         counted_m = dataclasses.replace(m, g=count("g", m.g), dg=count("dg", m.dg))
         return counted_m, dataclasses.replace(gs, W=counted_w), calls
@@ -282,15 +319,17 @@ class TestShiftWithStackedClosures:
         stages = 4 * steps
         shift(gs, m, steps=steps)
         # beyond one call per stage: g on the surface normals, whose metric
-        # serves the first step's start, and on the record; W.eval on the
-        # record and, for the initial speeds, at the marked point, on the
-        # family's 25-speed scan and once per Newton iteration (four here),
+        # serves the first step's start, and on the record.  A stage takes
+        # W, W_v and dW/dx from one W.terms call; W.eval runs on the record
+        # and, for the initial speeds, at the marked point, on the family's
+        # 25-speed scan and once per Newton iteration (four here), and
         # W.dspeed in each Newton iteration but the last
         assert calls["g", "stack"] == stages + 2
         assert calls["dg", "stack"] == stages
-        assert calls["W.eval", "stack"] == stages + 1 + 2 + 4
-        assert calls["W.dspeed", "stack"] == stages + 3
-        assert calls["W.dx", "stack"] == stages
+        assert calls["W.terms", "stack"] == stages
+        assert calls["W.eval", "stack"] == 1 + 2 + 4
+        assert calls["W.dspeed", "stack"] == 3
+        assert calls["W.dx", "stack"] == 0
         # the initial state is solved on stacks too
         assert not [key for key in calls if key[1] == "point"]
 
