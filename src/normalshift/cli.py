@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, GridTooCoarse, NormalShiftError, TrajectoryEscaped
 from .expressions import Expression, parse_expression
-from .extended_fields import IsotropicScalar, is_stack
+from .extended_fields import IsotropicScalar
 from .force_builder import (
     ForceField,
     GeneratingScalar,
@@ -112,11 +112,9 @@ def _expression(section: dict, key: str, where: str, allowed: frozenset) -> Expr
     return expr
 
 
-def _position_env(x: np.ndarray) -> Dict[str, Union[float, np.ndarray]]:
-    """Coordinates x1..xn of one point as floats, or of a stack as arrays."""
-    if is_stack(x):
-        return {f"x{i + 1}": x[..., i] for i in range(x.shape[-1])}
-    return {f"x{i + 1}": float(x[i]) for i in range(len(x))}
+def _position_env(x: np.ndarray) -> Dict[str, np.ndarray]:
+    """Coordinates x1..xn of a stack of points (..., n), as arrays."""
+    return {f"x{i + 1}": x[..., i] for i in range(x.shape[-1])}
 
 
 def _position_variables(dim: int) -> frozenset:
@@ -356,41 +354,31 @@ def _check_options(tolerance: Optional[float], seed: Optional[int]) -> None:
 
 
 def build_metric(sc: Scenario) -> MetricField:
-    """The scenario's metric; its closures take one point or a stack of points."""
+    """The scenario's metric; its closures take a stack of points (..., n)."""
     kind = sc.metric["kind"]
     dim = sc.dim
     eye = np.eye(dim)
     if kind == "euclidean":
 
         def g_flat(x):
-            if is_stack(x):
-                return np.broadcast_to(eye, x.shape[:-1] + (dim, dim)).copy()
-            return eye.copy()
+            return np.broadcast_to(eye, x.shape[:-1] + (dim, dim)).copy()
 
         return MetricField(
-            dim=dim, g=g_flat, dg=lambda x: np.zeros(np.shape(x)[:-1] + (dim, dim, dim)), stacked=True
+            dim=dim, g=g_flat, dg=lambda x: np.zeros(x.shape[:-1] + (dim, dim, dim)), stacked=True
         )
     if kind == "conformal":
         f_expr = parse_expression(sc.metric["f"])
         f_grad = [f_expr.derivative(f"x{k + 1}") for k in range(dim)]
 
         def g(x):
-            if is_stack(x):
-                return np.exp(-2.0 * f_expr.eval(_position_env(x)))[..., None, None] * eye
-            return math.exp(-2.0 * f_expr.eval(_position_env(x))) * np.eye(dim)
+            return np.exp(-2.0 * f_expr.eval(_position_env(x)))[..., None, None] * eye
 
         def dg(x):
             env = _position_env(x)
-            if is_stack(x):
-                factor = -2.0 * np.exp(-2.0 * f_expr.eval(env))
-                cube = np.zeros(x.shape[:-1] + (dim, dim, dim))
-                for m, part in enumerate(f_grad):
-                    cube[..., m, :, :] = (factor * part.eval(env))[..., None, None] * eye
-                return cube
-            factor = -2.0 * math.exp(-2.0 * f_expr.eval(env))
-            cube = np.zeros((dim, dim, dim))
+            factor = -2.0 * np.exp(-2.0 * f_expr.eval(env))
+            cube = np.zeros(x.shape[:-1] + (dim, dim, dim))
             for m, part in enumerate(f_grad):
-                cube[m] = factor * part.eval(env) * np.eye(dim)
+                cube[..., m, :, :] = (factor * part.eval(env))[..., None, None] * eye
             return cube
 
         return MetricField(dim=dim, g=g, dg=dg, stacked=True)
@@ -401,16 +389,14 @@ def build_metric(sc: Scenario) -> MetricField:
 
     def g_diag(x):
         env = _position_env(x)
-        if is_stack(x):
-            out = np.zeros(x.shape[:-1] + (dim, dim))
-            for i, e in enumerate(entries):
-                out[..., i, i] = e.eval(env)
-            return out
-        return np.diag([e.eval(env) for e in entries])
+        out = np.zeros(x.shape[:-1] + (dim, dim))
+        for i, e in enumerate(entries):
+            out[..., i, i] = e.eval(env)
+        return out
 
     def dg_diag(x):
         env = _position_env(x)
-        cube = np.zeros(np.shape(x)[:-1] + (dim, dim, dim))
+        cube = np.zeros(x.shape[:-1] + (dim, dim, dim))
         for i, grads in enumerate(entry_grads):
             for m, part in enumerate(grads):
                 cube[..., m, i, i] = part.eval(env)
@@ -420,7 +406,7 @@ def build_metric(sc: Scenario) -> MetricField:
 
 
 def _stacked_partials(parts: Sequence[Expression], env: dict) -> np.ndarray:
-    """Partial derivatives as (n,) at one point or (..., n) on a stack."""
+    """Partial derivatives (..., n) on a stack."""
     return np.stack([np.asarray(part.eval(env), dtype=float) for part in parts], axis=-1)
 
 
@@ -431,13 +417,10 @@ def _isotropic_from_position_expression(expr: Expression, dim: int) -> Isotropic
         return expr.eval(_position_env(x))
 
     def dx(x, s):
-        env = _position_env(x)
-        if is_stack(x):
-            return _stacked_partials(grad, env)
-        return np.array([part.eval(env) for part in grad])
+        return _stacked_partials(grad, _position_env(x))
 
     def dspeed(x, s):
-        return np.zeros(x.shape[:-1]) if is_stack(x) else 0.0
+        return np.zeros(x.shape[:-1])
 
     return IsotropicScalar(eval=ev, dx=dx, dspeed=dspeed, stacked=True)
 
@@ -469,17 +452,14 @@ def build_generator(sc: Scenario) -> GeneratingScalar:
 
     def _env(x, s):
         env = _position_env(x)
-        env["v"] = np.asarray(s, dtype=float) if is_stack(x) else float(s)
+        env["v"] = np.asarray(s, dtype=float)
         return env
 
     def w_eval(x, s):
         return w_expr.eval(_env(x, s))
 
     def w_dx(x, s):
-        env = _env(x, s)
-        if is_stack(x):
-            return _stacked_partials(w_grad, env)
-        return np.array([part.eval(env) for part in w_grad])
+        return _stacked_partials(w_grad, _env(x, s))
 
     def w_dspeed(x, s):
         return w_speed.eval(_env(x, s))
@@ -497,9 +477,11 @@ def build_subject(sc: Scenario) -> Union[GeneratingScalar, ForceField]:
         return gs
     perturb = sc.generator["perturb"]
     expr = parse_expression(perturb["expression"])
+    names = [f"x{i + 1}" for i in range(sc.dim)]
 
     def bump(m, x, v):
-        env = _position_env(x)
+        # called per state: floats keep the expression on its math path
+        env = dict(zip(names, x.tolist()))
         env["v"] = speed_at(m, x, v)
         return expr.eval(env)
 

@@ -30,6 +30,7 @@ from .tensor_core import (
     central_partials,
     christoffel_at,
     metric_at,
+    metric_derivatives_at,
     per_state,
     speed_at,
 )
@@ -66,10 +67,12 @@ class IsotropicScalar:
     then difference the whole vector with the steps a single component
     would use.
 
-    ``stacked`` declares that the closures also take a stack of positions
-    (..., n) with speeds (...) and return values with those leading axes:
-    ``eval`` and ``dspeed`` of shape (...), ``dx`` of shape (..., n).
-    Stack consumers call unmarked closures once per point.
+    ``stacked`` declares that the closures take a stack of positions
+    (..., n) with speeds (...) instead, and return values with those
+    leading axes: ``eval`` and ``dspeed`` of shape (...), ``dx`` of shape
+    (..., n).  They are then only called on stacks, a single state as a
+    one-row stack (see :func:`isotropic_call`), so each is written once,
+    for stacks.  Unmarked closures are called once per state.
 
     ``terms``, optional beside ``dx`` and ``dspeed`` and read only when the
     field is ``stacked``, gives (``eval``, ``dspeed``, ``dx``) on a stack in
@@ -83,15 +86,6 @@ class IsotropicScalar:
     dspeed: Optional[Callable[[Array, float], float]] = None
     stacked: bool = False
     terms: Optional[Callable[[Array, Array], Tuple[Array, Array, Array]]] = None
-
-
-def is_stack(x) -> bool:
-    """Whether ``x`` is a stack of positions (..., n) rather than one point (n,).
-
-    Stacks are arrays.  Point paths run this test on every call, so it
-    reads one attribute instead of converting ``x``.
-    """
-    return getattr(x, "ndim", 1) > 1
 
 
 def check_finite(value, what: str) -> Union[float, Array]:
@@ -168,12 +162,15 @@ def spatial_gradient(phi: ExtendedScalar, m: MetricField, x: Array, v: Array) ->
 def isotropic_call(w: IsotropicScalar, fn: Callable, x: Array, speed) -> Array:
     """One of ``w``'s closures at one state or a stack of states.
 
-    A ``stacked`` field's closure is called once per stack; any other once
-    per state, through :func:`~normalshift.tensor_core.by_rows`.
+    A ``stacked`` field's closure is called once per stack, and a single
+    state reaches it as a one-row stack; any other is called once per
+    state, through :func:`~normalshift.tensor_core.by_rows`.
     """
-    if w.stacked or x.ndim == 1:
-        return fn(x, speed)
-    return by_rows(fn, x, speed)
+    if not w.stacked:
+        return fn(x, speed) if x.ndim == 1 else by_rows(fn, x, speed)
+    if x.ndim == 1:
+        return np.asarray(fn(x[None], np.array([speed], dtype=float)))[0]
+    return fn(x, speed)
 
 
 def _speed_offsets(w: IsotropicScalar, fn: Callable, x: Array, speed, shifts: tuple) -> Array:
@@ -185,29 +182,47 @@ def _speed_offsets(w: IsotropicScalar, fn: Callable, x: Array, speed, shifts: tu
     return np.moveaxis(values, x.ndim - 1, 0)
 
 
+def x_partial_values(w: IsotropicScalar, x: Array, speed) -> Array:
+    """d W / d x^m at fixed speed on a stack (..., n), positive speeds assumed,
+    before any finiteness check: from ``dx`` when supplied, else by central
+    differences with one call of ``eval`` on all offsets."""
+    if w.dx is not None:
+        return np.asarray(isotropic_call(w, w.dx, x, speed), dtype=float)
+    h = FD_STEP * np.maximum(1.0, np.max(np.abs(x), axis=-1))
+    speeds = np.asarray(speed)[..., None]
+
+    def at_offsets(y):
+        return isotropic_call(w, w.eval, y, np.broadcast_to(speeds, y.shape[:-1]))
+
+    return np.moveaxis(central_partials(at_offsets, x, h), 0, x.ndim - 1)
+
+
 def spatial_gradient_isotropic(w: IsotropicScalar, x: Array, speed) -> Array:
     """Spatial gradient of a modulus-only field: d W / d x^m at fixed speed.
 
     For this class of fields the connection terms of the full rule cancel,
     so no Christoffel evaluation is needed.  For a vector-valued field of
     k components the result is (n, k), ``out[r, c] = d W_c / d x^r``.
-    Takes one state or a stack, with the partial axis after the stack's.
+    Takes one state, as a one-row stack, or a stack, with the partial axis
+    after the stack's.
     """
     x = np.asarray(x, dtype=float)
     if np.any(np.asarray(speed) <= 0.0):
         raise EvaluationFailure("isotropic gradient needs a positive speed")
-    if w.dx is not None:
-        return check_finite(isotropic_call(w, w.dx, x, speed), "isotropic x-partials")
-    h = FD_STEP * np.maximum(1.0, np.max(np.abs(x), axis=-1))
+    if x.ndim == 1:
+        return spatial_gradient_isotropic(w, x[None], np.array([speed], dtype=float))[0]
+    return check_finite(x_partial_values(w, x, speed), "isotropic x-partials")
 
-    def at_offsets(y):
-        if y.ndim == 1:  # one offset of a single state
-            return w.eval(y, speed)
-        speeds = np.broadcast_to(np.asarray(speed)[..., None], y.shape[:-1])
-        return isotropic_call(w, w.eval, y, speeds)
 
-    grad = np.moveaxis(central_partials(at_offsets, x, h), 0, x.ndim - 1)
-    return check_finite(grad, "isotropic x-partials")
+def speed_derivative_values(w: IsotropicScalar, x: Array, speed) -> Array:
+    """d W / d speed before any finiteness check: from ``dspeed`` when
+    supplied, else by a central difference with one call of ``eval`` on
+    both speed offsets of every state."""
+    if w.dspeed is not None:
+        return isotropic_call(w, w.dspeed, x, speed)
+    h = FD_STEP * np.maximum(1.0, np.abs(speed))
+    plus, minus = _speed_offsets(w, w.eval, x, speed, (h, -h))
+    return (plus - minus) / (2.0 * per_state(h, plus.ndim - h.ndim))
 
 
 def isotropic_speed_derivative(w: IsotropicScalar, x: Array, speed) -> Union[float, Array]:
@@ -216,14 +231,9 @@ def isotropic_speed_derivative(w: IsotropicScalar, x: Array, speed) -> Union[flo
     Takes one state or a stack; the difference of a stack is one call of
     ``w.eval`` on both speed offsets of every state.
     """
-    x = np.asarray(x, dtype=float)
-    if w.dspeed is not None:
-        value = isotropic_call(w, w.dspeed, x, speed)
-    else:
-        h = FD_STEP * np.maximum(1.0, np.abs(speed))
-        plus, minus = _speed_offsets(w, w.eval, x, speed, (h, -h))
-        value = (plus - minus) / (2.0 * per_state(h, plus.ndim - h.ndim))
-    return check_finite(value, "speed derivative")
+    return check_finite(
+        speed_derivative_values(w, np.asarray(x, dtype=float), speed), "speed derivative"
+    )
 
 
 def isotropic_second_speed_derivative(w: IsotropicScalar, x: Array, speed) -> Union[float, Array]:
@@ -273,12 +283,12 @@ def lift_isotropic(w: IsotropicScalar, m: MetricField) -> ExtendedScalar:
     """
 
     def lifted(x, v):
-        return w.eval(np.asarray(x, dtype=float), speed_at(m, x, v))
+        x = np.asarray(x, dtype=float)
+        return isotropic_call(w, w.eval, x, speed_at(m, x, v))
 
     dx = None
     dv = None
     if w.dx is not None and w.dspeed is not None:
-        from .tensor_core import metric_derivatives_at
 
         def dx(x, v):
             x = np.asarray(x, dtype=float)
@@ -286,13 +296,14 @@ def lift_isotropic(w: IsotropicScalar, m: MetricField) -> ExtendedScalar:
             s = speed_at(m, x, v)
             dgd = metric_derivatives_at(m, x)
             ds_dx = np.einsum("mij,i,j->m", dgd, v, v) / (2.0 * s)
-            return np.asarray(w.dx(x, s), dtype=float) + float(w.dspeed(x, s)) * ds_dx
+            wx = np.asarray(isotropic_call(w, w.dx, x, s), dtype=float)
+            return wx + float(isotropic_call(w, w.dspeed, x, s)) * ds_dx
 
         def dv(x, v):
             x = np.asarray(x, dtype=float)
             v = np.asarray(v, dtype=float)
             s = speed_at(m, x, v)
             n_down = metric_at(m, x) @ v / s
-            return float(w.dspeed(x, s)) * n_down
+            return float(isotropic_call(w, w.dspeed, x, s)) * n_down
 
     return ExtendedScalar(eval=lifted, dx=dx, dv=dv)

@@ -38,12 +38,13 @@ from .errors import (
 from .extended_fields import (
     ExtendedScalar,
     IsotropicScalar,
-    is_stack,
     isotropic_call,
     isotropic_second_speed_derivative,
     isotropic_speed_derivative,
     spatial_gradient_isotropic,
+    speed_derivative_values,
     velocity_gradient,
+    x_partial_values,
 )
 from .tensor_core import (
     MetricField,
@@ -65,6 +66,8 @@ Array = np.ndarray
 WV_FLOOR = 1e-8
 # Anchors of the speed quadrature behind builtin_nonmetrizable.
 QUADRATURE_ANCHORS = 257
+# builtin_nonmetrizable probes A for arrays on every this-many-th probe speed.
+PROFILE_PROBE_STRIDE = 64
 # W values on which gauge_transform probes a gauge map, and on which h is
 # probed for arrays.
 GAUGE_PROBES = np.linspace(0.25, 4.0, 13)
@@ -159,8 +162,8 @@ class ForceField:
 
     ``stacked`` declares that the closures also take stacks of states
     (..., n) and return values with those leading axes: (..., n) from
-    ``eval``, (..., n, n) from ``dv`` and ``nabla``.  Stack consumers call
-    unmarked closures once per state.
+    ``eval``, (..., n, n) from ``dv`` and ``nabla``; they still take one
+    state too.  :func:`field_call` calls unmarked closures once per state.
     """
 
     eval: Callable[[MetricField, Array, Array], Array]
@@ -170,6 +173,18 @@ class ForceField:
     stacked: bool = False
 
 
+def field_call(ff: ForceField, fn: Callable, m: MetricField) -> Callable:
+    """``ff``'s closure ``fn`` as ``call(x, v, gmat=None)`` on one state or a
+    stack: once per stack when ``ff`` is ``stacked``, else once per state."""
+
+    def call(x, v, gmat=None):
+        if ff.stacked or x.ndim == 1:
+            return fn(m, x, v)
+        return by_rows(lambda xi, vi: fn(m, xi, vi), x, v)
+
+    return call
+
+
 @dataclass(frozen=True)
 class GaugeMap:
     """Strictly monotone reparametrization rho with inverse and derivative."""
@@ -177,46 +192,6 @@ class GaugeMap:
     fn: Callable[[float], float]
     inverse: Callable[[float], float]
     derivative: Callable[[float], float]
-
-
-def _wv_checked(gs: GeneratingScalar, x: Array, speed: float) -> float:
-    wv = isotropic_speed_derivative(gs.W, x, speed)
-    if abs(wv) < WV_FLOOR:
-        raise DegenerateWv(
-            f"dW/dspeed = {wv:.3e} below floor {WV_FLOOR:.1e} at speed {speed:.4g}"
-        )
-    return wv
-
-
-def _generator_terms(gs: GeneratingScalar, x: Array, speed: float):
-    """W_v, h(W) and the fixed-speed gradient dW/dx at one state."""
-    wv = _wv_checked(gs, x, speed)
-    hw = float(gs.h(gs.W.eval(x, speed)))
-    return wv, hw, spatial_gradient_isotropic(gs.W, x, speed)
-
-
-def _terms(gs: GeneratingScalar, x: Array, speed):
-    """W_v, h(W) and dW/dx at one state or a stack of states.
-
-    A ``stacked`` W with ``dx`` and ``dspeed`` goes through its stack path
-    even for one state, as a one-row stack, so a state's terms round alike
-    alone and in a stack; any other W is called once per state.
-    """
-    w = gs.W
-    if w.stacked and w.dx is not None and w.dspeed is not None:
-        if x.ndim > 1:
-            return _stacked_generator_terms(gs, x, np.asarray(speed, dtype=float))
-        wv, hw, grad = _stacked_generator_terms(gs, x[None], np.array([speed], dtype=float))
-        return wv[0], hw[0], grad[0]
-    if x.ndim == 1:
-        return _generator_terms(gs, x, speed)
-
-    def row(xi, si):
-        wv, hw, grad = _generator_terms(gs, xi, si)
-        return np.concatenate(([wv, hw], grad))
-
-    terms = by_rows(row, x, speed)
-    return terms[..., 0], terms[..., 1], terms[..., 2:]
 
 
 def coefficient_pack(gs: GeneratingScalar, x: Array, v_speed) -> Array:
@@ -304,16 +279,24 @@ def _first_state(mask: Array, x: Array, speed: Array) -> Tuple[int, str]:
     return i, f"at speed {float(np.ravel(speed)[i]):.4g}, x={np.reshape(x, (-1, x.shape[-1]))[i]}"
 
 
-def _stacked_generator_terms(gs: GeneratingScalar, x: Array, speed: Array):
-    """W_v, h(W) and dW/dx on a stack, from one ``terms`` call or one call of each W closure.
+def _terms(gs: GeneratingScalar, x: Array, speed):
+    """W_v, h(W) and dW/dx at one state or a stack of states.
 
-    The checks of the point path run in its order as masks over the
-    stack, and each names the first state that fails it.  h is called
-    once on the stack when it takes arrays, else once per state.
+    A single state is a one-row stack, so it rounds alike alone and in a
+    stack.  A ``stacked`` W with ``terms`` gives all three in one call; any
+    other W goes through :func:`~normalshift.extended_fields.isotropic_call`,
+    with central differences for a closure it lacks.  The checks run as
+    masks over the stack in the order W_v, h(W), dW/dx, and each names the
+    first state that fails it.  h is called once on the stack when it
+    takes arrays, else once per state.
     """
+    if x.ndim == 1:
+        wv, hw, grad = _terms(gs, x[None], np.array([speed], dtype=float))
+        return wv[0], hw[0], grad[0]
+    speed = np.asarray(speed, dtype=float)
     W = gs.W
-    terms = None if W.terms is None else W.terms(x, speed)
-    wv = np.asarray(W.dspeed(x, speed) if terms is None else terms[1], dtype=float)
+    terms = W.terms(x, speed) if W.stacked and W.terms is not None else None
+    wv = np.asarray(speed_derivative_values(W, x, speed) if terms is None else terms[1], dtype=float)
     size = np.abs(wv)
     if not ((size >= WV_FLOOR) & (size < np.inf)).all():
         bad = ~np.isfinite(wv)
@@ -324,12 +307,12 @@ def _stacked_generator_terms(gs: GeneratingScalar, x: Array, speed: Array):
         raise DegenerateWv(
             f"dW/dspeed = {np.ravel(wv)[i]:.3e} below floor {WV_FLOOR:.1e} {where}"
         )
-    w = np.asarray(W.eval(x, speed) if terms is None else terms[0], dtype=float)
+    w = np.asarray(isotropic_call(W, W.eval, x, speed) if terms is None else terms[0], dtype=float)
     hw = h_values(gs, w)
     if not (speed > 0.0).all():
         _, where = _first_state(~(speed > 0.0), x, speed)
         raise EvaluationFailure(f"isotropic gradient needs a positive speed, not {where}")
-    grad = np.asarray(W.dx(x, speed) if terms is None else terms[2], dtype=float)
+    grad = x_partial_values(W, x, speed) if terms is None else np.asarray(terms[2], dtype=float)
     if not np.isfinite(grad).all():
         _, where = _first_state(~np.isfinite(grad).all(axis=-1), x, speed)
         raise EvaluationFailure(f"isotropic x-partials evaluated to a non-finite value {where}")
@@ -339,10 +322,10 @@ def _stacked_generator_terms(gs: GeneratingScalar, x: Array, speed: Array):
 def force_from_W(gs: GeneratingScalar, m: MetricField, x: Array, v: Array) -> Array:
     """Force covector built directly from the generating pair.
 
-    Takes one state (x, v) of shape (n,) or stacks of shape (..., n).  A
-    ``stacked`` W is called once per stack (a single state is a one-row
-    stack), any other W once per state; with a stacked W, h is called
-    once per stack when it takes arrays, else once per state.
+    Takes one state (x, v) of shape (n,) or stacks of shape (..., n); a
+    single state is a one-row stack.  A ``stacked`` W is called once per
+    stack, any other W once per state, and h once per stack when it takes
+    arrays, else once per state.
     """
     x = np.asarray(x, dtype=float)
     return force_from_direction(gs, m, x, unit_direction(m, x, v))
@@ -555,22 +538,26 @@ def gauge_transform(gs: GeneratingScalar, rho: GaugeMap) -> GeneratingScalar:
 
     w_old = gs.W
 
+    def call_old(fn, x, s):
+        return isotropic_call(w_old, fn, x, s)
+
     def eval_(x, s):
-        return float(rho.fn(w_old.eval(x, s)))
+        return float(rho.fn(call_old(w_old.eval, x, s)))
 
     dx = None
     dspeed = None
     if w_old.dx is not None:
 
         def dx(x, s):
-            return float(rho.derivative(w_old.eval(x, s))) * np.asarray(
-                w_old.dx(x, s), dtype=float
+            return float(rho.derivative(call_old(w_old.eval, x, s))) * np.asarray(
+                call_old(w_old.dx, x, s), dtype=float
             )
 
     if w_old.dspeed is not None:
 
         def dspeed(x, s):
-            return float(rho.derivative(w_old.eval(x, s))) * float(w_old.dspeed(x, s))
+            slope = float(rho.derivative(call_old(w_old.eval, x, s)))
+            return slope * float(call_old(w_old.dspeed, x, s))
 
     def h_new(w):
         t = float(rho.inverse(w))
@@ -584,8 +571,8 @@ def builtin_geodesic() -> GeneratingScalar:
     """W = |v|, h = 0: the geodesic flow, force identically zero."""
     w = IsotropicScalar(
         eval=lambda x, s: s,
-        dx=lambda x, s: np.zeros(np.asarray(x).shape),
-        dspeed=lambda x, s: np.ones(x.shape[:-1]) if is_stack(x) else 1.0,
+        dx=lambda x, s: np.zeros(x.shape),
+        dspeed=lambda x, s: np.ones(x.shape[:-1]),
         stacked=True,
     )
     return GeneratingScalar(W=w, h=lambda w_: 0.0)
@@ -600,8 +587,8 @@ def builtin_metrizable(f: IsotropicScalar, H: Callable[[float], float]) -> Gener
     metric exp(-2f) g, reparametrized through H.
     """
 
-    # f.eval gives a float at a point and an array on a stack, and one
-    # formula serves both
+    # f.eval gives a float at a point of an unmarked f and an array on a
+    # stack, and one formula serves both
     def eval_(x, s):
         return s * np.exp(-f.eval(x, s))
 
@@ -612,9 +599,7 @@ def builtin_metrizable(f: IsotropicScalar, H: Callable[[float], float]) -> Gener
     if f.dx is not None:
 
         def dx(x, s):
-            if is_stack(x):
-                return -eval_(x, s)[..., None] * np.asarray(f.dx(x, s), dtype=float)
-            return -s * np.exp(-float(f.eval(x, s))) * np.asarray(f.dx(x, s), dtype=float)
+            return -eval_(x, s)[..., None] * np.asarray(f.dx(x, s), dtype=float)
 
     w = IsotropicScalar(eval=eval_, dx=dx, dspeed=dspeed, stacked=f.stacked)
     return GeneratingScalar(W=w, h=H)
@@ -684,7 +669,8 @@ def builtin_nonmetrizable(
     once (a single speed is a one-row array), so lookups after construction
     are read-only.  W is ``stacked`` when ``f`` is.  ``A_of_speed`` is
     called on arrays only when that reproduces its point-wise values on
-    the probe grid.
+    every ``PROFILE_PROBE_STRIDE``-th speed of the vanishing probe; the
+    probe is then one call of A, and otherwise one call per speed.
 
     The generated force is A(|v|) sum_i (df/dx^i)(2 N^i N_k - delta^i_k).
     """
@@ -697,7 +683,14 @@ def builtin_nonmetrizable(
     last = QUADRATURE_ANCHORS - 1
     anchors = np.linspace(lo, hi, QUADRATURE_ANCHORS)
     fine = np.linspace(lo, hi, 8 * QUADRATURE_ANCHORS)
-    probe = np.array([A_of_speed(s) for s in fine])
+    # the vanishing check reads every probe speed, with one call of A when
+    # it takes arrays and one per speed when not
+    step = PROFILE_PROBE_STRIDE
+    coarse = np.array([A_of_speed(s) for s in fine[::step]])
+    profile_arrays = takes_arrays(A_of_speed, fine[::step], coarse)
+    probe = _on_array(A_of_speed, True, fine) if profile_arrays else np.array(
+        [coarse[i // step] if i % step == 0 else A_of_speed(s) for i, s in enumerate(fine)]
+    )
     if (
         not np.all(np.isfinite(probe))
         or np.min(np.abs(probe)) < 1e-12
@@ -705,7 +698,6 @@ def builtin_nonmetrizable(
     ):
         worst = fine[int(np.argmin(np.abs(probe)))]
         raise QuadratureFailure(f"speed profile vanishes near speed {worst:.4g}")
-    profile_arrays = takes_arrays(A_of_speed, fine, probe)
 
     def profile(s: Array) -> Array:
         """A at an array of speeds; a point's 0-d speed reaches A as a one-row stack."""
@@ -786,20 +778,14 @@ def coordinate_scalar(index: int, dim: int = 3, coefficient: float = 1.0) -> Iso
     """The position field coefficient * x^index (0-based), with derivatives."""
 
     def eval_(x, s):
-        if is_stack(x):
-            return coefficient * x[..., index]
-        return coefficient * float(x[index])
+        return coefficient * x[..., index]
 
     def dx(x, s):
-        if is_stack(x):
-            out = np.zeros(x.shape[:-1] + (dim,))
-            out[..., index] = coefficient
-            return out
-        out = np.zeros(dim)
-        out[index] = coefficient
+        out = np.zeros(x.shape[:-1] + (dim,))
+        out[..., index] = coefficient
         return out
 
     def dspeed(x, s):
-        return np.zeros(x.shape[:-1]) if is_stack(x) else 0.0
+        return np.zeros(x.shape[:-1])
 
     return IsotropicScalar(eval=eval_, dx=dx, dspeed=dspeed, stacked=True)

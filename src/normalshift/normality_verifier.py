@@ -47,12 +47,12 @@ from .force_builder import (
     coefficient_gradient,
     coefficient_speed_derivative,
     coefficients,
+    field_call,
     force_from_direction,
 )
 from .tensor_core import (
     FD_STEP,
     MetricField,
-    by_rows,
     central_partials,
     christoffel_from,
     dot,
@@ -149,18 +149,6 @@ def _partials(fn, at: Array, h) -> Array:
     return np.moveaxis(central_partials(fn, at, h), 0, at.ndim - 1)
 
 
-def _field_call(ff: ForceField, fn, m: MetricField):
-    """One of ``ff``'s closures as a function of states: once per stack when the
-    field is ``stacked``, else once per state."""
-
-    def call(x, v, gmat=None):
-        if ff.stacked or x.ndim == 1:
-            return fn(m, x, v)
-        return by_rows(lambda xi, vi: fn(m, xi, vi), x, v)
-
-    return call
-
-
 def _generated_force(gs: GeneratingScalar, m: MetricField):
     """The force of a generating pair, from the metric values at ``x`` when given."""
 
@@ -213,9 +201,9 @@ def _derivative_pack(
     x = np.asarray(x, dtype=float)
     analytic = mode == "analytic"
     return _force_derivatives(
-        _field_call(ff, ff.eval, m), m, x, np.asarray(v, dtype=float), metric_at(m, x), ginv,
-        dv=_field_call(ff, ff.dv, m) if analytic and ff.dv is not None else None,
-        nabla=_field_call(ff, ff.nabla, m) if analytic and ff.nabla is not None else None,
+        field_call(ff, ff.eval, m), m, x, np.asarray(v, dtype=float), metric_at(m, x), ginv,
+        dv=field_call(ff, ff.dv, m) if analytic and ff.dv is not None else None,
+        nabla=field_call(ff, ff.nabla, m) if analytic and ff.nabla is not None else None,
     )
 
 
@@ -417,7 +405,7 @@ def _residual_rows(
             return ansatz_value(coefficients(af, at, unit_direction_from(g, at, u).speed), u)
     else:
         af = None
-        force = _field_call(subject, subject.eval, m)
+        force = field_call(subject, subject.eval, m)
 
         def A(u):
             at, g = _over(x, u), _over(gmat, u, 2)
@@ -434,7 +422,7 @@ def _residual_rows(
         closures = {}
         if analytic and af is None:  # a bare field's own derivatives, where it has them
             closures = {
-                name: _field_call(subject, getattr(subject, name), m)
+                name: field_call(subject, getattr(subject, name), m)
                 for name in ("dv", "nabla")
                 if getattr(subject, name) is not None
             }

@@ -36,6 +36,7 @@ from .force_builder import (
     WV_FLOOR,
     ForceField,
     GeneratingScalar,
+    field_call,
     force_from_direction,
     h_values,
 )
@@ -227,7 +228,7 @@ def _family_nu(gs: GeneratingScalar, s: Hypersurface, u: Array, x: Array) -> Arr
     w = gs.W
     sigma0 = abs(float(s.nu0))
     x_base = np.asarray(s.chart_map(np.asarray(s.base_u, dtype=float)), dtype=float)
-    w0 = float(isotropic_call(w, w.eval, x_base[None], np.array([sigma0]))[0])
+    w0 = float(isotropic_call(w, w.eval, x_base, sigma0))
     tol = 1e-12 * (1.0 + abs(w0))
     k = x.shape[0]
     scan = sigma0 * np.power(8.0, np.linspace(-1.0, 1.0, 25))
@@ -519,12 +520,7 @@ def run_shift(
 
     v_cov = np.einsum("...ij,...j->...i", metric_at(m, xs), vs)
     speed_vals = np.sqrt(np.sum(vs * v_cov, axis=-1))
-    if gs.W.stacked:
-        W_vals = np.array(gs.W.eval(xs, speed_vals), dtype=float)
-    else:
-        W_vals = np.array(
-            [[float(gs.W.eval(xij, sij)) for xij, sij in zip(xi, si)] for xi, si in zip(xs, speed_vals)]
-        )
+    W_vals = np.array(isotropic_call(gs.W, gs.W.eval, xs, speed_vals), dtype=float)
 
     phi = np.einsum("...kj,...j->...k", _grid_tangents(xs, shape, axes), v_cov)
 
@@ -584,7 +580,7 @@ def speed_law_residual(rec: ShiftRecord, F: ForceField, m: MetricField) -> float
     x, v = rec.x[:, 2:-2], rec.v[:, 2:-2]
     gmat = metric_at(m, x)
     pr = unit_direction_from(gmat, x, v)
-    f = F.eval(m, x, v) if F.stacked else by_rows(lambda xi, vi: F.eval(m, xi, vi), x, v)
+    f = field_call(F, F.eval, m)(x, v)
     f_up = mat_vec(inverse_metric_from(gmat, x), np.asarray(f, dtype=float))
     return float(np.max(np.abs(ds_dt - dot(pr.N_down, f_up))))
 

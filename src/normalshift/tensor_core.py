@@ -7,9 +7,10 @@ projector P onto the hyperplane perpendicular to the velocity) are evaluated
 from it.  Every evaluator takes one point of shape (n,) or a stack of
 points of shape (..., n) and returns its tensors with the stack's leading
 axes in front.  A metric marked ``stacked`` has its closures called once
-per stack; any other metric's closures are called once per point, and
-once per run of a position that a stack repeats.  Index conventions, on
-the trailing axes:
+per stack, and only ever on a stack: a single point reaches them as a
+one-row stack.  Any other metric's closures are called once per point,
+and once per run of a position that a stack repeats.  Index conventions,
+on the trailing axes:
 
 * ``gamma[k, i, j]`` holds the connection component with upper index k and
   lower indices (i, j).
@@ -22,7 +23,6 @@ All functions are pure; the descriptor dataclasses are frozen.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -58,9 +58,10 @@ class MetricField:
         back to central differences of ``g`` with one Richardson
         extrapolation level, with step ``FD_STEP``.
     stacked : bool
-        Whether ``g`` and ``dg`` also take a stack of points (..., n) and
-        return (..., n, n) and (..., n, n, n), so a stack costs one call.
-        Unmarked closures are called once per point of a stack.
+        Whether ``g`` and ``dg`` take a stack of points (..., n) instead,
+        returning (..., n, n) and (..., n, n, n), so a stack costs one
+        call.  They are then only called on stacks, a single point as a
+        one-row stack.  Unmarked closures are called once per point.
     """
 
     dim: int
@@ -115,10 +116,6 @@ def by_rows(fn: Callable, x: np.ndarray, *more) -> np.ndarray:
     return values.reshape(lead + values.shape[1:])
 
 
-def _closure_value(fn: Callable, x: np.ndarray, shape: tuple, what: str) -> np.ndarray:
-    return _checked_value(fn(x), x, shape, what)
-
-
 def _checked_value(value, x: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     try:
         value = np.asarray(value, dtype=float)
@@ -138,17 +135,20 @@ def _closure_values(
 ) -> np.ndarray:
     """A metric closure's values at one point (n,) or a stack (..., n).
 
-    A ``stacked`` closure is called once with the whole stack; any other
-    once per run of equal consecutive points, so an offset stack that holds
-    the position fixed costs one call per position.  The point values are
-    assembled in one pass and their shape checked once; each point's value
-    must have ``shape``, and a wrong or ragged one raises
-    :class:`AsymmetricMetric` naming its point.
+    A ``stacked`` closure is called once with the whole stack, a single
+    point as a one-row stack; any other once per run of equal consecutive
+    points, so an offset stack that holds the position fixed costs one
+    call per position.  The point values are assembled in one pass and
+    their shape checked once; each point's value must have ``shape``, and
+    a wrong or ragged one raises :class:`AsymmetricMetric` naming its
+    point.
     """
-    if x.ndim == 1:
-        return _closure_value(fn, x, shape, what)
     if stacked:
-        return _closure_value(fn, x, x.shape[:-1] + shape, what)
+        rows = x if x.ndim > 1 else x[None]
+        value = _checked_value(fn(rows), rows, rows.shape[:-1] + shape, what)
+        return value.reshape(x.shape[:-1] + shape)
+    if x.ndim == 1:
+        return _checked_value(fn(x), x, shape, what)
     flat = x.reshape(-1, x.shape[-1])
     repeats = (flat[1:] == flat[:-1]).all(axis=1)
     if repeats.any():
@@ -213,50 +213,14 @@ def inverse_metric_from(gmat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return ginv
 
 
-def _metric_values(m: MetricField, x: np.ndarray) -> np.ndarray:
-    if x.ndim == 1 or m.stacked:
-        return _checked_metric(_closure_values(m.g, x, (m.dim, m.dim), "metric", m.stacked), x)
-    last, positions, values, _ = _last_stack
-    flat = x.reshape(-1, m.dim)
-    if last is m and positions.shape == flat.shape and np.array_equal(positions, flat):
-        return values.reshape(x.shape[:-1] + (m.dim, m.dim)).copy()
-    gmat = _checked_metric(_closure_values(m.g, x, (m.dim, m.dim), "metric", False), x)
-    _last_stack[:] = [m, flat, gmat.reshape(-1, m.dim, m.dim), None]
-    return gmat
-
-
-# The last stack a point-wise metric closure was evaluated on: the metric,
-# its positions, its checked values and, once a point has looked there, a
-# map from position bytes to row.  The same stack again reuses the values,
-# and a single point that misses the position cache below takes its row
-# from here when the stack holds it.  So a stacked field evaluated at
-# states whose metric its caller just took, and a point-wise callback
-# inside a stacked field (the bump of ``perturbed_field``, say), do not
-# evaluate the metric again.
+# The last stack a metric was evaluated on: the metric, a copy of its
+# positions, its checked values (read-only) and, once a point has looked
+# there, a map from position bytes to row.  The same stack again reuses the
+# values, and a single point takes its row from here when the stack holds
+# it.  So a stacked field evaluated at states whose metric its caller just
+# took, and a point-wise callback inside a stacked field (the bump of
+# ``perturbed_field``, say), do not evaluate the metric again.
 _last_stack: list = [None, None, None, None]
-
-
-def _last_stack_row(m: MetricField, xb: bytes) -> Optional[np.ndarray]:
-    last, positions, values, rows = _last_stack
-    if last is not m:
-        return None
-    if rows is None:
-        rows = _last_stack[3] = {p.tobytes(): i for i, p in enumerate(positions)}
-    i = rows.get(xb)
-    return None if i is None else values[i].copy()
-
-
-# Metric closures are pure, so single-point evaluations are memoized on the
-# position bytes; the point-wise callers evaluate several tensors at one
-# point and hit the cache for all but the first.  Cached arrays are
-# read-only.  Stacks bypass this cache.
-@lru_cache(maxsize=4096)
-def _metric_cached(m: MetricField, xb: bytes) -> np.ndarray:
-    gmat = _last_stack_row(m, xb)
-    if gmat is None:
-        gmat = _metric_values(m, np.frombuffer(xb, dtype=float).copy())
-    gmat.setflags(write=False)
-    return gmat
 
 
 def metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
@@ -265,12 +229,23 @@ def metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
     Asymmetry below ``ASYMMETRY_TOL`` is silently symmetrized; anything
     larger raises :class:`AsymmetricMetric`.  Positive-definiteness is
     checked by attempting a Cholesky factorization.  The array returned
-    for a single point is shared and read-only.
+    may be a read-only view of values kept for reuse.
     """
     x = np.ascontiguousarray(x, dtype=float)
-    if x.ndim == 1:
-        return _metric_cached(m, x.tobytes())
-    return _metric_values(m, x)
+    last, positions, values, rows = _last_stack
+    if last is m and x.ndim == 1:
+        if rows is None:
+            rows = _last_stack[3] = {p.tobytes(): i for i, p in enumerate(positions)}
+        i = rows.get(x.tobytes())
+        if i is not None:
+            return values[i]
+    elif last is m and np.array_equal(positions, x.reshape(-1, m.dim)):
+        return values.reshape(x.shape[:-1] + (m.dim, m.dim))
+    gmat = _checked_metric(_closure_values(m.g, x, (m.dim, m.dim), "metric", m.stacked), x)
+    if x.ndim > 1:
+        gmat.setflags(write=False)
+        _last_stack[:] = [m, x.reshape(-1, m.dim).copy(), gmat.reshape(-1, m.dim, m.dim), None]
+    return gmat
 
 
 def inverse_metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
@@ -390,12 +365,13 @@ def christoffel_at(m: MetricField, x: np.ndarray) -> Christoffel:
 
 
 def speed_at(m: MetricField, x: np.ndarray, v: np.ndarray):
-    """Velocity modulus |v| = sqrt(g_ij v^i v^j): a float, or an array for stacks."""
+    """Velocity modulus |v| = sqrt(g_ij v^i v^j): a float, or an array for stacks,
+    whose matmuls (:func:`dot`, :func:`vec_mat`) round each state as one state rounds."""
     gmat = metric_at(m, x)
     v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
+    if v.ndim == 1:  # cheaper than the stack products; point-wise callbacks call this per state
         return float(np.sqrt(v @ gmat @ v))
-    return np.sqrt(np.einsum("...i,...ij,...j->...", v, gmat, v))
+    return np.sqrt(dot(vec_mat(v, gmat), v))
 
 
 def unit_direction(m: MetricField, x: np.ndarray, v: np.ndarray) -> Projector:

@@ -276,8 +276,10 @@ class TestForceFromW:
             force_from_W(gs, euclidean_metric(), np.zeros(3), np.zeros(3))
 
     def test_stack_matches_points(self):
-        # a (2, 5, n) stack of states gives the point-wise forces, and the
-        # W and h closures are called once per state
+        # a (2, 5, n) stack of states gives the point-wise forces; the W
+        # closures are called once per state, and h, which takes arrays,
+        # once on the stack after its probe (one call per probe value and
+        # one on all of them)
         m = wavy_conformal_metric()
         base = generic_generator()
         calls = {"W": 0, "h": 0}
@@ -298,7 +300,7 @@ class TestForceFromW:
         v = np.array([[random_velocity(rng, m, xi) for xi in row] for row in x])
         stacked = force_from_W(gs, m, x, v)
         assert stacked.shape == (2, 5, 3)
-        assert calls == {"W": 10, "h": 10}
+        assert calls == {"W": 10, "h": len(force_builder.GAUGE_PROBES) + 2}
         for idx in np.ndindex(2, 5):
             assert np.allclose(stacked[idx], force_from_W(gs, m, x[idx], v[idx]), rtol=0, atol=1e-13)
 
@@ -572,6 +574,34 @@ class TestBuiltins:
     def test_vanishing_speed_profile_rejected(self):
         with pytest.raises(QuadratureFailure):
             builtin_nonmetrizable(coordinate_scalar(0), lambda s: s - 1.0)
+
+    @pytest.mark.parametrize("arrays", [True, False], ids=["array-profile", "float-profile"])
+    def test_profile_probe_calls(self, arrays, monkeypatch):
+        # the calls of A before the quadrature: an A that takes arrays is
+        # probed on every PROFILE_PROBE_STRIDE-th speed and then called once
+        # on all of them; a float-only A is called once per probe speed,
+        # after one failed array call
+        calls = {"point": 0, "array": 0}
+        before_quadrature = {}
+
+        def A(s):
+            calls["array" if np.ndim(s) else "point"] += 1
+            return s**3 + 0.5 if arrays else math.pow(s, 3) + 0.5
+
+        integrals = force_builder._segment_integrals
+
+        def segment_integrals(*args):
+            before_quadrature.update(calls)
+            return integrals(*args)
+
+        monkeypatch.setattr(force_builder, "_segment_integrals", segment_integrals)
+        builtin_nonmetrizable(coordinate_scalar(0), A)
+        probe = 8 * QUADRATURE_ANCHORS
+        if arrays:
+            subset = len(range(0, probe, force_builder.PROFILE_PROBE_STRIDE))
+            assert before_quadrature == {"point": subset, "array": 2}
+        else:
+            assert before_quadrature == {"point": probe, "array": 1}
 
     def test_speed_range_must_contain_reference(self):
         with pytest.raises(QuadratureFailure):

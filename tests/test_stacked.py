@@ -1,10 +1,12 @@
 """Stacked closures against their point-wise values, and the closure calls of a shift.
 
 A ``stacked`` metric or isotropic scalar takes a whole stack of points in
-one call; the library calls unmarked closures once per point.  These tests
-hold every closure the library marks ``stacked`` to its point-wise values,
-check that a shift gives the same record either way, and count the closure
-calls one shift makes.
+one call, and the library hands it a single point as a one-row stack; it
+calls unmarked closures once per point.  These tests hold every closure
+the library marks ``stacked`` to its point-wise values, check that the
+public point API never calls one on a single point, check that a shift
+gives the same record either way, and count the closure calls one shift
+makes.
 """
 
 import dataclasses
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from normalshift import cli
 from normalshift.cli import (
     Scenario,
     _isotropic_from_position_expression,
@@ -25,17 +28,26 @@ from normalshift.cli import (
 )
 from normalshift.errors import DegenerateWv, EvaluationFailure
 from normalshift.expressions import parse_expression
-from normalshift.extended_fields import IsotropicScalar
+from normalshift.extended_fields import IsotropicScalar, lift_isotropic
 from normalshift.force_builder import (
+    GaugeMap,
     GeneratingScalar,
+    ansatz_force_field,
+    ansatz_from_generator,
     as_force_field,
     builtin_geodesic,
     builtin_metrizable,
     builtin_nonmetrizable,
+    coefficient_pack,
+    compute_a,
+    compute_b,
     coordinate_scalar,
     force_from_W,
+    gauge_transform,
 )
-from normalshift.shift_engine import GridSpec, run_shift, sphere_surface
+from normalshift.normality_verifier import SampleSpec, verify
+from normalshift.shift_engine import GridSpec, run_shift, solve_nu, sphere_surface, surface_normal
+from normalshift.tensor_core import christoffel_at, metric_at
 
 from helpers import euclidean_metric
 
@@ -246,6 +258,138 @@ class TestStackedForce:
             infinite = GeneratingScalar(W=stacked_w(lambda x, s: 1.0 / x[..., 0]), h=lambda w: 0.0)
             with pytest.raises(EvaluationFailure, match=r"non-finite .* x=\[0\.\s+2\."):
                 force_from_W(infinite, m, x, v)
+
+    def test_pointwise_w_failures_name_the_state(self):
+        # an unmarked W goes through the same masked checks as a stacked one
+        x = np.array([[0.5, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 3.0, 0.0]])
+        v = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        m = euclidean_metric()
+        degenerate = IsotropicScalar(
+            eval=lambda x, s: s * x[0],
+            dx=lambda x, s: np.array([s, 0.0, 0.0]),
+            dspeed=lambda x, s: x[0],
+        )
+        with pytest.raises(DegenerateWv, match=r"below floor .* at speed 1, x=\[0\.\s+2\."):
+            force_from_W(GeneratingScalar(W=degenerate, h=lambda w: 0.0), m, x, v)
+        infinite = IsotropicScalar(
+            eval=lambda x, s: s * (1.0 + x[0]),
+            dx=lambda x, s: np.array([s, np.inf if x[1] == 2.0 else 0.0, 0.0]),
+            dspeed=lambda x, s: 1.0 + x[0],
+        )
+        with pytest.raises(EvaluationFailure, match=r"x-partials .* at speed 1, x=\[0\.\s+2\."):
+            force_from_W(GeneratingScalar(W=infinite, h=lambda w: 0.0), m, x, v)
+
+
+class TestStackOnlyContract:
+    """A stacked closure is only ever called with a stack.
+
+    Every stacked closure of the library builtins and of the CLI builders
+    is wrapped to record a call with fewer than two axes.  The public point
+    API, a verify and a one-step shift then run through them, and each
+    point result must equal row 0 of the same call on the one-row stack,
+    bit for bit.
+    """
+
+    GENERATORS = {
+        "geodesic": None,
+        "metrizable": None,
+        "nonmetrizable": None,
+        "cli-metrizable": {"kind": "metrizable", "f": WAVY, "H": "v"},
+        "cli-nonmetrizable": {"kind": "nonmetrizable", "f": "x1*x2", "A": "v^3 + v"},
+        "cli-custom": {"kind": "custom", "W": "v*exp(-x1) + v^3*x2^2", "h": "0.5*v"},
+    }
+
+    @pytest.fixture
+    def recorder(self):
+        calls = []
+
+        def stack_only(name, fn):
+            def checked(x, *rest):
+                if np.ndim(x) < 2:
+                    calls.append(name)
+                return fn(x, *rest)
+
+            return checked
+
+        def scalar(w, name):
+            return dataclasses.replace(
+                w,
+                eval=stack_only(f"{name}.eval", w.eval),
+                dx=w.dx and stack_only(f"{name}.dx", w.dx),
+                dspeed=w.dspeed and stack_only(f"{name}.dspeed", w.dspeed),
+                terms=w.terms and stack_only(f"{name}.terms", w.terms),
+            )
+
+        return calls, stack_only, scalar
+
+    def build(self, recorder, metric, generator, monkeypatch):
+        _, stack_only, scalar = recorder
+        m = build_metric(scenario(metric=CLI_METRICS[metric]))
+        m = dataclasses.replace(m, g=stack_only("g", m.g), dg=stack_only("dg", m.dg))
+        spec = self.GENERATORS[generator]
+        if spec is None:
+            f = scalar(coordinate_scalar(0, coefficient=0.7), "f")
+            gs = {
+                "geodesic": builtin_geodesic,
+                "metrizable": lambda: builtin_metrizable(f, H=lambda w: w),
+                "nonmetrizable": lambda: builtin_nonmetrizable(f, lambda s: s**3),
+            }[generator]()
+        else:
+            expression_f = cli._isotropic_from_position_expression
+            monkeypatch.setattr(
+                cli,
+                "_isotropic_from_position_expression",
+                lambda *args: scalar(expression_f(*args), "f"),
+            )
+            gs = build_generator(scenario(generator=spec))
+        assert m.stacked and gs.W.stacked
+        return m, dataclasses.replace(gs, W=scalar(gs.W, "W"))
+
+    @pytest.mark.parametrize("generator", sorted(GENERATORS))
+    @pytest.mark.parametrize("metric", sorted(CLI_METRICS))
+    def test_point_api_hands_stacked_closures_one_row_stacks(
+        self, recorder, metric, generator, monkeypatch
+    ):
+        m, gs = self.build(recorder, metric, generator, monkeypatch)
+        rho = GaugeMap(fn=lambda t: 2.0 * t + 1.0, inverse=lambda w: 0.5 * (w - 1.0),
+                       derivative=lambda t: 2.0)
+        gauged = gauge_transform(gs, rho)
+        af = ansatz_from_generator(gs, m)
+        ff = ansatz_force_field(af)
+        lifted = lift_isotropic(gs.W, m)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            x = rng.uniform(0.4, 1.1, 3)
+            v = rng.uniform(0.3, 1.0, 3)
+            s = float(rng.uniform(0.6, 1.8))
+            xs, vs, ss = x[None], v[None], np.array([s])
+            pairs = [
+                (metric_at(m, x), metric_at(m, xs)),
+                (christoffel_at(m, x).gamma, christoffel_at(m, xs).gamma),
+                (force_from_W(gs, m, x, v), force_from_W(gs, m, xs, vs)),
+                (force_from_W(gauged, m, x, v), force_from_W(gauged, m, xs, vs)),
+                (compute_a(gs, x, s), coefficient_pack(gs, xs, ss)[:, 0]),
+                (compute_b(gs, x, s), coefficient_pack(gs, xs, ss)[:, 1:]),
+                (lifted.eval(x, v), lifted.eval(xs, vs)),
+                (ff.dv(m, x, v), ff.dv(m, xs, vs)),
+            ]
+            for point, stack in pairs:
+                point, stack = np.asarray(point, dtype=float), np.asarray(stack, dtype=float)
+                assert stack.shape == (1,) + point.shape
+                assert point.tobytes() == stack[0].tobytes()
+            if lifted.dx is not None:
+                lifted.dx(x, v)
+                lifted.dv(x, v)
+        surface = sphere_surface(orientation=-1.0, base_u=(1.6, 0.02))
+        solve_nu(gs, m, surface, np.array([1.62, 0.0]))
+        surface_normal(m, surface, np.array([1.62, 0.0]))
+        verify(gs, m, SampleSpec(box=[[0.4, 1.1]] * 3, count=3, seed=1, speed_range=(0.6, 1.8)))
+        run_shift(
+            gs, m, surface, GridSpec(ranges=((1.55, 1.65, 5), (-0.03, 0.07, 5))),
+            t_end=1e-3, dt=1e-3, sample_stride=1,
+        )
+        calls = recorder[0]
+        assert not calls, f"stacked closures called on a single point: {sorted(set(calls))}"
 
 
 def cli_case():

@@ -352,6 +352,25 @@ class TestStacks:
         metric_at(m, x)
         assert np.array_equal(np.array(calls), x)
 
+    def test_stack_changed_in_place_is_evaluated_again(self):
+        # the positions kept with the last stack's values are a copy, so an
+        # in-place change of the caller's array is seen, by the stack and by
+        # a single point alike
+        m = MetricField(dim=3, g=lambda x: (1.0 + x[0] ** 2) * np.eye(3))
+        x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        assert np.array_equal(metric_at(m, x)[:, 0, 0], [1.0, 2.0])
+        x[:, 0] = [2.0, 3.0]
+        assert np.array_equal(metric_at(m, x)[:, 0, 0], [5.0, 10.0])
+        assert metric_at(m, np.array([2.0, 0.0, 0.0]))[0, 0] == 5.0
+
+    def test_kept_values_are_read_only(self):
+        m = MetricField(dim=3, g=lambda x: (1.0 + x[0] ** 2) * np.eye(3))
+        x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        for g in (metric_at(m, x), metric_at(m, x), metric_at(m, x[1])):
+            with pytest.raises(ValueError):
+                g[..., 0, 0] = 7.0
+        assert metric_at(m, x[1])[0, 0] == 2.0
+
     def test_failure_names_first_offending_point(self):
         # positive-definite only where x^1 > 0
         m = MetricField(dim=3, g=lambda x: np.diag([1.0, x[0], 1.0]))
