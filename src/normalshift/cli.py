@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,13 +57,61 @@ from .shift_engine import (
 from .tensor_core import MetricField, speed_at
 from . import __version__ as TOOL_VERSION
 
-DEFAULT_SHIFT_TOLERANCE = 1e-6
-DEFAULT_SAMPLE_STRIDE = 10
+REQUIRED = object()
+
+
+class _Expr(frozenset):
+    """A required key whose value is an expression over these variables;
+    ``"x"`` stands for the position coordinates x1..xn."""
+
+
+_X, _V, _XV = _Expr({"x"}), _Expr({"v"}), _Expr({"x", "v"})
+_GENERATOR = {"kind": REQUIRED, "perturb": None}
+_SURFACE = {"kind": REQUIRED, "base_u": [0.0, 0.0], "nu0": 1.0, "orientation": 1.0}
+
+# The keys of every scenario section, by section and kind (None for a
+# section without kinds): REQUIRED, an expression, or optional with its
+# default.  An optional key whose default is None may be left out.
+SECTIONS = {
+    "scenario": {
+        None: {"name": REQUIRED, "metric": REQUIRED, "generator": REQUIRED,
+               "surface": None, "run": None, "verify": None, "seed": 0},
+    },
+    "metric": {
+        "euclidean": {"kind": REQUIRED, "dim": 3},
+        "conformal": {"kind": REQUIRED, "f": _X, "dim": 3},
+        "diagonal": {"kind": REQUIRED, "entries": REQUIRED},
+    },
+    "generator": {
+        "geodesic": _GENERATOR,
+        "metrizable": {**_GENERATOR, "f": _X, "H": _V},
+        "nonmetrizable": {**_GENERATOR, "f": _X, "A": _V, "speed_range": [0.05, 5.0]},
+        "custom": {**_GENERATOR, "W": _XV, "h": _V},
+    },
+    "generator.perturb": {None: {"component": REQUIRED, "expression": _XV}},
+    "surface": {
+        "plane": {**_SURFACE, "axis": 2, "offset": 0.0},
+        "sphere": {**_SURFACE, "radius": 1.0, "center": [0.0, 0.0, 0.0]},
+        "graph": {**_SURFACE, "height": _Expr({"x1", "x2"})},
+    },
+    "run": {
+        None: {"t_end": REQUIRED, "dt": REQUIRED, "u_grid": REQUIRED,
+               "sample_stride": 10, "box": None, "tolerance": 1e-6},
+    },
+    "verify": {
+        None: {"box": REQUIRED, "sample_count": 200, "speed_range": [0.5, 2.0],
+               "mode": "analytic", "tolerance": None},
+    },
+}
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario: a name plus the five configuration sections."""
+    """Validated scenario: a name plus the five configuration sections.
+
+    Each section holds every key of its ``SECTIONS`` entry, defaults filled
+    in, numbers as floats or ints and expressions parsed.
+    """
 
     name: str
     metric: dict
@@ -75,15 +123,35 @@ class Scenario:
     dim: int
 
 
-def _check_keys(section: dict, where: str, required: Sequence[str], optional: Sequence[str]):
-    if not isinstance(section, dict):
+def _section(raw, where: str) -> dict:
+    """``raw`` checked against its ``SECTIONS`` entry, every default filled in."""
+    if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be an object")
-    unknown = sorted(set(section) - set(required) - set(optional))
+    kinds = SECTIONS[where]
+    kind = None if None in kinds else raw.get("kind", REQUIRED)
+    if kind is REQUIRED:
+        raise ConfigError(f"missing key(s) ['kind'] in {where}")
+    try:
+        keys = kinds[kind]
+    except (KeyError, TypeError):
+        raise ConfigError(f"unknown {where} kind {kind!r}") from None
+    unknown = sorted(set(raw) - set(keys))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
-    missing = sorted(set(required) - set(section))
+    required = (key for key, spec in keys.items() if spec is REQUIRED or isinstance(spec, _Expr))
+    missing = sorted(set(required) - set(raw))
     if missing:
         raise ConfigError(f"missing key(s) {missing} in {where}")
+    return {key: raw.get(key, spec) for key, spec in keys.items()}
+
+
+def _parse_expressions(section: dict, where: str, dim: int) -> dict:
+    """``section`` with each expression key of its ``SECTIONS`` entry parsed."""
+    for key, spec in SECTIONS[where][section.get("kind")].items():
+        if isinstance(spec, _Expr):
+            allowed = spec - {"x"} | (_position_variables(dim) if "x" in spec else frozenset())
+            section[key] = _expression(section[key], f"{where}.{key}", allowed)
+    return section
 
 
 def _as_number(value, where: str) -> float:
@@ -100,14 +168,20 @@ def _as_int(value, where: str) -> int:
     return value
 
 
-def _expression(section: dict, key: str, where: str, allowed: frozenset) -> Expression:
-    expr = parse_expression(section.get(key)) if isinstance(section.get(key), str) else None
-    if expr is None:
-        raise ConfigError(f"{where}.{key} must be an expression string")
+def _lo_hi(pair, where: str, malformed: str) -> Tuple[float, float]:
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ConfigError(malformed)
+    return _as_number(pair[0], f"{where} lo"), _as_number(pair[1], f"{where} hi")
+
+
+def _expression(text, where: str, allowed: frozenset) -> Expression:
+    if not isinstance(text, str):
+        raise ConfigError(f"{where} must be an expression string")
+    expr = parse_expression(text)
     stray = sorted(expr.variables - allowed)
     if stray:
         raise ConfigError(
-            f"{where}.{key} uses variable(s) {stray} outside the allowed set {sorted(allowed)}"
+            f"{where} uses variable(s) {stray} outside the allowed set {sorted(allowed)}"
         )
     return expr
 
@@ -122,150 +196,90 @@ def _position_variables(dim: int) -> frozenset:
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
-    """Parse and validate a scenario file; unknown keys are errors."""
+    """Parse and validate a scenario file; unknown keys are errors.
+
+    The one reader of the file: each section is checked once against its
+    ``SECTIONS`` entry, and the builders read the result as it stands.
+    """
     try:
-        raw = Path(path).read_text()
+        data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
-    try:
-        data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("scenario must be a JSON object")
-    _check_keys(
-        data,
-        "scenario",
-        required=("name", "metric", "generator"),
-        optional=("surface", "run", "verify", "seed"),
-    )
+    data = _section(data, "scenario")
     name = data["name"]
     # the name becomes a file name under --out, so it may not leave that directory
     if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         raise ConfigError("scenario.name must be a plain file name: no path separator, not . or ..")
 
-    metric = data["metric"]
-    _check_keys(metric, "metric", required=("kind",), optional=("dim", "f", "entries"))
-    kind = metric.get("kind")
-    if kind == "euclidean":
-        _check_keys(metric, "metric", required=("kind",), optional=("dim",))
-        dim = _as_int(metric.get("dim", 3), "metric.dim")
-    elif kind == "conformal":
-        _check_keys(metric, "metric", required=("kind", "f"), optional=("dim",))
-        dim = _as_int(metric.get("dim", 3), "metric.dim")
-        _expression(metric, "f", "metric", _position_variables(dim))
-    elif kind == "diagonal":
-        _check_keys(metric, "metric", required=("kind", "entries"), optional=())
-        entries = metric.get("entries")
+    metric = _section(data["metric"], "metric")
+    if metric["kind"] == "diagonal":
+        entries = metric["entries"]
         if not isinstance(entries, list) or len(entries) < 3:
             raise ConfigError("metric.entries must list at least three expressions")
         dim = len(entries)
-        for idx in range(dim):
-            _expression({"e": entries[idx]}, "e", f"metric.entries[{idx}]", _position_variables(dim))
+        metric["entries"] = [
+            _expression(text, f"metric.entries[{idx}]", _position_variables(dim))
+            for idx, text in enumerate(entries)
+        ]
     else:
-        raise ConfigError(f"unknown metric kind {kind!r}")
+        dim = metric["dim"] = _as_int(metric["dim"], "metric.dim")
     if dim < 3:
         raise ConfigError("metric dimension must be at least 3")
+    _parse_expressions(metric, "metric", dim)
 
-    xvars = _position_variables(dim)
-    generator = data["generator"]
-    _check_keys(
-        generator,
-        "generator",
-        required=("kind",),
-        optional=("f", "H", "A", "W", "h", "speed_range", "perturb"),
-    )
-    gkind = generator.get("kind")
-    if gkind == "geodesic":
-        _check_keys(generator, "generator", required=("kind",), optional=("perturb",))
-    elif gkind == "metrizable":
-        _check_keys(generator, "generator", required=("kind", "f", "H"), optional=("perturb",))
-        _expression(generator, "f", "generator", xvars)
-        _expression(generator, "H", "generator", frozenset({"v"}))
-    elif gkind == "nonmetrizable":
-        _check_keys(
-            generator,
-            "generator",
-            required=("kind", "f", "A"),
-            optional=("speed_range", "perturb"),
+    generator = _parse_expressions(_section(data["generator"], "generator"), "generator", dim)
+    if generator["kind"] == "nonmetrizable":
+        lo, hi = generator["speed_range"] = _lo_hi(
+            generator["speed_range"], "generator.speed_range", "generator.speed_range must be [lo, hi]"
         )
-        _expression(generator, "f", "generator", xvars)
-        _expression(generator, "A", "generator", frozenset({"v"}))
-        if "speed_range" in generator:
-            rng = generator["speed_range"]
-            if not (isinstance(rng, list) and len(rng) == 2):
-                raise ConfigError("generator.speed_range must be [lo, hi]")
-            _as_number(rng[0], "generator.speed_range[0]")
-            _as_number(rng[1], "generator.speed_range[1]")
-    elif gkind == "custom":
-        _check_keys(generator, "generator", required=("kind", "W", "h"), optional=("perturb",))
-        _expression(generator, "W", "generator", xvars | {"v"})
-        _expression(generator, "h", "generator", frozenset({"v"}))
-    else:
-        raise ConfigError(f"unknown generator kind {gkind!r}")
-    if "perturb" in generator:
-        perturb = generator["perturb"]
-        _check_keys(perturb, "generator.perturb", required=("component", "expression"), optional=())
-        component = _as_int(perturb["component"], "generator.perturb.component")
+        if not 0.0 < lo < 1.0 < hi:
+            raise ConfigError("generator.speed_range must satisfy 0 < lo < 1 < hi")
+    if generator["perturb"] is not None:
+        perturb = generator["perturb"] = _parse_expressions(
+            _section(generator["perturb"], "generator.perturb"), "generator.perturb", dim
+        )
+        component = perturb["component"] = _as_int(
+            perturb["component"], "generator.perturb.component"
+        )
         if not 0 <= component < dim:
             raise ConfigError("generator.perturb.component out of range")
-        _expression(perturb, "expression", "generator.perturb", xvars | {"v"})
 
-    surface = data.get("surface")
+    surface = data["surface"]
     if surface is not None:
         if dim != 3:
             raise ConfigError("surfaces require a three-dimensional metric")
-        _check_keys(
-            surface,
-            "surface",
-            required=("kind",),
-            optional=("axis", "offset", "radius", "center", "height", "base_u", "nu0", "orientation"),
-        )
-        skind = surface.get("kind")
-        common = ("base_u", "nu0", "orientation")
-        if skind == "plane":
-            _check_keys(surface, "surface", required=("kind",), optional=("axis", "offset") + common)
-            axis = _as_int(surface.get("axis", 2), "surface.axis")
+        surface = _parse_expressions(_section(surface, "surface"), "surface", dim)
+        if surface["kind"] == "plane":
+            axis = surface["axis"] = _as_int(surface["axis"], "surface.axis")
             if not 0 <= axis < 3:
                 raise ConfigError("surface.axis must be 0, 1, or 2")
-            _as_number(surface.get("offset", 0.0), "surface.offset")
-        elif skind == "sphere":
-            _check_keys(surface, "surface", required=("kind",), optional=("radius", "center") + common)
-            radius = _as_number(surface.get("radius", 1.0), "surface.radius")
+            surface["offset"] = _as_number(surface["offset"], "surface.offset")
+        elif surface["kind"] == "sphere":
+            radius = surface["radius"] = _as_number(surface["radius"], "surface.radius")
             if radius <= 0.0:
                 raise ConfigError("surface.radius must be positive")
-            center = surface.get("center", [0.0, 0.0, 0.0])
+            center = surface["center"]
             if not (isinstance(center, list) and len(center) == 3):
                 raise ConfigError("surface.center must have three components")
-            for c in center:
-                _as_number(c, "surface.center entry")
-        elif skind == "graph":
-            _check_keys(surface, "surface", required=("kind", "height"), optional=common)
-            _expression(surface, "height", "surface", frozenset({"x1", "x2"}))
-        else:
-            raise ConfigError(f"unknown surface kind {skind!r}")
-        base_u = surface.get("base_u", [0.0, 0.0])
+            surface["center"] = tuple(_as_number(c, "surface.center entry") for c in center)
+        base_u = surface["base_u"]
         if not (isinstance(base_u, list) and len(base_u) == 2):
             raise ConfigError("surface.base_u must have two components")
-        for c in base_u:
-            _as_number(c, "surface.base_u entry")
-        nu0 = _as_number(surface.get("nu0", 1.0), "surface.nu0")
+        surface["base_u"] = tuple(_as_number(c, "surface.base_u entry") for c in base_u)
+        nu0 = surface["nu0"] = _as_number(surface["nu0"], "surface.nu0")
         if nu0 == 0.0:
             raise ConfigError("surface.nu0 must be nonzero")
-        orientation = surface.get("orientation", 1.0)
-        if orientation not in (1, -1, 1.0, -1.0):
+        if surface["orientation"] not in (1, -1, 1.0, -1.0):
             raise ConfigError("surface.orientation must be +1 or -1")
+        surface["orientation"] = float(surface["orientation"])
 
-    run = data.get("run")
+    run = data["run"]
     if run is not None:
-        _check_keys(
-            run,
-            "run",
-            required=("t_end", "dt", "u_grid"),
-            optional=("sample_stride", "box", "tolerance"),
-        )
-        t_end = _as_number(run["t_end"], "run.t_end")
-        dt = _as_number(run["dt"], "run.dt")
+        run = _section(run, "run")
+        t_end = run["t_end"] = _as_number(run["t_end"], "run.t_end")
+        dt = run["dt"] = _as_number(run["dt"], "run.dt")
         if t_end <= 0.0 or dt <= 0.0:
             raise ConfigError("run.t_end and run.dt must be positive")
         u_grid = run["u_grid"]
@@ -274,10 +288,15 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         for rng in u_grid:
             if not (isinstance(rng, list) and len(rng) == 3):
                 raise ConfigError("run.u_grid entries must be [lo, hi, count]")
-            _as_number(rng[0], "run.u_grid lo")
-            _as_number(rng[1], "run.u_grid hi")
-            _as_int(rng[2], "run.u_grid count")
-        stride = _as_int(run.get("sample_stride", DEFAULT_SAMPLE_STRIDE), "run.sample_stride")
+        run["u_grid"] = tuple(
+            (
+                _as_number(rng[0], "run.u_grid lo"),
+                _as_number(rng[1], "run.u_grid hi"),
+                _as_int(rng[2], "run.u_grid count"),
+            )
+            for rng in u_grid
+        )
+        stride = run["sample_stride"] = _as_int(run["sample_stride"], "run.sample_stride")
         if stride < 1:
             raise ConfigError("run.sample_stride must be positive")
         steps = round(t_end / dt)
@@ -289,36 +308,32 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
             raise ConfigError(
                 f"run records {steps // stride + 1} times; the speed-law stencil needs 5"
             )
-        if "box" in run:
-            _validate_box(run["box"], dim, "run.box")
-        if "tolerance" in run and _as_number(run["tolerance"], "run.tolerance") <= 0.0:
+        if run["box"] is not None:
+            run["box"] = _validate_box(run["box"], dim, "run.box")
+        run["tolerance"] = _as_number(run["tolerance"], "run.tolerance")
+        if run["tolerance"] <= 0.0:
             raise ConfigError("run.tolerance must be positive")
 
-    verify_sec = data.get("verify")
+    verify_sec = data["verify"]
     if verify_sec is not None:
-        _check_keys(
-            verify_sec,
-            "verify",
-            required=("box",),
-            optional=("sample_count", "speed_range", "tolerance", "mode"),
-        )
-        _validate_box(verify_sec["box"], dim, "verify.box")
-        if "sample_count" in verify_sec and _as_int(verify_sec["sample_count"], "verify.sample_count") < 1:
+        verify_sec = _section(verify_sec, "verify")
+        verify_sec["box"] = _validate_box(verify_sec["box"], dim, "verify.box")
+        count = verify_sec["sample_count"] = _as_int(verify_sec["sample_count"], "verify.sample_count")
+        if count < 1:
             raise ConfigError("verify.sample_count must be positive")
-        if "speed_range" in verify_sec:
-            rng = verify_sec["speed_range"]
-            if not (isinstance(rng, list) and len(rng) == 2):
-                raise ConfigError("verify.speed_range must be [lo, hi]")
-            lo = _as_number(rng[0], "verify.speed_range lo")
-            hi = _as_number(rng[1], "verify.speed_range hi")
-            if not 0.0 < lo <= hi:
-                raise ConfigError("verify.speed_range must satisfy 0 < lo <= hi")
-        if "tolerance" in verify_sec and _as_number(verify_sec["tolerance"], "verify.tolerance") <= 0.0:
-            raise ConfigError("verify.tolerance must be positive")
-        if "mode" in verify_sec and verify_sec["mode"] not in MODES:
+        lo, hi = verify_sec["speed_range"] = _lo_hi(
+            verify_sec["speed_range"], "verify.speed_range", "verify.speed_range must be [lo, hi]"
+        )
+        if not 0.0 < lo <= hi:
+            raise ConfigError("verify.speed_range must satisfy 0 < lo <= hi")
+        if verify_sec["tolerance"] is not None:
+            tolerance = verify_sec["tolerance"] = _as_number(verify_sec["tolerance"], "verify.tolerance")
+            if tolerance <= 0.0:
+                raise ConfigError("verify.tolerance must be positive")
+        if verify_sec["mode"] not in MODES:
             raise ConfigError(f"verify.mode must be one of {MODES}")
 
-    seed = _as_int(data.get("seed", 0), "scenario.seed")
+    seed = _as_int(data["seed"], "scenario.seed")
     if seed < 0:
         raise ConfigError("scenario.seed must be nonnegative")
     return Scenario(
@@ -333,16 +348,13 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     )
 
 
-def _validate_box(box, dim: int, where: str):
+def _validate_box(box, dim: int, where: str) -> tuple:
     if not (isinstance(box, list) and len(box) == dim):
         raise ConfigError(f"{where} must list one [lo, hi] pair per coordinate")
-    for pair in box:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ConfigError(f"{where} entries must be [lo, hi]")
-        lo = _as_number(pair[0], f"{where} lo")
-        hi = _as_number(pair[1], f"{where} hi")
-        if lo >= hi:
-            raise ConfigError(f"{where} must have lo < hi")
+    pairs = tuple(_lo_hi(pair, where, f"{where} entries must be [lo, hi]") for pair in box)
+    if any(lo >= hi for lo, hi in pairs):
+        raise ConfigError(f"{where} must have lo < hi")
+    return pairs
 
 
 def _check_options(tolerance: Optional[float], seed: Optional[int]) -> None:
@@ -367,7 +379,7 @@ def build_metric(sc: Scenario) -> MetricField:
             dim=dim, g=g_flat, dg=lambda x: np.zeros(x.shape[:-1] + (dim, dim, dim)), stacked=True
         )
     if kind == "conformal":
-        f_expr = parse_expression(sc.metric["f"])
+        f_expr = sc.metric["f"]
         f_grad = [f_expr.derivative(f"x{k + 1}") for k in range(dim)]
 
         def g(x):
@@ -382,7 +394,7 @@ def build_metric(sc: Scenario) -> MetricField:
             return cube
 
         return MetricField(dim=dim, g=g, dg=dg, stacked=True)
-    entries = [parse_expression(text) for text in sc.metric["entries"]]
+    entries = sc.metric["entries"]
     entry_grads = [
         [e.derivative(f"x{k + 1}") for k in range(dim)] for e in entries
     ]
@@ -437,16 +449,13 @@ def build_generator(sc: Scenario) -> GeneratingScalar:
     if kind == "geodesic":
         return builtin_geodesic()
     if kind == "metrizable":
-        f_scalar = _isotropic_from_position_expression(parse_expression(gen["f"]), sc.dim)
-        return builtin_metrizable(f_scalar, H=_single_variable_fn(parse_expression(gen["H"])))
+        f_scalar = _isotropic_from_position_expression(gen["f"], sc.dim)
+        return builtin_metrizable(f_scalar, H=_single_variable_fn(gen["H"]))
     if kind == "nonmetrizable":
-        f_scalar = _isotropic_from_position_expression(parse_expression(gen["f"]), sc.dim)
-        a_fn = _single_variable_fn(parse_expression(gen["A"]))
-        if "speed_range" in gen:
-            lo, hi = gen["speed_range"]
-            return builtin_nonmetrizable(f_scalar, a_fn, speed_range=(float(lo), float(hi)))
-        return builtin_nonmetrizable(f_scalar, a_fn)
-    w_expr = parse_expression(gen["W"])
+        f_scalar = _isotropic_from_position_expression(gen["f"], sc.dim)
+        a_fn = _single_variable_fn(gen["A"])
+        return builtin_nonmetrizable(f_scalar, a_fn, speed_range=gen["speed_range"])
+    w_expr = gen["W"]
     w_grad = [w_expr.derivative(f"x{k + 1}") for k in range(sc.dim)]
     w_speed = w_expr.derivative("v")
 
@@ -466,17 +475,17 @@ def build_generator(sc: Scenario) -> GeneratingScalar:
 
     return GeneratingScalar(
         W=IsotropicScalar(eval=w_eval, dx=w_dx, dspeed=w_dspeed, stacked=True),
-        h=_single_variable_fn(parse_expression(gen["h"])),
+        h=_single_variable_fn(gen["h"]),
     )
 
 
 def build_subject(sc: Scenario) -> Union[GeneratingScalar, ForceField]:
     """Verification subject: the generator, optionally with a perturbation."""
     gs = build_generator(sc)
-    if "perturb" not in sc.generator:
-        return gs
     perturb = sc.generator["perturb"]
-    expr = parse_expression(perturb["expression"])
+    if perturb is None:
+        return gs
+    expr = perturb["expression"]
     names = [f"x{i + 1}" for i in range(sc.dim)]
 
     def bump(m, x, v):
@@ -491,24 +500,14 @@ def build_subject(sc: Scenario) -> Union[GeneratingScalar, ForceField]:
 def build_surface(sc: Scenario) -> Hypersurface:
     surface = sc.surface
     common = dict(
-        base_u=tuple(float(c) for c in surface.get("base_u", [0.0, 0.0])),
-        nu0=float(surface.get("nu0", 1.0)),
-        orientation=float(surface.get("orientation", 1.0)),
+        base_u=surface["base_u"], nu0=surface["nu0"], orientation=surface["orientation"]
     )
     kind = surface["kind"]
     if kind == "plane":
-        return plane_surface(
-            axis=int(surface.get("axis", 2)),
-            offset=float(surface.get("offset", 0.0)),
-            **common,
-        )
+        return plane_surface(axis=surface["axis"], offset=surface["offset"], **common)
     if kind == "sphere":
-        return sphere_surface(
-            radius=float(surface.get("radius", 1.0)),
-            center=tuple(float(c) for c in surface.get("center", [0.0, 0.0, 0.0])),
-            **common,
-        )
-    height_expr = parse_expression(surface["height"])
+        return sphere_surface(radius=surface["radius"], center=surface["center"], **common)
+    height_expr = surface["height"]
 
     def height(u):
         return height_expr.eval({"x1": float(u[0]), "x2": float(u[1])})
@@ -628,11 +627,11 @@ def cmd_verify(
             subject = build_subject(sc)
             spec = SampleSpec(
                 box=sc.verify["box"],
-                count=int(sc.verify.get("sample_count", 200)),
-                speed_range=tuple(sc.verify.get("speed_range", (0.5, 2.0))),
+                count=sc.verify["sample_count"],
+                speed_range=sc.verify["speed_range"],
                 seed=seed if seed is not None else sc.seed,
-                mode=sc.verify.get("mode", "analytic"),
-                tolerance=tolerance if tolerance is not None else sc.verify.get("tolerance"),
+                mode=sc.verify["mode"],
+                tolerance=tolerance if tolerance is not None else sc.verify["tolerance"],
             )
         report = verify(subject, m, spec)
         bundle = {
@@ -670,31 +669,30 @@ def cmd_shift(
         sc = load_scenario(config_path)
         if sc.surface is None or sc.run is None:
             raise ConfigError("scenario needs surface and run sections for a shift")
-        if "perturb" in sc.generator:
+        if sc.generator["perturb"] is not None:
             raise ConfigError("generator.perturb applies to verification only")
         out_dir = _output_dir(out)
         with _configuring():
             m = build_metric(sc)
             gs = build_generator(sc)
             surface = build_surface(sc)
-            grid = GridSpec(ranges=tuple(tuple(rng) for rng in sc.run["u_grid"]))
+            grid = GridSpec(ranges=sc.run["u_grid"])
         rec = run_shift(
             gs,
             m,
             surface,
             grid,
-            t_end=float(sc.run["t_end"]),
-            dt=float(sc.run["dt"]),
-            sample_stride=int(sc.run.get("sample_stride", DEFAULT_SAMPLE_STRIDE)),
+            t_end=sc.run["t_end"],
+            dt=sc.run["dt"],
+            sample_stride=sc.run["sample_stride"],
             force_constant_nu=force_constant_nu,
-            chart_box=sc.run.get("box"),
+            chart_box=sc.run["box"],
         )
         max_phi = max_normalized_deviation(rec, m)
         w_dyn = w_dynamics_residual(rec, gs)
         spread = float(np.max(surface_constancy_residual(rec)))
         speed_law = speed_law_residual(rec, as_force_field(gs), m)
-        default_tol = float(sc.run.get("tolerance", DEFAULT_SHIFT_TOLERANCE))
-        tol = tolerance if tolerance is not None else default_tol
+        tol = tolerance if tolerance is not None else sc.run["tolerance"]
         summary = {
             "max_norm_phi": max_phi,
             "w_dyn_residual": w_dyn,

@@ -46,7 +46,8 @@ class DegenerateTangents(NormalShiftError):
 
 
 class GridTooCoarse(NormalShiftError):
-    """Parameter grid has too few points for the deviation stencil."""
+    """Parameter grid cannot carry the deviation stencil: a range with fewer
+    than five points, or one of zero width (lo = hi), whose spacing is 0."""
 
 
 class TrajectoryEscaped(NormalShiftError):

@@ -475,6 +475,8 @@ def run_shift(
             raise GridTooCoarse(
                 f"{int(c)} points on [{a}, {b}]: the interior stencil needs at least 5"
             )
+        if a == b:
+            raise GridTooCoarse(f"range [{a}, {b}] has zero width: the stencil needs lo != hi")
     axes = grid.axes()
     shape = tuple(len(ax) for ax in axes)
     mesh = np.meshgrid(*axes, indexing="ij")

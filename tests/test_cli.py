@@ -156,7 +156,8 @@ class TestScenarioValidation:
         assert np.allclose(g, np.exp(-1.0) * np.eye(3))
         subject = build_subject(sc)
         assert isinstance(subject, GeneratingScalar)
-        assert abs(subject.W.eval(np.array([0.5, 0.0, 0.0]), 2.0) - 2.0 * np.exp(-0.5)) < 1e-15
+        w = subject.W.eval(np.array([[0.5, 0.0, 0.0]]), np.array([2.0]))
+        assert w.shape == (1,) and abs(w[0] - 2.0 * np.exp(-0.5)) < 1e-15
         s = build_surface(sc)
         assert s.nu0 == -1.0
         assert s.orientation == -1.0
@@ -305,6 +306,11 @@ class TestShiftCommand:
             run={"t_end": 0.1, "dt": 1e-3, "u_grid": [[-0.1, 0.1, 4], [-0.1, 0.1, 5]]},
         )
         assert cmd_shift(write_config(tmp_path, coarse), out=tmp_path) == 2
+        flat = base_scenario(
+            name="flat",
+            run={"t_end": 0.1, "dt": 1e-3, "u_grid": [[0.1, 0.1, 5], [-0.1, 0.1, 5]]},
+        )
+        assert cmd_shift(write_config(tmp_path, flat), out=tmp_path) == 2
         offgrid = base_scenario(
             name="offgrid",
             run={"t_end": 0.1005, "dt": 1e-3, "u_grid": [[-0.1, 0.1, 5], [-0.1, 0.1, 5]],
@@ -515,12 +521,16 @@ class TestRejectedInput:
             ("shift", {}, ["--tolerance", "-1"], "--tolerance"),
             ("verify", {"seed": -1}, [], "scenario.seed"),
             ("verify", {}, ["--seed", "-1"], "--seed"),
+            # the speed quadrature is anchored at 1.0, so the range must contain it
+            ("verify", {"generator": {"kind": "nonmetrizable", "f": "x1", "A": "v^3",
+                                      "speed_range": [2.0, 5.0]}}, [], "generator.speed_range"),
         ],
         ids=[
             "t_end-infinite", "t_end-past-float-range", "dt-nan", "run-tolerance-nan", "offset-infinite", "verify-box-nan",
             "name-parent", "name-absolute", "name-subdirectory", "name-dot", "name-dotdot",
             "verify-tolerance-nan", "verify-tolerance-negative", "shift-tolerance-nan",
             "shift-tolerance-negative", "seed-negative", "seed-option-negative",
+            "speed-range-without-one",
         ],
     )
     def test_exits_2_and_names_the_key(

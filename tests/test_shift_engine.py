@@ -496,16 +496,18 @@ class TestRunShift:
         assert np.allclose(rec.nu_vals, 1.0)
 
     def test_grid_too_coarse(self):
-        grid = GridSpec(ranges=((-0.1, 0.1, 4), (-0.1, 0.1, 5)))
-        with pytest.raises(GridTooCoarse):
-            run_shift(
-                builtin_geodesic(),
-                euclidean_metric(3),
-                plane_surface(),
-                grid,
-                t_end=0.1,
-                dt=1e-3,
-            )
+        # four points leave no interior stencil; a zero-width range has
+        # spacing 0, so its tangents and deviations would be NaN
+        for ranges in (((-0.1, 0.1, 4), (-0.1, 0.1, 5)), ((0.1, 0.1, 5), (-0.1, 0.1, 5))):
+            with pytest.raises(GridTooCoarse):
+                run_shift(
+                    builtin_geodesic(),
+                    euclidean_metric(3),
+                    plane_surface(),
+                    GridSpec(ranges=ranges),
+                    t_end=0.1,
+                    dt=1e-3,
+                )
 
     def test_trajectory_escape(self):
         box = [[-1.0, 1.0], [-1.0, 1.0], [-0.05, 0.05]]

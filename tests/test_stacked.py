@@ -1,18 +1,21 @@
-"""Stacked closures against their point-wise values, and the closure calls of a shift.
+"""Stacked closures against their one-row stacks, and the closure calls of a shift.
 
 A ``stacked`` metric or isotropic scalar takes a whole stack of points in
 one call, and the library hands it a single point as a one-row stack; it
 calls unmarked closures once per point.  These tests hold every closure
-the library marks ``stacked`` to its point-wise values, check that the
-public point API never calls one on a single point, check that a shift
-gives the same record either way, and count the closure calls one shift
-makes.
+the library marks ``stacked`` to its values on each row alone, check that
+the public point API never calls one on a single point, check that a
+shift gives the same record with the closures wrapped as point closures,
+and count the closure calls one shift makes.
 """
 
 import dataclasses
+import json
 import math
+import tempfile
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,10 +24,10 @@ from hypothesis.extra.numpy import arrays
 
 from normalshift import cli
 from normalshift.cli import (
-    Scenario,
     _isotropic_from_position_expression,
     build_generator,
     build_metric,
+    load_scenario,
 )
 from normalshift.errors import DegenerateWv, EvaluationFailure
 from normalshift.expressions import parse_expression
@@ -47,7 +50,7 @@ from normalshift.force_builder import (
 )
 from normalshift.normality_verifier import SampleSpec, verify
 from normalshift.shift_engine import GridSpec, run_shift, solve_nu, sphere_surface, surface_normal
-from normalshift.tensor_core import christoffel_at, metric_at
+from normalshift.tensor_core import MetricField, christoffel_at, metric_at
 
 from helpers import euclidean_metric
 
@@ -61,16 +64,16 @@ CLI_METRICS = {
 
 
 def scenario(metric=None, generator=None):
-    return Scenario(
-        name="stacked",
-        metric=metric or CLI_METRICS["euclidean"],
-        generator=generator or {"kind": "geodesic"},
-        surface=None,
-        run=None,
-        verify=None,
-        seed=0,
-        dim=3,
-    )
+    """A scenario with these sections, read as the CLI reads its file."""
+    data = {
+        "name": "stacked",
+        "metric": metric or CLI_METRICS["euclidean"],
+        "generator": generator or {"kind": "geodesic"},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(data))
+        return load_scenario(path)
 
 
 def misleading_profile(v):
@@ -132,6 +135,14 @@ def point_values(fn, *stacks):
     return np.array(values).reshape(lead + values[0].shape)
 
 
+def row_values(fn, *stacks):
+    """``fn`` on each row of the stacks as a one-row stack, assembled with the
+    stacks' leading axes: how the library hands a stacked closure one point."""
+    lead = stacks[0].shape[:-1]
+    values = [np.asarray(fn(*(s[idx][None] for s in stacks)))[0] for idx in np.ndindex(lead)]
+    return np.array(values).reshape(lead + values[0].shape)
+
+
 def assert_matches(stack, points):
     stack = np.asarray(stack, dtype=float)
     assert stack.shape == points.shape
@@ -146,7 +157,7 @@ class TestStackedClosuresMatchPoints:
         w = stacked_scalar(which)
         assert w.stacked
         for fn in (w.eval, w.dspeed, w.dx):
-            assert_matches(fn(x, speed), point_values(fn, x, speed))
+            assert_matches(fn(x, speed), row_values(fn, x, speed))
 
     def test_nonmetrizable_ws_carry_terms(self):
         assert all(stacked_scalar(name).terms is not None for name in TERMS_WS)
@@ -168,8 +179,8 @@ class TestStackedClosuresMatchPoints:
     def test_cli_metrics(self, which, x):
         m = build_metric(scenario(metric=CLI_METRICS[which]))
         assert m.stacked
-        assert_matches(m.g(x), point_values(m.g, x))
-        assert_matches(m.dg(x), point_values(m.dg, x))
+        assert_matches(m.g(x), row_values(m.g, x))
+        assert_matches(m.dg(x), row_values(m.dg, x))
 
     @seed(47)
     @settings(max_examples=30, deadline=None)
@@ -414,7 +425,22 @@ def shift(gs, m, steps=6):
 
 
 def pointwise(obj):
-    return dataclasses.replace(obj, stacked=False)
+    """``obj`` unmarked, each of its closures a point closure that calls the
+    stacked one on a one-row stack."""
+
+    def at_point(fn):
+        return lambda x, *rest: np.asarray(fn(x[None], *(np.array([r]) for r in rest)))[0]
+
+    if isinstance(obj, MetricField):
+        return dataclasses.replace(obj, g=at_point(obj.g), dg=at_point(obj.dg), stacked=False)
+    return dataclasses.replace(
+        obj,
+        eval=at_point(obj.eval),
+        dx=at_point(obj.dx),
+        dspeed=at_point(obj.dspeed),
+        terms=None,
+        stacked=False,
+    )
 
 
 class TestShiftWithStackedClosures:
