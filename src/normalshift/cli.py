@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -67,6 +69,9 @@ class _Expr(frozenset):
 
 _X, _V, _XV = _Expr({"x"}), _Expr({"v"}), _Expr({"x", "v"})
 _GENERATOR = {"kind": REQUIRED, "perturb": None}
+# defaults the library owns: SampleSpec's fields and the nonmetrizable speed range
+_SAMPLE = {f.name: f.default for f in dataclasses.fields(SampleSpec)}
+_PROFILE_RANGE = inspect.signature(builtin_nonmetrizable).parameters["speed_range"].default
 _SURFACE = {"kind": REQUIRED, "base_u": [0.0, 0.0], "nu0": 1.0, "orientation": 1.0}
 
 # The keys of every scenario section, by section and kind (None for a
@@ -85,7 +90,7 @@ SECTIONS = {
     "generator": {
         "geodesic": _GENERATOR,
         "metrizable": {**_GENERATOR, "f": _X, "H": _V},
-        "nonmetrizable": {**_GENERATOR, "f": _X, "A": _V, "speed_range": [0.05, 5.0]},
+        "nonmetrizable": {**_GENERATOR, "f": _X, "A": _V, "speed_range": list(_PROFILE_RANGE)},
         "custom": {**_GENERATOR, "W": _XV, "h": _V},
     },
     "generator.perturb": {None: {"component": REQUIRED, "expression": _XV}},
@@ -99,8 +104,9 @@ SECTIONS = {
                "sample_stride": 10, "box": None, "tolerance": 1e-6},
     },
     "verify": {
-        None: {"box": REQUIRED, "sample_count": 200, "speed_range": [0.5, 2.0],
-               "mode": "analytic", "tolerance": None},
+        None: {"box": REQUIRED, "sample_count": _SAMPLE["count"],
+               "speed_range": list(_SAMPLE["speed_range"]), "mode": _SAMPLE["mode"],
+               "tolerance": _SAMPLE["tolerance"]},
     },
 }
 
@@ -671,12 +677,12 @@ def cmd_shift(
             raise ConfigError("scenario needs surface and run sections for a shift")
         if sc.generator["perturb"] is not None:
             raise ConfigError("generator.perturb applies to verification only")
+        grid = GridSpec(ranges=sc.run["u_grid"])
         out_dir = _output_dir(out)
         with _configuring():
             m = build_metric(sc)
             gs = build_generator(sc)
             surface = build_surface(sc)
-            grid = GridSpec(ranges=sc.run["u_grid"])
         rec = run_shift(
             gs,
             m,
@@ -724,8 +730,14 @@ def cmd_shift(
     return 0 if summary["passed"] else 1
 
 
+def _bundle_number(section: dict, where: str, key: str) -> float:
+    """``section[key]`` as a number, NaN when absent; a :class:`ConfigError` if not a number."""
+    return _as_number(section[key], f"bundle {where}.{key}") if key in section else math.nan
+
+
 def cmd_report(bundle_path: Union[str, Path]) -> int:
     """Render a summary bundle as a table; always exits 0 when readable."""
+    rows = []  # (section, quantity, value, status), read before anything is printed
     try:
         data = json.loads(Path(bundle_path).read_text())
         if not isinstance(data, dict):
@@ -733,6 +745,23 @@ def cmd_report(bundle_path: Union[str, Path]) -> int:
         for key in ("name", "normality", "shift_summary", "provenance"):
             if key not in data:
                 raise ConfigError(f"bundle is missing the {key!r} section")
+        for key in ("normality", "shift_summary", "provenance"):
+            if not (isinstance(data[key], dict) or data[key] is None and key != "provenance"):
+                raise ConfigError(f"bundle section {key!r} must be an object")
+        normality, summary = data["normality"] or {}, data["shift_summary"]
+        tol = _bundle_number(normality, "normality", "tolerance")
+        for key in normality:
+            if key not in ("sample_count", "tolerance", "passed"):
+                value = _bundle_number(normality, "normality", key)
+                rows.append(("normality", key, value, "ok" if value <= tol else "FAIL"))
+        if summary is not None:
+            tol = _bundle_number(summary, "shift_summary", "tolerance")
+            for key in ("max_norm_phi", "w_dyn_residual"):
+                value = _bundle_number(summary, "shift_summary", key)
+                rows.append(("shift", key, value, "ok" if value < tol else "FAIL"))
+            for key in ("per_time_spread", "speed_law_residual"):
+                if key in summary:
+                    rows.append(("shift", key, _bundle_number(summary, "shift_summary", key), "-"))
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"cannot read bundle: {exc}", file=sys.stderr)
         return 2
@@ -741,30 +770,14 @@ def cmd_report(bundle_path: Union[str, Path]) -> int:
     provenance = data["provenance"]
     print(
         f"tool {provenance.get('tool_version', '?')}  "
-        f"config {provenance.get('config_sha256', '?')[:12]}  "
+        f"config {str(provenance.get('config_sha256', '?'))[:12]}  "
         f"at {provenance.get('generated_at', '?')}"
     )
     header = f"{'section':10s} {'quantity':22s} {'value':>13s}  status"
     print(header)
     print("-" * len(header))
-    normality = data["normality"]
-    if normality is not None:
-        tol = normality.get("tolerance", float("nan"))
-        for key, value in normality.items():
-            if key in ("sample_count", "tolerance", "passed"):
-                continue
-            flag = "ok" if value <= tol else "FAIL"
-            print(f"{'normality':10s} {key:22s} {value:13.5e}  {flag}")
-    summary = data["shift_summary"]
-    if summary is not None:
-        tol = summary.get("tolerance", float("nan"))
-        for key in ("max_norm_phi", "w_dyn_residual"):
-            value = summary.get(key, float("nan"))
-            flag = "ok" if value < tol else "FAIL"
-            print(f"{'shift':10s} {key:22s} {value:13.5e}  {flag}")
-        for key in ("per_time_spread", "speed_law_residual"):
-            if key in summary:
-                print(f"{'shift':10s} {key:22s} {summary[key]:13.5e}  -")
+    for section, key, value, flag in rows:
+        print(f"{section:10s} {key:22s} {value:13.5e}  {flag}")
     return 0
 
 

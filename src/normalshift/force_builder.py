@@ -57,6 +57,7 @@ from .tensor_core import (
     outer,
     per_state,
     unit_direction,
+    unit_direction_from,
     vec_mat,
 )
 
@@ -160,10 +161,13 @@ class ForceField:
     which the residual evaluator uses instead of finite differences when
     present.
 
-    ``stacked`` declares that the closures also take stacks of states
-    (..., n) and return values with those leading axes: (..., n) from
-    ``eval``, (..., n, n) from ``dv`` and ``nabla``; they still take one
-    state too.  :func:`field_call` calls unmarked closures once per state.
+    ``stacked`` declares that the closures take stacks of states (..., n)
+    and return values with those leading axes: (..., n) from ``eval``,
+    (..., n, n) from ``dv`` and ``nabla``.  The library calls them only
+    through :func:`field_call`, and only on stacks: a single state, as
+    :func:`~normalshift.shift_engine.step_trajectory` and the point
+    residuals take it, reaches them as a one-row stack (1, n).  Unmarked
+    closures are called once per state, on a single state.
     """
 
     eval: Callable[[MetricField, Array, Array], Array]
@@ -174,11 +178,11 @@ class ForceField:
 
 
 def field_call(ff: ForceField, fn: Callable, m: MetricField) -> Callable:
-    """``ff``'s closure ``fn`` as ``call(x, v, gmat=None)`` on one state or a
-    stack: once per stack when ``ff`` is ``stacked``, else once per state."""
+    """``ff``'s closure ``fn`` as ``call(x, v, gmat=None)`` on a stack of
+    states: once per stack when ``ff`` is ``stacked``, else once per state."""
 
     def call(x, v, gmat=None):
-        if ff.stacked or x.ndim == 1:
+        if ff.stacked:
             return fn(m, x, v)
         return by_rows(lambda xi, vi: fn(m, xi, vi), x, v)
 
@@ -319,21 +323,19 @@ def _terms(gs: GeneratingScalar, x: Array, speed):
     return wv, hw, grad
 
 
-def force_from_W(gs: GeneratingScalar, m: MetricField, x: Array, v: Array) -> Array:
+def force_from_W(
+    gs: GeneratingScalar, m: MetricField, x: Array, v: Array, gmat: Optional[Array] = None
+) -> Array:
     """Force covector built directly from the generating pair.
 
     Takes one state (x, v) of shape (n,) or stacks of shape (..., n); a
-    single state is a one-row stack.  A ``stacked`` W is called once per
-    stack, any other W once per state, and h once per stack when it takes
-    arrays, else once per state.
+    single state is a one-row stack.  ``gmat``, the metric values at ``x``,
+    serves the unit direction when given.  A ``stacked`` W is called once
+    per stack, any other W once per state, and h once per stack when it
+    takes arrays, else once per state.
     """
     x = np.asarray(x, dtype=float)
-    return force_from_direction(gs, m, x, unit_direction(m, x, v))
-
-
-def force_from_direction(gs: GeneratingScalar, m: MetricField, x: Array, pr: Projector) -> Array:
-    """:func:`force_from_W` at positions ``x`` from the unit direction ``pr`` of (x, v)."""
-    x = np.asarray(x, dtype=float)
+    pr = unit_direction_from(metric_at(m, x) if gmat is None else gmat, x, v)
     wv, hw, grad = _terms(gs, x, pr.speed)
     # with b = grad / W_v, the term b_i (2 N^i N_k - delta^i_k) is expanded
     # so that stacks need no reflection matrices
@@ -341,6 +343,12 @@ def force_from_direction(gs: GeneratingScalar, m: MetricField, x: Array, pr: Pro
     b = grad / np.asarray(wv)[..., None]
     b_n = np.sum(b * pr.N_up, axis=-1, keepdims=True)
     return (np.asarray(hw / wv)[..., None] - 2.0 * speed * b_n) * pr.N_down + speed * b
+
+
+def generated_force(gs: GeneratingScalar, m: MetricField) -> Callable:
+    """:func:`force_from_W` of the pair as ``force(x, v, gmat=None)``: the one
+    generated-force closure, which the shift's stages and ``verify`` call."""
+    return lambda x, v, gmat=None: force_from_W(gs, m, x, v, gmat)
 
 
 def ansatz_from_generator(gs: GeneratingScalar, m: MetricField) -> AnsatzField:

@@ -48,7 +48,7 @@ from .force_builder import (
     coefficient_speed_derivative,
     coefficients,
     field_call,
-    force_from_direction,
+    generated_force,
 )
 from .tensor_core import (
     FD_STEP,
@@ -63,6 +63,7 @@ from .tensor_core import (
     metric_derivatives_at,
     outer,
     per_state,
+    speed_from,
     unit_direction,
     unit_direction_from,
     vec_mat,
@@ -149,17 +150,6 @@ def _partials(fn, at: Array, h) -> Array:
     return np.moveaxis(central_partials(fn, at, h), 0, at.ndim - 1)
 
 
-def _generated_force(gs: GeneratingScalar, m: MetricField):
-    """The force of a generating pair, from the metric values at ``x`` when given."""
-
-    def force(x, v, gmat=None):
-        if gmat is None:
-            gmat = metric_at(m, x)
-        return force_from_direction(gs, m, x, unit_direction_from(gmat, x, v))
-
-    return force
-
-
 def _force_derivatives(
     force, m: MetricField, x: Array, v: Array, gmat: Array, ginv: Array, dv=None, nabla=None
 ) -> Tuple[Array, Array, Array]:
@@ -189,22 +179,6 @@ def _force_derivatives(
         twist = np.einsum("...crk,...c->...rk", gamma, F)
         Dx = check_finite(raw - transport - twist, "force spatial difference")
     return F, Dv, Dx
-
-
-def _derivative_pack(
-    ff: ForceField, m: MetricField, x: Array, v: Array, mode: str, ginv: Array
-) -> Tuple[Array, Array, Array]:
-    """F with its fiber and covariant spatial derivatives; ``ginv`` is g^-1 at ``x``.
-
-    The analytic closures of ``ff`` serve in analytic mode when it has them.
-    """
-    x = np.asarray(x, dtype=float)
-    analytic = mode == "analytic"
-    return _force_derivatives(
-        field_call(ff, ff.eval, m), m, x, np.asarray(v, dtype=float), metric_at(m, x), ginv,
-        dv=field_call(ff, ff.dv, m) if analytic and ff.dv is not None else None,
-        nabla=field_call(ff, ff.nabla, m) if analytic and ff.nabla is not None else None,
-    )
 
 
 # The four equation kernels share one signature, the states' F, Dv, Dx,
@@ -251,35 +225,54 @@ def _additional2(F: Array, Dv: Array, Dx: Array, pr, ginv: Array) -> Array:
 _EQUATIONS = (_weak1, _weak2, _additional1, _additional2)
 
 
-def _point_pack(ff: ForceField, m: MetricField, x: Array, v: Array, mode: str) -> tuple:
-    """The arguments of an equation kernel at one state: F, Dv, Dx, the unit
-    direction and g^-1."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
+def _derivative_pack(
+    ff: ForceField, m: MetricField, x: Array, v: Array, mode: str, ginv: Array, gmat=None
+) -> Tuple[Array, Array, Array]:
+    """F with its fiber and covariant spatial derivatives; ``ginv`` is g^-1 at
+    ``x`` and ``gmat``, when given, the metric there.
+
+    The analytic ``dv`` and ``nabla`` of ``ff`` serve in analytic mode when
+    it has them.  Every closure is called through :func:`field_call`.
+    """
+    closures = {
+        name: field_call(ff, getattr(ff, name), m)
+        for name in ("dv", "nabla")
+        if mode == "analytic" and getattr(ff, name) is not None
+    }
+    gmat = metric_at(m, x) if gmat is None else gmat
+    return _force_derivatives(field_call(ff, ff.eval, m), m, x, v, gmat, ginv, **closures)
+
+
+def _point_residual(kernel, ff: ForceField, m: MetricField, x: Array, v: Array, mode: str):
+    """An equation kernel at one state, evaluated on the one-row stack (1, n),
+    so that a ``stacked`` field sees only that stack."""
+    x = np.asarray(x, dtype=float)[None]
+    v = np.asarray(v, dtype=float)[None]
     gmat = metric_at(m, x)
     ginv = inverse_metric_from(gmat, x)
-    return (*_derivative_pack(ff, m, x, v, mode, ginv), unit_direction_from(gmat, x, v), ginv)
+    pack = _derivative_pack(ff, m, x, v, mode, ginv, gmat)
+    return kernel(*pack, unit_direction_from(gmat, x, v), ginv)[0]
 
 
 def residual_weak1(
     F: ForceField, m: MetricField, x: Array, v: Array, *, mode: str = "analytic"
 ) -> Array:
     """First weak equation: sum_i (F_i/|v| + d(N^j F_j)/dv^i) P^i_k."""
-    return _weak1(*_point_pack(F, m, x, v, mode))
+    return _point_residual(_weak1, F, m, x, v, mode)
 
 
 def residual_weak2(
     F: ForceField, m: MetricField, x: Array, v: Array, *, mode: str = "analytic"
 ) -> Array:
     """Second weak equation, mixing covariant spatial and fiber gradients."""
-    return _weak2(*_point_pack(F, m, x, v, mode))
+    return _point_residual(_weak2, F, m, x, v, mode)
 
 
 def residual_additional1(
     F: ForceField, m: MetricField, x: Array, v: Array, *, mode: str = "analytic"
 ) -> Array:
     """First additional condition, antisymmetrized over the two projections."""
-    return _additional1(*_point_pack(F, m, x, v, mode))
+    return _point_residual(_additional1, F, m, x, v, mode)
 
 
 def residual_additional2(
@@ -287,7 +280,7 @@ def residual_additional2(
 ) -> Array:
     """Second additional condition: the projected fiber gradient of F^i must
     be a multiple of the projector; returns the trace-free part."""
-    return _additional2(*_point_pack(F, m, x, v, mode))
+    return _point_residual(_additional2, F, m, x, v, mode)
 
 
 def _eq124(H: Array, pr, ginv: Array) -> Tuple[Array, Array]:
@@ -360,7 +353,7 @@ def _sampled(spec: SampleSpec, m: MetricField) -> Tuple[Array, Array]:
     lo, hi = spec.speed_range
     speeds = lo + (hi - lo) * u[:, -1]
     gmat = metric_at(m, xs)
-    current = np.sqrt(np.einsum("...i,...ij,...j->...", z, gmat, z))
+    current = speed_from(gmat, z)
     return np.stack([xs, z * (speeds / current)[:, None]], axis=1), gmat
 
 
@@ -395,7 +388,7 @@ def _residual_rows(
     analytic = mode == "analytic"
     if isinstance(subject, GeneratingScalar):
         af = ansatz_from_generator(subject, m)
-        force = _generated_force(subject, m)
+        force = generated_force(subject, m)
         c = coefficients(af, x, pr.speed)
         c_p = coefficient_speed_derivative(af, x, pr.speed)
         grad = coefficient_gradient(af, x, pr.speed)
@@ -419,14 +412,10 @@ def _residual_rows(
         c_pp = coefficient_speed_derivative(af, x, pr.speed, order=2)
         H = ansatz_fiber_hessian(pr, gmat, v, c_p, c_pp)
     else:
-        closures = {}
-        if analytic and af is None:  # a bare field's own derivatives, where it has them
-            closures = {
-                name: field_call(subject, getattr(subject, name), m)
-                for name in ("dv", "nabla")
-                if getattr(subject, name) is not None
-            }
-        F, Dv, Dx = _force_derivatives(force, m, x, v, gmat, ginv, **closures)
+        F, Dv, Dx = (
+            _force_derivatives(force, m, x, v, gmat, ginv) if af is not None
+            else _derivative_pack(subject, m, x, v, mode, ginv, gmat)
+        )
         H = fiber_hessian(lambda u: fiber_gradient(A, u), v)
     H = check_finite(0.5 * (H + _T(H)), "ansatz scalar fiber Hessian")
 

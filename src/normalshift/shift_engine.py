@@ -37,14 +37,13 @@ from .force_builder import (
     ForceField,
     GeneratingScalar,
     field_call,
-    force_from_direction,
+    generated_force,
     h_values,
 )
 from .tensor_core import (
     FD_STEP,
     SPEED_FLOOR,
     MetricField,
-    Projector,
     by_rows,
     central_partials,
     christoffel_from,
@@ -53,8 +52,8 @@ from .tensor_core import (
     mat_vec,
     metric_derivatives_at,
     metric_at,
+    speed_from,
     unit_direction_from,
-    vec_mat,
 )
 
 Array = np.ndarray
@@ -103,9 +102,19 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform parameter grid, one (start, stop, count) range per direction."""
+    """Uniform parameter grid, one (start, stop, count) range per direction,
+    each of at least five points and nonzero width for the deviation stencil."""
 
     ranges: Tuple[Tuple[float, float, int], ...]
+
+    def __post_init__(self):
+        for a, b, c in self.ranges:
+            if int(c) < 5:
+                raise GridTooCoarse(
+                    f"{int(c)} points on [{a}, {b}]: the interior stencil needs at least 5"
+                )
+            if a == b:
+                raise GridTooCoarse(f"range [{a}, {b}] has zero width: the stencil needs lo != hi")
 
     def axes(self) -> Tuple[Array, ...]:
         return tuple(np.linspace(a, b, int(c)) for a, b, c in self.ranges)
@@ -196,7 +205,7 @@ def _family_normals(m: MetricField, s: Hypersurface, u: Array, x: Array) -> Tupl
         raise DegenerateTangents(f"tangent vectors nearly dependent at u = {at.tolist()}")
     # the normal spans the nullspace of the (n-1) x n system (T g) n = 0
     n_vec = np.linalg.svd(tg)[2][:, -1]
-    n_vec = n_vec / np.sqrt(dot(vec_mat(n_vec, g), n_vec))[:, None]
+    n_vec = n_vec / speed_from(g, n_vec)[:, None]
     frame = np.concatenate([T, n_vec[:, None, :]], axis=1)
     n_vec = np.where((np.linalg.det(frame) < 0.0)[:, None], -n_vec, n_vec)
     return float(s.orientation) * n_vec, g
@@ -302,7 +311,7 @@ Force = Callable[[Array, Array, Array], Array]
 
 
 def _flow_rhs(force: Force, m: MetricField, x: Array, v: Array, gmat: Array) -> Tuple[Array, Array]:
-    """(dx/dt, dv/dt) of the flow at one state (n,) or a stack of states (k, n).
+    """(dx/dt, dv/dt) of the flow at a stack of states (k, n).
 
     ``gmat`` is the metric at ``x``; the inverse and the force reuse it.
     """
@@ -315,7 +324,7 @@ def _flow_rhs(force: Force, m: MetricField, x: Array, v: Array, gmat: Array) -> 
 def _rk4_step(
     force: Force, m: MetricField, x: Array, v: Array, dt: float, gmat: Optional[Array] = None
 ) -> Tuple[Array, Array, Array]:
-    """One classical Runge-Kutta step of one state or of a stack stepped together.
+    """One classical Runge-Kutta step of a stack of states (k, n) stepped together.
 
     Evaluates the metric once per stage: ``gmat``, the metric at ``x``
     when the caller has it, serves the first stage, and the metric at the
@@ -340,56 +349,27 @@ def _rk4_step(
     if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):
         raise NonFinite("integration overflowed")
     g_new = metric_at(m, x_new)
-    if np.any(np.sqrt(np.einsum("...i,...ij,...j->...", v_new, g_new, v_new)) <= SPEED_FLOOR):
+    if np.any(speed_from(g_new, v_new) <= SPEED_FLOOR):
         raise ZeroVelocity("speed collapsed below floor")
     return x_new, v_new, g_new
-
-
-def _stage_direction(gmat: Array, x: Array, v: Array) -> Projector:
-    """:func:`unit_direction_from` on a family stage, with einsum products.
-
-    The integrator has always formed the stage's unit direction this way,
-    and its recorded trajectories and CSV output keep their bits with it;
-    ``unit_direction_from`` rounds the same quantities as matmuls.
-    """
-    n = gmat.shape[-1]
-    speed = np.sqrt(np.einsum("...i,...ij,...j->...", v, gmat, v))
-    slow = np.ravel(speed <= SPEED_FLOOR)
-    if slow.any():
-        i = int(np.argmax(slow))
-        raise ZeroVelocity(
-            f"velocity modulus {np.ravel(speed)[i]:.3e} at or below floor "
-            f"at x={np.reshape(x, (-1, n))[i]}"
-        )
-    n_up = v / speed[..., None]
-    n_down = np.einsum("...ij,...j->...i", gmat, n_up)
-    proj = np.eye(n) - n_up[..., :, None] * n_down[..., None, :]
-    return Projector(P=proj, N_up=n_up, N_down=n_down, speed=speed)
-
-
-def _generated_force(gs: GeneratingScalar, m: MetricField) -> Force:
-    """The force of the generating pair, from the metric values of its stage."""
-
-    def force(x, v, gmat):
-        return force_from_direction(gs, m, x, _stage_direction(gmat, x, v))
-
-    return force
 
 
 def step_trajectory(F: ForceField, m: MetricField, st: PhaseState, dt: float) -> PhaseState:
     """One classical Runge-Kutta step of the second-order flow.
 
-    The single-state case of the step :func:`run_shift` takes for a whole
-    family; ``F.eval`` sees one state.  Errors name the step's start time.
+    The one-row case of the step :func:`run_shift` takes for a whole
+    family: the state is stepped as the stack (1, n), so a ``stacked``
+    ``F`` sees only that stack and any other ``F`` one state.  Errors name
+    the step's start time.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    x, v = np.asarray(st.x, dtype=float), np.asarray(st.v, dtype=float)
+    x, v = np.asarray(st.x, dtype=float)[None], np.asarray(st.v, dtype=float)[None]
     try:
-        x_new, v_new, _ = _rk4_step(lambda x_, v_, g_: F.eval(m, x_, v_), m, x, v, dt)
+        x_new, v_new, _ = _rk4_step(field_call(F, F.eval, m), m, x, v, dt)
     except NormalShiftError as exc:
         raise type(exc)(f"{exc} near t = {st.t:.6g}") from exc
-    return PhaseState(x=x_new, v=v_new, t=st.t + dt)
+    return PhaseState(x=x_new[0], v=v_new[0], t=st.t + dt)
 
 
 def _escaped(box: Optional[Array], x: Array) -> Array:
@@ -470,13 +450,6 @@ def run_shift(
     """
     if len(grid.ranges) != s.dim_u:
         raise ValueError("grid dimensionality does not match the surface")
-    for a, b, c in grid.ranges:
-        if int(c) < 5:
-            raise GridTooCoarse(
-                f"{int(c)} points on [{a}, {b}]: the interior stencil needs at least 5"
-            )
-        if a == b:
-            raise GridTooCoarse(f"range [{a}, {b}] has zero width: the stencil needs lo != hi")
     axes = grid.axes()
     shape = tuple(len(ax) for ax in axes)
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -495,7 +468,7 @@ def run_shift(
 
     box = None if chart_box is None else np.asarray(chart_box, dtype=float)
 
-    force = _generated_force(gs, m)
+    force = generated_force(gs, m)
     x = by_rows(s.chart_map, u_grid)
     nu_vals = np.full(n_u, float(s.nu0)) if force_constant_nu else _family_nu(gs, s, u_grid, x)
     normals, gmat = _family_normals(m, s, u_grid, x)
@@ -520,8 +493,9 @@ def run_shift(
             xs[:, slot], vs[:, slot] = x, v
             slot += 1
 
-    v_cov = np.einsum("...ij,...j->...i", metric_at(m, xs), vs)
-    speed_vals = np.sqrt(np.sum(vs * v_cov, axis=-1))
+    g_rec = metric_at(m, xs)
+    speed_vals = speed_from(g_rec, vs)
+    v_cov = np.einsum("...ij,...j->...i", g_rec, vs)
     W_vals = np.array(isotropic_call(gs.W, gs.W.eval, xs, speed_vals), dtype=float)
 
     phi = np.einsum("...kj,...j->...k", _grid_tangents(xs, shape, axes), v_cov)
@@ -598,7 +572,7 @@ def max_normalized_deviation(rec: ShiftRecord, m: MetricField) -> float:
         return 0.0
     tau = _grid_tangents(rec.x, rec.grid_shape, rec.u_axes)[interior]
     g = metric_at(m, rec.x[interior])
-    norm = np.sqrt(np.einsum("...ki,...ij,...kj->...k", tau, g, tau))
+    norm = speed_from(g[:, None], tau)
     ratio = np.abs(rec.phi[interior]) / (rec.speed_vals[interior][:, None] * norm)
     return float(np.nanmax(ratio, initial=0.0))
 

@@ -364,14 +364,22 @@ def christoffel_at(m: MetricField, x: np.ndarray) -> Christoffel:
     )
 
 
+def speed_from(gmat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The g-norm sqrt(g_ij v^i v^j) of vectors ``v`` (..., n) from metric values
+    ``gmat`` (..., n, n) already taken, which may be broadcast over extra axes
+    of ``v``.  Its matmuls (:func:`dot`, :func:`vec_mat`) round each vector of
+    a stack as they round one vector alone."""
+    return np.sqrt(dot(vec_mat(v, gmat), v))
+
+
 def speed_at(m: MetricField, x: np.ndarray, v: np.ndarray):
-    """Velocity modulus |v| = sqrt(g_ij v^i v^j): a float, or an array for stacks,
-    whose matmuls (:func:`dot`, :func:`vec_mat`) round each state as one state rounds."""
+    """Velocity modulus |v| = sqrt(g_ij v^i v^j): a float, or an array for stacks
+    (:func:`speed_from`)."""
     gmat = metric_at(m, x)
     v = np.asarray(v, dtype=float)
     if v.ndim == 1:  # cheaper than the stack products; point-wise callbacks call this per state
         return float(np.sqrt(v @ gmat @ v))
-    return np.sqrt(dot(vec_mat(v, gmat), v))
+    return speed_from(gmat, v)
 
 
 def unit_direction(m: MetricField, x: np.ndarray, v: np.ndarray) -> Projector:
@@ -390,14 +398,16 @@ def unit_direction(m: MetricField, x: np.ndarray, v: np.ndarray) -> Projector:
 def unit_direction_from(gmat: np.ndarray, x: np.ndarray, v: np.ndarray) -> Projector:
     """:func:`unit_direction` from metric values ``gmat`` already taken at ``x``.
 
-    One body serves a state and a stack: its products are the matmuls of
-    :func:`dot`, :func:`vec_mat` and :func:`mat_vec`, which round every
-    state of a stack as they round a single state.  ``gmat`` may be
-    broadcast over extra axes of ``v``, such as velocity offsets.
+    The one unit direction of the library: the integrator's stages, the
+    generated force and the verifier all take it here.  One body serves a
+    state and a stack: the speed is :func:`speed_from`, and the other
+    products, :func:`mat_vec` and :func:`outer`, round every state of a
+    stack as they round a single state.  ``gmat`` may be broadcast over
+    extra axes of ``v``, such as velocity offsets.
     """
     v = np.asarray(v, dtype=float)
     n = gmat.shape[-1]
-    speed = np.sqrt(dot(vec_mat(v, gmat), v))
+    speed = speed_from(gmat, v)
     slow = np.ravel(speed <= SPEED_FLOOR)
     if slow.any():
         i = int(np.argmax(slow))

@@ -375,6 +375,25 @@ class TestReportCommand:
         assert cmd_report(sparse) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "section,value",
+        [
+            ("normality", [1]),
+            ("normality", {"r_weak1": "x", "tolerance": 1e-8}),
+            ("provenance", []),
+        ],
+        ids=["normality-a-list", "normality-value-a-string", "provenance-a-list"],
+    )
+    def test_malformed_section_exits_2(self, tmp_path, capsys, section, value):
+        bundle = {"name": "x", "normality": None, "shift_summary": None, "provenance": {}}
+        bundle[section] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(bundle))
+        # through main, so an uncaught exception fails the call itself
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read bundle: ") and "Traceback" not in err
+
 
 class TestMain:
     def test_dispatch(self, tmp_path, capsys):
@@ -487,6 +506,19 @@ class TestRejectedInput:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: --out") and "Traceback" not in err
         assert (tmp_path / "afile").read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
+        "u_grid",
+        [[[-0.1, 0.1, 4], [-0.1, 0.1, 5]], [[0.1, 0.1, 5], [-0.1, 0.1, 5]]],
+        ids=["four-points", "zero-width"],
+    )
+    def test_grid_that_cannot_run_leaves_no_out(self, tmp_path, capsys, u_grid):
+        path = write_config(tmp_path, with_overrides(base_scenario(), {"run.u_grid": u_grid}, tmp_path))
+        out = tmp_path / "out_c" / "sub"
+        assert main(["shift", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "Traceback" not in err
+        assert not (tmp_path / "out_c").exists()
 
     @pytest.mark.parametrize(
         "command,blocked",

@@ -47,10 +47,27 @@ from normalshift.force_builder import (
     coordinate_scalar,
     force_from_W,
     gauge_transform,
+    perturbed_field,
 )
-from normalshift.normality_verifier import SampleSpec, verify
-from normalshift.shift_engine import GridSpec, run_shift, solve_nu, sphere_surface, surface_normal
-from normalshift.tensor_core import MetricField, christoffel_at, metric_at
+from normalshift.normality_verifier import (
+    SampleSpec,
+    residual_additional1,
+    residual_additional2,
+    residual_weak1,
+    residual_weak2,
+    verify,
+)
+from normalshift.shift_engine import (
+    GridSpec,
+    PhaseState,
+    run_shift,
+    solve_nu,
+    speed_law_residual,
+    sphere_surface,
+    step_trajectory,
+    surface_normal,
+)
+from normalshift.tensor_core import MetricField, christoffel_at, metric_at, speed_at
 
 from helpers import euclidean_metric
 
@@ -294,11 +311,11 @@ class TestStackedForce:
 class TestStackOnlyContract:
     """A stacked closure is only ever called with a stack.
 
-    Every stacked closure of the library builtins and of the CLI builders
-    is wrapped to record a call with fewer than two axes.  The public point
-    API, a verify and a one-step shift then run through them, and each
-    point result must equal row 0 of the same call on the one-row stack,
-    bit for bit.
+    Every stacked closure of the library builtins and of the CLI builders,
+    and of the stacked ForceFields, is wrapped to record a call with fewer
+    than two axes.  The public point API, a verify and a shift then run
+    through them, and each point result must equal row 0 of the same call
+    on the one-row stack, bit for bit.
     """
 
     GENERATORS = {
@@ -401,6 +418,77 @@ class TestStackOnlyContract:
         )
         calls = recorder[0]
         assert not calls, f"stacked closures called on a single point: {sorted(set(calls))}"
+
+    FIELDS = ("as_force_field", "ansatz_force_field", "perturbed_field")
+
+    @staticmethod
+    def force_field(gs, m, which, wrap):
+        """The stacked ForceField ``which`` of (gs, m), each of its closures (and
+        a perturbed field's base's) passed through ``wrap(name, closure)``."""
+
+        def wrapped(ff, name):
+            return dataclasses.replace(
+                ff,
+                eval=wrap(f"{name}.eval", ff.eval),
+                dv=ff.dv and wrap(f"{name}.dv", ff.dv),
+                nabla=ff.nabla and wrap(f"{name}.nabla", ff.nabla),
+            )
+
+        if which == "perturbed_field":
+            base = wrapped(as_force_field(gs), "base")
+            ff = perturbed_field(base, 0, lambda m_, x, v: speed_at(m_, x, v) * x[1])
+        elif which == "as_force_field":
+            ff = as_force_field(gs)
+        else:
+            ff = ansatz_force_field(ansatz_from_generator(gs, m))
+        return wrapped(ff, which)
+
+    @pytest.mark.parametrize("which", FIELDS)
+    @pytest.mark.parametrize("metric", sorted(CLI_METRICS))
+    def test_stacked_force_fields_see_only_stacks(
+        self, recorder, metric, which, monkeypatch
+    ):
+        m, gs = self.build(recorder, metric, "cli-nonmetrizable", monkeypatch)
+        calls = recorder[0]
+
+        def field_stack_only(name, fn):
+            def checked(m_, x, v):
+                if np.ndim(x) < 2:
+                    calls.append(name)
+                return fn(m_, x, v)
+
+            return checked
+
+        ff = self.force_field(gs, m, which, field_stack_only)
+        assert ff.stacked
+        # the same field unmarked: field_call hands its closures single states
+        alone = dataclasses.replace(
+            self.force_field(gs, m, which, lambda name, fn: fn), stacked=False
+        )
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0.4, 1.1, 3)
+        v = rng.uniform(0.3, 1.0, 3)
+        st = PhaseState(x=x, v=v, t=0.0)
+        stepped, stepped_alone = (step_trajectory(f, m, st, 1e-3) for f in (ff, alone))
+        pairs = [(stepped.x, stepped_alone.x), (stepped.v, stepped_alone.v)]
+        for mode in ("analytic", "finite-diff"):
+            for residual in (residual_weak1, residual_weak2, residual_additional1,
+                             residual_additional2):
+                pairs.append(
+                    (residual(ff, m, x, v, mode=mode), residual(alone, m, x, v, mode=mode))
+                )
+        verify(ff, m, SampleSpec(box=[[0.4, 1.1]] * 3, count=3, seed=1, speed_range=(0.6, 1.8)))
+        rec = run_shift(
+            gs, m, sphere_surface(orientation=-1.0, base_u=(1.6, 0.02)),
+            GridSpec(ranges=((1.55, 1.65, 5), (-0.03, 0.07, 5))),
+            t_end=4e-3, dt=1e-3, sample_stride=1,
+        )
+        pairs.append((speed_law_residual(rec, ff, m), speed_law_residual(rec, alone, m)))
+        assert not calls, f"stacked closures called on a single point: {sorted(set(calls))}"
+        for stack, point in pairs:
+            stack, point = np.asarray(stack, dtype=float), np.asarray(point, dtype=float)
+            assert stack.shape == point.shape
+            assert stack.tobytes() == point.tobytes()
 
 
 def cli_case():
