@@ -201,19 +201,25 @@ def _position_variables(dim: int) -> frozenset:
     return frozenset(f"x{i + 1}" for i in range(dim))
 
 
+def _read_json(path: Union[str, Path], what: str):
+    """The JSON value in the file at ``path``; a :class:`ConfigError` naming
+    ``what`` and the path if the file cannot be read, is not UTF-8, is not
+    JSON or nests too deeply to parse."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def load_scenario(path: Union[str, Path]) -> Scenario:
     """Parse and validate a scenario file; unknown keys are errors.
 
     The one reader of the file: each section is checked once against its
     ``SECTIONS`` entry, and the builders read the result as it stands.
     """
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    data = _section(data, "scenario")
+    data = _section(_read_json(path, "scenario file"), "scenario")
     name = data["name"]
     # the name becomes a file name under --out, so it may not leave that directory
     if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
@@ -739,7 +745,7 @@ def cmd_report(bundle_path: Union[str, Path]) -> int:
     """Render a summary bundle as a table; always exits 0 when readable."""
     rows = []  # (section, quantity, value, status), read before anything is printed
     try:
-        data = json.loads(Path(bundle_path).read_text())
+        data = _read_json(bundle_path, "bundle file")
         if not isinstance(data, dict):
             raise ConfigError("bundle must be a JSON object")
         for key in ("name", "normality", "shift_summary", "provenance"):
@@ -762,7 +768,7 @@ def cmd_report(bundle_path: Union[str, Path]) -> int:
             for key in ("per_time_spread", "speed_law_residual"):
                 if key in summary:
                     rows.append(("shift", key, _bundle_number(summary, "shift_summary", key), "-"))
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"cannot read bundle: {exc}", file=sys.stderr)
         return 2
 

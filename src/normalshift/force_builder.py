@@ -26,7 +26,6 @@ from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import (
     DegenerateWv,
@@ -628,12 +627,24 @@ _GK21_WEIGHTS = np.array(_W_GAUSS + _W_GAUSS[::-1] + 2 * _W_K + (0.1494455540029
 QUAD_TOLERANCE = 1.49e-8  # quad's default absolute and relative tolerance
 
 
+def quad(fn: Callable, a: float, b: float):
+    """scipy's ``quad`` of ``fn`` over [a, b], with scipy imported on the first call.
+
+    A module-level name, so a test can wrap it to see which segments reach it.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(fn, a, b)
+
+
 def _segment_integrals(A: Callable, profile: Callable, anchors: Array) -> Array:
     """The integral of s / A(s) over each segment between consecutive ``anchors``.
 
     Every segment's Gauss-Kronrod sum and error estimate come from one call
     of ``profile``, A on an array.  A segment that fails ``quad``'s
     first-pass test goes to ``quad`` on point calls of A, whose warnings raise.
+    Only such a segment imports ``scipy.integrate``; when every segment
+    passes, scipy is never loaded.
     """
     a, b = anchors[:-1], anchors[1:]
     center, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -652,10 +663,14 @@ def _segment_integrals(A: Callable, profile: Callable, anchors: Array) -> Array:
         segments = kronrod * half
         bound = np.maximum(QUAD_TOLERANCE, QUAD_TOLERANCE * np.abs(segments))
         accepted = ((err <= bound) & (err != resasc)) | (err == 0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        for j in np.flatnonzero(~accepted):
-            segments[j], _ = quad(lambda s: s / A(s), a[j], b[j])
+    failed = np.flatnonzero(~accepted)
+    if failed.size:
+        from scipy.integrate import IntegrationWarning
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            for j in failed:
+                segments[j], _ = quad(lambda s: s / A(s), a[j], b[j])
     return segments
 
 
@@ -672,7 +687,8 @@ def builtin_nonmetrizable(
     quadrature are precomputed once on ``QUADRATURE_ANCHORS`` uniform
     points over ``speed_range``: ``quad``'s 21-point Gauss-Kronrod pass on
     all segments in one call of A, with ``quad`` itself only on a segment
-    that fails its first-pass test.  Evaluations add a short fixed-order
+    that fails its first-pass test; only such a segment imports scipy, so a
+    smooth profile builds without it.  Evaluations add a short fixed-order
     Gauss-Legendre tail from the nearest anchor, on all speeds and nodes at
     once (a single speed is a one-row array), so lookups after construction
     are read-only.  W is ``stacked`` when ``f`` is.  ``A_of_speed`` is

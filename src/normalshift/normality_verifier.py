@@ -10,7 +10,8 @@ equations expressed through the operators L_i = d/dx^i + b_i d/dspeed.
 Every function here returns raw residuals at a single phase-space point;
 ``verify`` samples a region quasi-randomly, normalizes by the local size
 of F and its derivatives so tolerances are scale-free, and aggregates
-sup-norms into a report.
+sup-norms into a report.  Only that sampling loads scipy (``qmc.Halton``
+and ``ndtri``), on its first call, so importing this module does not.
 
 Index conventions for derivative matrices: Dv[r, k] = dF_k/dv^r and
 Dx[r, k] = covariant x^r-derivative of F_k, which subtracts both the
@@ -24,8 +25,6 @@ from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import NormalShiftError
 from .extended_fields import (
@@ -338,12 +337,24 @@ def residual_reduced(
     )
 
 
+def ndtri(p: Array) -> Array:
+    """scipy's inverse of the standard normal CDF, with scipy imported on the first call.
+
+    A module-level name, so a test can substitute the sampled directions.
+    """
+    from scipy.special import ndtri as scipy_ndtri
+
+    return scipy_ndtri(p)
+
+
 def _sampled(spec: SampleSpec, m: MetricField) -> Tuple[Array, Array]:
     """The sample states (count, 2, n) and the metric at their positions."""
     dim = m.dim
     box = np.asarray(spec.box, dtype=float)
     if box.shape != (dim, 2):
         raise ValueError(f"box must have shape ({dim}, 2), got {box.shape}")
+    from scipy.stats import qmc
+
     engine = qmc.Halton(d=2 * dim + 1, scramble=True, seed=spec.seed)
     u = engine.random(spec.count)
     xs = box[:, 0] + u[:, :dim] * (box[:, 1] - box[:, 0])

@@ -42,6 +42,14 @@ def write_config(tmp_path, data, filename="scenario.json"):
     return path
 
 
+# files no JSON reader can take: bytes that are not UTF-8, and nesting past
+# the recursion limit
+UNREADABLE = {
+    "not-utf8": b"\xff\xfe{\"name\": \"case\"}",
+    "nested-too-deep": b"[" * 200000 + b"]" * 200000,
+}
+
+
 class TestScenarioValidation:
     def test_minimal_scenario_loads(self, tmp_path):
         sc = load_scenario(write_config(tmp_path, base_scenario()))
@@ -394,6 +402,15 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("cannot read bundle: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("content", UNREADABLE.values(), ids=UNREADABLE.keys())
+    def test_unreadable_bundle_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(content)
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read bundle: bundle file {path} is not valid JSON: ")
+        assert "Traceback" not in err
+
 
 class TestMain:
     def test_dispatch(self, tmp_path, capsys):
@@ -519,6 +536,16 @@ class TestRejectedInput:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "Traceback" not in err
         assert not (tmp_path / "out_c").exists()
+
+    @pytest.mark.parametrize("content", UNREADABLE.values(), ids=UNREADABLE.keys())
+    @pytest.mark.parametrize("command", ["shift", "verify"])
+    def test_unreadable_scenario_exits_2(self, tmp_path, capsys, command, content):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: scenario file {path} is not valid JSON: ")
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command,blocked",
