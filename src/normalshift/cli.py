@@ -31,7 +31,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ConfigError, GridTooCoarse, NormalShiftError, TrajectoryEscaped
-from .expressions import Expression, parse_expression
+from .expressions import Expression, compile_stack, parse_expression
 from .extended_fields import IsotropicScalar
 from .force_builder import (
     ForceField,
@@ -192,9 +192,13 @@ def _expression(text, where: str, allowed: frozenset) -> Expression:
     return expr
 
 
-def _position_env(x: np.ndarray) -> Dict[str, np.ndarray]:
-    """Coordinates x1..xn of a stack of points (..., n), as arrays."""
-    return {f"x{i + 1}": x[..., i] for i in range(x.shape[-1])}
+def _stack_env(x: np.ndarray, s=None) -> Tuple[Dict[str, np.ndarray], tuple]:
+    """The variables of a stack of points (..., n), with speeds (...) if
+    given: x1..xn and v as arrays, and the stack's leading shape."""
+    env = {f"x{i + 1}": x[..., i] for i in range(x.shape[-1])}
+    if s is not None:
+        env["v"] = np.asarray(s, dtype=float)
+    return env, x.shape[:-1]
 
 
 def _position_variables(dim: int) -> frozenset:
@@ -283,9 +287,10 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         nu0 = surface["nu0"] = _as_number(surface["nu0"], "surface.nu0")
         if nu0 == 0.0:
             raise ConfigError("surface.nu0 must be nonzero")
-        if surface["orientation"] not in (1, -1, 1.0, -1.0):
+        orientation = _as_number(surface["orientation"], "surface.orientation")
+        if orientation not in (1.0, -1.0):
             raise ConfigError("surface.orientation must be +1 or -1")
-        surface["orientation"] = float(surface["orientation"])
+        surface["orientation"] = orientation
 
     run = data["run"]
     if run is not None:
@@ -392,56 +397,47 @@ def build_metric(sc: Scenario) -> MetricField:
         )
     if kind == "conformal":
         f_expr = sc.metric["f"]
-        f_grad = [f_expr.derivative(f"x{k + 1}") for k in range(dim)]
+        f_value = compile_stack([f_expr])
+        f_and_grad = compile_stack([f_expr] + [f_expr.derivative(f"x{k + 1}") for k in range(dim)])
 
         def g(x):
-            return np.exp(-2.0 * f_expr.eval(_position_env(x)))[..., None, None] * eye
+            return np.exp(-2.0 * f_value(*_stack_env(x))[0])[..., None, None] * eye
 
         def dg(x):
-            env = _position_env(x)
-            factor = -2.0 * np.exp(-2.0 * f_expr.eval(env))
-            cube = np.zeros(x.shape[:-1] + (dim, dim, dim))
-            for m, part in enumerate(f_grad):
-                cube[..., m, :, :] = (factor * part.eval(env))[..., None, None] * eye
-            return cube
+            f, *grad = f_and_grad(*_stack_env(x))
+            factor = -2.0 * np.exp(-2.0 * f)
+            return (factor[..., None] * np.stack(grad, axis=-1))[..., None, None] * eye
 
         return MetricField(dim=dim, g=g, dg=dg, stacked=True)
     entries = sc.metric["entries"]
-    entry_grads = [
-        [e.derivative(f"x{k + 1}") for k in range(dim)] for e in entries
-    ]
+    entry_values = compile_stack(entries)
+    # d entries[i] / d x^m, i-major
+    entry_grads = compile_stack([e.derivative(f"x{m + 1}") for e in entries for m in range(dim)])
+    diag = np.arange(dim)
 
     def g_diag(x):
-        env = _position_env(x)
         out = np.zeros(x.shape[:-1] + (dim, dim))
-        for i, e in enumerate(entries):
-            out[..., i, i] = e.eval(env)
+        out[..., diag, diag] = np.stack(entry_values(*_stack_env(x)), axis=-1)
         return out
 
     def dg_diag(x):
-        env = _position_env(x)
+        grads = np.stack(entry_grads(*_stack_env(x)), axis=-1).reshape(x.shape[:-1] + (dim, dim))
         cube = np.zeros(x.shape[:-1] + (dim, dim, dim))
-        for i, grads in enumerate(entry_grads):
-            for m, part in enumerate(grads):
-                cube[..., m, i, i] = part.eval(env)
+        cube[..., diag, diag] = grads.swapaxes(-1, -2)
         return cube
 
     return MetricField(dim=dim, g=g_diag, dg=dg_diag, stacked=True)
 
 
-def _stacked_partials(parts: Sequence[Expression], env: dict) -> np.ndarray:
-    """Partial derivatives (..., n) on a stack."""
-    return np.stack([np.asarray(part.eval(env), dtype=float) for part in parts], axis=-1)
-
-
 def _isotropic_from_position_expression(expr: Expression, dim: int) -> IsotropicScalar:
-    grad = [expr.derivative(f"x{k + 1}") for k in range(dim)]
+    value = compile_stack([expr])
+    partials = compile_stack([expr.derivative(f"x{k + 1}") for k in range(dim)])
 
     def ev(x, s):
-        return expr.eval(_position_env(x))
+        return value(*_stack_env(x))[0]
 
     def dx(x, s):
-        return _stacked_partials(grad, _position_env(x))
+        return np.stack(partials(*_stack_env(x)), axis=-1)
 
     def dspeed(x, s):
         return np.zeros(x.shape[:-1])
@@ -450,8 +446,13 @@ def _isotropic_from_position_expression(expr: Expression, dim: int) -> Isotropic
 
 
 def _single_variable_fn(expr: Expression):
-    """The expression as a function of ``v``, for a float or an array of them."""
-    return lambda w: expr.eval({"v": w if isinstance(w, np.ndarray) and w.ndim else float(w)})
+    """The expression as a function of ``v``: one compiled pass on an array
+    (ndim >= 1), the ``math`` path on a float or a 0-d array."""
+    values = compile_stack([expr])
+    return lambda w: (
+        values({"v": w}, w.shape)[0] if isinstance(w, np.ndarray) and w.ndim
+        else expr.eval({"v": float(w)})
+    )
 
 
 def build_generator(sc: Scenario) -> GeneratingScalar:
@@ -468,22 +469,18 @@ def build_generator(sc: Scenario) -> GeneratingScalar:
         a_fn = _single_variable_fn(gen["A"])
         return builtin_nonmetrizable(f_scalar, a_fn, speed_range=gen["speed_range"])
     w_expr = gen["W"]
-    w_grad = [w_expr.derivative(f"x{k + 1}") for k in range(sc.dim)]
-    w_speed = w_expr.derivative("v")
-
-    def _env(x, s):
-        env = _position_env(x)
-        env["v"] = np.asarray(s, dtype=float)
-        return env
+    w_value = compile_stack([w_expr])
+    w_partials = compile_stack([w_expr.derivative(f"x{k + 1}") for k in range(sc.dim)])
+    w_speed = compile_stack([w_expr.derivative("v")])
 
     def w_eval(x, s):
-        return w_expr.eval(_env(x, s))
+        return w_value(*_stack_env(x, s))[0]
 
     def w_dx(x, s):
-        return _stacked_partials(w_grad, _env(x, s))
+        return np.stack(w_partials(*_stack_env(x, s)), axis=-1)
 
     def w_dspeed(x, s):
-        return w_speed.eval(_env(x, s))
+        return w_speed(*_stack_env(x, s))[0]
 
     return GeneratingScalar(
         W=IsotropicScalar(eval=w_eval, dx=w_dx, dspeed=w_dspeed, stacked=True),

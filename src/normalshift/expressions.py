@@ -7,6 +7,9 @@ and the functions exp, log, sin, cos, sqrt.  ``parse_expression`` turns
 such text into a small syntax tree compiled to two closures: one with
 ``math`` functions for an environment mapping names to floats, and one
 with numpy ufuncs for an environment where some names map to arrays.
+:func:`compile_stack` turns a list of expressions into one function of a
+stack, with one error state and one finiteness pass per call; the
+scenario closures of :mod:`normalshift.cli` are built with it.
 
 Expressions differentiate symbolically (:meth:`Expression.derivative`),
 so configured scalars carry exact partial derivatives and scenario runs
@@ -17,8 +20,8 @@ right, unary minus sits between ``^`` and the multiplicative level, and
 parentheses group.  Malformed input, unknown names and missing variables
 raise :class:`ConfigError`, which the command layer maps to its
 configuration exit code; an evaluation that fails at run time (a domain
-error on floats, a non-finite result on arrays) raises
-:class:`EvaluationFailure`, a numerical failure.
+error, an overflow or a division by zero, or a result that is not
+finite) raises :class:`EvaluationFailure`, a numerical failure.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Tuple
+from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -299,7 +302,8 @@ class Expression:
         """Value in ``env``: a float, or an array when some variable is one.
 
         An array result has the broadcast shape of all the environment's
-        values, constant expressions included.
+        values, constant expressions included.  A value that is not finite,
+        or a domain error on floats, raises :class:`EvaluationFailure`.
         """
         missing = self.variables - env.keys()
         if missing:
@@ -310,21 +314,16 @@ class Expression:
             if isinstance(value, np.ndarray):
                 return self._eval_arrays(env)
         try:
-            return float(self._fn(env))
-        except (ValueError, OverflowError, ZeroDivisionError, TypeError) as exc:
-            raise EvaluationFailure(f"expression {self.text!r} failed to evaluate: {exc}") from exc
+            value = float(self._fn(env))
+        except _EVAL_ERRORS as exc:
+            raise _failed(self.text, exc) from exc
+        if not math.isfinite(value):
+            raise _non_finite(self.text)
+        return value
 
     def _eval_arrays(self, env: Dict[str, np.ndarray]) -> np.ndarray:
         shape = np.broadcast_shapes(*(np.shape(value) for value in env.values()))
-        with np.errstate(all="ignore"):
-            value = np.asarray(self._array_fn(env), dtype=float)
-        if not np.isfinite(value).all():
-            raise EvaluationFailure(
-                f"expression {self.text!r} failed to evaluate: non-finite result"
-            )
-        if value.shape != shape:
-            value = np.broadcast_to(value, shape).copy()
-        return value
+        return compile_stack([self])(env, shape)[0]
 
     def derivative(self, var: str) -> "Expression":
         """Exact partial derivative with respect to one variable name."""
@@ -341,6 +340,71 @@ def _expression(text: str, node: tuple) -> Expression:
         _fn=_compile(node),
         _array_fn=_compile(node, _UFUNCS),
     )
+
+
+# What Python float arithmetic or ``math`` raises on a bad value: a domain
+# error, an overflow, a division by zero.  The array closures meet them too,
+# in a constant subexpression such as the ``1/0`` of ``x1 + 1/0``.
+_EVAL_ERRORS = (ValueError, OverflowError, ZeroDivisionError, TypeError)
+
+
+def _failed(text: str, reason) -> EvaluationFailure:
+    return EvaluationFailure(f"expression {text!r} failed to evaluate: {reason}")
+
+
+def _non_finite(text: str) -> EvaluationFailure:
+    return _failed(text, "non-finite result")
+
+
+def compile_stack(
+    exprs: Sequence[Expression],
+) -> Callable[[Dict[str, np.ndarray], Tuple[int, ...]], List[np.ndarray]]:
+    """One function ``fn(env, shape)`` evaluating every one of ``exprs`` on arrays.
+
+    ``fn`` returns the values in list order, each a float array of
+    ``shape``, the broadcast shape of ``env``'s arrays.  It does not check
+    that ``env`` defines each variable, as :meth:`Expression.eval` does:
+    the caller checks the variables once, as ``load_scenario`` does when a
+    scenario loads.  A call enters one ``np.errstate``; the first value in
+    list order that is not finite raises :class:`EvaluationFailure` naming
+    its expression, as does an error that Python float arithmetic raises
+    in a constant subexpression.  An expression without variables is
+    evaluated here, once, and each call fills ``shape`` with its value; one
+    whose value fails is left to fail at each call.
+    """
+    steps = []  # (text, array closure, None), or (text, None, value) for a finite constant
+    for expr in exprs:
+        const = None
+        if not expr.variables:
+            try:
+                with np.errstate(all="ignore"):
+                    const = float(expr._array_fn({}))
+            except _EVAL_ERRORS:
+                pass
+        if const is not None and math.isfinite(const):
+            steps.append((expr.text, None, const))
+        else:
+            steps.append((expr.text, expr._array_fn, None))
+
+    def fn(env: Dict[str, np.ndarray], shape: Tuple[int, ...]) -> List[np.ndarray]:
+        values = []
+        with np.errstate(all="ignore"):
+            for text, array_fn, const in steps:
+                if array_fn is None:
+                    values.append(np.full(shape, const))
+                    continue
+                try:
+                    value = np.asarray(array_fn(env), dtype=float)
+                except _EVAL_ERRORS as exc:
+                    raise _failed(text, exc) from exc
+                if not np.isfinite(value).all():
+                    raise _non_finite(text)
+                if value.shape != shape:
+                    value = np.broadcast_to(value, shape).copy()
+                values.append(value)
+        return values
+
+    return fn
 
 
 def parse_expression(text: str) -> Expression:

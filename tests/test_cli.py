@@ -6,6 +6,9 @@ import pytest
 from normalshift import cli
 from normalshift.cli import (
     Scenario,
+    _isotropic_from_position_expression,
+    _single_variable_fn,
+    build_generator,
     build_metric,
     build_subject,
     build_surface,
@@ -16,8 +19,10 @@ from normalshift.cli import (
     main,
 )
 from normalshift.errors import ConfigError
-from normalshift.force_builder import GeneratingScalar
-from normalshift.tensor_core import metric_at
+from normalshift.expressions import parse_expression
+from normalshift.extended_fields import IsotropicScalar
+from normalshift.force_builder import GeneratingScalar, builtin_metrizable, builtin_nonmetrizable
+from normalshift.tensor_core import MetricField, metric_at
 
 BOX = [[0.25, 1.25], [0.25, 1.25], [0.25, 1.25]]
 
@@ -333,6 +338,65 @@ class TestShiftCommand:
         assert cmd_shift(write_config(tmp_path, missing), out=tmp_path) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "overrides,failure",
+        [
+            # the log's argument reaches 0 as the plane moves up in x3
+            ({"metric": {"kind": "conformal", "f": "0.1*log(0.02 - x3)"}},
+             "trajectory from u = [0.15, -0.15] near t = 0.027: "
+             "expression '0.1*log(0.02 - x3)' failed to evaluate: non-finite result"),
+            # W, W_v and dW/dx all fail there; the W_v partial is evaluated first
+            ({"generator": {"kind": "custom", "W": "v*exp(-x1)/sqrt(0.02 - x3)", "h": "0"}},
+             "trajectory from u = [0.15, -0.15] near t = 0.034: "
+             "expression 'd(v*exp(-x1)/sqrt(0.02 - x3))/dv' failed to evaluate: non-finite result"),
+        ],
+        ids=["conformal-metric", "custom-w"],
+    )
+    def test_failure_partway_names_trajectory_time_and_expression(
+        self, tmp_path, capsys, overrides, failure
+    ):
+        run = {"t_end": 0.2, "dt": 1e-3, "u_grid": [[-0.15, 0.15, 7], [-0.15, 0.15, 7]]}
+        data = base_scenario(name="partway", run=run, **overrides)
+        assert cmd_shift(write_config(tmp_path, data), out=tmp_path) == 3
+        assert capsys.readouterr().err == f"numerical error: {failure}\n"
+
+    @pytest.mark.parametrize(
+        "command,overrides,text",
+        [
+            # finite at u1 = 0.15, inf at u1 = 0.3
+            ("shift", {"surface": {"kind": "graph", "height": "x1*1e308*10 + 1"},
+                       "run": {"t_end": 0.05, "dt": 1e-3,
+                               "u_grid": [[-0.3, 0.3, 5], [-0.3, 0.3, 5]]}},
+             "x1*1e308*10 + 1"),
+            ("verify", {"generator": {"kind": "metrizable", "f": "x1", "H": "v",
+                                      "perturb": {"component": 1, "expression": "x2*1e308*10"}}},
+             "x2*1e308*10"),
+        ],
+        ids=["graph-height", "perturb"],
+    )
+    def test_non_finite_float_expression_is_named(
+        self, tmp_path, capsys, command, overrides, text
+    ):
+        path = write_config(tmp_path, base_scenario(name="overflow", **overrides))
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and "Traceback" not in err
+        assert err.endswith(f"expression {text!r} failed to evaluate: non-finite result\n")
+
+    @pytest.mark.parametrize(
+        "f,reason",
+        [("x1 + 1/0", "float division by zero"), ("x1 + 10^400", "Numerical result out of range")],
+        ids=["division-by-zero", "overflow"],
+    )
+    def test_arithmetic_error_in_a_constant_subexpression_is_named(
+        self, tmp_path, capsys, f, reason
+    ):
+        data = base_scenario(name="constant", metric={"kind": "conformal", "f": f})
+        assert cmd_shift(write_config(tmp_path, data), out=tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and "Traceback" not in err
+        assert f"expression {f!r} failed to evaluate: " in err and reason in err
+
     def test_byte_identical_csv(self, tmp_path):
         path = write_config(tmp_path, base_scenario(name="repeat"))
         assert cmd_shift(path, out=tmp_path / "a") == 0
@@ -583,13 +647,15 @@ class TestRejectedInput:
             # the speed quadrature is anchored at 1.0, so the range must contain it
             ("verify", {"generator": {"kind": "nonmetrizable", "f": "x1", "A": "v^3",
                                       "speed_range": [2.0, 5.0]}}, [], "generator.speed_range"),
+            # JSON true equals 1 in Python, but it is not a number
+            ("shift", {"surface.orientation": True}, [], "surface.orientation"),
         ],
         ids=[
             "t_end-infinite", "t_end-past-float-range", "dt-nan", "run-tolerance-nan", "offset-infinite", "verify-box-nan",
             "name-parent", "name-absolute", "name-subdirectory", "name-dot", "name-dotdot",
             "verify-tolerance-nan", "verify-tolerance-negative", "shift-tolerance-nan",
             "shift-tolerance-negative", "seed-negative", "seed-option-negative",
-            "speed-range-without-one",
+            "speed-range-without-one", "orientation-true",
         ],
     )
     def test_exits_2_and_names_the_key(
@@ -604,3 +670,169 @@ class TestRejectedInput:
         assert key in err and "Traceback" not in err
         outside = {p for p in tmp_path.rglob("*") if out not in p.parents and p != out}
         assert outside == {path}
+
+
+# ---------------------------------------------------------------------------
+# The CLI's compiled closures against closures written with one
+# Expression.eval per expression, the evaluator they must match bit for bit.
+
+def eval_env(x, s=None):
+    env = {f"x{i + 1}": x[..., i] for i in range(x.shape[-1])}
+    if s is not None:
+        env["v"] = np.asarray(s, dtype=float)
+    return env
+
+
+def eval_metric(sc):
+    """``build_metric``'s conformal or diagonal metric, one ``eval`` per expression."""
+    dim, eye = sc.dim, np.eye(sc.dim)
+    if sc.metric["kind"] == "conformal":
+        f = sc.metric["f"]
+        grad = [f.derivative(f"x{k + 1}") for k in range(dim)]
+
+        def g(x):
+            return np.exp(-2.0 * f.eval(eval_env(x)))[..., None, None] * eye
+
+        def dg(x):
+            env = eval_env(x)
+            factor = -2.0 * np.exp(-2.0 * f.eval(env))
+            cube = np.zeros(x.shape[:-1] + (dim, dim, dim))
+            for m, part in enumerate(grad):
+                cube[..., m, :, :] = (factor * part.eval(env))[..., None, None] * eye
+            return cube
+
+        return MetricField(dim=dim, g=g, dg=dg, stacked=True)
+    entries = sc.metric["entries"]
+
+    def g_diag(x):
+        out = np.zeros(x.shape[:-1] + (dim, dim))
+        for i, entry in enumerate(entries):
+            out[..., i, i] = entry.eval(eval_env(x))
+        return out
+
+    def dg_diag(x):
+        cube = np.zeros(x.shape[:-1] + (dim, dim, dim))
+        for i, entry in enumerate(entries):
+            for m in range(dim):
+                cube[..., m, i, i] = entry.derivative(f"x{m + 1}").eval(eval_env(x))
+        return cube
+
+    return MetricField(dim=dim, g=g_diag, dg=dg_diag, stacked=True)
+
+
+def eval_scalar(expr, dim, speed):
+    """W(x, s) of a position expression, or with ``speed`` of one in x and v."""
+    grad = [expr.derivative(f"x{k + 1}") for k in range(dim)]
+
+    def env(x, s):
+        return eval_env(x, s if speed else None)
+
+    def dspeed(x, s):
+        return expr.derivative("v").eval(env(x, s)) if speed else np.zeros(x.shape[:-1])
+
+    return IsotropicScalar(
+        eval=lambda x, s: expr.eval(env(x, s)),
+        dx=lambda x, s: np.stack([part.eval(env(x, s)) for part in grad], axis=-1),
+        dspeed=dspeed,
+        stacked=True,
+    )
+
+
+def eval_single(expr):
+    return lambda w: expr.eval({"v": w if isinstance(w, np.ndarray) and w.ndim else float(w)})
+
+
+def eval_generator(sc):
+    """``build_generator``'s metrizable, nonmetrizable or custom pair, one
+    ``eval`` per expression."""
+    gen = sc.generator
+    if gen["kind"] == "metrizable":
+        return builtin_metrizable(eval_scalar(gen["f"], sc.dim, False), H=eval_single(gen["H"]))
+    if gen["kind"] == "nonmetrizable":
+        return builtin_nonmetrizable(
+            eval_scalar(gen["f"], sc.dim, False), eval_single(gen["A"]),
+            speed_range=gen["speed_range"],
+        )
+    return GeneratingScalar(W=eval_scalar(gen["W"], sc.dim, True), h=eval_single(gen["h"]))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+WAVY = "0.3*sin(x1 + 2*x2) + 0.1*x3"
+# a one-row stack, an (N, n) stack and a (k, N, n) stack
+STACKS = [(1,), (7,), (2, 7)]
+
+
+def stack(lead, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.3, 1.2, size=lead + (3,)), rng.uniform(0.5, 2.0, size=lead)
+
+
+class TestCompiledClosures:
+    """Every closure the CLI builds from expressions equals the same closure
+    written with one ``Expression.eval`` per expression, bit for bit."""
+
+    @pytest.mark.parametrize("lead", STACKS, ids=str)
+    @pytest.mark.parametrize(
+        "metric",
+        [{"kind": "conformal", "f": WAVY},
+         {"kind": "diagonal", "entries": ["1 + x1^2", "exp(x2)", "2 + sin(x3)"]}],
+        ids=["conformal", "diagonal"],
+    )
+    def test_metrics(self, tmp_path, metric, lead):
+        sc = load_scenario(write_config(tmp_path, base_scenario(metric=metric)))
+        got, want = build_metric(sc), eval_metric(sc)
+        x, _ = stack(lead, 1)
+        assert_same_bits(got.g(x), want.g(x))
+        assert_same_bits(got.dg(x), want.dg(x))
+
+    @pytest.mark.parametrize("lead", STACKS, ids=str)
+    @pytest.mark.parametrize(
+        "text,speed",
+        [(WAVY, False), ("x1*x2", False), ("v*exp(-x1) + v^3*x2^2", True), ("v/sqrt(x3)", True)],
+        ids=["position-wavy", "position-product", "custom-w", "custom-w-sqrt"],
+    )
+    def test_isotropic_scalars(self, tmp_path, text, speed, lead):
+        if speed:
+            generator = {"kind": "custom", "W": text, "h": "0"}
+            sc = load_scenario(write_config(tmp_path, base_scenario(generator=generator)))
+            got = build_generator(sc).W
+        else:
+            got = _isotropic_from_position_expression(parse_expression(text), 3)
+        want = eval_scalar(parse_expression(text), 3, speed)
+        x, s = stack(lead, 2)
+        for name in ("eval", "dx", "dspeed"):
+            assert_same_bits(getattr(got, name)(x, s), getattr(want, name)(x, s))
+
+    @pytest.mark.parametrize("text", ["v^3", "v^3 + v", "0.5*v", "0", "exp(-v)/v"])
+    def test_single_variable_functions(self, text):
+        expr = parse_expression(text)
+        got, want = _single_variable_fn(expr), eval_single(expr)
+        for lead in STACKS:
+            _, s = stack(lead, 3)
+            assert_same_bits(got(s), want(s))
+        for w in (1.3, np.float64(0.7), np.array(2.1)):
+            assert type(got(w)) is float and got(w) == want(w)
+
+    def test_shift_csv_equals_the_eval_closures(self, tmp_path, monkeypatch):
+        # the cli-scenario benchmark's scenario: 5 x 5 trajectories, 20 steps
+        data = base_scenario(
+            name="bench",
+            metric={"kind": "conformal", "f": WAVY},
+            generator={"kind": "nonmetrizable", "f": "x1", "A": "v^3"},
+            surface={"kind": "sphere", "orientation": -1, "base_u": [0.5 * np.pi, 0.0]},
+            run={"t_end": 0.02, "dt": 1e-3, "sample_stride": 4,
+                 "u_grid": [[0.5 * np.pi - 0.1, 0.5 * np.pi + 0.1, 5], [-0.1, 0.1, 5]]},
+        )
+        path = write_config(tmp_path, data)
+        assert cmd_shift(path, out=tmp_path / "compiled") == 0
+        monkeypatch.setattr(cli, "build_metric", eval_metric)
+        monkeypatch.setattr(cli, "build_generator", eval_generator)
+        assert cmd_shift(path, out=tmp_path / "eval") == 0
+        compiled = (tmp_path / "compiled" / "bench.trajectories.csv").read_bytes()
+        assert compiled == (tmp_path / "eval" / "bench.trajectories.csv").read_bytes()
+

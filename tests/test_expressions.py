@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
+from normalshift import expressions
 from normalshift.errors import ConfigError, EvaluationFailure
-from normalshift.expressions import parse_expression
+from normalshift.expressions import compile_stack, parse_expression
 
 
 def value(text, **env):
@@ -142,3 +144,86 @@ class TestErrors:
     def test_non_string_rejected(self):
         with pytest.raises(ConfigError):
             parse_expression(3)
+
+    def test_non_finite_float_result_reported(self):
+        # no domain error: the float arithmetic overflows to inf, or to nan
+        for text in ("v*1e308*10", "v*1e308*10 - v*1e308*10"):
+            with pytest.raises(EvaluationFailure) as failure:
+                value(text, v=1.0)
+            assert str(failure.value) == (
+                f"expression {text!r} failed to evaluate: non-finite result"
+            )
+
+    def test_constant_that_fails_is_left_to_each_call(self):
+        expr = parse_expression("x1 + 1/0")
+        for _ in range(2):
+            with pytest.raises(EvaluationFailure, match="division by zero"):
+                expr.eval({"x1": 1.0})
+
+
+class TestCompileStack:
+    ENV = {"x1": np.array([[0.5, 1.0, 2.0]]), "x2": np.array([[0.25], [4.0]])}
+    SHAPE = (2, 3)
+
+    def test_values_equal_the_same_numpy_operations_bit_for_bit(self):
+        x1, x2 = self.ENV["x1"], self.ENV["x2"]
+        cases = {
+            "x1 * x2 + exp(1)": x1 * x2 + np.exp(1.0),
+            "sin(x1) - 2": np.sin(x1) - 2.0,
+            "3.5": 3.5,
+            "x2": x2,
+        }
+        values = compile_stack([parse_expression(text) for text in cases])(self.ENV, self.SHAPE)
+        assert len(values) == len(cases)
+        for got, want in zip(values, cases.values()):
+            want = np.broadcast_to(want, self.SHAPE)
+            assert got.dtype == np.float64 and got.shape == self.SHAPE
+            assert got.tobytes() == want.tobytes()
+        for text, got in zip(cases, values):
+            assert got.tobytes() == parse_expression(text).eval(self.ENV).tobytes()
+
+    def test_constants_fill_fresh_writable_arrays(self):
+        fn = compile_stack([parse_expression("2 * 3"), parse_expression("x1").derivative("x1")])
+        first, unit = fn(self.ENV, self.SHAPE)
+        assert np.array_equal(first, np.full(self.SHAPE, 6.0))
+        assert np.array_equal(unit, np.ones(self.SHAPE))
+        first[0, 0] = -1.0
+        assert fn(self.ENV, self.SHAPE)[0][0, 0] == 6.0
+
+    def test_constant_expressions_evaluated_once_at_build(self, monkeypatch):
+        calls = []
+
+        def counted_exp(arg):
+            calls.append(arg)
+            return np.exp(arg)
+
+        monkeypatch.setitem(expressions._UFUNCS, "exp", counted_exp)
+        fn = compile_stack([parse_expression("2 * exp(2 - 1)"), parse_expression("exp(1)")])
+        built = len(calls)
+        for _ in range(3):
+            fn(self.ENV, self.SHAPE)
+        assert built == 2 and len(calls) == built
+
+    def test_arithmetic_error_in_a_constant_subexpression_is_named(self):
+        for text, reason in (("x1 + 1/0", "division by zero"), ("x1 + 10^400", "out of range")):
+            fn = compile_stack([parse_expression(text)])
+            for _ in range(2):
+                with pytest.raises(EvaluationFailure) as failure:
+                    fn(self.ENV, self.SHAPE)
+                assert str(failure.value).startswith(f"expression {text!r} failed to evaluate: ")
+                assert reason in str(failure.value)
+
+    def test_first_non_finite_value_in_list_order_is_named(self):
+        exprs = [parse_expression(text) for text in ("x1", "log(x1 - 1)", "sqrt(0 - x1)")]
+        with pytest.raises(EvaluationFailure) as failure:
+            compile_stack(exprs)({"x1": np.array([0.5, 2.0])}, (2,))
+        assert str(failure.value) == (
+            "expression 'log(x1 - 1)' failed to evaluate: non-finite result"
+        )
+
+    def test_non_finite_constant_fails_at_each_call(self):
+        fn = compile_stack([parse_expression("log(0 - 1)")])
+        for _ in range(2):
+            with pytest.raises(EvaluationFailure, match="non-finite result"):
+                fn({}, (2,))
+
