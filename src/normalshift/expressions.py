@@ -367,10 +367,12 @@ def compile_stack(
     the caller checks the variables once, as ``load_scenario`` does when a
     scenario loads.  A call enters one ``np.errstate``; the first value in
     list order that is not finite raises :class:`EvaluationFailure` naming
-    its expression, as does an error that Python float arithmetic raises
-    in a constant subexpression.  An expression without variables is
-    evaluated here, once, and each call fills ``shape`` with its value; one
-    whose value fails is left to fail at each call.
+    its expression, as do an error that Python float arithmetic raises in
+    a constant subexpression and a complex value, which a negative
+    constant raised to a fractional power makes (``(0-8)^0.5``).  An
+    expression without variables is evaluated here, once, and each call
+    fills ``shape`` with its value; one whose value fails, complex values
+    included, is left to fail at each call.
     """
     steps = []  # (text, array closure, None), or (text, None, value) for a finite constant
     for expr in exprs:
@@ -378,7 +380,9 @@ def compile_stack(
         if not expr.variables:
             try:
                 with np.errstate(all="ignore"):
-                    const = float(expr._array_fn({}))
+                    value = expr._array_fn({})
+                if not np.iscomplexobj(value):
+                    const = float(value)
             except _EVAL_ERRORS:
                 pass
         if const is not None and math.isfinite(const):
@@ -394,9 +398,12 @@ def compile_stack(
                     values.append(np.full(shape, const))
                     continue
                 try:
-                    value = np.asarray(array_fn(env), dtype=float)
+                    value = array_fn(env)
                 except _EVAL_ERRORS as exc:
                     raise _failed(text, exc) from exc
+                if np.iscomplexobj(value):
+                    raise _failed(text, "complex result")
+                value = np.asarray(value, dtype=float)
                 if not np.isfinite(value).all():
                     raise _non_finite(text)
                 if value.shape != shape:

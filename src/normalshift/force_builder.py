@@ -50,13 +50,13 @@ from .tensor_core import (
     Projector,
     by_rows,
     christoffel_at,
+    direction_from,
     dot,
     mat_vec,
     metric_at,
     outer,
     per_state,
     unit_direction,
-    unit_direction_from,
     vec_mat,
 )
 
@@ -329,19 +329,21 @@ def force_from_W(
 
     Takes one state (x, v) of shape (n,) or stacks of shape (..., n); a
     single state is a one-row stack.  ``gmat``, the metric values at ``x``,
-    serves the unit direction when given.  A ``stacked`` W is called once
-    per stack, any other W once per state, and h once per stack when it
-    takes arrays, else once per state.
+    serves the unit direction when given; only N^i, N_i and the speed are
+    built from it (:func:`~normalshift.tensor_core.direction_from`), not
+    the projector.  A ``stacked`` W is called once per stack, any other W
+    once per state, and h once per stack when it takes arrays, else once
+    per state.
     """
     x = np.asarray(x, dtype=float)
-    pr = unit_direction_from(metric_at(m, x) if gmat is None else gmat, x, v)
-    wv, hw, grad = _terms(gs, x, pr.speed)
+    n_up, n_down, speed = direction_from(metric_at(m, x) if gmat is None else gmat, x, v)
+    wv, hw, grad = _terms(gs, x, speed)
     # with b = grad / W_v, the term b_i (2 N^i N_k - delta^i_k) is expanded
     # so that stacks need no reflection matrices
-    speed = np.asarray(pr.speed)[..., None]
+    speed = speed[..., None]
     b = grad / np.asarray(wv)[..., None]
-    b_n = np.sum(b * pr.N_up, axis=-1, keepdims=True)
-    return (np.asarray(hw / wv)[..., None] - 2.0 * speed * b_n) * pr.N_down + speed * b
+    b_n = np.sum(b * n_up, axis=-1, keepdims=True)
+    return (np.asarray(hw / wv)[..., None] - 2.0 * speed * b_n) * n_down + speed * b
 
 
 def generated_force(gs: GeneratingScalar, m: MetricField) -> Callable:
@@ -589,9 +591,10 @@ def builtin_metrizable(f: IsotropicScalar, H: Callable[[float], float]) -> Gener
     """W = |v| exp(-f(x)), h = H.
 
     ``f`` must depend on position only (its speed slot is ignored by
-    convention).  W is ``stacked`` when ``f`` is.  The resulting force is
-    the one whose trajectories are geodesics of the conformally scaled
-    metric exp(-2f) g, reparametrized through H.
+    convention).  W is ``stacked`` when ``f`` is, and then carries
+    ``terms``, which evaluates f and exp(-f) once for all three values.
+    The resulting force is the one whose trajectories are geodesics of the
+    conformally scaled metric exp(-2f) g, reparametrized through H.
     """
 
     # f.eval gives a float at a point of an unmarked f and an array on a
@@ -602,13 +605,20 @@ def builtin_metrizable(f: IsotropicScalar, H: Callable[[float], float]) -> Gener
     def dspeed(x, s):
         return np.exp(-f.eval(x, s))
 
-    dx = None
+    dx = terms = None
     if f.dx is not None:
 
         def dx(x, s):
             return -eval_(x, s)[..., None] * np.asarray(f.dx(x, s), dtype=float)
 
-    w = IsotropicScalar(eval=eval_, dx=dx, dspeed=dspeed, stacked=f.stacked)
+        if f.stacked:
+
+            def terms(x, s):
+                e = np.exp(-f.eval(x, s))
+                w = s * e
+                return w, e, -w[..., None] * np.asarray(f.dx(x, s), dtype=float)
+
+    w = IsotropicScalar(eval=eval_, dx=dx, dspeed=dspeed, stacked=f.stacked, terms=terms)
     return GeneratingScalar(W=w, h=H)
 
 

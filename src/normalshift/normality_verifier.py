@@ -10,8 +10,10 @@ equations expressed through the operators L_i = d/dx^i + b_i d/dspeed.
 Every function here returns raw residuals at a single phase-space point;
 ``verify`` samples a region quasi-randomly, normalizes by the local size
 of F and its derivatives so tolerances are scale-free, and aggregates
-sup-norms into a report.  Only that sampling loads scipy (``qmc.Halton``
-and ``ndtri``), on its first call, so importing this module does not.
+sup-norms into a report.  The samples come from a scrambled Halton
+sequence built here in numpy (:func:`halton`, scipy's ``qmc.Halton`` bit
+for bit); only their normal directions load scipy (``scipy.special``'s
+``ndtri``), on the first call, so importing this module does not.
 
 Index conventions for derivative matrices: Dv[r, k] = dF_k/dv^r and
 Dx[r, k] = covariant x^r-derivative of F_k, which subtracts both the
@@ -21,6 +23,7 @@ correction Gamma^c_{rk} F_c from the raw partial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Tuple, Union
 
@@ -347,16 +350,51 @@ def ndtri(p: Array) -> Array:
     return scipy_ndtri(p)
 
 
+def _first_primes(d: int) -> list:
+    primes: list = []
+    candidate = 2
+    while len(primes) < d:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def halton(d: int, n: int, seed: int) -> Array:
+    """The first ``n`` points (n, d) of scipy's scrambled Halton sequence,
+    ``qmc.Halton(d, scramble=True, seed=seed).random(n)``, bit for bit.
+
+    Column j is the van der Corput sequence in the j-th prime base b,
+    scrambled as Owen's algorithm does: each of its ceil(54 / log2 b) - 1
+    digits passes through its own permutation of range(b), drawn in turn
+    from ``np.random.default_rng(seed)``, and the scaled digits are summed
+    in scipy's order, least significant first.
+    """
+    rng = np.random.default_rng(seed)
+    index = np.arange(n)
+    columns = []
+    for b in _first_primes(d):
+        count = math.ceil(54 / math.log2(b)) - 1
+        perms = rng.permuted(np.tile(np.arange(b), (count, 1)), axis=1)
+        digits = index // b ** np.arange(count)[:, None] % b
+        # b^-(j+1) by repeated division and a running sum, as scipy forms
+        # them, so that every point rounds as scipy's does
+        scale = np.empty(count)
+        scale[0] = 1.0 / b
+        for j in range(1, count):
+            scale[j] = scale[j - 1] / b
+        terms = perms[np.arange(count)[:, None], digits] * scale[:, None]
+        columns.append(np.cumsum(terms, axis=0)[-1])
+    return np.stack(columns, axis=1)
+
+
 def _sampled(spec: SampleSpec, m: MetricField) -> Tuple[Array, Array]:
     """The sample states (count, 2, n) and the metric at their positions."""
     dim = m.dim
     box = np.asarray(spec.box, dtype=float)
     if box.shape != (dim, 2):
         raise ValueError(f"box must have shape ({dim}, 2), got {box.shape}")
-    from scipy.stats import qmc
-
-    engine = qmc.Halton(d=2 * dim + 1, scramble=True, seed=spec.seed)
-    u = engine.random(spec.count)
+    u = halton(2 * dim + 1, spec.count, spec.seed)
     xs = box[:, 0] + u[:, :dim] * (box[:, 1] - box[:, 0])
     z = ndtri(np.clip(u[:, dim : 2 * dim], 1e-12, 1.0 - 1e-12))
     # a direction too short to normalize is replaced by (1, ..., 1)

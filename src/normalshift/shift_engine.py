@@ -46,12 +46,12 @@ from .tensor_core import (
     MetricField,
     by_rows,
     central_partials,
-    christoffel_from,
     dot,
     inverse_metric_from,
     mat_vec,
-    metric_derivatives_at,
     metric_at,
+    metric_pack,
+    raised_acceleration,
     speed_from,
     unit_direction_from,
 )
@@ -313,12 +313,12 @@ Force = Callable[[Array, Array, Array], Array]
 def _flow_rhs(force: Force, m: MetricField, x: Array, v: Array, gmat: Array) -> Tuple[Array, Array]:
     """(dx/dt, dv/dt) of the flow at a stack of states (k, n).
 
-    ``gmat`` is the metric at ``x``; the inverse and the force reuse it.
+    ``gmat`` is the checked metric at ``x``.  The stage's one metric pack
+    is built on it, the force reads its g, and the acceleration is raised
+    once (:func:`~normalshift.tensor_core.raised_acceleration`).
     """
-    ginv = inverse_metric_from(gmat, x)
-    gamma = christoffel_from(ginv, metric_derivatives_at(m, x))
-    f_up = np.einsum("...ij,...j->...i", ginv, np.asarray(force(x, v, gmat), dtype=float))
-    return v, f_up - np.einsum("...kij,...i,...j->...k", gamma, v, v)
+    pack = metric_pack(m, x, gmat)
+    return v, raised_acceleration(pack, v, np.asarray(force(x, v, pack.g), dtype=float))
 
 
 def _rk4_step(

@@ -4,7 +4,10 @@ Everything here lives in a single coordinate chart: the metric is a
 user-supplied closure ``x -> g_ij(x)`` and all derived objects (the inverse
 metric, Christoffel symbols, the unit velocity direction N and the orthogonal
 projector P onto the hyperplane perpendicular to the velocity) are evaluated
-from it.  Every evaluator takes one point of shape (n,) or a stack of
+from it.  A flow stage reads one metric pack (g, its inverse and its
+derivatives) and raises its acceleration once, from the lowered
+connection term, without forming the Christoffel symbols.  Every
+evaluator takes one point of shape (n,) or a stack of
 points of shape (..., n) and returns its tensors with the stack's leading
 axes in front.  A metric marked ``stacked`` has its closures called once
 per stack, and only ever on a stack: a single point reaches them as a
@@ -364,6 +367,36 @@ def christoffel_at(m: MetricField, x: np.ndarray) -> Christoffel:
     )
 
 
+class MetricPack(NamedTuple):
+    """What a flow stage reads of the metric at its positions (..., n): the
+    checked values ``g`` (..., n, n), the inverse ``ginv`` verified by
+    multiplying back, and the derivatives ``dg`` (..., n, n, n)."""
+
+    g: np.ndarray
+    ginv: np.ndarray
+    dg: np.ndarray
+
+
+def metric_pack(m: MetricField, x: np.ndarray, gmat: np.ndarray) -> MetricPack:
+    """The metric pack at ``x`` built on ``gmat``, the metric there as
+    :func:`metric_at` took and checked it, which is not checked again."""
+    return MetricPack(g=gmat, ginv=inverse_metric_from(gmat, x), dg=metric_derivatives_at(m, x))
+
+
+def raised_acceleration(pack: MetricPack, v: np.ndarray, force: np.ndarray) -> np.ndarray:
+    """dv/dt = g^-1 (F - c) of the flow with covector force ``F``, which is
+    g^-1 F - gamma(v, v) raised once, with no Christoffel tensor formed.
+
+    c_s = g_sk gamma^k_ij v^i v^j = sum_m v^m d_m g_sj v^j - (1/2) d_s g_ij v^i v^j
+    is the lowered connection term.  With e[..., m, s] = sum_j d_m g_sj v^j,
+    one matmul, its first part contracts the row index of ``e`` with v and
+    its second part the column index.  ``pack.dg`` is symmetric in its
+    metric index pair, as :func:`metric_derivatives_at` returns it.
+    """
+    e = (pack.dg @ v[..., None, :, None])[..., 0]
+    return mat_vec(pack.ginv, force - (vec_mat(v, e) - 0.5 * mat_vec(e, v)))
+
+
 def speed_from(gmat: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The g-norm sqrt(g_ij v^i v^j) of vectors ``v`` (..., n) from metric values
     ``gmat`` (..., n, n) already taken, which may be broadcast over extra axes
@@ -395,15 +428,17 @@ def unit_direction(m: MetricField, x: np.ndarray, v: np.ndarray) -> Projector:
     return unit_direction_from(metric_at(m, x), x, v)
 
 
-def unit_direction_from(gmat: np.ndarray, x: np.ndarray, v: np.ndarray) -> Projector:
-    """:func:`unit_direction` from metric values ``gmat`` already taken at ``x``.
+def direction_from(gmat: np.ndarray, x: np.ndarray, v: np.ndarray):
+    """(N^i, N_i, |v|) of velocities ``v`` from metric values ``gmat`` taken at ``x``.
 
-    The one unit direction of the library: the integrator's stages, the
-    generated force and the verifier all take it here.  One body serves a
-    state and a stack: the speed is :func:`speed_from`, and the other
-    products, :func:`mat_vec` and :func:`outer`, round every state of a
-    stack as they round a single state.  ``gmat`` may be broadcast over
-    extra axes of ``v``, such as velocity offsets.
+    The one unit direction of the library and its one speed-floor check:
+    the generated force takes it here, and :func:`unit_direction_from`
+    adds the projector.  One body serves a state and a stack: the speed
+    is :func:`speed_from`, and :func:`mat_vec` rounds every state of a
+    stack as it rounds a single state.  ``gmat`` may be broadcast over
+    extra axes of ``v``, such as velocity offsets.  The speed is an array,
+    a numpy float for a single state.  Raises :class:`ZeroVelocity` when a
+    speed is at or below ``SPEED_FLOOR``.
     """
     v = np.asarray(v, dtype=float)
     n = gmat.shape[-1]
@@ -416,9 +451,17 @@ def unit_direction_from(gmat: np.ndarray, x: np.ndarray, v: np.ndarray) -> Proje
             f"velocity modulus {np.ravel(speed)[i]:.3e} at or below floor at x={where}"
         )
     n_up = v / speed[..., None]
-    n_down = mat_vec(gmat, n_up)
-    proj = np.eye(n) - outer(n_up, n_down)
-    return Projector(P=proj, N_up=n_up, N_down=n_down, speed=float(speed) if v.ndim == 1 else speed)
+    return n_up, mat_vec(gmat, n_up), speed
+
+
+def unit_direction_from(gmat: np.ndarray, x: np.ndarray, v: np.ndarray) -> Projector:
+    """:func:`unit_direction` from metric values ``gmat`` already taken at ``x``:
+    :func:`direction_from` and the projector, which :func:`outer` builds
+    alike for a state and a stack.  The verifier takes it here."""
+    n_up, n_down, speed = direction_from(gmat, x, v)
+    proj = np.eye(gmat.shape[-1]) - outer(n_up, n_down)
+    speed = float(speed) if np.ndim(v) == 1 else speed
+    return Projector(P=proj, N_up=n_up, N_down=n_down, speed=speed)
 
 
 def lower_index(m: MetricField, x: np.ndarray, vec: np.ndarray) -> np.ndarray:

@@ -349,8 +349,12 @@ class TestShiftCommand:
             ({"generator": {"kind": "custom", "W": "v*exp(-x1)/sqrt(0.02 - x3)", "h": "0"}},
              "trajectory from u = [0.15, -0.15] near t = 0.034: "
              "expression 'd(v*exp(-x1)/sqrt(0.02 - x3))/dv' failed to evaluate: non-finite result"),
+            # the metric turns indefinite past x3 = 0.025
+            ({"metric": {"kind": "diagonal", "entries": ["1", "1", "1 - 40*x3"]}},
+             "trajectory from u = [0.15, -0.15] near t = 0.014: "
+             "metric not positive-definite at x=[ 0.14985624 -0.15        0.02557816]"),
         ],
-        ids=["conformal-metric", "custom-w"],
+        ids=["conformal-metric", "custom-w", "indefinite-metric"],
     )
     def test_failure_partway_names_trajectory_time_and_expression(
         self, tmp_path, capsys, overrides, failure
@@ -385,8 +389,12 @@ class TestShiftCommand:
 
     @pytest.mark.parametrize(
         "f,reason",
-        [("x1 + 1/0", "float division by zero"), ("x1 + 10^400", "Numerical result out of range")],
-        ids=["division-by-zero", "overflow"],
+        [
+            ("x1 + 1/0", "float division by zero"),
+            ("x1 + 10^400", "Numerical result out of range"),
+            ("x1 + (0-8)^0.5", "complex result"),
+        ],
+        ids=["division-by-zero", "overflow", "complex"],
     )
     def test_arithmetic_error_in_a_constant_subexpression_is_named(
         self, tmp_path, capsys, f, reason

@@ -213,6 +213,18 @@ class TestCompileStack:
                 assert str(failure.value).startswith(f"expression {text!r} failed to evaluate: ")
                 assert reason in str(failure.value)
 
+    @pytest.mark.parametrize("text", ["x1 + (0-8)^0.5", "(0-8)^0.5", "exp((0-8)^0.5) * x1"])
+    def test_complex_value_is_a_failed_evaluation(self, text):
+        # (0-8)^0.5 is complex in Python float arithmetic; its real part must
+        # not stand in for it, at build or at a call
+        fn = compile_stack([parse_expression(text)])
+        for _ in range(2):
+            with pytest.raises(EvaluationFailure) as failure:
+                fn(self.ENV, self.SHAPE)
+            assert str(failure.value) == f"expression {text!r} failed to evaluate: complex result"
+        with pytest.raises(EvaluationFailure):
+            parse_expression(text).eval({"x1": 1.0})
+
     def test_first_non_finite_value_in_list_order_is_named(self):
         exprs = [parse_expression(text) for text in ("x1", "log(x1 - 1)", "sqrt(0 - x1)")]
         with pytest.raises(EvaluationFailure) as failure:

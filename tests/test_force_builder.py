@@ -539,6 +539,28 @@ class TestGauge:
 
 
 class TestBuiltins:
+    @pytest.mark.parametrize("rows", [7, 1])
+    def test_metrizable_terms_equal_the_three_closures(self, rows):
+        def f_eval(x, s):
+            return 0.3 * np.sin(x[..., 0] + 2.0 * x[..., 1]) + 0.1 * x[..., 2]
+
+        def f_dx(x, s):
+            c = 0.3 * np.cos(x[..., 0] + 2.0 * x[..., 1])
+            return np.stack([c, 2.0 * c, np.full_like(c, 0.1)], axis=-1)
+
+        f = IsotropicScalar(eval=f_eval, dx=f_dx, dspeed=lambda x, s: np.zeros(x.shape[:-1]),
+                            stacked=True)
+        W = builtin_metrizable(f, H=lambda w: w).W
+        rng = np.random.default_rng(16)
+        x, s = rng.uniform(-1.0, 1.0, (rows, 3)), rng.uniform(0.5, 2.0, rows)
+        w, wv, grad = W.terms(x, s)
+        assert np.array_equal(w, W.eval(x, s))
+        assert np.array_equal(wv, W.dspeed(x, s))
+        assert np.array_equal(grad, W.dx(x, s))
+        assert grad.shape == (rows, 3)
+        pointwise = IsotropicScalar(eval=lambda x, s: float(x[0]), dx=lambda x, s: np.eye(3)[0])
+        assert builtin_metrizable(pointwise, H=lambda w: w).W.terms is None
+
     def test_flat_conformal_factor_degenerates_to_geodesic(self):
         m = euclidean_metric()
         gs = builtin_metrizable(zero_scalar(), H=lambda w: 0.0)

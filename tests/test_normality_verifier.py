@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from normalshift import normality_verifier
 from normalshift.errors import DegenerateWv, EvaluationFailure
@@ -27,6 +26,7 @@ from normalshift.normality_verifier import (
     MODES,
     NormalityReport,
     SampleSpec,
+    halton,
     residual_additional1,
     residual_additional2,
     residual_eq124,
@@ -296,6 +296,15 @@ class TestReducedEquations:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("d", [5, 7, 9, 11])
+    def test_halton_is_scipys_sequence_bit_for_bit(self, d):
+        from scipy.stats import qmc
+
+        for seed_ in (0, 1, 123, 99991, 2**31 - 2):
+            for n in (1, 50, 200, 1000):
+                expected = qmc.Halton(d=d, scramble=True, seed=seed_).random(n)
+                assert np.array_equal(halton(d, n, seed_), expected), (d, seed_, n)
+
     def test_states_respect_box_and_speed_range(self):
         m = diagonal_metric()
         spec = SampleSpec(box=[[0.5, 1.5], [0.1, 0.9], [-1.0, 1.0]], count=64, seed=3)
@@ -319,6 +328,8 @@ class TestSampling:
         m = metric_fn()
         box = np.array([[0.5, 1.5], [0.1, 0.9], [-1.0, 1.0]])
         spec = SampleSpec(box=box, count=64, seed=5, speed_range=(0.3, 3.0))
+        from scipy.stats import qmc
+
         u = qmc.Halton(d=7, scramble=True, seed=5).random(64)
         expected = []
         for row in u:

@@ -22,8 +22,10 @@ from normalshift.force_builder import (
     builtin_geodesic,
     builtin_metrizable,
     coordinate_scalar,
+    force_from_W,
+    generated_force,
 )
-from normalshift import shift_engine
+from normalshift import force_builder, shift_engine, tensor_core
 from normalshift.shift_engine import (
     GridSpec,
     Hypersurface,
@@ -42,7 +44,14 @@ from normalshift.shift_engine import (
     surface_tangents,
     w_dynamics_residual,
 )
-from normalshift.tensor_core import MetricField, metric_at, speed_at
+from normalshift.tensor_core import (
+    MetricField,
+    christoffel_at,
+    inverse_metric_at,
+    mat_vec,
+    metric_at,
+    speed_at,
+)
 
 from helpers import (
     conformal_metric,
@@ -543,6 +552,72 @@ class TestRunShift:
         assert np.array_equal(again.nu_vals, plane_h0_record.nu_vals)
 
 
+def tilted_metric(stacked):
+    """A curved metric with off-diagonal entries and analytic derivatives,
+    written once for a point (3,) and a stack (k, 3)."""
+
+    def g(x):
+        x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+        out = np.zeros(x.shape[:-1] + (3, 3))
+        out[..., 0, 0] = 2.0 + np.sin(x1 * x2)
+        out[..., 1, 1] = 1.5 + x3**2
+        out[..., 2, 2] = 1.0 + np.exp(0.3 * x1)
+        out[..., 0, 1] = out[..., 1, 0] = 0.4 * np.cos(x2 + x3)
+        out[..., 1, 2] = out[..., 2, 1] = 0.2 * x1 * x2
+        return out
+
+    def dg(x):
+        x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+        d = np.zeros(x.shape[:-1] + (3, 3, 3))
+        d[..., 0, 0, 0] = x2 * np.cos(x1 * x2)
+        d[..., 0, 2, 2] = 0.3 * np.exp(0.3 * x1)
+        d[..., 0, 1, 2] = d[..., 0, 2, 1] = 0.2 * x2
+        d[..., 1, 0, 0] = x1 * np.cos(x1 * x2)
+        d[..., 1, 0, 1] = d[..., 1, 1, 0] = -0.4 * np.sin(x2 + x3)
+        d[..., 1, 1, 2] = d[..., 1, 2, 1] = 0.2 * x1
+        d[..., 2, 1, 1] = 2.0 * x3
+        d[..., 2, 0, 1] = d[..., 2, 1, 0] = -0.4 * np.sin(x2 + x3)
+        return d
+
+    return MetricField(dim=3, g=g, dg=dg, stacked=stacked)
+
+
+class TestRaisedOnceStage:
+    """A stage raises g^-1 (F - c) once, where the textbook stage raises F
+    and subtracts gamma(v, v)."""
+
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "pointwise"])
+    @pytest.mark.parametrize("rows", [None, 6], ids=["state", "stack"])
+    def test_matches_the_textbook_stage(self, stacked, rows):
+        m = tilted_metric(stacked)
+        gs = metrizable_hw()
+        rng = np.random.default_rng(16)
+        shape = (3,) if rows is None else (rows, 3)
+        x = rng.uniform(-0.8, 0.8, shape)
+        v = rng.normal(size=shape)
+        force = generated_force(gs, m)
+        dx, dv = shift_engine._flow_rhs(force, m, x, v, metric_at(m, x))
+        f_up = mat_vec(inverse_metric_at(m, x), force_from_W(gs, m, x, v))
+        gamma_vv = np.einsum("...kij,...i,...j->...k", christoffel_at(m, x).gamma, v, v)
+        assert dx is v and dv.shape == shape
+        assert np.abs(gamma_vv).min() > 1e-3  # the connection term is not negligible
+        scale = np.abs(f_up) + np.abs(gamma_vv)
+        assert np.all(np.abs(dv - (f_up - gamma_vv)) <= 1e-13 * scale)
+
+    def test_forms_no_christoffel_tensor_and_no_projector(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("not needed by a stage")
+
+        for module in (tensor_core, shift_engine, force_builder):
+            for name in ("christoffel_from", "outer"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        m = tilted_metric(True)
+        state = PhaseState(x=np.array([0.1, 0.2, 0.3]), v=np.array([0.5, -0.2, 0.4]), t=0.0)
+        step_trajectory(as_force_field(metrizable_hw()), m, state, 1e-3)
+        run_shift(metrizable_hw(), m, plane_surface(), small_grid(), t_end=0.01, dt=1e-3,
+                  sample_stride=1)
+
+
 class TestFamilyStep:
     """run_shift steps the whole family as one stack of states."""
 
@@ -618,6 +693,38 @@ class TestFamilyStep:
         message = str(info.value)
         assert message.startswith("trajectory from u = [0.1, -0.1] near t = 0.02:")
         assert "not positive-definite" in message
+
+    @pytest.mark.parametrize(
+        "level,at",
+        [(0.02025, "[ 0.1    -0.1     0.0205]"), (0.0207, "[ 0.1   -0.1    0.021]")],
+        ids=["stage-2", "stage-4"],
+    )
+    @pytest.mark.parametrize(
+        "bad,reason",
+        [
+            (np.diag([1.0, 1.0, -1.0]), "metric not positive-definite"),
+            (
+                np.array([[1.0, 1.0 - 1e-8, 0.0], [1.0 - 1e-8, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                "metric too ill-conditioned to invert: residual 2.776e-09",
+            ),
+        ],
+        ids=["indefinite", "ill-conditioned"],
+    )
+    def test_metric_failing_at_an_intermediate_stage_is_named(self, level, at, bad, reason):
+        # straight unit-speed lines from the plane, in the step from t = 0.02:
+        # past x^3 = 0.02025 the second stage's positions (x^3 = 0.0205) fail,
+        # past 0.0207 only the fourth stage's (x^3 = 0.021) do
+        def g(x):
+            if x[0] > 0.075 and x[2] > level:
+                return bad.copy()
+            return np.eye(3)
+
+        m = MetricField(dim=3, g=g, dg=lambda x: np.zeros((3, 3, 3)))
+        with pytest.raises(NotPositiveDefinite) as info:
+            run_shift(builtin_geodesic(), m, plane_surface(), small_grid(), t_end=0.05, dt=1e-3)
+        assert str(info.value) == (
+            f"trajectory from u = [0.1, -0.1] near t = 0.02: {reason} at x={at}"
+        )
 
     def test_escape_names_first_trajectory_and_time(self):
         # nu = exp(x^1) here, so the x^1 = 0.1 rows rise fastest and leave
