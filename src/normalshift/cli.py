@@ -40,7 +40,6 @@ from .force_builder import (
     builtin_geodesic,
     builtin_metrizable,
     builtin_nonmetrizable,
-    perturbed_field,
 )
 from .normality_verifier import MODES, NormalityReport, SampleSpec, verify
 from .shift_engine import (
@@ -447,7 +446,8 @@ def _isotropic_from_position_expression(expr: Expression, dim: int) -> Isotropic
 
 def _single_variable_fn(expr: Expression):
     """The expression as a function of ``v``: one compiled pass on an array
-    (ndim >= 1), the ``math`` path on a float or a 0-d array."""
+    (ndim >= 1), and on a float or a 0-d array a float from
+    :meth:`Expression.eval`, which evaluates it as a one-row stack."""
     values = compile_stack([expr])
     return lambda w: (
         values({"v": w}, w.shape)[0] if isinstance(w, np.ndarray) and w.ndim
@@ -489,21 +489,21 @@ def build_generator(sc: Scenario) -> GeneratingScalar:
 
 
 def build_subject(sc: Scenario) -> Union[GeneratingScalar, ForceField]:
-    """Verification subject: the generator, optionally with a perturbation."""
+    """Verification subject: the generator, optionally with a perturbation,
+    which adds its expression to one force component in one pass per stack."""
     gs = build_generator(sc)
     perturb = sc.generator["perturb"]
     if perturb is None:
         return gs
-    expr = perturb["expression"]
-    names = [f"x{i + 1}" for i in range(sc.dim)]
+    base, component = as_force_field(gs), perturb["component"]
+    bump = compile_stack([perturb["expression"]])
 
-    def bump(m, x, v):
-        # called per state: floats keep the expression on its math path
-        env = dict(zip(names, x.tolist()))
-        env["v"] = speed_at(m, x, v)
-        return expr.eval(env)
+    def eval_(m, x, v):
+        out = np.array(base.eval(m, x, v), dtype=float)
+        out[..., component] += bump(*_stack_env(x, speed_at(m, x, v)))[0]
+        return out
 
-    return perturbed_field(as_force_field(gs), perturb["component"], bump)
+    return ForceField(eval=eval_, label="user", stacked=True)
 
 
 def build_surface(sc: Scenario) -> Hypersurface:

@@ -4,12 +4,14 @@ Scalar fields in configs (conformal factors, speed profiles, generating
 scalars) are written as plain arithmetic text over position variables
 ``x1 .. xn`` and the speed variable ``v``, with operators ``+ - * / ^``
 and the functions exp, log, sin, cos, sqrt.  ``parse_expression`` turns
-such text into a small syntax tree compiled to two closures: one with
-``math`` functions for an environment mapping names to floats, and one
-with numpy ufuncs for an environment where some names map to arrays.
-:func:`compile_stack` turns a list of expressions into one function of a
-stack, with one error state and one finiteness pass per call; the
-scenario closures of :mod:`normalshift.cli` are built with it.
+such text into a small syntax tree compiled to one closure of numpy
+operations: constants are ``np.float64`` and the functions are numpy
+ufuncs, so every operation is numpy's.  :func:`compile_stack` turns a
+list of expressions into one function of a stack, with one error state
+and one finiteness pass per call; the scenario closures of
+:mod:`normalshift.cli` are built with it.  A single point is evaluated
+as a one-row stack through the same pass, so a point and the same point
+in a stack give the same bits and fail together.
 
 Expressions differentiate symbolically (:meth:`Expression.derivative`),
 so configured scalars carry exact partial derivatives and scenario runs
@@ -19,29 +21,22 @@ The grammar is the usual one: ``^`` binds tightest and associates to the
 right, unary minus sits between ``^`` and the multiplicative level, and
 parentheses group.  Malformed input, unknown names and missing variables
 raise :class:`ConfigError`, which the command layer maps to its
-configuration exit code; an evaluation that fails at run time (a domain
-error, an overflow or a division by zero, or a result that is not
-finite) raises :class:`EvaluationFailure`, a numerical failure.
+configuration exit code.  An evaluation fails at run time by one rule,
+its value is not finite (a domain error, an overflow, a division by
+zero, a negative base raised to a fractional power), and raises
+:class:`EvaluationFailure`, a numerical failure.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, EvaluationFailure
-
-_FUNCTIONS: Dict[str, Callable[[float], float]] = {
-    "exp": math.exp,
-    "log": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "sqrt": math.sqrt,
-}
 
 _UFUNCS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "exp": np.exp,
@@ -141,7 +136,7 @@ class _Parser:
         if kind == "number":
             return ("num", float(value))
         if kind == "name":
-            if value in _FUNCTIONS:
+            if value in _UFUNCS:
                 self.expect_op("(")
                 arg = self.sum_level()
                 self.expect_op(")")
@@ -167,23 +162,23 @@ def _variables(node) -> FrozenSet[str]:
     return _variables(node[1]) | _variables(node[2])
 
 
-def _compile(node, functions=_FUNCTIONS) -> Callable[[Dict[str, float]], float]:
-    """Closure evaluating ``node``, calling ``functions`` for its function names."""
+def _compile(node) -> Callable[[Dict[str, np.ndarray]], np.ndarray]:
+    """Closure evaluating ``node`` with numpy operations on ``np.float64`` constants."""
     head = node[0]
     if head == "num":
-        const = node[1]
+        const = np.float64(node[1])
         return lambda env: const
     if head == "var":
         name = node[1]
         return lambda env: env[name]
     if head == "neg":
-        inner = _compile(node[1], functions)
+        inner = _compile(node[1])
         return lambda env: -inner(env)
     if head == "call":
-        fn = functions[node[1]]
-        arg = _compile(node[2], functions)
+        fn = _UFUNCS[node[1]]
+        arg = _compile(node[2])
         return lambda env: fn(arg(env))
-    lhs, rhs = _compile(node[1], functions), _compile(node[2], functions)
+    lhs, rhs = _compile(node[1]), _compile(node[2])
     if head == "+":
         return lambda env: lhs(env) + rhs(env)
     if head == "-":
@@ -290,40 +285,37 @@ def _differentiate(node, var: str):
 
 @dataclass(frozen=True)
 class Expression:
-    """Parsed expression: source text, referenced variables, evaluators."""
+    """Parsed expression: source text, referenced variables, evaluator."""
 
     text: str
     variables: FrozenSet[str]
     _node: tuple
-    _fn: Callable[[Dict[str, float]], float]
     _array_fn: Callable[[Dict[str, np.ndarray]], np.ndarray]
 
     def eval(self, env: Dict[str, float]):
         """Value in ``env``: a float, or an array when some variable is one.
 
         An array result has the broadcast shape of all the environment's
-        values, constant expressions included.  A value that is not finite,
-        or a domain error on floats, raises :class:`EvaluationFailure`.
+        values, constant expressions included.  Floats are evaluated as a
+        one-row stack, so a point gives the bits that the same point gives
+        in a stack.  Either way the expression's own :func:`compile_stack`
+        pass runs, and a value that is not finite raises
+        :class:`EvaluationFailure`.
         """
         missing = self.variables - env.keys()
         if missing:
             raise ConfigError(
                 f"expression {self.text!r} needs undefined variable(s) {sorted(missing)}"
             )
-        for value in env.values():
-            if isinstance(value, np.ndarray):
-                return self._eval_arrays(env)
-        try:
-            value = float(self._fn(env))
-        except _EVAL_ERRORS as exc:
-            raise _failed(self.text, exc) from exc
-        if not math.isfinite(value):
-            raise _non_finite(self.text)
-        return value
+        if any(isinstance(value, np.ndarray) for value in env.values()):
+            shape = np.broadcast_shapes(*(np.shape(value) for value in env.values()))
+            return self._stack_pass(env, shape)[0]
+        row = {name: np.full(1, value, dtype=float) for name, value in env.items()}
+        return float(self._stack_pass(row, (1,))[0][0])
 
-    def _eval_arrays(self, env: Dict[str, np.ndarray]) -> np.ndarray:
-        shape = np.broadcast_shapes(*(np.shape(value) for value in env.values()))
-        return compile_stack([self])(env, shape)[0]
+    @cached_property
+    def _stack_pass(self):
+        return compile_stack([self])
 
     def derivative(self, var: str) -> "Expression":
         """Exact partial derivative with respect to one variable name."""
@@ -333,27 +325,7 @@ class Expression:
 
 
 def _expression(text: str, node: tuple) -> Expression:
-    return Expression(
-        text=text,
-        variables=_variables(node),
-        _node=node,
-        _fn=_compile(node),
-        _array_fn=_compile(node, _UFUNCS),
-    )
-
-
-# What Python float arithmetic or ``math`` raises on a bad value: a domain
-# error, an overflow, a division by zero.  The array closures meet them too,
-# in a constant subexpression such as the ``1/0`` of ``x1 + 1/0``.
-_EVAL_ERRORS = (ValueError, OverflowError, ZeroDivisionError, TypeError)
-
-
-def _failed(text: str, reason) -> EvaluationFailure:
-    return EvaluationFailure(f"expression {text!r} failed to evaluate: {reason}")
-
-
-def _non_finite(text: str) -> EvaluationFailure:
-    return _failed(text, "non-finite result")
+    return Expression(text=text, variables=_variables(node), _node=node, _array_fn=_compile(node))
 
 
 def compile_stack(
@@ -365,27 +337,20 @@ def compile_stack(
     ``shape``, the broadcast shape of ``env``'s arrays.  It does not check
     that ``env`` defines each variable, as :meth:`Expression.eval` does:
     the caller checks the variables once, as ``load_scenario`` does when a
-    scenario loads.  A call enters one ``np.errstate``; the first value in
-    list order that is not finite raises :class:`EvaluationFailure` naming
-    its expression, as do an error that Python float arithmetic raises in
-    a constant subexpression and a complex value, which a negative
-    constant raised to a fractional power makes (``(0-8)^0.5``).  An
+    scenario loads.  A call enters one ``np.errstate`` that ignores every
+    floating-point error, and the first value in list order that is not
+    finite raises :class:`EvaluationFailure` naming its expression.  An
     expression without variables is evaluated here, once, and each call
-    fills ``shape`` with its value; one whose value fails, complex values
-    included, is left to fail at each call.
+    fills ``shape`` with its value; one whose value is not finite fails
+    at each call.
     """
-    steps = []  # (text, array closure, None), or (text, None, value) for a finite constant
+    steps = []  # (text, closure, None), or (text, None, value) for a finite constant
     for expr in exprs:
         const = None
         if not expr.variables:
-            try:
-                with np.errstate(all="ignore"):
-                    value = expr._array_fn({})
-                if not np.iscomplexobj(value):
-                    const = float(value)
-            except _EVAL_ERRORS:
-                pass
-        if const is not None and math.isfinite(const):
+            with np.errstate(all="ignore"):
+                const = float(expr._array_fn({}))
+        if const is not None and np.isfinite(const):
             steps.append((expr.text, None, const))
         else:
             steps.append((expr.text, expr._array_fn, None))
@@ -397,15 +362,11 @@ def compile_stack(
                 if array_fn is None:
                     values.append(np.full(shape, const))
                     continue
-                try:
-                    value = array_fn(env)
-                except _EVAL_ERRORS as exc:
-                    raise _failed(text, exc) from exc
-                if np.iscomplexobj(value):
-                    raise _failed(text, "complex result")
-                value = np.asarray(value, dtype=float)
+                value = np.asarray(array_fn(env), dtype=float)
                 if not np.isfinite(value).all():
-                    raise _non_finite(text)
+                    raise EvaluationFailure(
+                        f"expression {text!r} failed to evaluate: non-finite result"
+                    )
                 if value.shape != shape:
                     value = np.broadcast_to(value, shape).copy()
                 values.append(value)

@@ -448,6 +448,12 @@ def run_shift(
     leaves it.  A failure is reported for the earliest failing step and,
     within it, the lowest grid row, naming that trajectory's u and time.
     """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be positive and finite")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError("t_end must be positive and finite")
+    if not isinstance(sample_stride, (int, np.integer)) or sample_stride < 1:
+        raise ValueError("sample_stride must be a positive integer")
     if len(grid.ranges) != s.dim_u:
         raise ValueError("grid dimensionality does not match the surface")
     axes = grid.axes()

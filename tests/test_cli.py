@@ -19,10 +19,16 @@ from normalshift.cli import (
     main,
 )
 from normalshift.errors import ConfigError
-from normalshift.expressions import parse_expression
+from normalshift.expressions import Expression, parse_expression
 from normalshift.extended_fields import IsotropicScalar
-from normalshift.force_builder import GeneratingScalar, builtin_metrizable, builtin_nonmetrizable
-from normalshift.tensor_core import MetricField, metric_at
+from normalshift.force_builder import (
+    GeneratingScalar,
+    as_force_field,
+    builtin_metrizable,
+    builtin_nonmetrizable,
+    perturbed_field,
+)
+from normalshift.tensor_core import MetricField, metric_at, speed_at
 
 BOX = [[0.25, 1.25], [0.25, 1.25], [0.25, 1.25]]
 
@@ -388,22 +394,18 @@ class TestShiftCommand:
         assert err.endswith(f"expression {text!r} failed to evaluate: non-finite result\n")
 
     @pytest.mark.parametrize(
-        "f,reason",
-        [
-            ("x1 + 1/0", "float division by zero"),
-            ("x1 + 10^400", "Numerical result out of range"),
-            ("x1 + (0-8)^0.5", "complex result"),
-        ],
+        "f",
+        ["x1 + 1/0", "x1 + 10^400", "x1 + (0-8)^0.5"],
         ids=["division-by-zero", "overflow", "complex"],
     )
-    def test_arithmetic_error_in_a_constant_subexpression_is_named(
-        self, tmp_path, capsys, f, reason
-    ):
+    def test_arithmetic_error_in_a_constant_subexpression_is_named(self, tmp_path, capsys, f):
+        # numpy gives inf, inf and nan: each fails by the one rule, a value
+        # that is not finite
         data = base_scenario(name="constant", metric={"kind": "conformal", "f": f})
         assert cmd_shift(write_config(tmp_path, data), out=tmp_path) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical error: ") and "Traceback" not in err
-        assert f"expression {f!r} failed to evaluate: " in err and reason in err
+        assert err == f"numerical error: expression {f!r} failed to evaluate: non-finite result\n"
 
     def test_byte_identical_csv(self, tmp_path):
         path = write_config(tmp_path, base_scenario(name="repeat"))
@@ -825,6 +827,49 @@ class TestCompiledClosures:
             assert_same_bits(got(s), want(s))
         for w in (1.3, np.float64(0.7), np.array(2.1)):
             assert type(got(w)) is float and got(w) == want(w)
+
+    @pytest.mark.parametrize("lead", [(1,), (500,), (2, 7)], ids=str)
+    def test_perturbation_is_one_pass_per_stack(self, tmp_path, monkeypatch, lead):
+        # the README scenario with a nonmetrizable generator and a perturbation
+        gen = {"kind": "nonmetrizable", "f": "x1", "A": "v^3",
+               "perturb": {"component": 1, "expression": "v * x2 + 0.1*exp(-x3)"}}
+        sc = load_scenario(write_config(tmp_path, base_scenario(
+            metric={"kind": "conformal", "f": WAVY}, generator=gen)))
+        m, perturb = build_metric(sc), sc.generator["perturb"]
+        expr = perturb["expression"]
+
+        def bump(m_, x, v):
+            env = dict(zip(("x1", "x2", "x3"), x.tolist()), v=speed_at(m_, x, v))
+            return expr.eval(env)
+
+        want = perturbed_field(as_force_field(build_generator(sc)), perturb["component"], bump)
+        passes, point_evals = [], []
+        compile_stack, point_eval = cli.compile_stack, Expression.eval
+
+        def counted_compile_stack(exprs):
+            fn = compile_stack(exprs)
+            if exprs[0] is not expr:
+                return fn
+
+            def counted(env, shape):
+                passes.append(shape)
+                return fn(env, shape)
+
+            return counted
+
+        def counted_eval(self_, env):
+            point_evals.append(self_ is expr)
+            return point_eval(self_, env)
+
+        monkeypatch.setattr(cli, "compile_stack", counted_compile_stack)
+        got = build_subject(sc)
+        monkeypatch.setattr(Expression, "eval", counted_eval)
+        x, s = stack(lead, 4)
+        v = s[..., None] * np.random.default_rng(5).normal(size=lead + (3,))
+        value = got.eval(m, x, v)
+        assert passes == [lead] and not any(point_evals)
+        monkeypatch.setattr(Expression, "eval", point_eval)
+        assert_same_bits(value, want.eval(m, x, v))
 
     def test_shift_csv_equals_the_eval_closures(self, tmp_path, monkeypatch):
         # the cli-scenario benchmark's scenario: 5 x 5 trajectories, 20 steps

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from normalshift import expressions
 from normalshift.errors import ConfigError, EvaluationFailure
@@ -157,8 +158,11 @@ class TestErrors:
     def test_constant_that_fails_is_left_to_each_call(self):
         expr = parse_expression("x1 + 1/0")
         for _ in range(2):
-            with pytest.raises(EvaluationFailure, match="division by zero"):
+            with pytest.raises(EvaluationFailure) as failure:
                 expr.eval({"x1": 1.0})
+            assert str(failure.value) == (
+                "expression 'x1 + 1/0' failed to evaluate: non-finite result"
+            )
 
 
 class TestCompileStack:
@@ -205,23 +209,26 @@ class TestCompileStack:
         assert built == 2 and len(calls) == built
 
     def test_arithmetic_error_in_a_constant_subexpression_is_named(self):
-        for text, reason in (("x1 + 1/0", "division by zero"), ("x1 + 10^400", "out of range")):
+        for text in ("x1 + 1/0", "x1 + 10^400"):
             fn = compile_stack([parse_expression(text)])
             for _ in range(2):
                 with pytest.raises(EvaluationFailure) as failure:
                     fn(self.ENV, self.SHAPE)
-                assert str(failure.value).startswith(f"expression {text!r} failed to evaluate: ")
-                assert reason in str(failure.value)
+                assert str(failure.value) == (
+                    f"expression {text!r} failed to evaluate: non-finite result"
+                )
 
     @pytest.mark.parametrize("text", ["x1 + (0-8)^0.5", "(0-8)^0.5", "exp((0-8)^0.5) * x1"])
     def test_complex_value_is_a_failed_evaluation(self, text):
-        # (0-8)^0.5 is complex in Python float arithmetic; its real part must
-        # not stand in for it, at build or at a call
+        # (0-8)^0.5 has no real value: numpy gives nan, which must not
+        # pass, at build or at a call
         fn = compile_stack([parse_expression(text)])
         for _ in range(2):
             with pytest.raises(EvaluationFailure) as failure:
                 fn(self.ENV, self.SHAPE)
-            assert str(failure.value) == f"expression {text!r} failed to evaluate: complex result"
+            assert str(failure.value) == (
+                f"expression {text!r} failed to evaluate: non-finite result"
+            )
         with pytest.raises(EvaluationFailure):
             parse_expression(text).eval({"x1": 1.0})
 
@@ -239,3 +246,55 @@ class TestCompileStack:
             with pytest.raises(EvaluationFailure, match="non-finite result"):
                 fn({}, (2,))
 
+
+# Random trees over the whole grammar.  The constants include ones that
+# overflow (1e308) and a negative base for fractional powers ((0-8)).
+LEAVES = st.sampled_from(["x1", "x2", "v", "0", "0.5", "2", "3", "1000", "1e308", "(0-8)"])
+
+
+def trees(depth):
+    if depth == 0:
+        return LEAVES
+    sub = trees(depth - 1)
+    return st.one_of(
+        LEAVES,
+        st.tuples(sub, st.sampled_from("+-*/^"), sub).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["exp", "log", "sin", "cos", "sqrt"]), sub).map(
+            lambda t: f"{t[0]}({t[1]})"
+        ),
+        sub.map(lambda a: f"-{a}"),
+    )
+
+
+class TestPointIsOneRowStack:
+    """A point evaluated alone and the same point in a stack fail together
+    and, where they succeed, give the same bits."""
+
+    @seed(61)
+    @settings(max_examples=300, deadline=None)
+    @given(text=trees(4), points_seed=st.integers(0, 2**32 - 1))
+    def test_point_and_stack_agree(self, text, points_seed):
+        # generic floats: last-bit differences hide at round values
+        points = np.random.default_rng(points_seed).uniform(-3.0, 3.0, (4, 3))
+        expr = parse_expression(text)
+        names = ("x1", "x2", "v")
+        values = {}
+        for i, point in enumerate(points):
+            try:
+                values[i] = expr.eval(dict(zip(names, point.tolist())))
+            except EvaluationFailure:
+                pass
+
+        def stack_pass(rows):
+            env = {name: points[rows, k] for k, name in enumerate(names)}
+            return compile_stack([expr])(env, (len(rows),))[0]
+
+        if len(values) < len(points):
+            with pytest.raises(EvaluationFailure):
+                stack_pass(list(range(len(points))))
+        else:
+            stack_pass(list(range(len(points))))
+        if values:
+            rows = sorted(values)
+            got = stack_pass(rows)
+            assert got.tobytes() == np.array([values[i] for i in rows]).tobytes()

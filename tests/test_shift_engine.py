@@ -528,6 +528,25 @@ class TestRunShift:
                 chart_box=box,
             )
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("sample_stride", 0), ("sample_stride", -1), ("sample_stride", 2.5),
+         ("dt", 0.0), ("dt", -1e-3), ("dt", math.nan),
+         ("t_end", math.inf), ("t_end", math.nan), ("t_end", -0.05)],
+    )
+    def test_bad_time_arguments_rejected_before_any_work(self, name, value):
+        def chart_map(u):
+            raise AssertionError("the surface was reached")
+
+        surface = dataclasses.replace(plane_surface(), chart_map=chart_map)
+        kw = dict({"t_end": 0.05, "dt": 1e-3, "sample_stride": 5}, **{name: value})
+        if name == "sample_stride":
+            message = "sample_stride must be a positive integer"
+        else:
+            message = f"{name} must be positive and finite"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_shift(builtin_geodesic(), euclidean_metric(3), surface, small_grid(), **kw)
+
     def test_time_grid_validation(self):
         m = euclidean_metric(3)
         with pytest.raises(ValueError):
