@@ -507,6 +507,8 @@ def build_subject(sc: Scenario) -> Union[GeneratingScalar, ForceField]:
 
 
 def build_surface(sc: Scenario) -> Hypersurface:
+    """The scenario's hypersurface.  A graph's tangents are built from the
+    height expression's symbolic partials, one compiled pass per chart point."""
     surface = sc.surface
     common = dict(
         base_u=surface["base_u"], nu0=surface["nu0"], orientation=surface["orientation"]
@@ -517,11 +519,15 @@ def build_surface(sc: Scenario) -> Hypersurface:
     if kind == "sphere":
         return sphere_surface(radius=surface["radius"], center=surface["center"], **common)
     height_expr = surface["height"]
+    partials = compile_stack([height_expr.derivative("x1"), height_expr.derivative("x2")])
 
     def height(u):
         return height_expr.eval({"x1": float(u[0]), "x2": float(u[1])})
 
-    return graph_surface(height=height, **common)
+    def height_du(u):
+        return np.concatenate(partials(*_stack_env(np.asarray(u, dtype=float)[None])))
+
+    return graph_surface(height=height, height_du=height_du, **common)
 
 
 def _config_digest(path: Union[str, Path]) -> str:

@@ -85,7 +85,8 @@ class SampleSpec:
     are deterministic for a fixed seed.  ``mode`` selects between analytic
     derivative closures (where available) and pure finite differencing of
     the field evaluators; the default tolerance is 1e-8 for the former and
-    1e-5 for the latter.
+    1e-5 for the latter.  ``count`` must be a positive integer and
+    ``seed`` a nonnegative one.
     """
 
     box: Sequence[Sequence[float]]
@@ -98,8 +99,10 @@ class SampleSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.count < 1:
-            raise ValueError("sample count must be at least 1")
+        if not isinstance(self.count, (int, np.integer)) or self.count < 1:
+            raise ValueError(f"count must be a positive integer, got {self.count!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         lo, hi = self.speed_range
         if not (0.0 < lo <= hi):
             raise ValueError("speed_range must be positive and ordered")

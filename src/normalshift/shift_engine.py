@@ -360,10 +360,11 @@ def step_trajectory(F: ForceField, m: MetricField, st: PhaseState, dt: float) ->
     The one-row case of the step :func:`run_shift` takes for a whole
     family: the state is stepped as the stack (1, n), so a ``stacked``
     ``F`` sees only that stack and any other ``F`` one state.  Errors name
-    the step's start time.
+    the step's start time; a ``dt`` that is not positive and finite is
+    rejected first, as :func:`run_shift` rejects it.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be positive and finite")
     x, v = np.asarray(st.x, dtype=float)[None], np.asarray(st.v, dtype=float)[None]
     try:
         x_new, v_new, _ = _rk4_step(field_call(F, F.eval, m), m, x, v, dt)
@@ -648,12 +649,24 @@ def graph_surface(
     base_u: Tuple[float, float] = (0.0, 0.0),
     nu0: float = 1.0,
     orientation: float = 1.0,
+    height_du: Optional[Callable[[Array], Array]] = None,
 ) -> Hypersurface:
-    """Graph x^3 = height(u^1, u^2); tangents come from differencing."""
+    """Graph x^3 = height(u^1, u^2).
+
+    ``height_du``, when given, maps u to the height's exact partials
+    (dh/du^1, dh/du^2), from which the tangents are built; without it
+    the tangents come from differencing the chart.
+    """
 
     def chart(u):
         return np.array([u[0], u[1], float(height(u))])
 
+    du = None
+    if height_du is not None:
+
+        def du(u):
+            return np.vstack([np.eye(2), np.asarray(height_du(u), dtype=float)])
+
     return Hypersurface(
-        dim_u=2, chart_map=chart, base_u=base_u, nu0=nu0, orientation=orientation
+        dim_u=2, chart_map=chart, du=du, base_u=base_u, nu0=nu0, orientation=orientation
     )

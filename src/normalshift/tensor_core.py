@@ -6,14 +6,17 @@ metric, Christoffel symbols, the unit velocity direction N and the orthogonal
 projector P onto the hyperplane perpendicular to the velocity) are evaluated
 from it.  A flow stage reads one metric pack (g, its inverse and its
 derivatives) and raises its acceleration once, from the lowered
-connection term, without forming the Christoffel symbols.  Every
+connection term, without forming the Christoffel symbols.  The inverse
+metric of a 3-dimensional chart comes from its cofactors, and any
+inverse is accepted only once multiplying back gives the identity
+(:func:`inverse_metric_from`).  Every
 evaluator takes one point of shape (n,) or a stack of
 points of shape (..., n) and returns its tensors with the stack's leading
 axes in front.  A metric marked ``stacked`` has its closures called once
 per stack, and only ever on a stack: a single point reaches them as a
-one-row stack.  Any other metric's closures are called once per point,
-and once per run of a position that a stack repeats.  Index conventions,
-on the trailing axes:
+one-row stack.  Any other metric's closures are called once per point
+of a stack (k, n), and once per run of a position that a stack with
+more axes repeats.  Index conventions, on the trailing axes:
 
 * ``gamma[k, i, j]`` holds the connection component with upper index k and
   lower indices (i, j).
@@ -139,12 +142,13 @@ def _closure_values(
     """A metric closure's values at one point (n,) or a stack (..., n).
 
     A ``stacked`` closure is called once with the whole stack, a single
-    point as a one-row stack; any other once per run of equal consecutive
-    points, so an offset stack that holds the position fixed costs one
-    call per position.  The point values are assembled in one pass and
-    their shape checked once; each point's value must have ``shape``, and
-    a wrong or ragged one raises :class:`AsymmetricMetric` naming its
-    point.
+    point as a one-row stack.  Any other is called once per row of a
+    stack (k, n), such as a trajectory family, and once per run of equal
+    consecutive points of a stack with more axes, so an offset stack
+    that holds the position fixed costs one call per position.  The
+    point values are assembled in one pass and their shape checked once;
+    each point's value must have ``shape``, and a wrong or ragged one
+    raises :class:`AsymmetricMetric` naming its point.
     """
     if stacked:
         rows = x if x.ndim > 1 else x[None]
@@ -153,10 +157,12 @@ def _closure_values(
     if x.ndim == 1:
         return _checked_value(fn(x), x, shape, what)
     flat = x.reshape(-1, x.shape[-1])
-    repeats = (flat[1:] == flat[:-1]).all(axis=1)
-    if repeats.any():
-        new = np.concatenate(([True], ~repeats))
-        flat, runs = flat[new], np.cumsum(new) - 1
+    runs = None
+    if x.ndim > 2:
+        repeats = (flat[1:] == flat[:-1]).all(axis=1)
+        if repeats.any():
+            new = np.concatenate(([True], ~repeats))
+            flat, runs = flat[new], np.cumsum(new) - 1
     points = [fn(xi) for xi in flat]
     try:
         values = np.array(points, dtype=float)
@@ -165,15 +171,16 @@ def _closure_values(
     if values is None or values.shape[1:] != shape:
         checked = [_checked_value(p, xi, shape, what) for p, xi in zip(points, flat)]
         values = np.array(checked).reshape((-1,) + shape)
-    if repeats.any():
+    if runs is not None:
         values = values[runs]
     return values.reshape(x.shape[:-1] + shape)
 
 
 def _first_offender(err: np.ndarray, x: np.ndarray, tol: float):
-    """(worst entry, point) of the first point whose error matrix reaches ``tol``."""
+    """(worst entry, point) of the first point whose error matrix reaches ``tol``
+    or holds a nan."""
     per_point = err.reshape(-1, err.shape[-2] * err.shape[-1]).max(axis=1)
-    i = int(np.argmax(per_point >= tol))
+    i = int(np.argmax(~(per_point < tol)))
     return per_point[i], x.reshape(-1, x.shape[-1])[i]
 
 
@@ -203,12 +210,70 @@ def _checked_metric(gmat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return gmat
 
 
-def inverse_metric_from(gmat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Inverse of metric values already checked at ``x``, verified by multiplying back."""
+# Entry k of a 3 x 3 inverse, row-major, is the cofactor
+# g[a] g[b] - g[c] g[d] divided by the determinant, with (a, b, c, d)
+# column k of this table of flat indices into g.  Mirrored entries use
+# the same two products of a symmetric g, so the inverse is symmetric.
+_COFACTOR3 = np.array(
+    [
+        [4, 2, 1, 5, 0, 2, 3, 1, 0],
+        [8, 7, 5, 6, 8, 3, 7, 6, 4],
+        [5, 1, 2, 3, 2, 0, 4, 0, 1],
+        [7, 8, 4, 8, 6, 5, 6, 7, 3],
+    ]
+)
+
+
+def _inverse3(gmat: np.ndarray) -> np.ndarray:
+    """Inverses of symmetric 3 x 3 matrices (..., 3, 3) from their cofactors.
+
+    Every operation is elementwise, so each matrix of a stack rounds as it
+    rounds alone; the determinant is the first row of ``gmat`` against the
+    first column of cofactors, summed left to right.
+    """
+    fl = gmat.reshape(gmat.shape[:-2] + (9,))
+    t = fl[..., _COFACTOR3]
+    cof = t[..., 0, :] * t[..., 1, :] - t[..., 2, :] * t[..., 3, :]
+    det = fl[..., 0] * cof[..., 0] + fl[..., 1] * cof[..., 1] + fl[..., 2] * cof[..., 2]
+    return (cof / det[..., None]).reshape(gmat.shape)
+
+
+def _lapack_inverse(gmat: np.ndarray) -> np.ndarray:
+    """Symmetrized ``np.linalg.inv``, which inverts each matrix of a stack alone."""
     ginv = np.linalg.inv(gmat)
-    ginv = 0.5 * (ginv + ginv.swapaxes(-1, -2))
-    residual = np.abs(gmat @ ginv - np.eye(gmat.shape[-1]))
-    if residual.max() >= 1e-10:
+    return 0.5 * (ginv + ginv.swapaxes(-1, -2))
+
+
+def _multiply_back(gmat: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    return np.abs(gmat @ ginv - np.eye(gmat.shape[-1]))
+
+
+def inverse_metric_from(gmat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Inverse of metric values already checked at ``x``, verified by multiplying back.
+
+    Every inverse must give ``g g^-1`` within 1e-10 of the identity in
+    each entry.  For n = 3 it is taken from the cofactors
+    (:func:`_inverse3`), and only the matrices whose cofactor inverse
+    fails that test are inverted by LAPACK (:func:`_lapack_inverse`) and
+    tested again.  They are picked one by one, so a point's inverse is
+    the same alone and in a stack.  Any other n is inverted by LAPACK.
+    A matrix that LAPACK's inverse too fails raises
+    :class:`NotPositiveDefinite` with that inverse's residual, naming the
+    first such point.
+    """
+    if gmat.shape[-1] != 3:
+        ginv = _lapack_inverse(gmat)
+        residual = _multiply_back(gmat, ginv)
+    else:
+        # a determinant that rounds to 0 gives inf or nan, which fails the test
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ginv = _inverse3(gmat)
+            residual = _multiply_back(gmat, ginv)
+        if not residual.max() < 1e-10:
+            redo = ~(residual < 1e-10).all(axis=(-2, -1))
+            ginv[redo] = _lapack_inverse(gmat[redo])
+            residual[redo] = _multiply_back(gmat[redo], ginv[redo])
+    if not residual.max() < 1e-10:
         worst, at = _first_offender(residual, x, 1e-10)
         raise NotPositiveDefinite(
             f"metric too ill-conditioned to invert: residual {worst:.3e} at x={at}"

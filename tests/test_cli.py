@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -28,6 +29,7 @@ from normalshift.force_builder import (
     builtin_nonmetrizable,
     perturbed_field,
 )
+from normalshift.shift_engine import surface_tangents
 from normalshift.tensor_core import MetricField, metric_at, speed_at
 
 BOX = [[0.25, 1.25], [0.25, 1.25], [0.25, 1.25]]
@@ -870,6 +872,24 @@ class TestCompiledClosures:
         assert passes == [lead] and not any(point_evals)
         monkeypatch.setattr(Expression, "eval", point_eval)
         assert_same_bits(value, want.eval(m, x, v))
+
+    @pytest.mark.parametrize(
+        "height",
+        ["0.1*exp(0.5*x1)*cos(x2) + 0.05*x2^3", "0.1*log(2 + x1*x2)^1.5 + 0.3*sin(x1)^2", "0.3"],
+    )
+    def test_graph_tangents_are_the_symbolic_partials(self, tmp_path, height):
+        sc = load_scenario(write_config(tmp_path, base_scenario(
+            surface={"kind": "graph", "height": height})))
+        s = build_surface(sc)
+        expr = sc.surface["height"]
+        u = np.random.default_rng(6).uniform(-0.2, 0.2, size=(7, 2))
+        T = surface_tangents(s, u)
+        for Ti, ui in zip(T, u):
+            env = {"x1": float(ui[0]), "x2": float(ui[1])}
+            partials = [expr.derivative(name).eval(env) for name in ("x1", "x2")]
+            assert_same_bits(Ti, np.array([[1.0, 0.0, partials[0]], [0.0, 1.0, partials[1]]]))
+        differenced = dataclasses.replace(s, du=None)
+        assert np.allclose(T, surface_tangents(differenced, u), rtol=0, atol=1e-9)
 
     def test_shift_csv_equals_the_eval_closures(self, tmp_path, monkeypatch):
         # the cli-scenario benchmark's scenario: 5 x 5 trajectories, 20 steps

@@ -364,6 +364,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             SampleSpec(box=BOX, mode="symbolic")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("count", 2.5), ("count", 0), ("count", "3"), ("count", np.float64(4.0)),
+         ("seed", -1), ("seed", 1.5), ("seed", None)],
+    )
+    def test_count_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a "):
+            SampleSpec(box=BOX, **{field: value})
+        SampleSpec(box=BOX, **{field: np.int64(3)})
+
     def test_bad_box_rejected(self):
         m = euclidean_metric()
         with pytest.raises(ValueError):

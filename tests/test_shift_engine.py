@@ -129,6 +129,21 @@ class TestSurfaceTypes:
         T = surface_tangents(s, np.array([0.2, -0.3]))
         assert np.array_equal(T, np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
+    def test_graph_tangents_from_exact_partials(self):
+        def height(u):
+            return 0.2 * math.sin(u[0]) + 0.1 * u[0] * u[1]
+
+        def height_du(u):
+            return [0.2 * math.cos(u[0]) + 0.1 * u[1], 0.1 * u[0]]
+
+        exact = graph_surface(height=height, height_du=height_du)
+        differenced = graph_surface(height=height)
+        u = np.array([[0.3, -0.4], [-0.5, 0.2]])
+        T = surface_tangents(exact, u)
+        for Ti, ui in zip(T, u):
+            assert np.array_equal(Ti, [[1.0, 0.0, height_du(ui)[0]], [0.0, 1.0, height_du(ui)[1]]])
+        assert np.allclose(T, surface_tangents(differenced, u), rtol=0, atol=1e-9)
+
     def test_sphere_analytic_tangents_match_differenced(self):
         s = sphere_surface(radius=1.3, center=(0.2, 0.0, -0.1))
         stripped = Hypersurface(
@@ -449,12 +464,13 @@ class TestStepTrajectory:
         with pytest.raises(NonFinite):
             step_trajectory(huge, m, st, 1.0)
 
-    def test_nonpositive_dt_rejected(self):
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+    def test_dt_not_positive_and_finite_rejected(self, dt):
         m = euclidean_metric(3)
         ff = as_force_field(builtin_geodesic())
         st = PhaseState(x=np.zeros(3), v=np.ones(3), t=0.0)
-        with pytest.raises(ValueError):
-            step_trajectory(ff, m, st, 0.0)
+        with pytest.raises(ValueError, match="^dt must be positive and finite$"):
+            step_trajectory(ff, m, st, dt)
 
 
 class TestRunShift:

@@ -17,9 +17,12 @@ from normalshift.errors import (
 from normalshift.tensor_core import (
     FD_STEP,
     MetricField,
+    _inverse3,
+    _lapack_inverse,
     central_partials,
     christoffel_at,
     inverse_metric_at,
+    inverse_metric_from,
     lower_index,
     metric_at,
     metric_derivatives_at,
@@ -44,6 +47,34 @@ def random_spd_metric(a):
     a = np.asarray(a, dtype=float)
     gmat = a.T @ a + np.eye(a.shape[0])
     return MetricField(dim=a.shape[0], g=lambda x: gmat.copy())
+
+
+def spd_stack(rng, k, kappa, n=3):
+    """k symmetric positive-definite n x n matrices of 2-norm condition
+    number ``kappa``, each in its own random frame and at its own scale
+    in [1e-2, 1e2], symmetrized as the library symmetrizes metric values."""
+    q, _ = np.linalg.qr(rng.standard_normal((k, n, n)))
+    spread = np.concatenate([np.zeros((k, 1)), rng.random((k, n - 2)), np.ones((k, 1))], axis=1)
+    eig = kappa**spread * 10.0 ** rng.uniform(-2.0, 2.0, size=(k, 1))
+    g = (q * eig[:, None, :]) @ q.swapaxes(-1, -2)
+    return 0.5 * (g + g.swapaxes(-1, -2))
+
+
+def lapack_path(g):
+    """The inverse and the multiply-back residual of every matrix of ``g``
+    by symmetrized LAPACK, the path every n took before the cofactor one."""
+    ginv = np.linalg.inv(g)
+    ginv = 0.5 * (ginv + ginv.swapaxes(-1, -2))
+    return ginv, np.abs(g @ ginv - np.eye(g.shape[-1])).max(axis=(-2, -1))
+
+
+def accepted(g):
+    """Whether ``inverse_metric_from`` takes the single matrix ``g``."""
+    try:
+        inverse_metric_from(g, np.zeros(g.shape[-1]))
+    except NotPositiveDefinite:
+        return False
+    return True
 
 
 class TestMetricAt:
@@ -106,6 +137,59 @@ class TestInverseMetric:
         x = np.zeros(3)
         prod = metric_at(m, x) @ inverse_metric_at(m, x)
         assert np.max(np.abs(prod - np.eye(3))) < 1e-10
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e1, 1e2, 1e3, 1e4])
+    def test_cofactor_inverse_matches_lapack(self, kappa):
+        # the cofactor inverse is not backward stable: its gap to LAPACK's
+        # grows as kappa^2 (on these stacks at most 0.06 kappa^2 ulp of the
+        # largest entry for kappa >= 10, 1.6 ulp at kappa = 1); the bound
+        # is 4 kappa^2 ulp
+        g = spd_stack(np.random.default_rng(11), 500, kappa)
+        got, want = _inverse3(g), lapack_path(g)[0]
+        assert np.array_equal(got, got.swapaxes(-1, -2))
+        gap = np.abs(got - want).max(axis=(-2, -1))
+        ulp = np.finfo(float).eps * np.abs(want).max(axis=(-2, -1))
+        assert np.all(gap <= 4.0 * kappa**2 * ulp)
+
+    @pytest.mark.parametrize("kappa", [1e4, 1e5, 1e6, 1e7, 1e8])
+    def test_no_metric_is_newly_rejected(self, kappa):
+        g = spd_stack(np.random.default_rng(int(np.log10(kappa))), 1000, kappa)
+        before = lapack_path(g)[1] < 1e-10
+        now = np.array([accepted(gi) for gi in g])
+        assert not np.any(before & ~now)
+        # the few metrics near the threshold that are newly taken carry an
+        # inverse that passes the multiply-back test, and every taken one
+        # is the same alone and in a stack
+        taken = g[now]
+        ginv = inverse_metric_from(taken, np.zeros((len(taken), 3)))
+        assert np.abs(taken @ ginv - np.eye(3)).max() < 1e-10
+        for gi, row in zip(taken, ginv):
+            assert np.array_equal(inverse_metric_from(gi, np.zeros(3)), row)
+
+    def test_fallback_is_picked_per_row(self):
+        # a metric whose cofactor inverse fails the multiply-back test but
+        # whose LAPACK inverse passes, among well-conditioned ones
+        candidates = spd_stack(np.random.default_rng(6), 200, 1e6)
+        cofactor = np.abs(candidates @ _inverse3(candidates) - np.eye(3)).max(axis=(-2, -1))
+        bad = candidates[np.argmax((cofactor >= 1e-10) & (lapack_path(candidates)[1] < 1e-10))]
+        assert np.abs(bad @ _inverse3(bad) - np.eye(3)).max() >= 1e-10
+        good = spd_stack(np.random.default_rng(7), 4, 10.0)
+        g = np.concatenate([good[:2], bad[None], good[2:]])
+        x = np.arange(15.0).reshape(5, 3)
+        ginv = inverse_metric_from(g, x)
+        for i in range(5):
+            alone = inverse_metric_from(g[i], x[i])
+            assert np.array_equal(ginv[i], alone)
+            assert np.array_equal(inverse_metric_from(g[i : i + 1], x[i : i + 1])[0], alone)
+            want = _lapack_inverse(g[i]) if i == 2 else _inverse3(g[i])
+            assert np.array_equal(ginv[i], want)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_other_dimensions_keep_the_lapack_inverse(self, n):
+        g = spd_stack(np.random.default_rng(n), 50, 1e3, n=n)
+        want = lapack_path(g)[0]
+        assert np.array_equal(inverse_metric_from(g, np.zeros((50, n))), want)
+        assert np.array_equal(inverse_metric_from(g[3], np.zeros(n)), want[3])
 
 
 class TestChristoffel:
@@ -351,6 +435,31 @@ class TestStacks:
         x = np.arange(12.0).reshape(4, 3)
         metric_at(m, x)
         assert np.array_equal(np.array(calls), x)
+
+    def test_point_closures_once_per_row_of_a_family_once_per_run_otherwise(self):
+        # a family (k, n) is not scanned for repeats; a stack with more
+        # axes, such as offsets that hold the position fixed, is
+        calls = []
+
+        def g(x):
+            calls.append(x.copy())
+            return np.eye(3)
+
+        def dg(x):
+            calls.append(x.copy())
+            return np.zeros((3, 3, 3))
+
+        m = MetricField(dim=3, g=g, dg=dg)
+        family = np.repeat(np.arange(6.0).reshape(2, 3), 3, axis=0)
+        for evaluate in (metric_at, metric_derivatives_at):
+            calls.clear()
+            evaluate(m, family)
+            assert np.array_equal(np.array(calls), family)
+        offsets = np.repeat(family[:, None], 4, axis=1)  # (6, 4, 3), two runs
+        for evaluate in (metric_at, metric_derivatives_at):
+            calls.clear()
+            evaluate(m, offsets)
+            assert np.array_equal(np.array(calls), family[[0, 3]])
 
     def test_stack_changed_in_place_is_evaluated_again(self):
         # the positions kept with the last stack's values are a copy, so an
