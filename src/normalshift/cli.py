@@ -373,7 +373,7 @@ def _validate_box(box, dim: int, where: str) -> tuple:
     return pairs
 
 
-def _check_options(tolerance: Optional[float], seed: Optional[int]) -> None:
+def _check_options(tolerance: Optional[float], seed: Optional[int] = None) -> None:
     """Reject a command-line tolerance that is not positive and finite, or a negative seed."""
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ConfigError(f"--tolerance must be positive and finite, not {tolerance}")
@@ -503,7 +503,7 @@ def build_subject(sc: Scenario) -> Union[GeneratingScalar, ForceField]:
         out[..., component] += bump(*_stack_env(x, speed_at(m, x, v)))[0]
         return out
 
-    return ForceField(eval=eval_, label="user", stacked=True)
+    return ForceField(eval=eval_, stacked=True)
 
 
 def build_surface(sc: Scenario) -> Hypersurface:
@@ -676,11 +676,10 @@ def cmd_shift(
     force_constant_nu: bool = False,
     out: Union[str, Path] = ".",
     tolerance: Optional[float] = None,
-    seed: Optional[int] = None,
 ) -> int:
     """Run the configured shift and write trajectories plus a summary."""
     try:
-        _check_options(tolerance, seed)  # seed is unused: shift runs are deterministic
+        _check_options(tolerance)
         sc = load_scenario(config_path)
         if sc.surface is None or sc.run is None:
             raise ConfigError("scenario needs surface and run sections for a shift")
@@ -790,7 +789,8 @@ def cmd_report(bundle_path: Union[str, Path]) -> int:
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def _parser() -> argparse.ArgumentParser:
+    """The command line: one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="normalshift",
         description="Force fields admitting the normal shift: verification and simulation.",
@@ -808,22 +808,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_shift.add_argument("--force-constant-nu", action="store_true")
     p_shift.add_argument("--out", default=".")
     p_shift.add_argument("--tolerance", type=float, default=None)
-    p_shift.add_argument("--seed", type=int, default=None)
 
     p_report = sub.add_parser("report", help="render a summary bundle")
     p_report.add_argument("bundle")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "verify":
         return cmd_verify(args.config, tolerance=args.tolerance, seed=args.seed, out=args.out)
     if args.command == "shift":
-        return cmd_shift(
-            args.config,
-            force_constant_nu=args.force_constant_nu,
-            out=args.out,
-            tolerance=args.tolerance,
-            seed=args.seed,
-        )
+        return cmd_shift(args.config, force_constant_nu=args.force_constant_nu, out=args.out,
+                         tolerance=args.tolerance)
     return cmd_report(args.bundle)
 
 

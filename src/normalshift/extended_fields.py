@@ -16,7 +16,6 @@ implements directly, and what the test suite checks against the long route.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
@@ -32,6 +31,7 @@ from .tensor_core import (
     metric_at,
     metric_derivatives_at,
     per_state,
+    scaled_step,
     speed_at,
 )
 
@@ -92,17 +92,11 @@ def check_finite(value, what: str) -> Union[float, Array]:
     """``value`` as a float when 0-d, else as a float array, once checked finite.
 
     A non-finite entry raises :class:`EvaluationFailure` naming ``what``.
-    Floats, numpy's included, skip the array conversion: the speed
-    derivatives check one per call on the verify and shift hot paths.
     """
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float(value)
-    else:
-        arr = np.asarray(value, dtype=float)
-        if np.isfinite(arr).all():
-            return float(arr) if arr.ndim == 0 else arr
-    raise EvaluationFailure(f"{what} evaluated to a non-finite value")
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise EvaluationFailure(f"{what} evaluated to a non-finite value")
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def fiber_gradient(fn: Callable[[Array], Array], v: Array) -> Array:
@@ -112,8 +106,7 @@ def fiber_gradient(fn: Callable[[Array], Array], v: Array) -> Array:
     on the stack of offsets when ``v`` is a stack (..., n), and once per
     offset at a single velocity.
     """
-    h = FD_STEP * np.maximum(1.0, np.max(np.abs(v), axis=-1))
-    grad = np.moveaxis(central_partials(fn, v, h), 0, -1)
+    grad = np.moveaxis(central_partials(fn, v, scaled_step(v)), 0, -1)
     return check_finite(grad, "velocity gradient")
 
 
@@ -124,7 +117,7 @@ def fiber_hessian(gradient: Callable[[Array], Array], v: Array) -> Array:
     of the inner step of ``gradient``, plus one Richardson level so the
     outer truncation does not dominate.
     """
-    h = np.sqrt(FD_STEP) * np.maximum(1.0, np.max(np.abs(v), axis=-1))
+    h = scaled_step(v, np.sqrt(FD_STEP))
     return np.moveaxis(central_partials(gradient, v, h, richardson=True), 0, v.ndim - 1)
 
 
@@ -140,8 +133,8 @@ def velocity_gradient(phi: ExtendedScalar, x: Array, v: Array) -> Array:
 def _x_partials(phi: ExtendedScalar, x: Array, v: Array) -> Array:
     if phi.dx is not None:
         return check_finite(phi.dx(x, v), "x-partials")
-    h = FD_STEP * max(1.0, float(np.max(np.abs(x))))
-    return check_finite(central_partials(lambda y: phi.eval(y, v), x, h), "x-partials")
+    partials = central_partials(lambda y: phi.eval(y, v), x, scaled_step(x))
+    return check_finite(partials, "x-partials")
 
 
 def spatial_gradient(phi: ExtendedScalar, m: MetricField, x: Array, v: Array) -> Array:
@@ -153,7 +146,7 @@ def spatial_gradient(phi: ExtendedScalar, m: MetricField, x: Array, v: Array) ->
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     raw = _x_partials(phi, x, v)
-    gamma = christoffel_at(m, x).gamma
+    gamma = christoffel_at(m, x)
     vgrad = velocity_gradient(phi, x, v)
     transport = np.einsum("kmj,j,k->m", gamma, v, vgrad)
     return raw - transport
@@ -188,7 +181,7 @@ def x_partial_values(w: IsotropicScalar, x: Array, speed) -> Array:
     differences with one call of ``eval`` on all offsets."""
     if w.dx is not None:
         return np.asarray(isotropic_call(w, w.dx, x, speed), dtype=float)
-    h = FD_STEP * np.maximum(1.0, np.max(np.abs(x), axis=-1))
+    h = scaled_step(x)
     speeds = np.asarray(speed)[..., None]
 
     def at_offsets(y):
@@ -220,7 +213,7 @@ def speed_derivative_values(w: IsotropicScalar, x: Array, speed) -> Array:
     both speed offsets of every state."""
     if w.dspeed is not None:
         return isotropic_call(w, w.dspeed, x, speed)
-    h = FD_STEP * np.maximum(1.0, np.abs(speed))
+    h = scaled_step(np.asarray(speed)[..., None])
     plus, minus = _speed_offsets(w, w.eval, x, speed, (h, -h))
     return (plus - minus) / (2.0 * per_state(h, plus.ndim - h.ndim))
 
@@ -246,11 +239,11 @@ def isotropic_second_speed_derivative(w: IsotropicScalar, x: Array, speed) -> Un
     """
     x = np.asarray(x, dtype=float)
     if w.dspeed is not None:
-        h = FD_STEP * np.maximum(1.0, np.abs(speed))
+        h = scaled_step(np.asarray(speed)[..., None])
         plus, minus = _speed_offsets(w, w.dspeed, x, speed, (h, -h))
         value = (plus - minus) / (2.0 * per_state(h, plus.ndim - h.ndim))
     else:
-        h = np.sqrt(FD_STEP) * np.maximum(1.0, np.abs(speed))
+        h = scaled_step(np.asarray(speed)[..., None], np.sqrt(FD_STEP))
         plus, mid, minus = _speed_offsets(w, w.eval, x, speed, (h, 0.0, -h))
         value = (plus - 2.0 * mid + minus) / per_state(h, plus.ndim - h.ndim) ** 2
     return check_finite(value, "second speed derivative")

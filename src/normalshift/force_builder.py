@@ -133,26 +133,28 @@ def h_values(gs: GeneratingScalar, w: Array) -> Array:
 class AnsatzField:
     """Isotropic coefficient fields (a, b_1 .. b_n) of the scalar ansatz.
 
-    ``pack``, when present, is one vector-valued isotropic field whose value
-    is the whole coefficient pack (a, b_1, ..., b_n).  Consumers then
-    evaluate and difference that one vector instead of each component on
-    its own.  Without it the component fields are evaluated one by one,
-    with their analytic partials where they carry them.
+    It takes exactly one of two forms.  The components ``a`` and ``b`` are
+    evaluated one by one, with their analytic partials where they carry
+    them.  A ``pack`` is one vector-valued isotropic field whose value is
+    the whole coefficient pack (a, b_1, ..., b_n), which consumers
+    evaluate and difference as one vector.
     """
 
-    a: IsotropicScalar
-    b: Tuple[IsotropicScalar, ...]
+    a: Optional[IsotropicScalar] = None
+    b: Optional[Tuple[IsotropicScalar, ...]] = None
     pack: Optional[IsotropicScalar] = None
+
+    def __post_init__(self):
+        given = (self.a is not None, self.b is not None, self.pack is not None)
+        if given not in ((True, True, False), (False, False, True)):
+            raise ValueError("AnsatzField takes either the components a and b or the pack")
 
 
 @dataclass(frozen=True)
 class ForceField:
     """Evaluatable force covector F_k(x, v).
 
-    ``label`` records how the field was built: "generated-from-W" and
-    "ansatz" fields are theorem-certified by construction, "user" fields
-    are arbitrary (negative controls live there).  ``dv`` and ``nabla``
-    optionally supply analytic derivative matrices
+    ``dv`` and ``nabla`` optionally supply analytic derivative matrices
 
         dv(m, x, v)[r, k]    = d F_k / d v^r
         nabla(m, x, v)[r, k] = covariant spatial derivative of F_k along x^r
@@ -170,7 +172,6 @@ class ForceField:
     """
 
     eval: Callable[[MetricField, Array, Array], Array]
-    label: str
     dv: Optional[Callable[[MetricField, Array, Array], Array]] = None
     nabla: Optional[Callable[[MetricField, Array, Array], Array]] = None
     stacked: bool = False
@@ -352,21 +353,11 @@ def generated_force(gs: GeneratingScalar, m: MetricField) -> Callable:
     return lambda x, v, gmat=None: force_from_W(gs, m, x, v, gmat)
 
 
-def ansatz_from_generator(gs: GeneratingScalar, m: MetricField) -> AnsatzField:
-    """Wrap a = h(W)/W_v and b_k = -W_k/W_v as isotropic field descriptors.
-
-    The coefficients come as one pack (see :func:`coefficient_pack`); the
-    component fields read their entry of it.
-    """
-
-    def component(k):
-        return IsotropicScalar(eval=lambda x, s: float(coefficient_pack(gs, x, s)[k]))
-
-    return AnsatzField(
-        a=component(0),
-        b=tuple(component(k) for k in range(1, m.dim + 1)),
-        pack=IsotropicScalar(eval=lambda x, s: coefficient_pack(gs, x, s), stacked=True),
-    )
+def ansatz_from_generator(gs: GeneratingScalar) -> AnsatzField:
+    """a = h(W)/W_v and b_k = -W_k/W_v as one isotropic field, the
+    coefficient pack (see :func:`coefficient_pack`)."""
+    pack = IsotropicScalar(eval=lambda x, s: coefficient_pack(gs, x, s), stacked=True)
+    return AnsatzField(pack=pack)
 
 
 # Assembly of the ansatz derivatives from the coefficient pack.  ``c``,
@@ -460,7 +451,7 @@ def ansatz_scalar(af: AnsatzField, m: MetricField) -> ExtendedScalar:
     return ExtendedScalar(eval=eval_, dv=dv, dv2=dv2)
 
 
-def ansatz_force_field(af: AnsatzField, label: str = "ansatz") -> ForceField:
+def ansatz_force_field(af: AnsatzField) -> ForceField:
     """Force field F_k = a N_k + |v| sum_i b_i (2 N^i N_k - delta^i_k).
 
     Carries analytic derivative closures assembled from the isotropic
@@ -490,39 +481,28 @@ def ansatz_force_field(af: AnsatzField, label: str = "ansatz") -> ForceField:
         pr = unit_direction(m, x, v)
         return ansatz_force_nabla(
             pr,
-            christoffel_at(m, x).gamma,
+            christoffel_at(m, x),
             v,
             coefficients(af, x, pr.speed),
             coefficient_gradient(af, x, pr.speed),
         )
 
-    return ForceField(eval=eval_, label=label, dv=dv, nabla=nabla, stacked=True)
+    return ForceField(eval=eval_, dv=dv, nabla=nabla, stacked=True)
 
 
 def as_force_field(gs: GeneratingScalar) -> ForceField:
     """Evaluatable force field for a generating pair, with derivatives.
 
-    Its ``eval`` is :func:`force_from_W`; ``dv`` and ``nabla`` come from the
-    ansatz route, built once per metric.  All three take stacks of states,
-    so the field is ``stacked``.
+    Its ``eval`` is :func:`force_from_W`; ``dv`` and ``nabla`` are those of
+    the ansatz force field of the pair's coefficient pack, built once here.
+    All three take stacks of states, so the field is ``stacked``.
     """
-    ansatz = {}
-
-    def ansatz_for(m):
-        if m not in ansatz:
-            ansatz[m] = ansatz_force_field(ansatz_from_generator(gs, m))
-        return ansatz[m]
+    ansatz = ansatz_force_field(ansatz_from_generator(gs))
 
     def eval_(m, x, v):
         return force_from_W(gs, m, x, v)
 
-    def dv(m, x, v):
-        return ansatz_for(m).dv(m, x, v)
-
-    def nabla(m, x, v):
-        return ansatz_for(m).nabla(m, x, v)
-
-    return ForceField(eval=eval_, label="generated-from-W", dv=dv, nabla=nabla, stacked=True)
+    return ForceField(eval=eval_, dv=ansatz.dv, nabla=ansatz.nabla, stacked=True)
 
 
 def gauge_transform(gs: GeneratingScalar, rho: GaugeMap) -> GeneratingScalar:
@@ -805,7 +785,7 @@ def perturbed_field(
         out[..., component] += by_rows(lambda xi, vi: float(bump(m, xi, vi)), x, v)
         return out
 
-    return ForceField(eval=eval_, label="user", stacked=base.stacked)
+    return ForceField(eval=eval_, stacked=base.stacked)
 
 
 def coordinate_scalar(index: int, dim: int = 3, coefficient: float = 1.0) -> IsotropicScalar:

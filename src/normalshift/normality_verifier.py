@@ -53,7 +53,6 @@ from .force_builder import (
     generated_force,
 )
 from .tensor_core import (
-    FD_STEP,
     MetricField,
     central_partials,
     christoffel_from,
@@ -65,6 +64,7 @@ from .tensor_core import (
     metric_derivatives_at,
     outer,
     per_state,
+    scaled_step,
     speed_from,
     unit_direction,
     unit_direction_from,
@@ -85,8 +85,8 @@ class SampleSpec:
     are deterministic for a fixed seed.  ``mode`` selects between analytic
     derivative closures (where available) and pure finite differencing of
     the field evaluators; the default tolerance is 1e-8 for the former and
-    1e-5 for the latter.  ``count`` must be a positive integer and
-    ``seed`` a nonnegative one.
+    1e-5 for the latter; a given ``tolerance`` must be positive and finite.
+    ``count`` must be a positive integer and ``seed`` a nonnegative one.
     """
 
     box: Sequence[Sequence[float]]
@@ -106,6 +106,9 @@ class SampleSpec:
         lo, hi = self.speed_range
         if not (0.0 < lo <= hi):
             raise ValueError("speed_range must be positive and ordered")
+        tol = self.tolerance
+        if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
     def resolved_tolerance(self) -> float:
         if self.tolerance is not None:
@@ -171,14 +174,12 @@ def _force_derivatives(
     if dv is not None:
         Dv = check_finite(dv(x, v, gmat), "force fiber derivative")
     else:
-        h = FD_STEP * np.maximum(1.0, np.max(np.abs(v), axis=-1))
-        Dv = _partials(lambda u: force(_over(x, u), u, _over(gmat, u, 2)), v, h)
+        Dv = _partials(lambda u: force(_over(x, u), u, _over(gmat, u, 2)), v, scaled_step(v))
         Dv = check_finite(Dv, "force fiber difference")
     if nabla is not None:
         Dx = check_finite(nabla(x, v, gmat), "force spatial derivative")
     else:
-        h = FD_STEP * np.maximum(1.0, np.max(np.abs(x), axis=-1))
-        raw = _partials(lambda y: force(y, _over(v, y), None), x, h)
+        raw = _partials(lambda y: force(y, _over(v, y), None), x, scaled_step(x))
         gamma = christoffel_from(ginv, metric_derivatives_at(m, x))
         transport = np.einsum("...jri,...i,...jk->...rk", gamma, v, Dv)
         twist = np.einsum("...crk,...c->...rk", gamma, F)
@@ -439,7 +440,7 @@ def _residual_rows(
     ginv = inverse_metric_from(gmat, x)
     analytic = mode == "analytic"
     if isinstance(subject, GeneratingScalar):
-        af = ansatz_from_generator(subject, m)
+        af = ansatz_from_generator(subject)
         force = generated_force(subject, m)
         c = coefficients(af, x, pr.speed)
         c_p = coefficient_speed_derivative(af, x, pr.speed)

@@ -41,7 +41,6 @@ from .force_builder import (
     h_values,
 )
 from .tensor_core import (
-    FD_STEP,
     SPEED_FLOOR,
     MetricField,
     by_rows,
@@ -50,8 +49,9 @@ from .tensor_core import (
     inverse_metric_from,
     mat_vec,
     metric_at,
-    metric_pack,
+    metric_derivatives_at,
     raised_acceleration,
+    scaled_step,
     speed_from,
     unit_direction_from,
 )
@@ -102,13 +102,15 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform parameter grid, one (start, stop, count) range per direction,
-    each of at least five points and nonzero width for the deviation stencil."""
+    """Uniform parameter grid, one (start, stop, count) range per direction, each
+    of an integer count of at least five points and nonzero width for the stencil."""
 
     ranges: Tuple[Tuple[float, float, int], ...]
 
     def __post_init__(self):
         for a, b, c in self.ranges:
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+                raise ValueError(f"point count must be an integer, got {c!r}")
             if int(c) < 5:
                 raise GridTooCoarse(
                     f"{int(c)} points on [{a}, {b}]: the interior stencil needs at least 5"
@@ -180,7 +182,7 @@ def surface_tangents(s: Hypersurface, u: Array) -> Array:
     u = np.asarray(u, dtype=float)
     if s.du is not None:
         return by_rows(s.du, u).swapaxes(-1, -2)
-    h = FD_STEP * np.maximum(1.0, np.max(np.abs(u), axis=-1))
+    h = scaled_step(u)
     partials = central_partials(lambda y: by_rows(s.chart_map, y), u, h, richardson=True)
     return np.moveaxis(partials, 0, -2)
 
@@ -313,12 +315,13 @@ Force = Callable[[Array, Array, Array], Array]
 def _flow_rhs(force: Force, m: MetricField, x: Array, v: Array, gmat: Array) -> Tuple[Array, Array]:
     """(dx/dt, dv/dt) of the flow at a stack of states (k, n).
 
-    ``gmat`` is the checked metric at ``x``.  The stage's one metric pack
-    is built on it, the force reads its g, and the acceleration is raised
-    once (:func:`~normalshift.tensor_core.raised_acceleration`).
+    ``gmat`` is the checked metric at ``x``, which is not checked again.
+    The stage inverts it, takes the metric derivatives, then the force,
+    which reads ``gmat``, and raises the acceleration once
+    (:func:`~normalshift.tensor_core.raised_acceleration`).
     """
-    pack = metric_pack(m, x, gmat)
-    return v, raised_acceleration(pack, v, np.asarray(force(x, v, pack.g), dtype=float))
+    ginv, dg = inverse_metric_from(gmat, x), metric_derivatives_at(m, x)
+    return v, raised_acceleration(ginv, dg, v, np.asarray(force(x, v, gmat), dtype=float))
 
 
 def _rk4_step(
@@ -446,7 +449,8 @@ def run_shift(
     positions and one of velocities.
     States are recorded every ``sample_stride`` steps; ``chart_box``, when
     given, bounds the coordinates and integration aborts once a trajectory
-    leaves it.  A failure is reported for the earliest failing step and,
+    leaves it; it must hold one finite [lo, hi] pair with lo < hi per
+    coordinate.  A failure is reported for the earliest failing step and,
     within it, the lowest grid row, naming that trajectory's u and time.
     """
     if not (math.isfinite(dt) and dt > 0):
@@ -457,6 +461,10 @@ def run_shift(
         raise ValueError("sample_stride must be a positive integer")
     if len(grid.ranges) != s.dim_u:
         raise ValueError("grid dimensionality does not match the surface")
+    box = None if chart_box is None else np.asarray(chart_box, dtype=float)
+    if box is not None and not (box.shape == (m.dim, 2) and np.isfinite(box).all()
+                                and (box[:, 0] < box[:, 1]).all()):
+        raise ValueError(f"chart_box must hold {m.dim} finite [lo, hi] pairs with lo < hi")
     axes = grid.axes()
     shape = tuple(len(ax) for ax in axes)
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -472,8 +480,6 @@ def run_shift(
     record_steps = np.arange(0, n_steps + 1, sample_stride)
     times = record_steps * dt
     n_t = len(times)
-
-    box = None if chart_box is None else np.asarray(chart_box, dtype=float)
 
     force = generated_force(gs, m)
     x = by_rows(s.chart_map, u_grid)
@@ -591,21 +597,19 @@ def plane_surface(
     nu0: float = 1.0,
     orientation: float = 1.0,
 ) -> Hypersurface:
-    """Coordinate plane x^axis = offset in three dimensions."""
-    others = [k for k in range(3) if k != axis]
+    """Coordinate plane x^axis = offset in three dimensions, ``axis`` 0, 1 or 2."""
+    if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or not 0 <= axis <= 2:
+        raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
+    others = np.delete(np.arange(3), axis)
+    tangents = np.eye(3)[:, others]
 
     def chart(u):
-        x = np.empty(3)
-        x[axis] = offset
-        x[others[0]] = u[0]
-        x[others[1]] = u[1]
+        x = np.full(3, float(offset))
+        x[others] = u
         return x
 
     def du(u):
-        out = np.zeros((3, 2))
-        out[others[0], 0] = 1.0
-        out[others[1], 1] = 1.0
-        return out
+        return tangents.copy()
 
     return Hypersurface(
         dim_u=2, chart_map=chart, du=du, base_u=base_u, nu0=nu0, orientation=orientation
@@ -620,7 +624,11 @@ def sphere_surface(
     orientation: float = 1.0,
 ) -> Hypersurface:
     """Sphere patch in angles u = (polar, azimuth), polar away from 0, pi."""
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     c = np.asarray(center, dtype=float)
+    if c.shape != (3,):
+        raise ValueError(f"center must have three components, got {center!r}")
 
     def chart(u):
         th, ph = float(u[0]), float(u[1])

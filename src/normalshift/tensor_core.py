@@ -4,9 +4,9 @@ Everything here lives in a single coordinate chart: the metric is a
 user-supplied closure ``x -> g_ij(x)`` and all derived objects (the inverse
 metric, Christoffel symbols, the unit velocity direction N and the orthogonal
 projector P onto the hyperplane perpendicular to the velocity) are evaluated
-from it.  A flow stage reads one metric pack (g, its inverse and its
-derivatives) and raises its acceleration once, from the lowered
-connection term, without forming the Christoffel symbols.  The inverse
+from it.  A flow stage reads g, its inverse and its derivatives and
+raises its acceleration once, from the lowered connection term, without
+forming the Christoffel symbols.  The inverse
 metric of a 3-dimensional chart comes from its cofactors, and any
 inverse is accepted only once multiplying back gives the identity
 (:func:`inverse_metric_from`).  Every
@@ -80,12 +80,6 @@ class MetricField:
             raise DimensionTooSmall(
                 f"chart dimension must be at least 3, got {self.dim}"
             )
-
-
-class Christoffel(NamedTuple):
-    """Connection components ``gamma[k, i, j]``, symmetric in (i, j)."""
-
-    gamma: np.ndarray
 
 
 class Projector(NamedTuple):
@@ -342,6 +336,12 @@ def metric_derivatives_at(m: MetricField, x: np.ndarray) -> np.ndarray:
     return 0.5 * (d + d.swapaxes(-1, -2))
 
 
+def scaled_step(a: np.ndarray, base: float = FD_STEP) -> np.ndarray:
+    """The difference step at points ``a`` (..., n): ``base`` times the larger
+    of 1 and max|a| over the last axis, one step per point."""
+    return base * np.maximum(1.0, np.max(np.abs(a), axis=-1))
+
+
 def central_partials(
     fn: Callable[[np.ndarray], np.ndarray], at: np.ndarray, h, richardson: bool = False
 ) -> np.ndarray:
@@ -425,41 +425,27 @@ def christoffel_from(ginv: np.ndarray, d: np.ndarray) -> np.ndarray:
     return 0.5 * (t + t.swapaxes(-1, -2) - third)
 
 
-def christoffel_at(m: MetricField, x: np.ndarray) -> Christoffel:
-    """Christoffel symbols of the metric connection at ``x`` (or a stack)."""
-    return Christoffel(
-        gamma=christoffel_from(inverse_metric_at(m, x), metric_derivatives_at(m, x))
-    )
+def christoffel_at(m: MetricField, x: np.ndarray) -> np.ndarray:
+    """Christoffel symbols ``gamma[..., k, i, j]`` of the metric connection at
+    ``x`` (or a stack), symmetric in (i, j)."""
+    return christoffel_from(inverse_metric_at(m, x), metric_derivatives_at(m, x))
 
 
-class MetricPack(NamedTuple):
-    """What a flow stage reads of the metric at its positions (..., n): the
-    checked values ``g`` (..., n, n), the inverse ``ginv`` verified by
-    multiplying back, and the derivatives ``dg`` (..., n, n, n)."""
-
-    g: np.ndarray
-    ginv: np.ndarray
-    dg: np.ndarray
-
-
-def metric_pack(m: MetricField, x: np.ndarray, gmat: np.ndarray) -> MetricPack:
-    """The metric pack at ``x`` built on ``gmat``, the metric there as
-    :func:`metric_at` took and checked it, which is not checked again."""
-    return MetricPack(g=gmat, ginv=inverse_metric_from(gmat, x), dg=metric_derivatives_at(m, x))
-
-
-def raised_acceleration(pack: MetricPack, v: np.ndarray, force: np.ndarray) -> np.ndarray:
+def raised_acceleration(
+    ginv: np.ndarray, dg: np.ndarray, v: np.ndarray, force: np.ndarray
+) -> np.ndarray:
     """dv/dt = g^-1 (F - c) of the flow with covector force ``F``, which is
     g^-1 F - gamma(v, v) raised once, with no Christoffel tensor formed.
 
     c_s = g_sk gamma^k_ij v^i v^j = sum_m v^m d_m g_sj v^j - (1/2) d_s g_ij v^i v^j
     is the lowered connection term.  With e[..., m, s] = sum_j d_m g_sj v^j,
     one matmul, its first part contracts the row index of ``e`` with v and
-    its second part the column index.  ``pack.dg`` is symmetric in its
-    metric index pair, as :func:`metric_derivatives_at` returns it.
+    its second part the column index.  ``ginv`` is the inverse metric and
+    ``dg`` its derivatives, symmetric in the metric index pair, as
+    :func:`metric_derivatives_at` returns them.
     """
-    e = (pack.dg @ v[..., None, :, None])[..., 0]
-    return mat_vec(pack.ginv, force - (vec_mat(v, e) - 0.5 * mat_vec(e, v)))
+    e = (dg @ v[..., None, :, None])[..., 0]
+    return mat_vec(ginv, force - (vec_mat(v, e) - 0.5 * mat_vec(e, v)))
 
 
 def speed_from(gmat: np.ndarray, v: np.ndarray) -> np.ndarray:

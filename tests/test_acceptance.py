@@ -174,7 +174,7 @@ def test_criterion_04_ansatz_roundtrip():
     # from the recovered ansatz scalar must be the same field
     for m in (euclidean_metric(), conformal_metric()):
         for gs in (metrizable(lambda w: w), nonmetrizable_cubic()):
-            af = ansatz_from_generator(gs, m)
+            af = ansatz_from_generator(gs)
             A = ansatz_scalar(af, m)
             states = sample_states(SampleSpec(box=BOX, count=200, seed=13), m)
             gap = max(

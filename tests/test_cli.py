@@ -1,5 +1,8 @@
+import argparse
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,6 +481,12 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("cannot read bundle: ") and "Traceback" not in err
 
+    def test_bundle_that_is_an_array_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text("[]")
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err == "cannot read bundle: bundle must be a JSON object\n"
+
     @pytest.mark.parametrize("content", UNREADABLE.values(), ids=UNREADABLE.keys())
     def test_unreadable_bundle_exits_2(self, tmp_path, capsys, content):
         path = tmp_path / "unreadable.json"
@@ -661,13 +670,28 @@ class TestRejectedInput:
                                       "speed_range": [2.0, 5.0]}}, [], "generator.speed_range"),
             # JSON true equals 1 in Python, but it is not a number
             ("shift", {"surface.orientation": True}, [], "surface.orientation"),
+            ("verify", {"metric": [1]}, [], "metric must be an object"),
+            ("verify", {"metric": {"dim": 3}}, [], "missing key(s) ['kind'] in metric"),
+            ("verify", {"metric.dim": 3.5}, [], "metric.dim must be an integer"),
+            ("verify", {"verify.speed_range": [0.5]}, [], "verify.speed_range must be [lo, hi]"),
+            ("verify", {"generator": {"kind": "metrizable", "f": 3, "H": "v"}}, [],
+             "generator.f must be an expression string"),
+            ("verify", {"metric.dim": 2}, [], "metric dimension must be at least 3"),
+            ("verify", {"metric": {"kind": "diagonal", "entries": ["1", "1"]}}, [],
+             "metric.entries must list at least three expressions"),
+            ("verify", {"metric.dim": 4}, [], "surfaces require a three-dimensional metric"),
+            ("verify", {"run.sample_stride": 0}, [], "run.sample_stride must be positive"),
+            ("verify", {"verify.sample_count": 0}, [], "verify.sample_count must be positive"),
         ],
         ids=[
             "t_end-infinite", "t_end-past-float-range", "dt-nan", "run-tolerance-nan", "offset-infinite", "verify-box-nan",
             "name-parent", "name-absolute", "name-subdirectory", "name-dot", "name-dotdot",
             "verify-tolerance-nan", "verify-tolerance-negative", "shift-tolerance-nan",
             "shift-tolerance-negative", "seed-negative", "seed-option-negative",
-            "speed-range-without-one", "orientation-true",
+            "speed-range-without-one", "orientation-true", "section-not-an-object",
+            "kind-missing", "dim-not-an-integer", "lo-hi-malformed", "expression-not-a-string",
+            "dim-2", "two-diagonal-entries", "surface-on-4d-metric", "sample-stride-0",
+            "sample-count-0",
         ],
     )
     def test_exits_2_and_names_the_key(
@@ -909,3 +933,30 @@ class TestCompiledClosures:
         compiled = (tmp_path / "compiled" / "bench.trajectories.csv").read_bytes()
         assert compiled == (tmp_path / "eval" / "bench.trajectories.csv").read_bytes()
 
+
+
+# ---------------------------------------------------------------------------
+# The README against the program it documents.
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadme:
+    def test_scenario_block_loads(self, tmp_path):
+        block = re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1)
+        sc = load_scenario(write_config(tmp_path, json.loads(block)))
+        assert sc.name == "plane-demo" and sc.surface is not None and sc.verify is not None
+
+    def test_synopsis_options_are_the_parsers(self):
+        text = README.read_text()
+        synopsis = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S).group(1)
+        documented = {
+            line.split()[1]: set(re.findall(r"--[a-z-]+", line)) for line in synopsis.splitlines()
+        }
+        commands = next(
+            a.choices for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(documented) == set(commands)
+        for name, parser in commands.items():
+            options = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+            assert documented[name] == options, name

@@ -367,7 +367,7 @@ class TestRoundtrip:
 
     def roundtrip_gap(self, gs, m, samples, seed, analytic=True):
         rng = np.random.default_rng(seed)
-        af = ansatz_from_generator(gs, m)
+        af = ansatz_from_generator(gs)
         if analytic:
             A = ansatz_scalar(af, m)
         else:
@@ -402,7 +402,7 @@ class TestRoundtrip:
 class TestAnsatzScalar:
     def test_fiber_gradient_matches_differencing(self):
         m = wavy_conformal_metric()
-        af = ansatz_from_generator(generic_generator(), m)
+        af = ansatz_from_generator(generic_generator())
         A = ansatz_scalar(af, m)
         bare = ExtendedScalar(eval=A.eval)
         rng = np.random.default_rng(3)
@@ -417,7 +417,7 @@ class TestAnsatzScalar:
 
     def test_fiber_hessian_matches_differencing(self):
         m = euclidean_metric()
-        af = ansatz_from_generator(generic_generator(), m)
+        af = ansatz_from_generator(generic_generator())
         A = ansatz_scalar(af, m)
         bare = ExtendedScalar(eval=A.eval)
         rng = np.random.default_rng(4)
@@ -723,12 +723,6 @@ class TestSpeedQuadrature:
 
 
 class TestForceFieldObjects:
-    def test_labels(self):
-        gs = generic_generator()
-        m = euclidean_metric()
-        assert as_force_field(gs).label == "generated-from-W"
-        assert ansatz_force_field(ansatz_from_generator(gs, m)).label == "ansatz"
-
     def test_generated_field_matches_direct_construction(self):
         m = wavy_conformal_metric()
         gs = generic_generator()
@@ -744,7 +738,7 @@ class TestForceFieldObjects:
         # the reduced-field constructors
         m = wavy_conformal_metric()
         gs = generic_generator()
-        ff = ansatz_force_field(ansatz_from_generator(gs, m))
+        ff = ansatz_force_field(ansatz_from_generator(gs))
         rng = np.random.default_rng(67)
         for _ in range(30):
             x = random_point(rng, BOX)
@@ -771,7 +765,7 @@ class TestForceFieldObjects:
             e = np.zeros(3)
             e[r] = h
             raw[r] = (ff.eval(m, x + e, v) - ff.eval(m, x - e, v)) / (2.0 * h)
-        gamma = christoffel_at(m, x).gamma
+        gamma = christoffel_at(m, x)
         dvmat = self.fd_dv(ff, m, x, v)
         transport = np.einsum("jri,i,jk->rk", gamma, v, dvmat)
         twist = np.einsum("crk,c->rk", gamma, ff.eval(m, x, v))
@@ -843,7 +837,7 @@ class TestCoefficientPack:
         raw = np.array(direction)
         v = raw * (speed / speed_at(m, x, raw))
         s = speed_at(m, x, v)
-        packed = ansatz_from_generator(gs, m)
+        packed = ansatz_from_generator(gs)
         parts = component_ansatz(gs, m)
         assert packed.pack is not None and parts.pack is None
 
@@ -870,6 +864,17 @@ class TestCoefficientPack:
         for got, want in zip(residual_reduced(packed, m, x, s), residual_reduced(parts, m, x, s)):
             close(got, want)
 
+    def test_ansatz_field_takes_components_or_pack(self):
+        c, b = zero_scalar(), (zero_scalar(),) * 3
+        assert AnsatzField(a=c, b=b).pack is None
+        assert AnsatzField(pack=c).a is None
+        for given in ({}, {"a": c}, {"b": b}, {"a": c, "pack": c}, {"b": b, "pack": c},
+                      {"a": c, "b": b, "pack": c}):
+            with pytest.raises(
+                ValueError, match="^AnsatzField takes either the components a and b or the pack$"
+            ):
+                AnsatzField(**given)
+
     def test_component_partials_still_used(self):
         # a component-built field keeps its analytic partials: a marker dx
         # and dspeed come through unchanged
@@ -887,22 +892,19 @@ class TestCoefficientPack:
             coefficient_speed_derivative(af, np.ones(3), 1.0), [10.0, 11.0, 12.0, 13.0]
         )
 
-    def test_generated_derivatives_build_one_ansatz_per_metric(self, monkeypatch):
+    def test_generated_derivatives_build_one_ansatz(self, monkeypatch):
         import normalshift.force_builder as fb
 
         built = []
         real = fb.ansatz_from_generator
-        monkeypatch.setattr(
-            fb, "ansatz_from_generator", lambda gs, m: built.append(m) or real(gs, m)
-        )
+        monkeypatch.setattr(fb, "ansatz_from_generator", lambda gs: built.append(gs) or real(gs))
         gs = generic_generator()
         ff = as_force_field(gs)
         x = np.array([0.6, 0.9, 0.4])
         v = np.array([0.3, -0.8, 0.5])
-        flat, curved = euclidean_metric(), wavy_conformal_metric()
+        reference = ansatz_force_field(real(gs))
         for _ in range(2):
-            for m in (flat, curved):
-                reference = ansatz_force_field(real(gs, m))
+            for m in (euclidean_metric(), wavy_conformal_metric()):
                 assert np.array_equal(ff.dv(m, x, v), reference.dv(m, x, v))
                 assert np.array_equal(ff.nabla(m, x, v), reference.nabla(m, x, v))
-        assert built == [flat, curved]
+        assert built == [gs]

@@ -57,7 +57,7 @@ BOX = [[0.25, 1.25], [0.25, 1.25], [0.25, 1.25]]
 
 
 def zero_field():
-    return ForceField(eval=lambda m, x, v: np.zeros(3), label="user")
+    return ForceField(eval=lambda m, x, v: np.zeros(3))
 
 
 def metrizable_flat_h():
@@ -124,7 +124,7 @@ class TestWeakEquations:
         # F_k = x^1 v_k is a scalar-ansatz field whose coefficient a = x^1 |v|
         # fails the reduced a-equation, and the failure surfaces here
         m = euclidean_metric()
-        ff = ForceField(eval=lambda m_, x_, v_: lower_index(m_, x_, v_) * x_[0], label="user")
+        ff = ForceField(eval=lambda m_, x_, v_: lower_index(m_, x_, v_) * x_[0])
         x = np.array([0.7, 0.4, 1.2])
         v = np.array([0.9, -0.5, 0.6])
         assert np.max(np.abs(residual_weak2(ff, m, x, v))) > 1e-3
@@ -158,7 +158,7 @@ class TestAdditionalConditions:
         # both terms of the condition are annihilated by the projectors for
         # fields proportional to the covariant velocity
         m = euclidean_metric()
-        ff = ForceField(eval=lambda m_, x_, v_: lower_index(m_, x_, v_) * x_[0], label="user")
+        ff = ForceField(eval=lambda m_, x_, v_: lower_index(m_, x_, v_) * x_[0])
         x = np.array([0.7, 0.4, 1.2])
         v = np.array([0.9, -0.5, 0.6])
         assert np.max(np.abs(residual_additional1(ff, m, x, v))) < 1e-10
@@ -166,7 +166,7 @@ class TestAdditionalConditions:
     def test_linear_velocity_field_violates_second_condition(self):
         m = euclidean_metric()
         mat = np.array([[0.3, -0.7, 0.2], [0.5, 0.1, -0.4], [-0.2, 0.6, 0.8]])
-        ff = ForceField(eval=lambda m_, x_, v_: mat @ v_, label="user")
+        ff = ForceField(eval=lambda m_, x_, v_: mat @ v_)
         x = np.array([0.7, 0.4, 1.2])
         v = np.array([0.9, -0.5, 0.6])
         assert np.max(np.abs(residual_additional2(ff, m, x, v))) > 1e-3
@@ -255,7 +255,7 @@ class TestReducedEquations:
     def test_certified_coefficients_pass(self):
         m = euclidean_metric()
         gs = builtin_metrizable(coordinate_scalar(0), H=lambda w: w)
-        af = ansatz_from_generator(gs, m)
+        af = ansatz_from_generator(gs)
         rng = np.random.default_rng(31)
         for _ in range(10):
             x = random_point(rng, BOX)
@@ -378,6 +378,24 @@ class TestSampling:
         m = euclidean_metric()
         with pytest.raises(ValueError):
             sample_states(SampleSpec(box=[[0.0, 1.0]]), m)
+
+    def test_unordered_speed_range_rejected(self):
+        with pytest.raises(ValueError, match="^speed_range must be positive and ordered$"):
+            SampleSpec(box=BOX, speed_range=(2.0, 1.0))
+
+    @pytest.mark.parametrize("tolerance", [-1.0, 0.0, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        with pytest.raises(
+            ValueError, match=f"^tolerance must be positive and finite, got {tolerance!r}$"
+        ):
+            SampleSpec(box=BOX, tolerance=tolerance)
+        assert SampleSpec(box=BOX, tolerance=1e-3).resolved_tolerance() == 1e-3
+        assert SampleSpec(box=BOX, mode="finite-diff").resolved_tolerance() == 1e-5
+
+    def test_report_needs_a_sample(self):
+        with pytest.raises(ValueError, match="^sample_count must be at least 1$"):
+            NormalityReport(*[0.0] * 7, lambda_samples=np.zeros(0), sample_count=0,
+                            tolerance_used=1e-8, passed=True)
 
 
 class TestVerify:
@@ -502,7 +520,7 @@ class TestStackedVerify:
 
         m = wavy_conformal_metric()
         spec = SampleSpec(box=BOX, count=10, seed=12, mode=mode)
-        rows = verify(ForceField(eval=one_state, label="user"), m, spec)
+        rows = verify(ForceField(eval=one_state), m, spec)
         stack = verify(stacked, m, spec)
         assert rows.residuals() == stack.residuals()
         assert np.array_equal(rows.lambda_samples, stack.lambda_samples)
@@ -602,7 +620,7 @@ class TestVerifyFailures:
         first = next(i for i, (x, _) in enumerate(states) if x[1] > 1.0)
         assert all(x[1] < 0.999 for x, _ in states[:first])
         with pytest.raises(EvaluationFailure, match=rf"^sample {first} at x = "):
-            verify(ForceField(eval=blows_up, label="user"), m, spec)
+            verify(ForceField(eval=blows_up), m, spec)
 
 
 class TestSharedPackPath:
@@ -634,7 +652,7 @@ class TestSharedPackPath:
             )
         else:
             ff = as_force_field(subject)
-            af = ansatz_from_generator(subject, m)
+            af = ansatz_from_generator(subject)
             A = ansatz_scalar(af, m)
         worst = dict.fromkeys(report.residuals(), 0.0)
         lambdas = []

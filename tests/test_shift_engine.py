@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,42 @@ class TestSurfaceTypes:
         with pytest.raises(ValueError):
             Hypersurface(dim_u=2, chart_map=lambda u: np.zeros(3), base_u=(0.0,))
 
+    def test_no_parameter_rejected(self):
+        with pytest.raises(ValueError, match="^dim_u must be at least 1$"):
+            Hypersurface(dim_u=0, chart_map=lambda u: np.zeros(3))
+
+    @pytest.mark.parametrize("count", [5.7, 5.0, "5", True])
+    def test_grid_count_must_be_an_integer(self, count):
+        with pytest.raises(ValueError, match=f"^point count must be an integer, got {count!r}$"):
+            GridSpec(ranges=((0.0, 1.0, count), (0.0, 1.0, 5)))
+        assert GridSpec(ranges=((0.0, 1.0, np.int64(5)), (0.0, 1.0, 5))).axes()[0].size == 5
+
+    @pytest.mark.parametrize(
+        "axis,x",
+        [(0, [0.7, 0.2, -0.3]), (1, [0.2, 0.7, -0.3]), (2, [0.2, -0.3, 0.7])],
+    )
+    def test_plane_chart_on_each_axis(self, axis, x):
+        s = plane_surface(axis=axis, offset=0.7)
+        u = np.array([0.2, -0.3])
+        assert np.array_equal(s.chart_map(u), x)
+        assert np.array_equal(surface_tangents(s, u), np.delete(np.eye(3), axis, axis=0))
+
+    @pytest.mark.parametrize("axis", [-2, -1, 3, 2.0, True])
+    def test_plane_axis_outside_0_1_2_rejected(self, axis):
+        with pytest.raises(ValueError, match=f"^axis must be 0, 1 or 2, got {axis!r}$"):
+            plane_surface(axis=axis)
+
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
+    def test_sphere_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(ValueError, match=f"^radius must be positive and finite, got {radius!r}$"):
+            sphere_surface(radius=radius)
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.0, 0.0, 0.0, 1.0), ((0.0, 0.0, 0.0),)])
+    def test_sphere_center_must_have_three_components(self, center):
+        message = re.escape(f"center must have three components, got {center!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sphere_surface(center=center)
+
     def test_grid_axes(self):
         grid = GridSpec(ranges=((0.0, 1.0, 5), (-1.0, 1.0, 9)))
         ax0, ax1 = grid.axes()
@@ -171,6 +208,15 @@ class TestSurfaceTypes:
                 dt=rec.dt,
                 sample_stride=rec.sample_stride,
             )
+
+    def test_record_times_and_grid_checked(self, plane_geodesic_record):
+        rec = plane_geodesic_record
+        stalled = rec.times.copy()
+        stalled[2] = stalled[1]
+        with pytest.raises(ValueError, match="^times must increase strictly from 0$"):
+            dataclasses.replace(rec, times=stalled)
+        with pytest.raises(ValueError, match="^grid_shape inconsistent with u_grid$"):
+            dataclasses.replace(rec, grid_shape=(5, 4))
 
     def test_state_accessor(self, plane_geodesic_record):
         rec = plane_geodesic_record
@@ -459,10 +505,18 @@ class TestStepTrajectory:
 
     def test_overflow_raises(self):
         m = euclidean_metric(3)
-        huge = ForceField(eval=lambda m_, x, v: np.full(3, 1e308), label="user")
+        huge = ForceField(eval=lambda m_, x, v: np.full(3, 1e308))
         st = PhaseState(x=np.zeros(3), v=np.array([1.0, 0.0, 0.0]), t=0.0)
         with pytest.raises(NonFinite):
             step_trajectory(huge, m, st, 1.0)
+
+    def test_speed_collapse_raises(self):
+        # a constant force of -v/dt stops the flat flow's state in one step
+        m = euclidean_metric(3)
+        brake = ForceField(eval=lambda m_, x, v: np.array([-2.0, 0.0, 0.0]))
+        st = PhaseState(x=np.zeros(3), v=np.array([1.0, 0.0, 0.0]), t=0.25)
+        with pytest.raises(ZeroVelocity, match="^speed collapsed below floor near t = 0.25$"):
+            step_trajectory(brake, m, st, 0.5)
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf, -math.inf])
     def test_dt_not_positive_and_finite_rejected(self, dt):
@@ -563,6 +617,33 @@ class TestRunShift:
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_shift(builtin_geodesic(), euclidean_metric(3), surface, small_grid(), **kw)
 
+    def test_grid_of_another_dimension_rejected(self):
+        grid = GridSpec(ranges=((-0.1, 0.1, 5),))
+        with pytest.raises(ValueError, match="^grid dimensionality does not match the surface$"):
+            run_shift(builtin_geodesic(), euclidean_metric(3), plane_surface(), grid,
+                      t_end=0.05, dt=1e-3, sample_stride=5)
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            [[-1.0, 1.0], [-1.0, 1.0], [0.05, -0.05]],
+            [[-1.0, 1.0], [-1.0, 1.0], [0.05, 0.05]],
+            [[-1.0, 1.0], [-1.0, 1.0]],
+            [[-1.0, 1.0], [-1.0, 1.0], [-1.0, math.inf]],
+            [[-1.0, 1.0], [math.nan, 1.0], [-1.0, 1.0]],
+        ],
+        ids=["lo-above-hi", "lo-equals-hi", "two-rows", "infinite", "nan"],
+    )
+    def test_bad_chart_box_rejected_before_any_work(self, box):
+        def chart_map(u):
+            raise AssertionError("the surface was reached")
+
+        surface = dataclasses.replace(plane_surface(), chart_map=chart_map)
+        message = re.escape("chart_box must hold 3 finite [lo, hi] pairs with lo < hi")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_shift(builtin_geodesic(), euclidean_metric(3), surface, small_grid(),
+                      t_end=0.05, dt=1e-3, sample_stride=5, chart_box=box)
+
     def test_time_grid_validation(self):
         m = euclidean_metric(3)
         with pytest.raises(ValueError):
@@ -633,7 +714,7 @@ class TestRaisedOnceStage:
         force = generated_force(gs, m)
         dx, dv = shift_engine._flow_rhs(force, m, x, v, metric_at(m, x))
         f_up = mat_vec(inverse_metric_at(m, x), force_from_W(gs, m, x, v))
-        gamma_vv = np.einsum("...kij,...i,...j->...k", christoffel_at(m, x).gamma, v, v)
+        gamma_vv = np.einsum("...kij,...i,...j->...k", christoffel_at(m, x), v, v)
         assert dx is v and dv.shape == shape
         assert np.abs(gamma_vv).min() > 1e-3  # the connection term is not negligible
         scale = np.abs(f_up) + np.abs(gamma_vv)

@@ -27,6 +27,7 @@ from normalshift.tensor_core import (
     metric_at,
     metric_derivatives_at,
     raise_index,
+    scaled_step,
     speed_at,
     unit_direction,
 )
@@ -195,7 +196,7 @@ class TestInverseMetric:
 class TestChristoffel:
     def test_flat_metric_vanishes(self):
         m = euclidean_metric()
-        gamma = christoffel_at(m, np.array([0.4, 1.0, -2.0])).gamma
+        gamma = christoffel_at(m, np.array([0.4, 1.0, -2.0]))
         assert np.array_equal(gamma, np.zeros((3, 3, 3)))
 
     @seed(11)
@@ -206,7 +207,7 @@ class TestChristoffel:
         # gamma^k_ij = -d_i f delta^k_j - d_j f delta^k_i + delta_ij d_k f.
         # Here f = x^1, so df = (1, 0, 0).
         m = conformal_metric()
-        gamma = christoffel_at(m, x).gamma
+        gamma = christoffel_at(m, x)
         df = np.array([1.0, 0.0, 0.0])
         expected = np.zeros((3, 3, 3))
         for k in range(3):
@@ -222,7 +223,7 @@ class TestChristoffel:
         # cross-check: gamma^2_12 = gamma^2_21 = 1/x^1, gamma^1_22 = -x^1,
         # everything else zero.  At x^1 = 2 the nonzero values are 1/2, -2.
         m = diagonal_metric()
-        gamma = christoffel_at(m, np.array([2.0, 0.3, -1.0])).gamma
+        gamma = christoffel_at(m, np.array([2.0, 0.3, -1.0]))
         expected = np.zeros((3, 3, 3))
         expected[1, 0, 1] = expected[1, 1, 0] = 0.5
         expected[0, 1, 1] = -2.0
@@ -237,8 +238,8 @@ class TestChristoffel:
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = 0.5 + rng.random(3)
-            ga = christoffel_at(analytic, x).gamma
-            gf = christoffel_at(fd, x).gamma
+            ga = christoffel_at(analytic, x)
+            gf = christoffel_at(fd, x)
             assert np.max(np.abs(ga - gf)) < 1e-6
 
     @seed(13)
@@ -246,12 +247,19 @@ class TestChristoffel:
     @given(GOOD_POINTS)
     def test_lower_index_symmetry_exact(self, x):
         m = wavy_conformal_metric()
-        gamma = christoffel_at(m, x).gamma
+        gamma = christoffel_at(m, x)
         assert np.array_equal(gamma, gamma.transpose(0, 2, 1))
 
 
 class TestCentralPartials:
     """The one central-difference stencil behind every vector derivative."""
+
+    def test_scaled_step(self):
+        # FD_STEP, or the base, times max(1, max|a|) over the last axis, per point
+        a = np.array([[0.5, -0.2, 0.1], [3.0, -4.0, 0.5]])
+        assert np.array_equal(scaled_step(a), [FD_STEP, 4.0 * FD_STEP])
+        assert scaled_step(np.array([-2.0]), 0.25) == 0.5
+        assert scaled_step(a[:, None, :1], 0.25).shape == (2, 1)
 
     def test_quadratic_is_exact_without_richardson(self):
         q = np.array([[2.0, 0.5, -1.0], [0.5, 1.0, 0.3], [-1.0, 0.3, 3.0]])
@@ -407,7 +415,7 @@ class TestStacks:
         v = rng.uniform(-1.0, 1.0, size=(2, 4, 3))
         g = metric_at(m, x)
         ginv = inverse_metric_at(m, x)
-        gamma = christoffel_at(m, x).gamma
+        gamma = christoffel_at(m, x)
         pr = unit_direction(m, x, v)
         speed = speed_at(m, x, v)
         assert g.shape == ginv.shape == pr.P.shape == (2, 4, 3, 3)
@@ -417,7 +425,7 @@ class TestStacks:
             one = unit_direction(m, x[idx], v[idx])
             assert np.allclose(g[idx], metric_at(m, x[idx]), rtol=1e-15, atol=0)
             assert np.allclose(ginv[idx], inverse_metric_at(m, x[idx]), rtol=1e-14, atol=0)
-            assert np.allclose(gamma[idx], christoffel_at(m, x[idx]).gamma, rtol=0, atol=1e-13)
+            assert np.allclose(gamma[idx], christoffel_at(m, x[idx]), rtol=0, atol=1e-13)
             assert np.allclose(pr.P[idx], one.P, rtol=0, atol=1e-14)
             assert np.allclose(pr.N_down[idx], one.N_down, rtol=1e-14, atol=0)
             assert speed[idx] == pytest.approx(one.speed, rel=1e-14)
