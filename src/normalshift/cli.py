@@ -428,18 +428,21 @@ def build_metric(sc: Scenario) -> MetricField:
     return MetricField(dim=dim, g=g_diag, dg=dg_diag, stacked=True)
 
 
-def _isotropic_from_position_expression(expr: Expression, dim: int) -> IsotropicScalar:
+def _isotropic(expr: Expression, dim: int) -> IsotropicScalar:
+    """The stacked isotropic scalar of an expression over x1..xn and v, with
+    its symbolic partials (the constant 0 in v for a position expression)."""
     value = compile_stack([expr])
     partials = compile_stack([expr.derivative(f"x{k + 1}") for k in range(dim)])
+    speed = compile_stack([expr.derivative("v")])
 
     def ev(x, s):
-        return value(*_stack_env(x))[0]
+        return value(*_stack_env(x, s))[0]
 
     def dx(x, s):
-        return np.stack(partials(*_stack_env(x)), axis=-1)
+        return np.stack(partials(*_stack_env(x, s)), axis=-1)
 
     def dspeed(x, s):
-        return np.zeros(x.shape[:-1])
+        return speed(*_stack_env(x, s))[0]
 
     return IsotropicScalar(eval=ev, dx=dx, dspeed=dspeed, stacked=True)
 
@@ -462,30 +465,11 @@ def build_generator(sc: Scenario) -> GeneratingScalar:
     if kind == "geodesic":
         return builtin_geodesic()
     if kind == "metrizable":
-        f_scalar = _isotropic_from_position_expression(gen["f"], sc.dim)
-        return builtin_metrizable(f_scalar, H=_single_variable_fn(gen["H"]))
+        return builtin_metrizable(_isotropic(gen["f"], sc.dim), H=_single_variable_fn(gen["H"]))
     if kind == "nonmetrizable":
-        f_scalar = _isotropic_from_position_expression(gen["f"], sc.dim)
-        a_fn = _single_variable_fn(gen["A"])
+        f_scalar, a_fn = _isotropic(gen["f"], sc.dim), _single_variable_fn(gen["A"])
         return builtin_nonmetrizable(f_scalar, a_fn, speed_range=gen["speed_range"])
-    w_expr = gen["W"]
-    w_value = compile_stack([w_expr])
-    w_partials = compile_stack([w_expr.derivative(f"x{k + 1}") for k in range(sc.dim)])
-    w_speed = compile_stack([w_expr.derivative("v")])
-
-    def w_eval(x, s):
-        return w_value(*_stack_env(x, s))[0]
-
-    def w_dx(x, s):
-        return np.stack(w_partials(*_stack_env(x, s)), axis=-1)
-
-    def w_dspeed(x, s):
-        return w_speed(*_stack_env(x, s))[0]
-
-    return GeneratingScalar(
-        W=IsotropicScalar(eval=w_eval, dx=w_dx, dspeed=w_dspeed, stacked=True),
-        h=_single_variable_fn(gen["h"]),
-    )
+    return GeneratingScalar(W=_isotropic(gen["W"], sc.dim), h=_single_variable_fn(gen["h"]))
 
 
 def build_subject(sc: Scenario) -> Union[GeneratingScalar, ForceField]:
@@ -530,18 +514,6 @@ def build_surface(sc: Scenario) -> Hypersurface:
     return graph_surface(height=height, height_du=height_du, **common)
 
 
-def _config_digest(path: Union[str, Path]) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _provenance(config_path: Union[str, Path]) -> dict:
-    return {
-        "config_sha256": _config_digest(config_path),
-        "tool_version": TOOL_VERSION,
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-    }
-
-
 def _normality_section(report: NormalityReport) -> dict:
     section = {key: float(value) for key, value in report.residuals().items()}
     section["sample_count"] = report.sample_count
@@ -569,9 +541,19 @@ def _write(path: Path, write: Callable, *args) -> Path:
     return path
 
 
-def _write_bundle(out_dir: Path, name: str, bundle: dict) -> Path:
+def _write_bundle(out_dir: Path, sc: Scenario, kind: str, config_path: Union[str, Path],
+                  normality: Optional[dict] = None, shift_summary: Optional[dict] = None) -> Path:
+    """Write ``<name>.<kind>.report.json``: the normality section or the shift
+    summary, and the provenance of the configuration file."""
+    provenance = {
+        "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
+        "tool_version": TOOL_VERSION,
+        "generated_at": datetime.now(timezone.utc).isoformat(),
+    }
+    bundle = {"name": sc.name, "normality": normality, "shift_summary": shift_summary,
+              "provenance": provenance}
     text = json.dumps(bundle, indent=2, sort_keys=True) + "\n"
-    return _write(out_dir / f"{name}.report.json", Path.write_text, text)
+    return _write(out_dir / f"{sc.name}.{kind}.report.json", Path.write_text, text)
 
 
 @contextlib.contextmanager
@@ -596,12 +578,10 @@ def _exit_code(exc: Exception) -> int:
     return code
 
 
-def _format_float(value: float) -> str:
-    return format(value, ".17g")
-
-
 def write_trajectory_csv(path: Union[str, Path], rec: ShiftRecord) -> None:
-    """Write the recorded family with fixed columns and LF line endings."""
+    """Write the recorded family with fixed columns and LF line endings: each
+    trajectory's values (t, x, v, speed, W, phi) are stacked once, and each
+    row is one format string, the id and then every value as ``%.17g``."""
     dim = rec.x.shape[2]
     dim_u = rec.phi.shape[2]
     columns = (
@@ -611,17 +591,14 @@ def write_trajectory_csv(path: Union[str, Path], rec: ShiftRecord) -> None:
         + ["speed", "W"]
         + [f"phi_{k + 1}" for k in range(dim_u)]
     )
+    row = "%d" + ",%.17g" * (len(columns) - 1) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
         for i in range(rec.u_grid.shape[0]):
-            for j in range(rec.times.shape[0]):
-                cells = [str(i), _format_float(rec.times[j])]
-                cells += [_format_float(val) for val in rec.x[i, j]]
-                cells += [_format_float(val) for val in rec.v[i, j]]
-                cells.append(_format_float(rec.speed_vals[i, j]))
-                cells.append(_format_float(rec.W_vals[i, j]))
-                cells += [_format_float(val) for val in rec.phi[i, j]]
-                fh.write(",".join(cells) + "\n")
+            values = np.column_stack(
+                (rec.times, rec.x[i], rec.v[i], rec.speed_vals[i], rec.W_vals[i], rec.phi[i])
+            )
+            fh.writelines(row % (i, *cells) for cells in values.tolist())
 
 
 def cmd_verify(
@@ -649,13 +626,7 @@ def cmd_verify(
                 tolerance=tolerance if tolerance is not None else sc.verify["tolerance"],
             )
         report = verify(subject, m, spec)
-        bundle = {
-            "name": sc.name,
-            "normality": _normality_section(report),
-            "shift_summary": None,
-            "provenance": _provenance(config_path),
-        }
-        path = _write_bundle(out_dir, f"{sc.name}.verify", bundle)
+        path = _write_bundle(out_dir, sc, "verify", config_path, _normality_section(report))
     except (NormalShiftError, ValueError) as exc:
         return _exit_code(exc)
 
@@ -720,13 +691,7 @@ def cmd_shift(
             if not math.isfinite(summary[key]):
                 raise NormalShiftError(f"{key} is not finite")
         csv_path = _write(out_dir / f"{sc.name}.trajectories.csv", write_trajectory_csv, rec)
-        bundle = {
-            "name": sc.name,
-            "normality": None,
-            "shift_summary": summary,
-            "provenance": _provenance(config_path),
-        }
-        bundle_path = _write_bundle(out_dir, f"{sc.name}.shift", bundle)
+        bundle_path = _write_bundle(out_dir, sc, "shift", config_path, shift_summary=summary)
     except (NormalShiftError, ValueError) as exc:
         return _exit_code(exc)
 

@@ -249,21 +249,18 @@ def isotropic_second_speed_derivative(w: IsotropicScalar, x: Array, speed) -> Un
     return check_finite(value, "second speed derivative")
 
 
-def velocity_hessian(phi: ExtendedScalar, x: Array, v: Array, symmetrize: bool = True) -> Array:
-    """Fiber Hessian d^2 phi / d v^r d v^s.
+def velocity_hessian(phi: ExtendedScalar, x: Array, v: Array) -> Array:
+    """Fiber Hessian d^2 phi / d v^r d v^s, as evaluated: its symmetric part is not taken.
 
     Uses the analytic ``dv2`` closure when present.  Otherwise differences
-    the velocity gradient (:func:`fiber_hessian`).
+    the velocity gradient (:func:`fiber_hessian`), whose mixed partials
+    agree only to within the differencing error.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if phi.dv2 is not None:
-        hess = check_finite(phi.dv2(x, v), "fiber Hessian")
-    else:
-        hess = fiber_hessian(lambda u: velocity_gradient(phi, x, u), v)
-    if symmetrize:
-        hess = 0.5 * (hess + hess.swapaxes(-1, -2))
-    return hess
+        return check_finite(phi.dv2(x, v), "fiber Hessian")
+    return fiber_hessian(lambda u: velocity_gradient(phi, x, u), v)
 
 
 def lift_isotropic(w: IsotropicScalar, m: MetricField) -> ExtendedScalar:

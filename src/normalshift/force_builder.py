@@ -330,21 +330,21 @@ def force_from_W(
 
     Takes one state (x, v) of shape (n,) or stacks of shape (..., n); a
     single state is a one-row stack.  ``gmat``, the metric values at ``x``,
-    serves the unit direction when given; only N^i, N_i and the speed are
-    built from it (:func:`~normalshift.tensor_core.direction_from`), not
-    the projector.  A ``stacked`` W is called once per stack, any other W
+    serves the unit direction when given
+    (:func:`~normalshift.tensor_core.direction_from`), whose projector is
+    never read here.  A ``stacked`` W is called once per stack, any other W
     once per state, and h once per stack when it takes arrays, else once
     per state.
     """
     x = np.asarray(x, dtype=float)
-    n_up, n_down, speed = direction_from(metric_at(m, x) if gmat is None else gmat, x, v)
-    wv, hw, grad = _terms(gs, x, speed)
+    pr = direction_from(metric_at(m, x) if gmat is None else gmat, x, v)
+    wv, hw, grad = _terms(gs, x, pr.speed)
     # with b = grad / W_v, the term b_i (2 N^i N_k - delta^i_k) is expanded
     # so that stacks need no reflection matrices
-    speed = speed[..., None]
+    speed = pr.speed[..., None]
     b = grad / np.asarray(wv)[..., None]
-    b_n = np.sum(b * n_up, axis=-1, keepdims=True)
-    return (np.asarray(hw / wv)[..., None] - 2.0 * speed * b_n) * n_down + speed * b
+    b_n = np.sum(b * pr.N_up, axis=-1, keepdims=True)
+    return (np.asarray(hw / wv)[..., None] - 2.0 * speed * b_n) * pr.N_down + speed * b
 
 
 def generated_force(gs: GeneratingScalar, m: MetricField) -> Callable:
@@ -788,14 +788,15 @@ def perturbed_field(
     return ForceField(eval=eval_, stacked=base.stacked)
 
 
-def coordinate_scalar(index: int, dim: int = 3, coefficient: float = 1.0) -> IsotropicScalar:
-    """The position field coefficient * x^index (0-based), with derivatives."""
+def coordinate_scalar(index: int, coefficient: float = 1.0) -> IsotropicScalar:
+    """The position field coefficient * x^index (0-based), with derivatives,
+    on a chart of any dimension: ``dx`` has the shape of its positions."""
 
     def eval_(x, s):
         return coefficient * x[..., index]
 
     def dx(x, s):
-        out = np.zeros(x.shape[:-1] + (dim,))
+        out = np.zeros(x.shape)
         out[..., index] = coefficient
         return out
 

@@ -56,6 +56,7 @@ from .tensor_core import (
     MetricField,
     central_partials,
     christoffel_from,
+    direction_from,
     dot,
     inverse_metric_at,
     inverse_metric_from,
@@ -67,7 +68,6 @@ from .tensor_core import (
     scaled_step,
     speed_from,
     unit_direction,
-    unit_direction_from,
     vec_mat,
 )
 
@@ -257,7 +257,7 @@ def _point_residual(kernel, ff: ForceField, m: MetricField, x: Array, v: Array, 
     gmat = metric_at(m, x)
     ginv = inverse_metric_from(gmat, x)
     pack = _derivative_pack(ff, m, x, v, mode, ginv, gmat)
-    return kernel(*pack, unit_direction_from(gmat, x, v), ginv)[0]
+    return kernel(*pack, direction_from(gmat, x, v), ginv)[0]
 
 
 def residual_weak1(
@@ -277,7 +277,7 @@ def residual_weak2(
 def residual_additional1(
     F: ForceField, m: MetricField, x: Array, v: Array, *, mode: str = "analytic"
 ) -> Array:
-    """First additional condition, antisymmetrized over the two projections."""
+    """First additional condition: the antisymmetric part over the two projections."""
     return _point_residual(_additional1, F, m, x, v, mode)
 
 
@@ -290,6 +290,10 @@ def residual_additional2(
 
 
 def _eq124(H: Array, pr, ginv: Array) -> Tuple[Array, Array]:
+    """The projected-Hessian residual and lambda from ``H``, the fiber Hessian
+    of the ansatz scalar as evaluated; every caller's ``H`` is replaced by
+    its symmetric part and checked finite here."""
+    H = check_finite(0.5 * (H + _T(H)), "ansatz scalar fiber Hessian")
     p_up = ginv - outer(pr.N_up, pr.N_up)
     lam = np.einsum("...rs,...rs->...", p_up, H) / (ginv.shape[-1] - 1)
     return _T(pr.P) @ H @ p_up - per_state(lam, 2) * _T(pr.P), lam
@@ -310,7 +314,6 @@ def residual_eq124(
         H = velocity_hessian(A, x, v)
     else:
         H = velocity_hessian(ExtendedScalar(eval=A.eval), x, v)
-    H = check_finite(H, "ansatz scalar fiber Hessian")
     res, lam = _eq124(H, unit_direction(m, x, v), inverse_metric_at(m, x))
     return res, float(lam)
 
@@ -436,7 +439,7 @@ def _residual_rows(
     offsets, and offsets in velocity reuse ``gmat``, the metric at ``x``.
     """
     x, v = states[:, 0], states[:, 1]
-    pr = unit_direction_from(gmat, x, v)
+    pr = direction_from(gmat, x, v)
     ginv = inverse_metric_from(gmat, x)
     analytic = mode == "analytic"
     if isinstance(subject, GeneratingScalar):
@@ -448,14 +451,14 @@ def _residual_rows(
 
         def A(u):
             at, g = _over(x, u), _over(gmat, u, 2)
-            return ansatz_value(coefficients(af, at, unit_direction_from(g, at, u).speed), u)
+            return ansatz_value(coefficients(af, at, direction_from(g, at, u).speed), u)
     else:
         af = None
         force = field_call(subject, subject.eval, m)
 
         def A(u):
             at, g = _over(x, u), _over(gmat, u, 2)
-            return dot(unit_direction_from(g, at, u).N_up, force(at, u, g))
+            return dot(direction_from(g, at, u).N_up, force(at, u, g))
 
     if af is not None and analytic:
         F = check_finite(force(x, v, gmat), "force field")
@@ -470,7 +473,6 @@ def _residual_rows(
             else _derivative_pack(subject, m, x, v, mode, ginv, gmat)
         )
         H = fiber_hessian(lambda u: fiber_gradient(A, u), v)
-    H = check_finite(0.5 * (H + _T(H)), "ansatz scalar fiber Hessian")
 
     def sup(r):
         return np.max(np.abs(r), axis=tuple(range(1, r.ndim)))

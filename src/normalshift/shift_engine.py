@@ -45,6 +45,7 @@ from .tensor_core import (
     MetricField,
     by_rows,
     central_partials,
+    direction_from,
     dot,
     inverse_metric_from,
     mat_vec,
@@ -53,7 +54,6 @@ from .tensor_core import (
     raised_acceleration,
     scaled_step,
     speed_from,
-    unit_direction_from,
 )
 
 Array = np.ndarray
@@ -70,7 +70,8 @@ class Hypersurface:
     ``du``, when given, returns the matrix du(u)[i, k] = dx^i/du^k whose
     columns are the tangents tau_k.  ``nu0`` is the initial speed at the
     marked parameter ``base_u`` and ``orientation`` selects the side of
-    the surface the unit normal points to.
+    the surface the unit normal points to.  ``nu0`` must be finite and
+    nonzero, and ``base_u`` finite.
     """
 
     dim_u: int
@@ -85,10 +86,14 @@ class Hypersurface:
             raise ValueError("dim_u must be at least 1")
         if self.nu0 == 0.0:
             raise ValueError("nu0 must be nonzero")
+        if not math.isfinite(self.nu0):
+            raise ValueError(f"nu0 must be finite, got {self.nu0!r}")
         if self.orientation not in (1.0, -1.0, 1, -1):
             raise ValueError("orientation must be +1 or -1")
         if len(self.base_u) != self.dim_u:
             raise ValueError("base_u must have dim_u components")
+        if not np.isfinite(np.asarray(self.base_u, dtype=float)).all():
+            raise ValueError(f"base_u must be finite, got {self.base_u!r}")
 
 
 @dataclass(frozen=True)
@@ -568,7 +573,7 @@ def speed_law_residual(rec: ShiftRecord, F: ForceField, m: MetricField) -> float
     ds_dt = (-s[:, 4:] + 8.0 * s[:, 3:-1] - 8.0 * s[:, 1:-3] + s[:, :-4]) / (12.0 * step)
     x, v = rec.x[:, 2:-2], rec.v[:, 2:-2]
     gmat = metric_at(m, x)
-    pr = unit_direction_from(gmat, x, v)
+    pr = direction_from(gmat, x, v)
     f = field_call(F, F.eval, m)(x, v)
     f_up = mat_vec(inverse_metric_from(gmat, x), np.asarray(f, dtype=float))
     return float(np.max(np.abs(ds_dt - dot(pr.N_down, f_up))))
@@ -597,9 +602,12 @@ def plane_surface(
     nu0: float = 1.0,
     orientation: float = 1.0,
 ) -> Hypersurface:
-    """Coordinate plane x^axis = offset in three dimensions, ``axis`` 0, 1 or 2."""
+    """Coordinate plane x^axis = offset in three dimensions, ``axis`` 0, 1 or 2
+    and ``offset`` finite."""
     if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or not 0 <= axis <= 2:
         raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
+    if not math.isfinite(offset):
+        raise ValueError(f"offset must be finite, got {offset!r}")
     others = np.delete(np.arange(3), axis)
     tangents = np.eye(3)[:, others]
 
@@ -629,6 +637,8 @@ def sphere_surface(
     c = np.asarray(center, dtype=float)
     if c.shape != (3,):
         raise ValueError(f"center must have three components, got {center!r}")
+    if not np.isfinite(c).all():
+        raise ValueError(f"center must be finite, got {center!r}")
 
     def chart(u):
         th, ph = float(u[0]), float(u[1])

@@ -29,7 +29,8 @@ All functions are pure; the descriptor dataclasses are frozen.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from functools import cached_property
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -82,19 +83,20 @@ class MetricField:
             )
 
 
-class Projector(NamedTuple):
-    """Unit direction and the projector orthogonal to it.
+@dataclass(frozen=True)
+class Projector:
+    """Unit direction N^i (``N_up``) and N_i (``N_down``) of velocities and
+    their modulus ``speed`` (a numpy float for one state, an array over a
+    stack).  The projector ``P``, mixed components P^i_k = delta^i_k - N^i N_k
+    (row = upper index), is built on its first read."""
 
-    ``P`` holds mixed components P^i_k (row = upper index), ``N_up`` the
-    contravariant direction N^i, ``N_down`` the covariant N_i, and ``speed``
-    the velocity modulus used to build them (a float for a single state, an
-    array over the stack otherwise).
-    """
-
-    P: np.ndarray
     N_up: np.ndarray
     N_down: np.ndarray
-    speed: Union[float, np.ndarray]
+    speed: Union[np.floating, np.ndarray]
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        return np.eye(self.N_up.shape[-1]) - outer(self.N_up, self.N_down)
 
 
 def by_rows(fn: Callable, x: np.ndarray, *more) -> np.ndarray:
@@ -288,7 +290,7 @@ _last_stack: list = [None, None, None, None]
 def metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
     """Evaluate the metric matrix at ``x``, one point (n,) or a stack (..., n).
 
-    Asymmetry below ``ASYMMETRY_TOL`` is silently symmetrized; anything
+    Asymmetry below ``ASYMMETRY_TOL`` is silently averaged out; anything
     larger raises :class:`AsymmetricMetric`.  Positive-definiteness is
     checked by attempting a Cholesky factorization.  The array returned
     may be a read-only view of values kept for reuse.
@@ -320,7 +322,7 @@ def metric_derivatives_at(m: MetricField, x: np.ndarray) -> np.ndarray:
     """Coordinate derivatives ``D[..., m, i, j] = d g_ij / d x^m``.
 
     Uses the analytic closure when supplied.  Otherwise central differences
-    of the (symmetrized) metric with one Richardson extrapolation level,
+    of the metric (its symmetric part) with one Richardson extrapolation level,
     which upgrades the truncation error from O(h^2) to O(h^4).
     """
     x = np.asarray(x, dtype=float)
@@ -467,7 +469,7 @@ def speed_at(m: MetricField, x: np.ndarray, v: np.ndarray):
 
 
 def unit_direction(m: MetricField, x: np.ndarray, v: np.ndarray) -> Projector:
-    """Unit direction N along ``v`` and the projector P = I - N (x) N.
+    """:func:`direction_from` with the metric taken at ``x``: N along ``v``.
 
     Takes one state or stacks of states (..., n); for a stack every field
     of the result carries the same leading axes.  Raises
@@ -476,20 +478,18 @@ def unit_direction(m: MetricField, x: np.ndarray, v: np.ndarray) -> Projector:
     the theory.
     """
     x = np.asarray(x, dtype=float)
-    return unit_direction_from(metric_at(m, x), x, v)
+    return direction_from(metric_at(m, x), x, v)
 
 
-def direction_from(gmat: np.ndarray, x: np.ndarray, v: np.ndarray):
-    """(N^i, N_i, |v|) of velocities ``v`` from metric values ``gmat`` taken at ``x``.
+def direction_from(gmat: np.ndarray, x: np.ndarray, v: np.ndarray) -> Projector:
+    """The :class:`Projector` of velocities ``v`` from metric values ``gmat`` taken at ``x``.
 
-    The one unit direction of the library and its one speed-floor check:
-    the generated force takes it here, and :func:`unit_direction_from`
-    adds the projector.  One body serves a state and a stack: the speed
-    is :func:`speed_from`, and :func:`mat_vec` rounds every state of a
-    stack as it rounds a single state.  ``gmat`` may be broadcast over
-    extra axes of ``v``, such as velocity offsets.  The speed is an array,
-    a numpy float for a single state.  Raises :class:`ZeroVelocity` when a
-    speed is at or below ``SPEED_FLOOR``.
+    The one unit direction of the library and its one speed-floor check.
+    One body serves a state and a stack: the speed is :func:`speed_from`,
+    and :func:`mat_vec` rounds every state of a stack as it rounds a
+    single state.  ``gmat`` may be broadcast over extra axes of ``v``,
+    such as velocity offsets.  Raises :class:`ZeroVelocity` when a speed
+    is at or below ``SPEED_FLOOR``.
     """
     v = np.asarray(v, dtype=float)
     n = gmat.shape[-1]
@@ -502,17 +502,7 @@ def direction_from(gmat: np.ndarray, x: np.ndarray, v: np.ndarray):
             f"velocity modulus {np.ravel(speed)[i]:.3e} at or below floor at x={where}"
         )
     n_up = v / speed[..., None]
-    return n_up, mat_vec(gmat, n_up), speed
-
-
-def unit_direction_from(gmat: np.ndarray, x: np.ndarray, v: np.ndarray) -> Projector:
-    """:func:`unit_direction` from metric values ``gmat`` already taken at ``x``:
-    :func:`direction_from` and the projector, which :func:`outer` builds
-    alike for a state and a stack.  The verifier takes it here."""
-    n_up, n_down, speed = direction_from(gmat, x, v)
-    proj = np.eye(gmat.shape[-1]) - outer(n_up, n_down)
-    speed = float(speed) if np.ndim(v) == 1 else speed
-    return Projector(P=proj, N_up=n_up, N_down=n_down, speed=speed)
+    return Projector(N_up=n_up, N_down=mat_vec(gmat, n_up), speed=speed)
 
 
 def lower_index(m: MetricField, x: np.ndarray, vec: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 from normalshift import cli
 from normalshift.cli import (
     Scenario,
-    _isotropic_from_position_expression,
+    _isotropic,
     _single_variable_fn,
     build_generator,
     build_metric,
@@ -838,7 +838,7 @@ class TestCompiledClosures:
             sc = load_scenario(write_config(tmp_path, base_scenario(generator=generator)))
             got = build_generator(sc).W
         else:
-            got = _isotropic_from_position_expression(parse_expression(text), 3)
+            got = _isotropic(parse_expression(text), 3)
         want = eval_scalar(parse_expression(text), 3, speed)
         x, s = stack(lead, 2)
         for name in ("eval", "dx", "dspeed"):

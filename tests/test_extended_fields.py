@@ -207,7 +207,7 @@ class TestVelocityHessian:
         for _ in range(5):
             x = random_point(rng, BOX)
             v = random_velocity(rng, m, x)
-            raw = velocity_hessian(phi, x, v, symmetrize=False)
+            raw = velocity_hessian(phi, x, v)
             assert np.max(np.abs(raw - raw.T)) < 1e-6
 
     def test_analytic_closure_used(self):

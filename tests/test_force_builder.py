@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from normalshift import force_builder
 from normalshift.cli import _single_variable_fn
 from normalshift.errors import (
     DegenerateWv,
+    EvaluationFailure,
     NonMonotoneGauge,
     QuadratureFailure,
     ZeroVelocity,
@@ -340,6 +342,20 @@ class TestArrayProbe:
         expected = np.array([[float(fn(wi)) for wi in row] for row in w])
         assert np.array_equal(h_values(gs, w), expected)
 
+    def test_h_that_raises_on_a_probe_is_called_once_per_value(self):
+        calls = []
+
+        def h(w):
+            calls.append(w)
+            return math.log(w - 0.5)  # a math domain error at the probe 0.25
+
+        gs = GeneratingScalar(W=builtin_geodesic().W, h=h)
+        assert gs._h_arrays is False
+        calls.clear()
+        w = np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(h_values(gs, w), [math.log(0.5), math.log(1.5), math.log(2.5)])
+        assert calls == [1.0, 2.0, 3.0]
+
     def test_array_capable_h_is_called_once_per_stack(self):
         calls = []
 
@@ -531,6 +547,15 @@ class TestGauge:
         with pytest.raises(NonMonotoneGauge):
             gauge_transform(gs, bad)
 
+    def test_gauge_map_failing_on_a_probe_rejected(self):
+        gs = generic_generator()
+        # the derivative fails at the first probe, 0.25
+        bad = GaugeMap(fn=lambda t: t, inverse=lambda w: w, derivative=lambda t: math.log(t - 0.3))
+        message = "^gauge map failed to evaluate on the probed range$"
+        with pytest.raises(NonMonotoneGauge, match=message) as info:
+            gauge_transform(gs, bad)
+        assert isinstance(info.value.__cause__, ValueError)
+
     def test_wrong_inverse_rejected(self):
         gs = generic_generator()
         bad = GaugeMap(fn=lambda w: 2.0 * w, inverse=lambda w: w, derivative=lambda w: 2.0)
@@ -709,6 +734,14 @@ class TestSpeedQuadrature:
         with pytest.raises(QuadratureFailure, match="adaptive quadrature"):
             builtin_nonmetrizable(coordinate_scalar(0), lambda s: abs(s - kink))
 
+    def test_nan_speed_raises(self):
+        W = builtin_nonmetrizable(coordinate_scalar(1), lambda s: s**3).W
+        message = "^speed quadrature non-finite at speed nan$"
+        with pytest.raises(QuadratureFailure, match=message):
+            W.eval(np.array([0.5, 0.5, 0.5]), math.nan)
+        with pytest.raises(QuadratureFailure, match=message):
+            W.eval(np.full((2, 3), 0.5), np.array([1.0, math.nan]))
+
     @pytest.mark.parametrize("name", ["cube", "cli", "float-only"])
     def test_point_is_the_one_row_stack(self, name):
         W = builtin_nonmetrizable(coordinate_scalar(1), SPEED_PROFILES[name]).W
@@ -812,6 +845,14 @@ PACK_GENERATORS = {
 
 
 class TestCoefficientPack:
+    def test_zero_speed_rejected(self):
+        gs = builtin_metrizable(coordinate_scalar(0), H=lambda w: w)
+        message = re.escape(
+            "isotropic gradient needs a positive speed, not at speed 0, x=[0.1 0.2 0.3]"
+        )
+        with pytest.raises(EvaluationFailure, match=f"^{message}$"):
+            coefficient_pack(gs, np.array([0.1, 0.2, 0.3]), 0.0)
+
     def test_pack_entries_are_a_and_b(self):
         gs = generic_generator()
         x = np.array([0.6, 0.9, 0.4])

@@ -423,6 +423,19 @@ class TestVerify:
         assert report.tolerance_used == 1e-8
         assert len(report.lambda_samples) == 60
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("dim", [4, 5])
+    @pytest.mark.parametrize(
+        "make", [lambda: builtin_metrizable(coordinate_scalar(0), H=lambda w: w),
+                 lambda: builtin_nonmetrizable(coordinate_scalar(1), lambda s: s**3)],
+        ids=["metrizable", "nonmetrizable"],
+    )
+    def test_coordinate_generators_pass_beyond_three_dimensions(self, make, dim, mode):
+        # coordinate_scalar's x-partials take the chart's dimension from x
+        spec = SampleSpec(box=[[0.25, 1.25]] * dim, count=40, seed=3, mode=mode)
+        report = verify(make(), euclidean_metric(dim), spec)
+        assert report.passed, report.residuals()
+
     def test_certified_generator_passes_differenced(self):
         m = euclidean_metric()
         gs = builtin_metrizable(coordinate_scalar(0), H=lambda w: w)

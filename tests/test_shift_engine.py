@@ -153,6 +153,25 @@ class TestSurfaceTypes:
         with pytest.raises(ValueError, match=f"^{message}$"):
             sphere_surface(center=center)
 
+    # each non-finite input is rejected at construction, naming the argument
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: plane_surface(nu0=math.nan), "nu0 must be finite, got nan"),
+            (lambda: plane_surface(nu0=-math.inf), "nu0 must be finite, got -inf"),
+            (lambda: plane_surface(base_u=(math.nan, 0.0)), "base_u must be finite, got (nan, 0.0)"),
+            (lambda: Hypersurface(dim_u=1, chart_map=lambda u: np.zeros(3), base_u=(math.inf,)),
+             "base_u must be finite, got (inf,)"),
+            (lambda: plane_surface(offset=math.inf), "offset must be finite, got inf"),
+            (lambda: sphere_surface(center=(math.nan, 0.0, 0.0)),
+             "center must be finite, got (nan, 0.0, 0.0)"),
+        ],
+        ids=["nu0-nan", "nu0-inf", "plane-base-u", "hypersurface-base-u", "offset", "center"],
+    )
+    def test_non_finite_surface_input_rejected(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
     def test_grid_axes(self):
         grid = GridSpec(ranges=((0.0, 1.0, 5), (-1.0, 1.0, 9)))
         ax0, ax1 = grid.axes()

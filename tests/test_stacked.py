@@ -24,7 +24,7 @@ from hypothesis.extra.numpy import arrays
 
 from normalshift import cli
 from normalshift.cli import (
-    _isotropic_from_position_expression,
+    _isotropic,
     build_generator,
     build_metric,
     load_scenario,
@@ -100,7 +100,7 @@ def misleading_profile(v):
 
 SCALAR_BUILDERS = {
     "coordinate": lambda: coordinate_scalar(2, coefficient=-1.5),
-    "cli-position-expression": lambda: _isotropic_from_position_expression(
+    "cli-position-expression": lambda: _isotropic(
         parse_expression(WAVY), 3
     ),
     "geodesic": lambda: builtin_geodesic().W,
@@ -363,10 +363,10 @@ class TestStackOnlyContract:
                 "nonmetrizable": lambda: builtin_nonmetrizable(f, lambda s: s**3),
             }[generator]()
         else:
-            expression_f = cli._isotropic_from_position_expression
+            expression_f = cli._isotropic
             monkeypatch.setattr(
                 cli,
-                "_isotropic_from_position_expression",
+                "_isotropic",
                 lambda *args: scalar(expression_f(*args), "f"),
             )
             gs = build_generator(scenario(generator=spec))
