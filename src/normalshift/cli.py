@@ -40,6 +40,7 @@ from .force_builder import (
     builtin_geodesic,
     builtin_metrizable,
     builtin_nonmetrizable,
+    force_from_W,
 )
 from .normality_verifier import MODES, NormalityReport, SampleSpec, verify
 from .shift_engine import (
@@ -55,7 +56,7 @@ from .shift_engine import (
     surface_constancy_residual,
     w_dynamics_residual,
 )
-from .tensor_core import MetricField, speed_at
+from .tensor_core import MetricField, metric_at, speed_from
 from . import __version__ as TOOL_VERSION
 
 REQUIRED = object()
@@ -479,12 +480,12 @@ def build_subject(sc: Scenario) -> Union[GeneratingScalar, ForceField]:
     perturb = sc.generator["perturb"]
     if perturb is None:
         return gs
-    base, component = as_force_field(gs), perturb["component"]
-    bump = compile_stack([perturb["expression"]])
+    component, bump = perturb["component"], compile_stack([perturb["expression"]])
 
     def eval_(m, x, v):
-        out = np.array(base.eval(m, x, v), dtype=float)
-        out[..., component] += bump(*_stack_env(x, speed_at(m, x, v)))[0]
+        gmat = metric_at(m, x)
+        out = np.array(force_from_W(gs, m, x, v, gmat), dtype=float)
+        out[..., component] += bump(*_stack_env(x, speed_from(gmat, v)))[0]
         return out
 
     return ForceField(eval=eval_, stacked=True)

@@ -28,11 +28,11 @@ from .tensor_core import (
     by_rows,
     central_partials,
     christoffel_at,
-    metric_at,
     metric_derivatives_at,
     per_state,
     scaled_step,
     speed_at,
+    unit_direction,
 )
 
 Array = np.ndarray
@@ -291,9 +291,7 @@ def lift_isotropic(w: IsotropicScalar, m: MetricField) -> ExtendedScalar:
 
         def dv(x, v):
             x = np.asarray(x, dtype=float)
-            v = np.asarray(v, dtype=float)
-            s = speed_at(m, x, v)
-            n_down = metric_at(m, x) @ v / s
-            return float(isotropic_call(w, w.dspeed, x, s)) * n_down
+            pr = unit_direction(m, x, v)
+            return float(isotropic_call(w, w.dspeed, x, pr.speed)) * pr.N_down
 
     return ExtendedScalar(eval=lifted, dx=dx, dv=dv)

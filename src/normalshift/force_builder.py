@@ -49,11 +49,14 @@ from .tensor_core import (
     MetricField,
     Projector,
     by_rows,
-    christoffel_at,
+    christoffel_from,
     direction_from,
     dot,
+    handing,
+    inverse_metric_from,
     mat_vec,
     metric_at,
+    metric_derivatives_at,
     outer,
     per_state,
     unit_direction,
@@ -178,13 +181,13 @@ class ForceField:
 
 
 def field_call(ff: ForceField, fn: Callable, m: MetricField) -> Callable:
-    """``ff``'s closure ``fn`` as ``call(x, v, gmat=None)`` on a stack of
-    states: once per stack when ``ff`` is ``stacked``, else once per state."""
+    """``ff``'s closure ``fn`` as ``call(x, v, gmat)`` on a stack of states,
+    once per stack when ``ff`` is ``stacked``, else once per state, handed
+    ``gmat``, the metric at ``x`` (:func:`~normalshift.tensor_core.handing`)."""
 
-    def call(x, v, gmat=None):
-        if ff.stacked:
-            return fn(m, x, v)
-        return by_rows(lambda xi, vi: fn(m, xi, vi), x, v)
+    def call(x, v, gmat):
+        with handing(m, x, gmat):
+            return fn(m, x, v) if ff.stacked else by_rows(lambda xi, vi: fn(m, xi, vi), x, v)
 
     return call
 
@@ -348,9 +351,9 @@ def force_from_W(
 
 
 def generated_force(gs: GeneratingScalar, m: MetricField) -> Callable:
-    """:func:`force_from_W` of the pair as ``force(x, v, gmat=None)``: the one
+    """:func:`force_from_W` of the pair as ``force(x, v, gmat)``: the one
     generated-force closure, which the shift's stages and ``verify`` call."""
-    return lambda x, v, gmat=None: force_from_W(gs, m, x, v, gmat)
+    return lambda x, v, gmat: force_from_W(gs, m, x, v, gmat)
 
 
 def ansatz_from_generator(gs: GeneratingScalar) -> AnsatzField:
@@ -439,14 +442,11 @@ def ansatz_scalar(af: AnsatzField, m: MetricField) -> ExtendedScalar:
         return (c_p[0] + c_p[1:] @ v) * pr.N_down + coefficients(af, x, pr.speed)[1:]
 
     def dv2(x, v):
-        pr = unit_direction(m, x, v)
-        return ansatz_fiber_hessian(
-            pr,
-            metric_at(m, x),
-            v,
-            coefficient_speed_derivative(af, x, pr.speed),
-            coefficient_speed_derivative(af, x, pr.speed, order=2),
-        )
+        gmat = metric_at(m, x)
+        pr = direction_from(gmat, x, v)
+        c_p = coefficient_speed_derivative(af, x, pr.speed)
+        c_pp = coefficient_speed_derivative(af, x, pr.speed, order=2)
+        return ansatz_fiber_hessian(pr, gmat, v, c_p, c_pp)
 
     return ExtendedScalar(eval=eval_, dv=dv, dv2=dv2)
 
@@ -468,24 +468,18 @@ def ansatz_force_field(af: AnsatzField) -> ForceField:
         return c[..., :1] * pr.N_down + vec_mat(per_state(pr.speed, 1) * c[..., 1:], reflect)
 
     def dv(m, x, v):
-        pr = unit_direction(m, x, v)
-        return ansatz_force_dv(
-            pr,
-            metric_at(m, x),
-            v,
-            coefficients(af, x, pr.speed),
-            coefficient_speed_derivative(af, x, pr.speed),
-        )
+        gmat = metric_at(m, x)
+        pr = direction_from(gmat, x, v)
+        c, c_p = coefficients(af, x, pr.speed), coefficient_speed_derivative(af, x, pr.speed)
+        return ansatz_force_dv(pr, gmat, v, c, c_p)
 
     def nabla(m, x, v):
-        pr = unit_direction(m, x, v)
-        return ansatz_force_nabla(
-            pr,
-            christoffel_at(m, x),
-            v,
-            coefficients(af, x, pr.speed),
-            coefficient_gradient(af, x, pr.speed),
-        )
+        x = np.asarray(x, dtype=float)
+        gmat = metric_at(m, x)
+        pr = direction_from(gmat, x, v)
+        gamma = christoffel_from(inverse_metric_from(gmat, x), metric_derivatives_at(m, x))
+        c, grad = coefficients(af, x, pr.speed), coefficient_gradient(af, x, pr.speed)
+        return ansatz_force_nabla(pr, gamma, v, c, grad)
 
     return ForceField(eval=eval_, dv=dv, nabla=nabla, stacked=True)
 
@@ -777,7 +771,8 @@ def perturbed_field(
     The result is a plain user field with no derivative closures; it serves
     as a negative control, since generic perturbations leave the family of
     fields admitting the normal shift.  It is ``stacked`` when ``base`` is;
-    ``bump`` takes one state and is called once per state of a stack.
+    ``bump`` takes one state and is called once per state of a stack; its
+    metric there (by ``speed_at``, say) reads what :func:`field_call` hands.
     """
 
     def eval_(m, x, v):

@@ -58,7 +58,6 @@ from .tensor_core import (
     christoffel_from,
     direction_from,
     dot,
-    inverse_metric_at,
     inverse_metric_from,
     mat_vec,
     metric_at,
@@ -67,7 +66,6 @@ from .tensor_core import (
     per_state,
     scaled_step,
     speed_from,
-    unit_direction,
     vec_mat,
 )
 
@@ -86,7 +84,8 @@ class SampleSpec:
     derivative closures (where available) and pure finite differencing of
     the field evaluators; the default tolerance is 1e-8 for the former and
     1e-5 for the latter; a given ``tolerance`` must be positive and finite.
-    ``count`` must be a positive integer and ``seed`` a nonnegative one.
+    ``count`` must be a positive integer and ``seed`` a nonnegative one
+    (not a bool), and ``box`` a list of finite [lo, hi] pairs.
     """
 
     box: Sequence[Sequence[float]]
@@ -99,10 +98,16 @@ class SampleSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.count, (int, np.integer)) or self.count < 1:
-            raise ValueError(f"count must be a positive integer, got {self.count!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        for name, value, least in (("count", self.count, 1), ("seed", self.seed, 0)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                bound = "positive" if least else "nonnegative"
+                raise ValueError(f"{name} must be a {bound} integer, got {value!r}")
+        try:
+            box = np.asarray(self.box, dtype=float)
+        except (TypeError, ValueError):
+            box = np.empty(0)
+        if box.ndim != 2 or box.shape[1] != 2 or not np.isfinite(box).all():
+            raise ValueError(f"box must be a list of finite [lo, hi] pairs, got {self.box!r}")
         lo, hi = self.speed_range
         if not (0.0 < lo <= hi):
             raise ValueError("speed_range must be positive and ordered")
@@ -164,11 +169,10 @@ def _force_derivatives(
     """F with its fiber and covariant spatial derivatives at states (x, v).
 
     ``force(y, u, g)`` evaluates F at stacks of states, ``g`` being the
-    metric at ``y`` when known and None otherwise: velocity offsets keep
-    the position, so they reuse ``gmat``, the metric at ``x``.  ``dv`` and
-    ``nabla``, with the same signature, are used when given; otherwise
-    each derivative is one call of ``force`` on the stack of all its
-    offsets.  ``ginv`` is g^-1 at ``x``.
+    metric at ``y``: velocity offsets keep the position, so they reuse
+    ``gmat``, the metric at ``x``.  ``dv`` and ``nabla``, with the same
+    signature, are used when given; otherwise each derivative is one call
+    of ``force`` on the stack of all its offsets.  ``ginv`` is g^-1 at ``x``.
     """
     F = check_finite(force(x, v, gmat), "force field")
     if dv is not None:
@@ -179,7 +183,7 @@ def _force_derivatives(
     if nabla is not None:
         Dx = check_finite(nabla(x, v, gmat), "force spatial derivative")
     else:
-        raw = _partials(lambda y: force(y, _over(v, y), None), x, scaled_step(x))
+        raw = _partials(lambda y: force(y, _over(v, y), metric_at(m, y)), x, scaled_step(x))
         gamma = christoffel_from(ginv, metric_derivatives_at(m, x))
         transport = np.einsum("...jri,...i,...jk->...rk", gamma, v, Dv)
         twist = np.einsum("...crk,...c->...rk", gamma, F)
@@ -232,10 +236,10 @@ _EQUATIONS = (_weak1, _weak2, _additional1, _additional2)
 
 
 def _derivative_pack(
-    ff: ForceField, m: MetricField, x: Array, v: Array, mode: str, ginv: Array, gmat=None
+    ff: ForceField, m: MetricField, x: Array, v: Array, mode: str, ginv: Array, gmat: Array
 ) -> Tuple[Array, Array, Array]:
     """F with its fiber and covariant spatial derivatives; ``ginv`` is g^-1 at
-    ``x`` and ``gmat``, when given, the metric there.
+    ``x`` and ``gmat`` the metric there.
 
     The analytic ``dv`` and ``nabla`` of ``ff`` serve in analytic mode when
     it has them.  Every closure is called through :func:`field_call`.
@@ -245,7 +249,6 @@ def _derivative_pack(
         for name in ("dv", "nabla")
         if mode == "analytic" and getattr(ff, name) is not None
     }
-    gmat = metric_at(m, x) if gmat is None else gmat
     return _force_derivatives(field_call(ff, ff.eval, m), m, x, v, gmat, ginv, **closures)
 
 
@@ -314,7 +317,8 @@ def residual_eq124(
         H = velocity_hessian(A, x, v)
     else:
         H = velocity_hessian(ExtendedScalar(eval=A.eval), x, v)
-    res, lam = _eq124(H, unit_direction(m, x, v), inverse_metric_at(m, x))
+    gmat = metric_at(m, x)
+    res, lam = _eq124(H, direction_from(gmat, x, v), inverse_metric_from(gmat, x))
     return res, float(lam)
 
 

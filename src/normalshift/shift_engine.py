@@ -108,7 +108,7 @@ class PhaseState:
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform parameter grid, one (start, stop, count) range per direction, each
-    of an integer count of at least five points and nonzero width for the stencil."""
+    of finite ends, an integer count of at least five points and nonzero width."""
 
     ranges: Tuple[Tuple[float, float, int], ...]
 
@@ -116,6 +116,8 @@ class GridSpec:
         for a, b, c in self.ranges:
             if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
                 raise ValueError(f"point count must be an integer, got {c!r}")
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"range [{a}, {b}] must have finite ends")
             if int(c) < 5:
                 raise GridTooCoarse(
                     f"{int(c)} points on [{a}, {b}]: the interior stencil needs at least 5"
@@ -462,7 +464,8 @@ def run_shift(
         raise ValueError("dt must be positive and finite")
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError("t_end must be positive and finite")
-    if not isinstance(sample_stride, (int, np.integer)) or sample_stride < 1:
+    if (isinstance(sample_stride, bool) or not isinstance(sample_stride, (int, np.integer))
+            or sample_stride < 1):
         raise ValueError("sample_stride must be a positive integer")
     if len(grid.ranges) != s.dim_u:
         raise ValueError("grid dimensionality does not match the surface")
@@ -574,7 +577,7 @@ def speed_law_residual(rec: ShiftRecord, F: ForceField, m: MetricField) -> float
     x, v = rec.x[:, 2:-2], rec.v[:, 2:-2]
     gmat = metric_at(m, x)
     pr = direction_from(gmat, x, v)
-    f = field_call(F, F.eval, m)(x, v)
+    f = field_call(F, F.eval, m)(x, v, gmat)
     f_up = mat_vec(inverse_metric_from(gmat, x), np.asarray(f, dtype=float))
     return float(np.max(np.abs(ds_dt - dot(pr.N_down, f_up))))
 

@@ -4,30 +4,31 @@ Everything here lives in a single coordinate chart: the metric is a
 user-supplied closure ``x -> g_ij(x)`` and all derived objects (the inverse
 metric, Christoffel symbols, the unit velocity direction N and the orthogonal
 projector P onto the hyperplane perpendicular to the velocity) are evaluated
-from it.  A flow stage reads g, its inverse and its derivatives and
-raises its acceleration once, from the lowered connection term, without
-forming the Christoffel symbols.  The inverse
-metric of a 3-dimensional chart comes from its cofactors, and any
-inverse is accepted only once multiplying back gives the identity
-(:func:`inverse_metric_from`).  Every
-evaluator takes one point of shape (n,) or a stack of
-points of shape (..., n) and returns its tensors with the stack's leading
-axes in front.  A metric marked ``stacked`` has its closures called once
-per stack, and only ever on a stack: a single point reaches them as a
-one-row stack.  Any other metric's closures are called once per point
-of a stack (k, n), and once per run of a position that a stack with
-more axes repeats.  Index conventions, on the trailing axes:
+from it.  A flow stage reads g, its inverse and its derivatives and raises
+its acceleration once, from the lowered connection term, without forming the
+Christoffel symbols.  The inverse metric of a 3-dimensional chart comes from
+its cofactors, and any inverse is accepted only once multiplying back gives
+the identity (:func:`inverse_metric_from`).  Every evaluator takes one point
+of shape (n,) or a stack of points of shape (..., n) and returns its tensors
+with the stack's leading axes in front.  A metric marked ``stacked`` has its
+closures called once per stack, and only ever on a stack: a single point
+reaches them as a one-row stack.  Any other metric's closures are called
+once per point.  No metric value is kept: the states handed to a user
+closure carry their metric for that one call (:func:`handing`).  Index
+conventions, on the trailing axes:
 
 * ``gamma[k, i, j]`` holds the connection component with upper index k and
   lower indices (i, j).
 * ``dg(x)[m, i, j]`` holds the coordinate derivative of ``g_ij`` along
   ``x^m``.
 
-All functions are pure; the descriptor dataclasses are frozen.
+Apart from that handoff all functions are pure; the descriptor dataclasses
+are frozen.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Union
@@ -138,13 +139,10 @@ def _closure_values(
     """A metric closure's values at one point (n,) or a stack (..., n).
 
     A ``stacked`` closure is called once with the whole stack, a single
-    point as a one-row stack.  Any other is called once per row of a
-    stack (k, n), such as a trajectory family, and once per run of equal
-    consecutive points of a stack with more axes, so an offset stack
-    that holds the position fixed costs one call per position.  The
-    point values are assembled in one pass and their shape checked once;
-    each point's value must have ``shape``, and a wrong or ragged one
-    raises :class:`AsymmetricMetric` naming its point.
+    point as a one-row stack.  Any other is called once per point of the
+    stack.  The point values are assembled in one pass and their shape
+    checked once; each point's value must have ``shape``, and a wrong or
+    ragged one raises :class:`AsymmetricMetric` naming its point.
     """
     if stacked:
         rows = x if x.ndim > 1 else x[None]
@@ -153,12 +151,6 @@ def _closure_values(
     if x.ndim == 1:
         return _checked_value(fn(x), x, shape, what)
     flat = x.reshape(-1, x.shape[-1])
-    runs = None
-    if x.ndim > 2:
-        repeats = (flat[1:] == flat[:-1]).all(axis=1)
-        if repeats.any():
-            new = np.concatenate(([True], ~repeats))
-            flat, runs = flat[new], np.cumsum(new) - 1
     points = [fn(xi) for xi in flat]
     try:
         values = np.array(points, dtype=float)
@@ -167,8 +159,6 @@ def _closure_values(
     if values is None or values.shape[1:] != shape:
         checked = [_checked_value(p, xi, shape, what) for p, xi in zip(points, flat)]
         values = np.array(checked).reshape((-1,) + shape)
-    if runs is not None:
-        values = values[runs]
     return values.reshape(x.shape[:-1] + shape)
 
 
@@ -277,14 +267,27 @@ def inverse_metric_from(gmat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return ginv
 
 
-# The last stack a metric was evaluated on: the metric, a copy of its
-# positions, its checked values (read-only) and, once a point has looked
-# there, a map from position bytes to row.  The same stack again reuses the
-# values, and a single point takes its row from here when the stack holds
-# it.  So a stacked field evaluated at states whose metric its caller just
-# took, and a point-wise callback inside a stacked field (the bump of
-# ``perturbed_field``, say), do not evaluate the metric again.
-_last_stack: list = [None, None, None, None]
+# What :func:`handing` hands over: the metric, a copy of the positions (k, n),
+# their read-only values (k, n, n) and a map from position bytes to row.
+_handed: list = [None, None, None, None]
+
+
+@contextmanager
+def handing(m: MetricField, x: np.ndarray, gmat: np.ndarray):
+    """Hand ``gmat``, the checked metric of ``m`` at ``x`` (..., n), to the
+    closure called in the ``with`` block: its :func:`metric_at` at ``x``,
+    or at a point of ``x``, reads these values.  The previous handoff comes
+    back on exit, also when the closure raises."""
+    values = np.reshape(gmat, (-1, m.dim, m.dim))
+    values.setflags(write=False)
+    positions = np.array(x, dtype=float).reshape(-1, m.dim)
+    rows = {p.tobytes(): i for i, p in enumerate(positions)}
+    previous = _handed[:]
+    _handed[:] = [m, positions, values, rows]
+    try:
+        yield
+    finally:
+        _handed[:] = previous
 
 
 def metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
@@ -292,24 +295,19 @@ def metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
 
     Asymmetry below ``ASYMMETRY_TOL`` is silently averaged out; anything
     larger raises :class:`AsymmetricMetric`.  Positive-definiteness is
-    checked by attempting a Cholesky factorization.  The array returned
-    may be a read-only view of values kept for reuse.
+    checked by attempting a Cholesky factorization.  Inside a closure
+    handed the metric at ``x``, or at a stack that holds the point ``x``
+    (:func:`handing`), the handed values are returned, read-only.
     """
     x = np.ascontiguousarray(x, dtype=float)
-    last, positions, values, rows = _last_stack
-    if last is m and x.ndim == 1:
-        if rows is None:
-            rows = _last_stack[3] = {p.tobytes(): i for i, p in enumerate(positions)}
+    handed, positions, values, rows = _handed
+    if handed is m and x.ndim == 1:
         i = rows.get(x.tobytes())
         if i is not None:
             return values[i]
-    elif last is m and np.array_equal(positions, x.reshape(-1, m.dim)):
+    elif handed is m and np.array_equal(positions, x.reshape(-1, m.dim)):
         return values.reshape(x.shape[:-1] + (m.dim, m.dim))
-    gmat = _checked_metric(_closure_values(m.g, x, (m.dim, m.dim), "metric", m.stacked), x)
-    if x.ndim > 1:
-        gmat.setflags(write=False)
-        _last_stack[:] = [m, x.reshape(-1, m.dim).copy(), gmat.reshape(-1, m.dim, m.dim), None]
-    return gmat
+    return _checked_metric(_closure_values(m.g, x, (m.dim, m.dim), "metric", m.stacked), x)
 
 
 def inverse_metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:

@@ -41,6 +41,7 @@ from normalshift.tensor_core import (
     MetricField,
     inverse_metric_at,
     lower_index,
+    metric_at,
     speed_at,
     unit_direction,
 )
@@ -379,6 +380,29 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_states(SampleSpec(box=[[0.0, 1.0]]), m)
 
+    @pytest.mark.parametrize(
+        "field,value", [("count", True), ("seed", True), ("seed", False)]
+    )
+    def test_a_bool_is_not_a_count_or_seed(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be a \w+ integer, got {value!r}$"):
+            SampleSpec(box=BOX, **{field: value})
+
+    @pytest.mark.parametrize(
+        "box",
+        [[[math.nan, 1.0]] * 3, [[0.0, math.inf]] * 3, [[0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 1.0]],
+         [0.0, 1.0], [["a", 1.0]] * 3],
+        ids=["nan", "inf", "ragged", "flat", "not-numeric"],
+    )
+    def test_box_must_hold_finite_pairs(self, box):
+        with pytest.raises(
+            ValueError, match=r"^box must be a list of finite \[lo, hi\] pairs, got "
+        ):
+            SampleSpec(box=box)
+
+    def test_box_with_lo_above_hi_is_sampled_between_them(self):
+        states = sample_states(SampleSpec(box=[[1.25, 0.25]] * 3, count=16), euclidean_metric())
+        assert ((states[:, 0] >= 0.25) & (states[:, 0] <= 1.25)).all()
+
     def test_unordered_speed_range_rejected(self):
         with pytest.raises(ValueError, match="^speed_range must be positive and ordered$"):
             SampleSpec(box=BOX, speed_range=(2.0, 1.0))
@@ -574,7 +598,8 @@ class TestStackedVerify:
     def test_pointwise_metric_is_evaluated_once_per_position(self, mode):
         # the samples' positions once, and in finite-diff mode their 2n
         # position offsets once; velocity offsets reuse the metric at x, and
-        # the control's point-wise bump reads the stack its field evaluated
+        # the control's field and its point-wise bump read the metric
+        # handed to them
         calls = []
         base = euclidean_metric()
 
@@ -587,9 +612,9 @@ class TestStackedVerify:
         assert len(calls) == (count if mode == "analytic" else 7 * count)
         calls.clear()
         verify(perturbed_control(), counted(), spec)
-        # the samples (which F at x reuses), Dv and the Hessian at x, then
-        # Dx at the 2n position offsets
-        assert len(calls) == 9 * count
+        # the samples, which F, Dv and the Hessian at x reuse, then Dx at
+        # the 2n position offsets
+        assert len(calls) == 7 * count
 
 
 def half_degenerate_generator():
@@ -674,7 +699,7 @@ class TestSharedPackPath:
                 F, Dv, Dx = ff.eval(m, x, v), ff.dv(m, x, v), ff.nabla(m, x, v)
             else:
                 F, Dv, Dx = normality_verifier._derivative_pack(
-                    ff, m, x, v, mode, inverse_metric_at(m, x)
+                    ff, m, x, v, mode, inverse_metric_at(m, x), metric_at(m, x)
                 )
             scale = 1.0 + np.max(np.abs(F)) + max(np.max(np.abs(Dv)), np.max(np.abs(Dx)))
             eq_res, lam = residual_eq124(A, m, x, v, mode=mode)

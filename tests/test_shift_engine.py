@@ -128,6 +128,19 @@ class TestSurfaceTypes:
         assert GridSpec(ranges=((0.0, 1.0, np.int64(5)), (0.0, 1.0, 5))).axes()[0].size == 5
 
     @pytest.mark.parametrize(
+        "lo,hi", [(math.nan, 0.1), (-0.1, math.inf), (-math.inf, 0.1)]
+    )
+    def test_grid_range_ends_must_be_finite(self, lo, hi):
+        def chart_map(u):
+            raise AssertionError("the surface was reached")
+
+        surface = dataclasses.replace(plane_surface(), chart_map=chart_map)
+        with pytest.raises(ValueError, match=rf"^range \[{lo}, {hi}\] must have finite ends$"):
+            run_shift(builtin_geodesic(), euclidean_metric(3), surface,
+                      GridSpec(ranges=((lo, hi, 5), (-0.1, 0.1, 5))), t_end=0.01, dt=1e-3,
+                      sample_stride=1)
+
+    @pytest.mark.parametrize(
         "axis,x",
         [(0, [0.7, 0.2, -0.3]), (1, [0.2, 0.7, -0.3]), (2, [0.2, -0.3, 0.7])],
     )
@@ -635,6 +648,11 @@ class TestRunShift:
             message = f"{name} must be positive and finite"
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_shift(builtin_geodesic(), euclidean_metric(3), surface, small_grid(), **kw)
+
+    def test_a_bool_is_not_a_sample_stride(self):
+        with pytest.raises(ValueError, match="^sample_stride must be a positive integer$"):
+            run_shift(builtin_geodesic(), euclidean_metric(3), plane_surface(), small_grid(),
+                      t_end=0.05, dt=1e-3, sample_stride=True)
 
     def test_grid_of_another_dimension_rejected(self):
         grid = GridSpec(ranges=((-0.1, 0.1, 5),))

@@ -21,6 +21,7 @@ from normalshift.tensor_core import (
     _lapack_inverse,
     central_partials,
     christoffel_at,
+    handing,
     inverse_metric_at,
     inverse_metric_from,
     lower_index,
@@ -444,9 +445,8 @@ class TestStacks:
         metric_at(m, x)
         assert np.array_equal(np.array(calls), x)
 
-    def test_point_closures_once_per_row_of_a_family_once_per_run_otherwise(self):
-        # a family (k, n) is not scanned for repeats; a stack with more
-        # axes, such as offsets that hold the position fixed, is
+    def test_point_closures_once_per_row_of_a_family(self):
+        # a family (k, n) is not scanned for repeats
         calls = []
 
         def g(x):
@@ -463,16 +463,10 @@ class TestStacks:
             calls.clear()
             evaluate(m, family)
             assert np.array_equal(np.array(calls), family)
-        offsets = np.repeat(family[:, None], 4, axis=1)  # (6, 4, 3), two runs
-        for evaluate in (metric_at, metric_derivatives_at):
-            calls.clear()
-            evaluate(m, offsets)
-            assert np.array_equal(np.array(calls), family[[0, 3]])
 
     def test_stack_changed_in_place_is_evaluated_again(self):
-        # the positions kept with the last stack's values are a copy, so an
-        # in-place change of the caller's array is seen, by the stack and by
-        # a single point alike
+        # no values are kept between calls, so an in-place change of the
+        # caller's array is seen, by the stack and by a single point alike
         m = MetricField(dim=3, g=lambda x: (1.0 + x[0] ** 2) * np.eye(3))
         x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         assert np.array_equal(metric_at(m, x)[:, 0, 0], [1.0, 2.0])
@@ -480,13 +474,24 @@ class TestStacks:
         assert np.array_equal(metric_at(m, x)[:, 0, 0], [5.0, 10.0])
         assert metric_at(m, np.array([2.0, 0.0, 0.0]))[0, 0] == 5.0
 
-    def test_kept_values_are_read_only(self):
+    def test_handed_values_are_read_only(self):
+        # inside a handoff the stack and its points read the handed values,
+        # which may not be written; the caller's array stays writable, and
+        # so does a fresh evaluation
         m = MetricField(dim=3, g=lambda x: (1.0 + x[0] ** 2) * np.eye(3))
         x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        for g in (metric_at(m, x), metric_at(m, x), metric_at(m, x[1])):
-            with pytest.raises(ValueError):
-                g[..., 0, 0] = 7.0
+        gmat = metric_at(m, x)
+        with handing(m, x, gmat):
+            for g in (metric_at(m, x), metric_at(m, x[1])):
+                with pytest.raises(ValueError):
+                    g[..., 0, 0] = 7.0
+            fresh = metric_at(m, 2.0 * x)
+            fresh[..., 0, 0] = 7.0
+        assert gmat.flags.writeable
         assert metric_at(m, x[1])[0, 0] == 2.0
+        fresh = metric_at(m, x)
+        fresh[..., 0, 0] = 7.0
+        assert metric_at(m, x)[1, 0, 0] == 2.0
 
     def test_failure_names_first_offending_point(self):
         # positive-definite only where x^1 > 0
