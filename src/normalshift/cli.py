@@ -383,17 +383,19 @@ def _check_options(tolerance: Optional[float], seed: Optional[int] = None) -> No
 
 
 def build_metric(sc: Scenario) -> MetricField:
-    """The scenario's metric; its closures take a stack of points (..., n)."""
+    """The scenario's metric.  Every kind is diagonal, and its closures take
+    a stack of points (..., n) and return the diagonal entries (..., n) and
+    their derivatives (..., n, n), ``[..., m, i] = d g_ii / d x^m``."""
     kind = sc.metric["kind"]
     dim = sc.dim
-    eye = np.eye(dim)
+    ones = np.ones(dim)
     if kind == "euclidean":
-
-        def g_flat(x):
-            return np.broadcast_to(eye, x.shape[:-1] + (dim, dim)).copy()
-
         return MetricField(
-            dim=dim, g=g_flat, dg=lambda x: np.zeros(x.shape[:-1] + (dim, dim, dim)), stacked=True
+            dim=dim,
+            g=lambda x: np.ones(x.shape[:-1] + (dim,)),
+            dg=lambda x: np.zeros(x.shape[:-1] + (dim, dim)),
+            stacked=True,
+            diagonal=True,
         )
     if kind == "conformal":
         f_expr = sc.metric["f"]
@@ -401,32 +403,27 @@ def build_metric(sc: Scenario) -> MetricField:
         f_and_grad = compile_stack([f_expr] + [f_expr.derivative(f"x{k + 1}") for k in range(dim)])
 
         def g(x):
-            return np.exp(-2.0 * f_value(*_stack_env(x))[0])[..., None, None] * eye
+            return np.exp(-2.0 * f_value(*_stack_env(x))[0])[..., None] * ones
 
         def dg(x):
             f, *grad = f_and_grad(*_stack_env(x))
             factor = -2.0 * np.exp(-2.0 * f)
-            return (factor[..., None] * np.stack(grad, axis=-1))[..., None, None] * eye
+            return (factor[..., None] * np.stack(grad, axis=-1))[..., None] * ones
 
-        return MetricField(dim=dim, g=g, dg=dg, stacked=True)
+        return MetricField(dim=dim, g=g, dg=dg, stacked=True, diagonal=True)
     entries = sc.metric["entries"]
     entry_values = compile_stack(entries)
     # d entries[i] / d x^m, i-major
     entry_grads = compile_stack([e.derivative(f"x{m + 1}") for e in entries for m in range(dim)])
-    diag = np.arange(dim)
 
     def g_diag(x):
-        out = np.zeros(x.shape[:-1] + (dim, dim))
-        out[..., diag, diag] = np.stack(entry_values(*_stack_env(x)), axis=-1)
-        return out
+        return np.stack(entry_values(*_stack_env(x)), axis=-1)
 
     def dg_diag(x):
-        grads = np.stack(entry_grads(*_stack_env(x)), axis=-1).reshape(x.shape[:-1] + (dim, dim))
-        cube = np.zeros(x.shape[:-1] + (dim, dim, dim))
-        cube[..., diag, diag] = grads.swapaxes(-1, -2)
-        return cube
+        grads = np.stack(entry_grads(*_stack_env(x)), axis=-1)
+        return grads.reshape(x.shape[:-1] + (dim, dim)).swapaxes(-1, -2)
 
-    return MetricField(dim=dim, g=g_diag, dg=dg_diag, stacked=True)
+    return MetricField(dim=dim, g=g_diag, dg=dg_diag, stacked=True, diagonal=True)
 
 
 def _isotropic(expr: Expression, dim: int) -> IsotropicScalar:

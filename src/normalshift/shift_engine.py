@@ -45,6 +45,7 @@ from .tensor_core import (
     MetricField,
     by_rows,
     central_partials,
+    diagonal_raised_acceleration,
     direction_from,
     dot,
     inverse_metric_from,
@@ -325,8 +326,12 @@ def _flow_rhs(force: Force, m: MetricField, x: Array, v: Array, gmat: Array) -> 
     ``gmat`` is the checked metric at ``x``, which is not checked again.
     The stage inverts it, takes the metric derivatives, then the force,
     which reads ``gmat``, and raises the acceleration once
-    (:func:`~normalshift.tensor_core.raised_acceleration`).
+    (:func:`~normalshift.tensor_core.raised_acceleration`).  A ``diagonal``
+    metric with analytic derivatives does the same on its diagonal entries
+    (:func:`~normalshift.tensor_core.diagonal_raised_acceleration`).
     """
+    if m.diagonal and m.dg is not None:
+        return v, diagonal_raised_acceleration(m, x, v, gmat, force)
     ginv, dg = inverse_metric_from(gmat, x), metric_derivatives_at(m, x)
     return v, raised_acceleration(ginv, dg, v, np.asarray(force(x, v, gmat), dtype=float))
 

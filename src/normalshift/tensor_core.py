@@ -8,7 +8,12 @@ from it.  A flow stage reads g, its inverse and its derivatives and raises
 its acceleration once, from the lowered connection term, without forming the
 Christoffel symbols.  The inverse metric of a 3-dimensional chart comes from
 its cofactors, and any inverse is accepted only once multiplying back gives
-the identity (:func:`inverse_metric_from`).  Every evaluator takes one point
+the identity (:func:`inverse_metric_from`).  A metric whose builder marks it
+``diagonal`` hands over only its n diagonal entries and their n x n
+derivatives: its check is the sign of each entry, and a flow stage on it
+inverts by reciprocals and forms the connection term from the n x n
+derivatives (:func:`diagonal_raised_acceleration`).  Every other reader
+still gets the full matrices.  Every evaluator takes one point
 of shape (n,) or a stack of points of shape (..., n) and returns its tensors
 with the stack's leading axes in front.  A metric marked ``stacked`` has its
 closures called once per stack, and only ever on a stack: a single point
@@ -70,12 +75,19 @@ class MetricField:
         returning (..., n, n) and (..., n, n, n), so a stack costs one
         call.  They are then only called on stacks, a single point as a
         one-row stack.  Unmarked closures are called once per point.
+    diagonal : bool
+        Whether the metric is diagonal, as its builder knows: ``g`` then
+        returns the n diagonal entries g_ii, shape (n,), and ``dg`` the
+        n x n derivatives ``dg(x)[m, i] = d g_ii / d x^m``.  Combined with
+        ``stacked``, the stack's leading axes come first as before.  The
+        evaluators below still return full matrices and derivative cubes.
     """
 
     dim: int
     g: Callable[[np.ndarray], np.ndarray]
     dg: Optional[Callable[[np.ndarray], np.ndarray]] = None
     stacked: bool = False
+    diagonal: bool = False
 
     def __post_init__(self):
         if self.dim < 3:
@@ -168,6 +180,18 @@ def _first_offender(err: np.ndarray, x: np.ndarray, tol: float):
     per_point = err.reshape(-1, err.shape[-2] * err.shape[-1]).max(axis=1)
     i = int(np.argmax(~(per_point < tol)))
     return per_point[i], x.reshape(-1, x.shape[-1])[i]
+
+
+def _checked_diagonal(entries: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The metric matrices (..., n, n) of diagonal entries (..., n) taken at
+    ``x``, after the exact test of their definiteness: every entry finite
+    and positive.  A failure names the first offending point."""
+    good = np.isfinite(entries) & (entries > 0.0)
+    if not good.all():
+        n = entries.shape[-1]
+        at = x.reshape(-1, n)[int(np.argmin(good.reshape(-1, n).all(axis=1)))]
+        raise NotPositiveDefinite(f"metric not positive-definite at x={at}")
+    return entries[..., None] * np.eye(entries.shape[-1])
 
 
 def _checked_metric(gmat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -295,7 +319,9 @@ def metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
 
     Asymmetry below ``ASYMMETRY_TOL`` is silently averaged out; anything
     larger raises :class:`AsymmetricMetric`.  Positive-definiteness is
-    checked by attempting a Cholesky factorization.  Inside a closure
+    checked by attempting a Cholesky factorization, and for a ``diagonal``
+    metric by the sign of each entry, which must also be finite; the
+    matrix is then built from the entries.  Inside a closure
     handed the metric at ``x``, or at a stack that holds the point ``x``
     (:func:`handing`), the handed values are returned, read-only.
     """
@@ -307,6 +333,8 @@ def metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
             return values[i]
     elif handed is m and np.array_equal(positions, x.reshape(-1, m.dim)):
         return values.reshape(x.shape[:-1] + (m.dim, m.dim))
+    if m.diagonal:
+        return _checked_diagonal(_closure_values(m.g, x, (m.dim,), "metric", m.stacked), x)
     return _checked_metric(_closure_values(m.g, x, (m.dim, m.dim), "metric", m.stacked), x)
 
 
@@ -319,12 +347,16 @@ def inverse_metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
 def metric_derivatives_at(m: MetricField, x: np.ndarray) -> np.ndarray:
     """Coordinate derivatives ``D[..., m, i, j] = d g_ij / d x^m``.
 
-    Uses the analytic closure when supplied.  Otherwise central differences
-    of the metric (its symmetric part) with one Richardson extrapolation level,
-    which upgrades the truncation error from O(h^2) to O(h^4).
+    Uses the analytic closure when supplied, whose n x n derivatives of a
+    ``diagonal`` metric fill the cube's diagonal in each metric index pair.
+    Otherwise central differences of the metric (its symmetric part) with
+    one Richardson extrapolation level, which upgrades the truncation error
+    from O(h^2) to O(h^4).
     """
     x = np.asarray(x, dtype=float)
     n = m.dim
+    if m.diagonal and m.dg is not None:
+        return _closure_values(m.dg, x, (n, n), "dg", m.stacked)[..., None] * np.eye(n)
     if m.dg is not None:
         d = _closure_values(m.dg, x, (n, n, n), "dg", m.stacked)
     else:
@@ -448,6 +480,42 @@ def raised_acceleration(
     return mat_vec(ginv, force - (vec_mat(v, e) - 0.5 * mat_vec(e, v)))
 
 
+def _reciprocal(entries: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The inverse 1/g_ii of checked diagonal metric entries (..., n) at ``x``,
+    under the multiply-back test of :func:`inverse_metric_from`: each
+    g_ii (1/g_ii) within 1e-10 of 1, else :class:`NotPositiveDefinite`
+    naming the first failing point.  Only an entry so small that its
+    reciprocal overflows fails it."""
+    with np.errstate(over="ignore"):
+        inv = 1.0 / entries
+    residual = np.abs(entries * inv - 1.0)
+    if not residual.max() < 1e-10:
+        worst, at = _first_offender(residual[..., None], x, 1e-10)
+        raise NotPositiveDefinite(
+            f"metric too ill-conditioned to invert: residual {worst:.3e} at x={at}"
+        )
+    return inv
+
+
+def diagonal_raised_acceleration(
+    m: MetricField, x: np.ndarray, v: np.ndarray, gmat: np.ndarray, force: Callable
+) -> np.ndarray:
+    """:func:`raised_acceleration` for a ``diagonal`` metric ``m`` with analytic
+    ``dg``, from ``gmat``, its checked matrices at ``x``.
+
+    In the order of the general stage, the metric is inverted by
+    reciprocals (:func:`_reciprocal`), its n x n derivatives
+    e[..., m, i] = d_m g_ii are taken, and then the covector force
+    ``force(x, v, gmat)``.  The lowered connection term is
+    c_s = (sum_m v^m d_m g_ss) v^s - (1/2) sum_i d_s g_ii (v^i)^2,
+    with no derivative cube.
+    """
+    ginv = _reciprocal(np.diagonal(gmat, axis1=-2, axis2=-1), x)
+    e = _closure_values(m.dg, x, (m.dim, m.dim), "dg", m.stacked)
+    c = vec_mat(v, e) * v - 0.5 * mat_vec(e, v * v)
+    return ginv * (np.asarray(force(x, v, gmat), dtype=float) - c)
+
+
 def speed_from(gmat: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The g-norm sqrt(g_ij v^i v^j) of vectors ``v`` (..., n) from metric values
     ``gmat`` (..., n, n) already taken, which may be broadcast over extra axes
@@ -501,13 +569,3 @@ def direction_from(gmat: np.ndarray, x: np.ndarray, v: np.ndarray) -> Projector:
         )
     n_up = v / speed[..., None]
     return Projector(N_up=n_up, N_down=mat_vec(gmat, n_up), speed=speed)
-
-
-def lower_index(m: MetricField, x: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Convert a vector to a covector: w_i = g_ij w^j."""
-    return np.einsum("...ij,...j->...i", metric_at(m, x), np.asarray(vec, dtype=float))
-
-
-def raise_index(m: MetricField, x: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Convert a covector to a vector: w^i = g^ij w_j."""
-    return np.einsum("...ij,...j->...i", inverse_metric_at(m, x), np.asarray(cov, dtype=float))

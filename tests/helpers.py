@@ -6,6 +6,9 @@ diag(1, (x^1)^2, 1).  The curved ones carry analytic derivative closures so
 finite-difference paths can be checked against them.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from normalshift.tensor_core import MetricField
@@ -71,6 +74,43 @@ def diagonal_metric(analytic=True):
         return d
 
     return MetricField(dim=3, g=g, dg=dg if analytic else None)
+
+
+# the metric sections of the three kinds the CLI builds, all diagonal
+CLI_METRICS = {
+    "euclidean": {"kind": "euclidean"},
+    "conformal": {"kind": "conformal", "f": "0.3*sin(x1 + 2*x2) + 0.1*x3"},
+    "diagonal": {"kind": "diagonal", "entries": ["1 + 0.1*x1^2", "exp(0.2*x2)", "1 + 0.2*sin(x3)"]},
+}
+
+
+def cli_scenario(directory, **sections):
+    """``cli.load_scenario`` of a scenario with these sections (a geodesic
+    generator unless given), written to ``directory``."""
+    from normalshift.cli import load_scenario
+
+    path = Path(directory) / "scenario.json"
+    path.write_text(json.dumps({"name": "s", "generator": {"kind": "geodesic"}, **sections}))
+    return load_scenario(path)
+
+
+def cli_metric(metric, directory):
+    """``cli.build_metric`` of a scenario with this metric section."""
+    from normalshift.cli import build_metric
+
+    return build_metric(cli_scenario(directory, metric=metric))
+
+
+def full_matrices(m):
+    """The diagonal metric ``m`` with closures that return its full matrices
+    and derivative cubes, unmarked, so every evaluator takes the general path."""
+    eye = np.eye(m.dim)
+    return MetricField(
+        dim=m.dim,
+        g=lambda x: np.asarray(m.g(x))[..., None] * eye,
+        dg=m.dg and (lambda x: np.asarray(m.dg(x))[..., None] * eye),
+        stacked=m.stacked,
+    )
 
 
 def random_point(rng, box):

@@ -33,7 +33,7 @@ from normalshift.force_builder import (
     perturbed_field,
 )
 from normalshift.shift_engine import surface_tangents
-from normalshift.tensor_core import MetricField, metric_at, speed_at
+from normalshift.tensor_core import MetricField, metric_at, metric_derivatives_at, speed_at
 
 BOX = [[0.25, 1.25], [0.25, 1.25], [0.25, 1.25]]
 
@@ -720,40 +720,41 @@ def eval_env(x, s=None):
 
 
 def eval_metric(sc):
-    """``build_metric``'s conformal or diagonal metric, one ``eval`` per expression."""
-    dim, eye = sc.dim, np.eye(sc.dim)
+    """``build_metric``'s conformal or diagonal metric, one ``eval`` per
+    expression, in the same diagonal form."""
+    dim = sc.dim
     if sc.metric["kind"] == "conformal":
         f = sc.metric["f"]
         grad = [f.derivative(f"x{k + 1}") for k in range(dim)]
 
         def g(x):
-            return np.exp(-2.0 * f.eval(eval_env(x)))[..., None, None] * eye
+            return np.exp(-2.0 * f.eval(eval_env(x)))[..., None] * np.ones(dim)
 
         def dg(x):
             env = eval_env(x)
             factor = -2.0 * np.exp(-2.0 * f.eval(env))
-            cube = np.zeros(x.shape[:-1] + (dim, dim, dim))
+            out = np.zeros(x.shape[:-1] + (dim, dim))
             for m, part in enumerate(grad):
-                cube[..., m, :, :] = (factor * part.eval(env))[..., None, None] * eye
-            return cube
+                out[..., m, :] = (factor * part.eval(env))[..., None]
+            return out
 
-        return MetricField(dim=dim, g=g, dg=dg, stacked=True)
+        return MetricField(dim=dim, g=g, dg=dg, stacked=True, diagonal=True)
     entries = sc.metric["entries"]
 
     def g_diag(x):
-        out = np.zeros(x.shape[:-1] + (dim, dim))
+        out = np.zeros(x.shape[:-1] + (dim,))
         for i, entry in enumerate(entries):
-            out[..., i, i] = entry.eval(eval_env(x))
+            out[..., i] = entry.eval(eval_env(x))
         return out
 
     def dg_diag(x):
-        cube = np.zeros(x.shape[:-1] + (dim, dim, dim))
+        out = np.zeros(x.shape[:-1] + (dim, dim))
         for i, entry in enumerate(entries):
             for m in range(dim):
-                cube[..., m, i, i] = entry.derivative(f"x{m + 1}").eval(eval_env(x))
-        return cube
+                out[..., m, i] = entry.derivative(f"x{m + 1}").eval(eval_env(x))
+        return out
 
-    return MetricField(dim=dim, g=g_diag, dg=dg_diag, stacked=True)
+    return MetricField(dim=dim, g=g_diag, dg=dg_diag, stacked=True, diagonal=True)
 
 
 def eval_scalar(expr, dim, speed):
@@ -823,8 +824,11 @@ class TestCompiledClosures:
         sc = load_scenario(write_config(tmp_path, base_scenario(metric=metric)))
         got, want = build_metric(sc), eval_metric(sc)
         x, _ = stack(lead, 1)
+        assert got.diagonal and want.diagonal
         assert_same_bits(got.g(x), want.g(x))
         assert_same_bits(got.dg(x), want.dg(x))
+        assert_same_bits(metric_at(got, x), metric_at(want, x))
+        assert_same_bits(metric_derivatives_at(got, x), metric_derivatives_at(want, x))
 
     @pytest.mark.parametrize("lead", STACKS, ids=str)
     @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from normalshift.force_builder import (
     generated_force,
 )
 from normalshift import force_builder, shift_engine, tensor_core
+from normalshift.cli import build_generator, build_metric
 from normalshift.shift_engine import (
     GridSpec,
     Hypersurface,
@@ -55,9 +56,13 @@ from normalshift.tensor_core import (
 )
 
 from helpers import (
+    CLI_METRICS,
+    cli_metric,
+    cli_scenario,
     conformal_metric,
     diagonal_metric,
     euclidean_metric,
+    full_matrices,
     pointwise_initial_state,
     wavy_conformal_metric,
 )
@@ -769,6 +774,162 @@ class TestRaisedOnceStage:
         step_trajectory(as_force_field(metrizable_hw()), m, state, 1e-3)
         run_shift(metrizable_hw(), m, plane_surface(), small_grid(), t_end=0.01, dt=1e-3,
                   sample_stride=1)
+
+
+
+class TestDiagonalStage:
+    """A stage on a metric marked ``diagonal`` inverts by reciprocals and forms
+    the connection term from the n x n derivatives; the same closures as
+    full matrices take the general stage."""
+
+    @pytest.mark.parametrize("kind", CLI_METRICS)
+    def test_stage_matches_the_full_matrices(self, tmp_path, kind):
+        m = cli_metric(CLI_METRICS[kind], tmp_path)
+        full = full_matrices(m)
+        rng = np.random.default_rng(16)
+        x, v = rng.uniform(-0.8, 0.8, (200, 3)), rng.normal(size=(200, 3))
+        gmat = metric_at(m, x)
+        assert np.array_equal(gmat, metric_at(full, x))
+        got = shift_engine._flow_rhs(generated_force(metrizable_hw(), m), m, x, v, gmat)[1]
+        want = shift_engine._flow_rhs(generated_force(metrizable_hw(), full), full, x, v, gmat)[1]
+        if kind == "euclidean":  # g^-1 = 1 and c = 0 exactly on either path
+            assert np.array_equal(got, want)
+        else:
+            # measured: at most 5.1e-16 of a state's largest component
+            assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want).max(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("kind", CLI_METRICS)
+    def test_family_matches_the_full_matrices(self, tmp_path, kind):
+        m = cli_metric(CLI_METRICS[kind], tmp_path)
+        got = quick_run(metrizable_hw(), m, plane_surface())
+        want = quick_run(metrizable_hw(), full_matrices(m), plane_surface())
+        for name in ("x", "v", "phi", "W_vals", "speed_vals"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.array_equal(np.isnan(a), np.isnan(b))
+            if kind == "euclidean":
+                assert np.array_equal(a, b, equal_nan=True), name
+            elif name == "phi":
+                # a cancellation residual of O(1) terms; measured at most 6.0e-17
+                assert np.nanmax(np.abs(a - b)) <= 5e-16
+            else:
+                # measured: at most 1.7e-16 of the array's largest entry
+                assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b)), name
+
+    def test_stage_takes_no_inverse_matrix_and_no_derivative_cube(self, tmp_path, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("not needed by a diagonal stage")
+
+        for name in ("inverse_metric_from", "metric_derivatives_at", "raised_acceleration"):
+            monkeypatch.setattr(shift_engine, name, forbidden)
+        m = cli_metric(CLI_METRICS["conformal"], tmp_path)
+        quick_run(metrizable_hw(), m, plane_surface(), t_end=0.01)
+        # without analytic derivatives the general stage serves
+        differenced = MetricField(dim=3, g=m.g, stacked=True, diagonal=True)
+        with pytest.raises(AssertionError, match="not needed by a diagonal stage"):
+            quick_run(metrizable_hw(), differenced, plane_surface(), t_end=0.01)
+
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "pointwise"])
+    @pytest.mark.parametrize(
+        "level,at",
+        [(0.02025, "[ 0.1    -0.1     0.0205]"), (0.0207, "[ 0.1   -0.1    0.021]")],
+        ids=["stage-2", "stage-4"],
+    )
+    @pytest.mark.parametrize(
+        "bad,reason",
+        [
+            (0.0, "metric not positive-definite"),
+            (-1.0, "metric not positive-definite"),
+            (np.nan, "metric not positive-definite"),
+            (np.inf, "metric not positive-definite"),
+            (1e-309, "metric too ill-conditioned to invert: residual inf"),
+        ],
+        ids=["zero", "negative", "nan", "inf", "reciprocal-overflows"],
+    )
+    def test_entry_failing_at_an_intermediate_stage_is_named(self, level, at, bad, reason, stacked):
+        # as in TestFamilyStep's intermediate-stage test: past
+        # x^3 = 0.02025 the second stage's positions fail, past 0.0207 only
+        # the fourth stage's do
+        def entries(x):
+            failing = (x[..., 0] > 0.075) & (x[..., 2] > level)
+            return np.where(failing[..., None], [1.0, 1.0, bad], 1.0)
+
+        m = MetricField(
+            dim=3, g=entries, dg=lambda x: np.zeros(x.shape[:-1] + (3, 3)), stacked=stacked,
+            diagonal=True,
+        )
+        with pytest.raises(NotPositiveDefinite) as info:
+            run_shift(builtin_geodesic(), m, plane_surface(), small_grid(), t_end=0.05, dt=1e-3)
+        assert str(info.value) == (
+            f"trajectory from u = [0.1, -0.1] near t = 0.02: {reason} at x={at}"
+        )
+
+
+class TestConformalRoute:
+    """The paper's route between the two kinds of field: trajectories of
+    W = |v| e^(-f) with h = H on g are geodesics of e^(-2f) g, reparametrized
+    through H.  Here g is the CLI's Euclidean metric and e^(-2f) g its
+    conformal one, f = 0.3 x^1, both on the diagonal stage."""
+
+    GRID = GridSpec(ranges=((-0.1, 0.1, 5), (-0.1, 0.1, 5)))
+
+    @staticmethod
+    def curve_gap(a, b):
+        """The largest gap in (x^1, x^2) from a recorded point of ``a`` to the
+        same trajectory of ``b`` where it reaches the point's x^3 (which
+        increases along every trajectory here), with the count of points
+        compared.  ``b`` between its recorded states is the cubic Hermite of
+        their positions and velocities, solved for x^3 by Newton steps."""
+        worst, compared = 0.0, 0
+        for xa, xb, vb in zip(a.x, b.x, b.v):
+            assert np.all(np.diff(xb[:, 2]) > 0)
+            level = xa[:, 2]
+            j = np.searchsorted(xb[:, 2], level) - 1
+            inside = (j >= 0) & (j < len(xb) - 1)
+            j, level, compared = j[inside], level[inside], compared + int(inside.sum())
+            h = (b.times[j + 1] - b.times[j])[:, None]
+            p0, p1, m0, m1 = xb[j], xb[j + 1], vb[j] * h, vb[j + 1] * h
+
+            def hermite(s):
+                return ((2 * s**3 - 3 * s**2 + 1) * p0 + (s**3 - 2 * s**2 + s) * m0
+                        + (3 * s**2 - 2 * s**3) * p1 + (s**3 - s**2) * m1)
+
+            def slope(s):
+                return (6 * s**2 - 6 * s) * (p0 - p1) + (3 * s**2 - 4 * s + 1) * m0 + (3 * s**2 - 2 * s) * m1
+
+            s = ((level - p0[:, 2]) / (p1[:, 2] - p0[:, 2]))[:, None]
+            for _ in range(6):
+                s = s - ((hermite(s)[:, 2] - level) / slope(s)[:, 2])[:, None]
+            on_b = hermite(s)
+            assert np.all(np.abs(on_b[:, 2] - level) <= 1e-15)
+            worst = max(worst, float(np.abs(on_b[:, :2] - xa[inside, :2]).max(initial=0.0)))
+        return worst, compared
+
+    @pytest.fixture(scope="class")
+    def geodesics(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("route")
+        m = build_metric(cli_scenario(directory, metric={"kind": "conformal", "f": "0.3*x1"}))
+        assert m.diagonal
+        return run_shift(builtin_geodesic(), m, plane_surface(), self.GRID, t_end=0.8, dt=1e-3,
+                         sample_stride=1)
+
+    @pytest.mark.parametrize("H,tol", [("v", 1e-13), ("v^2", 1e-12)], ids=["h=w", "h=w^2"])
+    def test_metrizable_trajectories_are_conformal_geodesics(self, tmp_path, geodesics, H, tol):
+        # At dt = 1e-3 the integrator's own error, the gap in x to the same
+        # run at dt = 5e-4, is 2.7e-15 for the geodesics and 1.1e-14 (h = w)
+        # and 1.6e-13 (h = w^2) for the metrizable families, whose speeds
+        # grow; the curve gaps measured 1.5e-14 and 2.3e-13, and each
+        # family's own Hermite reproduces its half-step run to 1e-14
+        sc = cli_scenario(tmp_path, metric={"kind": "euclidean"},
+                          generator={"kind": "metrizable", "f": "0.3*x1", "H": H})
+        m = build_metric(sc)
+        assert m.diagonal
+        shifted = run_shift(build_generator(sc), m, plane_surface(), self.GRID, t_end=0.5,
+                            dt=1e-3, sample_stride=1)
+        assert np.abs(shifted.x[:, -1, 0] - shifted.x[:, 0, 0]).min() > 0.05  # the curves bend
+        for a, b in ((shifted, geodesics), (geodesics, shifted)):
+            worst, compared = self.curve_gap(a, b)
+            assert compared > 0.5 * a.x.shape[0] * a.x.shape[1]
+            assert worst <= tol
 
 
 class TestFamilyStep:

@@ -1,6 +1,7 @@
 """Tests for the chart-level metric machinery."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,21 +20,29 @@ from normalshift.tensor_core import (
     MetricField,
     _inverse3,
     _lapack_inverse,
+    _multiply_back,
+    _reciprocal,
     central_partials,
     christoffel_at,
     handing,
     inverse_metric_at,
     inverse_metric_from,
-    lower_index,
     metric_at,
     metric_derivatives_at,
-    raise_index,
     scaled_step,
     speed_at,
     unit_direction,
 )
 
-from helpers import conformal_metric, diagonal_metric, euclidean_metric, wavy_conformal_metric
+from helpers import (
+    CLI_METRICS,
+    cli_metric,
+    conformal_metric,
+    diagonal_metric,
+    euclidean_metric,
+    full_matrices,
+    wavy_conformal_metric,
+)
 
 
 # points where every test metric is well-behaved (x^1 away from 0 for the
@@ -192,6 +201,103 @@ class TestInverseMetric:
         want = lapack_path(g)[0]
         assert np.array_equal(inverse_metric_from(g, np.zeros((50, n))), want)
         assert np.array_equal(inverse_metric_from(g[3], np.zeros(n)), want[3])
+
+
+def entries_stack(rng, k, kappa, n=3):
+    """k diagonals of n positive entries whose ratio of largest to smallest
+    is ``kappa``, each at its own scale in [1e-2, 1e2]: the diagonal
+    counterpart of :func:`spd_stack`."""
+    spread = np.concatenate([np.zeros((k, 1)), rng.random((k, n - 2)), np.ones((k, 1))], axis=1)
+    return kappa**spread * 10.0 ** rng.uniform(-2.0, 2.0, size=(k, 1))
+
+
+class TestDiagonalForm:
+    """A metric its builder marks ``diagonal``: g gives the entries (..., n)
+    and dg their derivatives (..., n, n); the evaluators give what the same
+    closures give as full matrices."""
+
+    @pytest.mark.parametrize("lead", [(), (7,), (2, 5)], ids=str)
+    @pytest.mark.parametrize("kind", CLI_METRICS)
+    def test_evaluators_equal_the_full_matrices(self, tmp_path, kind, lead):
+        m = cli_metric(CLI_METRICS[kind], tmp_path)
+        full = full_matrices(m)
+        assert m.diagonal and not full.diagonal
+        x = np.random.default_rng(3).uniform(-0.5, 0.5, lead + (3,))
+        for fn in (metric_at, metric_derivatives_at, inverse_metric_at, christoffel_at):
+            got, want = fn(m, x), fn(full, x)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_differenced_derivatives_without_dg(self):
+        # dg(x)[m, i] = d g_ii / d x^m, every entry depending on two coordinates
+        def g(x):
+            return np.array([1.0 + x[0] ** 2 + x[1], np.exp(x[1]) * (1.0 + 0.1 * x[2]),
+                             2.0 + np.sin(x[2]) + 0.1 * x[0]])
+
+        def dg(x):
+            e = np.exp(x[1])
+            return np.array([[2.0 * x[0], 0.0, 0.1],
+                             [1.0, e * (1.0 + 0.1 * x[2]), 0.0],
+                             [0.0, 0.1 * e, np.cos(x[2])]])
+
+        x = np.array([0.3, -0.4, 0.9])
+        analytic = metric_derivatives_at(MetricField(dim=3, g=g, dg=dg, diagonal=True), x)
+        differenced = metric_derivatives_at(MetricField(dim=3, g=g, diagonal=True), x)
+        assert np.allclose(differenced, analytic, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e2, 1e4, 1e8, 1e16, 1e100])
+    def test_reciprocal_multiply_back_is_one_ulp_per_entry(self, kappa):
+        # g (1/g) rounds to 1 or to the float just below it, at every
+        # condition; that is the full matrices' multiply-back, entry for entry
+        g = entries_stack(np.random.default_rng(int(np.log10(kappa))), 1000, kappa)
+        inv = _reciprocal(g, np.zeros_like(g))
+        product = g * inv
+        assert np.all((product == 1.0) | (product == np.nextafter(1.0, 0.0)))
+        eye = np.eye(3)
+        back = _multiply_back(g[..., None] * eye, inv[..., None] * eye)
+        assert np.array_equal(back, np.abs(product - 1.0)[..., None] * eye)
+
+    def test_reciprocal_that_overflows_is_named(self):
+        # only an entry whose reciprocal overflows fails the test
+        g = np.ones((4, 3))
+        g[2, 1] = 1e-309
+        x = np.arange(12.0).reshape(4, 3)
+        with pytest.raises(NotPositiveDefinite) as info:
+            _reciprocal(g, x)
+        assert str(info.value) == (
+            f"metric too ill-conditioned to invert: residual inf at x={x[2]}"
+        )
+
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "pointwise"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf], ids=str)
+    def test_bad_entry_names_its_point(self, bad, stacked):
+        x = np.arange(15.0).reshape(5, 3)
+
+        def entries(y):
+            return np.where(y[..., [0]] == 9.0, [1.0, bad, 1.0], 1.0)
+
+        m = MetricField(dim=3, g=entries, stacked=stacked, diagonal=True)
+        for at in (x, x[3]):
+            with pytest.raises(NotPositiveDefinite) as info:
+                metric_at(m, at)
+            assert str(info.value) == f"metric not positive-definite at x={x[3]}"
+        if -np.inf < bad <= 0.0:  # the general path names it alike
+            with pytest.raises(NotPositiveDefinite) as info:
+                metric_at(full_matrices(m), x)
+            assert str(info.value) == f"metric not positive-definite at x={x[3]}"
+
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "pointwise"])
+    def test_closure_of_the_wrong_shape_names_the_expected_one(self, stacked):
+        # closures written for full matrices and derivative cubes
+        x = np.arange(6.0).reshape(2, 3)
+        lead = (2,) if stacked else ()
+        m = MetricField(
+            dim=3, g=lambda y: np.eye(3) * np.ones(y.shape[:-1] + (1, 1)),
+            dg=lambda y: np.zeros(y.shape[:-1] + (3, 3, 3)), stacked=stacked, diagonal=True,
+        )
+        with pytest.raises(AsymmetricMetric, match=re.escape(f"expected {lead + (3,)} at x=")):
+            metric_at(m, x)
+        with pytest.raises(AsymmetricMetric, match=re.escape(f"expected {lead + (3, 3)} at x=")):
+            metric_derivatives_at(m, x)
 
 
 class TestChristoffel:
@@ -379,32 +485,6 @@ class TestUnitDirection:
             assert np.allclose(pr.N_down, gmat @ pr.N_up)
 
 
-class TestIndexShuffling:
-    def test_euclidean_identity(self):
-        m = euclidean_metric()
-        w = np.array([0.3, -1.0, 2.0])
-        assert np.array_equal(lower_index(m, np.zeros(3), w), w)
-        assert np.array_equal(raise_index(m, np.zeros(3), w), w)
-
-    def test_conformal_scalar_factor(self):
-        m = conformal_metric()
-        x = np.array([0.5, 0.0, 0.0])
-        w = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(lower_index(m, x, w), math.exp(-1.0) * w, rtol=1e-14)
-
-    @seed(19)
-    @settings(max_examples=50, deadline=None)
-    @given(
-        arrays(np.float64, (3, 3), elements=st.floats(-2.0, 2.0)),
-        arrays(np.float64, (3,), elements=st.floats(-5.0, 5.0)),
-    )
-    def test_round_trip(self, a, w):
-        m = random_spd_metric(a)
-        x = np.zeros(3)
-        back = raise_index(m, x, lower_index(m, x, w))
-        assert np.max(np.abs(back - w)) < 1e-10
-
-
 class TestStacks:
     """Stacks of points (..., n) against the same points one at a time."""
 
@@ -431,7 +511,8 @@ class TestStacks:
             assert np.allclose(pr.N_down[idx], one.N_down, rtol=1e-14, atol=0)
             assert speed[idx] == pytest.approx(one.speed, rel=1e-14)
             assert pr.speed[idx] == pytest.approx(one.speed, rel=1e-14)
-        assert np.allclose(raise_index(m, x, lower_index(m, x, v)), v, rtol=0, atol=1e-12)
+        lowered = np.einsum("...ij,...j->...i", g, v)
+        assert np.allclose(np.einsum("...ij,...j->...i", ginv, lowered), v, rtol=0, atol=1e-12)
 
     def test_stack_calls_the_closures_once_per_point(self):
         calls = []
