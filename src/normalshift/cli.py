@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -385,45 +386,65 @@ def _check_options(tolerance: Optional[float], seed: Optional[int] = None) -> No
 def build_metric(sc: Scenario) -> MetricField:
     """The scenario's metric.  Every kind is diagonal, and its closures take
     a stack of points (..., n) and return the diagonal entries (..., n) and
-    their derivatives (..., n, n), ``[..., m, i] = d g_ii / d x^m``."""
+    their derivatives (..., n, n), ``[..., m, i] = d g_ii / d x^m``.  Its
+    ``terms`` gives both from one compiled pass, so a flow stage that takes
+    both at the same positions evaluates each expression once."""
     kind = sc.metric["kind"]
     dim = sc.dim
     ones = np.ones(dim)
     if kind == "euclidean":
+
+        def g(x):
+            return np.ones(x.shape[:-1] + (dim,))
+
+        def dg(x):
+            return np.zeros(x.shape[:-1] + (dim, dim))
+
         return MetricField(
-            dim=dim,
-            g=lambda x: np.ones(x.shape[:-1] + (dim,)),
-            dg=lambda x: np.zeros(x.shape[:-1] + (dim, dim)),
-            stacked=True,
-            diagonal=True,
+            dim=dim, g=g, dg=dg, stacked=True, diagonal=True, terms=lambda x: (g(x), dg(x))
         )
     if kind == "conformal":
         f_expr = sc.metric["f"]
         f_value = compile_stack([f_expr])
         f_and_grad = compile_stack([f_expr] + [f_expr.derivative(f"x{k + 1}") for k in range(dim)])
 
+        def derivatives(e, grad):
+            """dg from e = exp(-2 f) and the gradient of f."""
+            return ((-2.0 * e)[..., None] * np.stack(grad, axis=-1))[..., None] * ones
+
         def g(x):
             return np.exp(-2.0 * f_value(*_stack_env(x))[0])[..., None] * ones
 
         def dg(x):
             f, *grad = f_and_grad(*_stack_env(x))
-            factor = -2.0 * np.exp(-2.0 * f)
-            return (factor[..., None] * np.stack(grad, axis=-1))[..., None] * ones
+            return derivatives(np.exp(-2.0 * f), grad)
 
-        return MetricField(dim=dim, g=g, dg=dg, stacked=True, diagonal=True)
+        def terms(x):
+            f, *grad = f_and_grad(*_stack_env(x))
+            e = np.exp(-2.0 * f)
+            return e[..., None] * ones, derivatives(e, grad)
+
+        return MetricField(dim=dim, g=g, dg=dg, stacked=True, diagonal=True, terms=terms)
     entries = sc.metric["entries"]
-    entry_values = compile_stack(entries)
     # d entries[i] / d x^m, i-major
-    entry_grads = compile_stack([e.derivative(f"x{m + 1}") for e in entries for m in range(dim)])
+    grads = [e.derivative(f"x{m + 1}") for e in entries for m in range(dim)]
+    entry_values, entry_grads = compile_stack(entries), compile_stack(grads)
+    both = compile_stack(entries + grads)
+
+    def gradients(values, lead):
+        return np.stack(values, axis=-1).reshape(lead + (dim, dim)).swapaxes(-1, -2)
 
     def g_diag(x):
         return np.stack(entry_values(*_stack_env(x)), axis=-1)
 
     def dg_diag(x):
-        grads = np.stack(entry_grads(*_stack_env(x)), axis=-1)
-        return grads.reshape(x.shape[:-1] + (dim, dim)).swapaxes(-1, -2)
+        return gradients(entry_grads(*_stack_env(x)), x.shape[:-1])
 
-    return MetricField(dim=dim, g=g_diag, dg=dg_diag, stacked=True, diagonal=True)
+    def terms(x):
+        values = both(*_stack_env(x))
+        return np.stack(values[:dim], axis=-1), gradients(values[dim:], x.shape[:-1])
+
+    return MetricField(dim=dim, g=g_diag, dg=dg_diag, stacked=True, diagonal=True, terms=terms)
 
 
 def _isotropic(expr: Expression, dim: int) -> IsotropicScalar:
@@ -445,6 +466,23 @@ def _isotropic(expr: Expression, dim: int) -> IsotropicScalar:
     return IsotropicScalar(eval=ev, dx=dx, dspeed=dspeed, stacked=True)
 
 
+def _position_scalar(expr: Expression, dim: int) -> IsotropicScalar:
+    """:func:`_isotropic` of a generator's position expression f, with
+    ``terms``: f, its v-partial (the constant 0) and its x-partials from one
+    compiled pass, which ``builtin_metrizable`` and ``builtin_nonmetrizable``
+    read in a stage.  A ``custom`` W gets none, since its W_v is checked
+    against the floor before W is evaluated."""
+    fused = compile_stack(
+        [expr, expr.derivative("v")] + [expr.derivative(f"x{k + 1}") for k in range(dim)]
+    )
+
+    def terms(x, s):
+        f, f_v, *f_x = fused(*_stack_env(x, s))
+        return f, f_v, np.stack(f_x, axis=-1)
+
+    return dataclasses.replace(_isotropic(expr, dim), terms=terms)
+
+
 def _single_variable_fn(expr: Expression):
     """The expression as a function of ``v``: one compiled pass on an array
     (ndim >= 1), and on a float or a 0-d array a float from
@@ -463,9 +501,10 @@ def build_generator(sc: Scenario) -> GeneratingScalar:
     if kind == "geodesic":
         return builtin_geodesic()
     if kind == "metrizable":
-        return builtin_metrizable(_isotropic(gen["f"], sc.dim), H=_single_variable_fn(gen["H"]))
+        f_scalar, h_fn = _position_scalar(gen["f"], sc.dim), _single_variable_fn(gen["H"])
+        return builtin_metrizable(f_scalar, H=h_fn)
     if kind == "nonmetrizable":
-        f_scalar, a_fn = _isotropic(gen["f"], sc.dim), _single_variable_fn(gen["A"])
+        f_scalar, a_fn = _position_scalar(gen["f"], sc.dim), _single_variable_fn(gen["A"])
         return builtin_nonmetrizable(f_scalar, a_fn, speed_range=gen["speed_range"])
     return GeneratingScalar(W=_isotropic(gen["W"], sc.dim), h=_single_variable_fn(gen["h"]))
 
@@ -752,8 +791,9 @@ def cmd_report(bundle_path: Union[str, Path]) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The command line: one subparser per command."""
+    """The command line: one subparser per command, built once per process."""
     parser = argparse.ArgumentParser(
         prog="normalshift",
         description="Force fields admitting the normal shift: verification and simulation.",

@@ -561,12 +561,23 @@ def builtin_geodesic() -> GeneratingScalar:
     return GeneratingScalar(W=w, h=lambda w_: 0.0)
 
 
+def _f_and_partials(f: IsotropicScalar, x: Array, s: Array) -> Tuple[Array, Array]:
+    """A stacked position scalar f and its x-partials on a stack: from one
+    ``f.terms`` call when f has it, else from ``f.eval`` and ``f.dx``, in
+    that order."""
+    if f.terms is not None:
+        value, _, partials = f.terms(x, s)
+        return value, partials
+    return f.eval(x, s), f.dx(x, s)
+
+
 def builtin_metrizable(f: IsotropicScalar, H: Callable[[float], float]) -> GeneratingScalar:
     """W = |v| exp(-f(x)), h = H.
 
     ``f`` must depend on position only (its speed slot is ignored by
     convention).  W is ``stacked`` when ``f`` is, and then carries
-    ``terms``, which evaluates f and exp(-f) once for all three values.
+    ``terms``, which evaluates f and exp(-f) once for all three values,
+    with f and its partials from one ``f.terms`` call when f has it.
     The resulting force is the one whose trajectories are geodesics of the
     conformally scaled metric exp(-2f) g, reparametrized through H.
     """
@@ -588,9 +599,10 @@ def builtin_metrizable(f: IsotropicScalar, H: Callable[[float], float]) -> Gener
         if f.stacked:
 
             def terms(x, s):
-                e = np.exp(-f.eval(x, s))
+                f_value, f_partials = _f_and_partials(f, x, s)
+                e = np.exp(-f_value)
                 w = s * e
-                return w, e, -w[..., None] * np.asarray(f.dx(x, s), dtype=float)
+                return w, e, -w[..., None] * np.asarray(f_partials, dtype=float)
 
     w = IsotropicScalar(eval=eval_, dx=dx, dspeed=dspeed, stacked=f.stacked, terms=terms)
     return GeneratingScalar(W=w, h=H)
@@ -675,7 +687,9 @@ def builtin_nonmetrizable(
     smooth profile builds without it.  Evaluations add a short fixed-order
     Gauss-Legendre tail from the nearest anchor, on all speeds and nodes at
     once (a single speed is a one-row array), so lookups after construction
-    are read-only.  W is ``stacked`` when ``f`` is.  ``A_of_speed`` is
+    are read-only.  W is ``stacked`` when ``f`` is.  Its ``terms`` calls A
+    once, on the tail nodes followed by the speeds, and takes f and its
+    partials from one ``f.terms`` call when f has it.  ``A_of_speed`` is
     called on arrays only when that reproduces its point-wise values on
     every ``PROFILE_PROBE_STRIDE``-th speed of the vanishing probe; the
     probe is then one call of A, and otherwise one call per speed.
@@ -719,8 +733,11 @@ def builtin_nonmetrizable(
     if not np.all(np.isfinite(cumulative)):
         raise QuadratureFailure("speed quadrature produced non-finite values")
 
-    def antiderivatives(s: Array) -> Array:
-        """The quadrature at an array of speeds, anchors and tails at once."""
+    def antiderivatives(s: Array, at_speeds: bool = False):
+        """The quadrature at an array of speeds, anchors and tails at once.
+        With ``at_speeds``, also A(s), from the same call of A as the tail
+        nodes, whose values come first: a point-wise A is called on the
+        nodes and then on the speeds, in the order of two calls."""
         j = np.clip((s - lo) / (hi - lo) * last, 0.0, last)
         bad = ~np.isfinite(j)
         if not bad.any():
@@ -728,12 +745,18 @@ def builtin_nonmetrizable(
             base = anchors[j]
             half = 0.5 * (s - base)
             nodes = (0.5 * (s + base))[..., None] + half[..., None] * _GL_NODES
-            value = cumulative[j] + half * (_GL_WEIGHTS * (nodes / profile(nodes))).sum(axis=-1)
+            if at_speeds:
+                both = profile(np.concatenate((nodes.ravel(), np.ravel(s))))
+                at_nodes = both[: nodes.size].reshape(nodes.shape)
+                at_s = both[nodes.size :].reshape(np.shape(s))
+            else:
+                at_nodes = profile(nodes)
+            value = cumulative[j] + half * (_GL_WEIGHTS * (nodes / at_nodes)).sum(axis=-1)
             bad = ~np.isfinite(value)
         if bad.any():
             worst = float(np.ravel(s)[np.argmax(np.ravel(bad))])
             raise QuadratureFailure(f"speed quadrature non-finite at speed {worst:.4g}")
-        return value
+        return (value, at_s) if at_speeds else value
 
     offset = float(antiderivatives(np.asarray(1.0)))
 
@@ -754,8 +777,10 @@ def builtin_nonmetrizable(
 
         def terms(x, s):
             s = np.asarray(s, dtype=float)
-            w = eval_(x, s)
-            return w, w * s / profile(s), -w[..., None] * np.asarray(f.dx(x, s), dtype=float)
+            quadrature, a_s = antiderivatives(s, at_speeds=True)
+            f_value, f_partials = _f_and_partials(f, x, s)
+            w = np.exp(quadrature - offset - np.asarray(f_value, dtype=float))
+            return w, w * s / a_s, -w[..., None] * np.asarray(f_partials, dtype=float)
 
     w = IsotropicScalar(eval=eval_, dx=dx, dspeed=dspeed, stacked=f.stacked, terms=terms)
     return GeneratingScalar(W=w, h=lambda w_: 0.0)

@@ -55,6 +55,7 @@ from .tensor_core import (
     raised_acceleration,
     scaled_step,
     speed_from,
+    stage_metric,
 )
 
 Array = np.ndarray
@@ -320,20 +321,45 @@ def solve_nu(
 Force = Callable[[Array, Array, Array], Array]
 
 
-def _flow_rhs(force: Force, m: MetricField, x: Array, v: Array, gmat: Array) -> Tuple[Array, Array]:
+def _flow_rhs(
+    force: Force, m: MetricField, x: Array, v: Array, gmat: Array, dg: Optional[Array] = None
+) -> Tuple[Array, Array]:
     """(dx/dt, dv/dt) of the flow at a stack of states (k, n).
 
     ``gmat`` is the checked metric at ``x``, which is not checked again.
-    The stage inverts it, takes the metric derivatives, then the force,
-    which reads ``gmat``, and raises the acceleration once
-    (:func:`~normalshift.tensor_core.raised_acceleration`).  A ``diagonal``
-    metric with analytic derivatives does the same on its diagonal entries
+    The stage inverts it, takes the metric derivatives unless given as
+    ``dg`` (in the layout :func:`~normalshift.tensor_core.stage_metric`
+    returns), then the force, which reads ``gmat``, and raises the
+    acceleration once (:func:`~normalshift.tensor_core.raised_acceleration`).
+    A ``diagonal`` metric with analytic derivatives does the same on its
+    diagonal entries
     (:func:`~normalshift.tensor_core.diagonal_raised_acceleration`).
     """
     if m.diagonal and m.dg is not None:
-        return v, diagonal_raised_acceleration(m, x, v, gmat, force)
-    ginv, dg = inverse_metric_from(gmat, x), metric_derivatives_at(m, x)
+        return v, diagonal_raised_acceleration(m, x, v, gmat, force, dg)
+    ginv = inverse_metric_from(gmat, x)
+    if dg is None:
+        dg = metric_derivatives_at(m, x)
     return v, raised_acceleration(ginv, dg, v, np.asarray(force(x, v, gmat), dtype=float))
+
+
+def _stage(force: Force, m: MetricField, x: Array, v: Array) -> Tuple[Array, Array]:
+    """:func:`_flow_rhs` at positions whose metric is not yet taken.
+
+    A ``stacked`` metric with ``dg`` and ``terms`` gives g and its
+    derivatives from one call (:func:`~normalshift.tensor_core.stage_metric`).  When that
+    call fails, the stage is taken again from ``g`` and ``dg`` one by one,
+    so the failure is the one their order names: g's checks, the inverse,
+    then the derivatives.
+    """
+    if m.stacked and m.dg is not None and m.terms is not None:
+        try:
+            gmat, dg = stage_metric(m, x)
+        except NormalShiftError:
+            pass
+        else:
+            return _flow_rhs(force, m, x, v, gmat, dg)
+    return _flow_rhs(force, m, x, v, metric_at(m, x))
 
 
 def _rk4_step(
@@ -344,7 +370,11 @@ def _rk4_step(
     Evaluates the metric once per stage: ``gmat``, the metric at ``x``
     when the caller has it, serves the first stage, and the metric at the
     new positions, which the speed-floor check takes, is returned with
-    them for the next step's first stage.  Raises :class:`NonFinite` or
+    them for the next step's first stage, which calls ``dg``.  Stages 2-4
+    take g and its derivatives together (:func:`_stage`), from one
+    ``terms`` call where the metric has it.  So g and dg are evaluated at
+    the same positions whether the metric has ``terms`` or not, and a run
+    fails where and how it fails without them.  Raises :class:`NonFinite` or
     :class:`ZeroVelocity` when any stepped state leaves the domain of the
     flow.
     """
@@ -354,11 +384,11 @@ def _rk4_step(
     with np.errstate(over="ignore", invalid="ignore"):
         k1x, k1v = _flow_rhs(force, m, x, v, gmat)
         x2, v2 = x + 0.5 * dt * k1x, v + 0.5 * dt * k1v
-        k2x, k2v = _flow_rhs(force, m, x2, v2, metric_at(m, x2))
+        k2x, k2v = _stage(force, m, x2, v2)
         x3, v3 = x + 0.5 * dt * k2x, v + 0.5 * dt * k2v
-        k3x, k3v = _flow_rhs(force, m, x3, v3, metric_at(m, x3))
+        k3x, k3v = _stage(force, m, x3, v3)
         x4, v4 = x + dt * k3x, v + dt * k3v
-        k4x, k4v = _flow_rhs(force, m, x4, v4, metric_at(m, x4))
+        k4x, k4v = _stage(force, m, x4, v4)
         x_new = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):

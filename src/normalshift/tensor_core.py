@@ -17,10 +17,11 @@ still gets the full matrices.  Every evaluator takes one point
 of shape (n,) or a stack of points of shape (..., n) and returns its tensors
 with the stack's leading axes in front.  A metric marked ``stacked`` has its
 closures called once per stack, and only ever on a stack: a single point
-reaches them as a one-row stack.  Any other metric's closures are called
-once per point.  No metric value is kept: the states handed to a user
-closure carry their metric for that one call (:func:`handing`).  Index
-conventions, on the trailing axes:
+reaches them as a one-row stack; its optional ``terms`` gives g and its
+derivatives from one call, for a flow stage (:func:`stage_metric`).  Any
+other metric's closures are called once per point.  No metric value is
+kept: the states handed to a user closure carry their metric for that one
+call (:func:`handing`).  Index conventions, on the trailing axes:
 
 * ``gamma[k, i, j]`` holds the connection component with upper index k and
   lower indices (i, j).
@@ -36,7 +37,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -81,6 +82,14 @@ class MetricField:
         n x n derivatives ``dg(x)[m, i] = d g_ii / d x^m``.  Combined with
         ``stacked``, the stack's leading axes come first as before.  The
         evaluators below still return full matrices and derivative cubes.
+    terms : callable, optional
+        Read only when the metric is ``stacked`` and has ``dg``:
+        ``terms(x)`` gives (``g(x)``, ``dg(x)``) on a stack in one call
+        that does their shared work once, each in its own layout (the
+        diagonal ones for a ``diagonal`` metric).  A flow stage whose metric it has not taken
+        yet reads both from it (:func:`stage_metric`).  It must agree
+        with ``g`` and ``dg`` bit for bit, so a ``dataclasses.replace``
+        that swaps ``g`` or ``dg`` must set ``terms=None``.
     """
 
     dim: int
@@ -88,6 +97,7 @@ class MetricField:
     dg: Optional[Callable[[np.ndarray], np.ndarray]] = None
     stacked: bool = False
     diagonal: bool = False
+    terms: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         if self.dim < 3:
@@ -199,12 +209,18 @@ def _checked_metric(gmat: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     The one validation of metric values, for single points and stacks
     alike: asymmetry against ``ASYMMETRY_TOL`` and positive-definiteness
-    by Cholesky.  A failure names the first offending point.
+    by Cholesky.  A non-finite entry leaves its point's asymmetry inf or
+    nan, so the asymmetry test catches it too, and it is then reported as
+    not positive-definite.  A failure names the first offending point.
     """
     gt = gmat.swapaxes(-1, -2)
-    asym = np.abs(gmat - gt)
-    if asym.max() >= ASYMMETRY_TOL:
+    # inf - inf is nan, which the test below catches: no warning for it
+    with np.errstate(invalid="ignore"):
+        asym = np.abs(gmat - gt)
+    if not asym.max() < ASYMMETRY_TOL:
         worst, at = _first_offender(asym, x, ASYMMETRY_TOL)
+        if not np.isfinite(worst):
+            raise NotPositiveDefinite(f"metric not positive-definite at x={at}")
         raise AsymmetricMetric(f"metric asymmetry {worst:.3e} exceeds tolerance at x={at}")
     gmat = 0.5 * (gmat + gt)
     try:
@@ -336,6 +352,27 @@ def metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
     if m.diagonal:
         return _checked_diagonal(_closure_values(m.g, x, (m.dim,), "metric", m.stacked), x)
     return _checked_metric(_closure_values(m.g, x, (m.dim, m.dim), "metric", m.stacked), x)
+
+
+def stage_metric(m: MetricField, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The metric at a stack of positions (k, n) and its derivatives, from
+    one ``terms`` call of ``m``, as a flow stage reads them.
+
+    The metric is checked as :func:`metric_at` checks it and returned as
+    full matrices.  The derivatives are the n x n ``d g_ii / d x^m`` of a
+    ``diagonal`` metric, and otherwise the cube made symmetric in the
+    metric index pair, as :func:`metric_derivatives_at` returns it.  A
+    value of the wrong shape raises :class:`AsymmetricMetric`, as from
+    ``g`` or ``dg``.
+    """
+    n = m.dim
+    entry = (n,) if m.diagonal else (n, n)
+    g_values, d_values = m.terms(x)
+    g_values = _checked_value(g_values, x, x.shape[:-1] + entry, "metric")
+    d_values = _checked_value(d_values, x, x.shape[:-1] + (n,) + entry, "dg")
+    if m.diagonal:
+        return _checked_diagonal(g_values, x), d_values
+    return _checked_metric(g_values, x), 0.5 * (d_values + d_values.swapaxes(-1, -2))
 
 
 def inverse_metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
@@ -498,20 +535,22 @@ def _reciprocal(entries: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def diagonal_raised_acceleration(
-    m: MetricField, x: np.ndarray, v: np.ndarray, gmat: np.ndarray, force: Callable
+    m: MetricField, x: np.ndarray, v: np.ndarray, gmat: np.ndarray, force: Callable,
+    e: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """:func:`raised_acceleration` for a ``diagonal`` metric ``m`` with analytic
     ``dg``, from ``gmat``, its checked matrices at ``x``.
 
     In the order of the general stage, the metric is inverted by
     reciprocals (:func:`_reciprocal`), its n x n derivatives
-    e[..., m, i] = d_m g_ii are taken, and then the covector force
-    ``force(x, v, gmat)``.  The lowered connection term is
+    e[..., m, i] = d_m g_ii are taken, unless given as ``e``, and then the
+    covector force ``force(x, v, gmat)``.  The lowered connection term is
     c_s = (sum_m v^m d_m g_ss) v^s - (1/2) sum_i d_s g_ii (v^i)^2,
     with no derivative cube.
     """
     ginv = _reciprocal(np.diagonal(gmat, axis1=-2, axis2=-1), x)
-    e = _closure_values(m.dg, x, (m.dim, m.dim), "dg", m.stacked)
+    if e is None:
+        e = _closure_values(m.dg, x, (m.dim, m.dim), "dg", m.stacked)
     c = vec_mat(v, e) * v - 0.5 * mat_vec(e, v * v)
     return ginv * (np.asarray(force(x, v, gmat), dtype=float) - c)
 

@@ -113,6 +113,38 @@ def full_matrices(m):
     )
 
 
+def hermite_curve_gap(a, b):
+    """The largest gap in (x^1, x^2) from a recorded point of ``a`` to the
+    same trajectory of ``b`` where it reaches the point's x^3 (which
+    increases along every trajectory here), with the count of points
+    compared.  ``b`` between its recorded states is the cubic Hermite of
+    their positions and velocities, solved for x^3 by Newton steps."""
+    worst, compared = 0.0, 0
+    for xa, xb, vb in zip(a.x, b.x, b.v):
+        assert np.all(np.diff(xb[:, 2]) > 0)
+        level = xa[:, 2]
+        j = np.searchsorted(xb[:, 2], level) - 1
+        inside = (j >= 0) & (j < len(xb) - 1)
+        j, level, compared = j[inside], level[inside], compared + int(inside.sum())
+        h = (b.times[j + 1] - b.times[j])[:, None]
+        p0, p1, m0, m1 = xb[j], xb[j + 1], vb[j] * h, vb[j + 1] * h
+
+        def hermite(s):
+            return ((2 * s**3 - 3 * s**2 + 1) * p0 + (s**3 - 2 * s**2 + s) * m0
+                    + (3 * s**2 - 2 * s**3) * p1 + (s**3 - s**2) * m1)
+
+        def slope(s):
+            return (6 * s**2 - 6 * s) * (p0 - p1) + (3 * s**2 - 4 * s + 1) * m0 + (3 * s**2 - 2 * s) * m1
+
+        s = ((level - p0[:, 2]) / (p1[:, 2] - p0[:, 2]))[:, None]
+        for _ in range(6):
+            s = s - ((hermite(s)[:, 2] - level) / slope(s)[:, 2])[:, None]
+        on_b = hermite(s)
+        assert np.all(np.abs(on_b[:, 2] - level) <= 1e-15)
+        worst = max(worst, float(np.abs(on_b[:, :2] - xa[inside, :2]).max(initial=0.0)))
+    return worst, compared
+
+
 def random_point(rng, box):
     """Uniform draw from a box given as an (n, 2) array of [lo, hi] rows."""
     box = np.asarray(box, dtype=float)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,7 +34,15 @@ from normalshift.force_builder import (
     perturbed_field,
 )
 from normalshift.shift_engine import surface_tangents
-from normalshift.tensor_core import MetricField, metric_at, metric_derivatives_at, speed_at
+
+from helpers import cli_metric, hermite_curve_gap
+from normalshift.tensor_core import (
+    MetricField,
+    metric_at,
+    metric_derivatives_at,
+    speed_at,
+    stage_metric,
+)
 
 BOX = [[0.25, 1.25], [0.25, 1.25], [0.25, 1.25]]
 
@@ -64,6 +73,10 @@ UNREADABLE = {
     "not-utf8": b"\xff\xfe{\"name\": \"case\"}",
     "nested-too-deep": b"[" * 200000 + b"]" * 200000,
 }
+
+# finite (0, from the difference of two equal terms) while its
+# x3-partial, the difference of two overflowing terms, is nan
+OVERFLOWING_PARTIAL = "1e-300*exp(700*x3 + 686) - 1e-300*exp(700*x3 + 686)"
 
 
 class TestScenarioValidation:
@@ -374,6 +387,33 @@ class TestShiftCommand:
         data = base_scenario(name="partway", run=run, **overrides)
         assert cmd_shift(write_config(tmp_path, data), out=tmp_path) == 3
         assert capsys.readouterr().err == f"numerical error: {failure}\n"
+
+    @pytest.mark.parametrize(
+        "overrides,expression",
+        [
+            ({"metric": {"kind": "conformal", "f": OVERFLOWING_PARTIAL}}, OVERFLOWING_PARTIAL),
+            ({"metric": {"kind": "diagonal", "entries": ["1", "1", "1 + " + OVERFLOWING_PARTIAL]}},
+             "1 + " + OVERFLOWING_PARTIAL),
+            ({"generator": {"kind": "metrizable", "f": "x1 + " + OVERFLOWING_PARTIAL, "H": "v"}},
+             "x1 + " + OVERFLOWING_PARTIAL),
+            ({"generator": {"kind": "nonmetrizable", "f": "x1 + " + OVERFLOWING_PARTIAL,
+                            "A": "v^3"}},
+             "x1 + " + OVERFLOWING_PARTIAL),
+        ],
+        ids=["conformal-metric", "diagonal-metric", "metrizable", "nonmetrizable"],
+    )
+    def test_partial_failing_alone_names_trajectory_time_and_expression(
+        self, tmp_path, capsys, overrides, expression
+    ):
+        # the expression stays finite while its x3-partial overflows, from
+        # x3 = 0.0246; each is evaluated in the one pass of its field
+        run = {"t_end": 0.2, "dt": 1e-3, "u_grid": [[-0.15, 0.15, 7], [-0.15, 0.15, 7]]}
+        data = base_scenario(name="partway", run=run, **overrides)
+        assert cmd_shift(write_config(tmp_path, data), out=tmp_path) == 3
+        assert capsys.readouterr().err == (
+            "numerical error: trajectory from u = [0.15, -0.15] near t = 0.02: "
+            f"expression 'd({expression})/dx3' failed to evaluate: non-finite result\n"
+        )
 
     @pytest.mark.parametrize(
         "command,overrides,text",
@@ -937,6 +977,108 @@ class TestCompiledClosures:
         compiled = (tmp_path / "compiled" / "bench.trajectories.csv").read_bytes()
         assert compiled == (tmp_path / "eval" / "bench.trajectories.csv").read_bytes()
 
+
+
+class TestConformalRouteFiles:
+    """The conformal route of ``test_shift_engine.TestConformalRoute`` as two
+    scenario files: a metrizable shift on the ``euclidean`` kind (f = 0.3 x1)
+    traces the geodesics of the ``conformal`` kind with the same f.  The
+    pair runs through ``cmd_shift``, with the metric kinds' and the position
+    scalar's one-pass closures, and is compared by the curves in its CSVs."""
+
+    GRID = [[-0.1, 0.1, 5], [-0.1, 0.1, 5]]
+
+    def curves(self, tmp_path, name, t_end, **sections):
+        """The recorded times, positions and velocities of a shift at stride 1,
+        read back from its CSV, whose %.17g cells round-trip every float."""
+        run = {"t_end": t_end, "dt": 1e-3, "sample_stride": 1, "u_grid": self.GRID}
+        data = base_scenario(name=name, run=run, **sections)
+        assert cmd_shift(write_config(tmp_path, data, f"{name}.json"), out=tmp_path) == 0
+        table = np.loadtxt(tmp_path / f"{name}.trajectories.csv", delimiter=",", skiprows=1)
+        rows = table.reshape(25, -1, table.shape[1])
+        assert np.array_equal(rows[:, 0, 0], np.arange(25))
+        return SimpleNamespace(times=rows[0, :, 1], x=rows[:, :, 2:5], v=rows[:, :, 5:8])
+
+    @pytest.mark.parametrize("H,tol", [("v", 1e-13), ("v^2", 1e-12)], ids=["h=w", "h=w^2"])
+    def test_metrizable_csv_traces_the_conformal_geodesics(self, tmp_path, H, tol):
+        # the gaps measured 1.5e-14 (h = w) and 2.3e-13 (h = w^2), the
+        # library runs' own: the CSV holds their floats unchanged
+        geodesics = self.curves(tmp_path, "geodesics", 0.8,
+                                metric={"kind": "conformal", "f": "0.3*x1"},
+                                generator={"kind": "geodesic"})
+        shifted = self.curves(tmp_path, "shifted", 0.5, metric={"kind": "euclidean"},
+                              generator={"kind": "metrizable", "f": "0.3*x1", "H": H})
+        assert np.abs(shifted.x[:, -1, 0] - shifted.x[:, 0, 0]).min() > 0.05  # the curves bend
+        for a, b in ((shifted, geodesics), (geodesics, shifted)):
+            worst, compared = hermite_curve_gap(a, b)
+            assert compared > 0.5 * a.x.shape[0] * a.x.shape[1]
+            assert worst <= tol
+
+
+class TestFusedPasses:
+    """The one-pass closures a stage reads, ``terms`` of each metric kind,
+    of a generator's position scalar and of its W, equal the separate
+    closures bit for bit."""
+
+    @staticmethod
+    def metric_section(kind, dim):
+        entries = ["1 + 0.1*x1^2", "exp(0.2*x2)", "1 + 0.2*sin(x3)", "2 + x1*x4^2"]
+        return {
+            "euclidean": {"kind": "euclidean", "dim": dim},
+            "conformal": {"kind": "conformal", "f": WAVY, "dim": dim},
+            "diagonal": {"kind": "diagonal", "entries": entries[:dim]},
+        }[kind]
+
+    @pytest.mark.parametrize("lead", STACKS, ids=str)
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("kind", ["euclidean", "conformal", "diagonal"])
+    def test_metric_terms_are_g_and_dg(self, tmp_path, kind, dim, lead):
+        m = cli_metric(self.metric_section(kind, dim), tmp_path)
+        x = np.random.default_rng(10).uniform(0.3, 1.2, size=lead + (dim,))
+        g, dg = m.terms(x)
+        assert_same_bits(g, m.g(x))
+        assert_same_bits(dg, m.dg(x))
+        rows = x.reshape(-1, dim)
+        gmat, d = stage_metric(m, rows)
+        assert_same_bits(gmat, metric_at(m, rows))
+        assert_same_bits(d, m.dg(rows))
+
+    @pytest.mark.parametrize("lead", STACKS, ids=str)
+    @pytest.mark.parametrize("text", [WAVY, "x1*x2", "exp(x3)/x1", "0.5"])
+    def test_position_scalar_pass_is_eval_dspeed_and_dx(self, text, lead):
+        f = cli._position_scalar(parse_expression(text), 3)
+        x, s = stack(lead, 11)
+        value, speed, partials = f.terms(x, s)
+        assert_same_bits(value, f.eval(x, s))
+        assert_same_bits(speed, f.dspeed(x, s))
+        assert_same_bits(partials, f.dx(x, s))
+
+    @pytest.mark.parametrize("lead", STACKS, ids=str)
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            {"kind": "metrizable", "f": WAVY, "H": "v"},
+            {"kind": "nonmetrizable", "f": "x1*x2", "A": "v^3 + v"},
+            {"kind": "nonmetrizable", "f": WAVY, "A": "exp(-v)*v + 0.1*sin(v)^2"},
+        ],
+        ids=["metrizable", "nonmetrizable", "nonmetrizable-transcendental"],
+    )
+    def test_generator_terms_are_eval_dspeed_and_dx(self, tmp_path, generator, lead):
+        # W_v from the one call of A on the tail nodes and the speeds
+        # against dspeed, which calls A on the nodes and then on the speeds
+        w = build_generator(load_scenario(write_config(
+            tmp_path, base_scenario(generator=generator)))).W
+        x, s = stack(lead, 12)
+        value, speed, partials = w.terms(x, s)
+        assert_same_bits(value, w.eval(x, s))
+        assert_same_bits(speed, w.dspeed(x, s))
+        assert_same_bits(partials, w.dx(x, s))
+
+    def test_custom_w_has_no_fused_pass(self, tmp_path):
+        # its W_v is checked against the floor before W is evaluated
+        generator = {"kind": "custom", "W": "v*exp(-x1)", "h": "0"}
+        sc = load_scenario(write_config(tmp_path, base_scenario(generator=generator)))
+        assert build_generator(sc).W.terms is None
 
 
 # ---------------------------------------------------------------------------

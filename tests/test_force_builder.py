@@ -755,6 +755,48 @@ class TestSpeedQuadrature:
                 assert point.tobytes() == row.tobytes()
 
 
+    @pytest.mark.parametrize("name", ["cube", "cli", "float-only"])
+    def test_terms_calls_the_profile_once_on_nodes_then_speeds(self, name):
+        # W.terms takes W_v from the same call of A as the quadrature's tail
+        # nodes, so A sees the nodes of W.eval and then the speeds, as the
+        # two calls of W.dspeed once showed it; a float-only A sees them one
+        # by one, in that order
+        calls = []
+
+        def profile(s):
+            calls.append(np.ravel(np.array(s, dtype=float)))
+            return SPEED_PROFILES[name](s)
+
+        W = builtin_nonmetrizable(coordinate_scalar(1), profile).W
+        rng = np.random.default_rng(31)
+        x, s = rng.uniform(0.3, 1.2, (7, 3)), rng.uniform(0.06, 4.9, 7)
+        calls.clear()
+        W.eval(x, s)
+        nodes = np.concatenate(calls)
+        calls.clear()
+        value, speed, partials = W.terms(x, s)
+        assert np.array_equal(np.concatenate(calls), np.concatenate([nodes, s]))
+        assert len(calls) == (nodes.size + s.size if name == "float-only" else 1)
+        for got, want in ((value, W.eval(x, s)), (speed, W.dspeed(x, s)), (partials, W.dx(x, s))):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("arrays", [True, False], ids=["array", "float-only"])
+    def test_profile_non_finite_at_one_speed_names_it(self, arrays):
+        s0 = 1.2345
+
+        def profile(s):
+            if arrays:
+                return np.where(s == s0, np.nan, s**3)
+            return math.nan if s == s0 else math.pow(s, 3)
+
+        gs = builtin_nonmetrizable(coordinate_scalar(0), profile)
+        x = np.array([[0.5, 0.1, 0.2], [0.6, 0.3, 0.4], [0.7, 0.5, 0.6]])
+        v = np.diag([0.8, s0, 1.5])  # speeds 0.8, s0 and 1.5
+        message = f"speed derivative evaluated to a non-finite value at speed {s0:.4g}, x={x[1]}"
+        with pytest.raises(EvaluationFailure, match=re.escape(message)):
+            force_from_W(gs, euclidean_metric(), x, v)
+
+
 class TestForceFieldObjects:
     def test_generated_field_matches_direct_construction(self):
         m = wavy_conformal_metric()

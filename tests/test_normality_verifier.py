@@ -234,6 +234,32 @@ def index_additional2(F, Dv, Dx, v, g, ginv):
     return M - trace[..., None, None] * P
 
 
+def index_eq124(H, v, g, ginv):
+    # with S = (H + H^T)/2 and p^rs = g^rs - N^r N^s:
+    # lambda = p^rs S_rs / (n - 1),  R_ab = P^r_a S_rs p^sb - lambda P^b_a
+    s, N, P = index_frame(g, v)
+    S = 0.5 * (H + np.einsum("...rs->...sr", H))
+    p_up = ginv - np.einsum("...r,...s->...rs", N, N)
+    lam = np.einsum("...rs,...rs->...", p_up, S) / (v.shape[-1] - 1)
+    R = np.einsum("...ra,...rs,...sb->...ab", P, S, p_up) - lam[..., None, None] * np.einsum(
+        "...ba->...ab", P
+    )
+    return R, lam
+
+
+def index_reduced(c, c_p, grad):
+    # L_s b_r = d_s b_r + b_s b'_r;  b-residual_rs = L_s b_r - L_r b_s and
+    # a-residual_s = d_s a + b_s a' - a b'_s, with c = (a, b), c_p = c' and
+    # grad[s, i] = d_s c_i at fixed speed
+    a, b = c[..., 0], c[..., 1:]
+    a_p, b_p = c_p[..., 0], c_p[..., 1:]
+    da, db = grad[..., :, 0], grad[..., :, 1:]
+    L = db + np.einsum("...s,...r->...sr", b, b_p)
+    b_res = np.einsum("...sr->...rs", L) - L
+    a_res = da + np.einsum("...s,...->...s", b, a_p) - np.einsum("...,...s->...s", a, b_p)
+    return b_res, a_res
+
+
 class TestKernelsAgainstIndexNotation:
     """Each equation kernel against its equation in index notation, on random
     states (F, Dv, Dx, v, g) rather than on fields."""
@@ -263,6 +289,35 @@ class TestKernelsAgainstIndexNotation:
         want = statement(F, Dv, Dx, v, g, ginv)
         # measured on seeds 0-4: at most 8.2e-16 of the largest entry
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_projected_hessian_kernel_is_its_equation(self, seed):
+        rng = np.random.default_rng(seed)
+        k = 2000
+        a = rng.uniform(-0.5, 0.5, size=(k, 3, 3))
+        g = a @ a.swapaxes(-1, -2) + np.eye(3)
+        ginv = np.linalg.inv(g)
+        v = rng.normal(size=(k, 3))
+        v *= (rng.uniform(0.5, 2.0, k) / np.sqrt(np.einsum("...ij,...i,...j->...", g, v, v)))[:, None]
+        H = rng.uniform(-1.0, 1.0, (k, 3, 3))  # not symmetric: the kernel takes its symmetric part
+        got = normality_verifier._eq124(H, direction_from(g, np.zeros((k, 3)), v), ginv)
+        want = index_eq124(H, v, g, ginv)
+        # measured on seeds 0-4: at most 7.3e-16 (residual) and 4.3e-16
+        # (lambda) of the largest entry
+        for got_part, want_part in zip(got, want):
+            assert np.abs(got_part - want_part).max() <= 1e-14 * np.abs(want_part).max()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reduced_kernel_is_its_equation(self, seed):
+        rng = np.random.default_rng(seed)
+        k = 2000
+        c, c_p = rng.uniform(-1.0, 1.0, (2, k, 4))
+        grad = rng.uniform(-1.0, 1.0, (k, 3, 4))
+        got = normality_verifier._reduced(c, c_p, grad)
+        want = index_reduced(c, c_p, grad)
+        # measured on seeds 0-4: equal, the same elementwise operations
+        for got_part, want_part in zip(got, want):
+            assert np.abs(got_part - want_part).max() <= 1e-14 * np.abs(want_part).max()
 
 
 class TestProjectedHessian:

@@ -8,6 +8,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from normalshift.errors import (
     DegenerateTangents,
+    EvaluationFailure,
     GridTooCoarse,
     NonFinite,
     NotPositiveDefinite,
@@ -63,6 +64,7 @@ from helpers import (
     diagonal_metric,
     euclidean_metric,
     full_matrices,
+    hermite_curve_gap,
     pointwise_initial_state,
     wavy_conformal_metric,
 )
@@ -872,38 +874,6 @@ class TestConformalRoute:
 
     GRID = GridSpec(ranges=((-0.1, 0.1, 5), (-0.1, 0.1, 5)))
 
-    @staticmethod
-    def curve_gap(a, b):
-        """The largest gap in (x^1, x^2) from a recorded point of ``a`` to the
-        same trajectory of ``b`` where it reaches the point's x^3 (which
-        increases along every trajectory here), with the count of points
-        compared.  ``b`` between its recorded states is the cubic Hermite of
-        their positions and velocities, solved for x^3 by Newton steps."""
-        worst, compared = 0.0, 0
-        for xa, xb, vb in zip(a.x, b.x, b.v):
-            assert np.all(np.diff(xb[:, 2]) > 0)
-            level = xa[:, 2]
-            j = np.searchsorted(xb[:, 2], level) - 1
-            inside = (j >= 0) & (j < len(xb) - 1)
-            j, level, compared = j[inside], level[inside], compared + int(inside.sum())
-            h = (b.times[j + 1] - b.times[j])[:, None]
-            p0, p1, m0, m1 = xb[j], xb[j + 1], vb[j] * h, vb[j + 1] * h
-
-            def hermite(s):
-                return ((2 * s**3 - 3 * s**2 + 1) * p0 + (s**3 - 2 * s**2 + s) * m0
-                        + (3 * s**2 - 2 * s**3) * p1 + (s**3 - s**2) * m1)
-
-            def slope(s):
-                return (6 * s**2 - 6 * s) * (p0 - p1) + (3 * s**2 - 4 * s + 1) * m0 + (3 * s**2 - 2 * s) * m1
-
-            s = ((level - p0[:, 2]) / (p1[:, 2] - p0[:, 2]))[:, None]
-            for _ in range(6):
-                s = s - ((hermite(s)[:, 2] - level) / slope(s)[:, 2])[:, None]
-            on_b = hermite(s)
-            assert np.all(np.abs(on_b[:, 2] - level) <= 1e-15)
-            worst = max(worst, float(np.abs(on_b[:, :2] - xa[inside, :2]).max(initial=0.0)))
-        return worst, compared
-
     @pytest.fixture(scope="class")
     def geodesics(self, tmp_path_factory):
         directory = tmp_path_factory.mktemp("route")
@@ -927,9 +897,90 @@ class TestConformalRoute:
                             dt=1e-3, sample_stride=1)
         assert np.abs(shifted.x[:, -1, 0] - shifted.x[:, 0, 0]).min() > 0.05  # the curves bend
         for a, b in ((shifted, geodesics), (geodesics, shifted)):
-            worst, compared = self.curve_gap(a, b)
+            worst, compared = hermite_curve_gap(a, b)
             assert compared > 0.5 * a.x.shape[0] * a.x.shape[1]
             assert worst <= tol
+
+
+class TestFusedStage:
+    """Stages 2-4 of a step take g and dg from one ``terms`` call of a
+    stacked metric, which gives the values of ``g`` and ``dg`` called one
+    by one, and a run fails where and how it fails with them."""
+
+    # metrizable W = |v| e^(x^3) with h = 1.5 W on the Euclidean metric:
+    # every trajectory rises alike and decelerates, so a step's end lies
+    # above its stage-4 position (by 2.1e-11 in the step from t = 0.019)
+    GENERATOR = builtin_metrizable(coordinate_scalar(2, -1.0), H=lambda w: 1.5 * w)
+
+    @staticmethod
+    def failing_metric(level, entry=1.0):
+        """The Euclidean metric in diagonal form whose ``dg`` fails, naming an
+        expression, at the rows past x^1 = 0.075 once x^3 passes ``level``,
+        where the entry g_33 is ``entry``."""
+
+        def failing(x):
+            return (x[..., 0] > 0.075) & (x[..., 2] > level)
+
+        def g(x):
+            out = np.ones(x.shape[:-1] + (3,))
+            out[failing(x), 2] = entry
+            return out
+
+        def dg(x):
+            if failing(x).any():
+                raise EvaluationFailure("expression 'df' failed to evaluate: non-finite result")
+            return np.zeros(x.shape[:-1] + (3, 3))
+
+        return MetricField(
+            dim=3, g=g, dg=dg, stacked=True, diagonal=True, terms=lambda x: (g(x), dg(x))
+        )
+
+    @pytest.mark.parametrize(
+        "level,entry,error,reason",
+        [
+            # the step from t = 0.02 starts at x^3 = 0.020099664192, and its
+            # second stage is the first position past the level
+            (0.0203, 1.0, EvaluationFailure,
+             "expression 'df' failed to evaluate: non-finite result"),
+            # the step from t = 0.019 ends at x^3 = 0.020099664192 and its
+            # stages stay below 0.020099664171: dg fails in the next step's
+            # first stage, which the last step's end hands its g
+            (0.020099664181, 1.0, EvaluationFailure,
+             "expression 'df' failed to evaluate: non-finite result"),
+            # g's own check comes first, as when g and dg are called apart
+            (0.0203, 0.0, NotPositiveDefinite,
+             "metric not positive-definite at x=[ 0.1        -0.1         0.02060464]"),
+        ],
+        ids=["stage-2", "step-end", "entry-first"],
+    )
+    def test_failure_is_the_one_g_and_dg_name(self, level, entry, error, reason):
+        m = self.failing_metric(level, entry)
+        messages = []
+        for metric in (m, dataclasses.replace(m, terms=None)):
+            with pytest.raises(error) as info:
+                run_shift(self.GENERATOR, metric, plane_surface(), small_grid(), t_end=0.05,
+                          dt=1e-3)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == f"trajectory from u = [0.1, -0.1] near t = 0.02: {reason}"
+
+    @pytest.mark.parametrize("general", [False, True], ids=["diagonal", "full-matrices"])
+    @pytest.mark.parametrize("kind", sorted(CLI_METRICS))
+    def test_run_equals_the_run_without_terms(self, tmp_path, kind, general):
+        m = cli_metric(CLI_METRICS[kind], tmp_path)
+        if general:
+            full = full_matrices(m)
+            m = dataclasses.replace(full, terms=lambda x: (full.g(x), full.dg(x)))
+        gs = build_generator(cli_scenario(
+            tmp_path, metric=CLI_METRICS[kind],
+            generator={"kind": "nonmetrizable", "f": "x1*x2", "A": "v^3 + v"},
+        ))
+        fused, apart = (
+            run_shift(gs, metric, plane_surface(offset=0.2), small_grid(), t_end=0.02, dt=1e-3,
+                      sample_stride=4)
+            for metric in (m, dataclasses.replace(m, terms=None))
+        )
+        for name in ("x", "v", "phi", "W_vals", "speed_vals"):
+            assert np.array_equal(getattr(fused, name), getattr(apart, name), equal_nan=True)
 
 
 class TestFamilyStep:
@@ -1038,6 +1089,29 @@ class TestFamilyStep:
             run_shift(builtin_geodesic(), m, plane_surface(), small_grid(), t_end=0.05, dt=1e-3)
         assert str(info.value) == (
             f"trajectory from u = [0.1, -0.1] near t = 0.02: {reason} at x={at}"
+        )
+
+    @pytest.mark.parametrize(
+        "level,at",
+        [(0.02025, "[ 0.1    -0.1     0.0205]"), (0.0207, "[ 0.1   -0.1    0.021]")],
+        ids=["stage-2", "stage-4"],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+    @pytest.mark.parametrize("where", [(2, 2), (0, 2)], ids=["diagonal", "off-diagonal"])
+    def test_non_finite_metric_at_an_intermediate_stage_is_named(self, level, at, bad, where):
+        # as above; a non-finite entry is not positive-definite, where it
+        # once surfaced only at the inverse, as a residual of nan
+        def g(x):
+            out = np.eye(3)
+            if x[0] > 0.075 and x[2] > level:
+                out[where] = out[where[::-1]] = bad
+            return out
+
+        m = MetricField(dim=3, g=g, dg=lambda x: np.zeros((3, 3, 3)))
+        with pytest.raises(NotPositiveDefinite) as info:
+            run_shift(builtin_geodesic(), m, plane_surface(), small_grid(), t_end=0.05, dt=1e-3)
+        assert str(info.value) == (
+            f"trajectory from u = [0.1, -0.1] near t = 0.02: metric not positive-definite at x={at}"
         )
 
     def test_escape_names_first_trajectory_and_time(self):

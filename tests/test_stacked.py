@@ -353,7 +353,9 @@ class TestStackOnlyContract:
     def build(self, recorder, metric, generator, monkeypatch):
         _, stack_only, scalar = recorder
         m = build_metric(scenario(metric=CLI_METRICS[metric]))
-        m = dataclasses.replace(m, g=stack_only("g", m.g), dg=stack_only("dg", m.dg))
+        m = dataclasses.replace(
+            m, g=stack_only("g", m.g), dg=stack_only("dg", m.dg), terms=stack_only("terms", m.terms)
+        )
         spec = self.GENERATORS[generator]
         if spec is None:
             f = scalar(coordinate_scalar(0, coefficient=0.7), "f")
@@ -363,12 +365,10 @@ class TestStackOnlyContract:
                 "nonmetrizable": lambda: builtin_nonmetrizable(f, lambda s: s**3),
             }[generator]()
         else:
-            expression_f = cli._isotropic
-            monkeypatch.setattr(
-                cli,
-                "_isotropic",
-                lambda *args: scalar(expression_f(*args), "f"),
-            )
+            for name in ("_isotropic", "_position_scalar"):
+                monkeypatch.setattr(
+                    cli, name, lambda *args, build=getattr(cli, name): scalar(build(*args), "f")
+                )
             gs = build_generator(scenario(generator=spec))
         assert m.stacked and gs.W.stacked
         return m, dataclasses.replace(gs, W=scalar(gs.W, "W"))
@@ -568,7 +568,9 @@ class TestShiftWithStackedClosures:
             dx=count("W.dx", w.dx),
             terms=w.terms and count("W.terms", w.terms),
         )
-        counted_m = dataclasses.replace(m, g=count("g", m.g), dg=count("dg", m.dg))
+        counted_m = dataclasses.replace(
+            m, g=count("g", m.g), dg=count("dg", m.dg), terms=m.terms and count("terms", m.terms)
+        )
         return counted_m, dataclasses.replace(gs, W=counted_w), calls
 
     def test_each_stage_calls_each_stacked_closure_once(self):
@@ -576,14 +578,17 @@ class TestShiftWithStackedClosures:
         steps = 6
         stages = 4 * steps
         shift(gs, m, steps=steps)
-        # beyond one call per stage: g on the surface normals, whose metric
-        # serves the first step's start, and on the record.  A stage takes
-        # W, W_v and dW/dx from one W.terms call; W.eval runs on the record
-        # and, for the initial speeds, at the marked point, on the family's
-        # 25-speed scan and once per Newton iteration (four here), and
-        # W.dspeed in each Newton iteration but the last
-        assert calls["g", "stack"] == stages + 2
-        assert calls["dg", "stack"] == stages
+        # the first stage of a step reads the g that the previous step's
+        # speed-floor check took at its end, and calls dg; stages 2-4 take
+        # both from one terms call.  Beyond that, g on the surface normals,
+        # whose metric serves the first step's start, and on the record.
+        # A stage takes W, W_v and dW/dx from one W.terms call; W.eval runs
+        # on the record and, for the initial speeds, at the marked point, on
+        # the family's 25-speed scan and once per Newton iteration (four
+        # here), and W.dspeed in each Newton iteration but the last
+        assert calls["g", "stack"] == steps + 2
+        assert calls["dg", "stack"] == steps
+        assert calls["terms", "stack"] == 3 * steps
         assert calls["W.terms", "stack"] == stages
         assert calls["W.eval", "stack"] == 1 + 2 + 4
         assert calls["W.dspeed", "stack"] == 3

@@ -127,6 +127,53 @@ class TestMetricAt:
         with pytest.raises(DimensionTooSmall):
             MetricField(dim=2, g=lambda x: np.eye(2))
 
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "pointwise"])
+    @pytest.mark.parametrize(
+        "entries",
+        [[(1, 1)], [(0, 2), (2, 0)], [(0, 2)]],
+        ids=["diagonal", "off-diagonal", "one-sided"],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+    def test_non_finite_entry_names_its_point(self, bad, entries, stacked):
+        # a non-finite entry leaves its point's asymmetry nan or inf, so the
+        # asymmetry test catches it and reports it as not positive-definite
+        x = np.arange(15.0).reshape(5, 3)
+
+        def point(y):
+            out = np.eye(3)
+            if y[0] == 9.0:
+                for ij in entries:
+                    out[ij] = bad
+            return out
+
+        g = (lambda ys: np.array([point(y) for y in ys])) if stacked else point
+        m = MetricField(dim=3, g=g, stacked=stacked)
+        evaluators = (
+            lambda at: metric_at(m, at),
+            lambda at: speed_at(m, at, np.ones(at.shape)),
+            lambda at: inverse_metric_at(m, at),
+        )
+        for at in (x, x[3]):
+            for evaluate in evaluators:
+                with pytest.raises(NotPositiveDefinite) as info:
+                    evaluate(at)
+                assert str(info.value) == f"metric not positive-definite at x={x[3]}"
+
+    def test_non_finite_point_after_an_asymmetric_one_names_the_first(self):
+        # the first offending point decides the error, as for finite values
+        x = np.arange(9.0).reshape(3, 3)
+
+        def g(y):
+            out = np.eye(3)
+            out[0, 1] = {3.0: 1e-6, 6.0: np.nan}.get(y[0], 0.0)
+            return out
+
+        m = MetricField(dim=3, g=g)
+        with pytest.raises(AsymmetricMetric, match=re.escape(f"exceeds tolerance at x={x[1]}")):
+            metric_at(m, x)
+        with pytest.raises(NotPositiveDefinite, match=re.escape(f"at x={x[2]}")):
+            metric_at(m, x[[0, 2, 1]])
+
 
 class TestInverseMetric:
     def test_euclidean(self):
