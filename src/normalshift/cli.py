@@ -193,17 +193,32 @@ def _expression(text, where: str, allowed: frozenset) -> Expression:
     return expr
 
 
+@functools.cache
+def _coordinate_names(dim: int) -> Tuple[str, ...]:
+    """The position variables x1..xn of a chart, built once per dimension."""
+    return tuple(f"x{i + 1}" for i in range(dim))
+
+
 def _stack_env(x: np.ndarray, s=None) -> Tuple[Dict[str, np.ndarray], tuple]:
     """The variables of a stack of points (..., n), with speeds (...) if
     given: x1..xn and v as arrays, and the stack's leading shape."""
-    env = {f"x{i + 1}": x[..., i] for i in range(x.shape[-1])}
+    env = {name: x[..., i] for i, name in enumerate(_coordinate_names(x.shape[-1]))}
     if s is not None:
         env["v"] = np.asarray(s, dtype=float)
     return env, x.shape[:-1]
 
 
+def _stacked(values: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.stack(values, axis=-1)`` of arrays of one shape, as a compiled
+    pass returns them, each copied into its slot of one new array."""
+    out = np.empty(values[0].shape + (len(values),))
+    for k, value in enumerate(values):
+        out[..., k] = value
+    return out
+
+
 def _position_variables(dim: int) -> frozenset:
-    return frozenset(f"x{i + 1}" for i in range(dim))
+    return frozenset(_coordinate_names(dim))
 
 
 def _read_json(path: Union[str, Path], what: str):
@@ -406,11 +421,13 @@ def build_metric(sc: Scenario) -> MetricField:
     if kind == "conformal":
         f_expr = sc.metric["f"]
         f_value = compile_stack([f_expr])
-        f_and_grad = compile_stack([f_expr] + [f_expr.derivative(f"x{k + 1}") for k in range(dim)])
+        f_and_grad = compile_stack(
+            [f_expr] + [f_expr.derivative(name) for name in _coordinate_names(dim)]
+        )
 
         def derivatives(e, grad):
             """dg from e = exp(-2 f) and the gradient of f."""
-            return ((-2.0 * e)[..., None] * np.stack(grad, axis=-1))[..., None] * ones
+            return ((-2.0 * e)[..., None] * _stacked(grad))[..., None] * ones
 
         def g(x):
             return np.exp(-2.0 * f_value(*_stack_env(x))[0])[..., None] * ones
@@ -427,22 +444,22 @@ def build_metric(sc: Scenario) -> MetricField:
         return MetricField(dim=dim, g=g, dg=dg, stacked=True, diagonal=True, terms=terms)
     entries = sc.metric["entries"]
     # d entries[i] / d x^m, i-major
-    grads = [e.derivative(f"x{m + 1}") for e in entries for m in range(dim)]
+    grads = [e.derivative(name) for e in entries for name in _coordinate_names(dim)]
     entry_values, entry_grads = compile_stack(entries), compile_stack(grads)
     both = compile_stack(entries + grads)
 
     def gradients(values, lead):
-        return np.stack(values, axis=-1).reshape(lead + (dim, dim)).swapaxes(-1, -2)
+        return _stacked(values).reshape(lead + (dim, dim)).swapaxes(-1, -2)
 
     def g_diag(x):
-        return np.stack(entry_values(*_stack_env(x)), axis=-1)
+        return _stacked(entry_values(*_stack_env(x)))
 
     def dg_diag(x):
         return gradients(entry_grads(*_stack_env(x)), x.shape[:-1])
 
     def terms(x):
         values = both(*_stack_env(x))
-        return np.stack(values[:dim], axis=-1), gradients(values[dim:], x.shape[:-1])
+        return _stacked(values[:dim]), gradients(values[dim:], x.shape[:-1])
 
     return MetricField(dim=dim, g=g_diag, dg=dg_diag, stacked=True, diagonal=True, terms=terms)
 
@@ -451,14 +468,14 @@ def _isotropic(expr: Expression, dim: int) -> IsotropicScalar:
     """The stacked isotropic scalar of an expression over x1..xn and v, with
     its symbolic partials (the constant 0 in v for a position expression)."""
     value = compile_stack([expr])
-    partials = compile_stack([expr.derivative(f"x{k + 1}") for k in range(dim)])
+    partials = compile_stack([expr.derivative(name) for name in _coordinate_names(dim)])
     speed = compile_stack([expr.derivative("v")])
 
     def ev(x, s):
         return value(*_stack_env(x, s))[0]
 
     def dx(x, s):
-        return np.stack(partials(*_stack_env(x, s)), axis=-1)
+        return _stacked(partials(*_stack_env(x, s)))
 
     def dspeed(x, s):
         return speed(*_stack_env(x, s))[0]
@@ -473,12 +490,12 @@ def _position_scalar(expr: Expression, dim: int) -> IsotropicScalar:
     read in a stage.  A ``custom`` W gets none, since its W_v is checked
     against the floor before W is evaluated."""
     fused = compile_stack(
-        [expr, expr.derivative("v")] + [expr.derivative(f"x{k + 1}") for k in range(dim)]
+        [expr, expr.derivative("v")] + [expr.derivative(name) for name in _coordinate_names(dim)]
     )
 
     def terms(x, s):
         f, f_v, *f_x = fused(*_stack_env(x, s))
-        return f, f_v, np.stack(f_x, axis=-1)
+        return f, f_v, _stacked(f_x)
 
     return dataclasses.replace(_isotropic(expr, dim), terms=terms)
 

@@ -37,6 +37,7 @@ from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, EvaluationFailure
+from .tensor_core import every
 
 _UFUNCS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "exp": np.exp,
@@ -363,7 +364,7 @@ def compile_stack(
                     values.append(np.full(shape, const))
                     continue
                 value = np.asarray(array_fn(env), dtype=float)
-                if not np.isfinite(value).all():
+                if not every(np.isfinite(value)):
                     raise EvaluationFailure(
                         f"expression {text!r} failed to evaluate: non-finite result"
                     )

@@ -28,6 +28,7 @@ from .tensor_core import (
     by_rows,
     central_partials,
     christoffel_at,
+    every,
     metric_derivatives_at,
     per_state,
     scaled_step,
@@ -94,7 +95,7 @@ def check_finite(value, what: str) -> Union[float, Array]:
     A non-finite entry raises :class:`EvaluationFailure` naming ``what``.
     """
     arr = np.asarray(value, dtype=float)
-    if not np.isfinite(arr).all():
+    if not every(np.isfinite(arr)):
         raise EvaluationFailure(f"{what} evaluated to a non-finite value")
     return float(arr) if arr.ndim == 0 else arr
 

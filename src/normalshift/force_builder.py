@@ -52,7 +52,9 @@ from .tensor_core import (
     christoffel_from,
     direction_from,
     dot,
+    every,
     handing,
+    identity,
     inverse_metric_from,
     mat_vec,
     metric_at,
@@ -96,10 +98,11 @@ def takes_arrays(fn: Callable[[float], float], points: Array, values: Array) -> 
 
 def _on_array(fn: Callable[[float], float], arrays: bool, s: Array) -> Array:
     """``fn`` at every entry of ``s``: one call when it takes ``arrays``
-    (see :func:`takes_arrays`), else one call per entry."""
+    (see :func:`takes_arrays`), else one call per entry.  A constant's one
+    value is filled into a new array of ``s``'s shape."""
     if arrays:
         value = np.asarray(fn(s), dtype=float)
-        return value if value.shape == s.shape else np.broadcast_to(value, s.shape)
+        return value if value.shape == s.shape else np.full(s.shape, value)
     return np.array([float(fn(si)) for si in s.ravel()]).reshape(s.shape)
 
 
@@ -272,12 +275,20 @@ def ansatz_A(af: AnsatzField, m: MetricField, x: Array, v: Array):
 
 
 def force_from_A(A: ExtendedScalar, m: MetricField, x: Array, v: Array) -> Array:
-    """Scalar-ansatz force: F_k = A N_k - |v| sum_i (dA/dv^i) P^i_k."""
+    """Scalar-ansatz force: F_k = A N_k - |v| sum_i (dA/dv^i) P^i_k.
+
+    The metric is taken once at ``x`` and handed to A's closures
+    (:func:`~normalshift.tensor_core.handing`), so a scalar that reads it,
+    as :func:`ansatz_scalar` and ``lift_isotropic`` do, costs no more.
+    """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    pr = unit_direction(m, x, v)
-    grad = velocity_gradient(A, x, v)
-    return float(A.eval(x, v)) * pr.N_down - pr.speed * (grad @ pr.P)
+    gmat = metric_at(m, x)
+    pr = direction_from(gmat, x, v)
+    with handing(m, x, gmat):
+        grad = velocity_gradient(A, x, v)
+        value = float(A.eval(x, v))
+    return value * pr.N_down - pr.speed * (grad @ pr.P)
 
 
 def _first_state(mask: Array, x: Array, speed: Array) -> Tuple[int, str]:
@@ -305,7 +316,7 @@ def _terms(gs: GeneratingScalar, x: Array, speed):
     terms = W.terms(x, speed) if W.stacked and W.terms is not None else None
     wv = np.asarray(speed_derivative_values(W, x, speed) if terms is None else terms[1], dtype=float)
     size = np.abs(wv)
-    if not ((size >= WV_FLOOR) & (size < np.inf)).all():
+    if not every((size >= WV_FLOOR) & (size < np.inf)):
         bad = ~np.isfinite(wv)
         if bad.any():
             _, where = _first_state(bad, x, speed)
@@ -316,11 +327,11 @@ def _terms(gs: GeneratingScalar, x: Array, speed):
         )
     w = np.asarray(isotropic_call(W, W.eval, x, speed) if terms is None else terms[0], dtype=float)
     hw = h_values(gs, w)
-    if not (speed > 0.0).all():
+    if not every(speed > 0.0):
         _, where = _first_state(~(speed > 0.0), x, speed)
         raise EvaluationFailure(f"isotropic gradient needs a positive speed, not {where}")
     grad = x_partial_values(W, x, speed) if terms is None else np.asarray(terms[2], dtype=float)
-    if not np.isfinite(grad).all():
+    if not every(np.isfinite(grad)):
         _, where = _first_state(~np.isfinite(grad).all(axis=-1), x, speed)
         raise EvaluationFailure(f"isotropic x-partials evaluated to a non-finite value {where}")
     return wv, hw, grad
@@ -346,7 +357,7 @@ def force_from_W(
     # so that stacks need no reflection matrices
     speed = pr.speed[..., None]
     b = grad / np.asarray(wv)[..., None]
-    b_n = np.sum(b * pr.N_up, axis=-1, keepdims=True)
+    b_n = np.add.reduce(b * pr.N_up, axis=-1, keepdims=True)
     return (np.asarray(hw / wv)[..., None] - 2.0 * speed * b_n) * pr.N_down + speed * b
 
 
@@ -464,7 +475,7 @@ def ansatz_force_field(af: AnsatzField) -> ForceField:
     def eval_(m, x, v):
         pr = unit_direction(m, x, v)
         c = coefficients(af, x, pr.speed)
-        reflect = 2.0 * outer(pr.N_up, pr.N_down) - np.eye(m.dim)
+        reflect = 2.0 * outer(pr.N_up, pr.N_down) - identity(m.dim)
         return c[..., :1] * pr.N_down + vec_mat(per_state(pr.speed, 1) * c[..., 1:], reflect)
 
     def dv(m, x, v):
@@ -738,22 +749,32 @@ def builtin_nonmetrizable(
         With ``at_speeds``, also A(s), from the same call of A as the tail
         nodes, whose values come first: a point-wise A is called on the
         nodes and then on the speeds, in the order of two calls."""
-        j = np.clip((s - lo) / (hi - lo) * last, 0.0, last)
+        # np.clip's bounds, without its Python-level wrapper; nan stays nan
+        j = np.minimum(np.maximum((s - lo) / (hi - lo) * last, 0.0), last)
         bad = ~np.isfinite(j)
-        if not bad.any():
+        if not np.count_nonzero(bad):
             j = j.astype(np.intp)
             base = anchors[j]
             half = 0.5 * (s - base)
-            nodes = (0.5 * (s + base))[..., None] + half[..., None] * _GL_NODES
+            # the tail nodes, written where A's argument is built, the speeds
+            # after them, with no temporary kept past its use; each sum and
+            # product has the operands of mid + half * node and w * (node / A)
+            size = s.size * len(_GL_NODES)
+            argument = np.empty(size + s.size if at_speeds else size)
+            nodes = argument[:size].reshape(s.shape + _GL_NODES.shape)
+            np.multiply(half[..., None], _GL_NODES, out=nodes)
+            nodes += (0.5 * (s + base))[..., None]
             if at_speeds:
-                both = profile(np.concatenate((nodes.ravel(), np.ravel(s))))
-                at_nodes = both[: nodes.size].reshape(nodes.shape)
-                at_s = both[nodes.size :].reshape(np.shape(s))
+                argument[size:] = s.ravel()
+                both = profile(argument)
+                at_nodes, at_s = both[:size].reshape(nodes.shape), both[size:].reshape(s.shape)
             else:
                 at_nodes = profile(nodes)
-            value = cumulative[j] + half * (_GL_WEIGHTS * (nodes / at_nodes)).sum(axis=-1)
+            weighted = nodes / at_nodes
+            weighted *= _GL_WEIGHTS
+            value = cumulative[j] + half * np.add.reduce(weighted, axis=-1)
             bad = ~np.isfinite(value)
-        if bad.any():
+        if np.count_nonzero(bad):
             worst = float(np.ravel(s)[np.argmax(np.ravel(bad))])
             raise QuadratureFailure(f"speed quadrature non-finite at speed {worst:.4g}")
         return (value, at_s) if at_speeds else value

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cache
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -58,6 +59,7 @@ from .tensor_core import (
     christoffel_from,
     direction_from,
     dot,
+    handing,
     inverse_metric_from,
     mat_vec,
     metric_at,
@@ -309,15 +311,18 @@ def residual_eq124(
 
     Returns the matrix sum_rs P^r_sigma (d2A/dv^r dv^s) P^{s eps}
     - lambda P^eps_sigma together with lambda itself, the projected trace
-    divided by n - 1.
+    divided by n - 1.  The metric is taken once at ``x`` and handed to
+    A's closures (:func:`~normalshift.tensor_core.handing`), which the
+    finite-difference Hessian calls at every velocity offset.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    if mode == "analytic":
-        H = velocity_hessian(A, x, v)
-    else:
-        H = velocity_hessian(ExtendedScalar(eval=A.eval), x, v)
     gmat = metric_at(m, x)
+    with handing(m, x, gmat):
+        if mode == "analytic":
+            H = velocity_hessian(A, x, v)
+        else:
+            H = velocity_hessian(ExtendedScalar(eval=A.eval), x, v)
     res, lam = _eq124(H, direction_from(gmat, x, v), inverse_metric_from(gmat, x))
     return res, float(lam)
 
@@ -371,6 +376,29 @@ def _first_primes(d: int) -> list:
     return primes
 
 
+@cache
+def _digit_tables(b: int) -> Tuple[Array, Array, Array, Array]:
+    """What the scrambled digits in base ``b`` need besides the seed and
+    the points, as read-only columns built once per base: the digit
+    positions j, the place values b^j, the scales b^-(j+1), and one
+    unshuffled row range(b) per position.
+
+    There are ceil(54 / log2 b) - 1 digits.  Each scale divides the one
+    before it by b, and the scaled digits are summed in turn, as scipy
+    forms them, so that every point rounds as scipy's does.
+    """
+    count = math.ceil(54 / math.log2(b)) - 1
+    positions = np.arange(count)[:, None]
+    scale = np.empty((count, 1))
+    scale[0] = 1.0 / b
+    for j in range(1, count):
+        scale[j] = scale[j - 1] / b
+    tables = (positions, b**positions, scale, np.tile(np.arange(b), (count, 1)))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def halton(d: int, n: int, seed: int) -> Array:
     """The first ``n`` points (n, d) of scipy's scrambled Halton sequence,
     ``qmc.Halton(d, scramble=True, seed=seed).random(n)``, bit for bit.
@@ -385,16 +413,13 @@ def halton(d: int, n: int, seed: int) -> Array:
     index = np.arange(n)
     columns = []
     for b in _first_primes(d):
-        count = math.ceil(54 / math.log2(b)) - 1
-        perms = rng.permuted(np.tile(np.arange(b), (count, 1)), axis=1)
-        digits = index // b ** np.arange(count)[:, None] % b
-        # b^-(j+1) by repeated division and a running sum, as scipy forms
-        # them, so that every point rounds as scipy's does
-        scale = np.empty(count)
-        scale[0] = 1.0 / b
-        for j in range(1, count):
-            scale[j] = scale[j - 1] / b
-        terms = perms[np.arange(count)[:, None], digits] * scale[:, None]
+        positions, places, scale, rows = _digit_tables(b)
+        # the digits of index; those whose place value exceeds n - 1 are 0
+        digits = np.zeros((len(places), n), dtype=places.dtype)
+        nonzero = np.count_nonzero(places < n)
+        digits[:nonzero] = index // places[:nonzero] % b
+        perms = rng.permuted(rows, axis=1)
+        terms = perms[positions, digits] * scale
         columns.append(np.cumsum(terms, axis=0)[-1])
     return np.stack(columns, axis=1)
 

@@ -48,6 +48,7 @@ from .tensor_core import (
     diagonal_raised_acceleration,
     direction_from,
     dot,
+    every,
     inverse_metric_from,
     mat_vec,
     metric_at,
@@ -391,10 +392,10 @@ def _rk4_step(
         k4x, k4v = _stage(force, m, x4, v4)
         x_new = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):
+    if not (every(np.isfinite(x_new)) and every(np.isfinite(v_new))):
         raise NonFinite("integration overflowed")
     g_new = metric_at(m, x_new)
-    if np.any(speed_from(g_new, v_new) <= SPEED_FLOOR):
+    if np.count_nonzero(speed_from(g_new, v_new) <= SPEED_FLOOR):
         raise ZeroVelocity("speed collapsed below floor")
     return x_new, v_new, g_new
 
@@ -422,7 +423,7 @@ def _escaped(box: Optional[Array], x: Array) -> Array:
     """Per-row mask of positions outside the chart box."""
     if box is None:
         return np.zeros(x.shape[0], dtype=bool)
-    return np.any((x < box[:, 0]) | (x > box[:, 1]), axis=-1)
+    return np.logical_or.reduce((x < box[:, 0]) | (x > box[:, 1]), axis=-1)
 
 
 def _escape_error(u: Array, t: float) -> TrajectoryEscaped:

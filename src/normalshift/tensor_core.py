@@ -34,9 +34,10 @@ are frozen.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -52,6 +53,21 @@ ASYMMETRY_TOL = 1e-12
 SPEED_FLOOR = 1e-12
 # Base step of every central difference, scaled by the argument's size where used.
 FD_STEP = 1e-5
+
+
+def every(mask) -> bool:
+    """Whether every entry of the boolean array ``mask`` holds: ``mask.all()``
+    as numpy's count of nonzero entries, which on the small arrays of a
+    stage costs a third of the reduction behind ``mask.all()``."""
+    return np.count_nonzero(mask) == mask.size
+
+
+@cache
+def identity(n: int) -> np.ndarray:
+    """The n x n identity, one read-only array per dimension."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
 
 
 @dataclass(frozen=True)
@@ -119,7 +135,7 @@ class Projector:
 
     @cached_property
     def P(self) -> np.ndarray:
-        return np.eye(self.N_up.shape[-1]) - outer(self.N_up, self.N_down)
+        return identity(self.N_up.shape[-1]) - outer(self.N_up, self.N_down)
 
 
 def by_rows(fn: Callable, x: np.ndarray, *more) -> np.ndarray:
@@ -197,11 +213,11 @@ def _checked_diagonal(entries: np.ndarray, x: np.ndarray) -> np.ndarray:
     ``x``, after the exact test of their definiteness: every entry finite
     and positive.  A failure names the first offending point."""
     good = np.isfinite(entries) & (entries > 0.0)
-    if not good.all():
+    if not every(good):
         n = entries.shape[-1]
         at = x.reshape(-1, n)[int(np.argmin(good.reshape(-1, n).all(axis=1)))]
         raise NotPositiveDefinite(f"metric not positive-definite at x={at}")
-    return entries[..., None] * np.eye(entries.shape[-1])
+    return entries[..., None] * identity(entries.shape[-1])
 
 
 def _checked_metric(gmat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -271,7 +287,7 @@ def _lapack_inverse(gmat: np.ndarray) -> np.ndarray:
 
 
 def _multiply_back(gmat: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    return np.abs(gmat @ ginv - np.eye(gmat.shape[-1]))
+    return np.abs(gmat @ ginv - identity(gmat.shape[-1]))
 
 
 def inverse_metric_from(gmat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -295,10 +311,11 @@ def inverse_metric_from(gmat: np.ndarray, x: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             ginv = _inverse3(gmat)
             residual = _multiply_back(gmat, ginv)
-        if not residual.max() < 1e-10:
-            redo = ~(residual < 1e-10).all(axis=(-2, -1))
-            ginv[redo] = _lapack_inverse(gmat[redo])
-            residual[redo] = _multiply_back(gmat[redo], ginv[redo])
+        if residual.max() < 1e-10:
+            return ginv
+        redo = ~(residual < 1e-10).all(axis=(-2, -1))
+        ginv[redo] = _lapack_inverse(gmat[redo])
+        residual[redo] = _multiply_back(gmat[redo], ginv[redo])
     if not residual.max() < 1e-10:
         worst, at = _first_offender(residual, x, 1e-10)
         raise NotPositiveDefinite(
@@ -308,7 +325,8 @@ def inverse_metric_from(gmat: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 # What :func:`handing` hands over: the metric, a copy of the positions (k, n),
-# their read-only values (k, n, n) and a map from position bytes to row.
+# their read-only values (k, n, n) and a map from position bytes to row,
+# built by the first lookup of a single point.
 _handed: list = [None, None, None, None]
 
 
@@ -321,9 +339,8 @@ def handing(m: MetricField, x: np.ndarray, gmat: np.ndarray):
     values = np.reshape(gmat, (-1, m.dim, m.dim))
     values.setflags(write=False)
     positions = np.array(x, dtype=float).reshape(-1, m.dim)
-    rows = {p.tobytes(): i for i, p in enumerate(positions)}
     previous = _handed[:]
-    _handed[:] = [m, positions, values, rows]
+    _handed[:] = [m, positions, values, None]
     try:
         yield
     finally:
@@ -344,6 +361,8 @@ def metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=float)
     handed, positions, values, rows = _handed
     if handed is m and x.ndim == 1:
+        if rows is None:
+            rows = _handed[3] = {p.tobytes(): i for i, p in enumerate(positions)}
         i = rows.get(x.tobytes())
         if i is not None:
             return values[i]
@@ -393,7 +412,7 @@ def metric_derivatives_at(m: MetricField, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     n = m.dim
     if m.diagonal and m.dg is not None:
-        return _closure_values(m.dg, x, (n, n), "dg", m.stacked)[..., None] * np.eye(n)
+        return _closure_values(m.dg, x, (n, n), "dg", m.stacked)[..., None] * identity(n)
     if m.dg is not None:
         d = _closure_values(m.dg, x, (n, n, n), "dg", m.stacked)
     else:
@@ -432,7 +451,7 @@ def central_partials(
     steps = (h, 0.5 * h) if richardson else (h,)
     offsets = []
     for step in steps:
-        shift = np.eye(n) * step[..., None, None]  # row k: the step along axis k
+        shift = identity(n) * step[..., None, None]  # row k: the step along axis k
         offsets += [at[..., None, :] + shift, at[..., None, :] - shift]
     # the offset axis runs over (+h, -h[, +h/2, -h/2]) for each axis in turn
     offsets = np.stack(offsets, axis=-2).reshape(lead + (-1, n))
@@ -568,8 +587,12 @@ def speed_at(m: MetricField, x: np.ndarray, v: np.ndarray):
     (:func:`speed_from`)."""
     gmat = metric_at(m, x)
     v = np.asarray(v, dtype=float)
-    if v.ndim == 1:  # cheaper than the stack products; point-wise callbacks call this per state
-        return float(np.sqrt(v @ gmat @ v))
+    if v.ndim == 1 and gmat.ndim == 2:
+        # one state, as point-wise callbacks ask for it: the gemv and ddot
+        # kernels of the stack products, called without matmul's dispatch;
+        # math.sqrt rounds as np.sqrt does, which alone takes a negative or nan
+        q = v.dot(gmat).dot(v)
+        return math.sqrt(q) if q >= 0.0 else float(np.sqrt(q))
     return speed_from(gmat, v)
 
 
@@ -599,9 +622,9 @@ def direction_from(gmat: np.ndarray, x: np.ndarray, v: np.ndarray) -> Projector:
     v = np.asarray(v, dtype=float)
     n = gmat.shape[-1]
     speed = speed_from(gmat, v)
-    slow = np.ravel(speed <= SPEED_FLOOR)
-    if slow.any():
-        i = int(np.argmax(slow))
+    slow = speed <= SPEED_FLOOR
+    if np.count_nonzero(slow):
+        i = int(np.argmax(np.ravel(slow)))
         where = np.broadcast_to(x, v.shape).reshape(-1, n)[i]
         raise ZeroVelocity(
             f"velocity modulus {np.ravel(speed)[i]:.3e} at or below floor at x={where}"

@@ -1074,6 +1074,18 @@ class TestFusedPasses:
         assert_same_bits(speed, w.dspeed(x, s))
         assert_same_bits(partials, w.dx(x, s))
 
+    @pytest.mark.parametrize("lead", STACKS, ids=str)
+    def test_partials_fill_the_last_axis_as_np_stack(self, lead):
+        # the partials of a pass are copied into one new array, which holds
+        # np.stack's floats in its layout
+        values = list(np.random.default_rng(13).normal(size=(4,) + lead))
+        filled = cli._stacked(values)
+        assert_same_bits(filled, np.stack(values, axis=-1))
+        assert filled.flags.c_contiguous and filled.flags.writeable
+        env, shape = cli._stack_env(np.moveaxis(np.array(values), 0, -1))
+        assert list(env) == ["x1", "x2", "x3", "x4"] and shape == lead
+        assert cli._coordinate_names(4) is cli._coordinate_names(4)
+
     def test_custom_w_has_no_fused_pass(self, tmp_path):
         # its W_v is checked against the floor before W is evaluated
         generator = {"kind": "custom", "W": "v*exp(-x1)", "h": "0"}

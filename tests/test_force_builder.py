@@ -342,6 +342,23 @@ class TestArrayProbe:
         expected = np.array([[float(fn(wi)) for wi in row] for row in w])
         assert np.array_equal(h_values(gs, w), expected)
 
+    @pytest.mark.parametrize(
+        "h", [lambda w: 0.0, lambda w: np.float64(2.5), lambda w: np.array(-1.5)],
+        ids=["float", "numpy-scalar", "0-d-array"],
+    )
+    def test_constant_is_filled_into_a_writable_array(self, h):
+        # a 0-d value is filled, not broadcast: the same floats, in an
+        # array of their own that the caller may write
+        gs = GeneratingScalar(W=builtin_geodesic().W, h=h)
+        w = np.array([[0.3, 1.7, 2.2], [2.5, 0.9, 1.1]])
+        values = h_values(gs, w)
+        broadcast = np.broadcast_to(np.asarray(h(w), dtype=float), w.shape)
+        assert values.dtype == np.float64 and values.shape == w.shape
+        assert values.tobytes() == np.ascontiguousarray(broadcast).tobytes()
+        assert values.flags.writeable and values.flags.c_contiguous
+        values[0, 0] = 7.0
+        assert np.array_equal(h_values(gs, w), broadcast)
+
     def test_h_that_raises_on_a_probe_is_called_once_per_value(self):
         calls = []
 
@@ -741,6 +758,18 @@ class TestSpeedQuadrature:
             W.eval(np.array([0.5, 0.5, 0.5]), math.nan)
         with pytest.raises(QuadratureFailure, match=message):
             W.eval(np.full((2, 3), 0.5), np.array([1.0, math.nan]))
+
+    @pytest.mark.parametrize("speed", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_speed_raises_through_the_anchor_bounds(self, speed):
+        # the anchor index is bounded by np.minimum(np.maximum(...)), which
+        # keeps a nan, and an infinite speed gives a non-finite tail: each
+        # names its speed, from every closure that takes the quadrature
+        W = builtin_nonmetrizable(coordinate_scalar(1), lambda s: s**3).W
+        message = f"^speed quadrature non-finite at speed {speed}$"
+        x, s = np.full((2, 3), 0.5), np.array([1.0, speed])
+        for fn in (W.eval, W.dspeed, W.terms):
+            with np.errstate(all="ignore"), pytest.raises(QuadratureFailure, match=message):
+                fn(x, s)
 
     @pytest.mark.parametrize("name", ["cube", "cli", "float-only"])
     def test_point_is_the_one_row_stack(self, name):

@@ -16,7 +16,12 @@ import numpy as np
 import pytest
 
 from normalshift.cli import build_subject, load_scenario
-from normalshift.extended_fields import ExtendedScalar, lift_isotropic
+from normalshift.extended_fields import (
+    ExtendedScalar,
+    lift_isotropic,
+    velocity_gradient,
+    velocity_hessian,
+)
 from normalshift.force_builder import (
     ForceField,
     ansatz_force_field,
@@ -28,7 +33,13 @@ from normalshift.force_builder import (
     force_from_A,
     perturbed_field,
 )
-from normalshift.normality_verifier import SampleSpec, residual_eq124, sample_states, verify
+from normalshift.normality_verifier import (
+    SampleSpec,
+    _eq124,
+    residual_eq124,
+    sample_states,
+    verify,
+)
 from normalshift.shift_engine import (
     GridSpec,
     PhaseState,
@@ -36,7 +47,15 @@ from normalshift.shift_engine import (
     run_shift,
     step_trajectory,
 )
-from normalshift.tensor_core import MetricField, handing, metric_at, speed_at
+from normalshift.tensor_core import (
+    MetricField,
+    direction_from,
+    handing,
+    inverse_metric_from,
+    metric_at,
+    speed_at,
+    unit_direction,
+)
 
 from helpers import wavy_conformal_metric
 
@@ -206,6 +225,31 @@ EVALUATORS = [
 ]
 
 
+def _ansatz_scalar(m):
+    return ansatz_scalar(ansatz_from_generator(metrizable()), m)
+
+
+def _lifted(m):
+    return lift_isotropic(metrizable().W, m)
+
+
+# The scalars whose closures take the metric afresh on every call, under the
+# evaluators that hand it to them: their own count at one state.
+SCALARS = {"ansatz_scalar": _ansatz_scalar, "lift_isotropic": _lifted}
+SCALAR_EVALUATORS = {
+    "force_from_A": force_from_A,
+    "residual_eq124-analytic": lambda A, m, x, v: residual_eq124(A, m, x, v),
+    "residual_eq124-finite-diff":
+        lambda A, m, x, v: residual_eq124(A, m, x, v, mode="finite-diff"),
+}
+EVALUATORS += [
+    (f"{evaluator}({scalar})", None,
+     lambda m, x, v, make=make, evaluate=evaluate: evaluate(make(m), m, x, v))
+    for scalar, make in SCALARS.items()
+    for evaluator, evaluate in SCALAR_EVALUATORS.items()
+]
+
+
 @pytest.mark.parametrize(
     "rows, evaluate",
     [case[1:] for case in EVALUATORS],
@@ -221,3 +265,34 @@ def test_evaluator_takes_the_metric_once_per_state(rows, evaluate):
     x, v = rng.uniform(0.3, 1.2, shape), rng.uniform(0.3, 1.0, shape)
     evaluate(m, x, v)
     assert len(calls) == (1 if rows is None else rows)
+
+
+def _unhanded_force_from_A(A, m, x, v):
+    """``force_from_A`` as written before the handoff: every closure of A
+    takes the metric for itself."""
+    pr = unit_direction(m, x, v)
+    grad = velocity_gradient(A, x, v)
+    return float(A.eval(x, v)) * pr.N_down - pr.speed * (grad @ pr.P)
+
+
+def _unhanded_residual_eq124(A, m, x, v, mode):
+    H = velocity_hessian(A if mode == "analytic" else ExtendedScalar(eval=A.eval), x, v)
+    gmat = metric_at(m, x)
+    res, lam = _eq124(H, direction_from(gmat, x, v), inverse_metric_from(gmat, x))
+    return res, float(lam)
+
+
+@pytest.mark.parametrize("scalar", sorted(SCALARS))
+def test_handed_scalar_evaluators_match_the_unhanded_ones_bit_for_bit(scalar):
+    # the handed metric is the one each closure would take for itself, so
+    # handing it over changes the number of g calls and nothing else
+    m = wavy_conformal_metric()
+    rng = np.random.default_rng(12)
+    for _ in range(4):
+        x, v = rng.uniform(0.3, 1.2, 3), rng.uniform(-1.0, 1.0, 3)
+        A = SCALARS[scalar](m)
+        assert np.array_equal(force_from_A(A, m, x, v), _unhanded_force_from_A(A, m, x, v))
+        for mode in ("analytic", "finite-diff"):
+            res, lam = residual_eq124(A, m, x, v, mode=mode)
+            ref_res, ref_lam = _unhanded_residual_eq124(A, m, x, v, mode)
+            assert np.array_equal(res, ref_res) and lam == ref_lam

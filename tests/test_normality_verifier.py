@@ -134,6 +134,33 @@ class TestWeakEquations:
         assert np.max(np.abs(residual_weak2(ff, m, x, v))) > 1e-3
 
 
+class TestConstantBump:
+    """A non-certified field whose residuals are known in closed form: the
+    certified metrizable field plus a constant covector B on the Euclidean
+    metric.
+
+    B adds 2 P B / |v| = 2 (B - (B.N) N) / |v| to the weak-1 residual, which
+    is linear in F and its fiber derivative, and B has none.  The fiber
+    derivative of the sum is the base's, so additional-2 stays at the
+    certified level.  The field has no derivative closures, so both modes
+    difference it; over 200 states (seeds 0-9) the weak-1 gap to the closed
+    form was at most 2.5e-10 of 2|B|/|v|, from differencing the base force,
+    and additional-2 at most 3.9e-11."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("c", [0.3, -2.0])
+    def test_weak1_is_twice_the_projected_bump_over_the_speed(self, mode, c):
+        m = euclidean_metric()
+        ff = perturbed_field(metrizable_linear_h(), 0, lambda m_, x, v: c)
+        B = np.array([c, 0.0, 0.0])
+        for x, v in sample_pairs(m, 20, 5):
+            pr = unit_direction(m, x, v)
+            closed = 2.0 * (B - (B @ pr.N_up) * pr.N_down) / pr.speed
+            gap = np.max(np.abs(residual_weak1(ff, m, x, v, mode=mode) - closed))
+            assert gap <= 2e-9 * (2.0 * abs(c) / pr.speed)
+            assert np.max(np.abs(residual_additional2(ff, m, x, v, mode=mode))) < 1e-9
+
+
 class TestAdditionalConditions:
     def test_zero_field_zero_residuals(self):
         m = euclidean_metric()
@@ -444,6 +471,17 @@ class TestSampling:
             for n in (1, 50, 200, 1000):
                 expected = qmc.Halton(d=d, scramble=True, seed=seed_).random(n)
                 assert np.array_equal(halton(d, n, seed_), expected), (d, seed_, n)
+
+    def test_digit_tables_are_read_only_and_built_once(self):
+        # halton's per-base tables are shared by every call with that
+        # base, so none of them may be written
+        tables = normality_verifier._digit_tables(3)
+        assert normality_verifier._digit_tables(3) is tables
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+        halton(7, 50, 5)
+        assert all(not t.flags.writeable for t in normality_verifier._digit_tables(3))
 
     def test_states_respect_box_and_speed_range(self):
         m = diagonal_metric()

@@ -24,13 +24,16 @@ from normalshift.tensor_core import (
     _reciprocal,
     central_partials,
     christoffel_at,
+    every,
     handing,
+    identity,
     inverse_metric_at,
     inverse_metric_from,
     metric_at,
     metric_derivatives_at,
     scaled_step,
     speed_at,
+    speed_from,
     unit_direction,
 )
 
@@ -682,3 +685,68 @@ class TestStacks:
         v = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ZeroVelocity, match=r"x=\[0\.\s+2\."):
             unit_direction(m, x, v)
+
+
+def conditioned_metrics(rng, dim, condition, scale, count):
+    """``count`` exactly symmetric positive-definite matrices of condition
+    number ``condition`` and size ``scale``, in random orientations."""
+    out = []
+    for _ in range(count):
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        lam = scale * np.geomspace(1.0, condition, dim)
+        a = (q * lam) @ q.T
+        out.append(0.5 * (a + a.T))
+    return np.array(out)
+
+
+class TestPointKernels:
+    """The single-state paths call numpy's kernels directly and round as the
+    stack paths do."""
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_speed_at_one_state_is_its_stack_row_bit_for_bit(self, dim):
+        # v.dot(g).dot(v) runs the gemv and ddot kernels of the stack
+        # products, and math.sqrt rounds as np.sqrt does
+        rng = np.random.default_rng(dim)
+        for condition in (1.0, 1e2, 1e4, 1e6, 1e8):
+            for scale in (1e-150, 1e-50, 1.0, 1e50, 1e150):
+                table = conditioned_metrics(rng, dim, condition, scale, 40)
+                m = MetricField(dim=dim, g=lambda x: table[int(x[0])])
+                x = np.zeros((40, dim))
+                x[:, 0] = np.arange(40)
+                v = rng.normal(size=(40, dim)) * np.geomspace(1e-3, 1e3, 40)[:, None]
+                stack = speed_at(m, x, v)
+                gmat = metric_at(m, x)
+                for i in range(40):
+                    point = speed_at(m, x[i], v[i])
+                    assert type(point) is float
+                    one_row = speed_from(gmat[i][None], v[i][None])[0]
+                    assert point == stack[i] == one_row, (condition, scale, i)
+
+    def test_speed_at_one_state_takes_np_sqrt_of_a_negative(self):
+        # an indefinite matrix can only be handed, never checked; its
+        # negative square gives nan with numpy's warning, not an exception
+        m = euclidean_metric()
+        x, v = np.zeros(3), np.array([1.0, 0.0, 0.0])
+        with handing(m, x, -np.eye(3)), pytest.warns(RuntimeWarning, match="invalid value"):
+            assert math.isnan(speed_at(m, x, v))
+        assert math.isnan(speed_at(m, x, np.array([math.nan, 0.0, 0.0])))
+
+    def test_identity_is_cached_read_only(self):
+        eye = identity(4)
+        assert eye is identity(4)
+        assert np.array_equal(eye, np.eye(4)) and eye.dtype == np.float64
+        with pytest.raises(ValueError):
+            eye[0, 1] = 1.0
+        # results built from it are new, writable arrays
+        pr = unit_direction(euclidean_metric(), np.zeros(3), np.array([1.0, 2.0, 2.0]))
+        pr.P[0, 0] = 5.0
+        assert np.array_equal(identity(3), np.eye(3))
+
+    def test_every_is_all(self):
+        rng = np.random.default_rng(3)
+        for shape in [(), (0,), (5,), (4, 3), (2, 3, 4)]:
+            for p in (0.0, 0.5, 0.99, 1.0):
+                mask = rng.random(shape) < p
+                assert every(mask) == bool(mask.all())
+        assert every(np.isfinite(np.float64(1.0))) and not every(np.isfinite(np.float64(math.nan)))
