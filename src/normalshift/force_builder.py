@@ -186,7 +186,10 @@ class ForceField:
 def field_call(ff: ForceField, fn: Callable, m: MetricField) -> Callable:
     """``ff``'s closure ``fn`` as ``call(x, v, gmat)`` on a stack of states,
     once per stack when ``ff`` is ``stacked``, else once per state, handed
-    ``gmat``, the metric at ``x`` (:func:`~normalshift.tensor_core.handing`)."""
+    ``gmat``, the metric at ``x`` (:func:`~normalshift.tensor_core.handing`).
+    Called once per state, through :func:`~normalshift.tensor_core.by_rows`,
+    ``fn`` gets the rows of a read-only copy of ``x``, and its metric at its
+    own row is read by index."""
 
     def call(x, v, gmat):
         with handing(m, x, gmat):
@@ -817,8 +820,10 @@ def perturbed_field(
     The result is a plain user field with no derivative closures; it serves
     as a negative control, since generic perturbations leave the family of
     fields admitting the normal shift.  It is ``stacked`` when ``base`` is;
-    ``bump`` takes one state and is called once per state of a stack; its
-    metric there (by ``speed_at``, say) reads what :func:`field_call` hands.
+    ``bump`` takes one state and is called once per state of a stack,
+    through :func:`~normalshift.tensor_core.by_rows`; its metric there (by
+    ``speed_at``, say) reads what :func:`field_call` hands, at its own
+    row by index and at a copy of it through the handoff's map.
     """
 
     def eval_(m, x, v):

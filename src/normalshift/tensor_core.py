@@ -21,7 +21,9 @@ reaches them as a one-row stack; its optional ``terms`` gives g and its
 derivatives from one call, for a flow stage (:func:`stage_metric`).  Any
 other metric's closures are called once per point.  No metric value is
 kept: the states handed to a user closure carry their metric for that one
-call (:func:`handing`).  Index conventions, on the trailing axes:
+call (:func:`handing`), and a point closure called on them through
+:func:`by_rows` reads its own row's metric by index.  Index conventions,
+on the trailing axes:
 
 * ``gamma[k, i, j]`` holds the connection component with upper index k and
   lower indices (i, j).
@@ -138,23 +140,83 @@ class Projector:
         return identity(self.N_up.shape[-1]) - outer(self.N_up, self.N_down)
 
 
+# What :func:`handing` hands over: the metric, a read-only copy of the
+# positions (k, n), their read-only values (k, n, n), a map from position
+# bytes to row, built by the first lookup that misses the current row, and
+# the current row: the row of the positions that :func:`by_rows` is passing
+# to its closure, and its index.
+_handed: list = [None, None, None, None, None, None]
+
+
+@contextmanager
+def handing(m: MetricField, x: np.ndarray, gmat: np.ndarray):
+    """Hand ``gmat``, the checked metric of ``m`` at ``x`` (..., n), to the
+    closure called in the ``with`` block: its :func:`metric_at` at ``x``,
+    or at a point of ``x``, reads these values.  A point closure that
+    :func:`by_rows` calls on the states of ``x`` gets the rows of a
+    read-only copy of ``x``, and its metric at its own row is read by
+    index, with no lookup.  The previous handoff, its current row
+    included, comes back on exit, also when the closure raises."""
+    values = np.reshape(gmat, (-1, m.dim, m.dim))
+    values.setflags(write=False)
+    positions = np.array(x, dtype=float).reshape(-1, m.dim)
+    positions.setflags(write=False)
+    previous = _handed[:]
+    _handed[:] = [m, positions, values, None, None, None]
+    try:
+        yield
+    finally:
+        _handed[:] = previous
+
+
 def by_rows(fn: Callable, x: np.ndarray, *more) -> np.ndarray:
     """A point closure ``fn(x_i, *more_i)`` applied to each state of a stack.
 
-    ``x`` is one point (n,) or a stack (..., n); each of ``more`` has the
-    same leading axes, with trailing axes of its own or none (a speed per
-    state, which ``fn`` receives as a float).  The values come back as one
-    float array with the leading axes in front.  This is the one adapter
-    through which a closure that takes only one point meets a stack.
+    ``x`` is one point (n,), passed as it is, or a stack (..., n); each of
+    ``more`` has the same leading axes, with trailing axes of its own or
+    none (a speed per state, which ``fn`` receives as a float).  The values
+    come back as one float array with the leading axes in front.  This is
+    the one adapter through which a closure that takes only one point
+    meets a stack.  When the stack's positions are those of the active
+    handoff (:func:`handing`), ``fn`` gets the rows of its read-only copy,
+    and the row being called is the handoff's current row, so the
+    closure's :func:`metric_at` there is one index; the current row is
+    put back as it was when the calls end or raise.
     """
     lead = x.shape[:-1]
-    rows = [x.reshape(-1, x.shape[-1])]
+    rows = [x.reshape(-1, x.shape[-1]) if lead else (x,)]
     for arr in more:
         arr = np.asarray(arr, dtype=float)
         flat = arr.reshape((-1,) + arr.shape[len(lead):])
         rows.append(flat.tolist() if flat.ndim == 1 else flat)
-    values = np.array([fn(*args) for args in zip(*rows)], dtype=float)
+    positions = _handed[1]
+    if (
+        lead
+        and positions is not None
+        and positions.shape == rows[0].shape
+        and np.array_equal(positions, rows[0])
+    ):
+        rows[0] = positions
+        values = _handed_rows(fn, rows)
+    else:
+        values = [fn(*args) for args in zip(*rows)]
+    values = np.array(values, dtype=float)
     return values.reshape(lead + values.shape[1:])
+
+
+def _handed_rows(fn: Callable, rows: list) -> list:
+    """``fn`` on each state of ``rows``, whose first entry is the handed
+    positions, with each row the handoff's current row while it is called."""
+    previous = _handed[4:]
+    values = []
+    try:
+        for i, args in enumerate(zip(*rows)):
+            _handed[4] = args[0]
+            _handed[5] = i
+            values.append(fn(*args))
+    finally:
+        _handed[4:] = previous
+    return values
 
 
 def _checked_value(value, x: np.ndarray, shape: tuple, what: str) -> np.ndarray:
@@ -324,29 +386,6 @@ def inverse_metric_from(gmat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return ginv
 
 
-# What :func:`handing` hands over: the metric, a copy of the positions (k, n),
-# their read-only values (k, n, n) and a map from position bytes to row,
-# built by the first lookup of a single point.
-_handed: list = [None, None, None, None]
-
-
-@contextmanager
-def handing(m: MetricField, x: np.ndarray, gmat: np.ndarray):
-    """Hand ``gmat``, the checked metric of ``m`` at ``x`` (..., n), to the
-    closure called in the ``with`` block: its :func:`metric_at` at ``x``,
-    or at a point of ``x``, reads these values.  The previous handoff comes
-    back on exit, also when the closure raises."""
-    values = np.reshape(gmat, (-1, m.dim, m.dim))
-    values.setflags(write=False)
-    positions = np.array(x, dtype=float).reshape(-1, m.dim)
-    previous = _handed[:]
-    _handed[:] = [m, positions, values, None]
-    try:
-        yield
-    finally:
-        _handed[:] = previous
-
-
 def metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
     """Evaluate the metric matrix at ``x``, one point (n,) or a stack (..., n).
 
@@ -356,10 +395,15 @@ def metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
     metric by the sign of each entry, which must also be finite; the
     matrix is then built from the entries.  Inside a closure
     handed the metric at ``x``, or at a stack that holds the point ``x``
-    (:func:`handing`), the handed values are returned, read-only.
+    (:func:`handing`), the handed values are returned, read-only: at the
+    current row of :func:`by_rows` by its index, at any other point of
+    the stack through a map from position bytes to row, built on the
+    first such miss.
     """
+    handed, positions, values, rows, current, i = _handed
+    if handed is m and current is not None and x is current:
+        return values[i]
     x = np.ascontiguousarray(x, dtype=float)
-    handed, positions, values, rows = _handed
     if handed is m and x.ndim == 1:
         if rows is None:
             rows = _handed[3] = {p.tobytes(): i for i, p in enumerate(positions)}

@@ -22,11 +22,13 @@ from normalshift.extended_fields import (
     velocity_gradient,
     velocity_hessian,
 )
+from normalshift import tensor_core
 from normalshift.force_builder import (
     ForceField,
     ansatz_force_field,
     ansatz_from_generator,
     ansatz_scalar,
+    as_force_field,
     builtin_metrizable,
     coordinate_scalar,
     field_call,
@@ -36,6 +38,9 @@ from normalshift.force_builder import (
 from normalshift.normality_verifier import (
     SampleSpec,
     _eq124,
+    _over,
+    _residual_rows,
+    _sampled,
     residual_eq124,
     sample_states,
     verify,
@@ -49,6 +54,7 @@ from normalshift.shift_engine import (
 )
 from normalshift.tensor_core import (
     MetricField,
+    by_rows,
     direction_from,
     handing,
     inverse_metric_from,
@@ -57,7 +63,7 @@ from normalshift.tensor_core import (
     unit_direction,
 )
 
-from helpers import wavy_conformal_metric
+from helpers import euclidean_metric, wavy_conformal_metric
 
 BOX = [[0.25, 1.25], [0.25, 1.25], [0.25, 1.25]]
 
@@ -296,3 +302,159 @@ def test_handed_scalar_evaluators_match_the_unhanded_ones_bit_for_bit(scalar):
             res, lam = residual_eq124(A, m, x, v, mode=mode)
             ref_res, ref_lam = _unhanded_residual_eq124(A, m, x, v, mode)
             assert np.array_equal(res, ref_res) and lam == ref_lam
+
+
+def offset_stack(m, count=50, offsets=(12, 6)):
+    """A velocity-offset stack (count, *offsets, 3), with random positions
+    and their metric broadcast over it, as ``_residual_rows`` builds the
+    fiber Hessian's states."""
+    rng = np.random.default_rng(25)
+    x = rng.uniform(0.3, 1.2, (count, 3))
+    u = rng.uniform(-1.0, 1.0, (count,) + offsets + (3,))
+    gmat = metric_at(m, x)
+    return u, _over(x, u), _over(gmat, u, 2)
+
+
+class TestRowHandoff:
+    """A point closure that ``by_rows`` calls on the handed states reads its
+    own row's metric by index; any other point of the stack still reads the
+    handed values, through the map, and nothing is left behind."""
+
+    @staticmethod
+    def no_handoff():
+        return tensor_core._handed == [None] * 6
+
+    @pytest.mark.parametrize("base_stacked", [True, False])
+    def test_bump_over_an_offset_stack_reads_its_rows_with_no_map(self, base_stacked):
+        calls = []
+        m = counted_metric(calls)
+        u, at, g = offset_stack(m)
+        maps = []
+
+        def bump(m_, xi, vi):
+            maps.append(tensor_core._handed[3])
+            return speed_at(m_, xi, vi) * xi[1]
+
+        base = (as_force_field(metrizable()) if base_stacked
+                else ForceField(eval=lambda m_, xi, vi: metric_at(m_, xi) @ vi))
+        field = perturbed_field(base, 0, bump)
+        calls.clear()
+        out = field_call(field, field.eval, m)(at, u, g)
+        assert not calls
+        assert len(maps) == 3600 and all(entry is None for entry in maps)
+        assert self.no_handoff()
+        copied = perturbed_field(base, 0, lambda m_, xi, vi: speed_at(m_, xi.copy(), vi) * xi[1])
+        assert np.array_equal(out, field_call(copied, copied.eval, m)(at, u, g))
+        assert not calls
+
+    def test_a_copy_of_the_row_reads_the_handed_values(self):
+        calls = []
+        m = counted_metric(calls)
+        u, at, g = offset_stack(m)
+        calls.clear()
+        seen = []
+
+        def user(m_, xi, vi):
+            seen.append(metric_at(m_, xi.copy()))
+            return np.zeros(3)
+
+        field_call(ForceField(eval=user), user, m)(at, u, g)
+        assert not calls and len(seen) == 3600
+        assert np.array_equal(np.array(seen), g.reshape(-1, 3, 3))
+        assert tensor_core._handed[3] is None
+
+    def test_another_rows_position_reads_that_rows_values(self):
+        calls = []
+        m = counted_metric(calls)
+        u, at, g = offset_stack(m, count=4, offsets=(3,))
+        flat, k = at.reshape(-1, 3), 12
+        calls.clear()
+        seen = []
+
+        def user(m_, xi, vi):
+            j = len(seen)
+            seen.append((metric_at(m_, xi), metric_at(m_, flat[k - 1 - j])))
+            return np.zeros(3)
+
+        field_call(ForceField(eval=user), user, m)(at, u, g)
+        assert not calls
+        values = g.reshape(-1, 3, 3)
+        for j, (own, other) in enumerate(seen):
+            assert np.array_equal(own, values[j]) and np.array_equal(other, values[k - 1 - j])
+
+    def test_writing_into_a_handed_row_raises_and_leaves_the_caller_unchanged(self):
+        m = wavy_conformal_metric()
+        x = np.array([[0.3, 0.4, 0.5], [0.6, 0.7, 0.8]])
+        before = x.copy()
+
+        def user(m_, xi, vi):
+            xi[0] = 9.0
+            return np.zeros(3)
+
+        with pytest.raises(ValueError):
+            field_call(ForceField(eval=user), user, m)(x, np.ones((2, 3)), metric_at(m, x))
+        assert np.array_equal(x, before)
+        assert self.no_handoff()
+
+    def test_nested_handoff_gives_the_outer_row_back(self):
+        calls = []
+        m = counted_metric(calls)
+        u, at, g = offset_stack(m, count=3, offsets=(2,))
+        # A reads the metric at the outer row's object inside the inner handoff
+        A = ExtendedScalar(eval=lambda xi, vi: float(vi @ metric_at(m, xi) @ vi),
+                           dv=lambda xi, vi: 2.0 * metric_at(m, xi) @ vi)
+        calls.clear()
+        seen = []
+
+        def user(m_, xi, vi):
+            force = force_from_A(A, m_, xi, vi)
+            assert tensor_core._handed[4] is xi
+            seen.append(metric_at(m_, xi))
+            return force + speed_at(m_, xi, vi)
+
+        out = field_call(ForceField(eval=user), user, m)(at, u, g)
+        assert not calls
+        assert np.array_equal(np.array(seen), g.reshape(-1, 3, 3))
+        # the same sums with the metric taken afresh at each state
+        expected = [force_from_A(A, m, xi, vi) + speed_at(m, xi, vi)
+                    for xi, vi in zip(at.reshape(-1, 3), u.reshape(-1, 3))]
+        assert np.array_equal(out.reshape(-1, 3), np.array(expected))
+        assert self.no_handoff()
+
+    def test_a_raise_at_row_k_leaves_no_current_row(self):
+        calls = []
+        m = counted_metric(calls)
+        x = np.random.default_rng(3).uniform(0.3, 1.2, (6, 3))
+        gmat = metric_at(m, x)
+        calls.clear()
+
+        def user(xi):
+            if metric_at(m, xi) is not None and tensor_core._handed[5] == 3:
+                raise ArithmeticError("row 3")
+            return 0.0
+
+        with handing(m, x, gmat):
+            with pytest.raises(ArithmeticError, match="row 3"):
+                by_rows(user, x)
+            assert tensor_core._handed[4:] == [None, None]
+            assert np.array_equal(metric_at(m, x[3]), gmat[3])
+        assert not calls and self.no_handoff()
+
+
+@pytest.mark.parametrize("metric", [euclidean_metric, wavy_conformal_metric],
+                         ids=["euclidean", "wavy-conformal"])
+@pytest.mark.parametrize("mode", ["analytic", "finite-diff"])
+def test_perturbed_control_is_bit_identical_on_the_row_and_the_map_path(metric, mode):
+    # the row path and the map path read the same handed values, so the
+    # control's residual table and lambda samples agree bit for bit
+    m = metric()
+    states, gmat = _sampled(SampleSpec(box=BOX, count=20, seed=5, mode=mode), m)
+    base = as_force_field(metrizable())
+    tables = [
+        _residual_rows(perturbed_field(base, 0, bump), m, mode, states, gmat)
+        for bump in (lambda m_, x, v: speed_at(m_, x, v) * x[1],
+                     lambda m_, x, v: speed_at(m_, x.copy(), v) * x[1])
+    ]
+    (rows, lam), (map_rows, map_lam) = tables
+    assert np.array_equal(rows, map_rows) and np.array_equal(lam, map_lam)
+    assert rows[:, 0].max() > 1e-3  # the bump violates the equations
