@@ -142,10 +142,10 @@ class Projector:
 
 # What :func:`handing` hands over: the metric, a read-only copy of the
 # positions (k, n), their read-only values (k, n, n), a map from position
-# bytes to row, built by the first lookup that misses the current row, and
-# the current row: the row of the positions that :func:`by_rows` is passing
-# to its closure, and its index.
-_handed: list = [None, None, None, None, None, None]
+# bytes to row, built by the first lookup that misses the current row, the
+# current row: the row of the positions that :func:`by_rows` is passing to
+# its closure, and its index, and the positions as they were handed.
+_handed: list = [None, None, None, None, None, None, None]
 
 
 @contextmanager
@@ -153,16 +153,16 @@ def handing(m: MetricField, x: np.ndarray, gmat: np.ndarray):
     """Hand ``gmat``, the checked metric of ``m`` at ``x`` (..., n), to the
     closure called in the ``with`` block: its :func:`metric_at` at ``x``,
     or at a point of ``x``, reads these values.  A point closure that
-    :func:`by_rows` calls on the states of ``x`` gets the rows of a
-    read-only copy of ``x``, and its metric at its own row is read by
-    index, with no lookup.  The previous handoff, its current row
-    included, comes back on exit, also when the closure raises."""
+    :func:`by_rows` calls on ``x`` itself, the very object handed, gets
+    the rows of a read-only copy of ``x``, and its metric at its own row
+    is read by index, with no lookup.  The previous handoff, its current
+    row included, comes back on exit, also when the closure raises."""
     values = np.reshape(gmat, (-1, m.dim, m.dim))
     values.setflags(write=False)
     positions = np.array(x, dtype=float).reshape(-1, m.dim)
     positions.setflags(write=False)
     previous = _handed[:]
-    _handed[:] = [m, positions, values, None, None, None]
+    _handed[:] = [m, positions, values, None, None, None, x]
     try:
         yield
     finally:
@@ -177,11 +177,12 @@ def by_rows(fn: Callable, x: np.ndarray, *more) -> np.ndarray:
     none (a speed per state, which ``fn`` receives as a float).  The values
     come back as one float array with the leading axes in front.  This is
     the one adapter through which a closure that takes only one point
-    meets a stack.  When the stack's positions are those of the active
-    handoff (:func:`handing`), ``fn`` gets the rows of its read-only copy,
-    and the row being called is the handoff's current row, so the
-    closure's :func:`metric_at` there is one index; the current row is
-    put back as it was when the calls end or raise.
+    meets a stack.  When ``x`` is the very stack the active handoff was
+    given (:func:`handing`), ``fn`` gets the rows of the handoff's
+    read-only copy, and the row being called is the handoff's current
+    row, so the closure's :func:`metric_at` there is one index; the
+    current row is put back as it was when the calls end or raise.  Any
+    other stack, equal in value or not, is passed as it is.
     """
     lead = x.shape[:-1]
     rows = [x.reshape(-1, x.shape[-1]) if lead else (x,)]
@@ -189,14 +190,8 @@ def by_rows(fn: Callable, x: np.ndarray, *more) -> np.ndarray:
         arr = np.asarray(arr, dtype=float)
         flat = arr.reshape((-1,) + arr.shape[len(lead):])
         rows.append(flat.tolist() if flat.ndim == 1 else flat)
-    positions = _handed[1]
-    if (
-        lead
-        and positions is not None
-        and positions.shape == rows[0].shape
-        and np.array_equal(positions, rows[0])
-    ):
-        rows[0] = positions
+    if lead and x is _handed[6]:
+        rows[0] = _handed[1]
         values = _handed_rows(fn, rows)
     else:
         values = [fn(*args) for args in zip(*rows)]
@@ -207,7 +202,7 @@ def by_rows(fn: Callable, x: np.ndarray, *more) -> np.ndarray:
 def _handed_rows(fn: Callable, rows: list) -> list:
     """``fn`` on each state of ``rows``, whose first entry is the handed
     positions, with each row the handoff's current row while it is called."""
-    previous = _handed[4:]
+    previous = _handed[4:6]
     values = []
     try:
         for i, args in enumerate(zip(*rows)):
@@ -215,7 +210,7 @@ def _handed_rows(fn: Callable, rows: list) -> list:
             _handed[5] = i
             values.append(fn(*args))
     finally:
-        _handed[4:] = previous
+        _handed[4:6] = previous
     return values
 
 
@@ -400,7 +395,7 @@ def metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
     the stack through a map from position bytes to row, built on the
     first such miss.
     """
-    handed, positions, values, rows, current, i = _handed
+    handed, positions, values, rows, current, i, _ = _handed
     if handed is m and current is not None and x is current:
         return values[i]
     x = np.ascontiguousarray(x, dtype=float)

@@ -281,3 +281,37 @@ def quad_anchor_table(A_of_speed, speed_range=(0.05, 5.0)):
     except Exception as exc:
         raise QuadratureFailure("adaptive quadrature of the speed profile failed") from exc
     return np.concatenate([[0.0], np.cumsum(segments)])
+
+
+# How the acceptance battery runs its shift families (criteria 7-10):
+# t in [0, 1] at dt = 1e-3, every tenth step sampled.
+SHIFT_RUN = {"t_end": 1.0, "dt": 1e-3, "sample_stride": 10}
+
+
+def shift_cases(points=7):
+    """The four shift families of acceptance criteria 7-10, as
+    ``{name: (generator, surface, grid, force_constant_nu)}``, each on a
+    ``points`` x ``points`` chart grid spanning 0.3 in either direction.
+
+    A plane and an inward sphere under the metrizable generator of
+    W = |v| exp(-x^1) with h = 0, the plane again with nu forced constant (the
+    control), and the plane with h = w.  They run on the Euclidean metric
+    as :data:`SHIFT_RUN` says.
+    """
+    import math
+
+    from normalshift.force_builder import builtin_metrizable, coordinate_scalar
+    from normalshift.shift_engine import GridSpec, plane_surface, sphere_surface
+
+    gs_h0 = builtin_metrizable(coordinate_scalar(0), H=lambda w: 0.0)
+    gs_hw = builtin_metrizable(coordinate_scalar(0), H=lambda w: w)
+    plane_grid = GridSpec(ranges=((-0.15, 0.15, points),) * 2)
+    sphere_grid = GridSpec(
+        ranges=((math.pi / 2 - 0.15, math.pi / 2 + 0.15, points), (-0.15, 0.15, points))
+    )
+    return {
+        "plane_h0": (gs_h0, plane_surface(), plane_grid, False),
+        "sphere_h0": (gs_h0, sphere_surface(orientation=-1.0), sphere_grid, False),
+        "control": (gs_h0, plane_surface(), plane_grid, True),
+        "plane_hw": (gs_hw, plane_surface(), plane_grid, False),
+    }

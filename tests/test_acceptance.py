@@ -54,16 +54,20 @@ from normalshift.shift_engine import (
     PhaseState,
     graph_surface,
     max_normalized_deviation,
-    plane_surface,
     run_shift,
     speed_law_residual,
-    sphere_surface,
     step_trajectory,
     surface_constancy_residual,
     w_dynamics_residual,
 )
 
-from helpers import conformal_metric, diagonal_metric, euclidean_metric
+from helpers import (
+    SHIFT_RUN,
+    conformal_metric,
+    diagonal_metric,
+    euclidean_metric,
+    shift_cases,
+)
 
 BOX = [[0.25, 1.25]] * 3
 
@@ -92,31 +96,10 @@ def shift_runs():
     the inward family stays smooth over the whole window.
     """
     m = euclidean_metric()
-    gs_h0 = metrizable(lambda w: 0.0)
-    gs_hw = metrizable(lambda w: w)
-    plane_grid = GridSpec(ranges=((-0.15, 0.15, 7), (-0.15, 0.15, 7)))
-    sphere_grid = GridSpec(
-        ranges=((math.pi / 2 - 0.15, math.pi / 2 + 0.15, 7), (-0.15, 0.15, 7))
-    )
-    cases = {
-        "plane_h0": (gs_h0, plane_surface(), plane_grid, False),
-        "sphere_h0": (gs_h0, sphere_surface(orientation=-1.0), sphere_grid, False),
-        "control": (gs_h0, plane_surface(), plane_grid, True),
-        "plane_hw": (gs_hw, plane_surface(), plane_grid, False),
-    }
     runs = {}
-    for name, (gs, surface, grid, forced) in cases.items():
+    for name, (gs, surface, grid, forced) in shift_cases().items():
         started = time.perf_counter()
-        record = run_shift(
-            gs,
-            m,
-            surface,
-            grid,
-            t_end=1.0,
-            dt=1e-3,
-            sample_stride=10,
-            force_constant_nu=forced,
-        )
+        record = run_shift(gs, m, surface, grid, force_constant_nu=forced, **SHIFT_RUN)
         runs[name] = {
             "record": record,
             "generator": gs,

@@ -322,7 +322,7 @@ class TestRowHandoff:
 
     @staticmethod
     def no_handoff():
-        return tensor_core._handed == [None] * 6
+        return tensor_core._handed == [None] * 7
 
     @pytest.mark.parametrize("base_stacked", [True, False])
     def test_bump_over_an_offset_stack_reads_its_rows_with_no_map(self, base_stacked):
@@ -421,6 +421,17 @@ class TestRowHandoff:
         assert np.array_equal(out.reshape(-1, 3), np.array(expected))
         assert self.no_handoff()
 
+    def test_an_equal_stack_that_is_not_the_handed_one_is_passed_as_it_is(self):
+        m = wavy_conformal_metric()
+        x = np.array([[0.0, 0.4, 0.5], [0.6, 0.7, 0.8]])
+        y = x.copy()
+        y[0, 0] = -0.0
+        seen = []
+        with handing(m, x, metric_at(m, x)):
+            by_rows(lambda xi: seen.append(xi) or 0.0, y)
+        assert all(np.shares_memory(xi, y) for xi in seen)
+        assert np.signbit(seen[0][0])
+
     def test_a_raise_at_row_k_leaves_no_current_row(self):
         calls = []
         m = counted_metric(calls)
@@ -436,7 +447,7 @@ class TestRowHandoff:
         with handing(m, x, gmat):
             with pytest.raises(ArithmeticError, match="row 3"):
                 by_rows(user, x)
-            assert tensor_core._handed[4:] == [None, None]
+            assert tensor_core._handed[4:6] == [None, None]
             assert np.array_equal(metric_at(m, x[3]), gmat[3])
         assert not calls and self.no_handoff()
 

@@ -16,10 +16,10 @@ def run_tool(*args):
 
 
 def test_times_every_item_at_the_tiny_size():
-    done = run_tool("--size", "tiny", "--repeats", "1")
+    done = run_tool("--size", "tiny")
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result["size"] == "tiny" and result["failures"] == []
+    assert result["size"] == "tiny" and result["repeats"] == 1 and result["failures"] == []
     items = list(result["criterion7"].items())
     assert [name for name, _ in items] == ["plane_h0", "sphere_h0", "control", "plane_hw", "total"]
     for label in ("readme", "conformal"):
@@ -30,6 +30,5 @@ def test_times_every_item_at_the_tiny_size():
         assert figures["seconds"] > 0.0 and figures["ref"] > 0.0
 
 
-def test_unknown_size_or_no_repeats_exits_2():
+def test_unknown_size_exits_2():
     assert run_tool("--size", "huge").returncode == 2
-    assert run_tool("--size", "tiny", "--repeats", "0").returncode == 2

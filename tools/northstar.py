@@ -2,14 +2,15 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/northstar.py --size full --repeats 3
+    python3 tools/northstar.py --size full
 
 Two kinds of work are timed:
 
 * the four shift families of the acceptance battery's criteria 7-10
   (plane, inward sphere, the constant-nu control and the plane with
   h = w), each a 7 x 7 family over t in [0, 1] at dt = 1e-3 on a
-  point-wise Euclidean metric, run in this process;
+  point-wise Euclidean metric, run in this process from the table that
+  the battery's ``shift_runs`` fixture runs (``tests/helpers.py``);
 * ``normalshift shift``, ``verify`` and ``report`` on the README scenario
   and on a conformal variant of it, each as a fresh process.
 
@@ -17,15 +18,14 @@ After each timed item one slice of the benchmark's reference kernel
 (``perfbench/reference.py``, imported and never changed) runs in this
 process, and the item's ``ref`` is its seconds divided by that slice's, as
 ``perfbench/run.py`` divides a round by the slices run beside it.  The
-figures are medians over ``--repeats``.  The last line of standard output
-is one JSON object.  Nothing here is a gate: the tool exits 1 only when a
-command fails, and 2 on a usage error.  ``--size tiny`` runs the same
-items on 5 x 5 families over ten steps, for a smoke test.
+figures are medians over three runs of each item.  The last line of
+standard output is one JSON object.  Nothing here is a gate: the tool exits
+1 only when a command fails, and 2 on a usage error.  ``--size tiny`` runs
+each item once, on 5 x 5 families over ten steps, for a smoke test.
 """
 
 import argparse
 import json
-import math
 import os
 import platform
 import statistics
@@ -38,8 +38,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COMMAND_TIMEOUT_S = 600
 
-# (t_end, sample_stride, grid points per direction, verify samples) per size
-SIZES = {"full": (1.0, 10, 7, 200), "tiny": (0.01, 2, 5, 5)}
+# Runs of each item per size, and what the tiny size shortens: the run's
+# t_end and sample_stride, the grid points per direction and the verify
+# samples.  The full size runs the families and scenarios as they are.
+SIZES = {
+    "full": {"repeats": 3},
+    "tiny": {"repeats": 1, "t_end": 0.01, "sample_stride": 2, "points": 5, "samples": 5},
+}
 
 README_SCENARIO = {
     "name": "plane-demo",
@@ -62,20 +67,19 @@ CONFORMAL_TOLERANCE = 1e-5
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--size", choices=sorted(SIZES), default="full")
-    parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
-    return args
+    return parser.parse_args(argv)
 
 
 def scenarios(size: str) -> dict:
     """The README scenario and its conformal variant, at ``size``."""
-    t_end, stride, points, samples = SIZES[size]
+    shorter = SIZES[size]
     readme = json.loads(json.dumps(README_SCENARIO))
-    readme["run"].update(t_end=t_end, sample_stride=stride,
-                         u_grid=[[-0.15, 0.15, points]] * 2)
-    readme["verify"]["sample_count"] = samples
+    for key in ("t_end", "sample_stride"):
+        readme["run"][key] = shorter.get(key, readme["run"][key])
+    if "points" in shorter:
+        readme["run"]["u_grid"] = [[-0.15, 0.15, shorter["points"]]] * 2
+    verify = readme["verify"]
+    verify["sample_count"] = shorter.get("samples", verify["sample_count"])
     conformal = json.loads(json.dumps(readme))
     conformal.update(name="plane-conformal", metric=CONFORMAL_METRIC)
     conformal["run"]["tolerance"] = CONFORMAL_TOLERANCE
@@ -83,36 +87,23 @@ def scenarios(size: str) -> dict:
 
 
 def families(size: str) -> dict:
-    """Zero-argument runs of the acceptance battery's four shift families."""
-    import numpy as np
+    """Zero-argument runs of the acceptance battery's four shift families,
+    from the table its ``shift_runs`` fixture runs."""
+    from normalshift.shift_engine import run_shift
 
-    from normalshift.force_builder import builtin_metrizable, coordinate_scalar
-    from normalshift.shift_engine import GridSpec, plane_surface, run_shift, sphere_surface
-    from normalshift.tensor_core import MetricField
+    from helpers import SHIFT_RUN, euclidean_metric, shift_cases
 
-    t_end, stride, points, _ = SIZES[size]
-    eye, zero = np.eye(3), np.zeros((3, 3, 3))
-    m = MetricField(dim=3, g=lambda x: eye.copy(), dg=lambda x: zero.copy())
-    h0 = builtin_metrizable(coordinate_scalar(0), H=lambda w: 0.0)
-    hw = builtin_metrizable(coordinate_scalar(0), H=lambda w: w)
-    plane_grid = GridSpec(ranges=((-0.15, 0.15, points),) * 2)
-    sphere_grid = GridSpec(
-        ranges=((math.pi / 2 - 0.15, math.pi / 2 + 0.15, points), (-0.15, 0.15, points))
-    )
-    cases = {
-        "plane_h0": (h0, plane_surface(), plane_grid, False),
-        "sphere_h0": (h0, sphere_surface(orientation=-1.0), sphere_grid, False),
-        "control": (h0, plane_surface(), plane_grid, True),
-        "plane_hw": (hw, plane_surface(), plane_grid, False),
-    }
+    shorter = SIZES[size]
+    m = euclidean_metric()
+    run_args = {key: shorter.get(key, value) for key, value in SHIFT_RUN.items()}
 
     def run(gs, surface, grid, forced):
         def body():
-            run_shift(gs, m, surface, grid, t_end=t_end, dt=1e-3, sample_stride=stride,
-                      force_constant_nu=forced)
+            run_shift(gs, m, surface, grid, force_constant_nu=forced, **run_args)
 
         return body
 
+    cases = shift_cases(shorter["points"]) if "points" in shorter else shift_cases()
     return {name: run(*case) for name, case in cases.items()}
 
 
@@ -149,7 +140,8 @@ def summary(runs) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    sys.path.insert(0, str(ROOT / "perfbench"))
+    repeats = SIZES[args.size]["repeats"]
+    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
     import env
 
     env.prepare()
@@ -163,13 +155,13 @@ def main(argv=None) -> int:
     failures = []
     result = {
         "size": args.size,
-        "repeats": args.repeats,
+        "repeats": repeats,
         "machine": (f"nproc={len(os.sched_getaffinity(0))} python={platform.python_version()} "
                     f"numpy={numpy.__version__} scipy={scipy.__version__} blas_threads=1"),
     }
     bodies = families(args.size)
     runs = {name: [] for name in bodies}
-    for _ in range(args.repeats):
+    for _ in range(repeats):
         for name, body in bodies.items():
             runs[name].append(timed(body, ref))
     result["criterion7"] = {name: summary(each) for name, each in runs.items()}
@@ -193,7 +185,7 @@ def main(argv=None) -> int:
             }
             result["cli"][label] = {}
             for step, body in steps.items():
-                timings = [timed(body, ref) for _ in range(args.repeats)]
+                timings = [timed(body, ref) for _ in range(repeats)]
                 failures += [f"{label} {failure}" for *_, failure in timings if failure]
                 result["cli"][label][step] = summary(timings)
     result["reference_slice_s"] = round(slice_s, 4)
