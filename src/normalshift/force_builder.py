@@ -186,13 +186,16 @@ class ForceField:
 def field_call(ff: ForceField, fn: Callable, m: MetricField) -> Callable:
     """``ff``'s closure ``fn`` as ``call(x, v, gmat)`` on a stack of states,
     once per stack when ``ff`` is ``stacked``, else once per state, handed
-    ``gmat``, the metric at ``x`` (:func:`~normalshift.tensor_core.handing`).
-    Called once per state, through :func:`~normalshift.tensor_core.by_rows`,
-    ``fn`` gets the rows of a read-only copy of ``x``, and its metric at its
-    own row is read by index."""
+    ``gmat``, the metric at ``x``, and the velocities ``v``
+    (:func:`~normalshift.tensor_core.handing`).  Called once per state,
+    through :func:`~normalshift.tensor_core.by_rows`, ``fn`` gets the rows
+    of read-only copies of ``x`` and ``v``, and its metric and its speed
+    at its own rows are read by index; so is a nested point closure's,
+    such as the bump of :func:`perturbed_field`, that ``by_rows`` calls
+    on the ``x`` and ``v`` that a ``stacked`` ``fn`` was given."""
 
     def call(x, v, gmat):
-        with handing(m, x, gmat):
+        with handing(m, x, gmat, v):
             return fn(m, x, v) if ff.stacked else by_rows(lambda xi, vi: fn(m, xi, vi), x, v)
 
     return call
@@ -821,9 +824,12 @@ def perturbed_field(
     as a negative control, since generic perturbations leave the family of
     fields admitting the normal shift.  It is ``stacked`` when ``base`` is;
     ``bump`` takes one state and is called once per state of a stack,
-    through :func:`~normalshift.tensor_core.by_rows`; its metric there (by
-    ``speed_at``, say) reads what :func:`field_call` hands, at its own
-    row by index and at a copy of it through the handoff's map.
+    through :func:`~normalshift.tensor_core.by_rows`, on read-only rows of
+    the states that :func:`field_call` hands.  Its metric there reads the
+    handed values, at its own row by index and at a copy of it through the
+    handoff's map; its ``speed_at`` at its own two rows reads the handed
+    states' speeds by index, and at a copy of either row takes the
+    product itself.
     """
 
     def eval_(m, x, v):

@@ -20,10 +20,12 @@ closures called once per stack, and only ever on a stack: a single point
 reaches them as a one-row stack; its optional ``terms`` gives g and its
 derivatives from one call, for a flow stage (:func:`stage_metric`).  Any
 other metric's closures are called once per point.  No metric value is
-kept: the states handed to a user closure carry their metric for that one
-call (:func:`handing`), and a point closure called on them through
-:func:`by_rows` reads its own row's metric by index.  Index conventions,
-on the trailing axes:
+kept: the states handed to a user closure carry their metric, and a
+force field's its velocities, for that one call (:func:`handing`).  A
+point closure called on them through :func:`by_rows` gets read-only rows
+and reads its own row's metric by index, and its own row's speed too,
+from speeds taken for the whole stack on the first request.  Index
+conventions, on the trailing axes:
 
 * ``gamma[k, i, j]`` holds the connection component with upper index k and
   lower indices (i, j).
@@ -140,29 +142,39 @@ class Projector:
         return identity(self.N_up.shape[-1]) - outer(self.N_up, self.N_down)
 
 
-# What :func:`handing` hands over: the metric, a read-only copy of the
-# positions (k, n), their read-only values (k, n, n), a map from position
-# bytes to row, built by the first lookup that misses the current row, the
-# current row: the row of the positions that :func:`by_rows` is passing to
-# its closure, and its index, and the positions as they were handed.
-_handed: list = [None, None, None, None, None, None, None]
+# What :func:`handing` hands over, in the slots of this list: [0] the
+# metric, [1] a read-only copy of the positions (k, n), [2] their read-only
+# values (k, n, n), [3] a map from position bytes to row, built by the first
+# lookup that misses the current row; the current row, while :func:`by_rows`
+# passes the handed states to its closure: [4] the position row, [5] its
+# index and [6] the velocity row, or None when the velocities passed are not
+# the handed ones; [7] the positions and [8] the velocities as they were
+# handed, and built on first need, [9] a read-only copy of the velocities
+# (k, n) and [10] their speeds, Python floats.
+_handed: list = [None] * 11
 
 
 @contextmanager
-def handing(m: MetricField, x: np.ndarray, gmat: np.ndarray):
+def handing(m: MetricField, x: np.ndarray, gmat: np.ndarray, v: Optional[np.ndarray] = None):
     """Hand ``gmat``, the checked metric of ``m`` at ``x`` (..., n), to the
-    closure called in the ``with`` block: its :func:`metric_at` at ``x``,
-    or at a point of ``x``, reads these values.  A point closure that
+    closure called in the ``with`` block, with ``v``, the velocities at
+    ``x`` of ``x``'s shape, when given: its :func:`metric_at` at ``x``, or
+    at a point of ``x``, reads these values.  A point closure that
     :func:`by_rows` calls on ``x`` itself, the very object handed, gets
     the rows of a read-only copy of ``x``, and its metric at its own row
-    is read by index, with no lookup.  The previous handoff, its current
+    is read by index, with no lookup.  Called on ``x`` and ``v`` together,
+    both the very objects handed, it also gets the rows of a read-only
+    copy of ``v``, and its :func:`speed_at` at its own two rows is read by
+    index from the speeds of all the handed states, taken together on the
+    first such call.  Neither that copy nor those speeds are made for a
+    closure that never asks for them.  The previous handoff, its current
     row included, comes back on exit, also when the closure raises."""
     values = np.reshape(gmat, (-1, m.dim, m.dim))
     values.setflags(write=False)
     positions = np.array(x, dtype=float).reshape(-1, m.dim)
     positions.setflags(write=False)
     previous = _handed[:]
-    _handed[:] = [m, positions, values, None, None, None, x]
+    _handed[:] = [m, positions, values, None, None, None, None, x, v, None, None]
     try:
         yield
     finally:
@@ -172,26 +184,36 @@ def handing(m: MetricField, x: np.ndarray, gmat: np.ndarray):
 def by_rows(fn: Callable, x: np.ndarray, *more) -> np.ndarray:
     """A point closure ``fn(x_i, *more_i)`` applied to each state of a stack.
 
-    ``x`` is one point (n,), passed as it is, or a stack (..., n); each of
-    ``more`` has the same leading axes, with trailing axes of its own or
-    none (a speed per state, which ``fn`` receives as a float).  The values
-    come back as one float array with the leading axes in front.  This is
-    the one adapter through which a closure that takes only one point
-    meets a stack.  When ``x`` is the very stack the active handoff was
-    given (:func:`handing`), ``fn`` gets the rows of the handoff's
-    read-only copy, and the row being called is the handoff's current
-    row, so the closure's :func:`metric_at` there is one index; the
-    current row is put back as it was when the calls end or raise.  Any
-    other stack, equal in value or not, is passed as it is.
+    ``x`` is one point (n,) or a stack (..., n); each of ``more`` has the
+    same leading axes, with trailing axes of its own or none (a speed per
+    state, which ``fn`` receives as a float).  One point is passed as it
+    is, and so is each of ``more`` with it.  The values come back as one
+    float array with the leading axes in front.  This is the one adapter
+    through which a closure that takes only one point meets a stack.
+    When ``x`` is the very stack the active handoff was given
+    (:func:`handing`), ``fn`` gets the rows of the handoff's read-only
+    copy, and the row being called is the handoff's current row, so the
+    closure's :func:`metric_at` there is one index; when the first of
+    ``more`` is the very velocity stack handed with it, ``fn`` gets the
+    rows of a read-only copy of that too, each the current velocity row
+    beside its position, so the closure's :func:`speed_at` at the two is
+    one index.  The current row is put back as it was when the calls end
+    or raise.  Any other stack, equal in value or not, is passed as it is.
     """
     lead = x.shape[:-1]
-    rows = [x.reshape(-1, x.shape[-1]) if lead else (x,)]
+    if not lead:
+        args = [np.asarray(arr, dtype=float) for arr in more]
+        value = fn(x, *(arr if arr.ndim else float(arr) for arr in args))
+        return np.array(value, dtype=float)
+    rows = [x.reshape(-1, x.shape[-1])]
     for arr in more:
         arr = np.asarray(arr, dtype=float)
         flat = arr.reshape((-1,) + arr.shape[len(lead):])
         rows.append(flat.tolist() if flat.ndim == 1 else flat)
-    if lead and x is _handed[6]:
+    if x is _handed[7]:
         rows[0] = _handed[1]
+        if more and more[0] is _handed[8]:
+            rows[1] = _handed_velocities()
         values = _handed_rows(fn, rows)
     else:
         values = [fn(*args) for args in zip(*rows)]
@@ -199,18 +221,31 @@ def by_rows(fn: Callable, x: np.ndarray, *more) -> np.ndarray:
     return values.reshape(lead + values.shape[1:])
 
 
+def _handed_velocities() -> np.ndarray:
+    """The read-only copy (k, n) of the handed velocities, made on first need."""
+    if _handed[9] is None:
+        velocities = np.array(_handed[8], dtype=float).reshape(_handed[1].shape)
+        velocities.setflags(write=False)
+        _handed[9] = velocities
+    return _handed[9]
+
+
 def _handed_rows(fn: Callable, rows: list) -> list:
     """``fn`` on each state of ``rows``, whose first entry is the handed
-    positions, with each row the handoff's current row while it is called."""
-    previous = _handed[4:6]
+    positions, with each row the handoff's current row while it is called;
+    its velocity row is current too when the second entry of ``rows`` is
+    the handed velocities' copy."""
+    previous = _handed[4:7]
+    with_v = len(rows) > 1 and rows[1] is _handed[9]
     values = []
     try:
         for i, args in enumerate(zip(*rows)):
             _handed[4] = args[0]
             _handed[5] = i
+            _handed[6] = args[1] if with_v else None
             values.append(fn(*args))
     finally:
-        _handed[4:6] = previous
+        _handed[4:7] = previous
     return values
 
 
@@ -395,18 +430,19 @@ def metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
     the stack through a map from position bytes to row, built on the
     first such miss.
     """
-    handed, positions, values, rows, current, i, _ = _handed
-    if handed is m and current is not None and x is current:
-        return values[i]
+    handed = _handed[0] is m
+    if handed and x is _handed[4] and x is not None:
+        return _handed[2][_handed[5]]
     x = np.ascontiguousarray(x, dtype=float)
-    if handed is m and x.ndim == 1:
+    if handed and x.ndim == 1:
+        rows = _handed[3]
         if rows is None:
-            rows = _handed[3] = {p.tobytes(): i for i, p in enumerate(positions)}
+            rows = _handed[3] = {p.tobytes(): i for i, p in enumerate(_handed[1])}
         i = rows.get(x.tobytes())
         if i is not None:
-            return values[i]
-    elif handed is m and np.array_equal(positions, x.reshape(-1, m.dim)):
-        return values.reshape(x.shape[:-1] + (m.dim, m.dim))
+            return _handed[2][i]
+    elif handed and np.array_equal(_handed[1], x.reshape(-1, m.dim)):
+        return _handed[2].reshape(x.shape[:-1] + (m.dim, m.dim))
     if m.diagonal:
         return _checked_diagonal(_closure_values(m.g, x, (m.dim,), "metric", m.stacked), x)
     return _checked_metric(_closure_values(m.g, x, (m.dim, m.dim), "metric", m.stacked), x)
@@ -623,7 +659,20 @@ def speed_from(gmat: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def speed_at(m: MetricField, x: np.ndarray, v: np.ndarray):
     """Velocity modulus |v| = sqrt(g_ij v^i v^j): a float, or an array for stacks
-    (:func:`speed_from`)."""
+    (:func:`speed_from`).
+
+    At the current position and velocity rows of :func:`by_rows` on states
+    handed with their velocities (:func:`handing`), the very row objects,
+    it is that row's entry of the handed states' speeds, which one
+    :func:`speed_from` takes on the first such call and the handoff keeps
+    until it ends.  Every other call takes the metric at ``x``
+    (:func:`metric_at`) and its own product.
+    """
+    if _handed[6] is not None and v is _handed[6] and x is _handed[4] and _handed[0] is m:
+        speeds = _handed[10]
+        if speeds is None:
+            speeds = _handed[10] = speed_from(_handed[2], _handed[9]).tolist()
+        return speeds[_handed[5]]
     gmat = metric_at(m, x)
     v = np.asarray(v, dtype=float)
     if v.ndim == 1 and gmat.ndim == 2:

@@ -315,3 +315,41 @@ def shift_cases(points=7):
         "control": (gs_h0, plane_surface(), plane_grid, True),
         "plane_hw": (gs_hw, plane_surface(), plane_grid, False),
     }
+
+
+# How the acceptance battery verifies its subjects (criteria 2 and 3): 200
+# samples of the box [0.25, 1.25]^3 at seed 7, on the Euclidean metric.
+VERIFY_RUN = {"box": [[0.25, 1.25]] * 3, "count": 200, "seed": 7}
+
+
+def verify_cases():
+    """The subjects of acceptance criteria 2 and 3, as ``{name: (subject,
+    mode)}``, each verified as :data:`VERIFY_RUN` says.
+
+    Criterion 2's are certified: the metrizable generator of
+    W = |v| exp(-x^1) with h = w and the nonmetrizable one of A(v) = v^3
+    over f = x^1, each in analytic and in finite-difference mode.
+    Criterion 3's is the perturbed control: the metrizable generator's
+    force field with |v| x^2 added to F_1, in analytic mode.
+    """
+    from normalshift.force_builder import (
+        as_force_field,
+        builtin_metrizable,
+        builtin_nonmetrizable,
+        coordinate_scalar,
+        perturbed_field,
+    )
+    from normalshift.tensor_core import speed_at
+
+    metrizable = builtin_metrizable(coordinate_scalar(0), H=lambda w: w)
+    nonmetrizable = builtin_nonmetrizable(coordinate_scalar(0), lambda v: v**3)
+    perturbed = perturbed_field(
+        as_force_field(metrizable), 0, lambda m_, x, v: speed_at(m_, x, v) * x[1]
+    )
+    return {
+        "metrizable_analytic": (metrizable, "analytic"),
+        "metrizable_finite_diff": (metrizable, "finite-diff"),
+        "nonmetrizable_analytic": (nonmetrizable, "analytic"),
+        "nonmetrizable_finite_diff": (nonmetrizable, "finite-diff"),
+        "perturbed": (perturbed, "analytic"),
+    }

@@ -27,7 +27,7 @@ import time
 import numpy as np
 import pytest
 
-from normalshift.extended_fields import ExtendedScalar, IsotropicScalar, speed_at
+from normalshift.extended_fields import ExtendedScalar, IsotropicScalar
 from normalshift.force_builder import (
     AnsatzField,
     GaugeMap,
@@ -41,7 +41,6 @@ from normalshift.force_builder import (
     force_from_A,
     force_from_W,
     gauge_transform,
-    perturbed_field,
 )
 from normalshift.normality_verifier import (
     SampleSpec,
@@ -63,10 +62,12 @@ from normalshift.shift_engine import (
 
 from helpers import (
     SHIFT_RUN,
+    VERIFY_RUN,
     conformal_metric,
     diagonal_metric,
     euclidean_metric,
     shift_cases,
+    verify_cases,
 )
 
 BOX = [[0.25, 1.25]] * 3
@@ -129,25 +130,22 @@ def test_criterion_01_geodesic_force_vanishes():
 
 def test_criterion_02_certified_generators_satisfy_equations():
     m = euclidean_metric()
+    tolerance = {"analytic": 1e-8, "finite-diff": 1e-5}
     started = time.perf_counter()
-    for gs in (metrizable(lambda w: w), nonmetrizable_cubic()):
-        for mode, tolerance in (("analytic", 1e-8), ("finite-diff", 1e-5)):
-            report = verify(
-                gs, m, SampleSpec(box=BOX, count=200, seed=7, mode=mode)
-            )
-            worst = max(equation_residuals(report).values())
-            assert worst < tolerance
-            assert report.passed
+    for name, (gs, mode) in verify_cases().items():
+        if name == "perturbed":
+            continue
+        report = verify(gs, m, SampleSpec(**VERIFY_RUN, mode=mode))
+        worst = max(equation_residuals(report).values())
+        assert worst < tolerance[mode]
+        assert report.passed
     assert time.perf_counter() - started < 10.0
 
 
 def test_criterion_03_perturbed_field_violates_equations():
     m = euclidean_metric()
-    base = as_force_field(metrizable(lambda w: w))
-    bad = perturbed_field(
-        base, 0, lambda m_, x, v: speed_at(m_, x, v) * x[1]
-    )
-    report = verify(bad, m, SampleSpec(box=BOX, count=200, seed=7))
+    bad, mode = verify_cases()["perturbed"]
+    report = verify(bad, m, SampleSpec(**VERIFY_RUN, mode=mode))
     assert max(equation_residuals(report).values()) > 1e-3
     assert not report.passed
 

@@ -10,6 +10,7 @@ need the metric at their states take it once per state.
 
 import json
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,23 @@ def offset_stack(m, count=50, offsets=(12, 6)):
     return u, _over(x, u), _over(gmat, u, 2)
 
 
+@contextmanager
+def counted_speed_from():
+    """``tensor_core.speed_from`` with the velocity shape of each call
+    appended to the list yielded."""
+    taken, original = [], tensor_core.speed_from
+
+    def counted(gmat, v):
+        taken.append(v.shape)
+        return original(gmat, v)
+
+    tensor_core.speed_from = counted
+    try:
+        yield taken
+    finally:
+        tensor_core.speed_from = original
+
+
 class TestRowHandoff:
     """A point closure that ``by_rows`` calls on the handed states reads its
     own row's metric by index; any other point of the stack still reads the
@@ -322,7 +340,7 @@ class TestRowHandoff:
 
     @staticmethod
     def no_handoff():
-        return tensor_core._handed == [None] * 7
+        return all(entry is None for entry in tensor_core._handed)
 
     @pytest.mark.parametrize("base_stacked", [True, False])
     def test_bump_over_an_offset_stack_reads_its_rows_with_no_map(self, base_stacked):
@@ -333,14 +351,17 @@ class TestRowHandoff:
 
         def bump(m_, xi, vi):
             maps.append(tensor_core._handed[3])
+            assert vi is tensor_core._handed[6]
             return speed_at(m_, xi, vi) * xi[1]
 
         base = (as_force_field(metrizable()) if base_stacked
                 else ForceField(eval=lambda m_, xi, vi: metric_at(m_, xi) @ vi))
         field = perturbed_field(base, 0, bump)
         calls.clear()
-        out = field_call(field, field.eval, m)(at, u, g)
-        assert not calls
+        with counted_speed_from() as speeds_taken:
+            out = field_call(field, field.eval, m)(at, u, g)
+        # the handed speeds, once, beside whatever the base takes on its own
+        assert not calls and speeds_taken.count((3600, 3)) == 1
         assert len(maps) == 3600 and all(entry is None for entry in maps)
         assert self.no_handoff()
         copied = perturbed_field(base, 0, lambda m_, xi, vi: speed_at(m_, xi.copy(), vi) * xi[1])
@@ -408,7 +429,7 @@ class TestRowHandoff:
 
         def user(m_, xi, vi):
             force = force_from_A(A, m_, xi, vi)
-            assert tensor_core._handed[4] is xi
+            assert tensor_core._handed[4] is xi and tensor_core._handed[6] is vi
             seen.append(metric_at(m_, xi))
             return force + speed_at(m_, xi, vi)
 
@@ -435,21 +456,142 @@ class TestRowHandoff:
     def test_a_raise_at_row_k_leaves_no_current_row(self):
         calls = []
         m = counted_metric(calls)
-        x = np.random.default_rng(3).uniform(0.3, 1.2, (6, 3))
+        x, v = np.random.default_rng(3).uniform(0.3, 1.2, (2, 6, 3))
         gmat = metric_at(m, x)
         calls.clear()
 
-        def user(xi):
-            if metric_at(m, xi) is not None and tensor_core._handed[5] == 3:
+        def user(xi, vi):
+            if speed_at(m, xi, vi) > 0.0 and tensor_core._handed[5] == 3:
                 raise ArithmeticError("row 3")
             return 0.0
 
-        with handing(m, x, gmat):
+        with handing(m, x, gmat, v):
             with pytest.raises(ArithmeticError, match="row 3"):
-                by_rows(user, x)
-            assert tensor_core._handed[4:6] == [None, None]
+                by_rows(user, x, v)
+            assert tensor_core._handed[4:7] == [None, None, None]
             assert np.array_equal(metric_at(m, x[3]), gmat[3])
+            assert speed_at(m, x[3], v[3]) == speed_at(m, x[3].copy(), v[3].copy())
         assert not calls and self.no_handoff()
+
+
+def full_metric(n):
+    """A point-wise metric on R^n with every entry varying: M(x) M(x)^T + I,
+    with M(x) a fixed random matrix plus sin(x) along its diagonal."""
+    base = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
+
+    def g(x):
+        a = base + np.diag(np.sin(x))
+        return a @ a.T + np.eye(n)
+
+    return MetricField(dim=n, g=g)
+
+
+def speed_field():
+    """A point field whose first component is its speed, with every speed it
+    read appended to the list it returns beside."""
+    seen = []
+
+    def user(m_, xi, vi):
+        seen.append(speed_at(m_, xi, vi))
+        out = np.zeros(m_.dim)
+        out[0] = seen[-1]
+        return out
+
+    return ForceField(eval=user), seen
+
+
+class TestSpeedHandoff:
+    """A point closure that ``by_rows`` calls on the handed states and their
+    handed velocities reads its own row's speed by index, from speeds taken
+    once for the whole stack; any other call takes its own product."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_handed_speed_equals_the_unhanded_one_bit_for_bit(self, n):
+        m = full_metric(n)
+        rng = np.random.default_rng(26 + n)
+        x, v = rng.uniform(-2.0, 2.0, (400, n)), rng.uniform(-2.0, 2.0, (400, n))
+        field, seen = speed_field()
+        with counted_speed_from() as speeds_taken:
+            field_call(field, field.eval, m)(x, v, metric_at(m, x))
+        assert speeds_taken == [(400, n)]
+        unhanded = [speed_at(m, xi, vi) for xi, vi in zip(x, v)]
+        assert all(type(s) is float for s in seen)
+        assert seen == unhanded
+
+    def test_a_copy_of_either_row_takes_its_own_product(self):
+        m = full_metric(3)
+        rng = np.random.default_rng(7)
+        x, v = rng.uniform(-2.0, 2.0, (2, 20, 3))
+        pairs = []
+
+        def user(m_, xi, vi):
+            pairs.append((speed_at(m_, xi, vi.copy()), speed_at(m_, xi.copy(), vi)))
+            assert tensor_core._handed[10] is None
+            return np.zeros(3)
+
+        with counted_speed_from() as speeds_taken:
+            field_call(ForceField(eval=user), user, m)(x, v, metric_at(m, x))
+        assert speeds_taken == []
+        expected = [speed_at(m, xi, vi) for xi, vi in zip(x, v)]
+        assert pairs == [(s, s) for s in expected]
+
+    def test_writing_into_a_velocity_row_raises_and_leaves_the_caller_unchanged(self):
+        m = wavy_conformal_metric()
+        x = np.array([[0.3, 0.4, 0.5], [0.6, 0.7, 0.8]])
+        v = np.array([[0.5, -0.2, 0.4], [0.1, 0.9, -0.3]])
+        before = v.copy()
+
+        def user(m_, xi, vi):
+            vi *= 2.0
+            return np.zeros(3)
+
+        with pytest.raises(ValueError):
+            field_call(ForceField(eval=user), user, m)(x, v, metric_at(m, x))
+        assert np.array_equal(v, before)
+        assert all(entry is None for entry in tensor_core._handed)
+
+    def test_an_equal_velocity_stack_that_is_not_the_handed_one_is_passed_as_it_is(self):
+        m = wavy_conformal_metric()
+        x = np.array([[0.3, 0.4, 0.5], [0.6, 0.7, 0.8]])
+        v = np.array([[0.0, -0.2, 0.4], [0.1, 0.9, -0.3]])
+        w = v.copy()
+        w[0, 0] = -0.0
+        seen = []
+
+        def user(xi, wi):
+            seen.append((wi, tensor_core._handed[6]))
+            return speed_at(m, xi, wi)
+
+        with handing(m, x, metric_at(m, x), v):
+            speeds = by_rows(user, x, w)
+            assert tensor_core._handed[10] is None
+        assert all(np.shares_memory(wi, w) and row is None for wi, row in seen)
+        assert np.signbit(seen[0][0][0])
+        assert np.array_equal(speeds, [speed_at(m, xi, vi) for xi, vi in zip(x, v)])
+
+    def test_speeds_are_taken_only_when_a_closure_asks(self):
+        m = wavy_conformal_metric()
+        u, at, g = offset_stack(m, count=4, offsets=(3,))
+        copies = []
+
+        def silent(m_, xi, vi):
+            copies.append(tensor_core._handed[9])
+            return np.zeros(3)
+
+        def stacked(m_, x, v):
+            copies.append(tensor_core._handed[9])
+            return np.zeros(x.shape)
+
+        asking, seen = speed_field()
+        with counted_speed_from() as speeds_taken:
+            field_call(ForceField(eval=silent), silent, m)(at, u, g)
+            assert speeds_taken == [] and copies[-1] is not None
+            field_call(ForceField(eval=stacked, stacked=True), stacked, m)(at, u, g)
+            assert speeds_taken == [] and copies[-1] is None
+            for _ in range(2):
+                field_call(asking, asking.eval, m)(at, u, g)
+        assert speeds_taken == [(12, 3)] * 2 and len(seen) == 24
+        assert all(entry is None for entry in tensor_core._handed)
 
 
 @pytest.mark.parametrize("metric", [euclidean_metric, wavy_conformal_metric],

@@ -22,6 +22,11 @@ def test_times_every_item_at_the_tiny_size():
     assert result["size"] == "tiny" and result["repeats"] == 1 and result["failures"] == []
     items = list(result["criterion7"].items())
     assert [name for name, _ in items] == ["plane_h0", "sphere_h0", "control", "plane_hw", "total"]
+    assert list(result["verify"]) == [
+        "metrizable_analytic", "metrizable_finite_diff", "nonmetrizable_analytic",
+        "nonmetrizable_finite_diff", "perturbed", "total",
+    ]
+    items += result["verify"].items()
     for label in ("readme", "conformal"):
         assert sorted(result["cli"][label]) == ["report", "shift", "verify"]
         items += result["cli"][label].items()

@@ -4,13 +4,18 @@ Usage, from the root of a checkout::
 
     python3 tools/northstar.py --size full
 
-Two kinds of work are timed:
+Three kinds of work are timed:
 
 * the four shift families of the acceptance battery's criteria 7-10
   (plane, inward sphere, the constant-nu control and the plane with
   h = w), each a 7 x 7 family over t in [0, 1] at dt = 1e-3 on a
   point-wise Euclidean metric, run in this process from the table that
   the battery's ``shift_runs`` fixture runs (``tests/helpers.py``);
+* ``verify`` at 200 samples on the subjects of the battery's criteria 2
+  and 3 (the metrizable and the nonmetrizable generator, each in
+  analytic and in finite-difference mode, and the perturbed control), on
+  the same metric, run in this process from the table those criteria
+  read (``verify_cases`` in ``tests/helpers.py``);
 * ``normalshift shift``, ``verify`` and ``report`` on the README scenario
   and on a conformal variant of it, each as a fresh process.
 
@@ -21,7 +26,8 @@ process, and the item's ``ref`` is its seconds divided by that slice's, as
 figures are medians over three runs of each item.  The last line of
 standard output is one JSON object.  Nothing here is a gate: the tool exits
 1 only when a command fails, and 2 on a usage error.  ``--size tiny`` runs
-each item once, on 5 x 5 families over ten steps, for a smoke test.
+each item once, on 5 x 5 families over ten steps and 5 verify samples,
+for a smoke test.
 """
 
 import argparse
@@ -39,8 +45,8 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMAND_TIMEOUT_S = 600
 
 # Runs of each item per size, and what the tiny size shortens: the run's
-# t_end and sample_stride, the grid points per direction and the verify
-# samples.  The full size runs the families and scenarios as they are.
+# t_end and sample_stride, the grid points per direction and the samples
+# of every verify.  The full size runs every item as it is.
 SIZES = {
     "full": {"repeats": 3},
     "tiny": {"repeats": 1, "t_end": 0.01, "sample_stride": 2, "points": 5, "samples": 5},
@@ -107,6 +113,42 @@ def families(size: str) -> dict:
     return {name: run(*case) for name, case in cases.items()}
 
 
+def verifications(size: str) -> dict:
+    """Zero-argument runs of ``verify`` on the subjects of the acceptance
+    battery's criteria 2 and 3, from the table those criteria read."""
+    from normalshift.normality_verifier import SampleSpec, verify
+
+    from helpers import VERIFY_RUN, euclidean_metric, verify_cases
+
+    m = euclidean_metric()
+    run_args = dict(VERIFY_RUN, count=SIZES[size].get("samples", VERIFY_RUN["count"]))
+
+    def run(subject, mode):
+        spec = SampleSpec(**run_args, mode=mode)
+
+        def body():
+            verify(subject, m, spec)
+
+        return body
+
+    return {name: run(*case) for name, case in verify_cases().items()}
+
+
+def in_process(bodies: dict, repeats: int, ref) -> dict:
+    """The summary of each zero-argument run in ``bodies``, run ``repeats``
+    times in turn, and their ``total``: per repeat, the seconds and refs
+    summed over the runs."""
+    runs = {name: [] for name in bodies}
+    for _ in range(repeats):
+        for name, body in bodies.items():
+            runs[name].append(timed(body, ref))
+    result = {name: summary(each) for name, each in runs.items()}
+    totals = [(sum(r[0] for r in row), sum(r[1] for r in row), None)
+              for row in zip(*runs.values())]
+    result["total"] = summary(totals)
+    return result
+
+
 def command(argv, workdir: Path):
     """A zero-argument run of ``normalshift`` in a fresh process; it returns
     the failure message of a nonzero exit, or None."""
@@ -159,16 +201,8 @@ def main(argv=None) -> int:
         "machine": (f"nproc={len(os.sched_getaffinity(0))} python={platform.python_version()} "
                     f"numpy={numpy.__version__} scipy={scipy.__version__} blas_threads=1"),
     }
-    bodies = families(args.size)
-    runs = {name: [] for name in bodies}
-    for _ in range(repeats):
-        for name, body in bodies.items():
-            runs[name].append(timed(body, ref))
-    result["criterion7"] = {name: summary(each) for name, each in runs.items()}
-    # per repeat, the four families' seconds and refs summed
-    totals = [(sum(r[0] for r in row), sum(r[1] for r in row), None)
-              for row in zip(*runs.values())]
-    result["criterion7"]["total"] = summary(totals)
+    result["criterion7"] = in_process(families(args.size), repeats, ref)
+    result["verify"] = in_process(verifications(args.size), repeats, ref)
 
     result["cli"] = {}
     with tempfile.TemporaryDirectory(prefix="northstar-") as tmp:
