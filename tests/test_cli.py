@@ -722,6 +722,18 @@ class TestRejectedInput:
             ("verify", {"metric.dim": 4}, [], "surfaces require a three-dimensional metric"),
             ("verify", {"run.sample_stride": 0}, [], "run.sample_stride must be positive"),
             ("verify", {"verify.sample_count": 0}, [], "verify.sample_count must be positive"),
+            ("shift", {"surface.axis": 3}, [], "surface.axis"),
+            ("verify", {"surface": {"kind": "sphere", "radius": 0}}, [], "surface.radius"),
+            ("shift", {"surface": {"kind": "sphere", "center": [0.0, 0.0]}}, [], "surface.center"),
+            ("shift", {"surface.base_u": [0.0, 0.0, 0.0]}, [], "surface.base_u"),
+            ("verify", {"surface.nu0": 0}, [], "surface.nu0"),
+            ("shift", {"surface.orientation": 0.5}, [], "surface.orientation"),
+            ("shift", {"run.dt": -0.001}, [], "run.dt"),
+            ("verify", {"verify.speed_range": [2.0, 0.5]}, [], "verify.speed_range"),
+            ("verify", {"verify.tolerance": 0}, [], "verify.tolerance"),
+            ("verify", {"verify.mode": "exact"}, [], "verify.mode"),
+            ("shift", {"run.box": [[-1.0, 1.0], [1.0, 1.0], [-1.0, 1.0]]}, [], "run.box"),
+            ("shift", {"run.u_grid": [[-0.1, 0.1, 5]] * 3}, [], "run.u_grid"),
         ],
         ids=[
             "t_end-infinite", "t_end-past-float-range", "dt-nan", "run-tolerance-nan", "offset-infinite", "verify-box-nan",
@@ -731,7 +743,10 @@ class TestRejectedInput:
             "speed-range-without-one", "orientation-true", "section-not-an-object",
             "kind-missing", "dim-not-an-integer", "lo-hi-malformed", "expression-not-a-string",
             "dim-2", "two-diagonal-entries", "surface-on-4d-metric", "sample-stride-0",
-            "sample-count-0",
+            "sample-count-0", "axis-3", "radius-0", "center-two-components",
+            "base_u-three-components", "nu0-0", "orientation-half", "dt-negative",
+            "speed-range-reversed", "verify-tolerance-0", "mode-unknown", "run-box-lo-not-below-hi",
+            "u_grid-three-ranges",
         ],
     )
     def test_exits_2_and_names_the_key(
@@ -744,8 +759,8 @@ class TestRejectedInput:
         assert main([command, str(path), "--out", str(out), *options]) == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
-        outside = {p for p in tmp_path.rglob("*") if out not in p.parents and p != out}
-        assert outside == {path}
+        # rejected at load or at the options, before --out is created
+        assert set(tmp_path.rglob("*")) == {path}
 
 
 # ---------------------------------------------------------------------------
