@@ -8,9 +8,10 @@ bundle as a table.  Scalar fields in scenarios (conformal factors, speed
 profiles, generating scalars) are arithmetic expressions over x1..xn and
 v; see :mod:`normalshift.expressions`.
 
-Exit codes: 0 pass, 1 criterion failure, 2 configuration error,
-3 numerical error, 4 trajectory escaped the chart box.  Identical
-configuration and seed produce byte-identical CSV output.
+Exit codes: 0 pass, 1 criterion failure, 2 configuration error (a file
+is checked as it loads, by the library objects built from it, before
+anything is computed), 3 numerical error, 4 trajectory escaped the
+chart box.  Identical configuration and seed give byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import hashlib
 import inspect
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -43,7 +45,7 @@ from .force_builder import (
     builtin_nonmetrizable,
     force_from_W,
 )
-from .normality_verifier import MODES, NormalityReport, SampleSpec, verify
+from .normality_verifier import NormalityReport, SampleSpec, verify
 from .shift_engine import (
     GridSpec,
     Hypersurface,
@@ -51,6 +53,7 @@ from .shift_engine import (
     graph_surface,
     max_normalized_deviation,
     plane_surface,
+    run_plan,
     run_shift,
     speed_law_residual,
     sphere_surface,
@@ -116,16 +119,18 @@ SECTIONS = {
 class Scenario:
     """Validated scenario: a name plus the five configuration sections.
 
-    Each section holds every key of its ``SECTIONS`` entry, defaults filled
-    in, numbers as floats or ints and expressions parsed.
+    ``metric``, ``generator`` and ``run`` hold every key of their
+    ``SECTIONS`` entry, defaults filled in, numbers as floats or ints,
+    expressions parsed and ``run["u_grid"]`` a :class:`GridSpec`;
+    ``surface`` and ``verify`` are the objects their sections describe.
     """
 
     name: str
     metric: dict
     generator: dict
-    surface: Optional[dict]
+    surface: Optional[Hypersurface]
     run: Optional[dict]
-    verify: Optional[dict]
+    verify: Optional[SampleSpec]
     seed: int
     dim: int
 
@@ -156,8 +161,7 @@ def _parse_expressions(section: dict, where: str, dim: int) -> dict:
     """``section`` with each expression key of its ``SECTIONS`` entry parsed."""
     for key, spec in SECTIONS[where][section.get("kind")].items():
         if isinstance(spec, _Expr):
-            allowed = spec - {"x"} | (_position_variables(dim) if "x" in spec else frozenset())
-            section[key] = _expression(section[key], f"{where}.{key}", allowed)
+            section[key] = _expression(section[key], f"{where}.{key}", spec, dim)
     return section
 
 
@@ -181,15 +185,31 @@ def _lo_hi(pair, where: str, malformed: str) -> Tuple[float, float]:
     return _as_number(pair[0], f"{where} lo"), _as_number(pair[1], f"{where} hi")
 
 
-def _expression(text, where: str, allowed: frozenset) -> Expression:
+def _numbers(value, where: str) -> Tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of numbers")
+    return tuple(_as_number(item, f"{where} entry") for item in value)
+
+
+def _pairs(value, where: str) -> Tuple[Tuple[float, float], ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must list [lo, hi] pairs")
+    return tuple(_lo_hi(pair, where, f"{where} entries must be [lo, hi]") for pair in value)
+
+
+def _expression(text, where: str, spec: _Expr, dim: int) -> Expression:
+    """``text`` parsed; x1..xn are told by name, so a large n builds no list of names."""
     if not isinstance(text, str):
         raise ConfigError(f"{where} must be an expression string")
     expr = parse_expression(text)
-    stray = sorted(expr.variables - allowed)
+    named = spec - {"x"}
+    # an index with more digits than n exceeds it, and is never converted
+    stray = sorted(name for name in expr.variables if name not in named and not (
+        "x" in spec and re.fullmatch(r"x[1-9][0-9]*", name)
+        and len(name) <= len(str(dim)) + 1 and int(name[1:]) <= dim))
     if stray:
-        raise ConfigError(
-            f"{where} uses variable(s) {stray} outside the allowed set {sorted(allowed)}"
-        )
+        allowed = sorted(named) + ([f"x1..x{dim}"] if "x" in spec else [])
+        raise ConfigError(f"{where} uses variable(s) {stray} outside the allowed set {allowed}")
     return expr
 
 
@@ -217,19 +237,16 @@ def _stacked(values: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _position_variables(dim: int) -> frozenset:
-    return frozenset(_coordinate_names(dim))
-
-
 def _read_json(path: Union[str, Path], what: str):
     """The JSON value in the file at ``path``; a :class:`ConfigError` naming
     ``what`` and the path if the file cannot be read, is not UTF-8, is not
-    JSON or nests too deeply to parse."""
+    JSON, nests too deeply or holds an integer too long to parse."""
     try:
         return json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # a ValueError: not UTF-8, not JSON, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
@@ -237,13 +254,20 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     """Parse and validate a scenario file; unknown keys are errors.
 
     The one reader of the file: each section is checked once against its
-    ``SECTIONS`` entry, and the builders read the result as it stands.
+    ``SECTIONS`` entry for keys, types, shapes and finite numbers.  The
+    library objects the sections describe are built here, once, and hold
+    the value rules: a ``ValueError`` from one becomes a
+    :class:`ConfigError` naming ``section.key``.  Only rules the library
+    has no reason to hold are checked here.
     """
     data = _section(_read_json(path, "scenario file"), "scenario")
     name = data["name"]
     # the name becomes a file name under --out, so it may not leave that directory
     if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         raise ConfigError("scenario.name must be a plain file name: no path separator, not . or ..")
+    seed = _as_int(data["seed"], "scenario.seed")
+    if seed < 0:
+        raise ConfigError("scenario.seed must be nonnegative")
 
     metric = _section(data["metric"], "metric")
     if metric["kind"] == "diagonal":
@@ -252,8 +276,7 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
             raise ConfigError("metric.entries must list at least three expressions")
         dim = len(entries)
         metric["entries"] = [
-            _expression(text, f"metric.entries[{idx}]", _position_variables(dim))
-            for idx, text in enumerate(entries)
+            _expression(text, f"metric.entries[{idx}]", _X, dim) for idx, text in enumerate(entries)
         ]
     else:
         dim = metric["dim"] = _as_int(metric["dim"], "metric.dim")
@@ -283,92 +306,58 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         if dim != 3:
             raise ConfigError("surfaces require a three-dimensional metric")
         surface = _parse_expressions(_section(surface, "surface"), "surface", dim)
-        if surface["kind"] == "plane":
-            axis = surface["axis"] = _as_int(surface["axis"], "surface.axis")
-            if not 0 <= axis < 3:
-                raise ConfigError("surface.axis must be 0, 1, or 2")
-            surface["offset"] = _as_number(surface["offset"], "surface.offset")
-        elif surface["kind"] == "sphere":
-            radius = surface["radius"] = _as_number(surface["radius"], "surface.radius")
-            if radius <= 0.0:
-                raise ConfigError("surface.radius must be positive")
-            center = surface["center"]
-            if not (isinstance(center, list) and len(center) == 3):
-                raise ConfigError("surface.center must have three components")
-            surface["center"] = tuple(_as_number(c, "surface.center entry") for c in center)
-        base_u = surface["base_u"]
-        if not (isinstance(base_u, list) and len(base_u) == 2):
-            raise ConfigError("surface.base_u must have two components")
-        surface["base_u"] = tuple(_as_number(c, "surface.base_u entry") for c in base_u)
-        nu0 = surface["nu0"] = _as_number(surface["nu0"], "surface.nu0")
-        if nu0 == 0.0:
-            raise ConfigError("surface.nu0 must be nonzero")
-        orientation = _as_number(surface["orientation"], "surface.orientation")
-        if orientation not in (1.0, -1.0):
-            raise ConfigError("surface.orientation must be +1 or -1")
-        surface["orientation"] = orientation
+        for key, convert in (("base_u", _numbers), ("center", _numbers), ("axis", _as_int),
+                             ("offset", _as_number), ("radius", _as_number),
+                             ("nu0", _as_number), ("orientation", _as_number)):
+            if key in surface:
+                surface[key] = convert(surface[key], f"surface.{key}")
+        with _configuring("surface"):
+            surface = _surface(surface)
 
     run = data["run"]
     if run is not None:
         run = _section(run, "run")
-        t_end = run["t_end"] = _as_number(run["t_end"], "run.t_end")
-        dt = run["dt"] = _as_number(run["dt"], "run.dt")
-        if t_end <= 0.0 or dt <= 0.0:
-            raise ConfigError("run.t_end and run.dt must be positive")
+        for key in ("t_end", "dt", "tolerance"):
+            run[key] = _as_number(run[key], f"run.{key}")
+        run["sample_stride"] = _as_int(run["sample_stride"], "run.sample_stride")
         u_grid = run["u_grid"]
-        if not (isinstance(u_grid, list) and len(u_grid) == 2):
-            raise ConfigError("run.u_grid must list two [lo, hi, count] ranges")
-        for rng in u_grid:
-            if not (isinstance(rng, list) and len(rng) == 3):
-                raise ConfigError("run.u_grid entries must be [lo, hi, count]")
-        run["u_grid"] = tuple(
-            (
-                _as_number(rng[0], "run.u_grid lo"),
-                _as_number(rng[1], "run.u_grid hi"),
-                _as_int(rng[2], "run.u_grid count"),
-            )
-            for rng in u_grid
+        shaped = isinstance(u_grid, list) and all(isinstance(r, list) and len(r) == 3 for r in u_grid)
+        if not shaped:
+            raise ConfigError("run.u_grid must list [lo, hi, count] ranges")
+        ranges = tuple(
+            (_as_number(lo, "run.u_grid lo"), _as_number(hi, "run.u_grid hi"),
+             _as_int(count, "run.u_grid count"))
+            for lo, hi, count in u_grid
         )
-        stride = run["sample_stride"] = _as_int(run["sample_stride"], "run.sample_stride")
-        if stride < 1:
-            raise ConfigError("run.sample_stride must be positive")
-        steps = round(t_end / dt)
-        if abs(steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-            raise ConfigError(f"run.t_end {t_end:g} is not a multiple of run.dt {dt:g}")
-        if steps % stride != 0:
-            raise ConfigError(f"run.sample_stride {stride} does not divide the {steps} steps")
-        if steps // stride < 4:
-            raise ConfigError(
-                f"run records {steps // stride + 1} times; the speed-law stencil needs 5"
-            )
         if run["box"] is not None:
-            run["box"] = _validate_box(run["box"], dim, "run.box")
-        run["tolerance"] = _as_number(run["tolerance"], "run.tolerance")
+            run["box"] = _pairs(run["box"], "run.box")
+        with _configuring("run", {"grid": "u_grid", "range": "u_grid range", "chart_box": "box"}):
+            grid = run["u_grid"] = GridSpec(ranges=ranges)
+            recorded, _ = run_plan(grid, dim - 1, run["t_end"], run["dt"], run["sample_stride"],
+                                   run["box"], dim)
+        if len(recorded) < 5:
+            raise ConfigError(f"run records {len(recorded)} times; the speed-law stencil needs 5")
         if run["tolerance"] <= 0.0:
             raise ConfigError("run.tolerance must be positive")
 
     verify_sec = data["verify"]
     if verify_sec is not None:
         verify_sec = _section(verify_sec, "verify")
-        verify_sec["box"] = _validate_box(verify_sec["box"], dim, "verify.box")
-        count = verify_sec["sample_count"] = _as_int(verify_sec["sample_count"], "verify.sample_count")
-        if count < 1:
-            raise ConfigError("verify.sample_count must be positive")
-        lo, hi = verify_sec["speed_range"] = _lo_hi(
+        # SampleSpec is not told the dimension; verify() checks it only as it computes
+        box = _pairs(verify_sec["box"], "verify.box")
+        if len(box) != dim or any(lo >= hi for lo, hi in box):
+            raise ConfigError("verify.box must hold one [lo, hi] pair with lo < hi per coordinate")
+        count = _as_int(verify_sec["sample_count"], "verify.sample_count")
+        speed_range = _lo_hi(
             verify_sec["speed_range"], "verify.speed_range", "verify.speed_range must be [lo, hi]"
         )
-        if not 0.0 < lo <= hi:
-            raise ConfigError("verify.speed_range must satisfy 0 < lo <= hi")
-        if verify_sec["tolerance"] is not None:
-            tolerance = verify_sec["tolerance"] = _as_number(verify_sec["tolerance"], "verify.tolerance")
-            if tolerance <= 0.0:
-                raise ConfigError("verify.tolerance must be positive")
-        if verify_sec["mode"] not in MODES:
-            raise ConfigError(f"verify.mode must be one of {MODES}")
+        tolerance = verify_sec["tolerance"]
+        if tolerance is not None:
+            tolerance = _as_number(tolerance, "verify.tolerance")
+        with _configuring("verify", {"count": "sample_count"}):
+            verify_sec = SampleSpec(box=box, count=count, speed_range=speed_range, seed=seed,
+                                    mode=verify_sec["mode"], tolerance=tolerance)
 
-    seed = _as_int(data["seed"], "scenario.seed")
-    if seed < 0:
-        raise ConfigError("scenario.seed must be nonnegative")
     return Scenario(
         name=name,
         metric=metric,
@@ -379,15 +368,6 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         seed=seed,
         dim=dim,
     )
-
-
-def _validate_box(box, dim: int, where: str) -> tuple:
-    if not (isinstance(box, list) and len(box) == dim):
-        raise ConfigError(f"{where} must list one [lo, hi] pair per coordinate")
-    pairs = tuple(_lo_hi(pair, where, f"{where} entries must be [lo, hi]") for pair in box)
-    if any(lo >= hi for lo, hi in pairs):
-        raise ConfigError(f"{where} must have lo < hi")
-    return pairs
 
 
 def _check_options(tolerance: Optional[float], seed: Optional[int] = None) -> None:
@@ -545,9 +525,14 @@ def build_subject(sc: Scenario) -> Union[GeneratingScalar, ForceField]:
 
 
 def build_surface(sc: Scenario) -> Hypersurface:
-    """The scenario's hypersurface.  A graph's tangents are built from the
-    height expression's symbolic partials, one compiled pass per chart point."""
-    surface = sc.surface
+    """The scenario's hypersurface, built and checked by :func:`load_scenario`."""
+    return sc.surface
+
+
+def _surface(surface: dict) -> Hypersurface:
+    """The hypersurface of a ``surface`` section, checked by the library
+    constructors.  A graph's tangents are built from the height
+    expression's symbolic partials, one compiled pass per chart point."""
     common = dict(
         base_u=surface["base_u"], nu0=surface["nu0"], orientation=surface["orientation"]
     )
@@ -611,20 +596,28 @@ def _write_bundle(out_dir: Path, sc: Scenario, kind: str, config_path: Union[str
 
 
 @contextlib.contextmanager
-def _configuring():
-    """Report a ``ValueError`` raised while building from the scenario as a
-    :class:`ConfigError`; one raised later, at run time, is numerical."""
+def _configuring(section: Optional[str] = None, keys: Optional[Dict[str, str]] = None):
+    """Report a ``ValueError`` or :class:`GridTooCoarse` raised while
+    building from the scenario as a :class:`ConfigError`; one raised later,
+    at run time, is numerical.  A library message starts with the name of
+    the argument it rejects; under a ``section`` that name becomes
+    ``section.key``, the key being ``keys[name]`` where the names differ.
+    """
     try:
         yield
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (ValueError, GridTooCoarse) as exc:
+        message = str(exc)
+        if section is not None:
+            name, space, rest = message.partition(" ")
+            message = f"{section}.{(keys or {}).get(name, name)}{space}{rest}"
+        raise ConfigError(message) from exc
 
 
 def _exit_code(exc: Exception) -> int:
     """Print a failure of ``verify`` or ``shift`` to stderr and return its exit code."""
     if isinstance(exc, TrajectoryEscaped):
         label, code = "trajectory escaped", 4
-    elif isinstance(exc, (ConfigError, GridTooCoarse)):
+    elif isinstance(exc, ConfigError):
         label, code = "configuration error", 2
     else:
         label, code = "numerical error", 3
@@ -668,17 +661,11 @@ def cmd_verify(
         if sc.verify is None:
             raise ConfigError("scenario has no verify section")
         out_dir = _output_dir(out)
+        options = {k: v for k, v in (("seed", seed), ("tolerance", tolerance)) if v is not None}
         with _configuring():
             m = build_metric(sc)
             subject = build_subject(sc)
-            spec = SampleSpec(
-                box=sc.verify["box"],
-                count=sc.verify["sample_count"],
-                speed_range=sc.verify["speed_range"],
-                seed=seed if seed is not None else sc.seed,
-                mode=sc.verify["mode"],
-                tolerance=tolerance if tolerance is not None else sc.verify["tolerance"],
-            )
+            spec = dataclasses.replace(sc.verify, **options)
         report = verify(subject, m, spec)
         path = _write_bundle(out_dir, sc, "verify", config_path, _normality_section(report))
     except (NormalShiftError, ValueError) as exc:
@@ -710,17 +697,15 @@ def cmd_shift(
             raise ConfigError("scenario needs surface and run sections for a shift")
         if sc.generator["perturb"] is not None:
             raise ConfigError("generator.perturb applies to verification only")
-        grid = GridSpec(ranges=sc.run["u_grid"])
         out_dir = _output_dir(out)
         with _configuring():
             m = build_metric(sc)
             gs = build_generator(sc)
-            surface = build_surface(sc)
         rec = run_shift(
             gs,
             m,
-            surface,
-            grid,
+            sc.surface,
+            sc.run["u_grid"],
             t_end=sc.run["t_end"],
             dt=sc.run["dt"],
             sample_stride=sc.run["sample_stride"],

@@ -94,7 +94,7 @@ class Hypersurface:
         if self.orientation not in (1.0, -1.0, 1, -1):
             raise ValueError("orientation must be +1 or -1")
         if len(self.base_u) != self.dim_u:
-            raise ValueError("base_u must have dim_u components")
+            raise ValueError(f"base_u must have {self.dim_u} components, got {self.base_u!r}")
         if not np.isfinite(np.asarray(self.base_u, dtype=float)).all():
             raise ValueError(f"base_u must be finite, got {self.base_u!r}")
 
@@ -123,7 +123,7 @@ class GridSpec:
                 raise ValueError(f"range [{a}, {b}] must have finite ends")
             if int(c) < 5:
                 raise GridTooCoarse(
-                    f"{int(c)} points on [{a}, {b}]: the interior stencil needs at least 5"
+                    f"range [{a}, {b}] has {int(c)} points: the interior stencil needs at least 5"
                 )
             if a == b:
                 raise GridTooCoarse(f"range [{a}, {b}] has zero width: the stencil needs lo != hi")
@@ -469,6 +469,38 @@ def _grid_tangents(x: Array, shape: Tuple[int, ...], axes: Tuple[Array, ...]) ->
     return tau
 
 
+def run_plan(
+    grid: GridSpec, dim_u: int, t_end: float, dt: float, sample_stride: int,
+    chart_box: Optional[Sequence[Sequence[float]]], dim: int,
+) -> Tuple[Array, Optional[Array]]:
+    """The run arguments of a shift, checked: the recorded steps (0 to the
+    last, every ``sample_stride``) and ``chart_box`` as an array or None.
+    ``dt`` and ``t_end`` must be positive and finite, ``t_end`` a multiple
+    of ``dt``, ``sample_stride`` a positive integer dividing the step count,
+    ``grid`` of ``dim_u`` ranges and ``chart_box``, when given, of one finite
+    [lo, hi] pair with lo < hi per coordinate of ``dim``.  Each message
+    starts with the name of the argument it rejects."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be positive and finite")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError("t_end must be positive and finite")
+    if (isinstance(sample_stride, bool) or not isinstance(sample_stride, (int, np.integer))
+            or sample_stride < 1):
+        raise ValueError("sample_stride must be a positive integer")
+    if len(grid.ranges) != dim_u:
+        raise ValueError("grid dimensionality does not match the surface")
+    box = None if chart_box is None else np.asarray(chart_box, dtype=float)
+    if box is not None and not (box.shape == (dim, 2) and np.isfinite(box).all()
+                                and (box[:, 0] < box[:, 1]).all()):
+        raise ValueError(f"chart_box must hold {dim} finite [lo, hi] pairs with lo < hi")
+    n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)) or n_steps < 1:
+        raise ValueError(f"t_end {t_end:g} must be a positive multiple of dt {dt:g}")
+    if n_steps % sample_stride != 0:
+        raise ValueError(f"sample_stride {sample_stride} must divide the {n_steps} steps")
+    return np.arange(0, n_steps + 1, sample_stride), box
+
+
 def run_shift(
     gs: GeneratingScalar,
     m: MetricField,
@@ -492,36 +524,18 @@ def run_shift(
     positions and one of velocities.
     States are recorded every ``sample_stride`` steps; ``chart_box``, when
     given, bounds the coordinates and integration aborts once a trajectory
-    leaves it; it must hold one finite [lo, hi] pair with lo < hi per
-    coordinate.  A failure is reported for the earliest failing step and,
-    within it, the lowest grid row, naming that trajectory's u and time.
+    leaves it.  The run arguments are checked by :func:`run_plan`.  A
+    failure is reported for the earliest failing step and, within it, the
+    lowest grid row, naming that trajectory's u and time.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError("dt must be positive and finite")
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ValueError("t_end must be positive and finite")
-    if (isinstance(sample_stride, bool) or not isinstance(sample_stride, (int, np.integer))
-            or sample_stride < 1):
-        raise ValueError("sample_stride must be a positive integer")
-    if len(grid.ranges) != s.dim_u:
-        raise ValueError("grid dimensionality does not match the surface")
-    box = None if chart_box is None else np.asarray(chart_box, dtype=float)
-    if box is not None and not (box.shape == (m.dim, 2) and np.isfinite(box).all()
-                                and (box[:, 0] < box[:, 1]).all()):
-        raise ValueError(f"chart_box must hold {m.dim} finite [lo, hi] pairs with lo < hi")
+    record_steps, box = run_plan(grid, s.dim_u, t_end, dt, sample_stride, chart_box, m.dim)
+    n_steps = int(record_steps[-1])
     axes = grid.axes()
     shape = tuple(len(ax) for ax in axes)
     mesh = np.meshgrid(*axes, indexing="ij")
     u_grid = np.stack([part.ravel() for part in mesh], axis=1)
     n_u = u_grid.shape[0]
     dim = m.dim
-
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)) or n_steps < 1:
-        raise ValueError("t_end must be a positive multiple of dt")
-    if n_steps % sample_stride != 0:
-        raise ValueError("sample_stride must divide the step count")
-    record_steps = np.arange(0, n_steps + 1, sample_stride)
     times = record_steps * dt
     n_t = len(times)
 

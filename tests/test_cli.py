@@ -72,6 +72,8 @@ def write_config(tmp_path, data, filename="scenario.json"):
 UNREADABLE = {
     "not-utf8": b"\xff\xfe{\"name\": \"case\"}",
     "nested-too-deep": b"[" * 200000 + b"]" * 200000,
+    # past the digits Python converts from text to int by default (4,300)
+    "integer-too-long": b"{\"seed\": 1" + b"0" * 5000 + b"}",
 }
 
 # finite (0, from the difference of two equal terms) while its
@@ -266,6 +268,17 @@ class TestVerifyCommand:
         a = json.loads((tmp_path / "a" / "det.verify.report.json").read_text())
         b = json.loads((tmp_path / "b" / "det.verify.report.json").read_text())
         assert a["normality"] == b["normality"]
+
+    def test_seed_option_replaces_the_scenario_seed(self, tmp_path):
+        # --seed 0 is falsy but given, so it replaces the scenario's seed 3
+        for seed in (0, 3):
+            path = write_config(tmp_path, base_scenario(name=f"seed{seed}", seed=seed))
+            cmd_verify(path, out=tmp_path)
+        assert cmd_verify(tmp_path / "scenario.json", seed=0, out=tmp_path / "option") == 0
+        bundles = [json.loads((tmp_path / name).read_text())["normality"]
+                   for name in ("seed0.verify.report.json", "seed3.verify.report.json",
+                                "option/seed3.verify.report.json")]
+        assert bundles[2] == bundles[0] != bundles[1]
 
     def test_degenerate_wv_exits_3_and_names_the_sample(self, tmp_path, capsys):
         # W_v = |x1 - 0.75| + (x1 - 0.75) vanishes on the half x1 <= 0.75 of the box
@@ -601,12 +614,13 @@ class TestRejectedInput:
             ("shift", {"run.t_end": 0.0305}, [], None, 2),
             # five steps record two times, too few for the speed-law stencil
             ("shift", {"run.t_end": 0.01, "run.sample_stride": 5}, [], None, 2),
-            # a ValueError while building from the scenario is a configuration error
-            ("shift", {}, [], "build_surface", 2),
-            ("verify", {}, [], "build_subject", 2),
+            # a ValueError while building from the scenario is a configuration
+            # error; one from an object built at load names its section
+            ("shift", {}, [], ("plane_surface", "surface.plane_surface refused"), 2),
+            ("verify", {}, [], ("build_subject", "build_subject refused"), 2),
             # one raised during the run is a numerical error
-            ("shift", {}, [], "run_shift", 3),
-            ("verify", {}, [], "verify", 3),
+            ("shift", {}, [], ("run_shift", "run_shift refused"), 3),
+            ("verify", {}, [], ("verify", "verify refused"), 3),
         ],
         ids=[
             "verify-passes", "shift-constant-nu-fails", "shift-domain-error", "shift-escapes",
@@ -618,17 +632,19 @@ class TestRejectedInput:
     def test_exit_codes(self, tmp_path, monkeypatch, capsys, command, overrides, options,
                         raising, code):
         if raising is not None:
-            def fail(*args, **kwargs):
-                raise ValueError(f"{raising} refused")
+            name, message = raising
 
-            monkeypatch.setattr(cli, raising, fail)
+            def fail(*args, **kwargs):
+                raise ValueError(f"{name} refused")
+
+            monkeypatch.setattr(cli, name, fail)
         path = write_config(tmp_path, with_overrides(base_scenario(), overrides, tmp_path))
         assert main([command, str(path), "--out", str(tmp_path / "out"), *options]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err
         if raising is not None:
             label = "configuration" if code == 2 else "numerical"
-            assert err.startswith(f"{label} error: {raising} refused")
+            assert err == f"{label} error: {message}\n"
 
     @pytest.mark.parametrize(
         "command,compute,out",
@@ -650,16 +666,22 @@ class TestRejectedInput:
         assert (tmp_path / "afile").read_text() == "kept\n"
 
     @pytest.mark.parametrize(
-        "u_grid",
-        [[[-0.1, 0.1, 4], [-0.1, 0.1, 5]], [[0.1, 0.1, 5], [-0.1, 0.1, 5]]],
+        "u_grid,message",
+        [
+            ([[-0.1, 0.1, 4], [-0.1, 0.1, 5]],
+             "run.u_grid range [-0.1, 0.1] has 4 points: the interior stencil needs at least 5"),
+            ([[0.1, 0.1, 5], [-0.1, 0.1, 5]],
+             "run.u_grid range [0.1, 0.1] has zero width: the stencil needs lo != hi"),
+        ],
         ids=["four-points", "zero-width"],
     )
-    def test_grid_that_cannot_run_leaves_no_out(self, tmp_path, capsys, u_grid):
+    # the grid is built when the file loads, so verify rejects it too
+    @pytest.mark.parametrize("command", ["shift", "verify"])
+    def test_grid_that_cannot_run_leaves_no_out(self, tmp_path, capsys, command, u_grid, message):
         path = write_config(tmp_path, with_overrides(base_scenario(), {"run.u_grid": u_grid}, tmp_path))
         out = tmp_path / "out_c" / "sub"
-        assert main(["shift", str(path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error: ") and "Traceback" not in err
+        assert main([command, str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not (tmp_path / "out_c").exists()
 
     @pytest.mark.parametrize("content", UNREADABLE.values(), ids=UNREADABLE.keys())
@@ -720,8 +742,10 @@ class TestRejectedInput:
             ("verify", {"metric": {"kind": "diagonal", "entries": ["1", "1"]}}, [],
              "metric.entries must list at least three expressions"),
             ("verify", {"metric.dim": 4}, [], "surfaces require a three-dimensional metric"),
-            ("verify", {"run.sample_stride": 0}, [], "run.sample_stride must be positive"),
-            ("verify", {"verify.sample_count": 0}, [], "verify.sample_count must be positive"),
+            ("verify", {"run.sample_stride": 0}, [],
+             "run.sample_stride must be a positive integer"),
+            ("verify", {"verify.sample_count": 0}, [],
+             "verify.sample_count must be a positive integer, got 0"),
             ("shift", {"surface.axis": 3}, [], "surface.axis"),
             ("verify", {"surface": {"kind": "sphere", "radius": 0}}, [], "surface.radius"),
             ("shift", {"surface": {"kind": "sphere", "center": [0.0, 0.0]}}, [], "surface.center"),
@@ -734,6 +758,11 @@ class TestRejectedInput:
             ("verify", {"verify.mode": "exact"}, [], "verify.mode"),
             ("shift", {"run.box": [[-1.0, 1.0], [1.0, 1.0], [-1.0, 1.0]]}, [], "run.box"),
             ("shift", {"run.u_grid": [[-0.1, 0.1, 5]] * 3}, [], "run.u_grid"),
+            # x1..xn are checked by name, so no list of n names is built
+            ("verify", {"generator": {"kind": "metrizable", "f": "x1", "H": "v"},
+                        "metric.dim": 10**30, "surface": None, "run": None}, [], "verify.box"),
+            ("shift", {"metric": {"kind": "conformal", "f": "x2", "dim": 10**30},
+                       "surface": None, "run": None}, [], "verify.box"),
         ],
         ids=[
             "t_end-infinite", "t_end-past-float-range", "dt-nan", "run-tolerance-nan", "offset-infinite", "verify-box-nan",
@@ -746,7 +775,7 @@ class TestRejectedInput:
             "sample-count-0", "axis-3", "radius-0", "center-two-components",
             "base_u-three-components", "nu0-0", "orientation-half", "dt-negative",
             "speed-range-reversed", "verify-tolerance-0", "mode-unknown", "run-box-lo-not-below-hi",
-            "u_grid-three-ranges",
+            "u_grid-three-ranges", "verify-dim-1e30", "shift-dim-1e30",
         ],
     )
     def test_exits_2_and_names_the_key(
@@ -964,7 +993,7 @@ class TestCompiledClosures:
         sc = load_scenario(write_config(tmp_path, base_scenario(
             surface={"kind": "graph", "height": height})))
         s = build_surface(sc)
-        expr = sc.surface["height"]
+        expr = parse_expression(height)
         u = np.random.default_rng(6).uniform(-0.2, 0.2, size=(7, 2))
         T = surface_tangents(s, u)
         for Ti, ui in zip(T, u):
