@@ -345,8 +345,8 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         verify_sec = _section(verify_sec, "verify")
         # SampleSpec is not told the dimension; verify() checks it only as it computes
         box = _pairs(verify_sec["box"], "verify.box")
-        if len(box) != dim or any(lo >= hi for lo, hi in box):
-            raise ConfigError("verify.box must hold one [lo, hi] pair with lo < hi per coordinate")
+        if len(box) != dim:
+            raise ConfigError("verify.box must hold one [lo, hi] pair per coordinate")
         count = _as_int(verify_sec["sample_count"], "verify.sample_count")
         speed_range = _lo_hi(
             verify_sec["speed_range"], "verify.speed_range", "verify.speed_range must be [lo, hi]"

@@ -26,6 +26,7 @@ from .tensor_core import (
     FD_STEP,
     MetricField,
     by_rows,
+    central_hessian,
     central_partials,
     christoffel_at,
     every,
@@ -111,15 +112,20 @@ def fiber_gradient(fn: Callable[[Array], Array], v: Array) -> Array:
     return check_finite(grad, "velocity gradient")
 
 
-def fiber_hessian(gradient: Callable[[Array], Array], v: Array) -> Array:
-    """``out[..., r, s] = d gradient_s / d v^r`` by central differences.
+def fiber_hessian(fn: Callable[[Array], Array], v: Array) -> Array:
+    """Hessian ``out[..., r, s] = d^2 fn / d v^r d v^s`` of a scalar of velocity,
+    by second central differences of ``fn`` itself, exactly symmetric.
 
-    The outer step is FD_STEP^(1/2) times each velocity's size, independent
-    of the inner step of ``gradient``, plus one Richardson level so the
-    outer truncation does not dominate.
+    The step is FD_STEP^(1/2) times each velocity's size, with one
+    Richardson level (:func:`~normalshift.tensor_core.central_hessian`):
+    ``fn`` is called once on the stack of all 1 + 4n^2 offsets when ``v``
+    is a stack (..., n), and once per offset at a single velocity.  A
+    stack's Hessians are laid out in C order, as a single one is, so that
+    products of each round as the single state's do.
     """
-    h = scaled_step(v, np.sqrt(FD_STEP))
-    return np.moveaxis(central_partials(gradient, v, h, richardson=True), 0, v.ndim - 1)
+    H = central_hessian(fn, v, scaled_step(v, np.sqrt(FD_STEP)))
+    H = np.ascontiguousarray(np.moveaxis(H, (0, 1), (v.ndim - 1, v.ndim)))
+    return check_finite(H, "fiber Hessian")
 
 
 def velocity_gradient(phi: ExtendedScalar, x: Array, v: Array) -> Array:
@@ -253,15 +259,22 @@ def isotropic_second_speed_derivative(w: IsotropicScalar, x: Array, speed) -> Un
 def velocity_hessian(phi: ExtendedScalar, x: Array, v: Array) -> Array:
     """Fiber Hessian d^2 phi / d v^r d v^s, as evaluated: its symmetric part is not taken.
 
-    Uses the analytic ``dv2`` closure when present.  Otherwise differences
-    the velocity gradient (:func:`fiber_hessian`), whose mixed partials
-    agree only to within the differencing error.
+    Uses the analytic ``dv2`` closure when present.  Otherwise, with an
+    analytic ``dv``, differences that gradient once more, with the outer
+    step FD_STEP^(1/2) times the velocity's size and one Richardson level,
+    so its mixed partials agree only to within the differencing error.
+    With neither, takes second differences of ``eval`` itself
+    (:func:`fiber_hessian`), which are symmetric by construction.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if phi.dv2 is not None:
         return check_finite(phi.dv2(x, v), "fiber Hessian")
-    return fiber_hessian(lambda u: velocity_gradient(phi, x, u), v)
+    if phi.dv is None:
+        return fiber_hessian(lambda u: phi.eval(x, u), v)
+    h = scaled_step(v, np.sqrt(FD_STEP))
+    H = central_partials(lambda u: velocity_gradient(phi, x, u), v, h, richardson=True)
+    return np.moveaxis(H, 0, v.ndim - 1)
 
 
 def lift_isotropic(w: IsotropicScalar, m: MetricField) -> ExtendedScalar:

@@ -710,6 +710,8 @@ def builtin_nonmetrizable(
     called on arrays only when that reproduces its point-wise values on
     every ``PROFILE_PROBE_STRIDE``-th speed of the vanishing probe; the
     probe is then one call of A, and otherwise one call per speed.
+    ``W.dspeed`` raises :class:`QuadratureFailure` naming the speed where
+    its value is not finite, as at speed 0 when A vanishes there.
 
     The generated force is A(|v|) sum_i (df/dx^i)(2 N^i N_k - delta^i_k).
     """
@@ -794,7 +796,13 @@ def builtin_nonmetrizable(
 
     def dspeed(x, s):
         s = np.asarray(s, dtype=float)
-        return eval_(x, s) * s / profile(s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = eval_(x, s) * s / profile(s)
+        bad = ~np.isfinite(value)
+        if np.count_nonzero(bad):
+            worst = float(np.ravel(s)[np.argmax(np.ravel(bad))])
+            raise QuadratureFailure(f"speed derivative non-finite at speed {worst:.4g}")
+        return value
 
     dx = terms = None
     if f.dx is not None:

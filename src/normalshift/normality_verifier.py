@@ -34,7 +34,6 @@ from .errors import NormalShiftError
 from .extended_fields import (
     ExtendedScalar,
     check_finite,
-    fiber_gradient,
     fiber_hessian,
     velocity_hessian,
 )
@@ -87,7 +86,8 @@ class SampleSpec:
     the field evaluators; the default tolerance is 1e-8 for the former and
     1e-5 for the latter; a given ``tolerance`` must be positive and finite.
     ``count`` must be a positive integer and ``seed`` a nonnegative one
-    (not a bool), and ``box`` a list of finite [lo, hi] pairs.
+    (not a bool), and ``box`` a list of finite [lo, hi] pairs with lo < hi,
+    one per coordinate, which :func:`verify` checks against the metric.
     """
 
     box: Sequence[Sequence[float]]
@@ -110,6 +110,8 @@ class SampleSpec:
             box = np.empty(0)
         if box.ndim != 2 or box.shape[1] != 2 or not np.isfinite(box).all():
             raise ValueError(f"box must be a list of finite [lo, hi] pairs, got {self.box!r}")
+        if not (box[:, 0] < box[:, 1]).all():
+            raise ValueError(f"box must have lo < hi in every pair, got {self.box!r}")
         lo, hi = self.speed_range
         if not (0.0 < lo <= hi):
             raise ValueError("speed_range must be positive and ordered")
@@ -297,7 +299,11 @@ def residual_additional2(
 def _eq124(H: Array, pr, ginv: Array) -> Tuple[Array, Array]:
     """The projected-Hessian residual and lambda from ``H``, the fiber Hessian
     of the ansatz scalar as evaluated; every caller's ``H`` is replaced by
-    its symmetric part and checked finite here."""
+    its symmetric part and checked finite here.  That part is ``H`` itself
+    for a Hessian differenced from the scalar
+    (:func:`~normalshift.extended_fields.fiber_hessian`), and differs from
+    it by the differencing error where an analytic gradient is differenced
+    once more or an analytic Hessian rounds asymmetrically."""
     H = check_finite(0.5 * (H + _T(H)), "ansatz scalar fiber Hessian")
     p_up = ginv - outer(pr.N_up, pr.N_up)
     lam = np.einsum("...rs,...rs->...", p_up, H) / (ginv.shape[-1] - 1)
@@ -466,6 +472,9 @@ def _residual_rows(
     field's ansatz scalar is A = N^i F_i, and its reduced columns are 0.
     Every finite difference is one closure call on the stack of all its
     offsets, and offsets in velocity reuse ``gmat``, the metric at ``x``.
+    A differenced Hessian of A comes from A itself
+    (:func:`~normalshift.extended_fields.fiber_hessian`): one call of A on
+    the 1 + 4n^2 velocity offsets of every state, 37 at n = 3.
     """
     x, v = states[:, 0], states[:, 1]
     pr = direction_from(gmat, x, v)
@@ -501,7 +510,7 @@ def _residual_rows(
             _force_derivatives(force, m, x, v, gmat, ginv) if af is not None
             else _derivative_pack(subject, m, x, v, mode, ginv, gmat)
         )
-        H = fiber_hessian(lambda u: fiber_gradient(A, u), v)
+        H = fiber_hessian(A, v)
 
     def sup(r):
         return np.max(np.abs(r), axis=tuple(range(1, r.ndim)))

@@ -541,6 +541,66 @@ def central_partials(
     return (4.0 * difference(1) - coarse) / 3.0 if richardson else coarse
 
 
+@cache
+def _hessian_offsets(n: int) -> np.ndarray:
+    """The unit offsets of one step of :func:`central_hessian`, one read-only
+    (2n^2, n) array per dimension: +e_r and -e_r for each axis r in turn,
+    then (+,+), (+,-), (-,+), (-,-) of e_r and e_s for each pair r < s in
+    ``np.triu_indices`` order."""
+    eye = identity(n)
+    r, s = np.triu_indices(n, 1)
+    axes = np.stack([eye, -eye], axis=1)
+    cross = np.stack([eye[r] + eye[s], eye[r] - eye[s], eye[s] - eye[r], -eye[r] - eye[s]], axis=1)
+    table = np.concatenate([axes.reshape(-1, n), cross.reshape(-1, n)])
+    table.setflags(write=False)
+    return table
+
+
+def central_hessian(fn: Callable[[np.ndarray], np.ndarray], at: np.ndarray, h) -> np.ndarray:
+    """Second central differences ``out[r, s] = d^2 fn / d at^r d at^s`` over
+    the last axis of ``at``, with one Richardson level, exactly symmetric.
+
+    ``fn`` may return a scalar, a vector or a matrix, and ``out`` has shape
+    (n, n) + the shape of ``fn(at)``.  At steps h and h/2, the diagonal
+    takes ``at`` and ``at`` +- h e_r, and each pair r < s the four points
+    ``at`` +- h e_r +- h e_s, whose one difference fills both (r, s) and
+    (s, r); the two steps combine as (4 fine - coarse) / 3, which upgrades
+    the truncation error from O(h^2) to O(h^4).  That is 1 + 4n^2 values,
+    37 at n = 3.  The calling convention is :func:`central_partials`'s:
+    when ``at`` carries leading stack axes, ``fn`` is called once, on the
+    stack (..., 1 + 4n^2, n) of all offsets, and ``h`` may hold one step
+    per state; at a single point ``fn`` is called once per offset.
+    """
+    at = np.asarray(at, dtype=float)
+    lead, n = at.shape[:-1], at.shape[-1]
+    h = np.asarray(h, dtype=float)
+    units = _hessian_offsets(n)
+    steps = (h, 0.5 * h)
+    offsets = [at[..., None, :]]
+    for step in steps:
+        offsets.append(at[..., None, :] + units * step[..., None, None])
+    offsets = np.concatenate(offsets, axis=-2)
+    values = np.asarray(fn(offsets), dtype=float) if lead else by_rows(fn, offsets)
+    values = np.moveaxis(values, len(lead), 0)
+    centre, pairs = values[0], n * (n - 1) // 2
+    blocks = values[1:].reshape((2, len(units)) + values.shape[1:])
+
+    def second(j: int) -> Tuple[np.ndarray, np.ndarray]:
+        squared = per_state(steps[j], centre.ndim - h.ndim) ** 2
+        axis = blocks[j, : 2 * n].reshape((n, 2) + centre.shape)
+        cross = blocks[j, 2 * n :].reshape((pairs, 4) + centre.shape)
+        diagonal = (axis[:, 0] + axis[:, 1] - 2.0 * centre) / squared
+        mixed = (cross[:, 0] - cross[:, 1] - cross[:, 2] + cross[:, 3]) / (4.0 * squared)
+        return diagonal, mixed
+
+    (coarse_d, coarse_m), (fine_d, fine_m) = second(0), second(1)
+    out = np.empty((n, n) + centre.shape)
+    r, s = np.triu_indices(n, 1)
+    out[np.arange(n), np.arange(n)] = (4.0 * fine_d - coarse_d) / 3.0
+    out[r, s] = out[s, r] = (4.0 * fine_m - coarse_m) / 3.0
+    return out
+
+
 # The products ``a @ b`` of single states, written for stacks: matmuls with
 # unit axes, which round every state of a stack exactly as ``@`` rounds one.
 

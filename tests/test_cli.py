@@ -756,6 +756,7 @@ class TestRejectedInput:
             ("verify", {"verify.speed_range": [2.0, 0.5]}, [], "verify.speed_range"),
             ("verify", {"verify.tolerance": 0}, [], "verify.tolerance"),
             ("verify", {"verify.mode": "exact"}, [], "verify.mode"),
+            ("verify", {"verify.box": [[1.0, 0.0]] * 3}, [], "verify.box must have lo < hi"),
             ("shift", {"run.box": [[-1.0, 1.0], [1.0, 1.0], [-1.0, 1.0]]}, [], "run.box"),
             ("shift", {"run.u_grid": [[-0.1, 0.1, 5]] * 3}, [], "run.u_grid"),
             # x1..xn are checked by name, so no list of n names is built
@@ -774,7 +775,8 @@ class TestRejectedInput:
             "dim-2", "two-diagonal-entries", "surface-on-4d-metric", "sample-stride-0",
             "sample-count-0", "axis-3", "radius-0", "center-two-components",
             "base_u-three-components", "nu0-0", "orientation-half", "dt-negative",
-            "speed-range-reversed", "verify-tolerance-0", "mode-unknown", "run-box-lo-not-below-hi",
+            "speed-range-reversed", "verify-tolerance-0", "mode-unknown", "verify-box-reversed",
+            "run-box-lo-not-below-hi",
             "u_grid-three-ranges", "verify-dim-1e30", "shift-dim-1e30",
         ],
     )

@@ -9,6 +9,7 @@ from normalshift.errors import EvaluationFailure
 from normalshift.extended_fields import (
     ExtendedScalar,
     IsotropicScalar,
+    fiber_hessian,
     isotropic_second_speed_derivative,
     isotropic_speed_derivative,
     lift_isotropic,
@@ -17,7 +18,7 @@ from normalshift.extended_fields import (
     velocity_gradient,
     velocity_hessian,
 )
-from normalshift.tensor_core import unit_direction
+from normalshift.tensor_core import FD_STEP, unit_direction
 
 from helpers import (
     conformal_metric,
@@ -201,14 +202,46 @@ class TestVelocityHessian:
         assert np.allclose(got, 2.0 * q, atol=1e-6)
 
     def test_mixed_partials_commute(self):
+        # a scalar with no dv takes second differences of itself, each mixed
+        # partial filling both (r, s) and (s, r); one with an analytic dv and
+        # no dv2 differences that gradient, whose mixed partials agree only
+        # to within the differencing error
         m = wavy_conformal_metric()
-        phi = lift_isotropic(IsotropicScalar(eval=wavy_isotropic().eval), m)
+        bare = lift_isotropic(IsotropicScalar(eval=wavy_isotropic().eval), m)
+        with_dv = lift_isotropic(wavy_isotropic(), m)
+        assert bare.dv is None and with_dv.dv is not None and with_dv.dv2 is None
         rng = np.random.default_rng(31)
+        asymmetry = []
         for _ in range(5):
             x = random_point(rng, BOX)
             v = random_velocity(rng, m, x)
-            raw = velocity_hessian(phi, x, v)
-            assert np.max(np.abs(raw - raw.T)) < 1e-6
+            raw = velocity_hessian(bare, x, v)
+            assert np.array_equal(raw, raw.T)
+            raw = velocity_hessian(with_dv, x, v)
+            asymmetry.append(np.max(np.abs(raw - raw.T)))
+            assert np.allclose(raw, velocity_hessian(bare, x, v), rtol=0, atol=1e-6)
+        assert 0.0 < max(asymmetry) < 1e-6
+
+    def test_route_calls(self):
+        # no dv: eval at the 37 offsets of the direct stencil; an analytic
+        # dv: that gradient at the 12 offsets of one Richardson difference
+        calls = {"eval": 0, "dv": 0}
+
+        def counted(name, fn):
+            def inner(x, v):
+                calls[name] += 1
+                return fn(x, v)
+
+            return inner
+
+        q = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.3], [0.0, -0.3, 4.0]])
+        value = counted("eval", lambda x, v: float(v @ q @ v))
+        gradient = counted("dv", lambda x, v: 2.0 * q @ v)
+        x, v = np.zeros(3), np.array([0.3, 0.8, -0.4])
+        velocity_hessian(ExtendedScalar(eval=value), x, v)
+        assert calls == {"eval": 37, "dv": 0}
+        velocity_hessian(ExtendedScalar(eval=value, dv=gradient), x, v)
+        assert calls == {"eval": 37, "dv": 12}
 
     def test_analytic_closure_used(self):
         marker = np.full((3, 3), 7.0)
@@ -217,3 +250,35 @@ class TestVelocityHessian:
         )
         got = velocity_hessian(phi, np.zeros(3), np.ones(3))
         assert np.array_equal(got, marker)
+
+
+class TestFiberHessian:
+    @pytest.mark.parametrize("n,values", [(3, 37), (4, 65)])
+    def test_stack_is_one_call_with_hessian_axes_last(self, n, values):
+        calls = []
+        q = np.random.default_rng(32).normal(size=(n, n))
+
+        def fn(u):
+            calls.append(u.shape)
+            return np.einsum("...i,ij,...j->...", u, q, u)
+
+        v = np.random.default_rng(33).uniform(-1.0, 1.0, size=(4, n))
+        got = fiber_hessian(fn, v)
+        assert calls == [(4, values, n)]
+        assert got.shape == (4, n, n) and got.flags.c_contiguous
+        assert np.allclose(got, q + q.T, rtol=0, atol=1e-8)
+        assert np.array_equal(got[1], fiber_hessian(fn, v[1]))
+
+    @pytest.mark.parametrize("stack", [False, True], ids=["point", "stack"])
+    def test_nan_at_one_offset_raises(self, stack):
+        v0 = np.array([0.3, 0.8, -0.4])
+        # the one offset at the coarse step along the second axis; the step
+        # is sqrt(FD_STEP) here, since no entry of v0 exceeds 1
+        spot = v0 + np.array([0.0, np.sqrt(FD_STEP), 0.0])
+
+        def fn(u):
+            value = np.sum(u**2, axis=-1)
+            return np.where(np.all(u == spot, axis=-1), np.nan, value)
+
+        with pytest.raises(EvaluationFailure, match="^fiber Hessian evaluated to a non-finite value$"):
+            fiber_hessian(fn, np.stack([v0, -v0]) if stack else v0)

@@ -43,6 +43,7 @@ from normalshift.tensor_core import (
     direction_from,
     inverse_metric_at,
     metric_at,
+    scaled_step,
     speed_at,
     unit_direction,
 )
@@ -576,9 +577,12 @@ class TestSampling:
         ):
             SampleSpec(box=box)
 
-    def test_box_with_lo_above_hi_is_sampled_between_them(self):
-        states = sample_states(SampleSpec(box=[[1.25, 0.25]] * 3, count=16), euclidean_metric())
-        assert ((states[:, 0] >= 0.25) & (states[:, 0] <= 1.25)).all()
+    @pytest.mark.parametrize(
+        "box", [[[1.0, 0.0]] * 3, [[0.0, 1.0], [0.5, 0.5], [0.0, 1.0]]], ids=["reversed", "empty"]
+    )
+    def test_box_needs_lo_below_hi(self, box):
+        with pytest.raises(ValueError, match=r"^box must have lo < hi in every pair, got "):
+            SampleSpec(box=box)
 
     def test_unordered_speed_range_rejected(self):
         with pytest.raises(ValueError, match="^speed_range must be positive and ordered$"):
@@ -836,6 +840,30 @@ class TestVerifyFailures:
         assert all(x[1] < 0.999 for x, _ in states[:first])
         with pytest.raises(EvaluationFailure, match=rf"^sample {first} at x = "):
             verify(ForceField(eval=blows_up), m, spec)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_nan_at_one_hessian_offset_names_the_sample(self, mode):
+        # a bare field is NaN at exactly one velocity offset of the fiber
+        # Hessian's stencil: sample 5 moved by the coarse step along the
+        # second axis, which no other difference of F and no other sample
+        # reaches
+        m = euclidean_metric()
+        spec = SampleSpec(box=BOX, count=12, seed=9, mode=mode)
+        states = sample_states(spec, m)
+        x5, v5 = states[5]
+        spot = v5 + np.array([0.0, 1.0, 0.0]) * scaled_step(v5, np.sqrt(FD_STEP))
+
+        def field(m_, x, v):
+            hit = np.all(x == x5, axis=-1) & np.all(v == spot, axis=-1)
+            return np.where(hit[..., None], np.nan, 0.0 * v)
+
+        with pytest.raises(EvaluationFailure) as info:
+            verify(ForceField(eval=field, stacked=True), m, spec)
+        message = str(info.value)
+        assert message == (
+            f"sample 5 at x = {x5.tolist()}, v = {v5.tolist()}: "
+            "fiber Hessian evaluated to a non-finite value"
+        )
 
 
 class TestSharedPackPath:

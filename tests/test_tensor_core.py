@@ -21,7 +21,9 @@ from normalshift.tensor_core import (
     _inverse3,
     _lapack_inverse,
     _multiply_back,
+    _hessian_offsets,
     _reciprocal,
+    central_hessian,
     central_partials,
     christoffel_at,
     every,
@@ -486,6 +488,104 @@ class TestCentralPartials:
         # metric derivatives D[..., m, i, j] are this stack with m moved to axis -3
         m = MetricField(dim=3, g=outer, stacked=True)
         assert np.allclose(metric_derivatives_at(m, xs), np.moveaxis(want, 0, -3), rtol=0, atol=1e-9)
+
+
+class TestCentralHessian:
+    """The second-difference stencil of every differenced fiber Hessian."""
+
+    @staticmethod
+    def smooth(y):
+        return np.sin(y[..., 0] * y[..., 1]) + np.exp(0.3 * y[..., -1]) * y[..., 1]
+
+    @pytest.mark.parametrize("n,values", [(3, 37), (4, 65)])
+    def test_stack_is_one_call_on_all_offsets(self, n, values):
+        calls = []
+
+        def fn(y):
+            calls.append(y.shape)
+            return self.smooth(y)
+
+        xs = np.random.default_rng(51).uniform(-1.0, 1.0, size=(5, n))
+        got = central_hessian(fn, xs, 1e-3 * (1.0 + np.arange(5.0)))
+        assert calls == [(5, values, n)]
+        assert got.shape == (n, n, 5)
+
+    def test_single_point_calls_once_per_offset(self):
+        calls = []
+
+        def fn(y):
+            calls.append(y.shape)
+            return float(y @ y)
+
+        got = central_hessian(fn, np.array([0.3, -0.2, 0.9]), 1e-2)
+        assert calls == [(3,)] * 37
+        assert got.shape == (3, 3)
+
+    def test_stack_gives_the_per_point_hessians(self):
+        xs = np.random.default_rng(52).uniform(-1.0, 1.0, size=(4, 2, 3))
+        steps = 1e-3 * (1.0 + np.arange(8.0)).reshape(4, 2)
+        got = central_hessian(self.smooth, xs, steps)
+        assert got.shape == (3, 3, 4, 2)
+        for i in range(4):
+            for j in range(2):
+                want = central_hessian(self.smooth, xs[i, j], steps[i, j])
+                assert np.array_equal(got[:, :, i, j], want)
+
+    def test_exactly_symmetric(self):
+        xs = np.random.default_rng(53).uniform(-1.0, 1.0, size=(6, 4))
+        got = central_hessian(self.smooth, xs, 3e-3)
+        assert np.array_equal(got, got.swapaxes(0, 1))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_quadratic_is_exact(self, n):
+        rng = np.random.default_rng(54)
+        q = rng.normal(size=(n, n))
+        q = q + q.T
+        b = rng.normal(size=n)
+        xs = rng.uniform(-1.0, 1.0, size=(6, n))
+
+        def quadratic(y):
+            return np.einsum("...i,ij,...j->...", y, q, y) + y @ b + 5.0
+
+        got = central_hessian(quadratic, xs, 0.25)
+        assert np.allclose(np.moveaxis(got, -1, 0), 2.0 * q, rtol=0, atol=1e-11)
+        assert np.allclose(central_hessian(quadratic, xs[0], 0.25), 2.0 * q, rtol=0, atol=1e-11)
+
+    def test_quartic_is_exact_with_one_richardson_level(self):
+        # the h^2 error term of each stencil holds fourth derivatives, which
+        # are constant for a quartic and cancel in (4 fine - coarse) / 3
+        def quartic(y):
+            return y[0] ** 4 + 2.0 * y[1] ** 3 * y[2] - y[0] * y[2] ** 2 + (y[0] * y[1]) ** 2
+
+        x = np.array([0.9, -0.4, 1.3])
+        want = np.array([
+            [12.0 * x[0] ** 2 + 2.0 * x[1] ** 2, 4.0 * x[0] * x[1], -2.0 * x[2]],
+            [4.0 * x[0] * x[1], 12.0 * x[1] * x[2] + 2.0 * x[0] ** 2, 6.0 * x[1] ** 2],
+            [-2.0 * x[2], 6.0 * x[1] ** 2, -2.0 * x[0]],
+        ])
+        assert np.allclose(central_hessian(quartic, x, 0.1), want, rtol=0, atol=1e-10)
+
+    def test_vector_values_follow_the_hessian_axes(self):
+        # fn(y) = (y0 y1, y2^2): out[r, s, ..., c] = d^2 fn_c / d y^r d y^s
+        def pair(y):
+            return np.stack([y[..., 0] * y[..., 1], y[..., 2] ** 2], axis=-1)
+
+        xs = np.random.default_rng(55).uniform(-1.0, 1.0, size=(4, 3))
+        got = central_hessian(pair, xs, 0.1)
+        assert got.shape == (3, 3, 4, 2)
+        want = np.zeros((3, 3, 2))
+        want[0, 1, 0] = want[1, 0, 0] = 1.0
+        want[2, 2, 1] = 2.0
+        assert np.allclose(got, want[:, :, None, :], rtol=0, atol=1e-12)
+
+    def test_offsets_are_one_read_only_table_per_dimension(self):
+        table = _hessian_offsets(3)
+        assert table is _hessian_offsets(3) and not table.flags.writeable
+        assert table.shape == (18, 3) and _hessian_offsets(4).shape == (32, 4)
+        eye = np.eye(3)
+        assert np.array_equal(table[:6], np.stack([eye, -eye], axis=1).reshape(6, 3))
+        assert np.array_equal(table[6:10], [[1, 1, 0], [1, -1, 0], [-1, 1, 0], [-1, -1, 0]])
+        assert len(np.unique(table, axis=0)) == 18
 
 
 class TestUnitDirection:
