@@ -119,13 +119,10 @@ def fiber_hessian(fn: Callable[[Array], Array], v: Array) -> Array:
     The step is FD_STEP^(1/2) times each velocity's size, with one
     Richardson level (:func:`~normalshift.tensor_core.central_hessian`):
     ``fn`` is called once on the stack of all 1 + 4n^2 offsets when ``v``
-    is a stack (..., n), and once per offset at a single velocity.  A
-    stack's Hessians are laid out in C order, as a single one is, so that
-    products of each round as the single state's do.
+    is a stack (..., n), and once per offset at a single velocity.
     """
     H = central_hessian(fn, v, scaled_step(v, np.sqrt(FD_STEP)))
-    H = np.ascontiguousarray(np.moveaxis(H, (0, 1), (v.ndim - 1, v.ndim)))
-    return check_finite(H, "fiber Hessian")
+    return check_finite(np.moveaxis(H, (0, 1), (v.ndim - 1, v.ndim)), "fiber Hessian")
 
 
 def velocity_gradient(phi: ExtendedScalar, x: Array, v: Array) -> Array:

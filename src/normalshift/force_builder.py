@@ -187,15 +187,17 @@ def field_call(ff: ForceField, fn: Callable, m: MetricField) -> Callable:
     """``ff``'s closure ``fn`` as ``call(x, v, gmat)`` on a stack of states,
     once per stack when ``ff`` is ``stacked``, else once per state, handed
     ``gmat``, the metric at ``x``, and the velocities ``v``
-    (:func:`~normalshift.tensor_core.handing`).  Called once per state,
-    through :func:`~normalshift.tensor_core.by_rows`, ``fn`` gets the rows
-    of read-only copies of ``x`` and ``v``, and its metric and its speed
-    at its own rows are read by index; so is a nested point closure's,
-    such as the bump of :func:`perturbed_field`, that ``by_rows`` calls
-    on the ``x`` and ``v`` that a ``stacked`` ``fn`` was given."""
+    (:func:`~normalshift.tensor_core.handing`).  ``fn`` gets read-only
+    copies of ``x`` and ``v``, so writing into them raises ``ValueError``,
+    and its metric there reads ``gmat``.  Called once per state, through
+    :func:`~normalshift.tensor_core.by_rows`, it gets their rows, and its
+    metric and its speed at its own rows are read by index; so is a nested
+    point closure's, such as the bump of :func:`perturbed_field`, that
+    ``by_rows`` calls on the ``x`` and ``v`` that a ``stacked`` ``fn`` was
+    given."""
 
     def call(x, v, gmat):
-        with handing(m, x, gmat, v):
+        with handing(m, x, gmat, v) as (x, v):
             return fn(m, x, v) if ff.stacked else by_rows(lambda xi, vi: fn(m, xi, vi), x, v)
 
     return call
@@ -284,14 +286,15 @@ def force_from_A(A: ExtendedScalar, m: MetricField, x: Array, v: Array) -> Array
     """Scalar-ansatz force: F_k = A N_k - |v| sum_i (dA/dv^i) P^i_k.
 
     The metric is taken once at ``x`` and handed to A's closures
-    (:func:`~normalshift.tensor_core.handing`), so a scalar that reads it,
-    as :func:`ansatz_scalar` and ``lift_isotropic`` do, costs no more.
+    (:func:`~normalshift.tensor_core.handing`), which are called on its
+    read-only copy of ``x``, so a scalar that reads the metric there, as
+    :func:`ansatz_scalar` and ``lift_isotropic`` do, costs no more.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     gmat = metric_at(m, x)
     pr = direction_from(gmat, x, v)
-    with handing(m, x, gmat):
+    with handing(m, x, gmat) as (x, _):
         grad = velocity_gradient(A, x, v)
         value = float(A.eval(x, v))
     return value * pr.N_down - pr.speed * (grad @ pr.P)
@@ -833,11 +836,10 @@ def perturbed_field(
     fields admitting the normal shift.  It is ``stacked`` when ``base`` is;
     ``bump`` takes one state and is called once per state of a stack,
     through :func:`~normalshift.tensor_core.by_rows`, on read-only rows of
-    the states that :func:`field_call` hands.  Its metric there reads the
-    handed values, at its own row by index and at a copy of it through the
-    handoff's map; its ``speed_at`` at its own two rows reads the handed
-    states' speeds by index, and at a copy of either row takes the
-    product itself.
+    the states that :func:`field_call` hands.  Its metric at its own row
+    reads the handed values by index, and its ``speed_at`` at its own two
+    rows the handed states' speeds; at a copy of either row, both are
+    evaluated afresh, to the same bits.
     """
 
     def eval_(m, x, v):

@@ -303,8 +303,10 @@ def _eq124(H: Array, pr, ginv: Array) -> Tuple[Array, Array]:
     for a Hessian differenced from the scalar
     (:func:`~normalshift.extended_fields.fiber_hessian`), and differs from
     it by the differencing error where an analytic gradient is differenced
-    once more or an analytic Hessian rounds asymmetrically."""
-    H = check_finite(0.5 * (H + _T(H)), "ansatz scalar fiber Hessian")
+    once more or an analytic Hessian rounds asymmetrically.  It is laid out
+    in C order, whatever the layout of ``H``: the products below round a
+    stack's states as they round a single one only in that order."""
+    H = check_finite(0.5 * np.add(H, _T(H), order="C"), "ansatz scalar fiber Hessian")
     p_up = ginv - outer(pr.N_up, pr.N_up)
     lam = np.einsum("...rs,...rs->...", p_up, H) / (ginv.shape[-1] - 1)
     return _T(pr.P) @ H @ p_up - per_state(lam, 2) * _T(pr.P), lam
@@ -318,13 +320,14 @@ def residual_eq124(
     Returns the matrix sum_rs P^r_sigma (d2A/dv^r dv^s) P^{s eps}
     - lambda P^eps_sigma together with lambda itself, the projected trace
     divided by n - 1.  The metric is taken once at ``x`` and handed to
-    A's closures (:func:`~normalshift.tensor_core.handing`), which the
-    finite-difference Hessian calls at every velocity offset.
+    A's closures (:func:`~normalshift.tensor_core.handing`), which are
+    called on its read-only copy of ``x``, at every velocity offset of the
+    finite-difference Hessian.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     gmat = metric_at(m, x)
-    with handing(m, x, gmat):
+    with handing(m, x, gmat) as (x, _):
         if mode == "analytic":
             H = velocity_hessian(A, x, v)
         else:

@@ -516,7 +516,7 @@ def run_shift(
     """Integrate the trajectory family of a shift and assemble deviations.
 
     Initial conditions follow the orthogonal-start rule x = chart(u),
-    v = nu(u) n(u), with nu from the family solve of :func:`solve_nu`
+    v = nu(u) n(u), with nu from the family solve of :func:`_family_nu`
     unless ``force_constant_nu`` pins nu = nu0 everywhere (the negative
     control), and the normals n(u) from one stacked computation whose
     metric serves the first step.  A failed solve names the first failing

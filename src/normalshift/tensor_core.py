@@ -20,12 +20,12 @@ closures called once per stack, and only ever on a stack: a single point
 reaches them as a one-row stack; its optional ``terms`` gives g and its
 derivatives from one call, for a flow stage (:func:`stage_metric`).  Any
 other metric's closures are called once per point.  No metric value is
-kept: the states handed to a user closure carry their metric, and a
-force field's its velocities, for that one call (:func:`handing`).  A
-point closure called on them through :func:`by_rows` gets read-only rows
-and reads its own row's metric by index, and its own row's speed too,
-from speeds taken for the whole stack on the first request.  Index
-conventions, on the trailing axes:
+kept: a user closure is called on read-only copies of its states, which
+carry their metric, and a force field's its velocities, for that one
+call (:func:`handing`).  A point closure called on them through
+:func:`by_rows` reads its own row's metric by index, and its own row's
+speed too, from speeds taken for the whole stack on the first request.
+Index conventions, on the trailing axes:
 
 * ``gamma[k, i, j]`` holds the connection component with upper index k and
   lower indices (i, j).
@@ -143,40 +143,45 @@ class Projector:
 
 
 # What :func:`handing` hands over, in the slots of this list: [0] the
-# metric, [1] a read-only copy of the positions (k, n), [2] their read-only
-# values (k, n, n), [3] a map from position bytes to row, built by the first
-# lookup that misses the current row; the current row, while :func:`by_rows`
-# passes the handed states to its closure: [4] the position row, [5] its
-# index and [6] the velocity row, or None when the velocities passed are not
-# the handed ones; [7] the positions and [8] the velocities as they were
-# handed, and built on first need, [9] a read-only copy of the velocities
-# (k, n) and [10] their speeds, Python floats.
-_handed: list = [None] * 11
+# metric, [1] a read-only copy of the positions, [2] their read-only values
+# (k, n, n), [3] a read-only copy of the velocities, or None; the current
+# row, while :func:`by_rows` passes the handed states to its closure: [4]
+# the position row, [5] its index and [6] the velocity row, or None when
+# the velocities passed are not the handed ones; [7] the speeds of the
+# handed states, Python floats, taken on first need.
+_handed: list = [None] * 8
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A float copy of ``a`` that may not be written."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 @contextmanager
 def handing(m: MetricField, x: np.ndarray, gmat: np.ndarray, v: Optional[np.ndarray] = None):
     """Hand ``gmat``, the checked metric of ``m`` at ``x`` (..., n), to the
     closure called in the ``with`` block, with ``v``, the velocities at
-    ``x`` of ``x``'s shape, when given: its :func:`metric_at` at ``x``, or
-    at a point of ``x``, reads these values.  A point closure that
-    :func:`by_rows` calls on ``x`` itself, the very object handed, gets
-    the rows of a read-only copy of ``x``, and its metric at its own row
-    is read by index, with no lookup.  Called on ``x`` and ``v`` together,
-    both the very objects handed, it also gets the rows of a read-only
-    copy of ``v``, and its :func:`speed_at` at its own two rows is read by
-    index from the speeds of all the handed states, taken together on the
-    first such call.  Neither that copy nor those speeds are made for a
-    closure that never asks for them.  The previous handoff, its current
-    row included, comes back on exit, also when the closure raises."""
+    ``x`` of ``x``'s shape, when given.  It yields read-only copies of
+    ``x`` and ``v`` (None when ``v`` is not given), on which the closure
+    is to be called: :func:`metric_at` at that very copy reads the handed
+    values.  A point closure that :func:`by_rows` calls on it gets its
+    read-only rows, and its metric at its own row is read by index; called
+    on the velocity copy too, it gets that copy's rows, and its
+    :func:`speed_at` at its own two rows is read by index from the speeds
+    of all the handed states, taken together on the first such call.  Any
+    other array, equal in value or not, is evaluated afresh.  The previous
+    handoff, its current row included, comes back on exit, also when the
+    closure raises."""
+    positions = _read_only(x)
+    velocities = None if v is None else _read_only(v)
     values = np.reshape(gmat, (-1, m.dim, m.dim))
     values.setflags(write=False)
-    positions = np.array(x, dtype=float).reshape(-1, m.dim)
-    positions.setflags(write=False)
     previous = _handed[:]
-    _handed[:] = [m, positions, values, None, None, None, None, x, v, None, None]
+    _handed[:] = [m, positions, values, velocities, None, None, None, None]
     try:
-        yield
+        yield positions, velocities
     finally:
         _handed[:] = previous
 
@@ -190,15 +195,12 @@ def by_rows(fn: Callable, x: np.ndarray, *more) -> np.ndarray:
     is, and so is each of ``more`` with it.  The values come back as one
     float array with the leading axes in front.  This is the one adapter
     through which a closure that takes only one point meets a stack.
-    When ``x`` is the very stack the active handoff was given
-    (:func:`handing`), ``fn`` gets the rows of the handoff's read-only
-    copy, and the row being called is the handoff's current row, so the
-    closure's :func:`metric_at` there is one index; when the first of
-    ``more`` is the very velocity stack handed with it, ``fn`` gets the
-    rows of a read-only copy of that too, each the current velocity row
-    beside its position, so the closure's :func:`speed_at` at the two is
-    one index.  The current row is put back as it was when the calls end
-    or raise.  Any other stack, equal in value or not, is passed as it is.
+    When ``x`` is the handed positions (:func:`handing`), the row being
+    called is the handoff's current row, so the closure's
+    :func:`metric_at` there is one index; when the first of ``more`` is
+    the handed velocities, each of its rows is current beside its
+    position, so the closure's :func:`speed_at` at the two is one index.
+    The current row is put back as it was when the calls end or raise.
     """
     lead = x.shape[:-1]
     if not lead:
@@ -210,33 +212,20 @@ def by_rows(fn: Callable, x: np.ndarray, *more) -> np.ndarray:
         arr = np.asarray(arr, dtype=float)
         flat = arr.reshape((-1,) + arr.shape[len(lead):])
         rows.append(flat.tolist() if flat.ndim == 1 else flat)
-    if x is _handed[7]:
-        rows[0] = _handed[1]
-        if more and more[0] is _handed[8]:
-            rows[1] = _handed_velocities()
-        values = _handed_rows(fn, rows)
+    if x is _handed[1]:
+        values = _handed_rows(fn, rows, bool(more) and more[0] is _handed[3])
     else:
         values = [fn(*args) for args in zip(*rows)]
     values = np.array(values, dtype=float)
     return values.reshape(lead + values.shape[1:])
 
 
-def _handed_velocities() -> np.ndarray:
-    """The read-only copy (k, n) of the handed velocities, made on first need."""
-    if _handed[9] is None:
-        velocities = np.array(_handed[8], dtype=float).reshape(_handed[1].shape)
-        velocities.setflags(write=False)
-        _handed[9] = velocities
-    return _handed[9]
-
-
-def _handed_rows(fn: Callable, rows: list) -> list:
-    """``fn`` on each state of ``rows``, whose first entry is the handed
-    positions, with each row the handoff's current row while it is called;
-    its velocity row is current too when the second entry of ``rows`` is
-    the handed velocities' copy."""
+def _handed_rows(fn: Callable, rows: list, with_v: bool) -> list:
+    """``fn`` on each state of ``rows``, the rows of the handed positions
+    first, with each row the handoff's current row while it is called; its
+    velocity row is current too ``with_v``, when the second entry of
+    ``rows`` holds the rows of the handed velocities."""
     previous = _handed[4:7]
-    with_v = len(rows) > 1 and rows[1] is _handed[9]
     values = []
     try:
         for i, args in enumerate(zip(*rows)):
@@ -423,26 +412,17 @@ def metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
     larger raises :class:`AsymmetricMetric`.  Positive-definiteness is
     checked by attempting a Cholesky factorization, and for a ``diagonal``
     metric by the sign of each entry, which must also be finite; the
-    matrix is then built from the entries.  Inside a closure
-    handed the metric at ``x``, or at a stack that holds the point ``x``
-    (:func:`handing`), the handed values are returned, read-only: at the
-    current row of :func:`by_rows` by its index, at any other point of
-    the stack through a map from position bytes to row, built on the
-    first such miss.
+    matrix is then built from the entries.  Inside a closure handed the
+    metric (:func:`handing`), the handed values are returned, read-only,
+    at two objects only: the handed positions themselves, and the current
+    row of :func:`by_rows`, by its index.
     """
-    handed = _handed[0] is m
-    if handed and x is _handed[4] and x is not None:
-        return _handed[2][_handed[5]]
+    if _handed[0] is m:
+        if x is _handed[1]:
+            return _handed[2].reshape(x.shape[:-1] + (m.dim, m.dim))
+        if x is _handed[4] and x is not None:
+            return _handed[2][_handed[5]]
     x = np.ascontiguousarray(x, dtype=float)
-    if handed and x.ndim == 1:
-        rows = _handed[3]
-        if rows is None:
-            rows = _handed[3] = {p.tobytes(): i for i, p in enumerate(_handed[1])}
-        i = rows.get(x.tobytes())
-        if i is not None:
-            return _handed[2][i]
-    elif handed and np.array_equal(_handed[1], x.reshape(-1, m.dim)):
-        return _handed[2].reshape(x.shape[:-1] + (m.dim, m.dim))
     if m.diagonal:
         return _checked_diagonal(_closure_values(m.g, x, (m.dim,), "metric", m.stacked), x)
     return _checked_metric(_closure_values(m.g, x, (m.dim, m.dim), "metric", m.stacked), x)
@@ -729,9 +709,9 @@ def speed_at(m: MetricField, x: np.ndarray, v: np.ndarray):
     (:func:`metric_at`) and its own product.
     """
     if _handed[6] is not None and v is _handed[6] and x is _handed[4] and _handed[0] is m:
-        speeds = _handed[10]
+        speeds = _handed[7]
         if speeds is None:
-            speeds = _handed[10] = speed_from(_handed[2], _handed[9]).tolist()
+            speeds = _handed[7] = speed_from(_handed[2], _handed[3].reshape(-1, m.dim)).tolist()
         return speeds[_handed[5]]
     gmat = metric_at(m, x)
     v = np.asarray(v, dtype=float)

@@ -1,4 +1,7 @@
-"""Terminal summary for the acceptance battery.
+"""Guards shared by every test, and a terminal summary for the acceptance battery.
+
+Each test must leave the metric handoff (``tensor_core._handed``) empty:
+nothing handed to a closure outlives its call.
 
 The tests in test_acceptance.py are numbered criteria; after a run this
 hook prints one PASS/FAIL line per criterion, with the duration of the
@@ -8,6 +11,9 @@ glance regardless of verbosity settings.
 """
 
 import re
+import sys
+
+import pytest
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
 
@@ -35,3 +41,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(
             f"criterion {int(number):2d} ({slug}): {verdict} {seconds:.2f} s"
         )
+
+
+@pytest.fixture(autouse=True)
+def nothing_handed_outlives_a_test():
+    yield
+    # a test that never imported the library cannot have handed anything
+    core = sys.modules.get("normalshift.tensor_core")
+    leftover = [i for i, slot in enumerate(core._handed) if slot is not None] if core else []
+    assert not leftover, f"handoff slots {leftover} still set after the test"

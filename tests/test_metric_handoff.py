@@ -149,15 +149,20 @@ class TestHandoff:
         x = np.array([[0.3, 0.4, 0.5], [0.6, 0.7, 0.8]])
         gmat = metric_at(m, x)
         calls.clear()
-        with handing(m, x, gmat):
-            assert metric_at(m, x) is not gmat
-            assert np.array_equal(metric_at(m, x), gmat)
-            assert np.array_equal(metric_at(m, x[1]), gmat[1])
+        with handing(m, x, gmat) as (handed, velocities):
+            assert velocities is None
+            assert handed is not x and np.array_equal(handed, x) and not handed.flags.writeable
+            assert metric_at(m, handed) is not gmat
+            assert np.array_equal(metric_at(m, handed), gmat)
             assert not calls
-            metric_at(m, x + 1.0)  # not handed: evaluated
-            assert len(calls) == 2
-        metric_at(m, x[1])
-        assert len(calls) == 3
+            # any other object is evaluated afresh, to the same bits: a
+            # point of the copy, and the caller's equal array
+            assert np.array_equal(metric_at(m, handed[1]), gmat[1])
+            assert len(calls) == 1
+            assert np.array_equal(metric_at(m, x), gmat)
+            assert len(calls) == 3
+        metric_at(m, handed)
+        assert len(calls) == 5
 
     def test_inner_handoff_gives_way_to_the_outer_on_exit(self):
         calls = []
@@ -165,14 +170,16 @@ class TestHandoff:
         x, y = np.array([[0.3, 0.4, 0.5]]), np.array([[0.6, 0.7, 0.8]])
         gx, gy = metric_at(m, x), metric_at(m, y)
         calls.clear()
-        with handing(m, x, gx):
+        with handing(m, x, gx) as (hx, _):
             with pytest.raises(ValueError, match="inner"):
-                with handing(m, y, gy):
-                    assert np.array_equal(metric_at(m, y[0]), gy[0]) and not calls
+                with handing(m, y, gy) as (hy, _):
+                    assert np.array_equal(metric_at(m, hy), gy) and not calls
+                    metric_at(m, hx)  # the outer copy is not handed here
+                    assert len(calls) == 1
                     raise ValueError("inner")
-            assert np.array_equal(metric_at(m, x[0]), gx[0]) and not calls
-            metric_at(m, y[0])
-            assert len(calls) == 1
+            assert np.array_equal(metric_at(m, hx), gx) and len(calls) == 1
+            metric_at(m, hy)
+            assert len(calls) == 2
 
     def test_pointwise_field_reading_speed_costs_no_g_call_beyond_the_stages(self):
         # a user field of one state, stepped as a one-row stack: the four
@@ -335,23 +342,23 @@ def counted_speed_from():
 
 class TestRowHandoff:
     """A point closure that ``by_rows`` calls on the handed states reads its
-    own row's metric by index; any other point of the stack still reads the
-    handed values, through the map, and nothing is left behind."""
+    own row's metric by index; any other point of the stack is evaluated
+    afresh, to the same bits, and nothing is left behind."""
 
     @staticmethod
     def no_handoff():
         return all(entry is None for entry in tensor_core._handed)
 
     @pytest.mark.parametrize("base_stacked", [True, False])
-    def test_bump_over_an_offset_stack_reads_its_rows_with_no_map(self, base_stacked):
+    def test_bump_over_an_offset_stack_reads_its_rows_by_index(self, base_stacked):
         calls = []
         m = counted_metric(calls)
         u, at, g = offset_stack(m)
-        maps = []
+        rows = []
 
         def bump(m_, xi, vi):
-            maps.append(tensor_core._handed[3])
-            assert vi is tensor_core._handed[6]
+            rows.append(tensor_core._handed[5])
+            assert xi is tensor_core._handed[4] and vi is tensor_core._handed[6]
             return speed_at(m_, xi, vi) * xi[1]
 
         base = (as_force_field(metrizable()) if base_stacked
@@ -362,13 +369,14 @@ class TestRowHandoff:
             out = field_call(field, field.eval, m)(at, u, g)
         # the handed speeds, once, beside whatever the base takes on its own
         assert not calls and speeds_taken.count((3600, 3)) == 1
-        assert len(maps) == 3600 and all(entry is None for entry in maps)
+        assert rows == list(range(3600))
         assert self.no_handoff()
+        # at a copy of its row, the bump's metric is evaluated afresh, to the same bits
         copied = perturbed_field(base, 0, lambda m_, xi, vi: speed_at(m_, xi.copy(), vi) * xi[1])
         assert np.array_equal(out, field_call(copied, copied.eval, m)(at, u, g))
-        assert not calls
+        assert len(calls) == 3600
 
-    def test_a_copy_of_the_row_reads_the_handed_values(self):
+    def test_a_copy_of_the_row_is_evaluated_afresh_to_the_same_bits(self):
         calls = []
         m = counted_metric(calls)
         u, at, g = offset_stack(m)
@@ -380,25 +388,26 @@ class TestRowHandoff:
             return np.zeros(3)
 
         field_call(ForceField(eval=user), user, m)(at, u, g)
-        assert not calls and len(seen) == 3600
+        assert len(calls) == 3600 and len(seen) == 3600
         assert np.array_equal(np.array(seen), g.reshape(-1, 3, 3))
-        assert tensor_core._handed[3] is None
+        assert self.no_handoff()
 
-    def test_another_rows_position_reads_that_rows_values(self):
+    def test_another_rows_position_is_evaluated_afresh_to_that_rows_bits(self):
         calls = []
         m = counted_metric(calls)
         u, at, g = offset_stack(m, count=4, offsets=(3,))
-        flat, k = at.reshape(-1, 3), 12
+        k = 12
         calls.clear()
         seen = []
 
         def user(m_, xi, vi):
             j = len(seen)
-            seen.append((metric_at(m_, xi), metric_at(m_, flat[k - 1 - j])))
+            other = tensor_core._handed[1].reshape(-1, 3)[k - 1 - j]  # a view of the handed copy
+            seen.append((metric_at(m_, xi), metric_at(m_, other)))
             return np.zeros(3)
 
         field_call(ForceField(eval=user), user, m)(at, u, g)
-        assert not calls
+        assert len(calls) == k
         values = g.reshape(-1, 3, 3)
         for j, (own, other) in enumerate(seen):
             assert np.array_equal(own, values[j]) and np.array_equal(other, values[k - 1 - j])
@@ -465,13 +474,39 @@ class TestRowHandoff:
                 raise ArithmeticError("row 3")
             return 0.0
 
-        with handing(m, x, gmat, v):
+        with handing(m, x, gmat, v) as (x, v):
             with pytest.raises(ArithmeticError, match="row 3"):
                 by_rows(user, x, v)
             assert tensor_core._handed[4:7] == [None, None, None]
+            assert not calls
+            # with no current row, row 3 is evaluated afresh, to the same bits
             assert np.array_equal(metric_at(m, x[3]), gmat[3])
+            assert len(calls) == 1
             assert speed_at(m, x[3], v[3]) == speed_at(m, x[3].copy(), v[3].copy())
-        assert not calls and self.no_handoff()
+        assert len(calls) == 3 and self.no_handoff()
+
+
+@pytest.mark.parametrize("target", ["x", "v"])
+def test_a_stacked_field_that_writes_into_its_states_raises_and_changes_nothing(target):
+    # a stacked closure gets read-only copies of its states, as a point
+    # closure gets read-only rows
+    m = wavy_conformal_metric()
+
+    def writing(m_, x, v):
+        (x if target == "x" else v)[..., 0] += 100.0
+        return np.zeros(x.shape)
+
+    field = ForceField(eval=writing, stacked=True)
+    st = PhaseState(x=np.array([0.3, 0.2, 0.1]), v=np.array([0.5, -0.2, 0.4]), t=0.0)
+    with pytest.raises(ValueError, match="read-only"):
+        step_trajectory(field, m, st, 1e-3)
+    assert st.x.tolist() == [0.3, 0.2, 0.1] and st.v.tolist() == [0.5, -0.2, 0.4]
+    x = np.array([[0.3, 0.4, 0.5], [0.6, 0.7, 0.8]])
+    v = np.array([[0.5, -0.2, 0.4], [0.1, 0.9, -0.3]])
+    before = x.copy(), v.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        field_call(field, field.eval, m)(x, v, metric_at(m, x))
+    assert np.array_equal(x, before[0]) and np.array_equal(v, before[1])
 
 
 def full_metric(n):
@@ -526,7 +561,7 @@ class TestSpeedHandoff:
 
         def user(m_, xi, vi):
             pairs.append((speed_at(m_, xi, vi.copy()), speed_at(m_, xi.copy(), vi)))
-            assert tensor_core._handed[10] is None
+            assert tensor_core._handed[7] is None
             return np.zeros(3)
 
         with counted_speed_from() as speeds_taken:
@@ -562,32 +597,35 @@ class TestSpeedHandoff:
             seen.append((wi, tensor_core._handed[6]))
             return speed_at(m, xi, wi)
 
-        with handing(m, x, metric_at(m, x), v):
+        with handing(m, x, metric_at(m, x), v) as (x, _):
             speeds = by_rows(user, x, w)
-            assert tensor_core._handed[10] is None
+            assert tensor_core._handed[7] is None
         assert all(np.shares_memory(wi, w) and row is None for wi, row in seen)
         assert np.signbit(seen[0][0][0])
         assert np.array_equal(speeds, [speed_at(m, xi, vi) for xi, vi in zip(x, v)])
 
     def test_speeds_are_taken_only_when_a_closure_asks(self):
+        # the velocities are copied with the positions, eagerly; their
+        # speeds are taken only for a closure that asks
         m = wavy_conformal_metric()
         u, at, g = offset_stack(m, count=4, offsets=(3,))
-        copies = []
+        handed = []
 
         def silent(m_, xi, vi):
-            copies.append(tensor_core._handed[9])
+            handed.append(tensor_core._handed[7])
             return np.zeros(3)
 
         def stacked(m_, x, v):
-            copies.append(tensor_core._handed[9])
+            assert v is tensor_core._handed[3] and not v.flags.writeable
+            handed.append(tensor_core._handed[7])
             return np.zeros(x.shape)
 
         asking, seen = speed_field()
         with counted_speed_from() as speeds_taken:
             field_call(ForceField(eval=silent), silent, m)(at, u, g)
-            assert speeds_taken == [] and copies[-1] is not None
             field_call(ForceField(eval=stacked, stacked=True), stacked, m)(at, u, g)
-            assert speeds_taken == [] and copies[-1] is None
+            assert speeds_taken == [] and len(handed) == 13
+            assert all(speeds is None for speeds in handed)
             for _ in range(2):
                 field_call(asking, asking.eval, m)(at, u, g)
         assert speeds_taken == [(12, 3)] * 2 and len(seen) == 24
@@ -597,9 +635,10 @@ class TestSpeedHandoff:
 @pytest.mark.parametrize("metric", [euclidean_metric, wavy_conformal_metric],
                          ids=["euclidean", "wavy-conformal"])
 @pytest.mark.parametrize("mode", ["analytic", "finite-diff"])
-def test_perturbed_control_is_bit_identical_on_the_row_and_the_map_path(metric, mode):
-    # the row path and the map path read the same handed values, so the
-    # control's residual table and lambda samples agree bit for bit
+def test_perturbed_control_is_bit_identical_on_the_row_and_the_fresh_path(metric, mode):
+    # the row path reads the handed values, and the fresh path takes the
+    # same values again, so the control's residual table and lambda samples
+    # agree bit for bit
     m = metric()
     states, gmat = _sampled(SampleSpec(box=BOX, count=20, seed=5, mode=mode), m)
     base = as_force_field(metrizable())
@@ -608,6 +647,6 @@ def test_perturbed_control_is_bit_identical_on_the_row_and_the_map_path(metric, 
         for bump in (lambda m_, x, v: speed_at(m_, x, v) * x[1],
                      lambda m_, x, v: speed_at(m_, x.copy(), v) * x[1])
     ]
-    (rows, lam), (map_rows, map_lam) = tables
-    assert np.array_equal(rows, map_rows) and np.array_equal(lam, map_lam)
+    (rows, lam), (fresh_rows, fresh_lam) = tables
+    assert np.array_equal(rows, fresh_rows) and np.array_equal(lam, fresh_lam)
     assert rows[:, 0].max() > 1e-3  # the bump violates the equations

@@ -8,7 +8,7 @@ from scipy.special import ndtri
 
 from normalshift import normality_verifier
 from normalshift.errors import DegenerateWv, EvaluationFailure
-from normalshift.extended_fields import ExtendedScalar, IsotropicScalar
+from normalshift.extended_fields import ExtendedScalar, IsotropicScalar, fiber_hessian
 from normalshift.force_builder import (
     AnsatzField,
     ForceField,
@@ -417,6 +417,28 @@ class TestProjectedHessian:
             v = random_velocity(rng, m, x)
             res, _ = residual_eq124(A, m, x, v)
             assert np.max(np.abs(res)) < 1e-5
+
+
+def test_eq124_rounds_any_layout_of_H_as_a_single_state():
+    # the same fiber Hessians as a non-contiguous view, as their C-order
+    # copy and one state at a time give the same residuals and lambda bits
+    m = wavy_conformal_metric()
+    states = sample_states(SampleSpec(box=BOX, count=64, seed=21, mode="finite-diff"), m)
+    x, v = states[:, 0], states[:, 1]
+    gmat = metric_at(m, x)
+    pr, ginv = direction_from(gmat, x, v), inverse_metric_at(m, x)
+    q = np.random.default_rng(21).normal(size=3)
+    H = fiber_hessian(lambda u: np.sin(u @ q) + np.sum(u * u, axis=-1) ** 0.75, v)
+    view = np.moveaxis(np.ascontiguousarray(np.moveaxis(H, (1, 2), (0, 1))), (0, 1), (1, 2))
+    assert not view.flags.c_contiguous and np.array_equal(view, H)
+    res, lam = normality_verifier._eq124(view, pr, ginv)
+    res_c, lam_c = normality_verifier._eq124(np.ascontiguousarray(view), pr, ginv)
+    assert np.array_equal(res, res_c) and np.array_equal(lam, lam_c)
+    for i in range(len(x)):
+        one_res, one_lam = normality_verifier._eq124(
+            view[i], direction_from(gmat[i], x[i], v[i]), ginv[i]
+        )
+        assert np.array_equal(one_res, res[i]) and one_lam == lam[i]
 
 
 class TestReducedEquations:

@@ -23,6 +23,7 @@ from normalshift.tensor_core import (
     _multiply_back,
     _hessian_offsets,
     _reciprocal,
+    by_rows,
     central_hessian,
     central_partials,
     christoffel_at,
@@ -706,19 +707,28 @@ class TestStacks:
         assert metric_at(m, np.array([2.0, 0.0, 0.0]))[0, 0] == 5.0
 
     def test_handed_values_are_read_only(self):
-        # inside a handoff the stack and its points read the handed values,
-        # which may not be written; the caller's array stays writable, and
-        # so does a fresh evaluation
+        # inside a handoff the handed copy and its rows, as by_rows passes
+        # them, read the handed values, which may not be written, and the
+        # copy may not be written either; the caller's arrays stay
+        # writable, and so does a fresh evaluation
         m = MetricField(dim=3, g=lambda x: (1.0 + x[0] ** 2) * np.eye(3))
         x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         gmat = metric_at(m, x)
-        with handing(m, x, gmat):
-            for g in (metric_at(m, x), metric_at(m, x[1])):
-                with pytest.raises(ValueError):
-                    g[..., 0, 0] = 7.0
-            fresh = metric_at(m, 2.0 * x)
-            fresh[..., 0, 0] = 7.0
-        assert gmat.flags.writeable
+
+        def write(g):
+            g[..., 0, 0] = 7.0
+            return 0.0
+
+        with handing(m, x, gmat) as (handed, _):
+            with pytest.raises(ValueError):
+                write(metric_at(m, handed))
+            with pytest.raises(ValueError):
+                by_rows(lambda xi: write(metric_at(m, xi)), handed)
+            with pytest.raises(ValueError):
+                handed[1, 0] = 7.0
+            for fresh in (metric_at(m, 2.0 * x), metric_at(m, x), metric_at(m, handed[1])):
+                write(fresh)
+        assert gmat.flags.writeable and x.flags.writeable
         assert metric_at(m, x[1])[0, 0] == 2.0
         fresh = metric_at(m, x)
         fresh[..., 0, 0] = 7.0
@@ -828,7 +838,7 @@ class TestPointKernels:
         # negative square gives nan with numpy's warning, not an exception
         m = euclidean_metric()
         x, v = np.zeros(3), np.array([1.0, 0.0, 0.0])
-        with handing(m, x, -np.eye(3)), pytest.warns(RuntimeWarning, match="invalid value"):
+        with handing(m, x, -np.eye(3)) as (x, _), pytest.warns(RuntimeWarning, match="invalid value"):
             assert math.isnan(speed_at(m, x, v))
         assert math.isnan(speed_at(m, x, np.array([math.nan, 0.0, 0.0])))
 
