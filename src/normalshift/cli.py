@@ -357,6 +357,14 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         with _configuring("verify", {"count": "sample_count"}):
             verify_sec = SampleSpec(box=box, count=count, speed_range=speed_range, seed=seed,
                                     mode=verify_sec["mode"], tolerance=tolerance)
+        # the speed profile's quadrature is anchored on the generator's range only
+        if generator["kind"] == "nonmetrizable":
+            profile = generator["speed_range"]
+            if not profile[0] <= speed_range[0] <= speed_range[1] <= profile[1]:
+                raise ConfigError(
+                    f"verify.speed_range {list(speed_range)} must lie inside "
+                    f"generator.speed_range {list(profile)}"
+                )
 
     return Scenario(
         name=name,

@@ -11,9 +11,10 @@ Every function here returns raw residuals at a single phase-space point;
 ``verify`` samples a region quasi-randomly, normalizes by the local size
 of F and its derivatives so tolerances are scale-free, and aggregates
 sup-norms into a report.  The samples come from a scrambled Halton
-sequence built here in numpy (:func:`halton`, scipy's ``qmc.Halton`` bit
-for bit); only their normal directions load scipy (``scipy.special``'s
-``ndtri``), on the first call, so importing this module does not.
+sequence built here in numpy, every base in one pass (:func:`halton`,
+scipy's ``qmc.Halton`` bit for bit); only their normal directions load
+scipy (``scipy.special``'s ``ndtri``), on the first call, so importing
+this module does not, and it builds no Halton plan either.
 
 Index conventions for derivative matrices: Dv[r, k] = dF_k/dv^r and
 Dx[r, k] = covariant x^r-derivative of F_k, which subtracts both the
@@ -87,7 +88,8 @@ class SampleSpec:
     1e-5 for the latter; a given ``tolerance`` must be positive and finite.
     ``count`` must be a positive integer and ``seed`` a nonnegative one
     (not a bool), and ``box`` a list of finite [lo, hi] pairs with lo < hi,
-    one per coordinate, which :func:`verify` checks against the metric.
+    one per coordinate, which :func:`verify` checks against the metric;
+    ``speed_range`` is a finite (lo, hi) with 0 < lo <= hi.
     """
 
     box: Sequence[Sequence[float]]
@@ -113,8 +115,10 @@ class SampleSpec:
         if not (box[:, 0] < box[:, 1]).all():
             raise ValueError(f"box must have lo < hi in every pair, got {self.box!r}")
         lo, hi = self.speed_range
-        if not (0.0 < lo <= hi):
-            raise ValueError("speed_range must be positive and ordered")
+        if not (0.0 < lo <= hi < math.inf):
+            raise ValueError(
+                f"speed_range must be finite, positive and ordered, got {self.speed_range!r}"
+            )
         tol = self.tolerance
         if tol is not None and not (math.isfinite(tol) and tol > 0.0):
             raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
@@ -386,51 +390,86 @@ def _first_primes(d: int) -> list:
 
 
 @cache
-def _digit_tables(b: int) -> Tuple[Array, Array, Array, Array]:
-    """What the scrambled digits in base ``b`` need besides the seed and
-    the points, as read-only columns built once per base: the digit
-    positions j, the place values b^j, the scales b^-(j+1), and one
-    unshuffled row range(b) per position.
+def _digit_tables(d: int) -> tuple:
+    """The plan of :func:`halton` in ``d`` dimensions, built once per ``d``,
+    on first use; its tables are read-only.  Digit j of column k is in
+    base b, the k-th prime:
 
-    There are ceil(54 / log2 b) - 1 digits.  Each scale divides the one
-    before it by b, and the scaled digits are summed in turn, as scipy
-    forms them, so that every point rounds as scipy's does.
+    * ``blocks``: the (start, digits, b) of each column's block in one flat
+      table of permutations, which holds a row range(b) per digit and
+      ends in a padding slot;
+    * ``unshuffled`` and ``scale``: the flat table before the permutations
+      are drawn, and b^-(j+1) at the slots of digit j, 0 at the padding;
+    * ``tail``, (depth, d): the slot of value 0 of digit j of column k, and
+      the padding slot past a base's digits;
+    * ``places``: the place value b^j of every digit, ascending, and in
+      that order ``bases``, its base, and ``rows``, its row j * d + k in a
+      (depth * d, n) table.
+
+    Base b has ceil(54 / log2 b) - 1 digits, and the depth, 53, is that of
+    base 2.  Each scale divides the one before it by b, as scipy forms
+    them, so that every term rounds as scipy's does.
     """
-    count = math.ceil(54 / math.log2(b)) - 1
-    positions = np.arange(count)[:, None]
-    scale = np.empty((count, 1))
-    scale[0] = 1.0 / b
-    for j in range(1, count):
-        scale[j] = scale[j - 1] / b
-    tables = (positions, b**positions, scale, np.tile(np.arange(b), (count, 1)))
+    primes = _first_primes(d)
+    counts = [math.ceil(54 / math.log2(b)) - 1 for b in primes]
+    size = sum(c * b for b, c in zip(primes, counts))
+    unshuffled, scale = np.zeros(size + 1), np.zeros(size + 1)
+    tail = np.full((counts[0], d), size)
+    blocks, digits = [], []
+    start = 0
+    for k, (b, c) in enumerate(zip(primes, counts)):
+        blocks.append((start, c, b))
+        scales = np.empty(c)
+        scales[0] = 1.0 / b
+        for j in range(1, c):
+            scales[j] = scales[j - 1] / b
+        unshuffled[start : start + c * b] = np.tile(np.arange(b), c)
+        scale[start : start + c * b] = np.repeat(scales, b)
+        tail[:c, k] = start + b * np.arange(c)
+        digits += [(b**j, b, j * d + k) for j in range(c)]
+        start += c * b
+    tables = (unshuffled, scale, tail, *(np.array(column) for column in zip(*sorted(digits))))
     for table in tables:
         table.setflags(write=False)
-    return tables
+    return (tuple(blocks), *tables)
 
 
 def halton(d: int, n: int, seed: int) -> Array:
     """The first ``n`` points (n, d) of scipy's scrambled Halton sequence,
-    ``qmc.Halton(d, scramble=True, seed=seed).random(n)``, bit for bit.
+    ``qmc.Halton(d, scramble=True, seed=seed).random(n)``, bit for bit, as
+    a C-ordered array.
 
     Column j is the van der Corput sequence in the j-th prime base b,
     scrambled as Owen's algorithm does: each of its ceil(54 / log2 b) - 1
     digits passes through its own permutation of range(b), drawn in turn
     from ``np.random.default_rng(seed)``, and the scaled digits are summed
     in scipy's order, least significant first.
+
+    All bases go through one pass over the plan of :func:`_digit_tables`.
+    The permutations are drawn into one flat table and scaled there.  A
+    (depth, d, n) table of terms takes every digit's term at value 0 for
+    all points; the digits whose place value is below n, a prefix of the
+    plan's sorted digits, then take each point's own value in one gather.
+    A digit whose place value is at least n is 0 at every point, and a
+    padding row adds +0.0, which leaves a nonnegative sum as it is.
+    ``np.add.reduce`` over the table's outer axis adds its rows one by
+    one into the (d, n) sum, least significant first; the test against
+    ``qmc.Halton`` guards that order.
     """
+    blocks, unshuffled, scale, tail, places, bases, rows = _digit_tables(d)
     rng = np.random.default_rng(seed)
-    index = np.arange(n)
-    columns = []
-    for b in _first_primes(d):
-        positions, places, scale, rows = _digit_tables(b)
-        # the digits of index; those whose place value exceeds n - 1 are 0
-        digits = np.zeros((len(places), n), dtype=places.dtype)
-        nonzero = np.count_nonzero(places < n)
-        digits[:nonzero] = index // places[:nonzero] % b
-        perms = rng.permuted(rows, axis=1)
-        terms = perms[positions, digits] * scale
-        columns.append(np.cumsum(terms, axis=0)[-1])
-    return np.stack(columns, axis=1)
+    flat = unshuffled.copy()
+    for start, count, b in blocks:
+        block = flat[start : start + count * b].reshape(count, b)
+        rng.permuted(block, axis=1, out=block)
+    flat *= scale
+    terms = np.empty(tail.shape + (n,))
+    terms[...] = flat[tail][..., None]
+    varying = places.searchsorted(n)
+    value = np.arange(n) // places[:varying, None] % bases[:varying, None]
+    rows = rows[:varying]
+    terms.reshape(tail.size, n)[rows] = flat[tail.reshape(-1)[rows, None] + value]
+    return np.add.reduce(terms, axis=0).T.copy()
 
 
 def _sampled(spec: SampleSpec, m: MetricField) -> Tuple[Array, Array]:
@@ -516,7 +555,7 @@ def _residual_rows(
         H = fiber_hessian(A, v)
 
     def sup(r):
-        return np.max(np.abs(r), axis=tuple(range(1, r.ndim)))
+        return np.maximum.reduce(np.abs(r).reshape(len(r), -1), axis=1)
 
     scale = 1.0 + sup(F) + np.maximum(sup(Dv), sup(Dx))
     eq_res, lam = _eq124(H, pr, ginv)

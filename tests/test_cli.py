@@ -754,6 +754,13 @@ class TestRejectedInput:
             ("shift", {"surface.orientation": 0.5}, [], "surface.orientation"),
             ("shift", {"run.dt": -0.001}, [], "run.dt"),
             ("verify", {"verify.speed_range": [2.0, 0.5]}, [], "verify.speed_range"),
+            # verify samples the speed profile only where its quadrature is anchored
+            ("verify", {"generator": {"kind": "nonmetrizable", "f": "x1", "A": "v^3",
+                                      "speed_range": [0.05, 1.5]}}, [],
+             "verify.speed_range [0.5, 2.0] must lie inside generator.speed_range [0.05, 1.5]"),
+            ("shift", {"generator": {"kind": "nonmetrizable", "f": "x1", "A": "v^3"},
+                       "verify.speed_range": [0.01, 2.0]}, [],
+             "verify.speed_range [0.01, 2.0] must lie inside generator.speed_range [0.05, 5.0]"),
             ("verify", {"verify.tolerance": 0}, [], "verify.tolerance"),
             ("verify", {"verify.mode": "exact"}, [], "verify.mode"),
             ("verify", {"verify.box": [[1.0, 0.0]] * 3}, [], "verify.box must have lo < hi"),
@@ -775,8 +782,9 @@ class TestRejectedInput:
             "dim-2", "two-diagonal-entries", "surface-on-4d-metric", "sample-stride-0",
             "sample-count-0", "axis-3", "radius-0", "center-two-components",
             "base_u-three-components", "nu0-0", "orientation-half", "dt-negative",
-            "speed-range-reversed", "verify-tolerance-0", "mode-unknown", "verify-box-reversed",
-            "run-box-lo-not-below-hi",
+            "speed-range-reversed", "verify-speed-range-above-profile",
+            "verify-speed-range-below-profile", "verify-tolerance-0", "mode-unknown",
+            "verify-box-reversed", "run-box-lo-not-below-hi",
             "u_grid-three-ranges", "verify-dim-1e30", "shift-dim-1e30",
         ],
     )

@@ -108,6 +108,22 @@ print(json.dumps({"codes": codes, "before_verify": before_verify,
     assert not result["stats_after_verify"]
 
 
+def test_importing_the_verifier_builds_no_halton_plan(tmp_path):
+    result = run_cold(
+        """
+from normalshift import normality_verifier
+
+plans = normality_verifier._digit_tables.cache_info().currsize
+normality_verifier.halton(7, 50, 0)
+print(json.dumps({"at_import": plans,
+                  "after_halton": normality_verifier._digit_tables.cache_info().currsize}))
+""",
+        tmp_path,
+    )
+    # the plan is built on the first draw in its dimension, not at import
+    assert result == {"at_import": 0, "after_halton": 1}
+
+
 def in_process_table(monkeypatch, A) -> np.ndarray:
     """``builtin_nonmetrizable``'s anchor table for the profile A, built here."""
     tables, integrals = [], force_builder._segment_integrals

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -485,8 +486,15 @@ class TestReducedEquations:
         assert np.allclose(a_res, [1.0, 0.0, 0.0], atol=1e-9)
 
 
+# the counts where a digit of base 2, 3, 5 or 7 starts to vary: b^k - 1, b^k
+# and b^k + 1 for every power b^k up to 1,000
+BOUNDARY_COUNTS = sorted(
+    {b**k + e for b in (2, 3, 5, 7) for k in range(1, 10) if b**k <= 1000 for e in (-1, 0, 1)}
+)
+
+
 class TestSampling:
-    @pytest.mark.parametrize("d", [5, 7, 9, 11])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 9, 11])
     def test_halton_is_scipys_sequence_bit_for_bit(self, d):
         from scipy.stats import qmc
 
@@ -495,16 +503,38 @@ class TestSampling:
                 expected = qmc.Halton(d=d, scramble=True, seed=seed_).random(n)
                 assert np.array_equal(halton(d, n, seed_), expected), (d, seed_, n)
 
+    @pytest.mark.parametrize("d", [4, 7])
+    def test_halton_is_scipys_sequence_at_the_digit_boundaries(self, d):
+        from scipy.stats import qmc
+
+        for seed_ in (0, 21):
+            for n in BOUNDARY_COUNTS:
+                expected = qmc.Halton(d=d, scramble=True, seed=seed_).random(n)
+                assert np.array_equal(halton(d, n, seed_), expected), (d, seed_, n)
+
+    @pytest.mark.parametrize("d,n", [(1, 1), (7, 50), (7, 200), (3, 1000)])
+    def test_halton_is_a_c_ordered_n_by_d_array(self, d, n):
+        # a transposed view compares equal, but the sampled directions
+        # round differently in speed_from's products
+        points = halton(d, n, 3)
+        assert points.shape == (n, d) and points.flags.c_contiguous and points.flags.owndata
+
     def test_digit_tables_are_read_only_and_built_once(self):
-        # halton's per-base tables are shared by every call with that
-        # base, so none of them may be written
-        tables = normality_verifier._digit_tables(3)
-        assert normality_verifier._digit_tables(3) is tables
-        for table in tables:
+        # halton's plan is shared by every call in its dimension, so none
+        # of its tables may be written
+        plan = normality_verifier._digit_tables(3)
+        assert normality_verifier._digit_tables(3) is plan
+        for table in plan[1:]:
             with pytest.raises(ValueError):
-                table[0, 0] = 1
-        halton(7, 50, 5)
-        assert all(not t.flags.writeable for t in normality_verifier._digit_tables(3))
+                table.flat[0] = 1
+        first = halton(7, 50, 5)
+        plan = normality_verifier._digit_tables(7)
+        built = normality_verifier._digit_tables.cache_info().misses
+        # the first 50 points do not depend on how many are drawn
+        assert np.array_equal(halton(7, 200, 5)[:50], first)
+        assert normality_verifier._digit_tables.cache_info().misses == built
+        assert normality_verifier._digit_tables(7) is plan
+        assert all(not table.flags.writeable for table in plan[1:])
 
     def test_states_respect_box_and_speed_range(self):
         m = diagonal_metric()
@@ -606,9 +636,18 @@ class TestSampling:
         with pytest.raises(ValueError, match=r"^box must have lo < hi in every pair, got "):
             SampleSpec(box=box)
 
-    def test_unordered_speed_range_rejected(self):
-        with pytest.raises(ValueError, match="^speed_range must be positive and ordered$"):
-            SampleSpec(box=BOX, speed_range=(2.0, 1.0))
+    @pytest.mark.parametrize(
+        "speed_range",
+        [(2.0, 1.0), (0.0, 1.0), (0.5, math.inf), (math.nan, 2.0), (0.5, math.nan)],
+        ids=["reversed", "zero", "inf", "nan-lo", "nan-hi"],
+    )
+    def test_speed_range_must_be_finite_positive_and_ordered(self, speed_range):
+        with pytest.raises(
+            ValueError,
+            match=r"^speed_range must be finite, positive and ordered, got "
+            + re.escape(repr(speed_range)) + "$",
+        ):
+            SampleSpec(box=BOX, speed_range=speed_range)
 
     @pytest.mark.parametrize("tolerance", [-1.0, 0.0, math.nan, math.inf])
     def test_tolerance_must_be_positive_and_finite(self, tolerance):
