@@ -194,7 +194,7 @@ def field_call(ff: ForceField, fn: Callable, m: MetricField) -> Callable:
     metric and its speed at its own rows are read by index; so is a nested
     point closure's, such as the bump of :func:`perturbed_field`, that
     ``by_rows`` calls on the ``x`` and ``v`` that a ``stacked`` ``fn`` was
-    given."""
+    given.  The handoff is this call's own, seen by this thread alone."""
 
     def call(x, v, gmat):
         with handing(m, x, gmat, v) as (x, v):
@@ -838,8 +838,8 @@ def perturbed_field(
     through :func:`~normalshift.tensor_core.by_rows`, on read-only rows of
     the states that :func:`field_call` hands.  Its metric at its own row
     reads the handed values by index, and its ``speed_at`` at its own two
-    rows the handed states' speeds; at a copy of either row, both are
-    evaluated afresh, to the same bits.
+    rows the handed states' speeds; at a copy of either row, or in another
+    thread, both are evaluated afresh, to the same bits.
     """
 
     def eval_(m, x, v):

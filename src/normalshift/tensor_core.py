@@ -32,14 +32,15 @@ Index conventions, on the trailing axes:
 * ``dg(x)[m, i, j]`` holds the coordinate derivative of ``g_ij`` along
   ``x^m``.
 
-Apart from that handoff all functions are pure; the descriptor dataclasses
-are frozen.
+Apart from that handoff, one per call and seen only by its own thread,
+all functions are pure; the descriptor dataclasses are frozen.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Optional, Tuple, Union
@@ -142,14 +143,23 @@ class Projector:
         return identity(self.N_up.shape[-1]) - outer(self.N_up, self.N_down)
 
 
-# What :func:`handing` hands over, in the slots of this list: [0] the
-# metric, [1] a read-only copy of the positions, [2] their read-only values
-# (k, n, n), [3] a read-only copy of the velocities, or None; the current
-# row, while :func:`by_rows` passes the handed states to its closure: [4]
-# the position row, [5] its index and [6] the velocity row, or None when
-# the velocities passed are not the handed ones; [7] the speeds of the
-# handed states, Python floats, taken on first need.
-_handed: list = [None] * 8
+class _Handoff:
+    """What one :func:`handing` call hands over: the metric ``m``, read-only
+    copies ``x`` and ``v`` of the positions and velocities (or None), and
+    the positions' read-only values ``g`` (k, n, n); while :func:`by_rows`
+    passes them to its closure, the current position ``row``, its ``index``
+    and the velocity row ``v_row`` (None unless the handed velocities are
+    passed); and ``speeds``, Python floats, taken on first need."""
+
+    __slots__ = ("m", "x", "g", "v", "row", "index", "v_row", "speeds")
+
+    def __init__(self, m: MetricField, x: np.ndarray, g: np.ndarray, v: Optional[np.ndarray]):
+        self.m, self.x, self.g, self.v = m, x, g, v
+        self.row = self.index = self.v_row = self.speeds = None
+
+
+# The handoff of the innermost ``handing`` call; a new thread starts without one.
+_handoff: ContextVar[Optional[_Handoff]] = ContextVar("handoff", default=None)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -161,29 +171,28 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @contextmanager
 def handing(m: MetricField, x: np.ndarray, gmat: np.ndarray, v: Optional[np.ndarray] = None):
-    """Hand ``gmat``, the checked metric of ``m`` at ``x`` (..., n), to the
-    closure called in the ``with`` block, with ``v``, the velocities at
-    ``x`` of ``x``'s shape, when given.  It yields read-only copies of
-    ``x`` and ``v`` (None when ``v`` is not given), on which the closure
-    is to be called: :func:`metric_at` at that very copy reads the handed
-    values.  A point closure that :func:`by_rows` calls on it gets its
-    read-only rows, and its metric at its own row is read by index; called
-    on the velocity copy too, it gets that copy's rows, and its
-    :func:`speed_at` at its own two rows is read by index from the speeds
-    of all the handed states, taken together on the first such call.  Any
-    other array, equal in value or not, is evaluated afresh.  The previous
-    handoff, its current row included, comes back on exit, also when the
-    closure raises."""
+    """Hand ``gmat``, the checked metric of ``m`` at ``x`` (..., n), and ``v``,
+    the velocities at ``x`` when given, to the closure called in the
+    ``with`` block, in this thread alone.  It yields read-only copies of
+    ``x`` and ``v`` (or None), on which the closure is to be called:
+    :func:`metric_at` at that very copy reads the handed values.  A point
+    closure that :func:`by_rows` calls on it gets its read-only rows, and
+    its metric at its own row is read by index; called on the velocity
+    copy too, it gets that copy's rows, and its :func:`speed_at` at its
+    own two rows is read by index from the speeds of all the handed
+    states, taken together on the first such call.  Any other array, equal
+    in value or not, is evaluated afresh, as is every array in another
+    thread.  The previous handoff, its current row included, comes back
+    on exit, also when the closure raises."""
     positions = _read_only(x)
     velocities = None if v is None else _read_only(v)
     values = np.reshape(gmat, (-1, m.dim, m.dim))
     values.setflags(write=False)
-    previous = _handed[:]
-    _handed[:] = [m, positions, values, velocities, None, None, None, None]
+    token = _handoff.set(_Handoff(m, positions, values, velocities))
     try:
         yield positions, velocities
     finally:
-        _handed[:] = previous
+        _handoff.reset(token)
 
 
 def by_rows(fn: Callable, x: np.ndarray, *more) -> np.ndarray:
@@ -212,30 +221,20 @@ def by_rows(fn: Callable, x: np.ndarray, *more) -> np.ndarray:
         arr = np.asarray(arr, dtype=float)
         flat = arr.reshape((-1,) + arr.shape[len(lead):])
         rows.append(flat.tolist() if flat.ndim == 1 else flat)
-    if x is _handed[1]:
-        values = _handed_rows(fn, rows, bool(more) and more[0] is _handed[3])
-    else:
+    h = _handoff.get()
+    if h is None or x is not h.x:
         values = [fn(*args) for args in zip(*rows)]
+    else:
+        with_v = bool(more) and more[0] is h.v
+        previous, values = (h.row, h.index, h.v_row), []
+        try:
+            for i, args in enumerate(zip(*rows)):
+                h.row, h.index, h.v_row = args[0], i, args[1] if with_v else None
+                values.append(fn(*args))
+        finally:
+            h.row, h.index, h.v_row = previous
     values = np.array(values, dtype=float)
     return values.reshape(lead + values.shape[1:])
-
-
-def _handed_rows(fn: Callable, rows: list, with_v: bool) -> list:
-    """``fn`` on each state of ``rows``, the rows of the handed positions
-    first, with each row the handoff's current row while it is called; its
-    velocity row is current too ``with_v``, when the second entry of
-    ``rows`` holds the rows of the handed velocities."""
-    previous = _handed[4:7]
-    values = []
-    try:
-        for i, args in enumerate(zip(*rows)):
-            _handed[4] = args[0]
-            _handed[5] = i
-            _handed[6] = args[1] if with_v else None
-            values.append(fn(*args))
-    finally:
-        _handed[4:7] = previous
-    return values
 
 
 def _checked_value(value, x: np.ndarray, shape: tuple, what: str) -> np.ndarray:
@@ -413,15 +412,16 @@ def metric_at(m: MetricField, x: np.ndarray) -> np.ndarray:
     checked by attempting a Cholesky factorization, and for a ``diagonal``
     metric by the sign of each entry, which must also be finite; the
     matrix is then built from the entries.  Inside a closure handed the
-    metric (:func:`handing`), the handed values are returned, read-only,
-    at two objects only: the handed positions themselves, and the current
-    row of :func:`by_rows`, by its index.
+    metric in this thread (:func:`handing`), the handed values are
+    returned, read-only, at two objects only: the handed positions
+    themselves, and the current row of :func:`by_rows`, by its index.
     """
-    if _handed[0] is m:
-        if x is _handed[1]:
-            return _handed[2].reshape(x.shape[:-1] + (m.dim, m.dim))
-        if x is _handed[4] and x is not None:
-            return _handed[2][_handed[5]]
+    h = _handoff.get()
+    if h is not None and h.m is m:
+        if x is h.x:
+            return h.g.reshape(x.shape[:-1] + (m.dim, m.dim))
+        if h.row is not None and x is h.row:
+            return h.g[h.index]
     x = np.ascontiguousarray(x, dtype=float)
     if m.diagonal:
         return _checked_diagonal(_closure_values(m.g, x, (m.dim,), "metric", m.stacked), x)
@@ -704,15 +704,15 @@ def speed_at(m: MetricField, x: np.ndarray, v: np.ndarray):
     At the current position and velocity rows of :func:`by_rows` on states
     handed with their velocities (:func:`handing`), the very row objects,
     it is that row's entry of the handed states' speeds, which one
-    :func:`speed_from` takes on the first such call and the handoff keeps
-    until it ends.  Every other call takes the metric at ``x``
-    (:func:`metric_at`) and its own product.
+    :func:`speed_from` takes on the first such call of the handoff.
+    Every other call takes the metric at ``x`` (:func:`metric_at`) and
+    its own product.
     """
-    if _handed[6] is not None and v is _handed[6] and x is _handed[4] and _handed[0] is m:
-        speeds = _handed[7]
-        if speeds is None:
-            speeds = _handed[7] = speed_from(_handed[2], _handed[3].reshape(-1, m.dim)).tolist()
-        return speeds[_handed[5]]
+    h = _handoff.get()
+    if h is not None and h.v_row is not None and v is h.v_row and x is h.row and h.m is m:
+        if h.speeds is None:
+            h.speeds = speed_from(h.g, h.v.reshape(-1, m.dim)).tolist()
+        return h.speeds[h.index]
     gmat = metric_at(m, x)
     v = np.asarray(v, dtype=float)
     if v.ndim == 1 and gmat.ndim == 2:

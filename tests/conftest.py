@@ -1,7 +1,8 @@
 """Guards shared by every test, and a terminal summary for the acceptance battery.
 
-Each test must leave the metric handoff (``tensor_core._handed``) empty:
-nothing handed to a closure outlives its call.
+Each test must leave the metric handoff (the context variable
+``tensor_core._handoff``) unset: nothing handed to a closure outlives its
+call.
 
 The tests in test_acceptance.py are numbered criteria; after a run this
 hook prints one PASS/FAIL line per criterion, with the duration of the
@@ -48,5 +49,4 @@ def nothing_handed_outlives_a_test():
     yield
     # a test that never imported the library cannot have handed anything
     core = sys.modules.get("normalshift.tensor_core")
-    leftover = [i for i, slot in enumerate(core._handed) if slot is not None] if core else []
-    assert not leftover, f"handoff slots {leftover} still set after the test"
+    assert core is None or core._handoff.get() is None, "a handoff is still set after the test"

@@ -2,14 +2,18 @@
 
 The library hands the checked metric at a stack of states to a force
 field's closures for the length of one call (``field_call``, through
-``tensor_core.handing``); nothing else keeps metric values.  These tests
-pin both halves: a point-wise metric whose closure reads a parameter that
-changes is seen afresh after every kind of call, and the evaluators that
-need the metric at their states take it once per state.
+``tensor_core.handing``); nothing else keeps metric values.  Each call's
+handoff is one object with named fields in a context variable, which
+only the thread that set it sees.  These tests pin both halves: a
+point-wise metric whose closure reads a parameter that changes is seen
+afresh after every kind of call, and the evaluators that need the metric
+at their states take it once per state, each thread at its own.
 """
 
 import json
+import sys
 import tempfile
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -64,7 +68,7 @@ from normalshift.tensor_core import (
     unit_direction,
 )
 
-from helpers import euclidean_metric, wavy_conformal_metric
+from helpers import euclidean_metric, verify_cases, wavy_conformal_metric
 
 BOX = [[0.25, 1.25], [0.25, 1.25], [0.25, 1.25]]
 
@@ -77,6 +81,11 @@ def counted_metric(calls):
 
 def metrizable():
     return builtin_metrizable(coordinate_scalar(0), H=lambda w: w)
+
+
+def handed():
+    """The handoff of the innermost ``handing`` call in this thread, or None."""
+    return tensor_core._handoff.get()
 
 
 class TestNothingOutlivesACall:
@@ -345,10 +354,6 @@ class TestRowHandoff:
     own row's metric by index; any other point of the stack is evaluated
     afresh, to the same bits, and nothing is left behind."""
 
-    @staticmethod
-    def no_handoff():
-        return all(entry is None for entry in tensor_core._handed)
-
     @pytest.mark.parametrize("base_stacked", [True, False])
     def test_bump_over_an_offset_stack_reads_its_rows_by_index(self, base_stacked):
         calls = []
@@ -357,8 +362,8 @@ class TestRowHandoff:
         rows = []
 
         def bump(m_, xi, vi):
-            rows.append(tensor_core._handed[5])
-            assert xi is tensor_core._handed[4] and vi is tensor_core._handed[6]
+            rows.append(handed().index)
+            assert xi is handed().row and vi is handed().v_row
             return speed_at(m_, xi, vi) * xi[1]
 
         base = (as_force_field(metrizable()) if base_stacked
@@ -370,7 +375,7 @@ class TestRowHandoff:
         # the handed speeds, once, beside whatever the base takes on its own
         assert not calls and speeds_taken.count((3600, 3)) == 1
         assert rows == list(range(3600))
-        assert self.no_handoff()
+        assert handed() is None
         # at a copy of its row, the bump's metric is evaluated afresh, to the same bits
         copied = perturbed_field(base, 0, lambda m_, xi, vi: speed_at(m_, xi.copy(), vi) * xi[1])
         assert np.array_equal(out, field_call(copied, copied.eval, m)(at, u, g))
@@ -390,7 +395,7 @@ class TestRowHandoff:
         field_call(ForceField(eval=user), user, m)(at, u, g)
         assert len(calls) == 3600 and len(seen) == 3600
         assert np.array_equal(np.array(seen), g.reshape(-1, 3, 3))
-        assert self.no_handoff()
+        assert handed() is None
 
     def test_another_rows_position_is_evaluated_afresh_to_that_rows_bits(self):
         calls = []
@@ -402,7 +407,7 @@ class TestRowHandoff:
 
         def user(m_, xi, vi):
             j = len(seen)
-            other = tensor_core._handed[1].reshape(-1, 3)[k - 1 - j]  # a view of the handed copy
+            other = handed().x.reshape(-1, 3)[k - 1 - j]  # a view of the handed copy
             seen.append((metric_at(m_, xi), metric_at(m_, other)))
             return np.zeros(3)
 
@@ -424,7 +429,7 @@ class TestRowHandoff:
         with pytest.raises(ValueError):
             field_call(ForceField(eval=user), user, m)(x, np.ones((2, 3)), metric_at(m, x))
         assert np.array_equal(x, before)
-        assert self.no_handoff()
+        assert handed() is None
 
     def test_nested_handoff_gives_the_outer_row_back(self):
         calls = []
@@ -438,7 +443,7 @@ class TestRowHandoff:
 
         def user(m_, xi, vi):
             force = force_from_A(A, m_, xi, vi)
-            assert tensor_core._handed[4] is xi and tensor_core._handed[6] is vi
+            assert handed().row is xi and handed().v_row is vi
             seen.append(metric_at(m_, xi))
             return force + speed_at(m_, xi, vi)
 
@@ -449,7 +454,7 @@ class TestRowHandoff:
         expected = [force_from_A(A, m, xi, vi) + speed_at(m, xi, vi)
                     for xi, vi in zip(at.reshape(-1, 3), u.reshape(-1, 3))]
         assert np.array_equal(out.reshape(-1, 3), np.array(expected))
-        assert self.no_handoff()
+        assert handed() is None
 
     def test_an_equal_stack_that_is_not_the_handed_one_is_passed_as_it_is(self):
         m = wavy_conformal_metric()
@@ -470,20 +475,20 @@ class TestRowHandoff:
         calls.clear()
 
         def user(xi, vi):
-            if speed_at(m, xi, vi) > 0.0 and tensor_core._handed[5] == 3:
+            if speed_at(m, xi, vi) > 0.0 and handed().index == 3:
                 raise ArithmeticError("row 3")
             return 0.0
 
         with handing(m, x, gmat, v) as (x, v):
             with pytest.raises(ArithmeticError, match="row 3"):
                 by_rows(user, x, v)
-            assert tensor_core._handed[4:7] == [None, None, None]
+            assert (handed().row, handed().index, handed().v_row) == (None, None, None)
             assert not calls
             # with no current row, row 3 is evaluated afresh, to the same bits
             assert np.array_equal(metric_at(m, x[3]), gmat[3])
             assert len(calls) == 1
             assert speed_at(m, x[3], v[3]) == speed_at(m, x[3].copy(), v[3].copy())
-        assert len(calls) == 3 and self.no_handoff()
+        assert len(calls) == 3 and handed() is None
 
 
 @pytest.mark.parametrize("target", ["x", "v"])
@@ -561,7 +566,7 @@ class TestSpeedHandoff:
 
         def user(m_, xi, vi):
             pairs.append((speed_at(m_, xi, vi.copy()), speed_at(m_, xi.copy(), vi)))
-            assert tensor_core._handed[7] is None
+            assert handed().speeds is None
             return np.zeros(3)
 
         with counted_speed_from() as speeds_taken:
@@ -583,7 +588,7 @@ class TestSpeedHandoff:
         with pytest.raises(ValueError):
             field_call(ForceField(eval=user), user, m)(x, v, metric_at(m, x))
         assert np.array_equal(v, before)
-        assert all(entry is None for entry in tensor_core._handed)
+        assert handed() is None
 
     def test_an_equal_velocity_stack_that_is_not_the_handed_one_is_passed_as_it_is(self):
         m = wavy_conformal_metric()
@@ -594,12 +599,12 @@ class TestSpeedHandoff:
         seen = []
 
         def user(xi, wi):
-            seen.append((wi, tensor_core._handed[6]))
+            seen.append((wi, handed().v_row))
             return speed_at(m, xi, wi)
 
         with handing(m, x, metric_at(m, x), v) as (x, _):
             speeds = by_rows(user, x, w)
-            assert tensor_core._handed[7] is None
+            assert handed().speeds is None
         assert all(np.shares_memory(wi, w) and row is None for wi, row in seen)
         assert np.signbit(seen[0][0][0])
         assert np.array_equal(speeds, [speed_at(m, xi, vi) for xi, vi in zip(x, v)])
@@ -609,27 +614,27 @@ class TestSpeedHandoff:
         # speeds are taken only for a closure that asks
         m = wavy_conformal_metric()
         u, at, g = offset_stack(m, count=4, offsets=(3,))
-        handed = []
+        taken = []
 
         def silent(m_, xi, vi):
-            handed.append(tensor_core._handed[7])
+            taken.append(handed().speeds)
             return np.zeros(3)
 
         def stacked(m_, x, v):
-            assert v is tensor_core._handed[3] and not v.flags.writeable
-            handed.append(tensor_core._handed[7])
+            assert v is handed().v and not v.flags.writeable
+            taken.append(handed().speeds)
             return np.zeros(x.shape)
 
         asking, seen = speed_field()
         with counted_speed_from() as speeds_taken:
             field_call(ForceField(eval=silent), silent, m)(at, u, g)
             field_call(ForceField(eval=stacked, stacked=True), stacked, m)(at, u, g)
-            assert speeds_taken == [] and len(handed) == 13
-            assert all(speeds is None for speeds in handed)
+            assert speeds_taken == [] and len(taken) == 13
+            assert all(speeds is None for speeds in taken)
             for _ in range(2):
                 field_call(asking, asking.eval, m)(at, u, g)
         assert speeds_taken == [(12, 3)] * 2 and len(seen) == 24
-        assert all(entry is None for entry in tensor_core._handed)
+        assert handed() is None
 
 
 @pytest.mark.parametrize("metric", [euclidean_metric, wavy_conformal_metric],
@@ -650,3 +655,63 @@ def test_perturbed_control_is_bit_identical_on_the_row_and_the_fresh_path(metric
     (rows, lam), (fresh_rows, fresh_lam) = tables
     assert np.array_equal(rows, fresh_rows) and np.array_equal(lam, fresh_lam)
     assert rows[:, 0].max() > 1e-3  # the bump violates the equations
+
+
+# Each thread's verify runs; two threads, never more.
+THREAD_RUNS = 30
+
+
+def same_report(a, b):
+    return a.residuals() == b.residuals() and np.array_equal(a.lambda_samples, b.lambda_samples)
+
+
+class TestThreads:
+    """Each thread sees only its own handoff, so concurrent calls give the
+    serial results bit for bit."""
+
+    def test_two_threads_verifying_at_once_give_the_serial_reports(self):
+        field, mode = verify_cases()["perturbed"]
+        m = wavy_conformal_metric()
+        specs = [SampleSpec(box=BOX, count=50, seed=seed, mode=mode) for seed in (1, 2)]
+        serial = [verify(field, m, spec) for spec in specs]
+        reports, errors = ([], []), []
+
+        def run(k):
+            try:
+                for _ in range(THREAD_RUNS):
+                    reports[k].append(verify(field, m, specs[k]))
+            except Exception as exc:  # kept for the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        for k in (0, 1):
+            assert len(reports[k]) == THREAD_RUNS
+            assert all(same_report(report, serial[k]) for report in reports[k])
+
+    def test_a_thread_started_inside_a_handoff_sees_none(self):
+        calls = []
+        m = counted_metric(calls)
+        x = np.array([[0.3, 0.4, 0.5], [0.6, 0.7, 0.8]])
+        gmat = metric_at(m, x)
+        calls.clear()
+        seen = []
+        with handing(m, x, gmat) as (copy, _):
+            thread = threading.Thread(target=lambda: seen.append((handed(), metric_at(m, copy))))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive() and handed().x is copy
+        [(other, value)] = seen
+        # the thread evaluated the copy afresh, one g call per row, to the same bits
+        assert other is None and len(calls) == 2
+        assert value.flags.writeable and np.array_equal(value, gmat)

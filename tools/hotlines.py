@@ -16,6 +16,9 @@ follow:
   line.  A signal is handled between bytecodes, so time spent inside a
   numpy call lands on the line that made the call.
 
+Each table lists every row at or above ``FLOOR_PCT`` of the samples, however
+many that is, so a layer that a change shrank stays in view.
+
 A sample costs nothing per Python call, so small, frequent calls are not
 inflated as under ``cProfile``.  The shares are of samples, not of wall
 time: time the process spends off the CPU is not seen.  The benchmark's
@@ -24,6 +27,7 @@ files are only imported, never changed.
 
 import argparse
 import collections
+import itertools
 import linecache
 import signal
 import sys
@@ -34,7 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 INTERVAL_S = 1e-3
 MIN_ROUNDS = 3
-TOP = 25
+FLOOR_PCT = 0.5
 
 
 def parse_args(argv):
@@ -108,12 +112,18 @@ def run(workload: str, seed: int, seconds: float, size: str):
 
 def report(sampler: Sampler) -> str:
     total = max(sampler.samples, 1)
+
+    def shown(counter):
+        return itertools.takewhile(lambda row: 100.0 * row[1] >= FLOOR_PCT * total,
+                                   counter.most_common())
+
     lines = ["inclusive functions (share of samples on the stack):"]
-    for code, count in sampler.inclusive.most_common(TOP):
+    for code, count in shown(sampler.inclusive):
         lines.append(f"  {100.0 * count / total:6.2f}%  {_where(code)}")
     lines.append("leaf lines (share of samples whose innermost frame ran the line):")
-    for (code, line), count in sampler.leaves.most_common(TOP):
-        text = linecache.getline(code.co_filename, line).strip()
+    for (code, line), count in shown(sampler.leaves):
+        # an instruction with no line number (f_lineno None) has no text
+        text = linecache.getline(code.co_filename, line).strip() if line else ""
         lines.append(f"  {100.0 * count / total:6.2f}%  {_where(code)} line {line}: {text}")
     return "\n".join(lines)
 
